@@ -27,6 +27,8 @@ from .graph import (
     GainGraph,
     GainGraphError,
     GainOneLoop,
+    InvariantViolation,
+    SignedUnionFind,
     disjoint_union,
     edge,
     validate_edges,

@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional
 
-from .graph import GainGraph, edge
+from .graph import GainGraph, edge, invariant
 from .iso import are_isomorphic
 from .sparsity import SparsityParams, check_tight
 
@@ -69,8 +69,11 @@ def _build_catalog() -> dict[str, GainGraph]:
 
 BASE_CATALOG: dict[str, GainGraph] = _build_catalog()
 
-assert len(BASE_CATALOG) == 8, "expected exactly 8 base graphs"
-assert all(check_tight(g, PARAMS_220) for g in BASE_CATALOG.values())
+invariant(len(BASE_CATALOG) == 8, "expected exactly 8 base graphs")
+invariant(
+    all(check_tight(g, PARAMS_220) for g in BASE_CATALOG.values()),
+    "a base graph is not (2,2,0)-tight",
+)
 
 
 def is_base_graph(g: GainGraph) -> Optional[str]:
@@ -83,7 +86,10 @@ def is_base_graph(g: GainGraph) -> Optional[str]:
 
 
 def graph_for_base_id(base_id: str) -> GainGraph:
-    """Catalog member, or K1 for the (2,2,2) seed id 'k1'."""
+    """Catalog member, or K1 for the (2,2,2) seed id 'k1'; ValueError for
+    any other id."""
     if base_id == "k1":
         return K1
+    if not isinstance(base_id, str) or base_id not in BASE_CATALOG:
+        raise ValueError(f"unknown base id {base_id!r}")
     return BASE_CATALOG[base_id]

@@ -139,7 +139,6 @@ def cmd_analyse(args) -> int:
             "dof": rep.dof,
             "trivial_dim": rep.trivial,
             "flex_dim": rep.flex_dim,
-            "full": rep.full,
             "rigid": rep.rigid,
             "independent": rep.independent,
             "isostatic": rep.isostatic,

@@ -3,16 +3,21 @@ rigidity criteria they induce.
 
 Every well-positioned edge orbit has a unique facet cone (up to central
 symmetry), giving a 2-colouring of the quotient edges.  The geometric
-verdicts are structural tests on the two monochrome edge classes:
+verdicts are matroid tests on the two monochrome edge classes:
 
-  character-0 isostatic  <=>  both classes are spanning unbalanced map
-                              graphs (every component has exactly one cycle,
-                              and that cycle is unbalanced);
-  character-1 isostatic  <=>  both classes are spanning trees;
+  character-0 isostatic  <=>  both classes are bases of the frame matroid
+                              of the gain graph: spanning unbalanced map
+                              graphs, whose every component has exactly one
+                              cycle, and that cycle unbalanced;
+  character-1 isostatic  <=>  both classes are bases of the graphic matroid:
+                              spanning trees;
   infinitesimally rigid  <=>  both classes are spanning, connected, and
                               contain an unbalanced cycle (such a class
-                              always contains a spanning connected
-                              unbalanced map subgraph).
+                              always contains a connected basis of the frame
+                              matroid).
+
+All three read off the per-component vertex count, edge count and balance
+that ``SignedUnionFind`` keeps.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Edge, GainGraph
-from .norms import PolyhedralNorm
+from .graph import Edge, GainGraph, SignedUnionFind
+from .norms import NormError, PolyhedralNorm
 from .rigidity import Framework, FrameworkError, NotWellPositioned
 
 
@@ -41,7 +46,7 @@ def edge_colour(fw: Framework, e: Edge) -> int:
         raise FrameworkError("colouring requires a quadrilateral norm")
     try:
         idx, _sign = fw.norm.facet_of(fw.edge_delta(e))
-    except Exception as exc:
+    except NormError as exc:
         raise NotWellPositioned(f"edge {e.as_list()}: {exc}") from exc
     return idx
 
@@ -53,76 +58,27 @@ def monochrome_quotients(fw: Framework) -> ColouredQuotient:
     return ColouredQuotient((tuple(parts[0]), tuple(parts[1])))
 
 
-def _component_partition(
-    n: int, edges: Sequence[Edge]
-) -> list[tuple[list[int], list[Edge]]]:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in edges:
-        parent[find(e.u)] = find(e.v)
-    comp_v: dict[int, list[int]] = {}
-    for v in range(n):
-        comp_v.setdefault(find(v), []).append(v)
-    comp_e: dict[int, list[Edge]] = {r: [] for r in comp_v}
-    for e in edges:
-        comp_e[find(e.u)].append(e)
-    return [(comp_v[r], comp_e[r]) for r in sorted(comp_v)]
-
-
-def _has_unbalanced_cycle(g: GainGraph, vertices: Sequence[int], edges: Sequence[Edge]) -> bool:
-    """The edge set (known connected on `vertices`) supports an unbalanced
-    cycle iff no switching makes all its edges gain +1."""
-    sub = GainGraph.from_triples(
-        len(vertices),
-        [
-            [vertices.index(e.u), vertices.index(e.v), e.gain]
-            for e in edges
-        ],
-    )
-    return not sub.is_balanced()
-
-
 def is_unbalanced_map_graph(
     g: GainGraph, subset: Sequence[Edge], spanning: bool = True
 ) -> bool:
     """Every component has edge count equal to vertex count with its unique
     cycle unbalanced; with `spanning`, the subset must also touch every
     vertex of g (isolated vertices then fail the cycle condition)."""
-    edges = list(subset)
-    if spanning:
-        comps = _component_partition(g.n, edges)
-    else:
-        support = sorted({v for e in edges for v in (e.u, e.v)})
-        comps = [
-            c for c in _component_partition(g.n, edges) if c[0][0] in support
-        ]
-    for verts, es in comps:
-        if len(es) != len(verts):
-            return False
-        if not _has_unbalanced_cycle(g, verts, es):
-            return False
-    return True
+    return all(
+        len(verts) == n_edges and unbalanced
+        for verts, n_edges, unbalanced in SignedUnionFind(g.n, subset).components()
+        if spanning or n_edges
+    )
 
 
 def _is_spanning_tree(n: int, edges: Sequence[Edge]) -> bool:
-    if len(edges) != n - 1 or any(e.is_loop() for e in edges):
-        return False
-    comps = _component_partition(n, edges)
-    return len(comps) == 1
+    comps = SignedUnionFind(n, edges).components()
+    return len(comps) == 1 and comps[0][1] == n - 1
 
 
 def _spanning_connected_unbalanced(g: GainGraph, edges: Sequence[Edge]) -> bool:
-    comps = _component_partition(g.n, edges)
-    if len(comps) != 1:
-        return False
-    verts, es = comps[0]
-    return len(es) >= len(verts) and _has_unbalanced_cycle(g, verts, es)
+    comps = SignedUnionFind(g.n, edges).components()
+    return len(comps) == 1 and comps[0][2]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .catalog import PARAMS_220, PARAMS_222, graph_for_base_id, is_base_graph
-from .graph import GainGraph, disjoint_union
+from .graph import GainGraph, SignedUnionFind, disjoint_union, invariant
 from .iso import apply_iso, compose_iso, invert_iso, isomorphism
 from .moves import (
     ALL_KINDS,
@@ -59,8 +59,8 @@ def allowed_kinds(p: SparsityParams) -> tuple[str, ...]:
 def construct(
     seq: ConstructionSequence, verify: bool = True
 ) -> GainGraph:
-    """Replay a construction sequence; with verify, check tightness of every
-    intermediate graph (each component of the pre-move unions)."""
+    """Replay a construction sequence; with verify, check that every
+    component of every intermediate graph is tight."""
     g = seq.initial_graph()
     p = seq.params
     if verify:
@@ -71,12 +71,27 @@ def construct(
     for mv in seq.steps:
         if mv.kind not in kinds:
             raise MoveError(f"move kind {mv.kind} not allowed for {p.as_tuple()}")
-        g = apply_move(g, mv)
-        if verify:
-            for comp in g.components():
-                if not check_tight(g.subgraph(comp), p):
-                    raise NotTight(f"intermediate graph not tight after {mv.kind}")
+        h = apply_move(g, mv)
+        if verify and not _tight_after_move(g, h, p):
+            raise NotTight(f"intermediate graph not tight after {mv.kind}")
+        g = h
     return g
+
+
+def _tight_after_move(g: GainGraph, h: GainGraph, p: SparsityParams) -> bool:
+    """Whether every component of h is p-tight, given that h comes from the
+    p-sparse graph g by one move.
+
+    The edges h shares with g form a subgraph of g, so any violation in h
+    contains an edge new to h; and a disjoint union is sparse iff each of
+    its components is, so one incremental scan of h covers all components.
+    """
+    old = set(g.edges)
+    new = [e for e in h.edges if e not in old]
+    comps = SignedUnionFind(h.n, h.edges).components()
+    if any(n_edges != p.k * len(verts) - p.m for verts, n_edges, _ in comps):
+        return False
+    return check_sparsity(h, p, require_edges=new).passed
 
 
 def _match_components(
@@ -103,7 +118,7 @@ def _match_components(
         if bid is None:
             return None
         iso = isomorphism(sub, graph_for_base_id(bid))
-        assert iso is not None
+        invariant(iso is not None, f"component not isomorphic to its base {bid}")
         sub_pi, sub_signs = iso
         ids.append(bid)
         for local, v in enumerate(comp):
@@ -148,7 +163,7 @@ def decompose(
     seq = ConstructionSequence(params=p, initial=ids, steps=())
     c = seq.initial_graph()
     psi_pi, psi_signs = pi_term, signs_term
-    assert apply_iso(cur, psi_pi, psi_signs) == c
+    invariant(apply_iso(cur, psi_pi, psi_signs) == c, "terminal bases do not match")
     for r in reversed(chain):
         mv2, new_signs = translate_move(r.forward, psi_pi, psi_signs)
         c = apply_move(c, mv2)
@@ -156,9 +171,12 @@ def decompose(
         ext_pi, ext_signs = extend_iso(psi_pi, psi_signs, r.forward, new_signs)
         # r: apply_iso(pre, r.pi, r.signs) == apply_move(r.reduced, r.forward)
         psi_pi, psi_signs = compose_iso(r.pi, r.signs, ext_pi, ext_signs)
-        assert apply_iso(_pre_graph(r), psi_pi, psi_signs) == c
+        invariant(
+            apply_iso(_pre_graph(r), psi_pi, psi_signs) == c,
+            f"replay of {r.kind} diverged from the reduction chain",
+        )
     seq = ConstructionSequence(params=p, initial=ids, steps=tuple(seq_steps))
-    assert apply_iso(g, psi_pi, psi_signs) == c
+    invariant(apply_iso(g, psi_pi, psi_signs) == c, "replay does not rebuild the input")
     return seq, psi_pi, psi_signs
 
 
@@ -286,11 +304,7 @@ def random_tight(
             h = apply_move(g, mv)
         except MoveError:
             continue
-        new = [e for e in h.edges if e not in set(g.edges)]
-        if len(h.edges) != p.k * h.n - p.m:
-            continue
-        if not check_sparsity(h, p, require_edges=new).passed:
-            continue
-        g = h
-    assert check_tight(g, p)
+        if _tight_after_move(g, h, p):
+            g = h
+    invariant(check_tight(g, p), "random_tight built a graph that is not tight")
     return g

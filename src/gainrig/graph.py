@@ -30,6 +30,20 @@ class BadVertexIndex(GainGraphError):
     """Edge endpoint outside 0..n-1."""
 
 
+class InvariantViolation(RuntimeError):
+    """An internal invariant failed: a bug in gainrig, not bad input.
+
+    Raised explicitly rather than by ``assert`` so the checks also run under
+    ``python -O``.
+    """
+
+
+def invariant(condition: bool, message: str) -> None:
+    """Raise InvariantViolation(message) unless condition holds."""
+    if not condition:
+        raise InvariantViolation(message)
+
+
 @dataclass(frozen=True, order=True)
 class Edge:
     """Undirected gain edge, normalised so u <= v; loops have u == v."""
@@ -77,6 +91,79 @@ def validate_edges(n: int, edges: Iterable[Edge]) -> list[str]:
             problems.append(f"DuplicateParallelEdge: edge {e.as_list()} repeated")
         seen.add(e)
     return problems
+
+
+class SignedUnionFind:
+    """Union-find over vertices 0..n-1 that also tracks switching signs.
+
+    Adding the edge (u, v, gain) asks for vertex signs with s_u * s_v = gain.
+    Each vertex keeps its parent and its sign relative to that parent; each
+    root keeps its component's vertex count, edge count and whether the
+    component's edges are unbalanced (no signs satisfy them all: a loop, or
+    a cycle of gain -1).  These counts decide independence in the frame
+    matroid (every component has at most one cycle, and that cycle is
+    unbalanced) and in the graphic matroid (no component has a cycle).
+    """
+
+    def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
+        self.parent = list(range(n))
+        self.parity = [1] * n
+        self.size = [1] * n
+        self.edge_count = [0] * n
+        self.unbalanced = [False] * n
+        for e in edges:
+            self.union(e.u, e.v, e.gain)
+
+    def find(self, x: int) -> tuple[int, int]:
+        """The root of x's component and the sign of x relative to it."""
+        path = []
+        while self.parent[x] != x:
+            path.append(x)
+            x = self.parent[x]
+        sign = 1
+        for y in reversed(path):
+            sign *= self.parity[y]
+            self.parity[y] = sign
+            self.parent[y] = x
+        return x, sign
+
+    def union(self, u: int, v: int, gain: int) -> None:
+        """Add the edge (u, v, gain)."""
+        ru, su = self.find(u)
+        rv, sv = self.find(v)
+        if ru == rv:
+            self.edge_count[ru] += 1
+            if su * sv != gain:
+                self.unbalanced[ru] = True
+            return
+        if self.size[ru] < self.size[rv]:
+            ru, rv = rv, ru
+        self.parent[rv] = ru
+        self.parity[rv] = su * sv * gain
+        self.size[ru] += self.size[rv]
+        self.edge_count[ru] += self.edge_count[rv] + 1
+        self.unbalanced[ru] = self.unbalanced[ru] or self.unbalanced[rv]
+
+    def is_balanced(self) -> bool:
+        # A flag left on a former root was also set on the root it joined.
+        return not any(self.unbalanced)
+
+    def components(self) -> list[tuple[list[int], int, bool]]:
+        """(sorted vertices, edge count, unbalanced) per component, ordered
+        by smallest vertex."""
+        groups: dict[int, list[int]] = {}
+        for v in range(len(self.parent)):
+            groups.setdefault(self.find(v)[0], []).append(v)
+        return [(vs, self.edge_count[r], self.unbalanced[r]) for r, vs in groups.items()]
+
+    def signs(self) -> list[int]:
+        """A sign per vertex, +1 at the smallest vertex of each component;
+        on a balanced component they satisfy every edge added."""
+        found = [self.find(v) for v in range(len(self.parent))]
+        anchor: dict[int, int] = {}
+        for root, sign in found:
+            anchor.setdefault(root, sign)
+        return [sign * anchor[root] for root, sign in found]
 
 
 @dataclass(frozen=True)
@@ -169,35 +256,16 @@ class GainGraph:
         """Signs s with gain(e) = s_u * s_v for every edge of the subset.
 
         Returns None if the subset is unbalanced (contains a loop or a cycle
-        of gain -1).  Vertices not touched by the subset get sign +1.
+        of gain -1).  The smallest vertex of each component gets sign +1, and
+        vertices not touched by the subset get sign +1.
         """
         edges = list(self.edges if subset is None else subset)
+        known = set(self.edges)
         for e in edges:
-            if not self.has_edge(e):
+            if e not in known:
                 raise GainGraphError(f"unknown edge {e.as_list()}")
-        if any(e.is_loop() for e in edges):
-            return None
-        signs = [0] * self.n
-        adj: dict[int, list[Edge]] = {}
-        for e in edges:
-            adj.setdefault(e.u, []).append(e)
-            adj.setdefault(e.v, []).append(e)
-        for root in sorted(adj):
-            if signs[root]:
-                continue
-            signs[root] = 1
-            stack = [root]
-            while stack:
-                x = stack.pop()
-                for e in adj[x]:
-                    y = e.other(x)
-                    want = e.gain * signs[x]
-                    if signs[y] == 0:
-                        signs[y] = want
-                        stack.append(y)
-                    elif signs[y] != want:
-                        return None
-        return [s if s else 1 for s in signs]
+        uf = SignedUnionFind(self.n, edges)
+        return uf.signs() if uf.is_balanced() else None
 
     def is_balanced(self, subset: Optional[Iterable[Edge]] = None) -> bool:
         """True iff every cycle of the subset (loops included) has gain +1."""
@@ -223,29 +291,14 @@ class GainGraph:
             else:
                 lifted.append(frozenset({(e.u, 0), (e.v, 1)}))
                 lifted.append(frozenset({(e.u, 1), (e.v, 0)}))
-        assert len(set(lifted)) == len(lifted), "covering graph not simple"
+        invariant(len(set(lifted)) == len(lifted), "covering graph not simple")
         return vertices, lifted
 
     # -- global structure ----------------------------------------------------
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists (isolated included)."""
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in self.edges:
-            ru, rv = find(e.u), find(e.v)
-            if ru != rv:
-                parent[ru] = rv
-        groups: dict[int, list[int]] = {}
-        for v in range(self.n):
-            groups.setdefault(find(v), []).append(v)
-        return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+        return [vs for vs, _, _ in SignedUnionFind(self.n, self.edges).components()]
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1

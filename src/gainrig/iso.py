@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .graph import Edge, GainGraph, edge
+from .graph import Edge, GainGraph, SignedUnionFind, edge, invariant
 
 
 def apply_iso(
@@ -74,10 +74,11 @@ def _switching_signs(
 
     Only pairs joined by exactly one edge constrain the signs (a double
     parallel pair carries both gains on both sides, loops are always -1);
-    feasibility is a 2-colouring of the single-edge constraint graph.
+    feasibility is the balance of the single-edge constraints, each asking
+    s_u * s_v == (gain in g) * (gain in h).
     """
     h_edges = set(h.edges)
-    constraints: list[tuple[int, int, int]] = []  # (u, v, required s_u*s_v)
+    uf = SignedUnionFind(g.n)
     pairs = _pair_counts(g)
     for e in g.edges:
         if e.is_loop():
@@ -95,27 +96,8 @@ def _switching_signs(
                 matched = gn
         if matched is None:
             return None
-        constraints.append((e.u, e.v, e.gain * matched))
-    signs = [0] * g.n
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for u, v, req in constraints:
-        adj.setdefault(u, []).append((v, req))
-        adj.setdefault(v, []).append((u, req))
-    for root in range(g.n):
-        if signs[root]:
-            continue
-        signs[root] = 1
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y, req in adj.get(x, ()):
-                want = req * signs[x]
-                if signs[y] == 0:
-                    signs[y] = want
-                    stack.append(y)
-                elif signs[y] != want:
-                    return None
-    return [s if s else 1 for s in signs]
+        uf.union(e.u, e.v, e.gain * matched)
+    return uf.signs() if uf.is_balanced() else None
 
 
 def isomorphism(
@@ -170,7 +152,7 @@ def isomorphism(
 
     result = backtrack(0)
     if result is not None:
-        assert apply_iso(g, *result) == h
+        invariant(apply_iso(g, *result) == h, "isomorphism does not map g onto h")
     return result
 
 

@@ -50,7 +50,7 @@ re-checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator, Optional, Sequence
 
 from .graph import Edge, GainGraph, GainGraphError, edge
@@ -648,6 +648,32 @@ def _vertex_deletion_candidates(g: GainGraph, v: int) -> Iterator[Reduction]:
                 yield r
 
 
+def _clique_switchings(
+    clique: tuple[int, ...], induced: Sequence[Edge]
+) -> Iterator[tuple[tuple[int, ...], dict[tuple[int, int], Edge]]]:
+    """Switchings of the clique, first sign fixed +1 (a global flip is moot),
+    under which every vertex pair of it is joined by an edge of gain +1;
+    yields (local signs, one such edge per pair)."""
+    pair_edges: dict[tuple[int, int], list[Edge]] = {}
+    for e in induced:
+        if not e.is_loop():
+            pair_edges.setdefault((e.u, e.v), []).append(e)
+    if len(pair_edges) < len(clique) * (len(clique) - 1) // 2:
+        return
+    index = {v: i for i, v in enumerate(clique)}
+    for rest in product((1, -1), repeat=len(clique) - 1):
+        local_signs = (1,) + rest
+        chosen = {}
+        for (u, v), es in pair_edges.items():
+            want = local_signs[index[u]] * local_signs[index[v]]
+            match = [e for e in es if e.gain == want]
+            if not match:
+                break
+            chosen[(u, v)] = match[0]
+        else:
+            yield local_signs, chosen
+
+
 def _balanced_k4_contractions(g: GainGraph) -> Iterator[Reduction]:
     """Contract each balanced K4 that induces at most one extra edge."""
     if g.n < 4:
@@ -657,27 +683,8 @@ def _balanced_k4_contractions(g: GainGraph) -> Iterator[Reduction]:
         induced = g.induced_edges(quad)
         if len(induced) > 7:
             continue
-        pair_edges: dict[tuple[int, int], list[Edge]] = {}
-        loops = [e for e in induced if e.is_loop()]
-        for e in induced:
-            if not e.is_loop():
-                pair_edges.setdefault((e.u, e.v), []).append(e)
-        if len(pair_edges) < 6:
-            continue
-        index = {v: i for i, v in enumerate(quad)}
-        for local_signs in _half_sign_space(4):
-            chosen = []
-            ok = True
-            for (u, v), es in pair_edges.items():
-                want = local_signs[index[u]] * local_signs[index[v]]
-                match = [e for e in es if e.gain == want]
-                if not match:
-                    ok = False
-                    break
-                chosen.append(match[0])
-            if not ok:
-                continue
-            extra = [e for e in induced if e not in chosen]
+        for local_signs, chosen in _clique_switchings(quad, induced):
+            extra = [e for e in induced if e not in chosen.values()]
             if len(extra) > 1:
                 continue
             key = (quad, tuple(sorted(extra)))
@@ -685,14 +692,6 @@ def _balanced_k4_contractions(g: GainGraph) -> Iterator[Reduction]:
                 continue
             seen.add(key)
             yield from _build_k4_contraction(g, quad, local_signs, extra)
-
-
-def _half_sign_space(n: int) -> Iterator[tuple[int, ...]]:
-    """Sign vectors with the first coordinate fixed +1 (global flip is moot)."""
-    from itertools import product
-
-    for rest in product((1, -1), repeat=n - 1):
-        yield (1,) + rest
 
 
 def _build_k4_contraction(
@@ -753,34 +752,11 @@ def _build_k4_contraction(
 def _triangle_contractions(g: GainGraph) -> Iterator[Reduction]:
     """Reverse vertex splits: contract a gain-1 edge of a balanced triangle."""
     for tri in combinations(range(g.n), 3):
-        pair_edges: dict[tuple[int, int], list[Edge]] = {}
-        for e in g.induced_edges(tri):
-            if not e.is_loop():
-                pair_edges.setdefault((e.u, e.v), []).append(e)
-        if len(pair_edges) < 3:
-            continue
-        index = {v: i for i, v in enumerate(tri)}
-        seen: set[tuple] = set()
-        for local_signs in _half_sign_space(3):
-            chosen = {}
-            ok = True
-            for (u, v), es in pair_edges.items():
-                want = local_signs[index[u]] * local_signs[index[v]]
-                match = [e for e in es if e.gain == want]
-                if not match:
-                    ok = False
-                    break
-                chosen[(u, v)] = match[0]
-            if not ok:
-                continue
+        for local_signs, _ in _clique_switchings(tri, g.induced_edges(tri)):
             for keep, absorb in _ordered_pairs(tri):
                 c = next(x for x in tri if x not in (keep, absorb))
-                key = (keep, absorb, local_signs)
-                if key in seen:
-                    continue
-                seen.add(key)
                 yield from _build_triangle_contraction(
-                    g, keep, absorb, c, chosen, tri, local_signs
+                    g, keep, absorb, c, tri, local_signs
                 )
 
 
@@ -791,10 +767,9 @@ def _ordered_pairs(tri):
 
 
 def _build_triangle_contraction(
-    g, keep, absorb, c, chosen, tri, local_signs
+    g, keep, absorb, c, tri, local_signs
 ) -> Iterator[Reduction]:
     """Merge `absorb` into `keep`; `c` is the split's second anchor."""
-    index = {v: i for i, v in enumerate(tri)}
     signs = [1] * g.n
     for v, s in zip(tri, local_signs):
         signs[v] = s

@@ -25,10 +25,10 @@ from typing import Iterator, Optional, Sequence
 from .catalog import graph_for_base_id
 from .colouring import geometric_verdict
 from .construct import ConstructionSequence
-from .graph import GainGraph
+from .graph import GainGraph, invariant
 from .moves import Move, apply_move
 from .norms import LINF, PolyhedralNorm
-from .rigidity import Framework, analyse, well_positioned
+from .rigidity import Framework, FrameworkError, analyse, well_positioned
 
 
 class PlacementError(RuntimeError):
@@ -79,7 +79,7 @@ def _verified(fw: Framework, j: int) -> bool:
     if not combinatorial:
         return False
     algebraic = analyse(fw, j).isostatic
-    assert algebraic == combinatorial, "oracle disagreement (bug)"
+    invariant(algebraic == combinatorial, "rank and colouring verdicts disagree")
     return True
 
 
@@ -188,7 +188,7 @@ def _try_framework(h, positions, norm, j):
         return None
     try:
         fw = Framework(h, tuple(positions), norm, 2)
-    except Exception:
+    except FrameworkError:
         return None
     return fw if _verified(fw, j) else None
 

@@ -204,7 +204,6 @@ class RigidityReport:
     edge_count: int
     dof: int  # d * |V0|
     trivial: int
-    full: bool
     rigid: bool
     independent: bool
     isostatic: bool
@@ -242,7 +241,6 @@ def analyse(fw: Framework, j: int) -> RigidityReport:
         edge_count=len(g.edges),
         dof=dof,
         trivial=triv,
-        full=True,  # automatic for the supported (minimal) norms
         rigid=rigid,
         independent=independent,
         isostatic=rigid and independent and len(g.edges) == dof - triv,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Optional
 
-from .graph import Edge, GainGraph, all_vertex_subsets
+from .graph import Edge, GainGraph, all_vertex_subsets, invariant
 
 
 class OracleGuardExceeded(ValueError):
@@ -84,9 +84,8 @@ def _violation_report(
     support = _support(edges)
     offset = p.l if balanced else p.m
     bound = p.k * len(support) - offset
-    assert len(edges) > bound, "witness does not violate its own bound"
-    if balanced:
-        assert g.is_balanced(edges)
+    invariant(len(edges) > bound, "witness does not violate its own bound")
+    invariant(not balanced or g.is_balanced(edges), "balanced witness is unbalanced")
     return SparsityReport(
         passed=False,
         witness=edges,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -28,3 +29,35 @@ def random_gain_graph(
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+def brute_components(n: int, edges) -> list[tuple[list[int], list]]:
+    """(sorted vertices, edges) per connected component of the edge set on
+    vertices 0..n-1, found by graph search; isolated vertices included."""
+    comp = [-1] * n
+    for s in range(n):
+        if comp[s] >= 0:
+            continue
+        comp[s] = s
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for e in edges:
+                if e.touches(x) and comp[e.other(x)] < 0:
+                    comp[e.other(x)] = s
+                    stack.append(e.other(x))
+    return [
+        ([v for v in range(n) if comp[v] == s], [e for e in edges if comp[e.u] == s])
+        for s in range(n)
+        if comp[s] == s
+    ]
+
+
+def brute_balanced(vertices, edges) -> bool:
+    """Some +-1 sign per vertex satisfies gain(e) = s_u * s_v on every edge
+    (so no loop), found by trying all 2^|vertices| assignments."""
+    for bits in product((1, -1), repeat=len(vertices)):
+        s = dict(zip(vertices, bits))
+        if all(not e.is_loop() and e.gain == s[e.u] * s[e.v] for e in edges):
+            return True
+    return False

@@ -69,3 +69,11 @@ def test_decompose_non_tight_fails(tmp_path, capsys):
     save_json(str(path), {"n": 2, "edges": [[0, 1, 1]]})
     assert main(["decompose", str(path)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["construct", "realize"])
+def test_unknown_base_id_is_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "seq.json"
+    save_json(str(path), {"counts": [2, 2, 0], "initial": ["zz"], "steps": []})
+    assert main([command, str(path)]) == 2
+    assert "unknown base id 'zz'" in capsys.readouterr().err

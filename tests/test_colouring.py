@@ -5,6 +5,8 @@ import pytest
 
 from gainrig.catalog import PARAMS_220, PARAMS_222
 from gainrig.colouring import (
+    _is_spanning_tree,
+    _spanning_connected_unbalanced,
     edge_colour,
     geometric_verdict,
     is_unbalanced_map_graph,
@@ -15,7 +17,7 @@ from gainrig.graph import GainGraph, edge
 from gainrig.norms import LINF
 from gainrig.rigidity import Framework, FrameworkError, analyse, well_positioned
 
-from conftest import random_gain_graph
+from conftest import brute_balanced, brute_components, random_gain_graph
 
 
 def _placement(g, rng, tries=400):
@@ -121,3 +123,26 @@ def test_forest_class_blocks_chi0():
             found = True
             break
     assert found
+
+
+def _brute_map_graph(comps):
+    return all(len(es) == len(vs) and not brute_balanced(vs, es) for vs, es in comps)
+
+
+def test_verdict_predicates_match_brute_force(rng):
+    # frame-matroid basis (map graph), graphic basis (spanning tree) and
+    # spanning-connected-unbalanced, each from its plain definition
+    for _ in range(400):
+        g = random_gain_graph(rng, max_n=6, max_edges=12)
+        subset = [e for e in g.edges if rng.random() < 0.6]
+        comps = brute_components(g.n, subset)
+        assert is_unbalanced_map_graph(g, subset) == _brute_map_graph(comps)
+        assert is_unbalanced_map_graph(g, subset, spanning=False) == _brute_map_graph(
+            [(vs, es) for vs, es in comps if es]
+        )
+        assert _is_spanning_tree(g.n, subset) == (
+            len(comps) == 1 and len(subset) == g.n - 1
+        )
+        assert _spanning_connected_unbalanced(g, subset) == (
+            len(comps) == 1 and not brute_balanced(range(g.n), subset)
+        )

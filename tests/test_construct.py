@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from gainrig.catalog import BASE_CATALOG, PARAMS_220, PARAMS_222
@@ -5,14 +7,16 @@ from gainrig.construct import (
     ConstructionSequence,
     NoAdmissibleReduction,
     NotTight,
+    _random_move,
+    allowed_kinds,
     construct,
     decompose,
     random_tight,
 )
 from gainrig.graph import GainGraph
 from gainrig.iso import apply_iso, are_isomorphic
-from gainrig.moves import KINDS_222, Move
-from gainrig.sparsity import check_tight
+from gainrig.moves import KINDS_222, Move, MoveError, apply_move
+from gainrig.sparsity import SparsityParams, check_tight
 
 
 def test_empty_sequence_is_base():
@@ -88,3 +92,48 @@ def test_random_tight_deterministic():
     b = random_tight(6, PARAMS_220, seed=42)
     assert a == b
     assert check_tight(a, PARAMS_220)
+
+
+def _all_components_tight(g, p):
+    """The from-scratch check: every component re-checked on its own."""
+    return all(check_tight(g.subgraph(c), p) for c in g.components())
+
+
+@pytest.mark.parametrize(
+    "p, ids",
+    [(PARAMS_220, "abc"), (PARAMS_222, ["k1"]), (SparsityParams(2, 3, 0), "abc")],
+)
+def test_incremental_verify_matches_full_recheck(p, ids):
+    # tight-preserving random moves, then one unchecked random move, from a
+    # union of one or two bases; construct(verify=True) must raise NotTight
+    # exactly when the from-scratch check fails on the last graph.  Moves
+    # keep (2,2,0) tight; (2,2,2) fails when a move joins two K1 seeds and
+    # (2,3,0) when a balanced K4 appears.
+    rng = random.Random(2024)
+    kinds = allowed_kinds(p)
+    outcomes = set()
+    for _ in range(40):
+        initial = tuple(rng.choice(ids) for _ in range(rng.randint(1, 2)))
+        g = ConstructionSequence(p, initial, ()).initial_graph()
+        steps, target = [], rng.randint(1, 4)
+        while len(steps) < target:
+            mv = _random_move(g, kinds, rng)
+            if mv is None:
+                continue
+            try:
+                h = apply_move(g, mv)
+            except MoveError:
+                continue
+            if len(steps) < target - 1 and not _all_components_tight(h, p):
+                continue
+            steps.append(mv)
+            g = h
+        expected = _all_components_tight(g, p)
+        seq = ConstructionSequence(p, initial, tuple(steps))
+        if expected:
+            assert construct(seq, verify=True) == g
+        else:
+            with pytest.raises(NotTight):
+                construct(seq, verify=True)
+        outcomes.add(expected)
+    assert outcomes == ({True} if p == PARAMS_220 else {True, False})

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gainrig.graph import (
     BadVertexIndex,
@@ -12,7 +12,7 @@ from gainrig.graph import (
     validate_edges,
 )
 
-from conftest import random_gain_graph
+from conftest import brute_balanced, brute_components, random_gain_graph
 import random
 
 
@@ -114,3 +114,26 @@ def test_relabel_roundtrip(seed):
     for i, p in enumerate(pi):
         inv[p] = i
     assert g.relabelled(pi).relabelled(inv) == g
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**30))
+def test_balance_matches_brute_force_potential(seed):
+    rng = random.Random(seed)
+    g = random_gain_graph(rng, max_n=7, max_edges=14)
+    subset = [e for e in g.edges if rng.random() < 0.6]
+    balanced = brute_balanced(range(g.n), subset)
+    assert g.is_balanced(subset) == balanced
+    pot = g.balance_potential(subset)
+    assert (pot is not None) == balanced
+    if pot is not None:
+        assert all(e.gain == pot[e.u] * pot[e.v] for e in subset)
+        # +1 at the smallest vertex of each component, untouched ones included
+        assert all(pot[vs[0]] == 1 for vs, _ in brute_components(g.n, subset))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**30))
+def test_components_match_graph_search(seed):
+    g = random_gain_graph(random.Random(seed), max_n=7, max_edges=10)
+    assert g.components() == [vs for vs, _ in brute_components(g.n, g.edges)]

@@ -1,11 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gainrig.graph import GainGraph
+import gainrig
+from gainrig.graph import GainGraph, InvariantViolation
 from gainrig.sparsity import (
     SparsityParams,
+    _violation_report,
     brute_force_oracle,
     check_sparsity,
     check_tight,
@@ -97,3 +102,33 @@ def test_require_edges_incremental_consistency(rng):
             full = check_sparsity(g, p).passed
             inc = check_sparsity(g, p, require_edges=(e,)).passed
             assert full == inc
+
+
+def test_bogus_witness_raises_invariant_violation():
+    edge_only = GainGraph.from_triples(2, [[0, 1, 1]])
+    with pytest.raises(InvariantViolation):  # 1 edge is within 2*2 - 0
+        _violation_report(edge_only, edge_only.edges, P220, balanced=False)
+    loop = GainGraph.from_triples(1, [[0, 0, -1]])
+    with pytest.raises(InvariantViolation):  # over its bound, but unbalanced
+        _violation_report(loop, loop.edges, P220, balanced=True)
+
+
+def test_invariants_hold_under_python_O():
+    script = (
+        "from gainrig.graph import GainGraph, InvariantViolation\n"
+        "from gainrig.sparsity import SparsityParams, _violation_report\n"
+        "assert False, 'assert statements must be stripped under -O'\n"
+        "g = GainGraph.from_triples(2, [[0, 1, 1]])\n"
+        "try:\n"
+        "    _violation_report(g, g.edges, SparsityParams(2, 2, 0), False)\n"
+        "except InvariantViolation:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('no InvariantViolation')\n"
+    )
+    src = os.path.dirname(os.path.dirname(gainrig.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

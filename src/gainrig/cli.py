@@ -21,7 +21,7 @@ from .construct import (
     random_tight,
 )
 from .graph import GainGraphError
-from .iso import are_isomorphic
+from .iso import apply_iso
 from .jsonio import (
     FormatError,
     framework_from_dict,
@@ -174,7 +174,7 @@ def cmd_realize(args) -> int:
     cfg = RealisationConfig(seed=args.seed)
     try:
         fw = realize(seq, args.character, cfg)
-    except PlacementError as exc:
+    except (PlacementError, MoveError) as exc:
         _emit({"verdict": "FAIL", "reason": str(exc)}, "FAIL")
         return 1
     _write_or_print(args.output, framework_to_dict(fw))
@@ -189,11 +189,11 @@ def cmd_roundtrip(args) -> int:
     except (NotTight, NoAdmissibleReduction, MoveError) as exc:
         _emit({"verdict": "FAIL", "reason": str(exc)}, "FAIL")
         return 1
-    if not are_isomorphic(g, h):
+    if apply_iso(g, pi, signs) != h:
         _emit(
             {
                 "verdict": "FAIL",
-                "reason": "reconstruction not isomorphic",
+                "reason": "reconstruction does not match the returned isomorphism",
                 "input": graph_to_dict(g),
                 "output": graph_to_dict(h),
             },

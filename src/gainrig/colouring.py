@@ -36,9 +36,6 @@ class ColouredQuotient:
 
     classes: tuple[tuple[Edge, ...], tuple[Edge, ...]]
 
-    def label(self, e: Edge) -> int:
-        return 0 if e in self.classes[0] else 1
-
 
 def edge_colour(fw: Framework, e: Edge) -> int:
     """Facet index (0 or 1) of the cone containing the edge's direction."""

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .catalog import PARAMS_220, PARAMS_222, graph_for_base_id, is_base_graph
-from .graph import GainGraph, SignedUnionFind, disjoint_union, invariant
-from .iso import apply_iso, compose_iso, invert_iso, isomorphism
+from .graph import GainGraph, disjoint_union, invariant
+from .iso import apply_iso, compose_iso, isomorphism
 from .moves import (
     ALL_KINDS,
     KINDS_222,
@@ -27,11 +27,10 @@ from .moves import (
     MoveError,
     apply_move,
     enumerate_reductions,
-    extend_iso,
     is_admissible,
     translate_move,
 )
-from .sparsity import SparsityParams, check_sparsity, check_tight
+from .sparsity import SparsityParams, check_tight, components_tight
 
 
 class NotTight(ValueError):
@@ -72,26 +71,11 @@ def construct(
         if mv.kind not in kinds:
             raise MoveError(f"move kind {mv.kind} not allowed for {p.as_tuple()}")
         h = apply_move(g, mv)
-        if verify and not _tight_after_move(g, h, p):
+        # The edges h shares with the sparse g cannot hold a violation.
+        if verify and not components_tight(h, p, set(h.edges).difference(g.edges)):
             raise NotTight(f"intermediate graph not tight after {mv.kind}")
         g = h
     return g
-
-
-def _tight_after_move(g: GainGraph, h: GainGraph, p: SparsityParams) -> bool:
-    """Whether every component of h is p-tight, given that h comes from the
-    p-sparse graph g by one move.
-
-    The edges h shares with g form a subgraph of g, so any violation in h
-    contains an edge new to h; and a disjoint union is sparse iff each of
-    its components is, so one incremental scan of h covers all components.
-    """
-    old = set(g.edges)
-    new = [e for e in h.edges if e not in old]
-    comps = SignedUnionFind(h.n, h.edges).components()
-    if any(n_edges != p.k * len(verts) - p.m for verts, n_edges, _ in comps):
-        return False
-    return check_sparsity(h, p, require_edges=new).passed
 
 
 def _match_components(
@@ -159,32 +143,25 @@ def decompose(
         cur = chosen.reduced
 
     # Replay forwards on a fresh copy, maintaining psi: chain-graph -> copy.
+    # Each step is checked against the graph its reduction was taken from,
+    # so the last one checks apply_iso(g, psi) == the rebuilt copy.
     seq_steps: list[Move] = []
-    seq = ConstructionSequence(params=p, initial=ids, steps=())
-    c = seq.initial_graph()
+    c = ConstructionSequence(params=p, initial=ids, steps=()).initial_graph()
     psi_pi, psi_signs = pi_term, signs_term
     invariant(apply_iso(cur, psi_pi, psi_signs) == c, "terminal bases do not match")
-    for r in reversed(chain):
-        mv2, new_signs = translate_move(r.forward, psi_pi, psi_signs)
+    pre_graphs = [g] + [r.reduced for r in chain[:-1]]
+    for r, pre in zip(reversed(chain), reversed(pre_graphs)):
+        mv2, ext_pi, ext_signs = translate_move(r.forward, psi_pi, psi_signs)
         c = apply_move(c, mv2)
         seq_steps.append(mv2)
-        ext_pi, ext_signs = extend_iso(psi_pi, psi_signs, r.forward, new_signs)
         # r: apply_iso(pre, r.pi, r.signs) == apply_move(r.reduced, r.forward)
         psi_pi, psi_signs = compose_iso(r.pi, r.signs, ext_pi, ext_signs)
         invariant(
-            apply_iso(_pre_graph(r), psi_pi, psi_signs) == c,
+            apply_iso(pre, psi_pi, psi_signs) == c,
             f"replay of {r.kind} diverged from the reduction chain",
         )
     seq = ConstructionSequence(params=p, initial=ids, steps=tuple(seq_steps))
-    invariant(apply_iso(g, psi_pi, psi_signs) == c, "replay does not rebuild the input")
     return seq, psi_pi, psi_signs
-
-
-def _pre_graph(r) -> GainGraph:
-    """The graph a reduction was derived from, reconstructed for the replay
-    invariant check."""
-    inv = invert_iso(r.pi, r.signs)
-    return apply_iso(apply_move(r.reduced, r.forward), *inv)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +281,7 @@ def random_tight(
             h = apply_move(g, mv)
         except MoveError:
             continue
-        if _tight_after_move(g, h, p):
+        if components_tight(h, p, set(h.edges).difference(g.edges)):
             g = h
     invariant(check_tight(g, p), "random_tight built a graph that is not tight")
     return g

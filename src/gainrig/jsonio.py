@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Any
 
 from .graph import Edge, GainGraph, edge
-from .moves import Move
+from .moves import Move, arity_error
 from .norms import L1, LINF, LpNorm, Norm, PolyhedralNorm
 from .rigidity import Framework
 from .sparsity import SparsityParams
@@ -160,34 +160,62 @@ def move_to_dict(mv: Move) -> dict:
     return d
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _edge_from_list(t) -> Edge:
-    if not (isinstance(t, list) and len(t) == 3):
+    if not (isinstance(t, list) and len(t) == 3 and all(_is_int(c) for c in t)):
         raise FormatError(f"bad edge {t!r}")
     return edge(*t)
 
 
 def move_from_dict(d: dict) -> Move:
+    """Parse a move: a known kind, each field of the right type, gains of
+    +-1, and as many vertices, gains and removed edges as ARITY gives."""
     try:
         kind = d["kind"]
     except (KeyError, TypeError) as exc:
         raise FormatError("move needs 'kind'") from exc
-    return Move(
+    if not isinstance(kind, str):
+        raise FormatError(f"move kind must be a string, got {kind!r}")
+
+    def items(key: str) -> list:
+        val = d.get(key, [])
+        if not isinstance(val, list):
+            raise FormatError(f"{kind} move: '{key}' must be a list, got {val!r}")
+        return val
+
+    def ints(key: str) -> tuple[int, ...]:
+        val = items(key)
+        if not all(_is_int(x) for x in val):
+            raise FormatError(f"{kind} move: '{key}' must hold integers, got {val!r}")
+        return tuple(val)
+
+    attach = items("attach")
+    if not all(isinstance(a, list) and len(a) == 2 and _is_int(a[1]) for a in attach):
+        raise FormatError(f"{kind} move: 'attach' entries must be [edge, index]")
+    loop_attach = None if d.get("loop_attach") is None else ints("loop_attach")
+    if loop_attach is not None and len(loop_attach) != 2:
+        raise FormatError(f"{kind} move: 'loop_attach' must be [i, j]")
+    v2_edge = d.get("v2_edge")
+    mv = Move(
         kind=kind,
-        vertices=tuple(d.get("vertices", ())),
-        gains=tuple(d.get("gains", ())),
-        removed=tuple(_edge_from_list(t) for t in d.get("removed", ())),
-        attach=tuple(
-            (_edge_from_list(t), idx) for t, idx in d.get("attach", ())
-        ),
-        loop_attach=(
-            tuple(d["loop_attach"]) if d.get("loop_attach") is not None else None
-        ),
-        v2_edge=(
-            _edge_from_list(d["v2_edge"]) if d.get("v2_edge") is not None else None
-        ),
-        moved=tuple(_edge_from_list(t) for t in d.get("moved", ())),
+        vertices=ints("vertices"),
+        gains=ints("gains"),
+        removed=tuple(_edge_from_list(t) for t in items("removed")),
+        attach=tuple((_edge_from_list(t), idx) for t, idx in attach),
+        loop_attach=loop_attach,
+        v2_edge=None if v2_edge is None else _edge_from_list(v2_edge),
+        moved=tuple(_edge_from_list(t) for t in items("moved")),
         move_loop=bool(d.get("move_loop", False)),
     )
+    if any(gn not in (1, -1) for gn in mv.gains):
+        raise FormatError(f"{kind} move: gains must be +1 or -1, got {list(mv.gains)}")
+    problem = arity_error(mv)
+    if problem is not None:
+        raise FormatError(problem)
+    return mv
 
 
 def sequence_to_dict(seq) -> dict:
@@ -209,6 +237,14 @@ def sequence_from_dict(d: dict):
         raise FormatError(
             "sequence needs 'counts', 'initial' and 'steps'"
         ) from exc
+    if not (
+        isinstance(counts, list) and len(counts) == 3 and all(_is_int(c) for c in counts)
+        and isinstance(initial, list) and all(isinstance(b, str) for b in initial)
+        and isinstance(steps, list)
+    ):
+        raise FormatError(
+            "sequence needs 'counts' [k, l, m], 'initial' base ids and a 'steps' list"
+        )
     return ConstructionSequence(
         params=SparsityParams(*counts),
         initial=tuple(initial),

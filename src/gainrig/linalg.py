@@ -12,8 +12,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-import numpy as np
-
 FLOAT_RANK_RTOL = 1e-9
 
 
@@ -54,6 +52,10 @@ def _clear_denominators(row: list[Fraction]) -> list[int]:
 
 
 def float_rank(rows: Sequence[Sequence[float]], rtol: float = FLOAT_RANK_RTOL) -> int:
+    # Imported here: only frameworks under an LpNorm reach this, and numpy
+    # would otherwise dominate the cost of importing gainrig.
+    import numpy as np
+
     a = np.asarray(rows, dtype=float)
     if a.size == 0:
         return 0

@@ -38,13 +38,23 @@ appends four):
        is re-ended from v1 to v0; adds (v0,v1,+1) and (v0,v2,g); a loop at v1
        optionally moves to v0.
 
+ARITY fixes how many vertices, gains and removed edges each kind takes.
+
+Under a relabel+switch (pi, signs) a move translates the same way for every
+kind (translate_move): vertices map through pi, every edge field through
+map_edge, and each gain is multiplied by the sign of its anchor vertex.
+Gain i is anchored at vertices[i], except under H2b, whose one gain sits at
+y, the far end of the deleted edge.  A created vertex gets sign +1, except
+under H3b, VertexToK4 and VertexSplit, where it inherits the sign of
+vertices[0]; that keeps the H3b gain rules, the balanced K4 and the gains of
+edges re-ended onto the new vertices intact.
+
 A Reduction undoes a move: it stores the reduced graph, the forward Move (in
 the reduced graph's labelling) that re-creates the input, and the exact
 relabel+switch (pi, signs) with apply_iso(input, pi, signs) ==
-apply_move(reduced, forward).  Admissibility is semantic: apply and re-check
-tightness; the count is preserved by construction, so only the sparsity of
-the reduced graph (restricted to subsets touching the re-added edges) is
-re-checked.
+apply_move(reduced, forward).  Admissibility is semantic: the reduced graph
+must be tight; the edges it shares with the input form a sparse subgraph, so
+only subsets touching the re-added edges are re-scanned.
 """
 
 from __future__ import annotations
@@ -55,17 +65,25 @@ from typing import Iterator, Optional, Sequence
 
 from .graph import Edge, GainGraph, GainGraphError, edge
 from .iso import apply_iso, map_edge
-from .sparsity import SparsityParams, check_sparsity
+from .sparsity import SparsityParams, components_tight
 
-H_KINDS = (
-    "H1a", "H1b", "H1c",
-    "H2a", "H2b", "H2c", "H2d", "H2e",
-    "H3a", "H3b", "H3c", "H3d",
-)
-ALL_KINDS = H_KINDS + ("VertexToK4", "VertexSplit")
+# Fixed arity per kind: (vertices, gains, removed edges).  Order matters: it
+# fixes ALL_KINDS, from which random generation draws.
+ARITY: dict[str, tuple[int, int, int]] = {
+    "H1a": (2, 2, 0), "H1b": (1, 0, 0), "H1c": (1, 1, 0),
+    "H2a": (2, 2, 1), "H2b": (1, 1, 1), "H2c": (1, 1, 1), "H2d": (1, 1, 1),
+    "H2e": (0, 0, 1),
+    "H3a": (2, 2, 2), "H3b": (3, 0, 2), "H3c": (1, 1, 2), "H3d": (0, 0, 2),
+    "VertexToK4": (1, 0, 0), "VertexSplit": (1, 0, 0),
+}
+ALL_KINDS = tuple(ARITY)
+H_KINDS = tuple(k for k in ALL_KINDS if k.startswith("H"))
 
 # Move subset of the (2,2,2) characterisation.
 KINDS_222 = ("H1a", "H1b", "H2a", "H2b", "VertexToK4", "VertexSplit")
+
+# Kinds whose created vertices take the switching sign of vertices[0].
+_INHERITS_SIGN = ("H3b", "VertexToK4", "VertexSplit")
 
 
 class MoveError(ValueError):
@@ -88,7 +106,6 @@ class Move:
 @dataclass(frozen=True)
 class Reduction:
     kind: str
-    vertex: int  # reduced vertex (or contracted representative) in the input
     reduced: GainGraph
     forward: Move
     pi: tuple[int, ...]
@@ -101,6 +118,18 @@ def _require(cond: bool, msg: str) -> None:
         raise MoveError(msg)
 
 
+def arity_error(mv: Move) -> Optional[str]:
+    """Why mv's kind is unknown or a counted field has the wrong length;
+    None if the kind and the counts fit ARITY."""
+    if mv.kind not in ARITY:
+        return f"unknown move kind {mv.kind!r}"
+    for field, want in zip(("vertices", "gains", "removed"), ARITY[mv.kind]):
+        got = len(getattr(mv, field))
+        if got != want:
+            return f"{mv.kind} needs {want} {field}, got {got}"
+    return None
+
+
 def _delete(edges: list[Edge], e: Edge) -> None:
     try:
         edges.remove(e)
@@ -110,8 +139,9 @@ def _delete(edges: list[Edge], e: Edge) -> None:
 
 def apply_move(g: GainGraph, mv: Move) -> GainGraph:
     """Forward application; raises MoveError on any constraint violation."""
+    problem = arity_error(mv)
+    _require(problem is None, problem)
     k = mv.kind
-    _require(k in ALL_KINDS, f"unknown move kind {k}")
     edges = list(g.edges)
     w = g.n
 
@@ -305,121 +335,40 @@ def _apply_vertex_split(g: GainGraph, mv: Move) -> GainGraph:
 
 def translate_move(
     mv: Move, pi: Sequence[int], signs: Sequence[int]
-) -> tuple[Move, tuple[int, ...]]:
-    """Image of mv under (pi, signs), plus the switching signs of the vertices
-    the translated move creates (so the isomorphism extends structurally).
+) -> tuple[Move, tuple[int, ...], tuple[int, ...]]:
+    """Image mv2 of mv under (pi, signs), and (pi, signs) extended across it.
 
-    If h = apply_iso(g, pi, signs) and (mv2, new_signs) = translate_move(mv,
-    pi, signs), then apply_move(h, mv2) == apply_iso(apply_move(g, mv),
-    extended pi, signs + new_signs), where the extension sends each created
-    vertex of the one side to the corresponding created vertex of the other.
+    apply_move(apply_iso(g, pi, signs), mv2) == apply_iso(apply_move(g, mv),
+    pi2, signs2): the extension sends each vertex mv creates to the vertex
+    mv2 creates at the same index (see the module docstring for the rule).
     """
-    k = mv.kind
-    P = list(pi)
-    S = list(signs)
-    verts = tuple(P[v] for v in mv.vertices)
-    rem = tuple(map_edge(e, P, S) for e in mv.removed)
+    def image(e: Edge) -> Edge:
+        return map_edge(e, pi, signs)
 
-    if k == "H1a":
-        a, b = mv.vertices
-        ga, gb = mv.gains
-        return Move(k, vertices=verts, gains=(ga * S[a], gb * S[b])), (1,)
-    if k == "H1b":
-        return Move(k, vertices=verts), (1,)
-    if k == "H1c":
-        (a,), (ga,) = mv.vertices, mv.gains
-        return Move(k, vertices=verts, gains=(ga * S[a],)), (1,)
-    if k == "H2a":
-        x, z = mv.vertices
-        bx, dz = mv.gains
-        return (
-            Move(k, vertices=verts, gains=(bx * S[x], dz * S[z]), removed=rem),
-            (1,),
-        )
-    if k == "H2b":
-        (e,), (x,) = mv.removed, mv.vertices
-        y = e.other(x)
-        (d,) = mv.gains
-        return Move(k, vertices=verts, gains=(d * S[y],), removed=rem), (1,)
-    if k == "H2c":
-        (y,), (d,) = mv.vertices, mv.gains
-        return Move(k, vertices=verts, gains=(d * S[y],), removed=rem), (1,)
-    if k == "H2d":
-        (e,), (x,), (bx,) = mv.removed, mv.vertices, mv.gains
-        return Move(k, vertices=verts, gains=(bx * S[x],), removed=rem), (1,)
-    if k == "H2e":
-        return Move(k, removed=rem), (1,)
-    if k == "H3a":
-        x, z = mv.vertices
-        gx, gz = mv.gains
-        return (
-            Move(k, vertices=verts, gains=(gx * S[x], gz * S[z]), removed=rem),
-            (1,),
-        )
-    if k == "H3b":
-        y = mv.vertices[0]
-        # The created vertex inherits the pivot's switching sign; with that
-        # choice the gain constraints (new x-edge carries the deleted gain,
-        # new t-edge its negation) are preserved verbatim.
-        return Move(k, vertices=verts, removed=rem), (S[y],)
-    if k == "H3c":
-        (z,), (gz,) = mv.vertices, mv.gains
-        return Move(k, vertices=verts, gains=(gz * S[z],), removed=rem), (1,)
-    if k == "H3d":
-        return Move(k, removed=rem), (1,)
-    if k == "VertexToK4":
-        (v,) = mv.vertices
-        attach = tuple(
-            sorted((map_edge(e, P, S), idx) for e, idx in mv.attach)
-        )
-        return (
-            Move(k, vertices=verts, attach=attach, loop_attach=mv.loop_attach),
-            (S[v],) * 4,
-        )
-    if k == "VertexSplit":
-        (v1,) = mv.vertices
-        return (
-            Move(
-                k,
-                vertices=verts,
-                v2_edge=map_edge(mv.v2_edge, P, S),
-                moved=tuple(sorted(map_edge(e, P, S) for e in mv.moved)),
-                move_loop=mv.move_loop,
-            ),
-            (S[v1],),
-        )
-    raise MoveError(f"unknown move kind {k}")
-
-
-def extend_iso(
-    pi: Sequence[int],
-    signs: Sequence[int],
-    mv: Move,
-    new_signs: Sequence[int],
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Extend (pi, signs) across mv (see translate_move's contract)."""
+    anchors = (
+        (mv.removed[0].other(mv.vertices[0]),) if mv.kind == "H2b" else mv.vertices
+    )
+    mv2 = Move(
+        mv.kind,
+        vertices=tuple(pi[v] for v in mv.vertices),
+        gains=tuple(gn * signs[a] for gn, a in zip(mv.gains, anchors)),
+        removed=tuple(image(e) for e in mv.removed),
+        attach=tuple(sorted((image(e), idx) for e, idx in mv.attach)),
+        loop_attach=mv.loop_attach,
+        v2_edge=None if mv.v2_edge is None else image(mv.v2_edge),
+        moved=tuple(sorted(image(e) for e in mv.moved)),
+        move_loop=mv.move_loop,
+    )
+    new_sign = signs[mv.vertices[0]] if mv.kind in _INHERITS_SIGN else 1
     n = len(pi)
-    if mv.kind == "VertexToK4":
-        (v,) = mv.vertices
-        vh = pi[v]
-
-        def renum(u: int, removed: int) -> int:
-            return u if u < removed else u - 1
-
-        pi2 = [0] * (n + 3)
-        s2 = [1] * (n + 3)
-        for u in range(n):
-            if u == v:
-                continue
-            pi2[renum(u, v)] = renum(pi[u], vh)
-            s2[renum(u, v)] = signs[u]
-        for t in range(4):
-            # both sides append their K4 at the end; indices coincide
-            pi2[n - 1 + t] = n - 1 + t
-            s2[n - 1 + t] = new_signs[t]
-        return tuple(pi2), tuple(s2)
-    # All other kinds append exactly one vertex at index n on both sides.
-    return tuple(pi) + (n,), tuple(signs) + (new_signs[0],)
+    if mv.kind != "VertexToK4":
+        return mv2, tuple(pi) + (n,), tuple(signs) + (new_sign,)
+    # Both sides delete the replaced vertex, shift later vertices down by one
+    # and append their K4 at the same four indices n-1..n+2.
+    (v,) = mv.vertices
+    kept = [u for u in range(n) if u != v]
+    pi2 = tuple(pi[u] - (pi[u] > pi[v]) for u in kept) + tuple(range(n - 1, n + 3))
+    return mv2, pi2, tuple(signs[u] for u in kept) + (new_sign,) * 4
 
 
 # ---------------------------------------------------------------------------
@@ -434,29 +383,23 @@ def _vertex_last_perm(n: int, v: int) -> list[int]:
 
 def _try_reduction(
     g: GainGraph,
-    kind: str,
-    v: int,
     signs: Sequence[int],
-    removed_vertices: Sequence[int],
     reduced_edges: Sequence[Edge],
     forward: Move,
     new_edges: Sequence[Edge],
     pi: Sequence[int],
-) -> Optional[Reduction]:
-    """Assemble a Reduction, verifying the exact round trip; None if invalid."""
+) -> Iterator[Reduction]:
+    """Yield the Reduction if the exact round trip holds, else nothing."""
+    removed = 3 if forward.kind == "VertexToK4" else 1
     try:
-        reduced = GainGraph(g.n - len(removed_vertices), tuple(reduced_edges))
-    except GainGraphError:
-        return None
-    try:
+        reduced = GainGraph(g.n - removed, tuple(reduced_edges))
         redone = apply_move(reduced, forward)
-    except MoveError:
-        return None
+    except (GainGraphError, MoveError):
+        return
     if apply_iso(g, pi, signs) != redone:
-        return None
-    return Reduction(
-        kind=kind,
-        vertex=v,
+        return
+    yield Reduction(
+        kind=forward.kind,
         reduced=reduced,
         forward=forward,
         pi=tuple(pi),
@@ -482,10 +425,8 @@ def _vertex_deletion_candidates(g: GainGraph, v: int) -> Iterator[Reduction]:
         if not e.touches(v)
     ]
 
-    def build(kind: str, added: list[Edge], forward: Move):
-        return _try_reduction(
-            g, kind, v, signs, (v,), kept + added, forward, added, pi
-        )
+    def build(added: list[Edge], forward: Move):
+        return _try_reduction(g, signs, kept + added, forward, added, pi)
 
     by_nbr: dict[int, list[Edge]] = {}
     for e in incident:
@@ -496,24 +437,17 @@ def _vertex_deletion_candidates(g: GainGraph, v: int) -> Iterator[Reduction]:
         if len(nbrs) == 2:
             (a, b) = nbrs
             ga, gb = by_nbr[a][0].gain, by_nbr[b][0].gain
-            r = build(
-                "H1a",
+            yield from build(
                 [],
                 Move("H1a", vertices=(renum(a), renum(b)), gains=(ga, gb)),
             )
-            if r:
-                yield r
         else:
             (a,) = nbrs
-            r = build("H1b", [], Move("H1b", vertices=(renum(a),)))
-            if r:
-                yield r
+            yield from build([], Move("H1b", vertices=(renum(a),)))
     elif loop is not None and deg == 3:
         (a,) = nbrs
         ga = by_nbr[a][0].gain
-        r = build("H1c", [], Move("H1c", vertices=(renum(a),), gains=(ga,)))
-        if r:
-            yield r
+        yield from build([], Move("H1c", vertices=(renum(a),), gains=(ga,)))
     elif loop is None and deg == 3:
         if len(nbrs) == 3:
             # reverse H2a: pick which two neighbours get the recovered edge.
@@ -521,8 +455,7 @@ def _vertex_deletion_candidates(g: GainGraph, v: int) -> Iterator[Reduction]:
             for a, b in combinations(nbrs, 2):
                 (c,) = [x for x in nbrs if x not in (a, b)]
                 rec = edge(renum(a), renum(b), gains[a] * gains[b])
-                r = build(
-                    "H2a",
+                yield from build(
                     [rec],
                     Move(
                         "H2a",
@@ -531,16 +464,13 @@ def _vertex_deletion_candidates(g: GainGraph, v: int) -> Iterator[Reduction]:
                         gains=(gains[a], gains[c]),
                     ),
                 )
-                if r:
-                    yield r
         elif len(nbrs) == 2:
             a = next(x for x in nbrs if len(by_nbr[x]) == 2)
             (b,) = [x for x in nbrs if x != a]
             d = by_nbr[b][0].gain
             for gn in (1, -1):  # reverse H2b, both recovered gains
                 rec = edge(renum(a), renum(b), gn)
-                r = build(
-                    "H2b",
+                yield from build(
                     [rec],
                     Move(
                         "H2b",
@@ -549,36 +479,26 @@ def _vertex_deletion_candidates(g: GainGraph, v: int) -> Iterator[Reduction]:
                         gains=(d,),
                     ),
                 )
-                if r:
-                    yield r
             rec = edge(renum(a), renum(a), -1)  # reverse H2c: loop at a
-            r = build(
-                "H2c",
+            yield from build(
                 [rec],
                 Move("H2c", removed=(rec,), vertices=(renum(b),), gains=(d,)),
             )
-            if r:
-                yield r
     elif loop is not None and deg == 4:
         if len(nbrs) == 2:
             (a, b) = nbrs
             ga, gb = by_nbr[a][0].gain, by_nbr[b][0].gain
             rec = edge(renum(a), renum(b), ga * gb)
-            r = build(
-                "H2d",
+            yield from build(
                 [rec],
                 Move(
                     "H2d", removed=(rec,), vertices=(renum(a),), gains=(ga,)
                 ),
             )
-            if r:
-                yield r
         else:
             (a,) = nbrs
             rec = edge(renum(a), renum(a), -1)
-            r = build("H2e", [rec], Move("H2e", removed=(rec,)))
-            if r:
-                yield r
+            yield from build([rec], Move("H2e", removed=(rec,)))
     elif loop is None and deg == 4:
         gains = {a: [e.gain for e in by_nbr[a]] for a in nbrs}
         if len(nbrs) == 4:
@@ -591,8 +511,7 @@ def _vertex_deletion_candidates(g: GainGraph, v: int) -> Iterator[Reduction]:
                 rec2 = edge(renum(c), renum(d), gains[c][0] * gains[d][0])
                 if rec1 == rec2:
                     continue
-                r = build(
-                    "H3a",
+                yield from build(
                     [rec1, rec2],
                     Move(
                         "H3a",
@@ -601,8 +520,6 @@ def _vertex_deletion_candidates(g: GainGraph, v: int) -> Iterator[Reduction]:
                         gains=(gains[a][0], gains[c][0]),
                     ),
                 )
-                if r:
-                    yield r
         elif len(nbrs) == 3:
             a = next(x for x in nbrs if len(by_nbr[x]) == 2)  # doubled nbr
             rest = [x for x in nbrs if x != a]
@@ -612,8 +529,7 @@ def _vertex_deletion_candidates(g: GainGraph, v: int) -> Iterator[Reduction]:
                 rec2 = edge(renum(a), renum(t), -gains[t][0])
                 if rec1 == rec2:
                     continue
-                r = build(
-                    "H3b",
+                yield from build(
                     [rec1, rec2],
                     Move(
                         "H3b",
@@ -621,14 +537,11 @@ def _vertex_deletion_candidates(g: GainGraph, v: int) -> Iterator[Reduction]:
                         vertices=(renum(a), renum(x), renum(t)),
                     ),
                 )
-                if r:
-                    yield r
             # reverse H3c: loop at the doubled neighbour + edge between rest.
             z, t = rest
             rec1 = edge(renum(a), renum(a), -1)
             rec2 = edge(renum(z), renum(t), gains[z][0] * gains[t][0])
-            r = build(
-                "H3c",
+            yield from build(
                 [rec1, rec2],
                 Move(
                     "H3c",
@@ -637,15 +550,11 @@ def _vertex_deletion_candidates(g: GainGraph, v: int) -> Iterator[Reduction]:
                     gains=(gains[z][0],),
                 ),
             )
-            if r:
-                yield r
         elif len(nbrs) == 2 and all(len(by_nbr[x]) == 2 for x in nbrs):
             (a, b) = nbrs
             rec1 = edge(renum(a), renum(a), -1)
             rec2 = edge(renum(b), renum(b), -1)
-            r = build("H3d", [rec1, rec2], Move("H3d", removed=(rec1, rec2)))
-            if r:
-                yield r
+            yield from build([rec1, rec2], Move("H3d", removed=(rec1, rec2)))
 
 
 def _clique_switchings(
@@ -734,19 +643,8 @@ def _build_k4_contraction(
         attach=tuple(sorted(attach)),
         loop_attach=tuple(sorted(loop_attach)) if loop_attach else None,
     )
-    r = _try_reduction(
-        g,
-        "VertexToK4",
-        min(quad),
-        signs,
-        quad[:3],  # reduced has n-3 vertices
-        reduced_edges,
-        forward,
-        [e for e in reduced_edges if e.touches(merged)],
-        pi,
-    )
-    if r:
-        yield r
+    new_edges = [e for e in reduced_edges if e.touches(merged)]
+    yield from _try_reduction(g, signs, reduced_edges, forward, new_edges, pi)
 
 
 def _triangle_contractions(g: GainGraph) -> Iterator[Reduction]:
@@ -814,19 +712,7 @@ def _build_triangle_contraction(
         moved=tuple(sorted(moved)),
         move_loop=loop_absorb is not None,
     )
-    r = _try_reduction(
-        g,
-        "VertexSplit",
-        absorb,
-        signs,
-        (absorb,),
-        reduced_edges,
-        forward,
-        new_edges,
-        pi,
-    )
-    if r:
-        yield r
+    yield from _try_reduction(g, signs, reduced_edges, forward, new_edges, pi)
 
 
 def enumerate_reductions(
@@ -848,16 +734,7 @@ def enumerate_reductions(
 
 
 def is_admissible(r: Reduction, p: SparsityParams) -> bool:
-    """Tightness of the reduced graph, rechecked incrementally.
-
-    The reduction preserves the global count by construction (verified), so
-    only sparsity restricted to subsets containing a re-added edge needs
-    re-checking; with no re-added edges the reduced graph is a subgraph of a
-    sparse graph and is admissible outright.
-    """
-    reduced = r.reduced
-    if len(reduced.edges) != p.k * reduced.n - p.m:
-        return False
-    if not r.new_edges:
-        return True
-    return check_sparsity(reduced, p, require_edges=r.new_edges).passed
+    """Whether every component of the reduced graph is p-tight; only subsets
+    holding a re-added edge are scanned (the rest is a subgraph of the
+    input, assumed p-sparse)."""
+    return components_tight(r.reduced, p, r.new_edges)

@@ -28,7 +28,7 @@ from .construct import ConstructionSequence
 from .graph import GainGraph, invariant
 from .moves import Move, apply_move
 from .norms import LINF, PolyhedralNorm
-from .rigidity import Framework, FrameworkError, analyse, well_positioned
+from .rigidity import Framework, FrameworkError, NotWellPositioned, analyse
 
 
 class PlacementError(RuntimeError):
@@ -72,9 +72,10 @@ def _frozen_positions(bid: str) -> tuple[tuple[Fraction, Fraction], ...]:
 
 
 def _verified(fw: Framework, j: int) -> bool:
-    if not well_positioned(fw):
+    try:
+        gv = geometric_verdict(fw)
+    except NotWellPositioned:
         return False
-    gv = geometric_verdict(fw)
     combinatorial = gv.chi0_isostatic if j == 0 else gv.chi1_isostatic
     if not combinatorial:
         return False

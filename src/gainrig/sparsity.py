@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Optional
 
-from .graph import Edge, GainGraph, all_vertex_subsets, invariant
+from .graph import Edge, GainGraph, SignedUnionFind, all_vertex_subsets, invariant
 
 
 class OracleGuardExceeded(ValueError):
@@ -105,9 +105,11 @@ def check_sparsity(
     ``require_edges`` restricts the scan to subsets containing at least one of
     the given edges.  This is sound for incremental rechecks: if the graph
     minus those edges is already known sparse, any violation must involve one
-    of them.
+    of them.  An empty ``require_edges`` passes at once.
     """
     required = tuple(require_edges) if require_edges is not None else None
+    if required == ():
+        return SparsityReport(passed=True)
     masks = [(1 << e.u) | (1 << e.v) for e in g.edges]
     req_masks = (
         [(1 << e.u) | (1 << e.v) for e in required]
@@ -160,6 +162,22 @@ def check_tight(g: GainGraph, p: SparsityParams) -> bool:
     if len(g.edges) != p.k * g.n - p.m:
         return False
     return check_sparsity(g, p).passed
+
+
+def components_tight(
+    g: GainGraph, p: SparsityParams, new_edges: Iterable[Edge]
+) -> bool:
+    """Whether every component of g is p-tight, given that g minus new_edges
+    is p-sparse.
+
+    Any violation then contains a new edge, and a disjoint union is sparse
+    iff each of its components is, so one restricted scan of g covers all
+    components.
+    """
+    comps = SignedUnionFind(g.n, g.edges).components()
+    if any(n_edges != p.k * len(verts) - p.m for verts, n_edges, _ in comps):
+        return False
+    return check_sparsity(g, p, require_edges=new_edges).passed
 
 
 def brute_force_oracle(g: GainGraph, p: SparsityParams) -> SparsityReport:

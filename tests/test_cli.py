@@ -77,3 +77,30 @@ def test_unknown_base_id_is_usage_error(tmp_path, capsys, command):
     save_json(str(path), {"counts": [2, 2, 0], "initial": ["zz"], "steps": []})
     assert main([command, str(path)]) == 2
     assert "unknown base id 'zz'" in capsys.readouterr().err
+
+
+def _sequence_file(tmp_path, step):
+    path = tmp_path / "seq.json"
+    save_json(str(path), {"counts": [2, 2, 0], "initial": ["a"], "steps": [step]})
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["construct", "realize"])
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        ({"kind": "H2a", "removed": [[0, 1, 1]], "vertices": [0, 1]}, "H2a needs 2 gains"),
+        ({"kind": "H1a", "vertices": 5, "gains": [1, 1]}, "'vertices' must be a list"),
+    ],
+)
+def test_malformed_move_is_usage_error(tmp_path, capsys, command, step, message):
+    assert main([command, _sequence_file(tmp_path, step)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["construct", "realize"])
+def test_move_that_does_not_fit_fails(tmp_path, capsys, command):
+    step = {"kind": "H1a", "vertices": [0, 7], "gains": [1, 1]}
+    assert main([command, _sequence_file(tmp_path, step)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL") and "no vertex 7" in out

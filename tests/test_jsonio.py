@@ -73,3 +73,38 @@ def test_move_and_sequence_roundtrip():
         assert back == seq
         for m in seq.steps:
             assert move_from_dict(move_to_dict(m)) == m
+
+
+@pytest.mark.parametrize(
+    "move",
+    [
+        {"kind": ["H1a"]},
+        {"kind": "H9"},
+        {"kind": "H1b", "vertices": [0], "gains": [1]},
+        {"kind": "H1a", "vertices": [0, "1"], "gains": [1, 1]},
+        {"kind": "H1a", "vertices": [0, 1], "gains": [1, 2]},
+        {"kind": "H2e", "removed": [[0, 0]]},
+        {"kind": "H2e", "removed": [[0, 0, "-1"]]},
+        {"kind": "VertexToK4", "vertices": [0], "attach": [[[0, 1, 1]]]},
+        {"kind": "VertexToK4", "vertices": [0], "loop_attach": [0, 1, 2]},
+        {"kind": "VertexSplit", "vertices": [0], "moved": {"a": 1}},
+    ],
+)
+def test_malformed_move_raises_format_error(move):
+    with pytest.raises(FormatError):
+        move_from_dict(move)
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [
+        {"counts": 5, "initial": ["a"], "steps": []},
+        {"counts": [2, 2], "initial": ["a"], "steps": []},
+        {"counts": [2, 2, 0], "initial": "a", "steps": []},
+        {"counts": [2, 2, 0], "initial": [["a"]], "steps": []},
+        {"counts": [2, 2, 0], "initial": ["a"], "steps": {"kind": "H1b"}},
+    ],
+)
+def test_malformed_sequence_raises_format_error(seq):
+    with pytest.raises(FormatError):
+        sequence_from_dict(seq)

@@ -8,12 +8,12 @@ from gainrig.graph import GainGraph, edge
 from gainrig.iso import apply_iso
 from gainrig.moves import (
     ALL_KINDS,
+    ARITY,
     H_KINDS,
     Move,
     MoveError,
     apply_move,
     enumerate_reductions,
-    extend_iso,
     is_admissible,
     translate_move,
 )
@@ -112,7 +112,8 @@ def test_admissible_matches_full_recheck(rng):
 
 def test_translate_and_extend_contract(rng):
     done = 0
-    while done < 120:
+    kinds = set()
+    while done < 120 or kinds != set(ALL_KINDS):
         g = grow(random.choice(list(BASE_CATALOG.values())), rng, rng.randrange(3))
         pi = list(range(g.n))
         rng.shuffle(pi)
@@ -125,11 +126,11 @@ def test_translate_and_extend_contract(rng):
             g2 = apply_move(g, mv)
         except MoveError:
             continue
-        mv2, new_signs = translate_move(mv, pi, signs)
-        h2 = apply_move(h, mv2)
-        pi2, s2 = extend_iso(pi, signs, mv, new_signs)
-        assert apply_iso(g2, pi2, s2) == h2, mv.kind
+        mv2, pi2, s2 = translate_move(mv, pi, signs)
+        assert apply_iso(g2, pi2, s2) == apply_move(h, mv2), mv.kind
+        kinds.add(mv.kind)
         done += 1
+        assert done < 5000, f"kinds never applied: {set(ALL_KINDS) - kinds}"
 
 
 def test_h_moves_preserve_tightness(rng):
@@ -160,3 +161,25 @@ def test_balanced_k4_contracts_to_single_vertex():
 def test_restricted_kind_filter():
     g = BASE_CATALOG["a"]
     assert list(enumerate_reductions(g, kinds=("H1a",))) == []
+
+
+@pytest.mark.parametrize(
+    "mv, field",
+    [
+        (Move("H2a", removed=(edge(0, 1, 1),), vertices=(0, 1)), "gains"),
+        (Move("H1b", vertices=(0, 1)), "vertices"),
+        (Move("H3d", removed=(edge(0, 0, -1),)), "removed"),
+    ],
+)
+def test_wrong_arity_names_kind_and_field(mv, field):
+    with pytest.raises(MoveError, match=f"{mv.kind} needs .* {field}"):
+        apply_move(BASE_A, mv)
+
+
+def test_kind_order_is_fixed():
+    # random generation draws kinds in this order, so it fixes random_tight
+    assert ALL_KINDS == tuple(ARITY) == (
+        "H1a", "H1b", "H1c", "H2a", "H2b", "H2c", "H2d", "H2e",
+        "H3a", "H3b", "H3c", "H3d", "VertexToK4", "VertexSplit",
+    )
+    assert H_KINDS == ALL_KINDS[:12]

@@ -132,3 +132,20 @@ def test_invariants_hold_under_python_O():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_empty_require_edges_passes_at_once():
+    # no subset holds one of zero edges, even in a graph that is not sparse
+    g = GainGraph.from_triples(1, [[0, 0, -1]])
+    assert not check_sparsity(g, P222).passed
+    assert check_sparsity(g, P222, require_edges=()).passed
+
+
+def test_import_leaves_numpy_out():
+    src = os.path.dirname(os.path.dirname(gainrig.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, gainrig; print('numpy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -55,21 +55,29 @@ def allowed_kinds(p: SparsityParams) -> tuple[str, ...]:
     return KINDS_222 if p.as_tuple() == (2, 2, 2) else ALL_KINDS
 
 
+def check_kinds(seq: ConstructionSequence) -> None:
+    """Raise MoveError naming the first step kind seq.params does not allow."""
+    kinds = allowed_kinds(seq.params)
+    for mv in seq.steps:
+        if mv.kind not in kinds:
+            raise MoveError(
+                f"move kind {mv.kind} not allowed for {seq.params.as_tuple()}"
+            )
+
+
 def construct(
     seq: ConstructionSequence, verify: bool = True
 ) -> GainGraph:
     """Replay a construction sequence; with verify, check that every
     component of every intermediate graph is tight."""
+    check_kinds(seq)
     g = seq.initial_graph()
     p = seq.params
     if verify:
         for comp in g.components():
             if not check_tight(g.subgraph(comp), p):
                 raise NotTight(f"initial base union not tight: {seq.initial}")
-    kinds = allowed_kinds(p)
     for mv in seq.steps:
-        if mv.kind not in kinds:
-            raise MoveError(f"move kind {mv.kind} not allowed for {p.as_tuple()}")
         h = apply_move(g, mv)
         # The edges h shares with the sparse g cannot hold a violation.
         if verify and not components_tight(h, p, set(h.edges).difference(g.edges)):
@@ -257,6 +265,8 @@ def random_tight(
     """A pseudo-random p-tight graph on exactly n vertices, built by applying
     random tightness-preserving moves to a random base (or to a single vertex
     for the loopless variant)."""
+    if n < 1:
+        raise ValueError(f"random_tight needs n >= 1, got {n}")
     rng = random.Random(seed)
     kinds = allowed_kinds(p)
     if p.as_tuple() == (2, 2, 2):

@@ -86,11 +86,15 @@ def norm_from_json(desc: Any) -> Norm:
     if desc == "l1":
         return L1
     if isinstance(desc, dict) and "p" in desc:
-        return LpNorm(float(desc["p"]))
+        p = desc["p"]
+        if not (_is_int(p) or isinstance(p, float)):
+            raise FormatError(f"norm exponent 'p' must be a number, got {p!r}")
+        return LpNorm(float(p))
     if isinstance(desc, dict) and "facets" in desc:
         facets = desc["facets"]
-        if not (isinstance(facets, list) and len(facets) == 2):
-            raise FormatError("'facets' must list two covectors")
+        if not (isinstance(facets, list) and len(facets) == 2
+                and all(isinstance(f, list) and len(f) == 2 for f in facets)):
+            raise FormatError("'facets' must list two covectors [a, b]")
         return PolyhedralNorm(
             tuple(
                 tuple(parse_rational(c) for c in f) for f in facets
@@ -121,15 +125,16 @@ def framework_to_dict(fw: Framework) -> dict:
 
 def framework_from_dict(d: dict) -> Framework:
     g = graph_from_dict(d)
-    try:
-        raw = d["positions"]
-    except KeyError as exc:
-        raise FormatError("framework needs 'positions'") from exc
+    raw = d.get("positions")
+    if not (isinstance(raw, list) and all(isinstance(p, list) for p in raw)):
+        raise FormatError(f"framework needs 'positions', a list of points, got {raw!r}")
     positions = tuple(
         tuple(parse_rational(c) for c in p) for p in raw
     )
     group = d.get("group", {"n": 2})
     order = group.get("n", 2) if isinstance(group, dict) else 2
+    if not _is_int(order):
+        raise FormatError(f"group order 'n' must be an integer, got {order!r}")
     norm = norm_from_json(d.get("norm", "linf"))
     return Framework(g, positions, norm, order)
 

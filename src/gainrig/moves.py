@@ -1,34 +1,17 @@
 """The fourteen gain-tightness-preserving moves and their reverses.
 
 Forward moves add one vertex (H1*, H2*, H3*, vertex split) or replace a
-vertex by a K4 (vertex-to-K4).  Parameter conventions, with w the new vertex
-(always the next free index; vertex-to-K4 first removes its vertex, then
-appends four):
+vertex by a K4 (vertex-to-K4).  The new vertex w is always the next free
+index; vertex-to-K4 first removes its vertex, then appends four.
 
-  H1a  vertices=(a, b)  gains=(ga, gb)            adds (a,w,ga), (b,w,gb); a != b
-  H1b  vertices=(a,)                              adds (a,w,+1), (a,w,-1)
-  H1c  vertices=(a,)    gains=(ga,)               adds (a,w,ga), loop (w,w,-1)
-  H2a  removed=(e,)     vertices=(x, z) gains=(bx, dz)
-       deletes e=(x,y,al); adds (x,w,bx), (y,w,al*bx), (z,w,dz); x,y,z distinct
-  H2b  removed=(e,)     vertices=(x,)   gains=(d,)
-       deletes e=(x,y,al), x != y; adds (x,w,+1), (x,w,-1), (y,w,d)
-  H2c  removed=(loop,)  vertices=(y,)   gains=(d,)
-       deletes loop (x,x,-1); adds (x,w,+1), (x,w,-1), (y,w,d); y != x
-  H2d  removed=(e,)     vertices=(x,)   gains=(bx,)
-       deletes e=(x,y,al), x != y; adds (x,w,bx), (y,w,al*bx), loop (w,w,-1)
-  H2e  removed=(loop,)
-       deletes loop (x,x,-1); adds (x,w,+1), (x,w,-1), loop (w,w,-1)
-  H3a  removed=(e1,e2)  vertices=(x, z) gains=(gx, gz)
-       deletes e1=(x,y,al), e2=(z,t,be), all endpoints distinct;
-       adds (x,w,gx), (y,w,al*gx), (z,w,gz), (t,w,be*gz)
-  H3b  removed=(e1,e2)  vertices=(y, x, t)
-       deletes e1=(x,y,al), e2=(y,t,be) sharing exactly y;
-       adds (x,w,al), (y,w,+1), (y,w,-1), (t,w,-be)
-  H3c  removed=(loop,e2) vertices=(z,)  gains=(gz,)
-       deletes loop (x,x,-1) and e2=(z,t,be) with x not in {z,t}, z != t;
-       adds (x,w,+1), (x,w,-1), (z,w,gz), (t,w,be*gz)
-  H3d  removed=(loop1,loop2)
-       deletes loops at x and z, x != z; adds (x,w,+-1) and (z,w,+-1) pairs
+Each H move is one row of H_SHAPES: delete the removed edges, then add w
+joined by the added edges.  A row names the move's vertices and gains (they
+fill Move.vertices and Move.gains, in order), lists the removed edges as
+(p, q, gain), binding any vertex or gain name they introduce, and the added
+edges as (p, gain), joining w to p ("w" marks a loop at w).  A gain is a
+product of names and signs.  The named vertices of a move, and w, are
+distinct.  The other two moves:
+
   VertexToK4  vertices=(v,) attach=((edge, idx), ...) loop_attach=(i, j)|None
        removes v; appends a balanced K4 (gains +1) on the four new vertices;
        each non-loop edge (x,v,g) reattaches as (x, K4[idx], g); a loop at v
@@ -42,10 +25,9 @@ ARITY fixes how many vertices, gains and removed edges each kind takes.
 
 Under a relabel+switch (pi, signs) a move translates the same way for every
 kind (translate_move): vertices map through pi, every edge field through
-map_edge, and each gain is multiplied by the sign of its anchor vertex.
-Gain i is anchored at vertices[i], except under H2b, whose one gain sits at
-y, the far end of the deleted edge.  A created vertex gets sign +1, except
-under H3b, VertexToK4 and VertexSplit, where it inherits the sign of
+map_edge, and each gain is multiplied by the sign of its anchor: a gain's
+anchor is the vertex its added edge joins.  A created vertex gets sign +1,
+except under H3b, VertexToK4 and VertexSplit, where it inherits the sign of
 vertices[0]; that keeps the H3b gain rules, the balanced K4 and the gains of
 edges re-ended onto the new vertices intact.
 
@@ -60,24 +42,87 @@ only subsets touching the re-added edges are re-scanned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from typing import Iterator, Optional, Sequence
 
 from .graph import Edge, GainGraph, GainGraphError, edge
 from .iso import apply_iso, map_edge
 from .sparsity import SparsityParams, components_tight
 
-# Fixed arity per kind: (vertices, gains, removed edges).  Order matters: it
-# fixes ALL_KINDS, from which random generation draws.
+# A gain: a sign times a product of named gains.
+Product = tuple[int, tuple[str, ...]]
+
+
+@dataclass(frozen=True)
+class Shape:
+    """One H move (see the module docstring); anchors[i] names the vertex
+    whose added edge carries gains[i] alone."""
+
+    vertices: tuple[str, ...]
+    gains: tuple[str, ...]
+    removed: tuple[tuple[str, str, Product], ...]
+    added: tuple[tuple[str, Product], ...]
+    anchors: tuple[str, ...]
+
+
+def _shape(vertices: str, gains: str, removed, added) -> Shape:
+    """Shape from space-separated names and gains written "al*bx", "-be",
+    "1" or "-1"."""
+
+    def prod(text: str) -> Product:
+        names = text.lstrip("-").split("*")
+        return (-1 if text[0] == "-" else 1), tuple(nm for nm in names if nm != "1")
+
+    added = tuple((p, prod(gn)) for p, gn in added)
+    return Shape(
+        vertices=tuple(vertices.split()),
+        gains=tuple(gains.split()),
+        removed=tuple((p, q, prod(gn)) for p, q, gn in removed),
+        added=added,
+        anchors=tuple(
+            next(p for p, gn in added if gn == (1, (name,))) for name in gains.split()
+        ),
+    )
+
+
+# Order matters: it fixes ALL_KINDS, from which random generation draws, and
+# the order of reductions at a vertex.  In the reverse, each added gain may
+# hold at most one name not already fixed by the added edges before it.
+H_SHAPES: dict[str, Shape] = {
+    "H1a": _shape("a b", "ga gb", [], [("a", "ga"), ("b", "gb")]),
+    "H1b": _shape("a", "", [], [("a", "1"), ("a", "-1")]),
+    "H1c": _shape("a", "ga", [], [("a", "ga"), ("w", "-1")]),
+    "H2a": _shape("x z", "bx dz", [("x", "y", "al")],
+                  [("x", "bx"), ("y", "al*bx"), ("z", "dz")]),
+    "H2b": _shape("x", "d", [("x", "y", "al")],
+                  [("x", "1"), ("x", "-1"), ("y", "d")]),
+    "H2c": _shape("y", "d", [("x", "x", "-1")],
+                  [("x", "1"), ("x", "-1"), ("y", "d")]),
+    "H2d": _shape("x", "bx", [("x", "y", "al")],
+                  [("x", "bx"), ("y", "al*bx"), ("w", "-1")]),
+    "H2e": _shape("", "", [("x", "x", "-1")],
+                  [("x", "1"), ("x", "-1"), ("w", "-1")]),
+    "H3a": _shape("x z", "gx gz", [("x", "y", "al"), ("z", "t", "be")],
+                  [("x", "gx"), ("y", "al*gx"), ("z", "gz"), ("t", "be*gz")]),
+    "H3b": _shape("y x t", "", [("x", "y", "al"), ("y", "t", "be")],
+                  [("x", "al"), ("y", "1"), ("y", "-1"), ("t", "-be")]),
+    "H3c": _shape("z", "gz", [("x", "x", "-1"), ("z", "t", "be")],
+                  [("x", "1"), ("x", "-1"), ("z", "gz"), ("t", "be*gz")]),
+    "H3d": _shape("", "", [("x", "x", "-1"), ("z", "z", "-1")],
+                  [("x", "1"), ("x", "-1"), ("z", "1"), ("z", "-1")]),
+}
+
+# Fixed arity per kind: (vertices, gains, removed edges).
 ARITY: dict[str, tuple[int, int, int]] = {
-    "H1a": (2, 2, 0), "H1b": (1, 0, 0), "H1c": (1, 1, 0),
-    "H2a": (2, 2, 1), "H2b": (1, 1, 1), "H2c": (1, 1, 1), "H2d": (1, 1, 1),
-    "H2e": (0, 0, 1),
-    "H3a": (2, 2, 2), "H3b": (3, 0, 2), "H3c": (1, 1, 2), "H3d": (0, 0, 2),
-    "VertexToK4": (1, 0, 0), "VertexSplit": (1, 0, 0),
+    **{
+        k: (len(s.vertices), len(s.gains), len(s.removed))
+        for k, s in H_SHAPES.items()
+    },
+    "VertexToK4": (1, 0, 0),
+    "VertexSplit": (1, 0, 0),
 }
 ALL_KINDS = tuple(ARITY)
-H_KINDS = tuple(k for k in ALL_KINDS if k.startswith("H"))
+H_KINDS = tuple(H_SHAPES)
 
 # Move subset of the (2,2,2) characterisation.
 KINDS_222 = ("H1a", "H1b", "H2a", "H2b", "VertexToK4", "VertexSplit")
@@ -130,6 +175,50 @@ def arity_error(mv: Move) -> Optional[str]:
     return None
 
 
+def _bind_vertex(at: dict[str, int], name: str, v: int) -> bool:
+    """Bind name to v; False if it is already bound to another vertex."""
+    return at.setdefault(name, v) == v
+
+
+def _solve(gain: Product, value: int, gains: dict[str, int]) -> bool:
+    """Bind the one unbound name in gain so that it equals value (gains are
+    +-1) or, with every name bound, tell whether it does."""
+    sign, names = gain
+    unbound = None
+    for nm in names:
+        if nm in gains:
+            sign *= gains[nm]
+        else:
+            unbound = nm
+    if unbound is None:
+        return sign == value
+    gains[unbound] = sign * value
+    return True
+
+
+def _value(gain: Product, gains: dict[str, int]) -> int:
+    sign, names = gain
+    for nm in names:
+        sign *= gains[nm]
+    return sign
+
+
+def _bind(shape: Shape, mv: Move, w: int) -> tuple[dict[str, int], dict[str, int]]:
+    """The shape's vertex and gain names bound from mv's fields and removed
+    edges, with "w" bound to w; MoveError unless the removed edges fit and
+    the named vertices are distinct."""
+    at = dict(zip(shape.vertices, mv.vertices), w=w)
+    gains = dict(zip(shape.gains, mv.gains))
+    for (p, q, gn), e in zip(shape.removed, mv.removed):
+        u = at.setdefault(p, e.u)
+        _require(
+            e.touches(u) and _bind_vertex(at, q, e.other(u)) and _solve(gn, e.gain, gains),
+            f"{mv.kind} cannot delete {e.as_list()}",
+        )
+    _require(len(set(at.values())) == len(at), f"{mv.kind} needs distinct vertices")
+    return at, gains
+
+
 def _delete(edges: list[Edge], e: Edge) -> None:
     try:
         edges.remove(e)
@@ -137,126 +226,30 @@ def _delete(edges: list[Edge], e: Edge) -> None:
         raise MoveError(f"edge {e.as_list()} not present") from None
 
 
+def _graph(n: int, edges: list[Edge]) -> GainGraph:
+    try:
+        return GainGraph(n, tuple(edges))
+    except GainGraphError as exc:
+        raise MoveError(f"result invalid: {exc}") from exc
+
+
 def apply_move(g: GainGraph, mv: Move) -> GainGraph:
     """Forward application; raises MoveError on any constraint violation."""
     problem = arity_error(mv)
     _require(problem is None, problem)
-    k = mv.kind
-    edges = list(g.edges)
-    w = g.n
-
-    def check_vertex(v: int) -> None:
-        _require(0 <= v < g.n, f"no vertex {v}")
-
     for v in mv.vertices:
-        check_vertex(v)
-
-    if k == "H1a":
-        (a, b), (ga, gb) = mv.vertices, mv.gains
-        _require(a != b, "H1a needs two distinct neighbours")
-        edges += [edge(a, w, ga), edge(b, w, gb)]
-    elif k == "H1b":
-        (a,) = mv.vertices
-        edges += [edge(a, w, 1), edge(a, w, -1)]
-    elif k == "H1c":
-        (a,), (ga,) = mv.vertices, mv.gains
-        edges += [edge(a, w, ga), edge(w, w, -1)]
-    elif k == "H2a":
-        (e,), (x, z), (bx, dz) = mv.removed, mv.vertices, mv.gains
-        _require(not e.is_loop(), "H2a deletes a non-loop edge")
-        _require(e.touches(x), "x must be an endpoint of the deleted edge")
-        y = e.other(x)
-        _require(len({x, y, z}) == 3, "H2a needs three distinct neighbours")
-        _delete(edges, e)
-        edges += [edge(x, w, bx), edge(y, w, e.gain * bx), edge(z, w, dz)]
-    elif k == "H2b":
-        (e,), (x,), (d,) = mv.removed, mv.vertices, mv.gains
-        _require(not e.is_loop() and e.touches(x), "H2b deletes (x,y,al)")
-        y = e.other(x)
-        _delete(edges, e)
-        edges += [edge(x, w, 1), edge(x, w, -1), edge(y, w, d)]
-    elif k == "H2c":
-        (e,), (y,), (d,) = mv.removed, mv.vertices, mv.gains
-        _require(e.is_loop(), "H2c deletes a loop")
-        _require(y != e.u, "H2c needs a second neighbour")
-        _delete(edges, e)
-        edges += [edge(e.u, w, 1), edge(e.u, w, -1), edge(y, w, d)]
-    elif k == "H2d":
-        (e,), (x,), (bx,) = mv.removed, mv.vertices, mv.gains
-        _require(not e.is_loop() and e.touches(x), "H2d deletes (x,y,al)")
-        y = e.other(x)
-        _delete(edges, e)
-        edges += [edge(x, w, bx), edge(y, w, e.gain * bx), edge(w, w, -1)]
-    elif k == "H2e":
-        (e,) = mv.removed
-        _require(e.is_loop(), "H2e deletes a loop")
-        _delete(edges, e)
-        edges += [edge(e.u, w, 1), edge(e.u, w, -1), edge(w, w, -1)]
-    elif k == "H3a":
-        (e1, e2), (x, z), (gx, gz) = mv.removed, mv.vertices, mv.gains
-        _require(not e1.is_loop() and not e2.is_loop(), "H3a deletes edges")
-        _require(e1.touches(x) and e2.touches(z), "bad H3a anchors")
-        y, t = e1.other(x), e2.other(z)
-        _require(len({x, y, z, t}) == 4, "H3a needs four distinct neighbours")
-        _delete(edges, e1)
-        _delete(edges, e2)
-        edges += [
-            edge(x, w, gx),
-            edge(y, w, e1.gain * gx),
-            edge(z, w, gz),
-            edge(t, w, e2.gain * gz),
-        ]
-    elif k == "H3b":
-        (e1, e2), (y, x, t) = mv.removed, mv.vertices
-        _require(not e1.is_loop() and not e2.is_loop(), "H3b deletes edges")
-        _require(
-            e1.touches(y) and e1.other(y) == x and e2.touches(y)
-            and e2.other(y) == t,
-            "H3b edges must share exactly the pivot vertex",
-        )
-        _require(len({x, y, t}) == 3, "H3b needs three distinct neighbours")
-        _delete(edges, e1)
-        _delete(edges, e2)
-        edges += [
-            edge(x, w, e1.gain),
-            edge(y, w, 1),
-            edge(y, w, -1),
-            edge(t, w, -e2.gain),
-        ]
-    elif k == "H3c":
-        (e1, e2), (z,), (gz,) = mv.removed, mv.vertices, mv.gains
-        _require(e1.is_loop() and not e2.is_loop(), "H3c deletes loop + edge")
-        _require(e2.touches(z), "bad H3c anchor")
-        t = e2.other(z)
-        _require(e1.u not in (z, t), "H3c loop vertex must be separate")
-        _delete(edges, e1)
-        _delete(edges, e2)
-        edges += [
-            edge(e1.u, w, 1),
-            edge(e1.u, w, -1),
-            edge(z, w, gz),
-            edge(t, w, e2.gain * gz),
-        ]
-    elif k == "H3d":
-        (e1, e2) = mv.removed
-        _require(e1.is_loop() and e2.is_loop() and e1.u != e2.u, "H3d loops")
-        _delete(edges, e1)
-        _delete(edges, e2)
-        edges += [
-            edge(e1.u, w, 1),
-            edge(e1.u, w, -1),
-            edge(e2.u, w, 1),
-            edge(e2.u, w, -1),
-        ]
-    elif k == "VertexToK4":
+        _require(0 <= v < g.n, f"no vertex {v}")
+    if mv.kind == "VertexToK4":
         return _apply_vertex_to_k4(g, mv)
-    elif k == "VertexSplit":
+    if mv.kind == "VertexSplit":
         return _apply_vertex_split(g, mv)
-
-    try:
-        return GainGraph(g.n + 1, tuple(edges))
-    except GainGraphError as exc:
-        raise MoveError(f"result invalid: {exc}") from exc
+    shape = H_SHAPES[mv.kind]
+    at, gains = _bind(shape, mv, g.n)
+    edges = list(g.edges)
+    for e in mv.removed:
+        _delete(edges, e)
+    edges += [edge(at[p], g.n, _value(gn, gains)) for p, gn in shape.added]
+    return _graph(g.n + 1, edges)
 
 
 def _apply_vertex_to_k4(g: GainGraph, mv: Move) -> GainGraph:
@@ -291,10 +284,7 @@ def _apply_vertex_to_k4(g: GainGraph, mv: Move) -> GainGraph:
         i, j = mv.loop_attach
         _require(0 <= i < 4 and 0 <= j < 4, "loop_attach index in 0..3")
         edges.append(edge(m + i, m + j, -1))
-    try:
-        return GainGraph(g.n + 3, tuple(edges))
-    except GainGraphError as exc:
-        raise MoveError(f"result invalid: {exc}") from exc
+    return _graph(g.n + 3, edges)
 
 
 def _apply_vertex_split(g: GainGraph, mv: Move) -> GainGraph:
@@ -322,10 +312,7 @@ def _apply_vertex_split(g: GainGraph, mv: Move) -> GainGraph:
         _delete(edges, loop)
         edges.append(edge(v0, v0, -1))
     edges += [edge(v0, v1, 1), edge(v0, v2, e12.gain)]
-    try:
-        return GainGraph(g.n + 1, tuple(edges))
-    except GainGraphError as exc:
-        raise MoveError(f"result invalid: {exc}") from exc
+    return _graph(g.n + 1, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +332,11 @@ def translate_move(
     def image(e: Edge) -> Edge:
         return map_edge(e, pi, signs)
 
-    anchors = (
-        (mv.removed[0].other(mv.vertices[0]),) if mv.kind == "H2b" else mv.vertices
-    )
+    anchors = mv.vertices
+    if mv.kind in H_SHAPES:
+        shape = H_SHAPES[mv.kind]
+        at, _ = _bind(shape, mv, len(pi))
+        anchors = tuple(at[p] for p in shape.anchors)
     mv2 = Move(
         mv.kind,
         vertices=tuple(pi[v] for v in mv.vertices),
@@ -408,153 +397,52 @@ def _try_reduction(
     )
 
 
-def _vertex_deletion_candidates(g: GainGraph, v: int) -> Iterator[Reduction]:
-    """Reverse H1/H2/H3 candidates at vertex v."""
-    incident = g.edges_at(v, include_loop=False)
-    loop = g.loop_at(v)
-    deg = g.degree(v)
+def _vertex_deletion_candidates(
+    g: GainGraph, v: int, kinds: set[str]
+) -> Iterator[Reduction]:
+    """Reverse H moves at v: v becomes w (the last vertex), its edges are
+    assigned to a shape's added edges in every order, each assignment that
+    fits recovers the removed edges (a gain only they hold runs over +-1),
+    and each (kind, set of recovered edges) is tried once, first assignment
+    first."""
     pi = _vertex_last_perm(g.n, v)
+    w = g.n - 1
+    kept, at_w = [], []
+    for e in g.edges:
+        if e.touches(v):
+            at_w.append((pi[e.other(v)], e.gain))
+        else:
+            kept.append(edge(pi[e.u], pi[e.v], e.gain))
+    at_w.sort()
     signs = [1] * g.n
-
-    def renum(u: int) -> int:
-        return pi[u]
-
-    kept = [
-        edge(renum(e.u), renum(e.v), e.gain)
-        for e in g.edges
-        if not e.touches(v)
-    ]
-
-    def build(added: list[Edge], forward: Move):
-        return _try_reduction(g, signs, kept + added, forward, added, pi)
-
-    by_nbr: dict[int, list[Edge]] = {}
-    for e in incident:
-        by_nbr.setdefault(e.other(v), []).append(e)
-    nbrs = sorted(by_nbr)
-
-    if loop is None and deg == 2:
-        if len(nbrs) == 2:
-            (a, b) = nbrs
-            ga, gb = by_nbr[a][0].gain, by_nbr[b][0].gain
-            yield from build(
-                [],
-                Move("H1a", vertices=(renum(a), renum(b)), gains=(ga, gb)),
-            )
-        else:
-            (a,) = nbrs
-            yield from build([], Move("H1b", vertices=(renum(a),)))
-    elif loop is not None and deg == 3:
-        (a,) = nbrs
-        ga = by_nbr[a][0].gain
-        yield from build([], Move("H1c", vertices=(renum(a),), gains=(ga,)))
-    elif loop is None and deg == 3:
-        if len(nbrs) == 3:
-            # reverse H2a: pick which two neighbours get the recovered edge.
-            gains = {a: by_nbr[a][0].gain for a in nbrs}
-            for a, b in combinations(nbrs, 2):
-                (c,) = [x for x in nbrs if x not in (a, b)]
-                rec = edge(renum(a), renum(b), gains[a] * gains[b])
-                yield from build(
-                    [rec],
-                    Move(
-                        "H2a",
-                        removed=(rec,),
-                        vertices=(renum(a), renum(c)),
-                        gains=(gains[a], gains[c]),
-                    ),
+    for kind, shape in H_SHAPES.items():
+        if kind not in kinds or len(shape.added) != len(at_w):
+            continue
+        tried: set[frozenset[Edge]] = set()
+        for order in permutations(at_w):
+            at, gains = {"w": w}, {}
+            if not all(
+                _bind_vertex(at, p, u) and _solve(gn, gain, gains)
+                for (p, gn), (u, gain) in zip(shape.added, order)
+            ) or len(set(at.values())) < len(at):
+                continue
+            free = [nm for _, _, (_, names) in shape.removed
+                    for nm in names if nm not in gains]
+            for values in product((1, -1), repeat=len(free)):
+                gains.update(zip(free, values))
+                back = tuple(
+                    edge(at[p], at[q], _value(gn, gains)) for p, q, gn in shape.removed
                 )
-        elif len(nbrs) == 2:
-            a = next(x for x in nbrs if len(by_nbr[x]) == 2)
-            (b,) = [x for x in nbrs if x != a]
-            d = by_nbr[b][0].gain
-            for gn in (1, -1):  # reverse H2b, both recovered gains
-                rec = edge(renum(a), renum(b), gn)
-                yield from build(
-                    [rec],
-                    Move(
-                        "H2b",
-                        removed=(rec,),
-                        vertices=(renum(a),),
-                        gains=(d,),
-                    ),
-                )
-            rec = edge(renum(a), renum(a), -1)  # reverse H2c: loop at a
-            yield from build(
-                [rec],
-                Move("H2c", removed=(rec,), vertices=(renum(b),), gains=(d,)),
-            )
-    elif loop is not None and deg == 4:
-        if len(nbrs) == 2:
-            (a, b) = nbrs
-            ga, gb = by_nbr[a][0].gain, by_nbr[b][0].gain
-            rec = edge(renum(a), renum(b), ga * gb)
-            yield from build(
-                [rec],
-                Move(
-                    "H2d", removed=(rec,), vertices=(renum(a),), gains=(ga,)
-                ),
-            )
-        else:
-            (a,) = nbrs
-            rec = edge(renum(a), renum(a), -1)
-            yield from build([rec], Move("H2e", removed=(rec,)))
-    elif loop is None and deg == 4:
-        gains = {a: [e.gain for e in by_nbr[a]] for a in nbrs}
-        if len(nbrs) == 4:
-            # reverse H3a: three pairings of the four neighbours.
-            for pairing in ([(0, 1), (2, 3)], [(0, 2), (1, 3)], [(0, 3), (1, 2)]):
-                (i1, j1), (i2, j2) = pairing
-                a, b = nbrs[i1], nbrs[j1]
-                c, d = nbrs[i2], nbrs[j2]
-                rec1 = edge(renum(a), renum(b), gains[a][0] * gains[b][0])
-                rec2 = edge(renum(c), renum(d), gains[c][0] * gains[d][0])
-                if rec1 == rec2:
+                if frozenset(back) in tried:
                     continue
-                yield from build(
-                    [rec1, rec2],
-                    Move(
-                        "H3a",
-                        removed=(rec1, rec2),
-                        vertices=(renum(a), renum(c)),
-                        gains=(gains[a][0], gains[c][0]),
-                    ),
+                tried.add(frozenset(back))
+                forward = Move(
+                    kind,
+                    vertices=tuple(at[x] for x in shape.vertices),
+                    gains=tuple(gains[x] for x in shape.gains),
+                    removed=back,
                 )
-        elif len(nbrs) == 3:
-            a = next(x for x in nbrs if len(by_nbr[x]) == 2)  # doubled nbr
-            rest = [x for x in nbrs if x != a]
-            for x, t in (rest, rest[::-1]):
-                # reverse H3b: both recovered edges meet the doubled nbr a.
-                rec1 = edge(renum(x), renum(a), gains[x][0])
-                rec2 = edge(renum(a), renum(t), -gains[t][0])
-                if rec1 == rec2:
-                    continue
-                yield from build(
-                    [rec1, rec2],
-                    Move(
-                        "H3b",
-                        removed=(rec1, rec2),
-                        vertices=(renum(a), renum(x), renum(t)),
-                    ),
-                )
-            # reverse H3c: loop at the doubled neighbour + edge between rest.
-            z, t = rest
-            rec1 = edge(renum(a), renum(a), -1)
-            rec2 = edge(renum(z), renum(t), gains[z][0] * gains[t][0])
-            yield from build(
-                [rec1, rec2],
-                Move(
-                    "H3c",
-                    removed=(rec1, rec2),
-                    vertices=(renum(z),),
-                    gains=(gains[z][0],),
-                ),
-            )
-        elif len(nbrs) == 2 and all(len(by_nbr[x]) == 2 for x in nbrs):
-            (a, b) = nbrs
-            rec1 = edge(renum(a), renum(a), -1)
-            rec2 = edge(renum(b), renum(b), -1)
-            yield from build([rec1, rec2], Move("H3d", removed=(rec1, rec2)))
+                yield from _try_reduction(g, signs, kept + list(back), forward, back, pi)
 
 
 def _clique_switchings(
@@ -724,9 +612,7 @@ def enumerate_reductions(
     allowed = set(kinds) if kinds is not None else set(ALL_KINDS)
     order = sorted(range(g.n), key=lambda v: (g.degree(v), v))
     for v in order:
-        for r in _vertex_deletion_candidates(g, v):
-            if r.kind in allowed:
-                yield r
+        yield from _vertex_deletion_candidates(g, v, allowed)
     if "VertexToK4" in allowed:
         yield from _balanced_k4_contractions(g)
     if "VertexSplit" in allowed:

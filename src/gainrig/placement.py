@@ -24,7 +24,7 @@ from typing import Iterator, Optional, Sequence
 
 from .catalog import graph_for_base_id
 from .colouring import geometric_verdict
-from .construct import ConstructionSequence
+from .construct import ConstructionSequence, check_kinds
 from .graph import GainGraph, invariant
 from .moves import Move, apply_move
 from .norms import LINF, PolyhedralNorm
@@ -42,13 +42,14 @@ class RetriesExhausted(PlacementError):
 @dataclass(frozen=True)
 class RealisationConfig:
     seed: int = 0
-    radius: Fraction = Fraction(1)
-    max_retries: int = 400
-    grid_denominator: int = 64
 
-    def __post_init__(self):
-        if self.radius <= 0 or self.max_retries < 1 or self.grid_denominator < 1:
-            raise ValueError("radius > 0, retries >= 1, denominator >= 1 required")
+
+# Sampling schedule: balls around the centres start at RADIUS and halve each
+# round, MAX_RETRIES bounds the attempts, and sampled coordinates lie on the
+# grid of spacing 1/GRID_DENOMINATOR.
+RADIUS = Fraction(1)
+MAX_RETRIES = 400
+GRID_DENOMINATOR = 64
 
 
 # Frozen integer fixtures (l-infinity, half turn), each verified by both the
@@ -84,7 +85,7 @@ def _verified(fw: Framework, j: int) -> bool:
     return True
 
 
-def base_placement(bid: str, cfg: Optional[RealisationConfig] = None) -> Framework:
+def base_placement(bid: str) -> Framework:
     """Verified character-0 isostatic placement of a catalogue base."""
     g = graph_for_base_id(bid)
     if bid == "k1":
@@ -143,7 +144,6 @@ def _candidate_points(
     positions: Sequence,
     v: int,
     norm: PolyhedralNorm,
-    cfg: RealisationConfig,
     rng: random.Random,
 ) -> Iterator[tuple[Fraction, Fraction]]:
     """Deterministic stream of rational candidate positions for vertex v."""
@@ -164,9 +164,9 @@ def _candidate_points(
         known = [p for p in positions if p is not None]
         centres = [known[0] if known else (Fraction(1), Fraction(1))]
     yield from centres
-    den = cfg.grid_denominator
-    radius = cfg.radius
-    per_round = max(1, cfg.max_retries // 8)
+    den = GRID_DENOMINATOR
+    radius = RADIUS
+    per_round = MAX_RETRIES // 8
     for _round in range(8):
         for _ in range(per_round):
             c = centres[rng.randrange(len(centres))]
@@ -177,7 +177,7 @@ def _candidate_points(
             dy = Fraction(rng.randint(-lim, lim), den)
             yield (c[0] + dx, c[1] + dy)
         radius = radius / 2
-    for _ in range(cfg.max_retries):
+    for _ in range(MAX_RETRIES):
         yield (
             Fraction(rng.randint(-8 * den, 8 * den), den),
             Fraction(rng.randint(-8 * den, 8 * den), den),
@@ -209,18 +209,18 @@ def extend_placement(
     h = apply_move(g, mv)
     norm = fw.norm
     if mv.kind == "VertexToK4":
-        return _extend_k4(fw, mv, h, cfg, j, rng)
+        return _extend_k4(fw, mv, h, j, rng)
     # One new vertex, appended at index g.n; old positions are kept
     # (VertexSplit and the H moves never relabel existing vertices).
     positions: list = list(fw.positions) + [None]
     budget = 0
-    for cand in _candidate_points(h, positions, g.n, norm, cfg, rng):
+    for cand in _candidate_points(h, positions, g.n, norm, rng):
         budget += 1
         positions[g.n] = cand
         out = _try_framework(h, positions, norm, j)
         if out is not None:
             return out
-        if budget > 4 * cfg.max_retries:
+        if budget > 4 * MAX_RETRIES:
             break
     raise RetriesExhausted(
         f"could not place new vertex for {mv.kind} on {g.triples()}"
@@ -232,16 +232,16 @@ def extend_placement(
 _K4_SHAPE = ((0, 0), (5, 2), (2, 5), (7, 7))
 
 
-def _extend_k4(fw, mv, h, cfg, j, rng):
+def _extend_k4(fw, mv, h, j, rng):
     g = fw.graph
     (v,) = mv.vertices
     pv = fw.positions[v]
     kept = [p for i, p in enumerate(fw.positions) if i != v]
     norm = fw.norm
-    den = cfg.grid_denominator
-    scale = Fraction(cfg.radius, 16)
+    den = GRID_DENOMINATOR
+    scale = RADIUS / 16
     for _round in range(10):
-        for _ in range(max(1, cfg.max_retries // 10)):
+        for _ in range(MAX_RETRIES // 10):
             pts = []
             for sx, sy in _K4_SHAPE:
                 jx = Fraction(rng.randint(-den, den), den * den)
@@ -266,7 +266,7 @@ def _extend_k4(fw, mv, h, cfg, j, rng):
 # ---------------------------------------------------------------------------
 
 
-def _union_base_placement(ids: Sequence[str], cfg, rng) -> Framework:
+def _union_base_placement(ids: Sequence[str], rng) -> Framework:
     """Placement of a disjoint union of bases: each component uses its frozen
     fixture scaled by a distinct positive rational so covering positions stay
     distinct (translations would break the central symmetry)."""
@@ -275,7 +275,7 @@ def _union_base_placement(ids: Sequence[str], cfg, rng) -> Framework:
     for bg in graphs:
         g = g.union(bg)
     scalars = [Fraction(2 * i + 2, 2 * i + 1) for i in range(len(ids))]
-    for attempt in range(cfg.max_retries):
+    for attempt in range(MAX_RETRIES):
         positions = []
         for i, bid in enumerate(ids):
             base = (
@@ -288,8 +288,8 @@ def _union_base_placement(ids: Sequence[str], cfg, rng) -> Framework:
         if fw is not None:
             return fw
         scalars = [
-            s * Fraction(rng.randint(cfg.grid_denominator + 1, 3 * cfg.grid_denominator),
-                         cfg.grid_denominator)
+            s * Fraction(rng.randint(GRID_DENOMINATOR + 1, 3 * GRID_DENOMINATOR),
+                         GRID_DENOMINATOR)
             for s in scalars
         ]
     raise RetriesExhausted(f"could not place base union {tuple(ids)}")
@@ -306,6 +306,9 @@ def realize(
         cfg = RealisationConfig()
     if j not in (0, 1):
         raise ValueError("character must be 0 or 1")
+    if not seq.initial:
+        raise ValueError("sequence has no initial base")
+    check_kinds(seq)
     # Early placements can drift into configurations where a later step has
     # no nearby verified position; on exhaustion, restart the whole fold with
     # a seed derived from cfg.seed so the result stays deterministic.
@@ -314,13 +317,13 @@ def realize(
         rng = random.Random(f"{cfg.seed}:{attempt}")
         try:
             if len(seq.initial) == 1:
-                fw = base_placement(seq.initial[0], cfg)
-                if not _verified(fw, j):
-                    raise PlacementError(
-                        f"base {seq.initial[0]} does not verify for character {j}"
-                    )
+                fw = base_placement(seq.initial[0])
             else:
-                fw = _union_base_placement(seq.initial, cfg, rng)
+                fw = _union_base_placement(seq.initial, rng)
+            if not _verified(fw, j):
+                raise PlacementError(
+                    f"bases {list(seq.initial)} do not verify for character {j}"
+                )
             for mv in seq.steps:
                 fw = extend_placement(fw, mv, cfg, j, rng)
             return fw

@@ -4,7 +4,8 @@ import pytest
 
 from gainrig.catalog import BASE_CATALOG
 from gainrig.cli import main
-from gainrig.jsonio import graph_to_dict, save_json
+from gainrig.jsonio import framework_to_dict, graph_to_dict, save_json
+from gainrig.placement import base_placement
 
 
 @pytest.fixture
@@ -104,3 +105,44 @@ def test_move_that_does_not_fit_fails(tmp_path, capsys, command):
     assert main([command, _sequence_file(tmp_path, step)]) == 1
     out = capsys.readouterr().out
     assert out.startswith("FAIL") and "no vertex 7" in out
+
+
+def test_realize_rejects_kind_not_allowed(tmp_path, capsys):
+    path = tmp_path / "seq.json"
+    step = {"kind": "H1c", "vertices": [0], "gains": [1]}
+    save_json(str(path), {"counts": [2, 2, 2], "initial": ["k1"], "steps": [step]})
+    assert main(["realize", str(path), "--character", "1"]) == 1
+    assert "move kind H1c not allowed for (2, 2, 2)" in capsys.readouterr().out
+
+
+def test_realize_empty_initial_is_usage_error(tmp_path, capsys):
+    # decompose of the empty graph gives this sequence; there is no base to place
+    path = tmp_path / "seq.json"
+    save_json(str(path), {"counts": [2, 2, 0], "initial": [], "steps": []})
+    assert main(["realize", str(path)]) == 2
+    assert "no initial base" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyse", "colour"])
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("positions", 5, "'positions'"),
+        ("group", {"n": "x"}, "group order"),
+        ("norm", {"p": [1]}, "'p' must be a number"),
+    ],
+)
+def test_malformed_framework_is_usage_error(tmp_path, capsys, command, field, value,
+                                            message):
+    d = framework_to_dict(base_placement("b"))
+    d[field] = value
+    path = tmp_path / "fw.json"
+    save_json(str(path), d)
+    assert main([command, str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_gen_needs_a_vertex(capsys, n):
+    assert main(["gen", f"--n={n}", "--counts", "2,2,2"]) == 2
+    assert "n >= 1" in capsys.readouterr().err

@@ -94,6 +94,13 @@ def test_random_tight_deterministic():
     assert check_tight(a, PARAMS_220)
 
 
+@pytest.mark.parametrize("p", [PARAMS_220, PARAMS_222])
+@pytest.mark.parametrize("n", [0, -3])
+def test_random_tight_needs_a_vertex(p, n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        random_tight(n, p, seed=0)
+
+
 def _all_components_tight(g, p):
     """The from-scratch check: every component re-checked on its own."""
     return all(check_tight(g.subgraph(c), p) for c in g.components())

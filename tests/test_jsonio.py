@@ -108,3 +108,15 @@ def test_malformed_move_raises_format_error(move):
 def test_malformed_sequence_raises_format_error(seq):
     with pytest.raises(FormatError):
         sequence_from_dict(seq)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("positions", 5), ("positions", [1, 2]), ("group", {"n": "x"}),
+     ("norm", {"p": [1]}), ("norm", {"facets": [1, 2]})],
+)
+def test_malformed_framework_raises_format_error(field, value):
+    d = framework_to_dict(base_placement("b"))
+    d[field] = value
+    with pytest.raises(FormatError):
+        framework_from_dict(d)

@@ -150,6 +150,33 @@ def test_h_moves_preserve_tightness(rng):
         done += 1
 
 
+def test_every_h_move_is_undone_in_place(rng):
+    # reducing at the new vertex (the last, so pi is the identity) must give
+    # back the graph the move was applied to
+    from gainrig.construct import random_tight
+
+    graphs = [random_tight(n, PARAMS_220, seed) for n in range(2, 8) for seed in range(5)]
+    for kind in H_KINDS:
+        done = tries = 0
+        while done < 50:
+            tries += 1
+            assert tries < 5000, f"{kind} never applied"
+            g = rng.choice(graphs)
+            mv = _random_move(g, (kind,), rng)
+            if mv is None:
+                continue
+            try:
+                h = apply_move(g, mv)
+            except MoveError:
+                continue
+            identity = tuple(range(h.n))
+            assert any(
+                r.reduced == g and r.pi == identity
+                for r in enumerate_reductions(h, kinds=(kind,))
+            ), (g.triples(), mv)
+            done += 1
+
+
 def test_balanced_k4_contracts_to_single_vertex():
     k4 = GainGraph.from_triples(
         4, [[0, 1, 1], [0, 2, 1], [0, 3, 1], [1, 2, 1], [1, 3, 1], [2, 3, 1]]

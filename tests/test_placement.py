@@ -6,6 +6,7 @@ from gainrig.construct import ConstructionSequence, decompose, random_tight
 from gainrig.moves import Move
 from gainrig.placement import (
     BASE_PLACEMENTS,
+    PlacementError,
     RealisationConfig,
     base_placement,
     extend_placement,
@@ -71,14 +72,15 @@ def test_realize_disconnected_union():
     assert analyse(fw, 0).isostatic
 
 
+@pytest.mark.parametrize("ids", [("a",), ("a", "b")])
+def test_realize_rejects_bases_that_do_not_verify(ids):
+    # (2,2,0) bases are placed for character 0; a union is checked like one base
+    seq = ConstructionSequence(PARAMS_220, ids, ())
+    with pytest.raises(PlacementError, match="do not verify for character 1"):
+        realize(seq, 1)
+
+
 def test_realize_rejects_bad_character():
     seq = ConstructionSequence(PARAMS_220, ("a",), ())
     with pytest.raises(ValueError):
         realize(seq, 2)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        RealisationConfig(radius=0)
-    with pytest.raises(ValueError):
-        RealisationConfig(max_retries=0)

@@ -13,7 +13,6 @@ import argparse
 from gainrig import (
     PARAMS_220,
     PARAMS_222,
-    RealisationConfig,
     analyse,
     apply_iso,
     construct,
@@ -36,7 +35,7 @@ def run(n: int, seed: int, j: int) -> None:
     print(f"  decomposed to bases {seq.initial} in {len(seq.steps)} moves,"
           f" reconstruction matches via pi={pi} signs={signs}")
 
-    fw = realize(seq, j, RealisationConfig(seed=seed))
+    fw = realize(seq, j)
     verdict = geometric_verdict(fw)
     report = analyse(fw, j)
     flag = verdict.chi0_isostatic if j == 0 else verdict.chi1_isostatic
@@ -50,7 +49,7 @@ def run(n: int, seed: int, j: int) -> None:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=6)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=0, help="seed of the random graph")
     ap.add_argument("--character", type=int, choices=(0, 1), default=0)
     args = ap.parse_args()
     run(args.n, args.seed, args.character)

@@ -1,6 +1,7 @@
 """Search small integer coordinates for each catalogue base so that the
 half-turn-symmetric l-infinity placement is character-0 isostatic according
-to both the colouring oracle and the rank oracle.  The first (smallest
+to both the colouring oracle and the rank oracle (the same check,
+placement._verified, that base_placement re-runs on use).  The first (smallest
 coordinate box, then lexicographically smallest) hit per base is printed for
 freezing into gainrig.placement.BASE_PLACEMENTS."""
 
@@ -8,9 +9,9 @@ from fractions import Fraction as F
 from itertools import product
 
 from gainrig.catalog import BASE_CATALOG
-from gainrig.colouring import geometric_verdict
 from gainrig.norms import LINF
-from gainrig.rigidity import Framework, analyse, well_positioned
+from gainrig.placement import _verified
+from gainrig.rigidity import Framework, FrameworkError
 
 
 def search(g, radius):
@@ -21,15 +22,10 @@ def search(g, radius):
         pos = tuple((F(x), F(y)) for x, y in pts)
         try:
             fw = Framework(g, pos, LINF, 2)
-        except Exception:
+        except FrameworkError:
             continue
-        if not well_positioned(fw):
-            continue
-        if not geometric_verdict(fw).chi0_isostatic:
-            continue
-        if not analyse(fw, 0).isostatic:
-            continue
-        return pts
+        if _verified(fw, 0):
+            return pts
     return None
 
 

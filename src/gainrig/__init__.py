@@ -47,8 +47,8 @@ from .moves import (
 from .norms import L1, LINF, ConeBoundary, LpNorm, PolyhedralNorm, ZeroVector
 from .placement import (
     BASE_PLACEMENTS,
+    PlacementError,
     RealisationConfig,
-    RetriesExhausted,
     base_placement,
     extend_placement,
     realize,

@@ -258,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("realize", help="synthesise a verified placement")
     p.add_argument("sequence")
     p.add_argument("--character", type=int, default=0, choices=(0, 1))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted for compatibility; placement is deterministic")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_realize)
 

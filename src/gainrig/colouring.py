@@ -68,9 +68,16 @@ def is_unbalanced_map_graph(
     )
 
 
-def _is_spanning_tree(n: int, edges: Sequence[Edge]) -> bool:
-    comps = SignedUnionFind(n, edges).components()
-    return len(comps) == 1 and comps[0][1] == n - 1
+def _is_spanning_tree(g: GainGraph, edges: Sequence[Edge]) -> bool:
+    comps = SignedUnionFind(g.n, edges).components()
+    return len(comps) == 1 and comps[0][1] == g.n - 1
+
+
+def isostatic_classes(g: GainGraph, classes: Sequence[Sequence[Edge]], j: int) -> bool:
+    """The colouring criterion for character j: every class is a basis of
+    the frame matroid (j = 0) or a spanning tree (j = 1)."""
+    basis = is_unbalanced_map_graph if j == 0 else _is_spanning_tree
+    return all(basis(g, c) for c in classes)
 
 
 def _spanning_connected_unbalanced(g: GainGraph, edges: Sequence[Edge]) -> bool:
@@ -91,8 +98,7 @@ def geometric_verdict(fw: Framework) -> GeometricVerdict:
         raise FrameworkError("colouring verdicts require a half-turn symmetry")
     col = monochrome_quotients(fw)
     g = fw.graph
-    c0, c1 = col.classes
-    chi0 = is_unbalanced_map_graph(g, c0) and is_unbalanced_map_graph(g, c1)
-    chi1 = _is_spanning_tree(g.n, c0) and _is_spanning_tree(g.n, c1)
-    rigid = _spanning_connected_unbalanced(g, c0) and _spanning_connected_unbalanced(g, c1)
-    return GeometricVerdict(col, chi0, chi1, rigid)
+    rigid = all(_spanning_connected_unbalanced(g, c) for c in col.classes)
+    return GeometricVerdict(
+        col, isostatic_classes(g, col.classes, 0), isostatic_classes(g, col.classes, 1), rigid
+    )

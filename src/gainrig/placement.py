@@ -1,55 +1,69 @@
 """Synthesis of verified isostatic placements along construction sequences.
 
-Every accepted placement is double-checked: the colouring oracle
-(geometric_verdict) runs first because it is cheap, then the exact rank
-oracle (analyse) must agree.  "Generic position" is replaced by rational
-grid sampling plus this verification loop: candidate points for a new vertex
-come from intersections of facet-direction lines through the anchor points
-of its new edges, from grid samples in shrinking balls around those
-intersections, and from a coarse random box as a fallback; a candidate is
-kept only if the grown framework passes both oracles for the target
-character.  The whole process is deterministic in the configured seed.
+By the colouring criterion (colouring.py), a well-positioned half-turn
+framework is character-0 isostatic exactly when both facet colour classes
+are frame-matroid bases, and character-1 isostatic exactly when both are
+spanning trees.  So a new vertex needs no generic position, only one inside
+the facet cones its colours name, and one candidate per step suffices: it
+has the chosen colouring by construction, and the exact rank must agree.
 
-Base placements were found by exhaustive small-integer search
-(scripts/find_base_placements.py) and are frozen here; each is re-verified
-on first use.
+A move adding one vertex w (H1-H3, vertex split) keeps the old positions,
+and so the old colours.  A new edge to x with gain g points along
+p_w - g p_x and is anchored at g p_x; a loop at w is anchored at the origin.
+The colours of the new edges are tried in a fixed order, keeping those that
+pass colouring.isostatic_classes.  For each, sign choices are tried in
+order: an edge of colour c and sign s (facets f_c, f_o) lies in the open
+wedge (s f_c - f_o).(p - q) > 0, (s f_c + f_o).(p - q) > 0 at its anchor q,
+and the wedges clip a box around the anchors.  The first polygon of
+positive area is the region.  Its vertex average, rounded to the coarsest
+dyadic grid 2^-k that stays strictly inside every wedge and off the origin
+and +-every old position, is the new position.  No region: PlacementError.
+
+Vertex-to-K4 puts the four new vertices at p_v + t s_i for the silhouette s
+below, whose edges split by colour into two spanning paths; contracting a
+path gives back the old class, so both classes stay bases.  With
+rho(d) = |a.d| + |b.d| for facets a, b and S = max rho(s_i), t is the
+largest 2^-k with 2 t S below every colour margin ||a.d| - |b.d|| of v's
+edges (loop included) and below rho(p_v - q) for the origin and every other
+covering point q, so re-attached edges keep their colours and the covering
+points stay distinct.
+
+Every placement is accepted only through _verified: the colouring and the
+exact rank oracle both run and must agree.  Nothing is random.  The base
+fixtures were found by scripts/find_base_placements.py and are re-verified
+on use; the i-th base of a union is scaled by (2i + 2) / (2i + 1), which
+keeps its colours (translations would break the central symmetry).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from itertools import product
+from typing import Optional, Sequence
 
 from .catalog import graph_for_base_id
-from .colouring import geometric_verdict
+from .colouring import edge_colour, geometric_verdict, isostatic_classes
 from .construct import ConstructionSequence, check_kinds
 from .graph import GainGraph, invariant
 from .moves import Move, apply_move
-from .norms import LINF, PolyhedralNorm
+from .norms import LINF
 from .rigidity import Framework, FrameworkError, NotWellPositioned, analyse
+
+Point = tuple[Fraction, Fraction]
+ORIGIN: Point = (Fraction(0), Fraction(0))
 
 
 class PlacementError(RuntimeError):
     pass
 
 
-class RetriesExhausted(PlacementError):
-    """Sampling schedule failed to produce a verified placement."""
-
-
 @dataclass(frozen=True)
 class RealisationConfig:
+    """Accepted for compatibility: placement is deterministic and the seed
+    has no effect."""
+
     seed: int = 0
-
-
-# Sampling schedule: balls around the centres start at RADIUS and halve each
-# round, MAX_RETRIES bounds the attempts, and sampled coordinates lie on the
-# grid of spacing 1/GRID_DENOMINATOR.
-RADIUS = Fraction(1)
-MAX_RETRIES = 400
-GRID_DENOMINATOR = 64
 
 
 # Frozen integer fixtures (l-infinity, half turn), each verified by both the
@@ -65,11 +79,15 @@ BASE_PLACEMENTS: dict[str, tuple[tuple[int, int], ...]] = {
     "h": ((-2, -2), (-2, 1), (0, -2), (1, 0)),
 }
 
+# Under the l-infinity norm the six edges of this K4 split by colour into
+# the spanning paths 0-1-2-3 and 2-0-3-1.
+_K4_SHAPE = ((0, 0), (3, 1), (-1, 4), (3, 5))
 
-def _frozen_positions(bid: str) -> tuple[tuple[Fraction, Fraction], ...]:
-    return tuple(
-        (Fraction(x), Fraction(y)) for x, y in BASE_PLACEMENTS[bid]
-    )
+
+def _base_points(bid: str) -> list[Point]:
+    """The frozen fixture of a base; the (2,2,2) seed k1 sits at (1, 2)."""
+    fixture = ((1, 2),) if bid == "k1" else BASE_PLACEMENTS[bid]
+    return [(Fraction(x), Fraction(y)) for x, y in fixture]
 
 
 def _verified(fw: Framework, j: int) -> bool:
@@ -85,214 +103,169 @@ def _verified(fw: Framework, j: int) -> bool:
     return True
 
 
-def base_placement(bid: str) -> Framework:
-    """Verified character-0 isostatic placement of a catalogue base."""
-    g = graph_for_base_id(bid)
-    if bid == "k1":
-        fw = Framework(g, ((Fraction(1), Fraction(2)),), LINF, 2)
-        if not _verified(fw, 1):
-            raise PlacementError("single-vertex seed failed verification")
-        return fw
-    fw = Framework(g, _frozen_positions(bid), LINF, 2)
-    if not _verified(fw, 0):
-        raise PlacementError(f"frozen placement for base {bid} failed verification")
+def _framework(g: GainGraph, positions: Sequence[Point], norm, what: str) -> Framework:
+    try:
+        return Framework(g, tuple(positions), norm, 2)
+    except FrameworkError as exc:
+        raise PlacementError(f"{what}: {exc}") from exc
+
+
+def _accept(g: GainGraph, positions: Sequence[Point], norm, j: int, what: str) -> Framework:
+    """The framework at positions if both oracles call it character-j
+    isostatic, else PlacementError naming `what`."""
+    fw = _framework(g, positions, norm, what)
+    if not _verified(fw, j):
+        raise PlacementError(f"{what} failed verification for character {j}")
     return fw
 
 
-# ---------------------------------------------------------------------------
-# Candidate generation.
-# ---------------------------------------------------------------------------
+def base_placement(bid: str) -> Framework:
+    """Verified isostatic placement of a catalogue base: character 0, or
+    character 1 for the single vertex k1."""
+    return _accept(
+        graph_for_base_id(bid), _base_points(bid), LINF, int(bid == "k1"),
+        f"frozen placement for base {bid}",
+    )
 
 
-def _facet_directions(norm: PolyhedralNorm) -> list[tuple[Fraction, Fraction]]:
-    """One interior direction per facet cone: the kernel direction of the
-    other facet's covector (where only this facet's functional is active)."""
-    (a1, a2), (b1, b2) = norm.facets
-    return [(-b2, b1), (-a2, a1)]
+def _dot(f, p) -> Fraction:
+    return f[0] * p[0] + f[1] * p[1]
 
 
-def _line_intersection(q1, d1, q2, d2):
-    """Exact intersection of q1 + t d1 and q2 + s d2, or None if parallel."""
-    det = d1[0] * (-d2[1]) - d1[1] * (-d2[0])
-    if det == 0:
-        return None
-    rx, ry = q2[0] - q1[0], q2[1] - q1[1]
-    t = (rx * (-d2[1]) - ry * (-d2[0])) / det
-    return (q1[0] + t * d1[0], q1[1] + t * d1[1])
+def _wedge(facets, colour: int, sign: int, q: Point) -> list[tuple[Point, Fraction]]:
+    """The half-planes ell.p > h whose intersection is the set of p with
+    p - q in the cone of facet `colour` with `sign`."""
+    fc, fo = facets[colour], facets[1 - colour]
+    ells = [(sign * fc[0] + t * fo[0], sign * fc[1] + t * fo[1]) for t in (-1, 1)]
+    return [(ell, _dot(ell, q)) for ell in ells]
 
 
-def _anchors(h: GainGraph, positions: Sequence, v: int) -> list:
-    """Anchor points for new vertex v: the symmetry image of each neighbour
-    that v's edges connect to, plus the origin if v carries a loop (a loop's
-    direction is v's own position)."""
+def _clip(poly: list[Point], ell: Point, h: Fraction) -> list[Point]:
+    """The part of the convex polygon poly where ell.p >= h."""
+    vals = [_dot(ell, p) - h for p in poly]
     out = []
-    for e in h.edges_at(v, include_loop=False):
-        x = e.other(v)
-        px = positions[x]
-        if px is None:
-            continue
-        if e.gain == -1:
-            px = (-px[0], -px[1])
-        out.append(px)
-    if h.loop_at(v) is not None:
-        out.append((Fraction(0), Fraction(0)))
+    for i, (p, b) in enumerate(zip(poly, vals)):
+        prev, a = poly[i - 1], vals[i - 1]
+        if (a >= 0) != (b >= 0):
+            t = a / (a - b)
+            out.append((prev[0] + t * (p[0] - prev[0]), prev[1] + t * (p[1] - prev[1])))
+        if b >= 0:
+            out.append(p)
     return out
 
 
-def _candidate_points(
-    h: GainGraph,
-    positions: Sequence,
-    v: int,
-    norm: PolyhedralNorm,
-    rng: random.Random,
-) -> Iterator[tuple[Fraction, Fraction]]:
-    """Deterministic stream of rational candidate positions for vertex v."""
-    dirs = _facet_directions(norm)
-    anchors = _anchors(h, positions, v)
-    centres = []
-    for i, qa in enumerate(anchors):
-        for qb in anchors[i + 1:]:
-            for da in dirs:
-                for db in dirs:
-                    pt = _line_intersection(qa, da, qb, db)
-                    if pt is not None:
-                        centres.append(pt)
-    # Anchors themselves are sampling centres too: several move recipes place
-    # the new vertex in a small ball around an existing image point.
-    centres.extend(anchors)
-    if not centres:
-        known = [p for p in positions if p is not None]
-        centres = [known[0] if known else (Fraction(1), Fraction(1))]
-    yield from centres
-    den = GRID_DENOMINATOR
-    radius = RADIUS
-    per_round = MAX_RETRIES // 8
-    for _round in range(8):
-        for _ in range(per_round):
-            c = centres[rng.randrange(len(centres))]
-            lim = int(radius * den)
-            if lim < 1:
-                lim = 1
-            dx = Fraction(rng.randint(-lim, lim), den)
-            dy = Fraction(rng.randint(-lim, lim), den)
-            yield (c[0] + dx, c[1] + dy)
-        radius = radius / 2
-    for _ in range(MAX_RETRIES):
-        yield (
-            Fraction(rng.randint(-8 * den, 8 * den), den),
-            Fraction(rng.randint(-8 * den, 8 * den), den),
-        )
+def _area2(poly: list[Point]) -> Fraction:
+    """Twice the signed area, positive for a counter-clockwise polygon."""
+    return sum((poly[i - 1][0] * p[1] - p[0] * poly[i - 1][1] for i, p in enumerate(poly)), 0)
 
 
-def _try_framework(h, positions, norm, j):
-    if any(p is None for p in positions):
-        return None
-    try:
-        fw = Framework(h, tuple(positions), norm, 2)
-    except FrameworkError:
-        return None
-    return fw if _verified(fw, j) else None
+def _box(anchors: Sequence[Point]) -> list[Point]:
+    """Counter-clockwise box around the anchors, widened on every side by
+    their spread plus one; under l-infinity and l1 facets every corner of a
+    wedge intersection lies inside it."""
+    xs, ys = [q[0] for q in anchors], [q[1] for q in anchors]
+    pad = max(max(xs) - min(xs), max(ys) - min(ys)) + 1
+    lo, hi = (min(xs) - pad, min(ys) - pad), (max(xs) + pad, max(ys) + pad)
+    return [lo, (hi[0], lo[1]), hi, (lo[0], hi[1])]
 
 
-def extend_placement(
-    fw: Framework,
-    mv: Move,
-    cfg: RealisationConfig,
-    j: int = 0,
-    rng: Optional[random.Random] = None,
-) -> Framework:
+def _region(poly: list[Point], wedges: Sequence[Sequence[list]]):
+    """(polygon, planes) for the first sign choice, in product order, whose
+    wedges (wedges[i][s] for edge i and sign index s) cut poly to positive
+    area, or None; a prefix that cuts poly to nothing is not extended."""
+    if not wedges:
+        return poly, []
+    for planes in wedges[0]:
+        cut = poly
+        for ell, h in planes:
+            cut = _clip(cut, ell, h)
+        found = _region(cut, wedges[1:]) if _area2(cut) > 0 else None
+        if found is not None:
+            return found[0], planes + found[1]
+    return None
+
+
+def _grid_point(poly: list[Point], planes, forbidden: set) -> Optional[Point]:
+    """The vertex average of poly (or, if that is forbidden, its midpoint
+    with a vertex), rounded to the coarsest dyadic grid 2^-k that keeps it
+    strictly inside every plane and out of `forbidden`."""
+    n = len(poly)
+    centre = (sum(p[0] for p in poly) / n, sum(p[1] for p in poly) / n)
+    for c in [centre] + [((centre[0] + p[0]) / 2, (centre[1] + p[1]) / 2) for p in poly]:
+        if c in forbidden:
+            continue
+        k = 1  # c is strictly inside, so a fine enough grid keeps it there
+        while True:
+            pt = (Fraction(round(c[0] * k), k), Fraction(round(c[1] * k), k))
+            if pt not in forbidden and all(_dot(ell, pt) > h for ell, h in planes):
+                return pt
+            k *= 2
+    return None
+
+
+def extend_placement(fw: Framework, mv: Move, j: int = 0) -> Framework:
     """Grow a verified placement across one move, placing the created
     vertices and re-verifying with both oracles."""
-    if rng is None:
-        rng = random.Random(cfg.seed)
-    g = fw.graph
-    h = apply_move(g, mv)
-    norm = fw.norm
+    h = apply_move(fw.graph, mv)
     if mv.kind == "VertexToK4":
-        return _extend_k4(fw, mv, h, j, rng)
-    # One new vertex, appended at index g.n; old positions are kept
-    # (VertexSplit and the H moves never relabel existing vertices).
-    positions: list = list(fw.positions) + [None]
-    budget = 0
-    for cand in _candidate_points(h, positions, g.n, norm, rng):
-        budget += 1
-        positions[g.n] = cand
-        out = _try_framework(h, positions, norm, j)
-        if out is not None:
-            return out
-        if budget > 4 * MAX_RETRIES:
-            break
-    raise RetriesExhausted(
-        f"could not place new vertex for {mv.kind} on {g.triples()}"
-    )
+        return _extend_k4(fw, mv, h, j)
+    # One new vertex w, appended; old vertices keep their indices.
+    w = fw.graph.n
+    old: tuple[list, list] = ([], [])
+    for e in h.edges:
+        if not e.touches(w):
+            old[edge_colour(fw, e)].append(e)
+    new = h.edges_at(w)
+    anchors = [
+        ORIGIN if e.is_loop() else tuple(e.gain * c for c in fw.positions[e.other(w)])
+        for e in new
+    ]
+    forbidden = {ORIGIN} | {q for p in fw.positions for q in (tuple(p), tuple(-c for c in p))}
+    for colours in product((0, 1), repeat=len(new)):
+        classes = [old[c] + [e for e, ce in zip(new, colours) if ce == c] for c in (0, 1)]
+        if not isostatic_classes(h, classes, j):
+            continue
+        wedges = [[_wedge(fw.norm.facets, c, s, q) for s in (1, -1)]
+                  for c, q in zip(colours, anchors)]
+        found = _region(_box(anchors), wedges)
+        pt = None if found is None else _grid_point(*found, forbidden)
+        if pt is not None:
+            return _accept(h, tuple(fw.positions) + (pt,), fw.norm, j, mv.kind)
+    raise PlacementError(f"no region places the new vertex of {mv.kind} on {fw.graph.triples()}")
 
 
-# A fixed well-shaped K4 silhouette; scaled into a shrinking ball around the
-# replaced vertex and perturbed on the grid until verification passes.
-_K4_SHAPE = ((0, 0), (5, 2), (2, 5), (7, 7))
-
-
-def _extend_k4(fw, mv, h, j, rng):
-    g = fw.graph
+def _extend_k4(fw: Framework, mv: Move, h: GainGraph, j: int) -> Framework:
     (v,) = mv.vertices
+    a, b = fw.norm.facets
     pv = fw.positions[v]
-    kept = [p for i, p in enumerate(fw.positions) if i != v]
-    norm = fw.norm
-    den = GRID_DENOMINATOR
-    scale = RADIUS / 16
-    for _round in range(10):
-        for _ in range(MAX_RETRIES // 10):
-            pts = []
-            for sx, sy in _K4_SHAPE:
-                jx = Fraction(rng.randint(-den, den), den * den)
-                jy = Fraction(rng.randint(-den, den), den * den)
-                pts.append(
-                    (
-                        pv[0] + scale * (sx + jx),
-                        pv[1] + scale * (sy + jy),
-                    )
-                )
-            out = _try_framework(h, kept + pts, norm, j)
-            if out is not None:
-                return out
-        scale = scale / 2
-    raise RetriesExhausted(
-        f"could not place K4 copy replacing vertex {v} on {g.triples()}"
-    )
+
+    def rho(d) -> Fraction:
+        return abs(_dot(a, d)) + abs(_dot(b, d))
+
+    margins = [abs(abs(_dot(a, d)) - abs(_dot(b, d)))
+               for d in map(fw.edge_delta, fw.graph.edges_at(v))]
+    others = [ORIGIN] + [q for x, p in enumerate(fw.positions) if x != v
+                         for q in (p, tuple(-c for c in p))]
+    bound = min(margins + [rho((pv[0] - q[0], pv[1] - q[1])) for q in others])
+    if bound <= 0:
+        raise PlacementError(f"{mv.kind} needs a well-positioned placement")
+    reach, scale = 2 * max(rho(s) for s in _K4_SHAPE), Fraction(1)
+    while scale * reach >= bound:
+        scale /= 2
+    kept = [p for x, p in enumerate(fw.positions) if x != v]
+    k4 = [(pv[0] + scale * x, pv[1] + scale * y) for x, y in _K4_SHAPE]
+    return _accept(h, kept + k4, fw.norm, j, mv.kind)
 
 
-# ---------------------------------------------------------------------------
-# Whole-sequence realisation.
-# ---------------------------------------------------------------------------
-
-
-def _union_base_placement(ids: Sequence[str], rng) -> Framework:
-    """Placement of a disjoint union of bases: each component uses its frozen
-    fixture scaled by a distinct positive rational so covering positions stay
-    distinct (translations would break the central symmetry)."""
-    graphs = [graph_for_base_id(b) for b in ids]
-    g = GainGraph(0, ())
-    for bg in graphs:
-        g = g.union(bg)
-    scalars = [Fraction(2 * i + 2, 2 * i + 1) for i in range(len(ids))]
-    for attempt in range(MAX_RETRIES):
-        positions = []
-        for i, bid in enumerate(ids):
-            base = (
-                ((Fraction(1), Fraction(2)),) if bid == "k1"
-                else _frozen_positions(bid)
-            )
-            s = scalars[i]
-            positions.extend((s * x, s * y) for x, y in base)
-        fw = _try_framework(g, positions, LINF, 0 if ids[0] != "k1" else 1)
-        if fw is not None:
-            return fw
-        scalars = [
-            s * Fraction(rng.randint(GRID_DENOMINATOR + 1, 3 * GRID_DENOMINATOR),
-                         GRID_DENOMINATOR)
-            for s in scalars
-        ]
-    raise RetriesExhausted(f"could not place base union {tuple(ids)}")
+def _union_base_placement(ids: Sequence[str]) -> Framework:
+    """Unverified placement of a disjoint union of bases (see the module
+    docstring for the scalars)."""
+    g, positions = GainGraph(0, ()), []
+    for i, bid in enumerate(ids):
+        g = g.union(graph_for_base_id(bid))
+        s = Fraction(2 * i + 2, 2 * i + 1)
+        positions += [(s * x, s * y) for x, y in _base_points(bid)]
+    return _framework(g, positions, LINF, f"bases {list(ids)}")
 
 
 def realize(
@@ -301,32 +274,19 @@ def realize(
     cfg: Optional[RealisationConfig] = None,
 ) -> Framework:
     """Fold the construction sequence through extend_placement, producing a
-    framework verified character-j isostatic by both oracles."""
-    if cfg is None:
-        cfg = RealisationConfig()
+    framework verified character-j isostatic by both oracles.  `cfg` is
+    accepted and has no effect."""
     if j not in (0, 1):
         raise ValueError("character must be 0 or 1")
     if not seq.initial:
         raise ValueError("sequence has no initial base")
     check_kinds(seq)
-    # Early placements can drift into configurations where a later step has
-    # no nearby verified position; on exhaustion, restart the whole fold with
-    # a seed derived from cfg.seed so the result stays deterministic.
-    last_error: Optional[RetriesExhausted] = None
-    for attempt in range(10):
-        rng = random.Random(f"{cfg.seed}:{attempt}")
-        try:
-            if len(seq.initial) == 1:
-                fw = base_placement(seq.initial[0])
-            else:
-                fw = _union_base_placement(seq.initial, rng)
-            if not _verified(fw, j):
-                raise PlacementError(
-                    f"bases {list(seq.initial)} do not verify for character {j}"
-                )
-            for mv in seq.steps:
-                fw = extend_placement(fw, mv, cfg, j, rng)
-            return fw
-        except RetriesExhausted as err:
-            last_error = err
-    raise last_error
+    if len(seq.initial) == 1:
+        fw = base_placement(seq.initial[0])
+    else:
+        fw = _union_base_placement(seq.initial)
+    if not _verified(fw, j):
+        raise PlacementError(f"bases {list(seq.initial)} do not verify for character {j}")
+    for mv in seq.steps:
+        fw = extend_placement(fw, mv, j)
+    return fw

@@ -59,14 +59,12 @@ class Framework:
             )
         if any(all(c == 0 for c in p) for p in self.positions):
             raise FrameworkError("no vertex may sit at the rotation centre")
-        pts = set()
+        seen: set = set()
         for p in self.positions:
-            for q in (tuple(p), tuple(-c for c in p)):
-                if q in pts:
-                    raise FrameworkError("covering positions must be distinct")
-            pts.add(tuple(p))
-            if n % 2 == 0:
-                pts.add(tuple(-c for c in p))
+            images = _images(n, p)
+            if seen & images:
+                raise FrameworkError("covering positions must be distinct")
+            seen |= images
 
     def edge_delta(self, e: Edge) -> tuple:
         """Difference vector of the representative covering edge of e."""
@@ -119,6 +117,15 @@ def _rotation(order: int, t: int):
 
 def _apply(mat, p):
     return tuple(sum(row[i] * p[i] for i in range(len(p))) for row in mat)
+
+
+def _images(order: int, p) -> set:
+    """Covering positions of a vertex at p: its images under every power of
+    the rotation (in other dimensions than the plane, p and, for even order,
+    -p)."""
+    if len(p) == 2 and order > 2:
+        return {_apply(_rotation(order, t), p) for t in range(order)}
+    return {tuple(p), tuple(-c for c in p)} if order % 2 == 0 else {tuple(p)}
 
 
 def covering_rigidity_matrix(fw: Framework) -> list[list]:

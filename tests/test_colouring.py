@@ -140,7 +140,7 @@ def test_verdict_predicates_match_brute_force(rng):
         assert is_unbalanced_map_graph(g, subset, spanning=False) == _brute_map_graph(
             [(vs, es) for vs, es in comps if es]
         )
-        assert _is_spanning_tree(g.n, subset) == (
+        assert _is_spanning_tree(g, subset) == (
             len(comps) == 1 and len(subset) == g.n - 1
         )
         assert _spanning_connected_unbalanced(g, subset) == (

@@ -1,9 +1,20 @@
+import random
+from pathlib import Path
+
 import pytest
 
-from gainrig.catalog import BASE_CATALOG, PARAMS_220, PARAMS_222
+from gainrig import placement
+from gainrig.catalog import BASE_CATALOG, PARAMS_220, PARAMS_222, graph_for_base_id
 from gainrig.colouring import geometric_verdict
-from gainrig.construct import ConstructionSequence, decompose, random_tight
-from gainrig.moves import Move
+from gainrig.construct import (
+    ConstructionSequence,
+    _random_move,
+    allowed_kinds,
+    decompose,
+    random_tight,
+)
+from gainrig.jsonio import load_json, sequence_from_dict
+from gainrig.moves import ALL_KINDS, Move, MoveError, apply_move
 from gainrig.placement import (
     BASE_PLACEMENTS,
     PlacementError,
@@ -12,7 +23,10 @@ from gainrig.placement import (
     extend_placement,
     realize,
 )
-from gainrig.rigidity import analyse, well_positioned
+from gainrig.rigidity import Framework, analyse, well_positioned
+from gainrig.sparsity import components_tight
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_all_base_placements_doubly_verified():
@@ -30,8 +44,7 @@ def test_k1_seed_verifies_chi1():
 
 def test_extend_placement_single_move():
     fw = base_placement("a")
-    cfg = RealisationConfig(seed=1)
-    out = extend_placement(fw, Move("H1a", vertices=(0, 1), gains=(1, -1)), cfg)
+    out = extend_placement(fw, Move("H1a", vertices=(0, 1), gains=(1, -1)))
     assert out.graph.n == 3
     assert out.positions[:2] == fw.positions
     assert analyse(out, 0).isostatic
@@ -84,3 +97,69 @@ def test_realize_rejects_bad_character():
     seq = ConstructionSequence(PARAMS_220, ("a",), ())
     with pytest.raises(ValueError):
         realize(seq, 2)
+
+
+def _assert_isostatic(fw, j):
+    gv = geometric_verdict(fw)
+    assert (gv.chi0_isostatic if j == 0 else gv.chi1_isostatic)
+    assert analyse(fw, j).isostatic
+
+
+@pytest.mark.parametrize("name, j", [("k4_then_h2e", 0), ("h1a_blowup", 1)])
+def test_realize_regression_fixtures(name, j):
+    # Both come from perfbench's forward generator (gen.py).  k4_then_h2e:
+    # forward_sequence(Random(1), 17, "220"), a vertex-to-K4 drawn from the
+    # same rng, then forward moves up to 31 vertices; its last step is an H2e
+    # beside the K4, whose points sit at a small scale, so the regions there
+    # are small.  h1a_blowup: forward_sequence(Random(1304273654), 22, "222"),
+    # whose H1a regions are narrow.  Blind grid sampling failed on the first
+    # and needed a restart of the whole fold on the second.
+    seq = sequence_from_dict(load_json(DATA / f"{name}.json"))
+    _assert_isostatic(realize(seq, j), j)
+
+
+def _grown_sequence(p, seed, n=12):
+    """A sequence grown like random_tight: random moves of every allowed
+    kind, each kept if the components stay tight."""
+    rng = random.Random(seed)
+    initial = "k1" if p == PARAMS_222 else rng.choice("abcdefgh")
+    g, steps = graph_for_base_id(initial), []
+    while g.n < n:
+        usable = [k for k in allowed_kinds(p) if k != "VertexToK4" or n - g.n >= 3]
+        mv = _random_move(g, usable, rng)
+        if mv is None:
+            continue
+        try:
+            h = apply_move(g, mv)
+        except MoveError:
+            continue
+        if components_tight(h, p, set(h.edges).difference(g.edges)):
+            g, steps = h, steps + [mv]
+    return ConstructionSequence(p, (initial,), tuple(steps))
+
+
+def test_placement_builds_one_framework_per_step(monkeypatch):
+    builds = []
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return Framework(*args, **kwargs)
+
+    monkeypatch.setattr(placement, "Framework", counting)
+    kinds = set()
+    for p, j in ((PARAMS_220, 0), (PARAMS_222, 1)):
+        for seed in range(20):
+            seq = _grown_sequence(p, seed)
+            kinds.update(mv.kind for mv in seq.steps)
+            builds.clear()
+            fw = realize(seq, j)
+            assert len(builds) == 1 + len(seq.steps)
+            _assert_isostatic(fw, j)
+    assert kinds == set(ALL_KINDS)
+
+
+def test_seed_has_no_effect():
+    seq = _grown_sequence(PARAMS_220, 3)
+    fw1 = realize(seq, 0, RealisationConfig(seed=1))
+    fw2 = realize(seq, 0, RealisationConfig(seed=2))
+    assert fw1.positions == fw2.positions

@@ -71,6 +71,15 @@ def test_framework_validation():
                   ((F(1), F(1)),), LINF, 3)  # odd order with -1 gain
 
 
+def test_covering_distinctness_uses_every_rotation():
+    empty = GainGraph(2, ())
+    with pytest.raises(FrameworkError):
+        # a quarter turn sends (1, 0) to (0, 1)
+        Framework(empty, ((F(1), F(0)), (F(0), F(1))), LINF, 4)
+    # order 3 has no half turn: (1, 0) and (-1, 0) have distinct orbits
+    Framework(empty, ((F(1), F(0)), (F(-1), F(0))), LINF, 3)
+
+
 def test_well_positioned():
     g = GainGraph.from_triples(2, [[0, 1, 1]])
     good = Framework(g, ((F(1), F(0)), (F(4), F(1))), LINF, 2)

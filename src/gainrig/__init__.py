@@ -5,7 +5,6 @@ framework colourings, and verified isostatic placement synthesis."""
 
 from .catalog import BASE_CATALOG, PARAMS_220, PARAMS_222, graph_for_base_id, is_base_graph
 from .colouring import (
-    ColouredQuotient,
     GeometricVerdict,
     edge_colour,
     geometric_verdict,

@@ -157,7 +157,7 @@ def cmd_colour(args) -> int:
     _emit(
         {
             "classes": [
-                [e.as_list() for e in cls] for cls in gv.colouring.classes
+                [e.as_list() for e in cls] for cls in gv.classes
             ],
             "chi0_isostatic": gv.chi0_isostatic,
             "chi1_isostatic": gv.chi1_isostatic,

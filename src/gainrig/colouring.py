@@ -2,8 +2,11 @@
 rigidity criteria they induce.
 
 Every well-positioned edge orbit has a unique facet cone (up to central
-symmetry), giving a 2-colouring of the quotient edges.  The geometric
-verdicts are matroid tests on the two monochrome edge classes:
+symmetry), giving a 2-colouring of the quotient edges.  The colour is read
+from the framework's covector table (rigidity.Framework.covectors), the
+single source it shares with the orbit matrix: an edge has colour 0 when
+its support covector is +-facets[0], else 1.  The geometric verdicts are
+matroid tests on the two monochrome edge classes:
 
   character-0 isostatic  <=>  both classes are bases of the frame matroid
                               of the gain graph: spanning unbalanced map
@@ -26,45 +29,34 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graph import Edge, GainGraph, SignedUnionFind
-from .norms import NormError, PolyhedralNorm
-from .rigidity import Framework, FrameworkError, NotWellPositioned
-
-
-@dataclass(frozen=True)
-class ColouredQuotient:
-    """Partition of the quotient edges by facet index (0 and 1)."""
-
-    classes: tuple[tuple[Edge, ...], tuple[Edge, ...]]
+from .norms import PolyhedralNorm
+from .rigidity import Framework, FrameworkError
 
 
 def edge_colour(fw: Framework, e: Edge) -> int:
-    """Facet index (0 or 1) of the cone containing the edge's direction."""
+    """Facet index (0 or 1) of the cone containing the edge's direction;
+    raises NotWellPositioned unless every edge of fw is well-positioned."""
     if not isinstance(fw.norm, PolyhedralNorm):
         raise FrameworkError("colouring requires a quadrilateral norm")
-    try:
-        idx, _sign = fw.norm.facet_of(fw.edge_delta(e))
-    except NormError as exc:
-        raise NotWellPositioned(f"edge {e.as_list()}: {exc}") from exc
-    return idx
+    a = fw.norm.facets[0]
+    return 0 if fw.covectors[e] in (a, (-a[0], -a[1])) else 1
 
 
-def monochrome_quotients(fw: Framework) -> ColouredQuotient:
+def monochrome_quotients(fw: Framework) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
+    """The quotient edges of colour 0 and of colour 1, in edge order."""
     parts: tuple[list[Edge], list[Edge]] = ([], [])
     for e in fw.graph.edges:
         parts[edge_colour(fw, e)].append(e)
-    return ColouredQuotient((tuple(parts[0]), tuple(parts[1])))
+    return tuple(parts[0]), tuple(parts[1])
 
 
-def is_unbalanced_map_graph(
-    g: GainGraph, subset: Sequence[Edge], spanning: bool = True
-) -> bool:
-    """Every component has edge count equal to vertex count with its unique
-    cycle unbalanced; with `spanning`, the subset must also touch every
-    vertex of g (isolated vertices then fail the cycle condition)."""
+def is_unbalanced_map_graph(g: GainGraph, subset: Sequence[Edge]) -> bool:
+    """Every component of the subset, spanning g, has edge count equal to
+    vertex count with its unique cycle unbalanced (so a vertex of g that no
+    edge touches fails)."""
     return all(
         len(verts) == n_edges and unbalanced
         for verts, n_edges, unbalanced in SignedUnionFind(g.n, subset).components()
-        if spanning or n_edges
     )
 
 
@@ -87,7 +79,7 @@ def _spanning_connected_unbalanced(g: GainGraph, edges: Sequence[Edge]) -> bool:
 
 @dataclass(frozen=True)
 class GeometricVerdict:
-    colouring: ColouredQuotient
+    classes: tuple[tuple[Edge, ...], tuple[Edge, ...]]
     chi0_isostatic: bool
     chi1_isostatic: bool
     infinitesimally_rigid: bool
@@ -96,9 +88,9 @@ class GeometricVerdict:
 def geometric_verdict(fw: Framework) -> GeometricVerdict:
     if fw.group_order != 2:
         raise FrameworkError("colouring verdicts require a half-turn symmetry")
-    col = monochrome_quotients(fw)
+    classes = monochrome_quotients(fw)
     g = fw.graph
-    rigid = all(_spanning_connected_unbalanced(g, c) for c in col.classes)
+    rigid = all(_spanning_connected_unbalanced(g, c) for c in classes)
     return GeometricVerdict(
-        col, isostatic_classes(g, col.classes, 0), isostatic_classes(g, col.classes, 1), rigid
+        classes, isostatic_classes(g, classes, 0), isostatic_classes(g, classes, 1), rigid
     )

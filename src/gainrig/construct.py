@@ -121,15 +121,13 @@ def _match_components(
 
 
 def decompose(
-    g: GainGraph,
-    p: SparsityParams,
-    kinds: Optional[Sequence[str]] = None,
+    g: GainGraph, p: SparsityParams
 ) -> tuple[ConstructionSequence, tuple[int, ...], tuple[int, ...]]:
-    """Reduce g to bases and return (sequence, pi, signs) with
-    apply_iso(g, pi, signs) == construct(sequence)."""
+    """Reduce g to bases by reductions of the kinds p allows and return
+    (sequence, pi, signs) with apply_iso(g, pi, signs) == construct(sequence)."""
     if not check_tight(g, p):
         raise NotTight(f"graph is not {p.as_tuple()}-tight")
-    kinds = tuple(kinds) if kinds is not None else allowed_kinds(p)
+    kinds = allowed_kinds(p)
 
     chain: list = []  # reductions applied, in order
     cur = g
@@ -256,12 +254,11 @@ def _random_move(g: GainGraph, kinds: Sequence[str], rng: random.Random) -> Opti
     return None
 
 
-def random_tight(
-    n: int,
-    p: SparsityParams,
-    seed: int,
-    max_attempts: int = 10_000,
-) -> GainGraph:
+# Sampled moves random_tight may try before it gives up.
+MAX_ATTEMPTS = 10_000
+
+
+def random_tight(n: int, p: SparsityParams, seed: int) -> GainGraph:
     """A pseudo-random p-tight graph on exactly n vertices, built by applying
     random tightness-preserving moves to a random base (or to a single vertex
     for the loopless variant)."""
@@ -280,7 +277,7 @@ def random_tight(
     attempts = 0
     while g.n < n:
         attempts += 1
-        if attempts > max_attempts:
+        if attempts > MAX_ATTEMPTS:
             raise RuntimeError("random_tight: too many rejected moves")
         room = n - g.n
         usable = [k for k in kinds if k != "VertexToK4" or room >= 3]

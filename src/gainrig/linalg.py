@@ -51,7 +51,7 @@ def _clear_denominators(row: list[Fraction]) -> list[int]:
     return [int(x * mult) for x in row]
 
 
-def float_rank(rows: Sequence[Sequence[float]], rtol: float = FLOAT_RANK_RTOL) -> int:
+def float_rank(rows: Sequence[Sequence[float]]) -> int:
     # Imported here: only frameworks under an LpNorm reach this, and numpy
     # would otherwise dominate the cost of importing gainrig.
     import numpy as np
@@ -62,7 +62,7 @@ def float_rank(rows: Sequence[Sequence[float]], rtol: float = FLOAT_RANK_RTOL) -
     s = np.linalg.svd(a, compute_uv=False)
     if len(s) == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > FLOAT_RANK_RTOL * s[0]))
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:

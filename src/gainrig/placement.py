@@ -31,8 +31,11 @@ points stay distinct.
 Every placement is accepted only through _verified: the colouring and the
 exact rank oracle both run and must agree.  Nothing is random.  The base
 fixtures were found by scripts/find_base_placements.py and are re-verified
-on use; the i-th base of a union is scaled by (2i + 2) / (2i + 1), which
-keeps its colours (translations would break the central symmetry).
+on use; a single base sits at its fixture, and the i-th base of a union is
+scaled by (2i + 2) / (2i + 1), which keeps its colours (translations would
+break the central symmetry).  The old edges' colours are read from the
+covector table of the framework being extended, which its own verification
+filled, so each framework's edges are coloured once.
 """
 
 from __future__ import annotations
@@ -257,13 +260,13 @@ def _extend_k4(fw: Framework, mv: Move, h: GainGraph, j: int) -> Framework:
     return _accept(h, kept + k4, fw.norm, j, mv.kind)
 
 
-def _union_base_placement(ids: Sequence[str]) -> Framework:
+def _bases_placement(ids: Sequence[str]) -> Framework:
     """Unverified placement of a disjoint union of bases (see the module
     docstring for the scalars)."""
     g, positions = GainGraph(0, ()), []
     for i, bid in enumerate(ids):
         g = g.union(graph_for_base_id(bid))
-        s = Fraction(2 * i + 2, 2 * i + 1)
+        s = Fraction(2 * i + 2, 2 * i + 1) if len(ids) > 1 else 1
         positions += [(s * x, s * y) for x, y in _base_points(bid)]
     return _framework(g, positions, LINF, f"bases {list(ids)}")
 
@@ -281,10 +284,7 @@ def realize(
     if not seq.initial:
         raise ValueError("sequence has no initial base")
     check_kinds(seq)
-    if len(seq.initial) == 1:
-        fw = base_placement(seq.initial[0])
-    else:
-        fw = _union_base_placement(seq.initial)
+    fw = _bases_placement(seq.initial)
     if not _verified(fw, j):
         raise PlacementError(f"bases {list(seq.initial)} do not verify for character {j}")
     for mv in seq.steps:

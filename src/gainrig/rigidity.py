@@ -13,18 +13,24 @@ the scalar (-1)^j (always real), and its rotation is -I, so the row of edge
     +phi on u's columns,  -chi_j(gain) * (phi o tau(gain)) on v's columns,
 which for gain -1 is +(-1)^j * phi on v.  A loop row is (1 + (-1)^j) * phi:
 doubled for even j, zero for odd j.
+
+Framework.covectors is the single source of the support covector phi of
+each edge orbit: it is computed once per framework, on first use, and the
+orbit matrix, well_positioned and the facet colouring (colouring.py) all
+read it.  A framework is well-positioned when the table exists; otherwise
+reading it raises NotWellPositioned naming the first edge whose direction
+has no unique support covector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cached_property
 
 from .graph import Edge, GainGraph
 from .linalg import matrix_rank
-from .norms import ConeBoundary, LpNorm, Norm, NormError, PolyhedralNorm, ZeroVector
+from .norms import ConeBoundary, Norm, NormError, ZeroVector
 
 Point = tuple
 
@@ -73,25 +79,25 @@ class Framework:
             pv = tuple(-c for c in pv)
         return tuple(a - b for a, b in zip(pu, pv))
 
+    @cached_property
+    def covectors(self) -> dict[Edge, tuple]:
+        """Support covector per edge orbit, computed once; raises
+        NotWellPositioned if some edge has none."""
+        table = {}
+        for e in self.graph.edges:
+            try:
+                table[e] = self.norm.support_covector(self.edge_delta(e))
+            except NormError as exc:
+                raise NotWellPositioned(f"edge {e.as_list()}: {exc}") from exc
+        return table
+
 
 def well_positioned(fw: Framework) -> bool:
-    for e in fw.graph.edges:
-        try:
-            fw.norm.support_covector(fw.edge_delta(e))
-        except NormError:
-            return False
+    try:
+        fw.covectors
+    except NotWellPositioned:
+        return False
     return True
-
-
-def edge_covectors(fw: Framework) -> list[tuple]:
-    """Support covector per edge orbit; raises if not well-positioned."""
-    out = []
-    for e in fw.graph.edges:
-        try:
-            out.append(fw.norm.support_covector(fw.edge_delta(e)))
-        except (ZeroVector, ConeBoundary) as exc:
-            raise NotWellPositioned(f"edge {e.as_list()}: {exc}") from exc
-    return out
 
 
 def _rotation(order: int, t: int):
@@ -180,7 +186,7 @@ def orbit_matrix(fw: Framework, j: int) -> list[list]:
     g = fw.graph
     chi_minus = (-1) ** j  # character value on the half turn
     rows = []
-    for e, phi in zip(g.edges, edge_covectors(fw)):
+    for e, phi in fw.covectors.items():
         row = [0] * (d * g.n)
         # +phi on u; -chi(gain) * (phi o tau(gain)) on v, where tau(-1) = -I.
         vcoef = -1 if e.gain == 1 else chi_minus

@@ -61,3 +61,48 @@ def brute_balanced(vertices, edges) -> bool:
         if all(not e.is_loop() and e.gain == s[e.u] * s[e.v] for e in edges):
             return True
     return False
+
+
+def _random_tree(rng: random.Random, vertices: list[int]) -> tuple[list, dict]:
+    """Random tree on the vertices with random gains, as normalised triples,
+    and each vertex's switching sign relative to the first."""
+    sign = {vertices[0]: 1}
+    triples = []
+    for i, v in enumerate(vertices[1:], 1):
+        u, g = rng.choice(vertices[:i]), rng.choice((1, -1))
+        sign[v] = sign[u] * g
+        triples.append((min(u, v), max(u, v), g))
+    return triples, sign
+
+
+def _map_graph(rng: random.Random, n: int) -> list:
+    """A spanning unbalanced map graph (a frame-matroid basis): the vertices
+    split into up to three blocks, each a random tree plus one edge that
+    closes an unbalanced cycle (a loop, or a gain against the tree path)."""
+    order = rng.sample(range(n), n)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, min(2, n - 1))))
+    triples = []
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        block = order[lo:hi]
+        tree, sign = _random_tree(rng, block)
+        u, v = rng.choice(block), rng.choice(block)
+        triples += tree + [(min(u, v), max(u, v), -1 if u == v else -sign[u] * sign[v])]
+    return triples
+
+
+def two_base_union(rng: random.Random, n: int, p) -> GainGraph:
+    """A p-tight graph on n vertices that no move sequence built: for
+    (2,2,0) the union of two edge-disjoint spanning unbalanced map graphs,
+    for (2,2,2) of two edge-disjoint spanning trees.  No (u, v, gain)
+    triple repeats."""
+    used: set = set()
+    for _ in range(2):
+        while True:
+            if p.as_tuple() == (2, 2, 2):
+                part = set(_random_tree(rng, rng.sample(range(n), n))[0])
+            else:
+                part = set(_map_graph(rng, n))
+            if not used & part:
+                break
+        used |= part
+    return GainGraph.from_triples(n, [list(t) for t in sorted(used)])

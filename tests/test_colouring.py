@@ -14,20 +14,27 @@ from gainrig.colouring import (
 )
 from gainrig.construct import random_tight
 from gainrig.graph import GainGraph, edge
-from gainrig.norms import LINF
-from gainrig.rigidity import Framework, FrameworkError, analyse, well_positioned
+from gainrig.norms import L1, LINF
+from gainrig.rigidity import (
+    Framework,
+    FrameworkError,
+    NotWellPositioned,
+    analyse,
+    orbit_matrix,
+    well_positioned,
+)
 
 from conftest import brute_balanced, brute_components, random_gain_graph
 
 
-def _placement(g, rng, tries=400):
+def _placement(g, rng, tries=400, norm=LINF):
     for _ in range(tries):
         pos = tuple(
             (F(rng.randint(-40, 40)), F(rng.randint(-40, 40)))
             for _ in range(g.n)
         )
         try:
-            fw = Framework(g, pos, LINF, 2)
+            fw = Framework(g, pos, norm, 2)
         except FrameworkError:
             continue
         if well_positioned(fw):
@@ -43,6 +50,54 @@ def test_edge_colour_examples():
     assert edge_colour(fw2, g.edges[0]) == 1
 
 
+@pytest.mark.parametrize("norm", [LINF, L1], ids=["linf", "l1"])
+def test_covector_table_matches_direct_facets(rng, norm):
+    # every reader of the table against facet_of on each edge, recomputed
+    checked = 0
+    while checked < 40:
+        g = random_gain_graph(rng, max_n=5, max_edges=10)
+        fw = _placement(g, rng, norm=norm)
+        if fw is None:
+            continue
+        facets = [norm.facet_of(fw.edge_delta(e)) for e in g.edges]
+        assert [edge_colour(fw, e) for e in g.edges] == [i for i, _ in facets]
+        assert monochrome_quotients(fw) == tuple(
+            tuple(e for e, (i, _) in zip(g.edges, facets) if i == c) for c in (0, 1)
+        )
+        for j in (0, 1):
+            for e, (i, sign), row in zip(g.edges, facets, orbit_matrix(fw, j)):
+                phi = [sign * x for x in norm.facets[i]]
+                # +phi on u, -chi_j(gain) gain phi = -gain^(j+1) phi on v
+                # (summed for a loop)
+                expected = [0] * (2 * g.n)
+                for k in (0, 1):
+                    expected[2 * e.u + k] += phi[k]
+                    expected[2 * e.v + k] -= e.gain ** (j + 1) * phi[k]
+                assert row == expected
+        checked += 1
+
+
+@pytest.mark.parametrize(
+    "norm, positions", [(LINF, ((4, 2), (1, 1))), (L1, ((4, 1), (1, 0)))], ids=["linf", "l1"]
+)
+def test_cone_boundary_raises_from_every_reader(norm, positions):
+    # edge (0, 1, +1) points along (3, 1), inside a cone; the loop at 1 points
+    # along 2 p_1, on a cone boundary, so the whole table is refused
+    g = GainGraph.from_triples(2, [[0, 1, 1], [1, 1, -1]])
+    fw = Framework(g, tuple((F(x), F(y)) for x, y in positions), norm, 2)
+    assert not well_positioned(fw)
+    readers = [
+        lambda: edge_colour(fw, g.edges[0]),
+        lambda: monochrome_quotients(fw),
+        lambda: geometric_verdict(fw),
+        lambda: orbit_matrix(fw, 0),
+        lambda: analyse(fw, 1),
+    ]
+    for read in readers:
+        with pytest.raises(NotWellPositioned, match=r"edge \[1, 1, -1\]"):
+            read()
+
+
 def test_colour_partition_total(rng):
     for _ in range(20):
         g = random_gain_graph(rng, max_n=5, max_edges=8)
@@ -50,7 +105,7 @@ def test_colour_partition_total(rng):
         if fw is None:
             continue
         col = monochrome_quotients(fw)
-        assert sorted(col.classes[0] + col.classes[1]) == list(g.edges)
+        assert sorted(col[0] + col[1]) == list(g.edges)
 
 
 def test_unbalanced_map_graph_basics():
@@ -64,10 +119,10 @@ def test_unbalanced_map_graph_basics():
     assert not is_unbalanced_map_graph(balanced_cycle, balanced_cycle.edges)
 
 
-def test_spanning_flag():
+def test_map_graph_must_span():
     g = GainGraph.from_triples(3, [[0, 0, -1]])
-    assert not is_unbalanced_map_graph(g, g.edges, spanning=True)
-    assert is_unbalanced_map_graph(g, g.edges, spanning=False)
+    # the loop alone is a map graph on vertex 0, but vertices 1 and 2 are bare
+    assert not is_unbalanced_map_graph(g, g.edges)
 
 
 def test_geometric_matches_rank_chi0(rng):
@@ -117,7 +172,7 @@ def test_forest_class_blocks_chi0():
         if fw is None:
             continue
         col = monochrome_quotients(fw)
-        forest0 = not is_unbalanced_map_graph(g, col.classes[0])
+        forest0 = not is_unbalanced_map_graph(g, col[0])
         if forest0:
             assert not geometric_verdict(fw).chi0_isostatic
             found = True
@@ -137,9 +192,6 @@ def test_verdict_predicates_match_brute_force(rng):
         subset = [e for e in g.edges if rng.random() < 0.6]
         comps = brute_components(g.n, subset)
         assert is_unbalanced_map_graph(g, subset) == _brute_map_graph(comps)
-        assert is_unbalanced_map_graph(g, subset, spanning=False) == _brute_map_graph(
-            [(vs, es) for vs, es in comps if es]
-        )
         assert _is_spanning_tree(g, subset) == (
             len(comps) == 1 and len(subset) == g.n - 1
         )

@@ -18,6 +18,8 @@ from gainrig.iso import apply_iso, are_isomorphic
 from gainrig.moves import KINDS_222, Move, MoveError, apply_move
 from gainrig.sparsity import SparsityParams, check_tight
 
+from conftest import two_base_union
+
 
 def test_empty_sequence_is_base():
     seq = ConstructionSequence(PARAMS_220, ("a",), ())
@@ -78,6 +80,18 @@ def test_roundtrip_222_restricted_moves():
         assert seq.initial == ("k1",)
         assert all(m.kind in KINDS_222 for m in seq.steps)
         assert apply_iso(g, pi, signs) == construct(seq)
+
+
+@pytest.mark.parametrize("p", [PARAMS_220, PARAMS_222], ids=["220", "222"])
+@pytest.mark.parametrize("n", [6, 8, 10, 12])
+def test_decompose_graphs_not_built_by_moves(p, n):
+    # unions of two matroid bases, so the greedy reduction search meets
+    # graphs that random_tight's move sequences would not produce
+    for seed in range(4):
+        g = two_base_union(random.Random(1000 * n + seed), n, p)
+        assert check_tight(g, p)
+        seq, pi, signs = decompose(g, p)
+        assert apply_iso(g, pi, signs) == construct(seq, verify=True)
 
 
 def test_222_tight_graphs_are_connected_and_loopless():

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from gainrig import placement
-from gainrig.catalog import BASE_CATALOG, PARAMS_220, PARAMS_222, graph_for_base_id
+from gainrig.catalog import BASE_CATALOG, PARAMS_220, PARAMS_222
 from gainrig.colouring import geometric_verdict
 from gainrig.construct import (
     ConstructionSequence,
@@ -15,6 +15,7 @@ from gainrig.construct import (
 )
 from gainrig.jsonio import load_json, sequence_from_dict
 from gainrig.moves import ALL_KINDS, Move, MoveError, apply_move
+from gainrig.norms import PolyhedralNorm
 from gainrig.placement import (
     BASE_PLACEMENTS,
     PlacementError,
@@ -118,12 +119,14 @@ def test_realize_regression_fixtures(name, j):
     _assert_isostatic(realize(seq, j), j)
 
 
-def _grown_sequence(p, seed, n=12):
-    """A sequence grown like random_tight: random moves of every allowed
-    kind, each kept if the components stay tight."""
+def _grown_sequence(p, seed, n=12, initial=None):
+    """A sequence grown like random_tight from the given bases (by default
+    one random base): random moves of every allowed kind, each kept if the
+    components stay tight."""
     rng = random.Random(seed)
-    initial = "k1" if p == PARAMS_222 else rng.choice("abcdefgh")
-    g, steps = graph_for_base_id(initial), []
+    if initial is None:
+        initial = ("k1",) if p == PARAMS_222 else (rng.choice("abcdefgh"),)
+    g, steps = ConstructionSequence(p, initial, ()).initial_graph(), []
     while g.n < n:
         usable = [k for k in allowed_kinds(p) if k != "VertexToK4" or n - g.n >= 3]
         mv = _random_move(g, usable, rng)
@@ -135,7 +138,7 @@ def _grown_sequence(p, seed, n=12):
             continue
         if components_tight(h, p, set(h.edges).difference(g.edges)):
             g, steps = h, steps + [mv]
-    return ConstructionSequence(p, (initial,), tuple(steps))
+    return ConstructionSequence(p, initial, tuple(steps))
 
 
 def test_placement_builds_one_framework_per_step(monkeypatch):
@@ -163,3 +166,51 @@ def test_seed_has_no_effect():
     fw1 = realize(seq, 0, RealisationConfig(seed=1))
     fw2 = realize(seq, 0, RealisationConfig(seed=2))
     assert fw1.positions == fw2.positions
+
+
+BASES = [(PARAMS_220, 0, ("d",)), (PARAMS_220, 0, ("c", "a")), (PARAMS_222, 1, ("k1",))]
+
+
+@pytest.mark.parametrize("p, j, initial", BASES, ids=["single", "union", "k1"])
+def test_each_framework_is_verified_once(monkeypatch, p, j, initial):
+    calls = []
+
+    def counting(fw, j):
+        calls.append(fw)
+        return verified(fw, j)
+
+    verified = placement._verified
+    monkeypatch.setattr(placement, "_verified", counting)
+    for seed in range(5):
+        seq = _grown_sequence(p, seed, initial=initial)
+        calls.clear()
+        realize(seq, j)
+        assert len(calls) == 1 + len(seq.steps)
+
+
+@pytest.mark.parametrize("p, j, initial", BASES, ids=["single", "union", "k1"])
+def test_each_edge_is_coloured_once(monkeypatch, p, j, initial):
+    # the covector table is the only caller of facet_of: one call per edge
+    # of every framework placement builds, none for old edges or re-reads
+    facet_calls, edges = [], []
+
+    def counting_facet_of(norm, delta):
+        facet_calls.append(delta)
+        return facet_of(norm, delta)
+
+    def counting_framework(g, *args):
+        edges.append(len(g.edges))
+        return Framework(g, *args)
+
+    facet_of = PolyhedralNorm.facet_of
+    monkeypatch.setattr(PolyhedralNorm, "facet_of", counting_facet_of)
+    monkeypatch.setattr(placement, "Framework", counting_framework)
+    for seed in range(5):
+        seq = _grown_sequence(p, seed, initial=initial)
+        facet_calls.clear()
+        edges.clear()
+        fw = realize(seq, j)
+        assert len(edges) == 1 + len(seq.steps)
+        assert len(facet_calls) == sum(edges)
+        _assert_isostatic(fw, j)
+        assert len(facet_calls) == sum(edges)

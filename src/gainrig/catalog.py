@@ -6,10 +6,12 @@ Fixed members:
   c — doubled triangle minus one edge not at the loop vertex, plus that loop;
   d..h — balanced K4 (all gains +1) plus two extra unbalanced edges.
 
-The d..h members are not transcribed from pictures: every way of adding two
+The d..h members are not transcribed from pictures.  Every way of adding two
 extra edges (a parallel gain -1 edge on one of the six pairs, or a gain -1
-loop) to the balanced K4 is enumerated, filtered by (2,2,0)-gain-tightness,
-and deduplicated up to gain-graph isomorphism; exactly five classes survive.
+loop) to the balanced K4, filtered by (2,2,0)-gain-tightness and deduplicated
+up to gain-graph isomorphism, leaves exactly five classes.  Their
+representatives, ordered by sorted edge triples, are frozen here as extra-edge
+pairs; tests/test_catalog.py re-derives them by that enumeration.
 """
 
 from __future__ import annotations
@@ -31,21 +33,14 @@ BALANCED_K4 = GainGraph.from_triples(
 )
 
 
-def _k4_plus_two() -> list[GainGraph]:
-    """All tight balanced-K4-plus-two-edges graphs, one per isomorphism class."""
-    extras = [edge(i, j, -1) for i, j in combinations(range(4), 2)]
-    extras += [edge(i, i, -1) for i in range(4)]
-    classes: list[GainGraph] = []
-    for e1, e2 in combinations(extras, 2):
-        g = GainGraph(4, BALANCED_K4.edges + (e1, e2))
-        if not check_tight(g, PARAMS_220):
-            continue
-        if any(are_isomorphic(g, h) for h in classes):
-            continue
-        classes.append(g)
-    # Deterministic naming order: by sorted edge triples of the representative.
-    classes.sort(key=lambda g: g.triples())
-    return classes
+# The two extra edges of d..h on BALANCED_K4.
+_K4_EXTRAS = {
+    "d": ((0, 0, -1), (0, 1, -1)),
+    "e": ((0, 0, -1), (1, 1, -1)),
+    "f": ((0, 1, -1), (0, 2, -1)),
+    "g": ((0, 1, -1), (2, 2, -1)),
+    "h": ((0, 1, -1), (2, 3, -1)),
+}
 
 
 def _build_catalog() -> dict[str, GainGraph]:
@@ -62,8 +57,8 @@ def _build_catalog() -> dict[str, GainGraph]:
             [(0, 1, 1), (0, 1, -1), (0, 2, 1), (0, 2, -1), (1, 2, 1), (0, 0, -1)],
         ),
     }
-    for name, g in zip("defgh", _k4_plus_two()):
-        cat[name] = g
+    for name, extras in _K4_EXTRAS.items():
+        cat[name] = GainGraph(4, BALANCED_K4.edges + tuple(edge(*t) for t in extras))
     return cat
 
 

@@ -13,7 +13,6 @@ import sys
 from .catalog import PARAMS_220
 from .colouring import geometric_verdict
 from .construct import (
-    ConstructionSequence,
     NoAdmissibleReduction,
     NotTight,
     construct,

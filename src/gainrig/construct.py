@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .catalog import PARAMS_220, PARAMS_222, graph_for_base_id, is_base_graph
+from .catalog import graph_for_base_id, is_base_graph
 from .graph import GainGraph, disjoint_union, invariant
 from .iso import apply_iso, compose_iso, isomorphism
 from .moves import (

@@ -4,15 +4,27 @@ A gain graph is (k,l,m)-gain-sparse when every nonempty balanced edge subset
 F satisfies |F| <= k|V(F)| - l and every nonempty edge subset satisfies
 |F| <= k|V(F)| - m; gain-tight adds |E| = k|V| - m.
 
-The checker scans vertex supports in increasing size.  For the general count,
-vertex-induced edge sets maximise |F| per support.  For the balanced count it
-uses the switching characterisation: a loop-free subset is balanced iff some
-vertex-sign assignment s makes every gain equal s_u * s_v, so the maximum
-balanced subset on a support is a maximum over 2^|S| sign assignments of the
-number of consistent non-loop induced edges.  Any violation found on a
-support whose witness does not span it is a genuine violation on the
-witness's own (smaller) support, so scanning supports smallest-first yields a
-minimal deterministic witness.
+The two built-in counts are matroidal.  A graph is (2,2,0)-sparse iff its
+edges split into two sets independent in the frame matroid (every component
+a tree, or one cycle that is unbalanced), and (2,2,2)-sparse iff they split
+into two forests (the graphic matroid).  For these the checker runs
+Edmonds' matroid partition: it inserts the edges in sorted order, each by a
+breadth-first search for a shortest augmenting path.  If an edge is blocked,
+every element the search reached lies in each side's span of the reached
+set S, so |S| = 2 r(S) + 1 and some component C of S breaks its own count:
+for (2,2,0), |C| > 2|V(C)| - 2 with C balanced, or else |C| > 2|V(C)|; for
+(2,2,2), |C| > 2|V(C)| - 2.  That component is the witness.  It violates
+its own bound but need not be the smallest violating support.
+
+Other counts go to the exhaustive scan of vertex supports in increasing
+size.  For the general count, vertex-induced edge sets maximise |F| per
+support.  For the balanced count it uses the switching characterisation: a
+loop-free subset is balanced iff some vertex-sign assignment s makes every
+gain equal s_u * s_v, so the maximum balanced subset on a support is a
+maximum over 2^|S| sign assignments of the number of consistent non-loop
+induced edges.  Any violation found on a support whose witness does not span
+it is a genuine violation on the witness's own (smaller) support, so
+scanning supports smallest-first yields a minimal deterministic witness.
 """
 
 from __future__ import annotations
@@ -21,7 +33,14 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Optional
 
-from .graph import Edge, GainGraph, SignedUnionFind, all_vertex_subsets, invariant
+from .graph import (
+    Edge,
+    GainGraph,
+    InvariantViolation,
+    SignedUnionFind,
+    all_vertex_subsets,
+    invariant,
+)
 
 
 class OracleGuardExceeded(ValueError):
@@ -100,16 +119,191 @@ def check_sparsity(
     p: SparsityParams,
     require_edges: Optional[Iterable[Edge]] = None,
 ) -> SparsityReport:
-    """Scan all vertex supports; witness on failure.
+    """Whether g is p-sparse; witness on failure.
 
-    ``require_edges`` restricts the scan to subsets containing at least one of
-    the given edges.  This is sound for incremental rechecks: if the graph
-    minus those edges is already known sparse, any violation must involve one
-    of them.  An empty ``require_edges`` passes at once.
+    ``require_edges`` is for incremental rechecks: the caller knows the graph
+    minus those edges is sparse, so any violation must involve one of them.
+    An empty ``require_edges`` passes at once.  The matroid partition of the
+    two built-in counts checks the whole graph either way; other counts scan
+    only subsets holding a required edge.
     """
     required = tuple(require_edges) if require_edges is not None else None
     if required == ():
         return SparsityReport(passed=True)
+    if p.as_tuple() in ((2, 2, 0), (2, 2, 2)):
+        return _partition_sparsity(g, p)
+    return _scan_sparsity(g, p, required)
+
+
+def _two_core(edges: list[Edge]) -> list[Edge]:
+    """The edges left after deleting, again and again, the edge at a vertex
+    of degree 1 (a loop counts 2)."""
+    at: dict[int, list[int]] = {}
+    for i, e in enumerate(edges):
+        at.setdefault(e.u, []).append(i)
+        at.setdefault(e.v, []).append(i)
+    degree = {w: len(ix) for w, ix in at.items()}
+    alive = [True] * len(edges)
+    leaves = [w for w, d in degree.items() if d == 1]
+    while leaves:
+        w = leaves.pop()
+        if degree[w] != 1:
+            continue
+        i = next(i for i in at[w] if alive[i])
+        alive[i] = False
+        e = edges[i]
+        degree[e.u] -= 1
+        degree[e.v] -= 1
+        if degree[e.other(w)] == 1:
+            leaves.append(e.other(w))
+    return [e for e, kept in zip(edges, alive) if kept]
+
+
+def _circuit_in_core(core: list[Edge]) -> list[Edge]:
+    """The circuit of a connected 2-core with at most two independent cycles,
+    of which the old one (if any) is unbalanced.
+
+    A lone cycle is the circuit.  Otherwise the core is a theta (three paths
+    between two branch vertices) or a handcuff (two cycles joined at a vertex
+    or by a path).  The circuit is the core's balanced cycle if it has one: a
+    theta always has exactly one, a handcuff one if its new cycle is
+    balanced.  Else it is the whole handcuff.
+    """
+    at: dict[int, list[Edge]] = {}
+    for e in core:
+        at.setdefault(e.u, []).append(e)
+        at.setdefault(e.v, []).append(e)
+    branch = [w for w, es in at.items() if len(es) > 2]
+    if not branch:
+        return core
+    # Walk each path between branch vertices through the degree-2 vertices.
+    used: set[Edge] = set()
+    paths = []
+    for a in branch:
+        for e in at[a]:
+            if e in used:
+                continue
+            path, w = [e], e.other(a)
+            used.add(e)
+            while len(at[w]) == 2:
+                e = at[w][0] if at[w][1] == e else at[w][1]
+                path.append(e)
+                used.add(e)
+                w = e.other(w)
+            paths.append((a, w, path))
+    cycles = [path for a, b, path in paths if a == b]
+    if not cycles:
+        cycles = [p1 + p2 for (_, _, p1), (_, _, p2) in combinations(paths, 2)]
+    for cycle in cycles:
+        gain = 1
+        for e in cycle:
+            gain *= e.gain
+        if gain == 1:
+            return cycle
+    return core
+
+
+class _EdgeSet:
+    """An edge set with its signed union-find and its edges grouped by
+    component root, in component order (by smallest vertex) when the edges
+    come sorted.  In the frame matroid a set is independent iff each
+    component has at most one cycle, and that cycle unbalanced; in the
+    graphic matroid iff it has no cycle."""
+
+    def __init__(self, n: int, edges: list[Edge], frame: bool) -> None:
+        self.frame = frame
+        self.uf = SignedUnionFind(n, edges)
+        self.by_root: dict[int, list[Edge]] = {}
+        for e in edges:
+            self.by_root.setdefault(self.uf.find(e.u)[0], []).append(e)
+
+    def _has_cycle(self, root: int) -> bool:
+        return self.uf.edge_count[root] == self.uf.size[root]
+
+    def circuit(self, x: Edge) -> Optional[list[Edge]]:
+        """None if the set plus x is independent, else the circuit of x."""
+        ru, su = self.uf.find(x.u)
+        rv, sv = self.uf.find(x.v)
+        if ru != rv:
+            if not (self.frame and self._has_cycle(ru) and self._has_cycle(rv)):
+                return None
+            local = self.by_root[ru] + self.by_root[rv]
+        else:
+            if self.frame and not self._has_cycle(ru) and (
+                x.is_loop() or su * sv != x.gain
+            ):
+                return None
+            local = self.by_root.get(ru, [])
+        return _circuit_in_core(_two_core(local + [x]))
+
+
+def _partition_sparsity(g: GainGraph, p: SparsityParams) -> SparsityReport:
+    """Edmonds' matroid partition of g.edges into two frame-matroid (for
+    (2,2,0)) or graphic-matroid (for (2,2,2)) independent sets."""
+    frame = p.m == 0
+    side: dict[Edge, int] = {}
+    # The two sets as they stand; None once an augmentation changed one.
+    sides: list[Optional[_EdgeSet]] = [None, None]
+    for y in g.edges:
+        # label[z] = (x, i): x may join side i if z leaves it.
+        label: dict[Edge, Optional[tuple[Edge, int]]] = {y: None}
+        queue = [y]
+        sink = None
+        for x in queue:
+            for i in (0, 1):
+                if side.get(x) == i:
+                    continue
+                if sides[i] is None:
+                    members = [e for e, s in side.items() if s == i]
+                    sides[i] = _EdgeSet(g.n, members, frame)
+                circuit = sides[i].circuit(x)
+                if circuit is None:
+                    sink = (x, i)
+                    break
+                for z in circuit:
+                    if z not in label:
+                        label[z] = (x, i)
+                        queue.append(z)
+            if sink is not None:
+                break
+        if sink is None:
+            return _blocked_report(g, p, queue)
+        x, i = sink
+        while True:
+            side[x] = i
+            sides[i] = None
+            if label[x] is None:
+                break
+            x, i = label[x]
+    return SparsityReport(passed=True)
+
+
+def _blocked_report(
+    g: GainGraph, p: SparsityParams, reached: list[Edge]
+) -> SparsityReport:
+    """The first component of the blocked edge's reached set, by smallest
+    vertex, that breaks its own count."""
+    reached_set = _EdgeSet(g.n, sorted(reached), frame=p.m == 0)
+    uf = reached_set.uf
+    for root, edges in reached_set.by_root.items():
+        size = uf.size[root]
+        if p.l > p.m and not uf.unbalanced[root] and len(edges) > p.k * size - p.l:
+            return _violation_report(g, tuple(edges), p, balanced=True)
+        if len(edges) > p.k * size - p.m:
+            return _violation_report(g, tuple(edges), p, balanced=False)
+    raise InvariantViolation("a blocked edge reached no component over its count")
+
+
+def _scan_sparsity(
+    g: GainGraph,
+    p: SparsityParams,
+    required: Optional[tuple[Edge, ...]] = None,
+) -> SparsityReport:
+    """Scan all vertex supports, smallest first; witness on failure.
+
+    ``required`` restricts the scan to subsets containing at least one of the
+    given edges.
+    """
     masks = [(1 << e.u) | (1 << e.v) for e in g.edges]
     req_masks = (
         [(1 << e.u) | (1 << e.v) for e in required]
@@ -171,8 +365,9 @@ def components_tight(
     is p-sparse.
 
     Any violation then contains a new edge, and a disjoint union is sparse
-    iff each of its components is, so one restricted scan of g covers all
-    components.
+    iff each of its components is, so one check of g (a scan restricted to
+    the new edges, or the whole partition for the built-in counts) covers
+    all components.
     """
     comps = SignedUnionFind(g.n, g.edges).components()
     if any(n_edges != p.k * len(verts) - p.m for verts, n_edges, _ in comps):

@@ -1,12 +1,13 @@
 from itertools import combinations
 
 from gainrig.catalog import (
+    BALANCED_K4,
     BASE_CATALOG,
     PARAMS_220,
     graph_for_base_id,
     is_base_graph,
 )
-from gainrig.graph import GainGraph
+from gainrig.graph import GainGraph, edge
 from gainrig.iso import apply_iso, are_isomorphic
 from gainrig.sparsity import check_tight
 
@@ -56,3 +57,24 @@ def test_recognition_rejects_non_bases():
 def test_graph_for_base_id():
     assert graph_for_base_id("k1") == GainGraph(1, ())
     assert graph_for_base_id("c") == BASE_CATALOG["c"]
+
+
+def _k4_plus_two() -> list[GainGraph]:
+    """All tight balanced-K4-plus-two-edges graphs, one per isomorphism
+    class, ordered by sorted edge triples."""
+    extras = [edge(i, j, -1) for i, j in combinations(range(4), 2)]
+    extras += [edge(i, i, -1) for i in range(4)]
+    classes: list[GainGraph] = []
+    for e1, e2 in combinations(extras, 2):
+        g = GainGraph(4, BALANCED_K4.edges + (e1, e2))
+        if not check_tight(g, PARAMS_220):
+            continue
+        if any(are_isomorphic(g, h) for h in classes):
+            continue
+        classes.append(g)
+    classes.sort(key=lambda g: g.triples())
+    return classes
+
+
+def test_frozen_k4_members_are_the_enumerated_classes():
+    assert _k4_plus_two() == [BASE_CATALOG[bid] for bid in "defgh"]

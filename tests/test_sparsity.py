@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gainrig
-from gainrig.graph import GainGraph, InvariantViolation
+from gainrig.graph import GainGraph, InvariantViolation, edge
 from gainrig.sparsity import (
     SparsityParams,
+    _scan_sparsity,
     _violation_report,
     brute_force_oracle,
     check_sparsity,
@@ -17,7 +18,7 @@ from gainrig.sparsity import (
     f_value,
 )
 
-from conftest import random_gain_graph
+from conftest import random_gain_graph, two_base_union
 
 P220 = SparsityParams(2, 2, 0)
 P222 = SparsityParams(2, 2, 2)
@@ -149,3 +150,87 @@ def test_import_leaves_numpy_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _all_triples(n):
+    return [
+        (u, v, g)
+        for u in range(n)
+        for v in range(u, n)
+        for g in ((-1,) if u == v else (1, -1))
+    ]
+
+
+def _with_extra_edges(rng, g, count):
+    absent = [t for t in _all_triples(g.n) if edge(*t) not in set(g.edges)]
+    extra = tuple(edge(*t) for t in rng.sample(absent, min(count, len(absent))))
+    return g.replace_edges(g.edges + extra)
+
+
+def _assert_witness_over_its_bound(g, p, rep):
+    wit = rep.witness
+    assert len(set(wit)) == len(wit) and set(wit) <= set(g.edges)
+    support = {x for e in wit for x in (e.u, e.v)}
+    offset = p.l if rep.balanced_violation else p.m
+    assert len(wit) > p.k * len(support) - offset
+    assert not rep.balanced_violation or g.is_balanced(wit)
+
+
+def test_partition_matches_scan(rng):
+    # arbitrary graphs, and near-tight ones: a two-base union with a few
+    # edges dropped and a few added
+    for _ in range(300):
+        p = rng.choice((P220, P222))
+        if rng.random() < 0.5:
+            g = random_gain_graph(rng, max_n=8, max_edges=16)
+        else:
+            g = two_base_union(rng, rng.randint(2, 8), p)
+            g = g.replace_edges(e for e in g.edges if rng.random() > 0.2)
+            g = _with_extra_edges(rng, g, rng.randint(0, 2))
+        fast = check_sparsity(g, p)
+        assert fast.passed == _scan_sparsity(g, p).passed, (g.triples(), p)
+        if not fast.passed:
+            _assert_witness_over_its_bound(g, p, fast)
+
+
+@pytest.mark.parametrize("p", [P220, P222], ids=["220", "222"])
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_two_base_unions_are_tight_and_one_more_edge_breaks_them(n, p):
+    rng = random.Random(n)
+    for _ in range(3):
+        g = two_base_union(rng, n, p)
+        assert check_tight(g, p)
+        h = _with_extra_edges(rng, g, 1)
+        rep = check_sparsity(h, p)
+        assert not rep.passed
+        _assert_witness_over_its_bound(h, p, rep)
+
+
+def _balanced_block(rng, n, b):
+    """2b - 1 edges on b vertices, all consistent with one switching, then
+    grown to n vertices by adding vertices of degree 2."""
+    sign = [rng.choice((1, -1)) for _ in range(b)]
+    pairs = rng.sample([(u, v) for u in range(b) for v in range(u + 1, b)], 2 * b - 1)
+    triples = [(u, v, sign[u] * sign[v]) for u, v in pairs]
+    for w in range(b, n):
+        x, y = rng.choice(range(w)), rng.choice(range(w))
+        gx = rng.choice((1, -1))
+        triples += [(x, w, gx), (y, w, -gx if x == y else rng.choice((1, -1)))]
+    return GainGraph.from_triples(n, triples)
+
+
+@pytest.mark.parametrize("b", [5, 6])
+def test_planted_balanced_block_is_a_balanced_violation(b):
+    rng = random.Random(b)
+    for _ in range(10):
+        g = _balanced_block(rng, rng.randint(b, 16), b)
+        rep = check_sparsity(g, P220)
+        assert not rep.passed and rep.balanced_violation
+        _assert_witness_over_its_bound(g, P220, rep)
+
+
+def test_same_input_same_witness(rng):
+    for p in (P220, P222):
+        g = _with_extra_edges(rng, two_base_union(rng, 24, p), 2)
+        first, second = check_sparsity(g, p), check_sparsity(g, p)
+        assert not first.passed and first == second

@@ -91,11 +91,7 @@ def cmd_check(args) -> int:
 
 def cmd_decompose(args) -> int:
     g = graph_from_dict(load_json(args.graph))
-    try:
-        seq, pi, signs = decompose(g, args.counts)
-    except (NotTight, NoAdmissibleReduction) as exc:
-        _emit({"verdict": "FAIL", "reason": str(exc)}, "FAIL")
-        return 1
+    seq, pi, signs = decompose(g, args.counts)
     out = sequence_to_dict(seq)
     out["isomorphism"] = {"pi": list(pi), "signs": list(signs)}
     _write_or_print(args.output, out)
@@ -108,12 +104,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    seq = sequence_from_dict(load_json(args.sequence))
-    try:
-        g = construct(seq)
-    except (NotTight, MoveError) as exc:
-        _emit({"verdict": "FAIL", "reason": str(exc)}, "FAIL")
-        return 1
+    g = construct(sequence_from_dict(load_json(args.sequence)))
     _write_or_print(args.output, graph_to_dict(g))
     return 0
 
@@ -170,24 +161,15 @@ def cmd_colour(args) -> int:
 
 def cmd_realize(args) -> int:
     seq = sequence_from_dict(load_json(args.sequence))
-    cfg = RealisationConfig(seed=args.seed)
-    try:
-        fw = realize(seq, args.character, cfg)
-    except (PlacementError, MoveError) as exc:
-        _emit({"verdict": "FAIL", "reason": str(exc)}, "FAIL")
-        return 1
+    fw = realize(seq, args.character, RealisationConfig(seed=args.seed))
     _write_or_print(args.output, framework_to_dict(fw))
     return 0
 
 
 def cmd_roundtrip(args) -> int:
     g = random_tight(args.n, args.counts, args.seed)
-    try:
-        seq, pi, signs = decompose(g, args.counts)
-        h = construct(seq)
-    except (NotTight, NoAdmissibleReduction, MoveError) as exc:
-        _emit({"verdict": "FAIL", "reason": str(exc)}, "FAIL")
-        return 1
+    seq, pi, signs = decompose(g, args.counts)
+    h = construct(seq)
     if apply_iso(g, pi, signs) != h:
         _emit(
             {
@@ -276,6 +258,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
+    except (NotTight, NoAdmissibleReduction, MoveError, PlacementError) as exc:
+        # Before ValueError: NotTight and MoveError are ValueErrors.
+        _emit({"verdict": "FAIL", "reason": str(exc)}, "FAIL")
+        return 1
     except (FormatError, GainGraphError, FrameworkError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

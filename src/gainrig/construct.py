@@ -17,11 +17,12 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .catalog import graph_for_base_id, is_base_graph
-from .graph import GainGraph, disjoint_union, invariant
+from .catalog import BASE_CATALOG, graph_for_base_id, is_base_graph
+from .graph import Edge, GainGraph, disjoint_union, invariant
 from .iso import apply_iso, compose_iso, isomorphism
 from .moves import (
     ALL_KINDS,
+    H_SHAPES,
     KINDS_222,
     Move,
     MoveError,
@@ -73,10 +74,8 @@ def construct(
     check_kinds(seq)
     g = seq.initial_graph()
     p = seq.params
-    if verify:
-        for comp in g.components():
-            if not check_tight(g.subgraph(comp), p):
-                raise NotTight(f"initial base union not tight: {seq.initial}")
+    if verify and not components_tight(g, p, g.edges):
+        raise NotTight(f"initial base union not tight: {seq.initial}")
     for mv in seq.steps:
         h = apply_move(g, mv)
         # The edges h shares with the sparse g cannot hold a violation.
@@ -164,7 +163,7 @@ def decompose(
         psi_pi, psi_signs = compose_iso(r.pi, r.signs, ext_pi, ext_signs)
         invariant(
             apply_iso(pre, psi_pi, psi_signs) == c,
-            f"replay of {r.kind} diverged from the reduction chain",
+            f"replay of {r.forward.kind} diverged from the reduction chain",
         )
     seq = ConstructionSequence(params=p, initial=ids, steps=tuple(seq_steps))
     return seq, psi_pi, psi_signs
@@ -176,82 +175,59 @@ def decompose(
 
 
 def _random_move(g: GainGraph, kinds: Sequence[str], rng: random.Random) -> Optional[Move]:
-    """Sample one syntactically valid move of a random allowed kind."""
-    nonloops = [e for e in g.edges if not e.is_loop()]
-    loops = [e for e in g.edges if e.is_loop()]
+    """Sample one move of a random allowed kind, or None if g lacks the edges
+    or vertices it names.  An H move fills its H_SHAPES row: each removed
+    edge is a distinct edge of g (a loop where the row has one), oriented at
+    its first name if that is bound, the other names are distinct unused
+    vertices and the gains random signs; apply_move rejects what does not fit."""
     k = rng.choice(list(kinds))
-    coin = lambda: rng.choice((1, -1))
-    try:
-        if k == "H1a" and g.n >= 2:
-            a, b = rng.sample(range(g.n), 2)
-            return Move(k, vertices=(a, b), gains=(coin(), coin()))
-        if k == "H1b" and g.n >= 1:
-            return Move(k, vertices=(rng.randrange(g.n),))
-        if k == "H1c" and g.n >= 1:
-            return Move(k, vertices=(rng.randrange(g.n),), gains=(coin(),))
-        if k == "H2a" and nonloops and g.n >= 3:
-            e = rng.choice(nonloops)
-            x = rng.choice((e.u, e.v))
-            z = rng.choice([v for v in range(g.n) if v not in (e.u, e.v)])
-            return Move(k, removed=(e,), vertices=(x, z), gains=(coin(), coin()))
-        if k == "H2b" and nonloops:
-            e = rng.choice(nonloops)
-            return Move(k, removed=(e,), vertices=(rng.choice((e.u, e.v)),),
-                        gains=(coin(),))
-        if k == "H2c" and loops and g.n >= 2:
-            e = rng.choice(loops)
-            y = rng.choice([v for v in range(g.n) if v != e.u])
-            return Move(k, removed=(e,), vertices=(y,), gains=(coin(),))
-        if k == "H2d" and nonloops:
-            e = rng.choice(nonloops)
-            return Move(k, removed=(e,), vertices=(rng.choice((e.u, e.v)),),
-                        gains=(coin(),))
-        if k == "H2e" and loops:
-            return Move(k, removed=(rng.choice(loops),))
-        if k == "H3a" and len(nonloops) >= 2:
-            e1, e2 = rng.sample(nonloops, 2)
-            if len({e1.u, e1.v, e2.u, e2.v}) == 4:
-                return Move(k, removed=(e1, e2),
-                            vertices=(rng.choice((e1.u, e1.v)),
-                                      rng.choice((e2.u, e2.v))),
-                            gains=(coin(), coin()))
-        if k == "H3b" and len(nonloops) >= 2:
-            e1, e2 = rng.sample(nonloops, 2)
-            shared = {e1.u, e1.v} & {e2.u, e2.v}
-            if len(shared) == 1 and len({e1.u, e1.v, e2.u, e2.v}) == 3:
-                y = shared.pop()
-                return Move(k, removed=(e1, e2),
-                            vertices=(y, e1.other(y), e2.other(y)))
-        if k == "H3c" and loops and nonloops:
-            e1, e2 = rng.choice(loops), rng.choice(nonloops)
-            if e1.u not in (e2.u, e2.v):
-                return Move(k, removed=(e1, e2),
-                            vertices=(rng.choice((e2.u, e2.v)),),
-                            gains=(coin(),))
-        if k == "H3d" and len(loops) >= 2:
-            e1, e2 = rng.sample(loops, 2)
-            return Move(k, removed=(e1, e2))
-        if k == "VertexToK4" and g.n >= 1:
-            v = rng.randrange(g.n)
-            att = tuple(
-                (e, rng.randrange(4))
-                for e in g.edges_at(v, include_loop=False)
-            )
-            la = None
-            if g.loop_at(v) is not None:
-                i, j = rng.randrange(4), rng.randrange(4)
-                la = (min(i, j), max(i, j))
-            return Move(k, vertices=(v,), attach=att, loop_attach=la)
-        if k == "VertexSplit" and nonloops:
-            e = rng.choice(nonloops)
-            v1 = rng.choice((e.u, e.v))
-            others = [m for m in g.edges_at(v1, include_loop=False) if m != e]
-            moved = tuple(sorted(rng.sample(others, rng.randrange(len(others) + 1))))
-            ml = g.loop_at(v1) is not None and rng.random() < 0.5
-            return Move(k, vertices=(v1,), v2_edge=e, moved=moved, move_loop=ml)
-    except (ValueError, IndexError):
+    if k == "VertexToK4":
+        v = rng.randrange(g.n)
+        att = tuple(
+            (e, rng.randrange(4))
+            for e in g.edges_at(v, include_loop=False)
+        )
+        la = None
+        if g.loop_at(v) is not None:
+            i, j = rng.randrange(4), rng.randrange(4)
+            la = (min(i, j), max(i, j))
+        return Move(k, vertices=(v,), attach=att, loop_attach=la)
+    if k == "VertexSplit":
+        nonloops = [e for e in g.edges if not e.is_loop()]
+        if not nonloops:
+            return None
+        e = rng.choice(nonloops)
+        v1 = rng.choice((e.u, e.v))
+        others = [m for m in g.edges_at(v1, include_loop=False) if m != e]
+        moved = tuple(sorted(rng.sample(others, rng.randrange(len(others) + 1))))
+        ml = g.loop_at(v1) is not None and rng.random() < 0.5
+        return Move(k, vertices=(v1,), v2_edge=e, moved=moved, move_loop=ml)
+    shape = H_SHAPES[k]
+    at: dict[str, int] = {}
+    removed: list[Edge] = []
+    for p, q, _ in shape.removed:
+        pool = [
+            e for e in g.edges
+            if e.is_loop() == (p == q) and e not in removed
+            and (p not in at or e.touches(at[p]))
+        ]
+        if not pool:
+            return None
+        e = rng.choice(pool)
+        u = at[p] if p in at else rng.choice((e.u, e.v))
+        at[p], at[q] = u, e.other(u)
+        removed.append(e)
+    names = [x for x in shape.vertices if x not in at]
+    free = [v for v in range(g.n) if v not in at.values()]
+    if len(free) < len(names):
         return None
-    return None
+    at.update(zip(names, rng.sample(free, len(names))))
+    return Move(
+        k,
+        vertices=tuple(at[x] for x in shape.vertices),
+        gains=tuple(rng.choice((1, -1)) for _ in shape.gains),
+        removed=tuple(removed),
+    )
 
 
 # Sampled moves random_tight may try before it gives up.
@@ -269,11 +245,10 @@ def random_tight(n: int, p: SparsityParams, seed: int) -> GainGraph:
     if p.as_tuple() == (2, 2, 2):
         g = GainGraph(1, ())
     else:
-        bases = [b for b in ("a", "b", "c", "d", "e", "f", "g", "h")
-                 if graph_for_base_id(b).n <= n]
+        bases = [b for b in BASE_CATALOG.values() if b.n <= n]
         if not bases:
             raise ValueError(f"no base fits in {n} vertices")
-        g = graph_for_base_id(rng.choice(bases))
+        g = rng.choice(bases)
     attempts = 0
     while g.n < n:
         attempts += 1

@@ -17,11 +17,11 @@ FLOAT_RANK_RTOL = 1e-9
 
 def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Exact rank of a matrix of Fractions (or ints)."""
-    m = [
-        _clear_denominators([Fraction(x) for x in row])
-        for row in rows
-    ]
-    m = [row for row in m if any(row)]
+    m = []
+    for row in rows:
+        if any(row):
+            mult = lcm(*(x.denominator for x in row))
+            m.append([x.numerator * (mult // x.denominator) for x in row])
     if not m:
         return 0
     ncols = len(m[0])
@@ -44,11 +44,6 @@ def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
         if rank == len(m):
             break
     return rank
-
-
-def _clear_denominators(row: list[Fraction]) -> list[int]:
-    mult = lcm(*(x.denominator for x in row)) if row else 1
-    return [int(x * mult) for x in row]
 
 
 def float_rank(rows: Sequence[Sequence[float]]) -> int:

@@ -10,7 +10,8 @@ fill Move.vertices and Move.gains, in order), lists the removed edges as
 (p, q, gain), binding any vertex or gain name they introduce, and the added
 edges as (p, gain), joining w to p ("w" marks a loop at w).  A gain is a
 product of names and signs.  The named vertices of a move, and w, are
-distinct.  The other two moves:
+distinct.  Forward application, the reverse search, translation and random
+generation (construct._random_move) all read the table.  The other two moves:
 
   VertexToK4  vertices=(v,) attach=((edge, idx), ...) loop_attach=(i, j)|None
        removes v; appends a balanced K4 (gains +1) on the four new vertices;
@@ -150,7 +151,6 @@ class Move:
 
 @dataclass(frozen=True)
 class Reduction:
-    kind: str
     reduced: GainGraph
     forward: Move
     pi: tuple[int, ...]
@@ -388,7 +388,6 @@ def _try_reduction(
     if apply_iso(g, pi, signs) != redone:
         return
     yield Reduction(
-        kind=forward.kind,
         reduced=reduced,
         forward=forward,
         pi=tuple(pi),

@@ -115,6 +115,25 @@ def test_realize_rejects_kind_not_allowed(tmp_path, capsys):
     assert "move kind H1c not allowed for (2, 2, 2)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "command, reason",
+    [
+        (["construct"], "not tight after H1a"),
+        (["realize", "--character", "1"], "do not verify for character 1"),
+    ],
+)
+def test_sequence_that_is_not_tight_fails(tmp_path, capsys, command, reason):
+    # H1a joins the two K1 seeds: two edges on three vertices, two short of
+    # (2,2,2)-tight
+    path = tmp_path / "seq.json"
+    step = {"kind": "H1a", "vertices": [0, 1], "gains": [1, 1]}
+    save_json(str(path), {"counts": [2, 2, 2], "initial": ["k1", "k1"], "steps": [step]})
+    assert main([command[0], str(path), *command[1:]]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL") and reason in out
+    assert json.loads(out.split("\n", 1)[1])["verdict"] == "FAIL"
+
+
 def test_realize_empty_initial_is_usage_error(tmp_path, capsys):
     # decompose of the empty graph gives this sequence; there is no base to place
     path = tmp_path / "seq.json"

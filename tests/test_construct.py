@@ -101,11 +101,14 @@ def test_222_tight_graphs_are_connected_and_loopless():
         assert all(not e.is_loop() for e in g.edges)
 
 
-def test_random_tight_deterministic():
-    a = random_tight(6, PARAMS_220, seed=42)
-    b = random_tight(6, PARAMS_220, seed=42)
+@pytest.mark.parametrize(
+    "p", [PARAMS_220, PARAMS_222, SparsityParams(2, 3, 0)], ids=["220", "222", "230"]
+)
+def test_random_tight_deterministic(p):
+    a = random_tight(6, p, seed=42)
+    b = random_tight(6, p, seed=42)
     assert a == b
-    assert check_tight(a, PARAMS_220)
+    assert check_tight(a, p)
 
 
 @pytest.mark.parametrize("p", [PARAMS_220, PARAMS_222])

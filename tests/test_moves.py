@@ -177,6 +177,30 @@ def test_every_h_move_is_undone_in_place(rng):
             done += 1
 
 
+def test_random_moves_are_mostly_accepted():
+    # each draw takes distinct removed edges and orients an edge at an
+    # endpoint its shape has already bound; drawing the edges independently,
+    # each oriented at random, leaves under a tenth of H3b draws applicable
+    from gainrig.construct import random_tight
+
+    pool = [random_tight(n, PARAMS_220, seed) for n in (6, 10, 16) for seed in range(5)]
+    rng = random.Random(11)
+    draws = 500
+    for kind in ALL_KINDS:
+        accepted = 0
+        for _ in range(draws):
+            g = rng.choice(pool)
+            mv = _random_move(g, (kind,), rng)
+            if mv is None:
+                continue
+            try:
+                apply_move(g, mv)
+            except MoveError:
+                continue
+            accepted += 1
+        assert accepted >= 0.3 * draws, (kind, accepted)
+
+
 def test_balanced_k4_contracts_to_single_vertex():
     k4 = GainGraph.from_triples(
         4, [[0, 1, 1], [0, 2, 1], [0, 3, 1], [1, 2, 1], [1, 3, 1], [2, 3, 1]]

@@ -236,8 +236,9 @@ MAX_ATTEMPTS = 10_000
 
 def random_tight(n: int, p: SparsityParams, seed: int) -> GainGraph:
     """A pseudo-random p-tight graph on exactly n vertices, built by applying
-    random tightness-preserving moves to a random base (or to a single vertex
-    for the loopless variant)."""
+    random tightness-preserving moves to a random p-tight catalogue base (or
+    to a single vertex for the loopless variant); ValueError if no base on
+    at most n vertices is p-tight."""
     if n < 1:
         raise ValueError(f"random_tight needs n >= 1, got {n}")
     rng = random.Random(seed)
@@ -245,9 +246,12 @@ def random_tight(n: int, p: SparsityParams, seed: int) -> GainGraph:
     if p.as_tuple() == (2, 2, 2):
         g = GainGraph(1, ())
     else:
-        bases = [b for b in BASE_CATALOG.values() if b.n <= n]
+        # The moves keep tightness only from a tight start.
+        bases = [b for b in BASE_CATALOG.values() if b.n <= n and check_tight(b, p)]
         if not bases:
-            raise ValueError(f"no base fits in {n} vertices")
+            raise ValueError(
+                f"no catalogue base on at most {n} vertices is {p.as_tuple()}-tight"
+            )
         g = rng.choice(bases)
     attempts = 0
     while g.n < n:

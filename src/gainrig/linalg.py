@@ -1,29 +1,75 @@
-"""Exact and floating-point matrix rank.
+"""Exact and floating-point matrix rank: mod-p rank certificate, exact
+Bareiss fallback.
 
-Rational matrices are ranked exactly: each row is scaled to integers and a
-fraction-free (Bareiss) elimination runs in arbitrary-precision ints.  Rows
-with irrational entries (floats) fall back to numpy's SVD with a relative
-singular-value threshold.
+Rational matrices are ranked exactly.  Each row is scaled to integers, and
+the rows are first eliminated modulo the prime P = 2^61 - 1, keeping each
+row sparse.  Rank mod P never exceeds rank over Q, so a rank mod P equal to
+min(nonzero rows, cols) proves that rank.  Otherwise a fraction-free (Bareiss)
+elimination in arbitrary-precision ints gives the exact rank.  Rows with
+irrational entries (floats) use numpy's SVD with a relative singular-value
+threshold.  The caller picks exact or float once per matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from typing import Sequence
 
 FLOAT_RANK_RTOL = 1e-9
+PRIME = 2**61 - 1
 
 
 def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Exact rank of a matrix of Fractions (or ints)."""
-    m = []
+    m = []  # the nonzero rows scaled to integers, as {column: entry}
     for row in rows:
-        if any(row):
-            mult = lcm(*(x.denominator for x in row))
-            m.append([x.numerator * (mult // x.denominator) for x in row])
+        nonzero = [(c, row[c]) for c in compress(range(len(row)), row)]
+        if nonzero:
+            mult = lcm(*(x.denominator for _, x in nonzero))
+            m.append({c: x.numerator * (mult // x.denominator) for c, x in nonzero})
     if not m:
         return 0
+    ncols = len(rows[0])
+    full = min(len(m), ncols)
+    if _modular_rank(m) == full:
+        return full
+    return _bareiss_rank([[r.get(c, 0) for c in range(ncols)] for r in m])
+
+
+def _modular_rank(m: list[dict[int, int]]) -> int:
+    """Rank modulo PRIME of the integer matrix with sparse rows m, by sparse
+    elimination.
+
+    Each pivot row is kept as a {column: value} dict whose smallest column
+    is its pivot, scaled to 1 there; a row is reduced by the pivot of its
+    smallest column until that column has none (a new pivot) or the row
+    vanishes.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for sparse in m:
+        row = {c: x % PRIME for c, x in sparse.items() if x % PRIME}
+        while row:
+            col = min(row)
+            piv = pivots.get(col)
+            if piv is None:
+                inv = pow(row[col], -1, PRIME)
+                pivots[col] = {c: x * inv % PRIME for c, x in row.items()}
+                break
+            f = row[col]
+            for c, x in piv.items():
+                y = (row.get(c, 0) - f * x) % PRIME
+                if y:
+                    row[c] = y
+                else:
+                    row.pop(c, None)
+    return len(pivots)
+
+
+def _bareiss_rank(m: list[list[int]]) -> int:
+    """Exact rank of the integer matrix m (modified in place) by
+    fraction-free elimination."""
     ncols = len(m[0])
     rank = 0
     prev = 1
@@ -60,11 +106,9 @@ def float_rank(rows: Sequence[Sequence[float]]) -> int:
     return int(np.sum(s > FLOAT_RANK_RTOL * s[0]))
 
 
-def matrix_rank(rows: Sequence[Sequence]) -> int:
-    """Dispatch: exact if every entry is a Fraction/int, SVD otherwise."""
-    exact = all(
-        isinstance(x, (Fraction, int)) for row in rows for x in row
-    )
+def matrix_rank(rows: Sequence[Sequence], exact: bool = True) -> int:
+    """Exact rank of a matrix of Fractions/ints, or, with exact=False, the
+    SVD rank of its entries as floats."""
     if exact:
         return rational_rank(rows)
     return float_rank([[float(x) for x in row] for row in rows])

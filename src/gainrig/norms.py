@@ -31,13 +31,17 @@ class ConeBoundary(NormError):
 
 @dataclass(frozen=True)
 class PolyhedralNorm:
-    """Quadrilateral norm from two independent facet covectors."""
+    """Quadrilateral norm from two independent facet covectors, with
+    rational (int or Fraction) entries, so that orbit matrices under it
+    are ranked exactly."""
 
     facets: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 
     def __post_init__(self):
         if len(self.facets) != 2:
             raise NormError("exactly two facet covectors required")
+        if not all(isinstance(c, (int, Fraction)) for f in self.facets for c in f):
+            raise NormError("facet covectors must have rational entries")
         (a1, a2), (b1, b2) = self.facets
         if a1 * b2 - a2 * b1 == 0:
             raise NormError("facet covectors must span the plane")

@@ -35,7 +35,12 @@ on use; a single base sits at its fixture, and the i-th base of a union is
 scaled by (2i + 2) / (2i + 1), which keeps its colours (translations would
 break the central symmetry).  The old edges' colours are read from the
 covector table of the framework being extended, which its own verification
-filled, so each framework's edges are coloured once.
+filled.  The new framework's table is carried over from that one
+(rigidity.carry_covectors): an edge reuses the old entry exactly when both
+endpoint positions, the gain and the norm are unchanged, so only the new
+vertex's edges (after vertex-to-K4, the edges at the four new vertices) are
+coloured.  Every edge of a realized framework is thus coloured once, in the
+step that creates it.
 """
 
 from __future__ import annotations
@@ -51,7 +56,13 @@ from .construct import ConstructionSequence, check_kinds
 from .graph import GainGraph, invariant
 from .moves import Move, apply_move
 from .norms import LINF
-from .rigidity import Framework, FrameworkError, NotWellPositioned, analyse
+from .rigidity import (
+    Framework,
+    FrameworkError,
+    NotWellPositioned,
+    analyse,
+    carry_covectors,
+)
 
 Point = tuple[Fraction, Fraction]
 ORIGIN: Point = (Fraction(0), Fraction(0))
@@ -113,10 +124,16 @@ def _framework(g: GainGraph, positions: Sequence[Point], norm, what: str) -> Fra
         raise PlacementError(f"{what}: {exc}") from exc
 
 
-def _accept(g: GainGraph, positions: Sequence[Point], norm, j: int, what: str) -> Framework:
+def _accept(
+    g: GainGraph, positions: Sequence[Point], norm, j: int, what: str,
+    parent: Optional[Framework] = None,
+) -> Framework:
     """The framework at positions if both oracles call it character-j
-    isostatic, else PlacementError naming `what`."""
+    isostatic, else PlacementError naming `what`.  Its covector table is
+    carried over from `parent`, the framework a move starts from, if given."""
     fw = _framework(g, positions, norm, what)
+    if parent is not None:
+        carry_covectors(parent, fw)
     if not _verified(fw, j):
         raise PlacementError(f"{what} failed verification for character {j}")
     return fw
@@ -233,7 +250,7 @@ def extend_placement(fw: Framework, mv: Move, j: int = 0) -> Framework:
         found = _region(_box(anchors), wedges)
         pt = None if found is None else _grid_point(*found, forbidden)
         if pt is not None:
-            return _accept(h, tuple(fw.positions) + (pt,), fw.norm, j, mv.kind)
+            return _accept(h, tuple(fw.positions) + (pt,), fw.norm, j, mv.kind, fw)
     raise PlacementError(f"no region places the new vertex of {mv.kind} on {fw.graph.triples()}")
 
 
@@ -257,7 +274,7 @@ def _extend_k4(fw: Framework, mv: Move, h: GainGraph, j: int) -> Framework:
         scale /= 2
     kept = [p for x, p in enumerate(fw.positions) if x != v]
     k4 = [(pv[0] + scale * x, pv[1] + scale * y) for x, y in _K4_SHAPE]
-    return _accept(h, kept + k4, fw.norm, j, mv.kind)
+    return _accept(h, kept + k4, fw.norm, j, mv.kind, fw)
 
 
 def _bases_placement(ids: Sequence[str]) -> Framework:

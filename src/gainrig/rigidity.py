@@ -20,6 +20,17 @@ orbit matrix, well_positioned and the facet colouring (colouring.py) all
 read it.  A framework is well-positioned when the table exists; otherwise
 reading it raises NotWellPositioned naming the first edge whose direction
 has no unique support covector.
+
+The entry of edge (u, v, gain) is a pure function of p_u, p_v, the gain and
+the norm.  So carry_covectors, given the framework before a move and the one
+it leads to, reuses the old entry for every edge whose endpoint positions
+and gain equal those of an old edge under the same norm, and computes only
+the others: after a one-vertex move, the new vertex's edges.  Relabelled or
+moved vertices simply find no match.  The new framework keeps no reference
+to the old one.
+
+Orbit matrices under a PolyhedralNorm have rational entries and are ranked
+exactly (linalg); under an LpNorm they are ranked by SVD.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from functools import cached_property
 
 from .graph import Edge, GainGraph
 from .linalg import matrix_rank
-from .norms import ConeBoundary, Norm, NormError, ZeroVector
+from .norms import ConeBoundary, Norm, NormError, PolyhedralNorm, ZeroVector
 
 Point = tuple
 
@@ -83,12 +94,20 @@ class Framework:
     def covectors(self) -> dict[Edge, tuple]:
         """Support covector per edge orbit, computed once; raises
         NotWellPositioned if some edge has none."""
+        return self._covector_table({})
+
+    def _covector_table(self, carried: dict) -> dict[Edge, tuple]:
+        """The covector table, taking an edge's entry from carried where it
+        is not None."""
         table = {}
         for e in self.graph.edges:
-            try:
-                table[e] = self.norm.support_covector(self.edge_delta(e))
-            except NormError as exc:
-                raise NotWellPositioned(f"edge {e.as_list()}: {exc}") from exc
+            phi = carried.get(e)
+            if phi is None:
+                try:
+                    phi = self.norm.support_covector(self.edge_delta(e))
+                except NormError as exc:
+                    raise NotWellPositioned(f"edge {e.as_list()}: {exc}") from exc
+            table[e] = phi
         return table
 
 
@@ -98,6 +117,24 @@ def well_positioned(fw: Framework) -> bool:
     except NotWellPositioned:
         return False
     return True
+
+
+def carry_covectors(old: Framework, new: Framework) -> None:
+    """Build new's covector table now, reusing old's entry for every edge
+    whose endpoint positions and gain equal those of an edge of old under the
+    same norm (see the module docstring).  New keeps no reference to old.
+    Does nothing unless old is well-positioned; if new is not, reading
+    new.covectors raises as usual."""
+    if new.norm != old.norm or not well_positioned(old):
+        return
+    at = {p: x for x, p in enumerate(old.positions)}
+    index = [at.get(p) for p in new.positions]
+    known = {(e.u, e.v, e.gain): phi for e, phi in old.covectors.items()}
+    carried = {e: known.get((index[e.u], index[e.v], e.gain)) for e in new.graph.edges}
+    try:
+        new.__dict__["covectors"] = new._covector_table(carried)
+    except NotWellPositioned:
+        pass
 
 
 def _rotation(order: int, t: int):
@@ -189,10 +226,13 @@ def orbit_matrix(fw: Framework, j: int) -> list[list]:
     for e, phi in fw.covectors.items():
         row = [0] * (d * g.n)
         # +phi on u; -chi(gain) * (phi o tau(gain)) on v, where tau(-1) = -I.
-        vcoef = -1 if e.gain == 1 else chi_minus
-        for i in range(d):
-            row[d * e.u + i] += phi[i]
-            row[d * e.v + i] += vcoef * phi[i]
+        vphi = phi if e.gain == -1 and chi_minus == 1 else tuple(-x for x in phi)
+        u, v = d * e.u, d * e.v
+        if u == v:
+            row[u:u + d] = [a + b for a, b in zip(phi, vphi)]
+        else:
+            row[u:u + d] = phi
+            row[v:v + d] = vphi
         rows.append(row)
     return rows
 
@@ -241,7 +281,7 @@ class RigidityReport:
 
 def analyse(fw: Framework, j: int) -> RigidityReport:
     rows = orbit_matrix(fw, j)
-    rank = matrix_rank(rows) if rows else 0
+    rank = matrix_rank(rows, isinstance(fw.norm, PolyhedralNorm)) if rows else 0
     d = fw.norm.dimension
     g = fw.graph
     triv = trivial_dim(fw.group_order, j, d)

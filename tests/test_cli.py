@@ -4,8 +4,9 @@ import pytest
 
 from gainrig.catalog import BASE_CATALOG
 from gainrig.cli import main
-from gainrig.jsonio import framework_to_dict, graph_to_dict, save_json
+from gainrig.jsonio import framework_to_dict, graph_from_dict, graph_to_dict, save_json
 from gainrig.placement import base_placement
+from gainrig.sparsity import SparsityParams, check_tight
 
 
 @pytest.fixture
@@ -165,3 +166,18 @@ def test_malformed_framework_is_usage_error(tmp_path, capsys, command, field, va
 def test_gen_needs_a_vertex(capsys, n):
     assert main(["gen", f"--n={n}", "--counts", "2,2,2"]) == 2
     assert "n >= 1" in capsys.readouterr().err
+
+
+def test_gen_starts_from_a_base_tight_for_the_counts(capsys):
+    # base d..h hold a balanced K4, which is not (2,3,0)-sparse
+    assert main(["gen", "--n", "5", "--counts", "2,3,0", "--seed", "4"]) == 0
+    g = graph_from_dict(json.loads(capsys.readouterr().out))
+    assert g.n == 5
+    assert check_tight(g, SparsityParams(2, 3, 0))
+
+
+def test_gen_without_a_tight_base_is_usage_error(capsys):
+    assert main(["gen", "--n", "4", "--counts", "1,1,1"]) == 2
+    captured = capsys.readouterr()
+    assert "no catalogue base" in captured.err
+    assert captured.out == ""

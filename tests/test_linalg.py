@@ -1,0 +1,65 @@
+import random
+from fractions import Fraction as F
+from math import lcm
+
+import pytest
+
+from gainrig.linalg import PRIME, _bareiss_rank, _modular_rank, matrix_rank, rational_rank
+
+
+def _bareiss(rows):
+    """The exact oracle: Bareiss elimination of the rows scaled to integers."""
+    ints = []
+    for row in rows:
+        mult = lcm(*(F(x).denominator for x in row))
+        ints.append([int(x * mult) for x in row])
+    return _bareiss_rank(ints)
+
+
+@pytest.mark.parametrize("rows, rank", [
+    ([[PRIME]], 1),
+    ([[1, 1], [1, 1 + PRIME]], 2),
+    # scaled by 15 the row is (5P, 6P), which is 0 mod P
+    ([[F(PRIME, 3), F(2 * PRIME, 5)]], 1),
+    ([[F(PRIME, 3), F(2 * PRIME, 5)], [F(1), F(0)]], 2),
+])
+def test_rank_deficient_mod_p_falls_back_to_the_exact_rank(rows, rank):
+    scaled = [{c: int(x * lcm(*(F(y).denominator for y in r))) for c, x in enumerate(r)}
+              for r in rows]
+    assert _modular_rank(scaled) < rank
+    assert _bareiss(rows) == rank
+    assert rational_rank(rows) == rank
+    assert matrix_rank(rows) == rank
+
+
+def _random_matrix(rng):
+    n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 6)
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.4:
+            return 0
+        if kind < 0.7:
+            return rng.randint(-3, 3)
+        if kind < 0.95:
+            return F(rng.randint(-9, 9), rng.randint(1, 9))
+        return rng.choice((PRIME, -PRIME, F(PRIME, 7), 1 + PRIME))
+
+    rows = [[entry() for _ in range(n_cols)] for _ in range(n_rows)]
+    if n_rows > 1 and rng.random() < 0.5:
+        # make it rank-deficient: one row a combination of the others
+        a, b = F(rng.randint(-4, 4), rng.randint(1, 4)), rng.randint(-3, 3)
+        i, j, k = rng.sample(range(n_rows), 2) + [rng.randrange(n_rows)]
+        rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+def test_rational_rank_matches_bareiss_on_random_matrices():
+    rng = random.Random(2026)
+    deficient = 0
+    for _ in range(400):
+        rows = _random_matrix(rng)
+        rank = _bareiss(rows)
+        deficient += rank < min(len(rows), len(rows[0]))
+        assert rational_rank(rows) == rank, rows
+    assert deficient >= 80

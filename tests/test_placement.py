@@ -190,16 +190,17 @@ def test_each_framework_is_verified_once(monkeypatch, p, j, initial):
 
 @pytest.mark.parametrize("p, j, initial", BASES, ids=["single", "union", "k1"])
 def test_each_edge_is_coloured_once(monkeypatch, p, j, initial):
-    # the covector table is the only caller of facet_of: one call per edge
-    # of every framework placement builds, none for old edges or re-reads
-    facet_calls, edges = [], []
+    # the covector table is the only caller of facet_of, and a step's table
+    # is carried over from the framework before it: one call per edge of the
+    # base framework, then one per edge at the vertices each step creates
+    facet_calls, graphs = [], []
 
     def counting_facet_of(norm, delta):
         facet_calls.append(delta)
         return facet_of(norm, delta)
 
     def counting_framework(g, *args):
-        edges.append(len(g.edges))
+        graphs.append(g)
         return Framework(g, *args)
 
     facet_of = PolyhedralNorm.facet_of
@@ -208,9 +209,37 @@ def test_each_edge_is_coloured_once(monkeypatch, p, j, initial):
     for seed in range(5):
         seq = _grown_sequence(p, seed, initial=initial)
         facet_calls.clear()
-        edges.clear()
+        graphs.clear()
         fw = realize(seq, j)
-        assert len(edges) == 1 + len(seq.steps)
-        assert len(facet_calls) == sum(edges)
+        assert len(graphs) == 1 + len(seq.steps)
+        created = [4 if mv.kind == "VertexToK4" else 1 for mv in seq.steps]
+        new_edges = [sum(e.v >= h.n - c for e in h.edges) for h, c in zip(graphs[1:], created)]
+        assert len(facet_calls) == len(graphs[0].edges) + sum(new_edges)
         _assert_isostatic(fw, j)
-        assert len(facet_calls) == sum(edges)
+        assert len(facet_calls) == len(graphs[0].edges) + sum(new_edges)
+
+
+def _sequences_with_k4_partway(p, initial, wanted=2):
+    found = []
+    for seed in range(100):
+        seq = _grown_sequence(p, seed, initial=initial)
+        if any(mv.kind == "VertexToK4" for mv in seq.steps[:-1]):
+            found.append(seq)
+            if len(found) == wanted:
+                return found
+    raise AssertionError("no grown sequence has a vertex-to-K4 before its last step")
+
+
+@pytest.mark.parametrize("p, j, initial", BASES, ids=["single", "union", "k1"])
+def test_carried_covector_table_matches_a_fresh_one(p, j, initial):
+    seqs = [_grown_sequence(p, seed, initial=initial) for seed in range(3)]
+    seqs += _sequences_with_k4_partway(p, initial)
+    if initial == ("d",):  # once: a K4 then an H2e beside it, from base b
+        seqs.append(sequence_from_dict(load_json(DATA / "k4_then_h2e.json")))
+    for seq in seqs:
+        fw = realize(ConstructionSequence(seq.params, seq.initial, ()), j)
+        for mv in seq.steps:
+            fw = extend_placement(fw, mv, j)
+            fresh = Framework(fw.graph, fw.positions, fw.norm, fw.group_order)
+            assert fw.covectors == fresh.covectors
+            assert list(fw.covectors) == list(fresh.covectors)

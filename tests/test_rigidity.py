@@ -6,8 +6,10 @@ import pytest
 from gainrig.catalog import BASE_CATALOG, PARAMS_220
 from gainrig.construct import random_tight
 from gainrig.graph import GainGraph
-from gainrig.linalg import float_rank, matrix_rank, rational_rank
-from gainrig.norms import LINF, L1, ConeBoundary, LpNorm, PolyhedralNorm, ZeroVector
+from gainrig import linalg
+from gainrig.linalg import PRIME, float_rank, matrix_rank, rational_rank
+from gainrig.norms import LINF, L1, ConeBoundary, LpNorm, NormError, PolyhedralNorm, ZeroVector
+from gainrig.placement import base_placement
 from gainrig.rigidity import (
     Framework,
     FrameworkError,
@@ -39,7 +41,7 @@ def test_linalg_ranks():
     assert rational_rank([[F(1, 3), F(0)], [F(0), F(5, 7)]]) == 2
     assert rational_rank([]) == 0
     assert float_rank([[1.0, 0.0], [0.0, 1e-15]]) == 1
-    assert matrix_rank([[F(1), F(1)], [0.5, 0.5]]) == 1  # float dispatch
+    assert matrix_rank([[F(1), F(1)], [0.5, 0.5]], exact=False) == 1  # float dispatch
 
 
 def test_support_covector_examples():
@@ -182,3 +184,31 @@ def test_analyse_verdicts():
     # character 1 of a (2,2,0)-tight graph can never be independent
     rep1 = analyse(fw, 1)
     assert not rep1.independent
+
+
+@pytest.mark.parametrize("facets", [
+    ((1.0, 0.0), (0.0, 1.0)),
+    ((F(1), F(0)), (F(0), 0.5)),
+])
+def test_polyhedral_norm_rejects_float_facets(facets):
+    # orbit matrices under a PolyhedralNorm are ranked exactly, so its
+    # covectors must be rational
+    with pytest.raises(NormError, match="rational"):
+        PolyhedralNorm(facets)
+    assert PolyhedralNorm(((1, 0), (F(1, 2), 3))).dimension == 2
+
+
+def test_analyse_is_exact_where_the_modular_rank_is_deficient(monkeypatch):
+    # Facet (P, 0) with x scaled by 1/P has the cones of l-infinity, but its
+    # colour-0 rows vanish mod P, so only the exact fallback sees full rank.
+    fallbacks = []
+    bareiss = linalg._bareiss_rank
+    monkeypatch.setattr(
+        linalg, "_bareiss_rank", lambda m: fallbacks.append(1) or bareiss(m)
+    )
+    fw = base_placement("d")
+    norm = PolyhedralNorm(((F(PRIME), F(0)), (F(0), F(1))))
+    scaled = Framework(fw.graph, tuple((x / PRIME, y) for x, y in fw.positions), norm, 2)
+    assert analyse(scaled, 0) == analyse(fw, 0)
+    assert analyse(scaled, 0).isostatic
+    assert len(fallbacks) == 2  # the scaled framework's, not the fixture's

@@ -70,6 +70,7 @@ from .sparsity import (
     check_sparsity,
     check_tight,
     f_value,
+    tight_partition,
 )
 
 __version__ = "0.1.0"

@@ -8,7 +8,9 @@ applies admissible reductions, matches the irreducible remainder against the
 base catalogue, and replays the moves on a fresh copy while maintaining an
 exact vertex-relabelling-plus-switching isomorphism, so the caller gets both
 the sequence and the isomorphism identifying construct(sequence) with the
-input graph.
+input graph.  Both directions check tightness by carrying one matroid
+partition from each graph to the next (sparsity.tight_partition), never by
+partitioning a graph again from scratch.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ from .moves import (
     apply_move,
     enumerate_reductions,
     is_admissible,
+    kept_edge_map,
     translate_move,
 )
-from .sparsity import SparsityParams, check_tight, components_tight
+from .sparsity import SparsityParams, check_tight, tight_partition
 
 
 class NotTight(ValueError):
@@ -70,19 +73,27 @@ def construct(
     seq: ConstructionSequence, verify: bool = True
 ) -> GainGraph:
     """Replay a construction sequence; with verify, check that every
-    component of every intermediate graph is tight."""
+    component of every intermediate graph is tight, carrying one matroid
+    partition from each graph to the next."""
     check_kinds(seq)
     g = seq.initial_graph()
     p = seq.params
-    if verify and not components_tight(g, p, g.edges):
-        raise NotTight(f"initial base union not tight: {seq.initial}")
+    if verify:
+        part = tight_partition(g, p)
+        if part is None:
+            raise NotTight(f"initial base union not tight: {seq.initial}")
     for mv in seq.steps:
         h = apply_move(g, mv)
-        # The edges h shares with the sparse g cannot hold a violation.
-        if verify and not components_tight(h, p, set(h.edges).difference(g.edges)):
-            raise NotTight(f"intermediate graph not tight after {mv.kind}")
+        if verify:
+            part = tight_partition(h, p, part, kept_edge_map(mv))
+            if part is None:
+                raise NotTight(f"intermediate graph not tight after {mv.kind}")
         g = h
     return g
+
+
+# Vertices of the largest catalogue base.
+_LARGEST_BASE = max(b.n for b in BASE_CATALOG.values())
 
 
 def _match_components(
@@ -92,6 +103,9 @@ def _match_components(
     loopless variant), return (base ids, pi, signs) with
     apply_iso(g, pi, signs) == disjoint union of those bases."""
     comps = g.components()
+    largest = 1 if p.as_tuple() == (2, 2, 2) else _LARGEST_BASE
+    if any(len(comp) > largest for comp in comps):
+        return None
     ids = []
     pi = [0] * g.n
     signs = [1] * g.n
@@ -123,8 +137,12 @@ def decompose(
     g: GainGraph, p: SparsityParams
 ) -> tuple[ConstructionSequence, tuple[int, ...], tuple[int, ...]]:
     """Reduce g to bases by reductions of the kinds p allows and return
-    (sequence, pi, signs) with apply_iso(g, pi, signs) == construct(sequence)."""
-    if not check_tight(g, p):
+    (sequence, pi, signs) with apply_iso(g, pi, signs) == construct(sequence).
+    Each candidate is tested by carrying the current graph's matroid
+    partition into its reduced graph; the accepted one's becomes current."""
+    # With the global count, all components tight is the same as g tight.
+    part = tight_partition(g, p) if len(g.edges) == p.k * g.n - p.m else None
+    if part is None:
         raise NotTight(f"graph is not {p.as_tuple()}-tight")
     kinds = allowed_kinds(p)
 
@@ -137,8 +155,9 @@ def decompose(
             break
         chosen = None
         for r in enumerate_reductions(cur, kinds):
-            if is_admissible(r, p):
-                chosen = r
+            reduced_part = is_admissible(r, p, part)
+            if reduced_part is not None:
+                chosen, part = r, reduced_part
                 break
         if chosen is None:
             raise NoAdmissibleReduction(
@@ -253,6 +272,7 @@ def random_tight(n: int, p: SparsityParams, seed: int) -> GainGraph:
                 f"no catalogue base on at most {n} vertices is {p.as_tuple()}-tight"
             )
         g = rng.choice(bases)
+    part = tight_partition(g, p)
     attempts = 0
     while g.n < n:
         attempts += 1
@@ -267,7 +287,8 @@ def random_tight(n: int, p: SparsityParams, seed: int) -> GainGraph:
             h = apply_move(g, mv)
         except MoveError:
             continue
-        if components_tight(h, p, set(h.edges).difference(g.edges)):
-            g = h
+        h_part = tight_partition(h, p, part, kept_edge_map(mv))
+        if h_part is not None:
+            g, part = h, h_part
     invariant(check_tight(g, p), "random_tight built a graph that is not tight")
     return g

@@ -10,6 +10,7 @@ invariants this triple is unique within a graph and doubles as the edge's id.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -200,29 +201,29 @@ class GainGraph:
 
     # -- local structure -----------------------------------------------------
 
+    @cached_property
+    def _incident(self) -> dict[int, list[Edge]]:
+        """The edges at each vertex, in edge order, a loop once.  Built on
+        first use; == and hash compare the fields only, so they ignore it."""
+        at: dict[int, list[Edge]] = {}
+        for e in self.edges:
+            at.setdefault(e.u, []).append(e)
+            if not e.is_loop():
+                at.setdefault(e.v, []).append(e)
+        return at
+
     def has_edge(self, e: Edge) -> bool:
-        return e in set(self.edges)
+        return e in self._incident.get(e.u, ())
 
     def edges_at(self, v: int, include_loop: bool = True) -> list[Edge]:
-        return [
-            e
-            for e in self.edges
-            if e.touches(v) and (include_loop or not e.is_loop())
-        ]
+        return [e for e in self._incident.get(v, ()) if include_loop or not e.is_loop()]
 
     def loop_at(self, v: int) -> Optional[Edge]:
-        for e in self.edges:
-            if e.u == v and e.v == v:
-                return e
-        return None
+        return next((e for e in self._incident.get(v, ()) if e.is_loop()), None)
 
     def degree(self, v: int) -> int:
         """Loop counts 2 toward the degree."""
-        return sum(2 if e.is_loop() else 1 for e in self.edges_at(v))
-
-    def neighbours(self, v: int) -> list[int]:
-        """Distinct neighbours via non-loop edges, sorted."""
-        return sorted({e.other(v) for e in self.edges_at(v, include_loop=False)})
+        return sum(2 if e.is_loop() else 1 for e in self._incident.get(v, ()))
 
     def induced_edges(self, vertices: Iterable[int]) -> tuple[Edge, ...]:
         s = set(vertices)
@@ -302,14 +303,6 @@ class GainGraph:
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
-
-    def relabelled(self, pi: Sequence[int]) -> "GainGraph":
-        """Image under the vertex bijection old -> pi[old]."""
-        if sorted(pi) != list(range(self.n)):
-            raise BadVertexIndex("pi must be a permutation of the vertices")
-        return GainGraph(
-            self.n, tuple(edge(pi[e.u], pi[e.v], e.gain) for e in self.edges)
-        )
 
     def subgraph(self, vertices: Sequence[int]) -> "GainGraph":
         """Induced subgraph on the given vertices, relabelled 0..k-1."""

@@ -8,20 +8,25 @@ switching signs, is exact and fast.
 
 An isomorphism is represented as (pi, signs), both indexed by the *source*
 graph's vertices, with the semantics  target == apply_iso(source, pi, signs)
-== source.switched(signs).relabelled(pi).
+== source.switched(signs) relabelled by old -> pi[old].
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .graph import Edge, GainGraph, SignedUnionFind, edge, invariant
+from .graph import BadVertexIndex, Edge, GainGraph, SignedUnionFind, edge, invariant
 
 
 def apply_iso(
     g: GainGraph, pi: Sequence[int], signs: Sequence[int]
 ) -> GainGraph:
-    return g.switched(signs).relabelled(pi)
+    """g switched by signs, then relabelled by old -> pi[old]."""
+    if len(signs) != g.n or any(s not in (1, -1) for s in signs):
+        raise BadVertexIndex("signs must assign +-1 to every vertex")
+    if sorted(pi) != list(range(g.n)):
+        raise BadVertexIndex("pi must be a permutation of the vertices")
+    return GainGraph(g.n, tuple(map_edge(e, pi, signs) for e in g.edges))
 
 
 def map_edge(e: Edge, pi: Sequence[int], signs: Sequence[int]) -> Edge:

@@ -35,20 +35,21 @@ edges re-ended onto the new vertices intact.
 A Reduction undoes a move: it stores the reduced graph, the forward Move (in
 the reduced graph's labelling) that re-creates the input, and the exact
 relabel+switch (pi, signs) with apply_iso(input, pi, signs) ==
-apply_move(reduced, forward).  Admissibility is semantic: the reduced graph
-must be tight; the edges it shares with the input form a sparse subgraph, so
-only subsets touching the re-added edges are re-scanned.
+apply_move(reduced, forward).  Admissibility is semantic: every component
+of the reduced graph must be tight.  is_admissible carries the input's
+matroid partition through (pi, signs) into the reduced graph and inserts
+only the re-added edges (sparsity.tight_partition).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .graph import Edge, GainGraph, GainGraphError, edge
 from .iso import apply_iso, map_edge
-from .sparsity import SparsityParams, components_tight
+from .sparsity import Partition, SparsityParams, tight_partition
 
 # A gain: a sign times a product of named gains.
 Product = tuple[int, tuple[str, ...]]
@@ -252,6 +253,16 @@ def apply_move(g: GainGraph, mv: Move) -> GainGraph:
     return _graph(g.n + 1, edges)
 
 
+def kept_edge_map(mv: Move) -> Optional[Callable[[Edge], Optional[Edge]]]:
+    """How apply_move(g, mv) renames the edges of g it keeps, or None if it
+    renames none.  Only VertexToK4 does: it shifts the vertices after v down
+    by one and deletes the edges at v (their name is None)."""
+    if mv.kind != "VertexToK4":
+        return None
+    (v,) = mv.vertices
+    return lambda e: None if e.touches(v) else edge(e.u - (e.u > v), e.v - (e.v > v), e.gain)
+
+
 def _apply_vertex_to_k4(g: GainGraph, mv: Move) -> GainGraph:
     (v,) = mv.vertices
     incident = g.edges_at(v, include_loop=False)
@@ -267,19 +278,13 @@ def _apply_vertex_to_k4(g: GainGraph, mv: Move) -> GainGraph:
     else:
         _require(mv.loop_attach is None, "no loop to reattach")
 
-    def renum(u: int) -> int:
-        return u if u < v else u - 1
-
+    kept = kept_edge_map(mv)
     m = g.n - 1  # first K4 vertex index after removing v
-    edges = [
-        edge(renum(e.u), renum(e.v), e.gain)
-        for e in g.edges
-        if not e.touches(v)
-    ]
+    edges = [kept(e) for e in g.edges if not e.touches(v)]
     edges += [edge(m + i, m + j, 1) for i, j in combinations(range(4), 2)]
     for e, idx in sorted(attach.items()):
         x = e.other(v)
-        edges.append(edge(renum(x), m + idx, e.gain))
+        edges.append(edge(x - (x > v), m + idx, e.gain))
     if loop is not None:
         i, j = mv.loop_attach
         _require(0 <= i < 4 and 0 <= j < 4, "loop_attach index in 0..3")
@@ -559,8 +564,7 @@ def _build_triangle_contraction(
     for v, s in zip(tri, local_signs):
         signs[v] = s
     switched = g.switched(signs)
-    if len([e for e in switched.edges if not e.is_loop()
-            and {e.u, e.v} == {keep, absorb}]) > 1:
+    if switched.has_edge(edge(keep, absorb, -1)):
         return  # a parallel keep-absorb edge would contract to a loop
     # In the switched graph all three chosen triangle edges have gain +1.
     e_ka = edge(min(keep, absorb), max(keep, absorb), 1)
@@ -618,8 +622,13 @@ def enumerate_reductions(
         yield from _triangle_contractions(g)
 
 
-def is_admissible(r: Reduction, p: SparsityParams) -> bool:
-    """Whether every component of the reduced graph is p-tight; only subsets
-    holding a re-added edge are scanned (the rest is a subgraph of the
-    input, assumed p-sparse)."""
-    return components_tight(r.reduced, p, r.new_edges)
+def is_admissible(
+    r: Reduction, p: SparsityParams, carried: Partition
+) -> Optional[Partition]:
+    """The reduced graph's Partition if every component of it is p-tight,
+    else None.  carried is the Partition of the graph r reduces; its edges
+    are named in the reduced graph by map_edge(., r.pi, r.signs), and every
+    reduced edge outside r.new_edges must be such an image."""
+    return tight_partition(
+        r.reduced, p, carried, lambda e: map_edge(e, r.pi, r.signs), r.new_edges
+    )

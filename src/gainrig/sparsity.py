@@ -14,7 +14,10 @@ every element the search reached lies in each side's span of the reached
 set S, so |S| = 2 r(S) + 1 and some component C of S breaks its own count:
 for (2,2,0), |C| > 2|V(C)| - 2 with C balanced, or else |C| > 2|V(C)|; for
 (2,2,2), |C| > 2|V(C)| - 2.  That component is the witness.  It violates
-its own bound but need not be the smallest violating support.
+its own bound but need not be the smallest violating support.  A move or
+a reduction keeps all but a few edges of a tight graph, so tight_partition
+carries the Partition across it: the kept edges keep their sides, and only
+the 1-4 edges it adds are inserted.
 
 Other counts go to the exhaustive scan of vertex supports in increasing
 size.  For the general count, vertex-induced edge sets maximise |F| per
@@ -25,13 +28,14 @@ maximum over 2^|S| sign assignments of the number of consistent non-loop
 induced edges.  Any violation found on a support whose witness does not span
 it is a genuine violation on the witness's own (smaller) support, so
 scanning supports smallest-first yields a minimal deterministic witness.
+Across a move, tight_partition scans only the supports holding an added edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .graph import (
     Edge,
@@ -114,25 +118,22 @@ def _violation_report(
     )
 
 
-def check_sparsity(
-    g: GainGraph,
-    p: SparsityParams,
-    require_edges: Optional[Iterable[Edge]] = None,
-) -> SparsityReport:
-    """Whether g is p-sparse; witness on failure.
+# The counts the matroid partition decides.
+_MATROIDAL = ((2, 2, 0), (2, 2, 2))
 
-    ``require_edges`` is for incremental rechecks: the caller knows the graph
-    minus those edges is sparse, so any violation must involve one of them.
-    An empty ``require_edges`` passes at once.  The matroid partition of the
-    two built-in counts checks the whole graph either way; other counts scan
-    only subsets holding a required edge.
-    """
-    required = tuple(require_edges) if require_edges is not None else None
-    if required == ():
-        return SparsityReport(passed=True)
-    if p.as_tuple() in ((2, 2, 0), (2, 2, 2)):
-        return _partition_sparsity(g, p)
-    return _scan_sparsity(g, p, required)
+
+def check_sparsity(g: GainGraph, p: SparsityParams) -> SparsityReport:
+    """Whether g is p-sparse; witness on failure.  The built-in counts
+    insert g's edges in order into an empty Partition, and the first blocked
+    edge gives the witness."""
+    if p.as_tuple() not in _MATROIDAL:
+        return _scan_sparsity(g, p)
+    part = Partition(g.n, p, {})
+    for y in g.edges:
+        reached = part.insert(y)
+        if reached is not None:
+            return _blocked_report(g, p, reached)
+    return SparsityReport(passed=True)
 
 
 def _two_core(edges: list[Edge]) -> list[Edge]:
@@ -237,45 +238,45 @@ class _EdgeSet:
         return _circuit_in_core(_two_core(local + [x]))
 
 
-def _partition_sparsity(g: GainGraph, p: SparsityParams) -> SparsityReport:
-    """Edmonds' matroid partition of g.edges into two frame-matroid (for
-    (2,2,0)) or graphic-matroid (for (2,2,2)) independent sets."""
-    frame = p.m == 0
-    side: dict[Edge, int] = {}
-    # The two sets as they stand; None once an augmentation changed one.
-    sides: list[Optional[_EdgeSet]] = [None, None]
-    for y in g.edges:
+class Partition:
+    """Edmonds' matroid partition of a sparse edge set into two frame-matroid
+    (for (2,2,0)) or graphic-matroid (for (2,2,2)) independent sides: the
+    side of each edge, and each side's _EdgeSet, built when a search needs
+    it.  Other counts have no matroid; all edges then sit on side 0."""
+
+    def __init__(self, n: int, p: SparsityParams, side: dict[Edge, int]) -> None:
+        self.n = n
+        self.frame = p.m == 0
+        self.side = side
+        self._sets: list[Optional[_EdgeSet]] = [None, None]
+
+    def insert(self, y: Edge) -> Optional[list[Edge]]:
+        """Add y along a shortest augmenting path, found by breadth-first
+        search.  None on success; else y stays out, and the result is every
+        edge the search reached."""
         # label[z] = (x, i): x may join side i if z leaves it.
         label: dict[Edge, Optional[tuple[Edge, int]]] = {y: None}
         queue = [y]
-        sink = None
         for x in queue:
             for i in (0, 1):
-                if side.get(x) == i:
+                if self.side.get(x) == i:
                     continue
-                if sides[i] is None:
-                    members = [e for e, s in side.items() if s == i]
-                    sides[i] = _EdgeSet(g.n, members, frame)
-                circuit = sides[i].circuit(x)
+                if self._sets[i] is None:
+                    members = [e for e, s in self.side.items() if s == i]
+                    self._sets[i] = _EdgeSet(self.n, members, self.frame)
+                circuit = self._sets[i].circuit(x)
                 if circuit is None:
-                    sink = (x, i)
-                    break
+                    while True:
+                        self.side[x] = i
+                        self._sets[i] = None
+                        if label[x] is None:
+                            return None
+                        x, i = label[x]
                 for z in circuit:
                     if z not in label:
                         label[z] = (x, i)
                         queue.append(z)
-            if sink is not None:
-                break
-        if sink is None:
-            return _blocked_report(g, p, queue)
-        x, i = sink
-        while True:
-            side[x] = i
-            sides[i] = None
-            if label[x] is None:
-                break
-            x, i = label[x]
-    return SparsityReport(passed=True)
+        return queue
 
 
 def _blocked_report(
@@ -358,21 +359,44 @@ def check_tight(g: GainGraph, p: SparsityParams) -> bool:
     return check_sparsity(g, p).passed
 
 
-def components_tight(
-    g: GainGraph, p: SparsityParams, new_edges: Iterable[Edge]
-) -> bool:
-    """Whether every component of g is p-tight, given that g minus new_edges
-    is p-sparse.
+def tight_partition(
+    g: GainGraph,
+    p: SparsityParams,
+    carried: Optional[Partition] = None,
+    edge_map: Optional[Callable[[Edge], Optional[Edge]]] = None,
+    new_edges: Optional[Iterable[Edge]] = None,
+) -> Optional[Partition]:
+    """g's Partition if every component of g is p-tight, else None.
 
-    Any violation then contains a new edge, and a disjoint union is sparse
-    iff each of its components is, so one check of g (a scan restricted to
-    the new edges, or the whole partition for the built-in counts) covers
-    all components.
+    ``carried`` is the Partition of a p-sparse graph, and ``edge_map`` (the
+    identity by default) names its edges in g.  Images that are not edges of
+    g are dropped and the rest keep their sides, as a subset of an
+    independent set is independent.  Any violation then holds one of g's
+    other edges, so only those are inserted (or, for other counts, only
+    subsets holding one are scanned); ``new_edges``, if given, must hold them.
+    A disjoint union is sparse iff each component is, so one check of g
+    covers all components.
     """
     comps = SignedUnionFind(g.n, g.edges).components()
     if any(n_edges != p.k * len(verts) - p.m for verts, n_edges, _ in comps):
-        return False
-    return check_sparsity(g, p, require_edges=new_edges).passed
+        return None
+    present = set(g.edges)
+    side: dict[Edge, int] = {}
+    if carried is not None:
+        for e, s in carried.side.items():
+            image = e if edge_map is None else edge_map(e)
+            if image in present:
+                side[image] = s
+    added = [e for e in g.edges if e not in side]
+    invariant(
+        new_edges is None or set(added) <= set(new_edges),
+        "an edge outside the new edges is not carried",
+    )
+    part = Partition(g.n, p, side)
+    if p.as_tuple() in _MATROIDAL:
+        return None if any(part.insert(e) is not None for e in added) else part
+    part.side.update(dict.fromkeys(added, 0))
+    return part if _scan_sparsity(g, p, tuple(added)).passed else None
 
 
 def brute_force_oracle(g: GainGraph, p: SparsityParams) -> SparsityReport:

@@ -63,6 +63,20 @@ def brute_balanced(vertices, edges) -> bool:
     return False
 
 
+def assert_partition(g: GainGraph, part, p) -> None:
+    """part's sides cover g's edges, and each side is independent: every
+    component has no cycle, or (for (2,2,0), the frame matroid) at most
+    one, unbalanced."""
+    assert set(part.side) == set(g.edges)
+    for i in (0, 1):
+        side = [e for e, s in part.side.items() if s == i]
+        for verts, edges in brute_components(g.n, side):
+            if p.m == 0 and len(edges) == len(verts):
+                assert not g.is_balanced(edges)
+            else:
+                assert len(edges) == len(verts) - 1
+
+
 def _random_tree(rng: random.Random, vertices: list[int]) -> tuple[list, dict]:
     """Random tree on the vertices with random gains, as normalised triples,
     and each vertex's switching sign relative to the first."""

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -16,9 +17,9 @@ from gainrig.construct import (
 from gainrig.graph import GainGraph
 from gainrig.iso import apply_iso, are_isomorphic
 from gainrig.moves import KINDS_222, Move, MoveError, apply_move
-from gainrig.sparsity import SparsityParams, check_tight
+from gainrig.sparsity import SparsityParams, check_tight, tight_partition
 
-from conftest import two_base_union
+from conftest import assert_partition, two_base_union
 
 
 def test_empty_sequence_is_base():
@@ -83,7 +84,7 @@ def test_roundtrip_222_restricted_moves():
 
 
 @pytest.mark.parametrize("p", [PARAMS_220, PARAMS_222], ids=["220", "222"])
-@pytest.mark.parametrize("n", [6, 8, 10, 12])
+@pytest.mark.parametrize("n", [6, 8, 10, 12, 16, 32, 64])
 def test_decompose_graphs_not_built_by_moves(p, n):
     # unions of two matroid bases, so the greedy reduction search meets
     # graphs that random_tight's move sequences would not produce
@@ -161,3 +162,29 @@ def test_incremental_verify_matches_full_recheck(p, ids):
                 construct(seq, verify=True)
         outcomes.add(expected)
     assert outcomes == ({True} if p == PARAMS_220 else {True, False})
+
+
+@pytest.mark.parametrize("p", [PARAMS_220, PARAMS_222], ids=["220", "222"])
+def test_construct_carries_a_partition_of_every_graph(p, monkeypatch):
+    # the partition construct(verify=True) carries after each step is one
+    # of that step's graph into two independent sides
+    seqs = [decompose(random_tight(12, p, seed), p)[0] for seed in range(6)]
+    seqs += [decompose(two_base_union(random.Random(n), n, p), p)[0] for n in (12, 20)]
+    carried = []
+
+    def recording(g, *args):
+        part = tight_partition(g, *args)
+        carried.append((g, part))
+        return part
+
+    # gainrig.construct names the function, so take the module itself.
+    monkeypatch.setattr(sys.modules["gainrig.construct"], "tight_partition", recording)
+    kinds = set()
+    for seq in seqs:
+        carried.clear()
+        construct(seq, verify=True)
+        assert len(carried) == len(seq.steps) + 1
+        for g, part in carried:
+            assert_partition(g, part, p)
+        kinds.update(mv.kind for mv in seq.steps)
+    assert "VertexToK4" in kinds

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gainrig.catalog import BASE_CATALOG, PARAMS_220, PARAMS_222
-from gainrig.construct import _random_move
+from gainrig.construct import _random_move, allowed_kinds, random_tight
 from gainrig.graph import GainGraph, edge
 from gainrig.iso import apply_iso
 from gainrig.moves import (
@@ -17,7 +17,9 @@ from gainrig.moves import (
     is_admissible,
     translate_move,
 )
-from gainrig.sparsity import check_tight
+from gainrig.sparsity import check_tight, tight_partition
+
+from conftest import assert_partition, two_base_union
 
 
 BASE_A = BASE_CATALOG["a"]
@@ -106,8 +108,42 @@ def test_reductions_replay_exactly(rng):
 def test_admissible_matches_full_recheck(rng):
     for _ in range(40):
         g = grow(random.choice(list(BASE_CATALOG.values())), rng, rng.randrange(3))
+        part = tight_partition(g, PARAMS_220)
         for r in enumerate_reductions(g):
-            assert is_admissible(r, PARAMS_220) == check_tight(r.reduced, PARAMS_220)
+            carried = is_admissible(r, PARAMS_220, part)
+            assert (carried is not None) == check_tight(r.reduced, PARAMS_220)
+
+
+@pytest.mark.parametrize("p", [PARAMS_220, PARAMS_222], ids=["220", "222"])
+def test_carried_verdict_matches_full_recheck(p):
+    # every candidate of every allowed kind, from graphs random_tight grew
+    # and from two-base unions: the partition carried into the reduced graph
+    # exists exactly when the reduced graph is tight, and is a partition of
+    # it into two independent sides
+    kinds = allowed_kinds(p)
+    graphs = [("grown", random_tight(n, p, seed)) for n in (5, 7, 9) for seed in range(8)]
+    rng = random.Random(11)
+    graphs += [("union", two_base_union(rng, n, p)) for n in (4, 5, 6, 8) for _ in range(8)]
+    # Few two-base unions hold a balanced K4 with at most 7 induced edges.
+    pool = [two_base_union(rng, 6, p) for _ in range(300)]
+    graphs += [
+        ("union", g) for g in pool if next(enumerate_reductions(g, ["VertexToK4"]), None)
+    ]
+    seen, from_unions, verdicts = set(), set(), set()
+    for source, g in graphs:
+        part = tight_partition(g, p)
+        for r in enumerate_reductions(g, kinds):
+            carried = is_admissible(r, p, part)
+            verdicts.add(carried is not None)
+            assert (carried is not None) == check_tight(r.reduced, p)
+            if carried is not None:
+                assert_partition(r.reduced, carried, p)
+            seen.add(r.forward.kind)
+            if source == "union":
+                from_unions.add(r.forward.kind)
+    assert seen == set(kinds)
+    assert {"VertexToK4", "VertexSplit"} <= from_unions
+    assert verdicts == {True, False}
 
 
 def test_translate_and_extend_contract(rng):

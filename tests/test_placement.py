@@ -14,7 +14,7 @@ from gainrig.construct import (
     random_tight,
 )
 from gainrig.jsonio import load_json, sequence_from_dict
-from gainrig.moves import ALL_KINDS, Move, MoveError, apply_move
+from gainrig.moves import ALL_KINDS, Move, MoveError, apply_move, kept_edge_map
 from gainrig.norms import PolyhedralNorm
 from gainrig.placement import (
     BASE_PLACEMENTS,
@@ -25,7 +25,7 @@ from gainrig.placement import (
     realize,
 )
 from gainrig.rigidity import Framework, analyse, well_positioned
-from gainrig.sparsity import components_tight
+from gainrig.sparsity import tight_partition
 
 DATA = Path(__file__).parent / "data"
 
@@ -127,6 +127,7 @@ def _grown_sequence(p, seed, n=12, initial=None):
     if initial is None:
         initial = ("k1",) if p == PARAMS_222 else (rng.choice("abcdefgh"),)
     g, steps = ConstructionSequence(p, initial, ()).initial_graph(), []
+    part = tight_partition(g, p)
     while g.n < n:
         usable = [k for k in allowed_kinds(p) if k != "VertexToK4" or n - g.n >= 3]
         mv = _random_move(g, usable, rng)
@@ -136,8 +137,9 @@ def _grown_sequence(p, seed, n=12, initial=None):
             h = apply_move(g, mv)
         except MoveError:
             continue
-        if components_tight(h, p, set(h.edges).difference(g.edges)):
-            g, steps = h, steps + [mv]
+        h_part = tight_partition(h, p, part, kept_edge_map(mv))
+        if h_part is not None:
+            g, part, steps = h, h_part, steps + [mv]
     return ConstructionSequence(p, initial, tuple(steps))
 
 

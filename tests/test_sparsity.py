@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import gainrig
 from gainrig.graph import GainGraph, InvariantViolation, edge
 from gainrig.sparsity import (
+    Partition,
     SparsityParams,
     _scan_sparsity,
     _violation_report,
@@ -89,20 +90,24 @@ def test_checker_matches_oracle(seed):
 
 
 def test_require_edges_incremental_consistency(rng):
-    # incremental check agrees with the full check when the graph minus the
-    # required edges is sparse
+    # one edge added to a sparse graph: inserting it into the graph's
+    # partition, and the scan of the subsets that hold it, agree with the
+    # full check
     for _ in range(100):
         g = random_gain_graph(rng, max_n=5, max_edges=9)
         if not g.edges:
             continue
         e = g.edges[rng.randrange(len(g.edges))]
         rest = g.replace_edges(tuple(x for x in g.edges if x != e))
-        for p in (P220, P222):
+        for p in (P220, P222, SparsityParams(2, 3, 1)):
             if not check_sparsity(rest, p).passed:
                 continue
             full = check_sparsity(g, p).passed
-            inc = check_sparsity(g, p, require_edges=(e,)).passed
-            assert full == inc
+            assert _scan_sparsity(g, p, (e,)).passed == full
+            if p in (P220, P222):
+                part = Partition(g.n, p, {})
+                assert all(part.insert(x) is None for x in rest.edges)
+                assert (part.insert(e) is None) == full
 
 
 def test_bogus_witness_raises_invariant_violation():
@@ -139,7 +144,7 @@ def test_empty_require_edges_passes_at_once():
     # no subset holds one of zero edges, even in a graph that is not sparse
     g = GainGraph.from_triples(1, [[0, 0, -1]])
     assert not check_sparsity(g, P222).passed
-    assert check_sparsity(g, P222, require_edges=()).passed
+    assert _scan_sparsity(g, P222, ()).passed
 
 
 def test_import_leaves_numpy_out():

@@ -262,10 +262,7 @@ def main(argv=None) -> int:
         # Before ValueError: NotTight and MoveError are ValueErrors.
         _emit({"verdict": "FAIL", "reason": str(exc)}, "FAIL")
         return 1
-    except (FormatError, GainGraphError, FrameworkError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FormatError, GainGraphError, FrameworkError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,7 +5,8 @@ Every well-positioned edge orbit has a unique facet cone (up to central
 symmetry), giving a 2-colouring of the quotient edges.  The colour is read
 from the framework's covector table (rigidity.Framework.covectors), the
 single source it shares with the orbit matrix: an edge has colour 0 when
-its support covector is +-facets[0], else 1.  The geometric verdicts are
+its support covector is +-facets[0], else 1, one lookup in the norm's
+signed-facet table (PolyhedralNorm.colours).  The geometric verdicts are
 matroid tests on the two monochrome edge classes:
 
   character-0 isostatic  <=>  both classes are bases of the frame matroid
@@ -38,8 +39,7 @@ def edge_colour(fw: Framework, e: Edge) -> int:
     raises NotWellPositioned unless every edge of fw is well-positioned."""
     if not isinstance(fw.norm, PolyhedralNorm):
         raise FrameworkError("colouring requires a quadrilateral norm")
-    a = fw.norm.facets[0]
-    return 0 if fw.covectors[e] in (a, (-a[0], -a[1])) else 1
+    return fw.norm.colours[fw.covectors[e]]
 
 
 def monochrome_quotients(fw: Framework) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Union
 
 Vector = tuple  # length-d tuple of Fraction or float
@@ -68,6 +69,11 @@ class PolyhedralNorm:
         f = self.facets[idx]
         return (sign * f[0], sign * f[1])
 
+    @cached_property
+    def colours(self) -> dict[tuple, int]:
+        """Facet index of each signed facet, the possible support covectors."""
+        return {(s * f[0], s * f[1]): i for i, f in enumerate(self.facets) for s in (1, -1)}
+
 
 @dataclass(frozen=True)
 class LpNorm:
@@ -97,8 +103,9 @@ class LpNorm:
 
 Norm = Union[PolyhedralNorm, LpNorm]
 
-LINF = PolyhedralNorm(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))
-L1 = PolyhedralNorm(((Fraction(1), Fraction(1)), (Fraction(1), Fraction(-1))))
+# Integer facets: equal to (and hashing like) the same norm built from Fractions.
+LINF = PolyhedralNorm(((1, 0), (0, 1)))
+L1 = PolyhedralNorm(((1, 1), (1, -1)))
 
 
 def _dot(f, x):

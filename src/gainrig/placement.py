@@ -4,43 +4,46 @@ By the colouring criterion (colouring.py), a well-positioned half-turn
 framework is character-0 isostatic exactly when both facet colour classes
 are frame-matroid bases, and character-1 isostatic exactly when both are
 spanning trees.  So a new vertex needs no generic position, only one inside
-the facet cones its colours name, and one candidate per step suffices: it
-has the chosen colouring by construction, and the exact rank must agree.
+the facet cones its colours name, and one candidate per step suffices.
 
-A move adding one vertex w (H1-H3, vertex split) keeps the old positions,
-and so the old colours.  A new edge to x with gain g points along
-p_w - g p_x and is anchored at g p_x; a loop at w is anchored at the origin.
-The colours of the new edges are tried in a fixed order, keeping those that
-pass colouring.isostatic_classes.  For each, sign choices are tried in
-order: an edge of colour c and sign s (facets f_c, f_o) lies in the open
-wedge (s f_c - f_o).(p - q) > 0, (s f_c + f_o).(p - q) > 0 at its anchor q,
-and the wedges clip a box around the anchors.  The first polygon of
-positive area is the region.  Its vertex average, rounded to the coarsest
-dyadic grid 2^-k that stays strictly inside every wedge and off the origin
-and +-every old position, is the new position.  No region: PlacementError.
+A move adding one vertex w (H1-H3, vertex split) keeps the old positions
+and colours.  A new edge to x with gain g points along p_w - g p_x from its
+anchor g p_x; a loop's anchor is the origin.  Colour c and sign s (facets
+f_c, f_o) put p_w in the wedge (s f_c -+ f_o).(p - q) > 0 at the anchor q.
+In the coordinates u = (a + b).p, v = (a - b).p of facets a, b that wedge
+is a quadrant: u > u_q iff s = +1, and v > v_q iff s = +1 at colour 0 or
+s = -1 at colour 1.  Wedges thus meet in an open box, non-empty when lo < hi
+on both axes.  Colourings of the new edges are tried in product((0, 1))
+order, keeping those that pass colouring.isostatic_classes, and for each,
+sign vectors in product((1, -1)) order, not extending a prefix whose box is
+empty.  The first non-empty box is the region (none: PlacementError).  The
+point rule cuts its unbounded sides at distance 1 from the bounded ones and
+takes the centre of that finite part; if the centre is forbidden (the
+origin or +-an old position), points on to the finite part's upper corner
+follow, |forbidden| + 1 distinct interior ones, so one is free.  That point,
+rounded to the coarsest dyadic grid 2^-k keeping it inside and free, is p_w.
 
 Vertex-to-K4 puts the four new vertices at p_v + t s_i for the silhouette s
 below, whose edges split by colour into two spanning paths; contracting a
 path gives back the old class, so both classes stay bases.  With
-rho(d) = |a.d| + |b.d| for facets a, b and S = max rho(s_i), t is the
-largest 2^-k with 2 t S below every colour margin ||a.d| - |b.d|| of v's
-edges (loop included) and below rho(p_v - q) for the origin and every other
-covering point q, so re-attached edges keep their colours and the covering
-points stay distinct.
+rho(d) = max(|u_d|, |v_d|) and S = max rho(s_i), t is the largest 2^-k with
+2 t S below every colour margin min(|u_d|, |v_d|) of v's edges (loop
+included) and below rho(p_v - q) for the origin and every other covering
+point q, so re-attached edges keep their colours and covering points stay
+distinct.
 
-Every placement is accepted only through _verified: the colouring and the
-exact rank oracle both run and must agree.  Nothing is random.  The base
-fixtures were found by scripts/find_base_placements.py and are re-verified
-on use; a single base sits at its fixture, and the i-th base of a union is
-scaled by (2i + 2) / (2i + 1), which keeps its colours (translations would
-break the central symmetry).  The old edges' colours are read from the
-covector table of the framework being extended, which its own verification
-filled.  The new framework's table is carried over from that one
-(rigidity.carry_covectors): an edge reuses the old entry exactly when both
-endpoint positions, the gain and the norm are unchanged, so only the new
-vertex's edges (after vertex-to-K4, the edges at the four new vertices) are
-coloured.  Every edge of a realized framework is thus coloured once, in the
-step that creates it.
+Every placement is accepted only through _verified: the colouring verdict
+for the step's character, then the rank, which must agree.  A step adding w
+with two edges and removing none (H1a-c, or a vertex split moving no edge)
+has the orbit matrix [[M, 0], [X, B]], B being those rows on w's columns.
+If its parent framework was certified for the same character (M has full
+row rank) and det B != 0, it has full row rank: the block certificate.
+Otherwise (a loop row at character 1, another move) analyse decides.
+Nothing is random.  Base fixtures come from scripts/find_base_placements.py
+and are re-verified on use; the i-th base of a union is scaled by
+(2i + 2) / (2i + 1), keeping its colours.  A step's covector table is
+carried over from its parent (rigidity.carry_covectors), so each edge is
+coloured once, when created.
 """
 
 from __future__ import annotations
@@ -48,10 +51,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import inf
 from typing import Optional, Sequence
+from weakref import WeakValueDictionary
 
 from .catalog import graph_for_base_id
-from .colouring import edge_colour, geometric_verdict, isostatic_classes
+from .colouring import isostatic_classes, monochrome_quotients
 from .construct import ConstructionSequence, check_kinds
 from .graph import GainGraph, invariant
 from .moves import Move, apply_move
@@ -62,6 +67,7 @@ from .rigidity import (
     NotWellPositioned,
     analyse,
     carry_covectors,
+    orbit_blocks,
 )
 
 Point = tuple[Fraction, Fraction]
@@ -104,16 +110,35 @@ def _base_points(bid: str) -> list[Point]:
     return [(Fraction(x), Fraction(y)) for x, y in fixture]
 
 
-def _verified(fw: Framework, j: int) -> bool:
+# The frameworks _verified has certified, by (id, character), held weakly.
+_CERTIFIED: WeakValueDictionary = WeakValueDictionary()
+
+
+def _block_certified(fw: Framework, parent: Framework, j: int) -> bool:
+    """Whether fw, grown from parent by a step of extend_placement, has full
+    character-j row rank by the block certificate: parent is certified, fw
+    adds one vertex w and two edges, both at w (a step adds edges only at w,
+    so it removed none), and det B != 0 for their rows B on w's columns."""
+    w = parent.graph.n
+    if (_CERTIFIED.get((id(parent), j)) is not parent or fw.graph.n != w + 1
+            or len(fw.graph.edges) != len(parent.graph.edges) + 2):
+        return False
+    b = [orbit_blocks(e, fw.covectors[e], j)[w] for e in fw.graph.edges_at(w)]
+    return len(b) == 2 and b[0][0] * b[1][1] != b[0][1] * b[1][0]
+
+
+def _verified(fw: Framework, j: int, parent: Optional[Framework] = None) -> bool:
+    """Both oracles for character j, which must agree: the colouring verdict,
+    then the rank (the block certificate from parent, else analyse)."""
     try:
-        gv = geometric_verdict(fw)
+        classes = monochrome_quotients(fw)
     except NotWellPositioned:
         return False
-    combinatorial = gv.chi0_isostatic if j == 0 else gv.chi1_isostatic
-    if not combinatorial:
+    if not isostatic_classes(fw.graph, classes, j):
         return False
-    algebraic = analyse(fw, j).isostatic
-    invariant(algebraic == combinatorial, "rank and colouring verdicts disagree")
+    algebraic = parent is not None and _block_certified(fw, parent, j) or analyse(fw, j).isostatic
+    invariant(algebraic, "rank and colouring verdicts disagree")
+    _CERTIFIED[id(fw), j] = fw
     return True
 
 
@@ -134,7 +159,7 @@ def _accept(
     fw = _framework(g, positions, norm, what)
     if parent is not None:
         carry_covectors(parent, fw)
-    if not _verified(fw, j):
+    if not _verified(fw, j, parent):
         raise PlacementError(f"{what} failed verification for character {j}")
     return fw
 
@@ -142,85 +167,67 @@ def _accept(
 def base_placement(bid: str) -> Framework:
     """Verified isostatic placement of a catalogue base: character 0, or
     character 1 for the single vertex k1."""
-    return _accept(
-        graph_for_base_id(bid), _base_points(bid), LINF, int(bid == "k1"),
-        f"frozen placement for base {bid}",
-    )
+    return _accept(graph_for_base_id(bid), _base_points(bid), LINF, int(bid == "k1"),
+                   f"frozen placement for base {bid}")
 
 
-def _dot(f, p) -> Fraction:
-    return f[0] * p[0] + f[1] * p[1]
+def _uv(facets, p) -> Point:
+    """p in the coordinates u = (a + b).p, v = (a - b).p of facets a, b."""
+    (a1, a2), (b1, b2) = facets
+    return (a1 + b1) * p[0] + (a2 + b2) * p[1], (a1 - b1) * p[0] + (a2 - b2) * p[1]
 
 
-def _wedge(facets, colour: int, sign: int, q: Point) -> list[tuple[Point, Fraction]]:
-    """The half-planes ell.p > h whose intersection is the set of p with
-    p - q in the cone of facet `colour` with `sign`."""
-    fc, fo = facets[colour], facets[1 - colour]
-    ells = [(sign * fc[0] + t * fo[0], sign * fc[1] + t * fo[1]) for t in (-1, 1)]
-    return [(ell, _dot(ell, q)) for ell in ells]
+def _xy(facets, q) -> Point:
+    """The point p with _uv(facets, p) == q."""
+    (a1, a2), (b1, b2) = facets
+    s1, s2, t1, t2 = a1 + b1, a2 + b2, a1 - b1, a2 - b2
+    det = s1 * t2 - s2 * t1
+    return Fraction(t2 * q[0] - s2 * q[1], det), Fraction(s1 * q[1] - t1 * q[0], det)
 
 
-def _clip(poly: list[Point], ell: Point, h: Fraction) -> list[Point]:
-    """The part of the convex polygon poly where ell.p >= h."""
-    vals = [_dot(ell, p) - h for p in poly]
+def _cut(box, colour: int, sign: int, q: Point):
+    """The box ((lo_u, hi_u), (lo_v, hi_v)) cut by the wedge of an edge of
+    `colour` and `sign` anchored at q (in (u, v)), or None if it is empty."""
     out = []
-    for i, (p, b) in enumerate(zip(poly, vals)):
-        prev, a = poly[i - 1], vals[i - 1]
-        if (a >= 0) != (b >= 0):
-            t = a / (a - b)
-            out.append((prev[0] + t * (p[0] - prev[0]), prev[1] + t * (p[1] - prev[1])))
-        if b >= 0:
-            out.append(p)
-    return out
+    for (lo, hi), x, above in zip(box, q, (sign > 0, (sign > 0) == (colour == 0))):
+        lo, hi = (max(lo, x), hi) if above else (lo, min(hi, x))
+        if lo >= hi:
+            return None
+        out.append((lo, hi))
+    return tuple(out)
 
 
-def _area2(poly: list[Point]) -> Fraction:
-    """Twice the signed area, positive for a counter-clockwise polygon."""
-    return sum((poly[i - 1][0] * p[1] - p[0] * poly[i - 1][1] for i, p in enumerate(poly)), 0)
-
-
-def _box(anchors: Sequence[Point]) -> list[Point]:
-    """Counter-clockwise box around the anchors, widened on every side by
-    their spread plus one; under l-infinity and l1 facets every corner of a
-    wedge intersection lies inside it."""
-    xs, ys = [q[0] for q in anchors], [q[1] for q in anchors]
-    pad = max(max(xs) - min(xs), max(ys) - min(ys)) + 1
-    lo, hi = (min(xs) - pad, min(ys) - pad), (max(xs) + pad, max(ys) + pad)
-    return [lo, (hi[0], lo[1]), hi, (lo[0], hi[1])]
-
-
-def _region(poly: list[Point], wedges: Sequence[Sequence[list]]):
-    """(polygon, planes) for the first sign choice, in product order, whose
-    wedges (wedges[i][s] for edge i and sign index s) cut poly to positive
-    area, or None; a prefix that cuts poly to nothing is not extended."""
-    if not wedges:
-        return poly, []
-    for planes in wedges[0]:
-        cut = poly
-        for ell, h in planes:
-            cut = _clip(cut, ell, h)
-        found = _region(cut, wedges[1:]) if _area2(cut) > 0 else None
+def _region(colours, anchors, box=((-inf, inf), (-inf, inf))):
+    """The box of the first sign vector, in product((1, -1)) order, whose
+    wedges (new edge i has colours[i] and anchors[i], in (u, v)) meet, or
+    None; a prefix whose box is empty is not extended."""
+    if not anchors:
+        return box
+    for sign in (1, -1):
+        cut = _cut(box, colours[0], sign, anchors[0])
+        found = None if cut is None else _region(colours[1:], anchors[1:], cut)
         if found is not None:
-            return found[0], planes + found[1]
+            return found
     return None
 
 
-def _grid_point(poly: list[Point], planes, forbidden: set) -> Optional[Point]:
-    """The vertex average of poly (or, if that is forbidden, its midpoint
-    with a vertex), rounded to the coarsest dyadic grid 2^-k that keeps it
-    strictly inside every plane and out of `forbidden`."""
-    n = len(poly)
-    centre = (sum(p[0] for p in poly) / n, sum(p[1] for p in poly) / n)
-    for c in [centre] + [((centre[0] + p[0]) / 2, (centre[1] + p[1]) / 2) for p in poly]:
-        if c in forbidden:
-            continue
-        k = 1  # c is strictly inside, so a fine enough grid keeps it there
-        while True:
-            pt = (Fraction(round(c[0] * k), k), Fraction(round(c[1] * k), k))
-            if pt not in forbidden and all(_dot(ell, pt) > h for ell, h in planes):
-                return pt
-            k *= 2
-    return None
+def _grid_point(box, facets, forbidden: set) -> Point:
+    """The new position in a non-empty box (in (u, v)) by the point rule of
+    the module docstring."""
+    # every anchor bounds both axes, so each axis has a finite side
+    lo = [hi - 1 if lo == -inf else lo for lo, hi in box]
+    hi = [lo + 1 if hi == inf else hi for lo, hi in box]
+    mid = [(a + b) / 2 for a, b in zip(lo, hi)]
+    m = len(forbidden) + 1
+    c = next(p for p in (
+        _xy(facets, [x + (h - x) * Fraction(i, m) for x, h in zip(mid, hi)]) for i in range(m)
+    ) if p not in forbidden)
+    k = 1  # c is strictly inside and free, so a fine enough grid keeps it so
+    while True:
+        pt = (Fraction(round(c[0] * k), k), Fraction(round(c[1] * k), k))
+        if pt not in forbidden and all(a < x < b for (a, b), x in zip(box, _uv(facets, pt))):
+            return pt
+        k *= 2
 
 
 def extend_placement(fw: Framework, mv: Move, j: int = 0) -> Framework:
@@ -231,38 +238,31 @@ def extend_placement(fw: Framework, mv: Move, j: int = 0) -> Framework:
         return _extend_k4(fw, mv, h, j)
     # One new vertex w, appended; old vertices keep their indices.
     w = fw.graph.n
-    old: tuple[list, list] = ([], [])
-    for e in h.edges:
-        if not e.touches(w):
-            old[edge_colour(fw, e)].append(e)
+    kept = {e for e in h.edges if not e.touches(w)}
+    old = [[e for e in cls if e in kept] for cls in monochrome_quotients(fw)]
     new = h.edges_at(w)
-    anchors = [
-        ORIGIN if e.is_loop() else tuple(e.gain * c for c in fw.positions[e.other(w)])
-        for e in new
-    ]
+    anchors = [_uv(fw.norm.facets, ORIGIN if e.is_loop() else
+                   tuple(e.gain * c for c in fw.positions[e.other(w)])) for e in new]
     forbidden = {ORIGIN} | {q for p in fw.positions for q in (tuple(p), tuple(-c for c in p))}
     for colours in product((0, 1), repeat=len(new)):
         classes = [old[c] + [e for e, ce in zip(new, colours) if ce == c] for c in (0, 1)]
         if not isostatic_classes(h, classes, j):
             continue
-        wedges = [[_wedge(fw.norm.facets, c, s, q) for s in (1, -1)]
-                  for c, q in zip(colours, anchors)]
-        found = _region(_box(anchors), wedges)
-        pt = None if found is None else _grid_point(*found, forbidden)
-        if pt is not None:
+        box = _region(colours, anchors)
+        if box is not None:
+            pt = _grid_point(box, fw.norm.facets, forbidden)
             return _accept(h, tuple(fw.positions) + (pt,), fw.norm, j, mv.kind, fw)
     raise PlacementError(f"no region places the new vertex of {mv.kind} on {fw.graph.triples()}")
 
 
 def _extend_k4(fw: Framework, mv: Move, h: GainGraph, j: int) -> Framework:
     (v,) = mv.vertices
-    a, b = fw.norm.facets
     pv = fw.positions[v]
 
     def rho(d) -> Fraction:
-        return abs(_dot(a, d)) + abs(_dot(b, d))
+        return max(map(abs, _uv(fw.norm.facets, d)))
 
-    margins = [abs(abs(_dot(a, d)) - abs(_dot(b, d)))
+    margins = [min(map(abs, _uv(fw.norm.facets, d)))
                for d in map(fw.edge_delta, fw.graph.edges_at(v))]
     others = [ORIGIN] + [q for x, p in enumerate(fw.positions) if x != v
                          for q in (p, tuple(-c for c in p))]

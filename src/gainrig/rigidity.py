@@ -8,11 +8,13 @@ gain need even group order.  The covering framework has vertex copies
 to the covering edges {(u, t), (v, t + shift(gain))}.
 
 Character-indexed orbit matrices: for character index j, the gain -1 acts by
-the scalar (-1)^j (always real), and its rotation is -I, so the row of edge
-(u, v, gain) with support covector phi is
+the scalar (-1)^j (always real), and its rotation tau(-1) is the half turn
+that trivial_dim encodes: it negates the two rotated coordinates and fixes
+the rest (-I in the plane).  The row of edge (u, v, gain) with support
+covector phi is
     +phi on u's columns,  -chi_j(gain) * (phi o tau(gain)) on v's columns,
-which for gain -1 is +(-1)^j * phi on v.  A loop row is (1 + (-1)^j) * phi:
-doubled for even j, zero for odd j.
+which in the plane is +(-1)^j * phi on v for gain -1.  A plane loop row is
+(1 + (-1)^j) * phi: doubled for even j, zero for odd j.
 
 Framework.covectors is the single source of the support covector phi of
 each edge orbit: it is computed once per framework, on first use, and the
@@ -71,9 +73,7 @@ class Framework:
         if n < 1:
             raise FrameworkError("group order must be positive")
         if n % 2 == 1 and any(e.gain == -1 for e in g.edges):
-            raise FrameworkError(
-                "half-turn gains require even group order"
-            )
+            raise FrameworkError("half-turn gains require even group order")
         if any(all(c == 0 for c in p) for p in self.positions):
             raise FrameworkError("no vertex may sit at the rotation centre")
         seen: set = set()
@@ -87,7 +87,7 @@ class Framework:
         """Difference vector of the representative covering edge of e."""
         pu, pv = self.positions[e.u], self.positions[e.v]
         if e.gain == -1:
-            pv = tuple(-c for c in pv)
+            pv = _half_turn(pv)
         return tuple(a - b for a, b in zip(pu, pv))
 
     @cached_property
@@ -140,21 +140,11 @@ def carry_covectors(old: Framework, new: Framework) -> None:
 def _rotation(order: int, t: int):
     """Matrix of the t-th power of the 2D rotation by 2*pi/order; exact for
     orders 1, 2, 4, floating point otherwise."""
-    t %= order
-    quarter = {
-        0: ((1, 0), (0, 1)),
-        1: ((0, -1), (1, 0)),
-        2: ((-1, 0), (0, -1)),
-        3: ((0, 1), (-1, 0)),
-    }
-    if order == 1:
-        return quarter[0]
-    if order == 2:
-        return quarter[0] if t == 0 else quarter[2]
-    if order == 4:
-        return quarter[t]
-    ang = 2.0 * math.pi * t / order
-    c, s = math.cos(ang), math.sin(ang)
+    if 4 % order == 0:
+        c, s = ((1, 0), (0, 1), (-1, 0), (0, -1))[t % order * 4 // order]
+    else:
+        ang = 2.0 * math.pi * t / order
+        c, s = math.cos(ang), math.sin(ang)
     return ((c, -s), (s, c))
 
 
@@ -162,13 +152,18 @@ def _apply(mat, p):
     return tuple(sum(row[i] * p[i] for i in range(len(p))) for row in mat)
 
 
+def _half_turn(p) -> tuple:
+    """tau(-1) p: the half turn negating the two rotated coordinates."""
+    return (-p[0], -p[1], *p[2:])
+
+
 def _images(order: int, p) -> set:
     """Covering positions of a vertex at p: its images under every power of
     the rotation (in other dimensions than the plane, p and, for even order,
-    -p)."""
+    its half turn)."""
     if len(p) == 2 and order > 2:
         return {_apply(_rotation(order, t), p) for t in range(order)}
-    return {tuple(p), tuple(-c for c in p)} if order % 2 == 0 else {tuple(p)}
+    return {tuple(p), _half_turn(p)} if order % 2 == 0 else {tuple(p)}
 
 
 def covering_rigidity_matrix(fw: Framework) -> list[list]:
@@ -182,11 +177,7 @@ def covering_rigidity_matrix(fw: Framework) -> list[list]:
     d = fw.norm.dimension
     if d != 2 and n > 1:
         raise FrameworkError("rotational covering only supported in the plane")
-    pos = {
-        (v, t): _apply(_rotation(n, t), fw.positions[v])
-        for v in range(g.n)
-        for t in range(n)
-    }
+    pos = {(v, t): _apply(_rotation(n, t), fw.positions[v]) for v in range(g.n) for t in range(n)}
     shift = {1: 0, -1: n // 2}
     lifted = set()
     for e in g.edges:
@@ -220,21 +211,26 @@ def orbit_matrix(fw: Framework, j: int) -> list[list]:
     if not 0 <= j < n:
         raise FrameworkError(f"character index {j} out of range for order {n}")
     d = fw.norm.dimension
-    g = fw.graph
-    chi_minus = (-1) ** j  # character value on the half turn
     rows = []
     for e, phi in fw.covectors.items():
-        row = [0] * (d * g.n)
-        # +phi on u; -chi(gain) * (phi o tau(gain)) on v, where tau(-1) = -I.
-        vphi = phi if e.gain == -1 and chi_minus == 1 else tuple(-x for x in phi)
-        u, v = d * e.u, d * e.v
-        if u == v:
-            row[u:u + d] = [a + b for a, b in zip(phi, vphi)]
-        else:
-            row[u:u + d] = phi
-            row[v:v + d] = vphi
+        row = [0] * (d * fw.graph.n)
+        for x, block in orbit_blocks(e, phi, j).items():
+            row[d * x:d * x + d] = block
         rows.append(row)
     return rows
+
+
+def orbit_blocks(e: Edge, phi: tuple, j: int) -> dict[int, tuple]:
+    """The character-j orbit row of e, with covector phi, by vertex: +phi on
+    u and -chi_j(gain) * (phi o tau(gain)) on v, summed for a loop."""
+    if e.gain == 1:
+        vphi = tuple(-x for x in phi)
+    else:  # chi_j(-1) = (-1)^j, and tau(-1) negates the first two coordinates
+        chi = (-1) ** j
+        vphi = tuple(chi * x if i < 2 else -chi * x for i, x in enumerate(phi))
+    if e.is_loop():
+        return {e.u: tuple(a + b for a, b in zip(phi, vphi))}
+    return {e.u: phi, e.v: vphi}
 
 
 def trivial_dim(n: int, j: int, d: int = 2) -> int:

@@ -1,11 +1,15 @@
+import dataclasses
 import random
+from fractions import Fraction as F
+from itertools import product
+from math import inf
 from pathlib import Path
 
 import pytest
 
 from gainrig import placement
 from gainrig.catalog import BASE_CATALOG, PARAMS_220, PARAMS_222
-from gainrig.colouring import geometric_verdict
+from gainrig.colouring import geometric_verdict, isostatic_classes, monochrome_quotients
 from gainrig.construct import (
     ConstructionSequence,
     _random_move,
@@ -13,9 +17,10 @@ from gainrig.construct import (
     decompose,
     random_tight,
 )
+from gainrig.graph import InvariantViolation
 from gainrig.jsonio import load_json, sequence_from_dict
 from gainrig.moves import ALL_KINDS, Move, MoveError, apply_move, kept_edge_map
-from gainrig.norms import PolyhedralNorm
+from gainrig.norms import LINF, PolyhedralNorm
 from gainrig.placement import (
     BASE_PLACEMENTS,
     PlacementError,
@@ -24,7 +29,7 @@ from gainrig.placement import (
     extend_placement,
     realize,
 )
-from gainrig.rigidity import Framework, analyse, well_positioned
+from gainrig.rigidity import Framework, analyse, orbit_matrix, well_positioned
 from gainrig.sparsity import tight_partition
 
 DATA = Path(__file__).parent / "data"
@@ -177,9 +182,9 @@ BASES = [(PARAMS_220, 0, ("d",)), (PARAMS_220, 0, ("c", "a")), (PARAMS_222, 1, (
 def test_each_framework_is_verified_once(monkeypatch, p, j, initial):
     calls = []
 
-    def counting(fw, j):
+    def counting(fw, j, parent=None):
         calls.append(fw)
-        return verified(fw, j)
+        return verified(fw, j, parent)
 
     verified = placement._verified
     monkeypatch.setattr(placement, "_verified", counting)
@@ -245,3 +250,199 @@ def test_carried_covector_table_matches_a_fresh_one(p, j, initial):
             fresh = Framework(fw.graph, fw.positions, fw.norm, fw.group_order)
             assert fw.covectors == fresh.covectors
             assert list(fw.covectors) == list(fresh.covectors)
+
+
+# The polygon search placement used before its interval test, kept as the
+# oracle: clip a box around the anchors (x, y) by each wedge's two
+# half-planes and ask for positive area.
+
+
+def _dot(f, p):
+    return f[0] * p[0] + f[1] * p[1]
+
+
+def _wedge(facets, colour, sign, q):
+    """The half-planes ell.p > h whose intersection is the set of p with
+    p - q in the cone of facet `colour` with `sign`."""
+    fc, fo = facets[colour], facets[1 - colour]
+    ells = [(sign * fc[0] + t * fo[0], sign * fc[1] + t * fo[1]) for t in (-1, 1)]
+    return [(ell, _dot(ell, q)) for ell in ells]
+
+
+def _clip(poly, ell, h):
+    """The part of the convex polygon poly where ell.p >= h."""
+    vals = [_dot(ell, p) - h for p in poly]
+    out = []
+    for i, (p, b) in enumerate(zip(poly, vals)):
+        prev, a = poly[i - 1], vals[i - 1]
+        if (a >= 0) != (b >= 0):
+            t = a / (a - b)
+            out.append((prev[0] + t * (p[0] - prev[0]), prev[1] + t * (p[1] - prev[1])))
+        if b >= 0:
+            out.append(p)
+    return out
+
+
+def _area2(poly):
+    return sum((poly[i - 1][0] * p[1] - p[0] * poly[i - 1][1] for i, p in enumerate(poly)), 0)
+
+
+def _clip_box(anchors):
+    """Counter-clockwise box around the anchors, widened on every side by
+    their spread plus one; under l-infinity every corner of a wedge
+    intersection lies inside it."""
+    xs, ys = [q[0] for q in anchors], [q[1] for q in anchors]
+    pad = max(max(xs) - min(xs), max(ys) - min(ys)) + 1
+    lo, hi = (min(xs) - pad, min(ys) - pad), (max(xs) + pad, max(ys) + pad)
+    return [lo, (hi[0], lo[1]), hi, (lo[0], hi[1])]
+
+
+def _clipped_area2(facets, colours, signs, anchors):
+    poly = _clip_box(anchors)
+    for c, s, q in zip(colours, signs, anchors):
+        for ell, h in _wedge(facets, c, s, q):
+            poly = _clip(poly, ell, h)
+    return _area2(poly)
+
+
+def _interval_box(facets, colours, signs, anchors):
+    box = ((-inf, inf), (-inf, inf))
+    for c, s, q in zip(colours, signs, anchors):
+        box = box and placement._cut(box, c, s, placement._uv(facets, q))
+    return box
+
+
+def _oracle_sequences():
+    """(sequence, character): grown sequences of both regimes, some with a
+    vertex-to-K4 partway, and both regression fixtures."""
+    out = []
+    for p, j in ((PARAMS_220, 0), (PARAMS_222, 1)):
+        initial = ("k1",) if j else None
+        seqs = [_grown_sequence(p, seed) for seed in range(3)]
+        out += [(seq, j) for seq in seqs + _sequences_with_k4_partway(p, initial)]
+    return out + [(sequence_from_dict(load_json(DATA / f"{name}.json")), j)
+                  for name, j in (("k4_then_h2e", 0), ("h1a_blowup", 1))]
+
+
+def _steps(seq, j):
+    """(parent framework, move, realized child) for every step of seq."""
+    fw = realize(ConstructionSequence(seq.params, seq.initial, ()), j)
+    for mv in seq.steps:
+        child = extend_placement(fw, mv, j)
+        yield fw, mv, child
+        fw = child
+
+
+def test_interval_test_agrees_with_polygon_clipping():
+    facets, checked = LINF.facets, 0
+    for seq, j in _oracle_sequences():
+        for fw, mv, child in _steps(seq, j):
+            if mv.kind == "VertexToK4":
+                continue
+            w = fw.graph.n
+            new = child.graph.edges_at(w)
+            anchors = [(F(0), F(0)) if e.is_loop()
+                       else tuple(e.gain * c for c in fw.positions[e.other(w)]) for e in new]
+            kept = set(child.graph.edges)
+            old = [[e for e in cls if e in kept] for cls in monochrome_quotients(fw)]
+            first = None  # the first pair placement may take, in its search order
+            for colours in product((0, 1), repeat=len(new)):
+                classes = [old[c] + [e for e, ce in zip(new, colours) if ce == c] for c in (0, 1)]
+                bases = isostatic_classes(child.graph, classes, j)
+                for signs in product((1, -1), repeat=len(new)):
+                    box = _interval_box(facets, colours, signs, anchors)
+                    area2 = _clipped_area2(facets, colours, signs, anchors)
+                    assert (box is not None) == (area2 > 0)
+                    checked += 1
+                    if bases and box is not None and first is None:
+                        first = (colours, signs)
+            # the new vertex has that pair's colours and signs, inside its box
+            pw = child.positions[w]
+            own = [LINF.facet_of((pw[0] - q[0], pw[1] - q[1])) for q in anchors]
+            assert first == (tuple(c for c, _ in own), tuple(s for _, s in own))
+            box = _interval_box(facets, *first, anchors)
+            assert all(lo < x < hi for (lo, hi), x in zip(box, placement._uv(facets, pw)))
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("forbidden, expected", [
+    ((), (F(1), F(0))),                                   # the centre
+    (((F(1), F(0)),), (F(3, 2), F(0))),                   # centre taken: 1/2 along
+    (((F(1), F(0)), (F(5, 4), F(0)), (F(3, 2), F(0))), (F(7, 4), F(0))),  # the last one
+])
+def test_grid_point_steps_off_a_forbidden_centre(forbidden, expected):
+    # u = x + y and v = x - y in (0, 2): the centre is (u, v) = (1, 1), that
+    # is (x, y) = (1, 0); further candidates run towards the corner (2, 2)
+    box = ((F(0), F(2)), (F(0), F(2)))
+    pt = placement._grid_point(box, LINF.facets, set(forbidden))
+    assert pt == expected
+    assert all(lo < x < hi for (lo, hi), x in zip(box, placement._uv(LINF.facets, pt)))
+
+
+def test_grid_point_in_an_unbounded_box():
+    # u > 3 and v < -1 only: the finite part is (3, 4) x (-2, -1)
+    box = ((F(3), inf), (-inf, F(-1)))
+    # centre (u, v) = (7/2, -3/2), (x, y) = (1, 5/2); (1, 2) is on its edge
+    assert placement._grid_point(box, LINF.facets, set()) == (F(1), F(5, 2))
+    assert placement._grid_point(box, LINF.facets, {(F(1), F(5, 2))}) == (F(5, 4), F(5, 2))
+
+
+def _block_det(fw, w, j):
+    """det of the rows of w's edges on w's columns, from the orbit matrix."""
+    b = [row[2 * w:2 * w + 2] for e, row in zip(fw.covectors, orbit_matrix(fw, j)) if e.touches(w)]
+    return b[0][0] * b[1][1] - b[0][1] * b[1][0] if len(b) == 2 else 0
+
+
+@pytest.mark.parametrize("p, j", [(PARAMS_220, 0), (PARAMS_222, 1)], ids=["chi0", "chi1"])
+def test_block_certificate_agrees_with_analyse(monkeypatch, p, j):
+    rank_checks = []
+    monkeypatch.setattr(placement, "analyse",
+                        lambda fw, jj: rank_checks.append(1) or analyse(fw, jj))
+    initial = ("k1",) if j else None
+    seqs = [_grown_sequence(p, seed) for seed in range(8)] + _sequences_with_k4_partway(p, initial)
+    certified = 0
+    for seq in seqs:
+        for fw, mv, child in _steps(seq, j):
+            block, w = False, fw.graph.n
+            # H1a-c, or a vertex split moving no edge: w and two edges at it
+            if child.graph.n == w + 1 and len(child.graph.edges_at(w)) == 2 \
+                    and set(fw.graph.edges) <= set(child.graph.edges):
+                # [[M, 0], [X, B]] with det B != 0 has rank M + 2, in either character
+                for jj in (0, 1):
+                    if _block_det(child, w, jj) != 0:
+                        assert analyse(child, jj).rank == analyse(fw, jj).rank + 2
+                # fw was certified for j, so only det B decides the certificate
+                block = placement._block_certified(child, fw, j)
+                assert block == (_block_det(child, w, j) != 0)
+                assert analyse(child, j).isostatic
+                certified += block
+            # every other step is ranked by analyse
+            rank_checks.clear()
+            assert extend_placement(fw, mv, j) == child
+            assert rank_checks == ([] if block else [1])
+    assert certified > 20
+
+
+def test_rank_and_colouring_verdicts_must_agree(monkeypatch):
+    def dissenting(fw, j):
+        return dataclasses.replace(analyse(fw, j), isostatic=False)
+
+    monkeypatch.setattr(placement, "analyse", dissenting)
+    with pytest.raises(InvariantViolation, match="disagree"):
+        realize(_grown_sequence(PARAMS_220, 0), 0)
+
+
+def test_block_certificate_needs_a_certified_parent_and_a_nonzero_det():
+    # an H1c loop row is zero at character 1, so det B = 0; at (3, -2) the
+    # loop has colour 0 and the edge to (1, 2) colour 1
+    parent = base_placement("k1")
+    h = apply_move(parent.graph, Move("H1c", vertices=(0,), gains=(1,)))
+    child = Framework(h, parent.positions + ((F(3), F(-2)),), LINF, 2)
+    assert _block_det(child, 1, 1) == 0
+    assert not placement._block_certified(child, parent, 1)
+    assert not analyse(child, 1).isostatic
+    # a parent nobody certified does not count, even where det B != 0
+    uncertified = Framework(parent.graph, parent.positions, LINF, 2)
+    assert _block_det(child, 1, 0) != 0
+    assert placement._block_certified(child, parent, 0) is False
+    assert not placement._block_certified(child, uncertified, 1)

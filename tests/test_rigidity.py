@@ -212,3 +212,33 @@ def test_analyse_is_exact_where_the_modular_rank_is_deficient(monkeypatch):
     assert analyse(scaled, 0) == analyse(fw, 0)
     assert analyse(scaled, 0).isostatic
     assert len(fallbacks) == 2  # the scaled framework's, not the fixture's
+
+
+def test_half_turn_in_three_dimensions_matches_trivial_dim():
+    # K6 with both gains on every pair and a loop at every vertex is rigid
+    # at random positions, so its nullity is the trivial dimension.  tau(-1)
+    # is the half turn about the third axis (trivial_dim's model), not -I:
+    # with -I the character-0 rank was 18 = dof and the character-1 nullity 3.
+    rng = random.Random(0)
+    triples = [[u, v, g] for u in range(6) for v in range(u + 1, 6) for g in (1, -1)]
+    g = GainGraph.from_triples(6, triples + [[v, v, -1] for v in range(6)])
+    pos = tuple(tuple(rng.uniform(-1, 1) for _ in range(3)) for _ in range(6))
+    fw = Framework(g, pos, LpNorm(3.0, 3), 2)
+    for j in (0, 1):
+        rep = analyse(fw, j)
+        assert rep.dof - rep.rank == rep.trivial == trivial_dim(2, j, 3)
+        assert rep.rigid and not rep.independent
+    # the covering positions are p and its half turn, so -p is a new point
+    empty = GainGraph(2, ())
+    Framework(empty, ((1.0, 2.0, 3.0), (-1.0, -2.0, -3.0)), LpNorm(3.0, 3), 2)
+    with pytest.raises(FrameworkError, match="distinct"):
+        Framework(empty, ((1.0, 2.0, 3.0), (-1.0, -2.0, 3.0)), LpNorm(3.0, 3), 2)
+
+
+def test_integer_facets_equal_fraction_facets():
+    for norm, facets in ((LINF, ((1, 0), (0, 1))), (L1, ((1, 1), (1, -1)))):
+        built = PolyhedralNorm(tuple(tuple(F(c) for c in f) for f in facets))
+        assert norm.facets == facets and norm == built and hash(norm) == hash(built)
+        assert norm.colours == built.colours == {
+            s: i for i, f in enumerate(facets) for s in (f, (-f[0], -f[1]))
+        }

@@ -33,7 +33,7 @@ from .jsonio import (
     sequence_to_dict,
 )
 from .moves import MoveError
-from .placement import PlacementError, RealisationConfig, realize
+from .placement import PlacementError, realize
 from .rigidity import FrameworkError, analyse, well_positioned
 from .sparsity import SparsityParams, check_sparsity
 
@@ -161,7 +161,7 @@ def cmd_colour(args) -> int:
 
 def cmd_realize(args) -> int:
     seq = sequence_from_dict(load_json(args.sequence))
-    fw = realize(seq, args.character, RealisationConfig(seed=args.seed))
+    fw = realize(seq, args.character)
     _write_or_print(args.output, framework_to_dict(fw))
     return 0
 
@@ -239,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("realize", help="synthesise a verified placement")
     p.add_argument("sequence")
     p.add_argument("--character", type=int, default=0, choices=(0, 1))
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted for compatibility; placement is deterministic")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_realize)
 

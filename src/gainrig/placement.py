@@ -80,8 +80,9 @@ class PlacementError(RuntimeError):
 
 @dataclass(frozen=True)
 class RealisationConfig:
-    """Accepted for compatibility: placement is deterministic and the seed
-    has no effect."""
+    """Accepted by realize and ignored: placement is deterministic and the
+    seed has no effect.  Kept because the benchmark's realize workload
+    builds one."""
 
     seed: int = 0
 

@@ -4,31 +4,35 @@ A gain graph is (k,l,m)-gain-sparse when every nonempty balanced edge subset
 F satisfies |F| <= k|V(F)| - l and every nonempty edge subset satisfies
 |F| <= k|V(F)| - m; gain-tight adds |E| = k|V| - m.
 
-The two built-in counts are matroidal.  A graph is (2,2,0)-sparse iff its
-edges split into two sets independent in the frame matroid (every component
-a tree, or one cycle that is unbalanced), and (2,2,2)-sparse iff they split
-into two forests (the graphic matroid).  For these the checker runs
-Edmonds' matroid partition: it inserts the edges in sorted order, each by a
-breadth-first search for a shortest augmenting path.  If an edge is blocked,
-every element the search reached lies in each side's span of the reached
-set S, so |S| = 2 r(S) + 1 and some component C of S breaks its own count:
-for (2,2,0), |C| > 2|V(C)| - 2 with C balanced, or else |C| > 2|V(C)|; for
-(2,2,2), |C| > 2|V(C)| - 2.  That component is the witness.  It violates
-its own bound but need not be the smallest violating support.  A move or
-a reduction keeps all but a few edges of a tight graph, so tight_partition
-carries the Partition across it: the kept edges keep their sides, and only
-the 1-4 edges it adds are inserted.
+Every l = k count is matroidal: a graph is (k,k,m)-sparse iff its edges
+split into m forests (graphic matroid) and k - m sets independent in the
+frame matroid (every component a tree, or one cycle that is unbalanced), as
+on a connected edge set C those k ranks sum to k|V(C)| - k if C is balanced
+and to k|V(C)| - m if not.  The half turn's Maxwell counts in d dimensions,
+(d,d,d-2) at chi0 and (d,d,2) at chi1, are such counts.  The checker runs
+Edmonds' matroid partition: it inserts the edges in sorted order, each by
+a breadth-first search for a shortest augmenting path.  If an edge is
+blocked, every element the search reached lies in each side's span of the
+reached set S, so |S| is one more than the sides' ranks of S summed, and
+some component C of S breaks its own count.  That component is the
+witness.  It violates its own bound but need not be the smallest violating
+support.  A move or a reduction keeps all but a few edges of a tight graph,
+so tight_partition carries the Partition across it: the kept edges keep
+their sides, and only the 1-4 edges it adds are inserted.
 
-Other counts go to the exhaustive scan of vertex supports in increasing
-size.  For the general count, vertex-induced edge sets maximise |F| per
-support.  For the balanced count it uses the switching characterisation: a
-loop-free subset is balanced iff some vertex-sign assignment s makes every
-gain equal s_u * s_v, so the maximum balanced subset on a support is a
-maximum over 2^|S| sign assignments of the number of consistent non-loop
-induced edges.  Any violation found on a support whose witness does not span
-it is a genuine violation on the witness's own (smaller) support, so
-scanning supports smallest-first yields a minimal deterministic witness.
-Across a move, tight_partition scans only the supports holding an added edge.
+Counts with l != k go to the exhaustive scan of vertex supports in
+increasing size, also the partition's test oracle.  For the general count,
+vertex-induced edge sets maximise |F| per support.  For the balanced count
+it uses the switching characterisation: a loop-free subset is balanced iff
+some vertex-sign assignment s makes every gain equal s_u * s_v, so the
+maximum balanced subset on a support is a maximum over 2^|S| sign
+assignments of the number of consistent non-loop induced edges.  Any
+violation found on a support whose witness does not span it is a genuine
+violation on the witness's own (smaller) support, so scanning supports
+smallest-first yields a minimal deterministic witness.  Across a move,
+tight_partition scans only the supports holding an added edge.  The scan
+gives up (OracleGuardExceeded) after SCAN_BUDGET vertex subsets; a
+violation on a few vertices is still found before that.
 """
 
 from __future__ import annotations
@@ -48,7 +52,10 @@ from .graph import (
 
 
 class OracleGuardExceeded(ValueError):
-    """Brute-force oracle refused an input with too many edges."""
+    """An exhaustive check (the brute-force oracle, the scan) refused an input."""
+
+
+SCAN_BUDGET = 1 << 20  # vertex subsets _scan_sparsity visits before it gives up
 
 
 @dataclass(frozen=True)
@@ -118,15 +125,11 @@ def _violation_report(
     )
 
 
-# The counts the matroid partition decides.
-_MATROIDAL = ((2, 2, 0), (2, 2, 2))
-
-
 def check_sparsity(g: GainGraph, p: SparsityParams) -> SparsityReport:
-    """Whether g is p-sparse; witness on failure.  The built-in counts
-    insert g's edges in order into an empty Partition, and the first blocked
-    edge gives the witness."""
-    if p.as_tuple() not in _MATROIDAL:
+    """Whether g is p-sparse; witness on failure.  An l = k count inserts
+    g's edges in order into an empty Partition, and the first blocked edge
+    gives the witness (over its own bound, but not always the smallest)."""
+    if p.l != p.k:
         return _scan_sparsity(g, p)
     part = Partition(g.n, p, {})
     for y in g.edges:
@@ -239,16 +242,16 @@ class _EdgeSet:
 
 
 class Partition:
-    """Edmonds' matroid partition of a sparse edge set into two frame-matroid
-    (for (2,2,0)) or graphic-matroid (for (2,2,2)) independent sides: the
-    side of each edge, and each side's _EdgeSet, built when a search needs
-    it.  Other counts have no matroid; all edges then sit on side 0."""
+    """Edmonds' matroid partition of a (k,k,m)-sparse edge set into m graphic
+    and then k - m frame sides (``frames``): the side of each edge, and each
+    side's _EdgeSet, built when a search needs it.  Counts with l != k have
+    no matroid; all edges then sit on side 0."""
 
     def __init__(self, n: int, p: SparsityParams, side: dict[Edge, int]) -> None:
         self.n = n
-        self.frame = p.m == 0
+        self.frames = (False,) * p.m + (True,) * (p.k - p.m)
         self.side = side
-        self._sets: list[Optional[_EdgeSet]] = [None, None]
+        self._sets: list[Optional[_EdgeSet]] = [None] * p.k
 
     def insert(self, y: Edge) -> Optional[list[Edge]]:
         """Add y along a shortest augmenting path, found by breadth-first
@@ -258,12 +261,12 @@ class Partition:
         label: dict[Edge, Optional[tuple[Edge, int]]] = {y: None}
         queue = [y]
         for x in queue:
-            for i in (0, 1):
+            for i, frame in enumerate(self.frames):
                 if self.side.get(x) == i:
                     continue
                 if self._sets[i] is None:
                     members = [e for e, s in self.side.items() if s == i]
-                    self._sets[i] = _EdgeSet(self.n, members, self.frame)
+                    self._sets[i] = _EdgeSet(self.n, members, frame)
                 circuit = self._sets[i].circuit(x)
                 if circuit is None:
                     while True:
@@ -284,7 +287,7 @@ def _blocked_report(
 ) -> SparsityReport:
     """The first component of the blocked edge's reached set, by smallest
     vertex, that breaks its own count."""
-    reached_set = _EdgeSet(g.n, sorted(reached), frame=p.m == 0)
+    reached_set = _EdgeSet(g.n, sorted(reached), frame=False)  # only components are read
     uf = reached_set.uf
     for root, edges in reached_set.by_root.items():
         size = uf.size[root]
@@ -302,28 +305,21 @@ def _scan_sparsity(
 ) -> SparsityReport:
     """Scan all vertex supports, smallest first; witness on failure.
 
-    ``required`` restricts the scan to subsets containing at least one of the
-    given edges.
+    ``required`` (edges of g) restricts the scan to subsets containing at
+    least one of them.
     """
     masks = [(1 << e.u) | (1 << e.v) for e in g.edges]
-    req_masks = (
-        [(1 << e.u) | (1 << e.v) for e in required]
-        if required is not None
-        else None
-    )
     req_set = set(required) if required is not None else None
-    for subset in all_vertex_subsets(g.n):
+    for visited, subset in enumerate(all_vertex_subsets(g.n)):
+        if visited == SCAN_BUDGET:
+            raise OracleGuardExceeded(f"support scan guarded at {SCAN_BUDGET} subsets")
         smask = 0
         for v in subset:
             smask |= 1 << v
-        if req_masks is not None and not any(
-            rm & smask == rm for rm in req_masks
-        ):
-            continue
         induced = [
             e for e, em in zip(g.edges, masks) if em & smask == em
         ]
-        if not induced:
+        if not induced or (req_set is not None and req_set.isdisjoint(induced)):
             continue
         # Skip supports not spanned by their induced edges: any violation
         # there re-occurs on the smaller true support, scanned earlier.
@@ -331,8 +327,7 @@ def _scan_sparsity(
             continue
         size = len(subset)
         if len(induced) > p.k * size - p.m:
-            if req_set is None or any(e in req_set for e in induced):
-                return _violation_report(g, tuple(induced), p, balanced=False)
+            return _violation_report(g, tuple(induced), p, balanced=False)
         non_loops = [e for e in induced if not e.is_loop()]
         if not non_loops or len(non_loops) <= p.k * size - p.l:
             continue
@@ -393,7 +388,7 @@ def tight_partition(
         "an edge outside the new edges is not carried",
     )
     part = Partition(g.n, p, side)
-    if p.as_tuple() in _MATROIDAL:
+    if p.l == p.k:
         return None if any(part.insert(e) is not None for e in added) else part
     part.side.update(dict.fromkeys(added, 0))
     return part if _scan_sparsity(g, p, tuple(added)).passed else None

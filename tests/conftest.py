@@ -65,13 +65,13 @@ def brute_balanced(vertices, edges) -> bool:
 
 def assert_partition(g: GainGraph, part, p) -> None:
     """part's sides cover g's edges, and each side is independent: every
-    component has no cycle, or (for (2,2,0), the frame matroid) at most
-    one, unbalanced."""
+    component has no cycle, or (on the k - m frame sides after the m
+    graphic ones) at most one, unbalanced."""
     assert set(part.side) == set(g.edges)
-    for i in (0, 1):
+    for i in range(p.k):
         side = [e for e, s in part.side.items() if s == i]
         for verts, edges in brute_components(g.n, side):
-            if p.m == 0 and len(edges) == len(verts):
+            if i >= p.m and len(edges) == len(verts):
                 assert not g.is_balanced(edges)
             else:
                 assert len(edges) == len(verts) - 1
@@ -105,14 +105,13 @@ def _map_graph(rng: random.Random, n: int) -> list:
 
 
 def two_base_union(rng: random.Random, n: int, p) -> GainGraph:
-    """A p-tight graph on n vertices that no move sequence built: for
-    (2,2,0) the union of two edge-disjoint spanning unbalanced map graphs,
-    for (2,2,2) of two edge-disjoint spanning trees.  No (u, v, gain)
-    triple repeats."""
+    """A (k,k,m)-tight graph on n vertices that no move sequence built: the
+    union of k edge-disjoint bases, m spanning trees and then k - m
+    spanning unbalanced map graphs.  No (u, v, gain) triple repeats."""
     used: set = set()
-    for _ in range(2):
+    for i in range(p.k):
         while True:
-            if p.as_tuple() == (2, 2, 2):
+            if i < p.m:
                 part = set(_random_tree(rng, rng.sample(range(n), n))[0])
             else:
                 part = set(_map_graph(rng, n))

@@ -52,8 +52,7 @@ def test_full_pipeline(tmp_path, capsys):
     assert main(["gen", "--n", "5", "--seed", "3", "-o", str(g)]) == 0
     assert main(["decompose", str(g), "-o", str(seq)]) == 0
     assert main(["construct", str(seq), "-o", str(g2)]) == 0
-    assert main(["realize", str(seq), "--character", "0", "--seed", "7",
-                 "-o", str(fwp)]) == 0
+    assert main(["realize", str(seq), "--character", "0", "-o", str(fwp)]) == 0
     assert main(["analyse", str(fwp), "--character", "0"]) == 0
     out = capsys.readouterr().out
     assert '"isostatic": true' in out

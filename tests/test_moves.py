@@ -99,10 +99,25 @@ def test_vertex_split_moves_edges():
 
 
 def test_reductions_replay_exactly(rng):
-    for _ in range(60):
-        g = grow(random.choice(list(BASE_CATALOG.values())), rng, rng.randrange(3))
+    # enumerate_reductions checks only that the reduced graph is valid, so
+    # every candidate's forward move must rebuild the input exactly: on
+    # grown graphs in both regimes, and on two-base unions, with K4 and
+    # split candidates among them
+    graphs = [
+        grow(random.choice(list(BASE_CATALOG.values())), rng, rng.randrange(3))
+        for _ in range(60)
+    ]
+    for p in (PARAMS_220, PARAMS_222):
+        graphs += [random_tight(n, p, seed) for n in (3, 5, 7, 9) for seed in range(6)]
+        graphs += [two_base_union(rng, n, p) for n in (4, 5, 6, 8) for _ in range(8)]
+        pool = [two_base_union(rng, 6, p) for _ in range(300)]
+        graphs += [g for g in pool if next(enumerate_reductions(g, ["VertexToK4"]), None)]
+    kinds = set()
+    for g in graphs:
         for r in enumerate_reductions(g):
             assert apply_iso(g, r.pi, r.signs) == apply_move(r.reduced, r.forward)
+            kinds.add(r.forward.kind)
+    assert kinds == set(ALL_KINDS)
 
 
 def test_admissible_matches_full_recheck(rng):

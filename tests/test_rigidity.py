@@ -19,6 +19,9 @@ from gainrig.rigidity import (
     trivial_dim,
     well_positioned,
 )
+from gainrig.sparsity import SparsityParams, check_sparsity
+
+from conftest import random_gain_graph
 
 
 def _random_placement(g, rng, norm=LINF, order=2, tries=300):
@@ -233,6 +236,28 @@ def test_half_turn_in_three_dimensions_matches_trivial_dim():
     Framework(empty, ((1.0, 2.0, 3.0), (-1.0, -2.0, -3.0)), LpNorm(3.0, 3), 2)
     with pytest.raises(FrameworkError, match="distinct"):
         Framework(empty, ((1.0, 2.0, 3.0), (-1.0, -2.0, 3.0)), LpNorm(3.0, 3), 2)
+
+
+def test_independent_rows_in_three_dimensions_imply_sparsity():
+    # The paper's necessity direction for the half turn in d = 3: independent
+    # character-0 rows need a (3,3,1)-sparse graph, independent character-1
+    # rows a (3,3,2)-sparse one.  No exact norm exists in 3D (PolyhedralNorm
+    # is planar), so the rank here is the float SVD rank of an LpNorm.
+    rng = random.Random(7)
+    independent = {0: 0, 1: 0}
+    dense = {0: 0, 1: 0}
+    for _ in range(400):
+        g = random_gain_graph(rng, max_n=5, max_edges=16)
+        pos = tuple(tuple(rng.uniform(-1, 1) for _ in range(3)) for _ in range(g.n))
+        fw = Framework(g, pos, LpNorm(rng.choice((1.5, 3.0, 4.0)), 3), 2)
+        for j, m in ((0, 1), (1, 2)):
+            sparse = check_sparsity(g, SparsityParams(3, 3, m)).passed
+            if analyse(fw, j).independent:
+                independent[j] += 1
+                assert sparse, (g.triples(), j)
+            dense[j] += not sparse
+    # at each character, many frameworks are independent and many graphs dense
+    assert min(independent.values()) > 50 and min(dense.values()) > 20
 
 
 def test_integer_facets_equal_fraction_facets():

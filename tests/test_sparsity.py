@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gainrig
+from gainrig import sparsity
+from gainrig.cli import main
 from gainrig.graph import GainGraph, InvariantViolation, edge
+from gainrig.jsonio import graph_to_dict, save_json
 from gainrig.sparsity import (
+    OracleGuardExceeded,
     Partition,
     SparsityParams,
     _scan_sparsity,
@@ -23,7 +27,9 @@ from conftest import random_gain_graph, two_base_union
 
 P220 = SparsityParams(2, 2, 0)
 P222 = SparsityParams(2, 2, 2)
-PARAM_SETS = [P220, P222, SparsityParams(2, 3, 1), SparsityParams(1, 1, 0)]
+# Every l = k count with k <= 3: each is decided by the matroid partition.
+L_EQ_K = [SparsityParams(k, k, m) for k in (1, 2, 3) for m in range(k + 1)]
+PARAM_SETS = L_EQ_K + [SparsityParams(2, 3, 1)]
 
 
 def test_params_validation():
@@ -99,12 +105,12 @@ def test_require_edges_incremental_consistency(rng):
             continue
         e = g.edges[rng.randrange(len(g.edges))]
         rest = g.replace_edges(tuple(x for x in g.edges if x != e))
-        for p in (P220, P222, SparsityParams(2, 3, 1)):
+        for p in PARAM_SETS:
             if not check_sparsity(rest, p).passed:
                 continue
             full = check_sparsity(g, p).passed
             assert _scan_sparsity(g, p, (e,)).passed == full
-            if p in (P220, P222):
+            if p.l == p.k:
                 part = Partition(g.n, p, {})
                 assert all(part.insert(x) is None for x in rest.edges)
                 assert (part.insert(e) is None) == full
@@ -182,23 +188,29 @@ def _assert_witness_over_its_bound(g, p, rep):
 
 
 def test_partition_matches_scan(rng):
-    # arbitrary graphs, and near-tight ones: a two-base union with a few
-    # edges dropped and a few added
-    for _ in range(300):
-        p = rng.choice((P220, P222))
+    # arbitrary graphs, and near-tight ones: a union of k bases with a few
+    # edges dropped and a few added; the brute-force oracle too, where it
+    # is quick
+    for _ in range(600):
+        p = rng.choice(L_EQ_K)
         if rng.random() < 0.5:
             g = random_gain_graph(rng, max_n=8, max_edges=16)
         else:
-            g = two_base_union(rng, rng.randint(2, 8), p)
+            g = two_base_union(rng, rng.randint(p.k + 1, 8), p)
             g = g.replace_edges(e for e in g.edges if rng.random() > 0.2)
             g = _with_extra_edges(rng, g, rng.randint(0, 2))
         fast = check_sparsity(g, p)
         assert fast.passed == _scan_sparsity(g, p).passed, (g.triples(), p)
+        if len(g.edges) <= 10:
+            assert fast.passed == brute_force_oracle(g, p).passed, (g.triples(), p)
         if not fast.passed:
             _assert_witness_over_its_bound(g, p, fast)
 
 
-@pytest.mark.parametrize("p", [P220, P222], ids=["220", "222"])
+@pytest.mark.parametrize(
+    "p", [P220, P222, SparsityParams(3, 3, 1), SparsityParams(3, 3, 2)],
+    ids=["220", "222", "331", "332"],
+)
 @pytest.mark.parametrize("n", [16, 32, 64])
 def test_two_base_unions_are_tight_and_one_more_edge_breaks_them(n, p):
     rng = random.Random(n)
@@ -239,3 +251,22 @@ def test_same_input_same_witness(rng):
         g = _with_extra_edges(rng, two_base_union(rng, 24, p), 2)
         first, second = check_sparsity(g, p), check_sparsity(g, p)
         assert not first.passed and first == second
+
+
+def test_scan_gives_up_after_its_budget(monkeypatch, tmp_path, capsys):
+    # the doubled path is (2,3,0)-sparse, so the scan would visit all 2^n
+    # supports; a balanced K4 planted on its first vertices is still found
+    p = SparsityParams(2, 3, 0)
+    path = GainGraph.from_triples(12, [[i, i + 1, s] for i in range(11) for s in (1, -1)])
+    k4 = path.replace_edges(path.edges + tuple(
+        edge(u, v, 1) for u, v in ((0, 2), (0, 3), (1, 3))
+    ))
+    monkeypatch.setattr(sparsity, "SCAN_BUDGET", 1000)
+    assert not check_sparsity(k4, p).passed
+    with pytest.raises(OracleGuardExceeded):
+        check_sparsity(path, p)
+    graph_file = tmp_path / "path.json"
+    save_json(str(graph_file), graph_to_dict(path))
+    assert main(["check", str(graph_file), "--counts", "2,3,0"]) == 2
+    err = capsys.readouterr().err
+    assert "guarded" in err and "Traceback" not in err

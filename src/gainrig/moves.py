@@ -384,9 +384,10 @@ def _try_reduction(
     pi: Sequence[int],
 ) -> Iterator[Reduction]:
     """Yield the Reduction if the reduced edges form a valid graph (a
-    reverse shape can repeat an edge), else nothing.  Its forward move
-    rebuilds g by construction; decompose's replay checks every reduction
-    it uses."""
+    reverse shape can repeat an edge), else nothing.  That its forward move
+    rebuilds g is not checked here: test_reductions_replay_exactly is the
+    evidence, and a candidate that failed it would stop decompose's replay
+    (which checks every reduction it uses) instead of being skipped."""
     removed = 3 if forward.kind == "VertexToK4" else 1
     try:
         reduced = GainGraph(g.n - removed, tuple(reduced_edges))

@@ -187,24 +187,33 @@ def _assert_witness_over_its_bound(g, p, rep):
     assert not rep.balanced_violation or g.is_balanced(wit)
 
 
+def _compare_partition_with_scan(rng, p, min_n):
+    # an arbitrary graph, or a near-tight one: a union of k bases with a
+    # few edges dropped and a few added; the brute-force oracle too, where
+    # it is quick
+    if rng.random() < 0.5:
+        g = random_gain_graph(rng, max_n=8, max_edges=16)
+    else:
+        g = two_base_union(rng, rng.randint(min_n, 8), p)
+        g = g.replace_edges(e for e in g.edges if rng.random() > 0.2)
+        g = _with_extra_edges(rng, g, rng.randint(0, 2))
+    fast = check_sparsity(g, p)
+    assert fast.passed == _scan_sparsity(g, p).passed, (g.triples(), p)
+    if len(g.edges) <= 10:
+        assert fast.passed == brute_force_oracle(g, p).passed, (g.triples(), p)
+    if not fast.passed:
+        _assert_witness_over_its_bound(g, p, fast)
+
+
 def test_partition_matches_scan(rng):
-    # arbitrary graphs, and near-tight ones: a union of k bases with a few
-    # edges dropped and a few added; the brute-force oracle too, where it
-    # is quick
-    for _ in range(600):
-        p = rng.choice(L_EQ_K)
-        if rng.random() < 0.5:
-            g = random_gain_graph(rng, max_n=8, max_edges=16)
-        else:
-            g = two_base_union(rng, rng.randint(p.k + 1, 8), p)
-            g = g.replace_edges(e for e in g.edges if rng.random() > 0.2)
-            g = _with_extra_edges(rng, g, rng.randint(0, 2))
-        fast = check_sparsity(g, p)
-        assert fast.passed == _scan_sparsity(g, p).passed, (g.triples(), p)
-        if len(g.edges) <= 10:
-            assert fast.passed == brute_force_oracle(g, p).passed, (g.triples(), p)
-        if not fast.passed:
-            _assert_witness_over_its_bound(g, p, fast)
+    for _ in range(300):
+        _compare_partition_with_scan(rng, rng.choice((P220, P222)), 2)
+    # the other l = k counts; three bases on three vertices would take
+    # (nearly) all nine (u, v, gain) triples, so those unions start at four
+    for p in L_EQ_K:
+        if p not in (P220, P222):
+            for _ in range(60):
+                _compare_partition_with_scan(rng, p, 2 if p.k < 3 else p.k + 1)
 
 
 @pytest.mark.parametrize(

@@ -21,11 +21,13 @@ matroid tests on the two monochrome edge classes:
                               matroid).
 
 All three read off the per-component vertex count, edge count and balance
-that ``SignedUnionFind`` keeps.
+that ``SignedUnionFind`` keeps.  The basis tests go through ColourClass,
+which also tests a placement step's new edges alone against its kept classes.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,33 +45,56 @@ def edge_colour(fw: Framework, e: Edge) -> int:
 
 
 def monochrome_quotients(fw: Framework) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
-    """The quotient edges of colour 0 and of colour 1, in edge order."""
-    parts: tuple[list[Edge], list[Edge]] = ([], [])
-    for e in fw.graph.edges:
-        parts[edge_colour(fw, e)].append(e)
-    return tuple(parts[0]), tuple(parts[1])
+    """The quotient edges of colour 0 and of colour 1, in edge order, read
+    from fw's covector table once and kept with fw (Framework.classes)."""
+    if not isinstance(fw.norm, PolyhedralNorm):
+        raise FrameworkError("colouring requires a quadrilateral norm")
+    return fw.classes
+
+
+def _independent(size: int, n_edges: int, unbalanced: bool, j: int) -> bool:
+    """Whether a component with these counts is independent in the frame
+    (j = 0: a tree, or one unbalanced cycle) or graphic (j = 1) matroid."""
+    return n_edges < size or j == 0 and n_edges == size and unbalanced
+
+
+class ColourClass:
+    """An edge set on n vertices in a SignedUnionFind, built once, that tells
+    in O(len(added)) whether it becomes a basis for character j with `added`:
+    frame- (j = 0) or graphic- (j = 1) independent, with n - j edges."""
+
+    def __init__(self, n: int, edges: Sequence[Edge], j: int) -> None:
+        self.edges, self.j, self.uf = edges, j, SignedUnionFind(n, edges)
+        size, count, unbalanced = self.uf.size, self.uf.edge_count, self.uf.unbalanced
+        self.independent = all(_independent(size[r], count[r], unbalanced[r], j)
+                               for r, p in enumerate(self.uf.parent) if r == p)
+
+    def is_basis(self, added: Sequence[Edge] = ()) -> bool:
+        return (self.independent and len(self.edges) + len(added) == len(self.uf.parent) - self.j
+                and all(_independent(*comp, self.j) for comp in self.uf.joined(added)))
+
+    def extended(self, added: Sequence[Edge]) -> tuple[Edge, ...]:
+        """The edges and `added`, in edge order if both are."""
+        out = list(self.edges)
+        for e in added:
+            insort(out, e)
+        return tuple(out)
 
 
 def is_unbalanced_map_graph(g: GainGraph, subset: Sequence[Edge]) -> bool:
     """Every component of the subset, spanning g, has edge count equal to
-    vertex count with its unique cycle unbalanced (so a vertex of g that no
-    edge touches fails)."""
-    return all(
-        len(verts) == n_edges and unbalanced
-        for verts, n_edges, unbalanced in SignedUnionFind(g.n, subset).components()
-    )
+    vertex count with its unique cycle unbalanced: a frame-matroid basis."""
+    return ColourClass(g.n, subset, 0).is_basis()
 
 
 def _is_spanning_tree(g: GainGraph, edges: Sequence[Edge]) -> bool:
-    comps = SignedUnionFind(g.n, edges).components()
-    return len(comps) == 1 and comps[0][1] == g.n - 1
+    return ColourClass(g.n, edges, 1).is_basis()
 
 
 def isostatic_classes(g: GainGraph, classes: Sequence[Sequence[Edge]], j: int) -> bool:
     """The colouring criterion for character j: every class is a basis of
     the frame matroid (j = 0) or a spanning tree (j = 1)."""
-    basis = is_unbalanced_map_graph if j == 0 else _is_spanning_tree
-    return all(basis(g, c) for c in classes)
+    return all(ColourClass(g.n, c, j).is_basis() for c in classes)
 
 
 def _spanning_connected_unbalanced(g: GainGraph, edges: Sequence[Edge]) -> bool:

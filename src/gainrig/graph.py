@@ -145,6 +145,21 @@ class SignedUnionFind:
         self.edge_count[ru] += self.edge_count[rv] + 1
         self.unbalanced[ru] = self.unbalanced[ru] or self.unbalanced[rv]
 
+    def joined(self, edges: Sequence[Edge]) -> list[tuple[int, int, bool]]:
+        """(vertex count, edge count, unbalanced) of each component the
+        edges touch once added, in O(len(edges)); self is not changed."""
+        ends = [(self.find(e.u), self.find(e.v), e.gain) for e in edges]
+        roots = list(dict.fromkeys(r for (ru, _), (rv, _), _ in ends for r in (ru, rv)))
+        at = {r: i for i, r in enumerate(roots)}
+        local = SignedUnionFind(len(roots))
+        local.size = [self.size[r] for r in roots]
+        local.edge_count = [self.edge_count[r] for r in roots]
+        local.unbalanced = [self.unbalanced[r] for r in roots]
+        for (ru, su), (rv, sv), gain in ends:
+            local.union(at[ru], at[rv], su * sv * gain)
+        return [(local.size[r], local.edge_count[r], local.unbalanced[r])
+                for r, p in enumerate(local.parent) if r == p]
+
     def is_balanced(self) -> bool:
         # A flag left on a former root was also set on the root it joined.
         return not any(self.unbalanced)

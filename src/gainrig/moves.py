@@ -263,6 +263,13 @@ def kept_edge_map(mv: Move) -> Optional[Callable[[Edge], Optional[Edge]]]:
     return lambda e: None if e.touches(v) else edge(e.u - (e.u > v), e.v - (e.v > v), e.gain)
 
 
+def deleted_edges(g: GainGraph, mv: Move) -> tuple[Edge, ...]:
+    """The edges of g that apply_move(g, mv) deletes when mv adds one vertex:
+    an H move's removed edges, a vertex split's moved edges and loop."""
+    loop = g.loop_at(mv.vertices[0]) if mv.move_loop else None
+    return mv.removed + mv.moved + ((loop,) if loop else ())
+
+
 def _apply_vertex_to_k4(g: GainGraph, mv: Move) -> GainGraph:
     (v,) = mv.vertices
     incident = g.edges_at(v, include_loop=False)

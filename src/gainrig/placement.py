@@ -14,14 +14,17 @@ In the coordinates u = (a + b).p, v = (a - b).p of facets a, b that wedge
 is a quadrant: u > u_q iff s = +1, and v > v_q iff s = +1 at colour 0 or
 s = -1 at colour 1.  Wedges thus meet in an open box, non-empty when lo < hi
 on both axes.  Colourings of the new edges are tried in product((0, 1))
-order, keeping those that pass colouring.isostatic_classes, and for each,
-sign vectors in product((1, -1)) order, not extending a prefix whose box is
-empty.  The first non-empty box is the region (none: PlacementError).  The
-point rule cuts its unbounded sides at distance 1 from the bounded ones and
-takes the centre of that finite part; if the centre is forbidden (the
-origin or +-an old position), points on to the finite part's upper corner
-follow, |forbidden| + 1 distinct interior ones, so one is free.  That point,
-rounded to the coarsest dyadic grid 2^-k keeping it inside and free, is p_w.
+order, keeping those under which both classes are bases: the edges each
+class keeps sit in a colouring.ColourClass, built once per step, and a
+colouring's new edges alone are tested against it.  For each kept
+colouring, sign vectors are tried in product((1, -1)) order, not extending
+a prefix whose box is empty.  The first non-empty box is the region (none:
+PlacementError).  The point rule cuts its unbounded sides at distance 1
+from the bounded ones and takes the centre of that finite part; if the
+centre is forbidden (the origin or +-an old position: the parent's covering
+set), points on to the finite part's upper corner follow, |forbidden| + 1
+distinct interior ones, so one is free.  That point, rounded to the
+coarsest dyadic grid 2^-k keeping it inside and free, is p_w.
 
 Vertex-to-K4 puts the four new vertices at p_v + t s_i for the silhouette s
 below, whose edges split by colour into two spanning paths; contracting a
@@ -33,7 +36,10 @@ point q, so re-attached edges keep their colours and covering points stay
 distinct.
 
 Every placement is accepted only through _verified: the colouring verdict
-for the step's character, then the rank, which must agree.  A step adding w
+for the step's character, then the rank, which must agree.  The colouring
+verdict is read from the new framework's own classes: when they are the
+classes the step chose, the step's test decided it; otherwise
+colouring.isostatic_classes does.  A step adding w
 with two edges and removing none (H1a-c, or a vertex split moving no edge)
 has the orbit matrix [[M, 0], [X, B]], B being those rows on w's columns.
 If its parent framework was certified for the same character (M has full
@@ -41,8 +47,13 @@ row rank) and det B != 0, it has full row rank: the block certificate.
 Otherwise (a loop row at character 1, another move) analyse decides.
 Nothing is random.  Base fixtures come from scripts/find_base_placements.py
 and are re-verified on use; the i-th base of a union is scaled by
-(2i + 2) / (2i + 1), keeping its colours.  A step's covector table is
-carried over from its parent (rigidity.carry_covectors), so each edge is
+(2i + 2) / (2i + 1), keeping its colours.
+
+A step carries its parent's state instead of rebuilding it: the colour
+classes (Framework.classes, read from the table once per framework), the
+covering set (Framework.covering: the new framework, grown from the parent,
+checks only its appended positions against it) and the covector table
+(rigidity.carry_covectors, by the move's edge map), so each edge is
 coloured once, when created.
 """
 
@@ -56,11 +67,11 @@ from typing import Optional, Sequence
 from weakref import WeakValueDictionary
 
 from .catalog import graph_for_base_id
-from .colouring import isostatic_classes, monochrome_quotients
+from .colouring import ColourClass, isostatic_classes, monochrome_quotients
 from .construct import ConstructionSequence, check_kinds
 from .graph import GainGraph, invariant
-from .moves import Move, apply_move
-from .norms import LINF
+from .moves import Move, apply_move, deleted_edges, kept_edge_map
+from .norms import L1, LINF, PolyhedralNorm
 from .rigidity import (
     Framework,
     FrameworkError,
@@ -128,14 +139,16 @@ def _block_certified(fw: Framework, parent: Framework, j: int) -> bool:
     return len(b) == 2 and b[0][0] * b[1][1] != b[0][1] * b[1][0]
 
 
-def _verified(fw: Framework, j: int, parent: Optional[Framework] = None) -> bool:
+def _verified(fw: Framework, j: int, parent: Optional[Framework] = None, chosen=None) -> bool:
     """Both oracles for character j, which must agree: the colouring verdict,
-    then the rank (the block certificate from parent, else analyse)."""
+    then the rank (the block certificate from parent, else analyse).  If
+    fw's own classes are `chosen`, which extend_placement found to be bases,
+    that is the colouring verdict; else isostatic_classes decides."""
     try:
         classes = monochrome_quotients(fw)
     except NotWellPositioned:
         return False
-    if not isostatic_classes(fw.graph, classes, j):
+    if classes != chosen and not isostatic_classes(fw.graph, classes, j):
         return False
     algebraic = parent is not None and _block_certified(fw, parent, j) or analyse(fw, j).isostatic
     invariant(algebraic, "rank and colouring verdicts disagree")
@@ -143,24 +156,26 @@ def _verified(fw: Framework, j: int, parent: Optional[Framework] = None) -> bool
     return True
 
 
-def _framework(g: GainGraph, positions: Sequence[Point], norm, what: str) -> Framework:
+def _framework(g: GainGraph, positions: Sequence[Point], norm, what: str,
+               parent: Optional[Framework] = None) -> Framework:
     try:
-        return Framework(g, tuple(positions), norm, 2)
+        return Framework(g, tuple(positions), norm, 2, parent)
     except FrameworkError as exc:
         raise PlacementError(f"{what}: {exc}") from exc
 
 
 def _accept(
     g: GainGraph, positions: Sequence[Point], norm, j: int, what: str,
-    parent: Optional[Framework] = None,
+    parent: Optional[Framework] = None, mv: Optional[Move] = None, chosen=None,
 ) -> Framework:
     """The framework at positions if both oracles call it character-j
-    isostatic, else PlacementError naming `what`.  Its covector table is
-    carried over from `parent`, the framework a move starts from, if given."""
-    fw = _framework(g, positions, norm, what)
+    isostatic (see _verified for `chosen`), else PlacementError naming
+    `what`.  Its covering set and covector table are carried over from
+    `parent`, the framework the move mv starts from, if given."""
+    fw = _framework(g, positions, norm, what, parent)
     if parent is not None:
-        carry_covectors(parent, fw)
-    if not _verified(fw, j, parent):
+        carry_covectors(parent, fw, kept_edge_map(mv))
+    if not _verified(fw, j, parent, chosen):
         raise PlacementError(f"{what} failed verification for character {j}")
     return fw
 
@@ -237,22 +252,24 @@ def extend_placement(fw: Framework, mv: Move, j: int = 0) -> Framework:
     h = apply_move(fw.graph, mv)
     if mv.kind == "VertexToK4":
         return _extend_k4(fw, mv, h, j)
-    # One new vertex w, appended; old vertices keep their indices.
+    # One new vertex w, appended; old vertices keep their indices and old
+    # edges their names.
     w = fw.graph.n
-    kept = {e for e in h.edges if not e.touches(w)}
-    old = [[e for e in cls if e in kept] for cls in monochrome_quotients(fw)]
+    gone = set(deleted_edges(fw.graph, mv))
+    kept = [ColourClass(h.n, [e for e in cls if e not in gone] if gone else cls, j)
+            for cls in monochrome_quotients(fw)]
     new = h.edges_at(w)
     anchors = [_uv(fw.norm.facets, ORIGIN if e.is_loop() else
                    tuple(e.gain * c for c in fw.positions[e.other(w)])) for e in new]
-    forbidden = {ORIGIN} | {q for p in fw.positions for q in (tuple(p), tuple(-c for c in p))}
     for colours in product((0, 1), repeat=len(new)):
-        classes = [old[c] + [e for e, ce in zip(new, colours) if ce == c] for c in (0, 1)]
-        if not isostatic_classes(h, classes, j):
+        added = [[e for e, ce in zip(new, colours) if ce == c] for c in (0, 1)]
+        if not all(k.is_basis(a) for k, a in zip(kept, added)):
             continue
         box = _region(colours, anchors)
         if box is not None:
-            pt = _grid_point(box, fw.norm.facets, forbidden)
-            return _accept(h, tuple(fw.positions) + (pt,), fw.norm, j, mv.kind, fw)
+            pt = _grid_point(box, fw.norm.facets, fw.covering | {ORIGIN})
+            chosen = tuple(k.extended(a) for k, a in zip(kept, added))
+            return _accept(h, fw.positions + (pt,), fw.norm, j, mv.kind, fw, mv, chosen)
     raise PlacementError(f"no region places the new vertex of {mv.kind} on {fw.graph.triples()}")
 
 
@@ -265,8 +282,7 @@ def _extend_k4(fw: Framework, mv: Move, h: GainGraph, j: int) -> Framework:
 
     margins = [min(map(abs, _uv(fw.norm.facets, d)))
                for d in map(fw.edge_delta, fw.graph.edges_at(v))]
-    others = [ORIGIN] + [q for x, p in enumerate(fw.positions) if x != v
-                         for q in (p, tuple(-c for c in p))]
+    others = (fw.covering | {ORIGIN}) - {pv, (-pv[0], -pv[1])}
     bound = min(margins + [rho((pv[0] - q[0], pv[1] - q[1])) for q in others])
     if bound <= 0:
         raise PlacementError(f"{mv.kind} needs a well-positioned placement")
@@ -275,7 +291,7 @@ def _extend_k4(fw: Framework, mv: Move, h: GainGraph, j: int) -> Framework:
         scale /= 2
     kept = [p for x, p in enumerate(fw.positions) if x != v]
     k4 = [(pv[0] + scale * x, pv[1] + scale * y) for x, y in _K4_SHAPE]
-    return _accept(h, kept + k4, fw.norm, j, mv.kind, fw)
+    return _accept(h, kept + k4, fw.norm, j, mv.kind, fw, mv)
 
 
 def _bases_placement(ids: Sequence[str]) -> Framework:
@@ -293,12 +309,18 @@ def realize(
     seq: ConstructionSequence,
     j: int = 0,
     cfg: Optional[RealisationConfig] = None,
+    norm: PolyhedralNorm = LINF,
 ) -> Framework:
     """Fold the construction sequence through extend_placement, producing a
     framework verified character-j isostatic by both oracles.  `cfg` is
-    accepted and has no effect."""
+    accepted and has no effect.  Under norm=L1 the l-infinity realisation
+    is mapped by (x, y) -> ((x + y)/2, (x - y)/2), which takes the
+    l-infinity ball onto the l1 ball and keeps every edge's length and
+    colour, and verified again."""
     if j not in (0, 1):
         raise ValueError("character must be 0 or 1")
+    if norm not in (LINF, L1):
+        raise ValueError("realize places under the l-infinity or the l1 norm")
     if not seq.initial:
         raise ValueError("sequence has no initial base")
     check_kinds(seq)
@@ -307,4 +329,7 @@ def realize(
         raise PlacementError(f"bases {list(seq.initial)} do not verify for character {j}")
     for mv in seq.steps:
         fw = extend_placement(fw, mv, j)
+    if norm == L1:
+        fw = _accept(fw.graph, [((x + y) / 2, (x - y) / 2) for x, y in fw.positions], L1, j,
+                     "l1 image of the l-infinity placement")
     return fw

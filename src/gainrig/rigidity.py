@@ -25,11 +25,20 @@ has no unique support covector.
 
 The entry of edge (u, v, gain) is a pure function of p_u, p_v, the gain and
 the norm.  So carry_covectors, given the framework before a move and the one
-it leads to, reuses the old entry for every edge whose endpoint positions
-and gain equal those of an old edge under the same norm, and computes only
-the others: after a one-vertex move, the new vertex's edges.  Relabelled or
-moved vertices simply find no match.  The new framework keeps no reference
-to the old one.
+it leads to under the same norm, reuses the old entry of every edge the move
+keeps, found by the move's own edge map: by name when the old positions are
+a prefix of the new (a one-vertex move), or through `renamed`
+(moves.kept_edge_map, for vertex-to-K4) where both ends keep their
+positions.  It computes only the others: the new vertices' edges.  The new
+framework keeps no reference to the old one.  Framework.classes keeps the
+facet colour classes read from the table, for the colouring and the next
+placement step.
+
+A Framework also keeps its covering set, every rotation image of every
+position, which its constructor builds to check that covering positions
+are distinct.  Built with grown_from, a framework whose positions are a
+prefix of its own, it copies that framework's set and checks only the
+appended positions.
 
 Orbit matrices under a PolyhedralNorm have rational entries and are ranked
 exactly (linalg); under an LpNorm they are ranked by SVD.
@@ -38,8 +47,9 @@ exactly (linalg); under an LpNorm they are ranked by SVD.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
+from typing import Callable, Optional
 
 from .graph import Edge, GainGraph
 from .linalg import matrix_rank
@@ -58,30 +68,40 @@ class NotWellPositioned(FrameworkError):
 
 @dataclass(frozen=True)
 class Framework:
+    """grown_from (see the module docstring) only saves work: the checks are
+    the same with it or without it."""
+
     graph: GainGraph
     positions: tuple[Point, ...]
     norm: Norm
     group_order: int = 2
+    grown_from: InitVar[Optional[Framework]] = None
+    # the covering positions: every rotation image of every position
+    covering: set = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        g, n = self.graph, self.group_order
+    def __post_init__(self, grown_from):
+        g, n, d = self.graph, self.group_order, self.norm.dimension
         if len(self.positions) != g.n:
             raise FrameworkError("one position per vertex orbit required")
-        d = self.norm.dimension
-        if any(len(p) != d for p in self.positions):
+        old, k, seen = grown_from, 0, set()
+        if old is not None and (old.group_order, old.norm.dimension) == (n, d) \
+                and self.positions[:len(old.positions)] == old.positions:
+            k, seen = len(old.positions), set(old.covering)
+        added = self.positions[k:]
+        if any(len(p) != d for p in added):
             raise FrameworkError(f"positions must have dimension {d}")
         if n < 1:
             raise FrameworkError("group order must be positive")
         if n % 2 == 1 and any(e.gain == -1 for e in g.edges):
             raise FrameworkError("half-turn gains require even group order")
-        if any(all(c == 0 for c in p) for p in self.positions):
+        if any(all(c == 0 for c in p) for p in added):
             raise FrameworkError("no vertex may sit at the rotation centre")
-        seen: set = set()
-        for p in self.positions:
+        for p in added:
             images = _images(n, p)
             if seen & images:
                 raise FrameworkError("covering positions must be distinct")
             seen |= images
+        object.__setattr__(self, "covering", seen)
 
     def edge_delta(self, e: Edge) -> tuple:
         """Difference vector of the representative covering edge of e."""
@@ -95,6 +115,16 @@ class Framework:
         """Support covector per edge orbit, computed once; raises
         NotWellPositioned if some edge has none."""
         return self._covector_table({})
+
+    @cached_property
+    def classes(self) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
+        """The edges whose covector is +-facets[0] (colour 0) and the others
+        (colour 1), in edge order: read from the table once and kept, so the
+        step after this framework starts from them.  PolyhedralNorm only."""
+        parts: tuple[list[Edge], list[Edge]] = ([], [])
+        for e, phi in self.covectors.items():
+            parts[self.norm.colours[phi]].append(e)
+        return tuple(parts[0]), tuple(parts[1])
 
     def _covector_table(self, carried: dict) -> dict[Edge, tuple]:
         """The covector table, taking an edge's entry from carried where it
@@ -119,18 +149,18 @@ def well_positioned(fw: Framework) -> bool:
     return True
 
 
-def carry_covectors(old: Framework, new: Framework) -> None:
+def carry_covectors(old: Framework, new: Framework, renamed: Optional[Callable] = None) -> None:
     """Build new's covector table now, reusing old's entry for every edge
-    whose endpoint positions and gain equal those of an edge of old under the
-    same norm (see the module docstring).  New keeps no reference to old.
-    Does nothing unless old is well-positioned; if new is not, reading
-    new.covectors raises as usual."""
+    that keeps its name, or is named renamed(e) in new (see the module
+    docstring).  New keeps no reference to old.  Does nothing unless old is
+    well-positioned; if new is not, reading new.covectors raises as usual."""
     if new.norm != old.norm or not well_positioned(old):
         return
-    at = {p: x for x, p in enumerate(old.positions)}
-    index = [at.get(p) for p in new.positions]
-    known = {(e.u, e.v, e.gain): phi for e, phi in old.covectors.items()}
-    carried = {e: known.get((index[e.u], index[e.v], e.gain)) for e in new.graph.edges}
+    if renamed is None:
+        carried = old.covectors if new.positions[:len(old.positions)] == old.positions else {}
+    else:
+        carried = {f: phi for e, phi in old.covectors.items() if (f := renamed(e)) is not None
+                   and (new.positions[f.u], new.positions[f.v]) == (old.positions[e.u], old.positions[e.v])}
     try:
         new.__dict__["covectors"] = new._covector_table(carried)
     except NotWellPositioned:

@@ -60,6 +60,24 @@ def test_full_pipeline(tmp_path, capsys):
     assert '"chi0_isostatic": true' in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("counts, character", [("2,2,0", "0"), ("2,2,2", "1")])
+def test_realize_under_l1_norm(tmp_path, capsys, counts, character):
+    g, seq, fwp = tmp_path / "g.json", tmp_path / "seq.json", tmp_path / "fw.json"
+    assert main(["gen", "--n", "7", "--counts", counts, "--seed", "2", "-o", str(g)]) == 0
+    assert main(["decompose", str(g), "--counts", counts, "-o", str(seq)]) == 0
+    assert main(["realize", str(seq), "--character", character, "--norm", "l1",
+                 "-o", str(fwp)]) == 0
+    assert json.loads(fwp.read_text())["norm"] == "l1"
+    capsys.readouterr()
+    assert main(["analyse", str(fwp), "--character", character]) == 0
+    assert '"isostatic": true' in capsys.readouterr().out
+    assert main(["colour", str(fwp)]) == 0
+    assert f'"chi{character}_isostatic": true' in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:  # argparse: a usage error
+        main(["realize", str(seq), "--norm", "l2"])
+    assert exc.value.code == 2
+
+
 def test_roundtrip_command(capsys):
     assert main(["roundtrip", "--n", "6", "--seed", "1"]) == 0
     assert "PASS" in capsys.readouterr().out

@@ -1,20 +1,24 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
 from gainrig.catalog import PARAMS_220, PARAMS_222
 from gainrig.colouring import (
+    ColourClass,
     _is_spanning_tree,
     _spanning_connected_unbalanced,
     edge_colour,
     geometric_verdict,
     is_unbalanced_map_graph,
+    isostatic_classes,
     monochrome_quotients,
 )
-from gainrig.construct import random_tight
+from gainrig.construct import decompose, random_tight
 from gainrig.graph import GainGraph, edge
 from gainrig.norms import L1, LINF
+from gainrig.placement import BASE_PLACEMENTS, base_placement, realize
 from gainrig.rigidity import (
     Framework,
     FrameworkError,
@@ -198,3 +202,55 @@ def test_verdict_predicates_match_brute_force(rng):
         assert _spanning_connected_unbalanced(g, subset) == (
             len(comps) == 1 and not brute_balanced(range(g.n), subset)
         )
+
+
+def _certified_classes(j):
+    """(graph, colour classes) of placements verified for character j."""
+    if j == 0:
+        fws = [base_placement(bid) for bid in BASE_PLACEMENTS]
+    else:
+        fws = [realize(decompose(random_tight(n, PARAMS_222, seed=n), PARAMS_222)[0], 1)
+               for n in range(2, 8)]
+    return [(fw.graph, monochrome_quotients(fw)) for fw in fws]
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_colour_class_step_test_matches_isostatic_classes(rng, j):
+    # A step keeps a parent's classes less some removed edges (as an H2 or
+    # H3 move does) and adds new edges at a new vertex w, a loop among
+    # them; every colouring of the new edges is tested against the kept
+    # classes alone and must match isostatic_classes on the whole classes
+    # and each class's basis test from plain definitions.  Parents are
+    # verified placements (bases) or random graphs split at random
+    # (mostly dependent).
+    certified = _certified_classes(j)
+    seen = {"basis": 0, "dependent kept class": 0, "certified": 0}
+    for trial in range(400):
+        if trial % 2:
+            g, classes = rng.choice(certified)
+            seen["certified"] += 1
+        else:
+            g = random_gain_graph(rng, max_n=6, max_edges=12)
+            split = [rng.randrange(2) for _ in g.edges]
+            classes = [[e for e, c in zip(g.edges, split) if c == k] for k in (0, 1)]
+        gone = set(rng.sample(g.edges, min(len(g.edges), rng.randint(0, 2))))
+        w = g.n
+        at_w = [edge(x, w, gain) for x in range(g.n) for gain in (1, -1)] + [edge(w, w, -1)]
+        new = sorted(rng.sample(at_w, rng.randint(1, 3)))
+        h = GainGraph(g.n + 1, tuple(e for e in g.edges if e not in gone) + tuple(new))
+        kept = [ColourClass(h.n, [e for e in c if e not in gone], j) for c in classes]
+        seen["dependent kept class"] += not all(k.independent for k in kept)
+        for colours in product((0, 1), repeat=len(new)):
+            added = [[e for e, c in zip(new, colours) if c == k] for k in (0, 1)]
+            whole = [k.extended(a) for k, a in zip(kept, added)]
+            assert whole == [tuple(sorted([*k.edges, *a])) for k, a in zip(kept, added)]
+            step = [k.is_basis(a) for k, a in zip(kept, added)]
+            assert all(step) == isostatic_classes(h, whole, j)
+            for verdict, cls in zip(step, whole):
+                comps = brute_components(h.n, cls)
+                if j == 0:
+                    assert verdict == _brute_map_graph(comps)
+                else:
+                    assert verdict == (len(comps) == 1 and len(cls) == h.n - 1)
+            seen["basis"] += all(step)
+    assert all(count > 20 for count in seen.values()), seen

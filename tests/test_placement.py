@@ -20,7 +20,7 @@ from gainrig.construct import (
 from gainrig.graph import InvariantViolation
 from gainrig.jsonio import load_json, sequence_from_dict
 from gainrig.moves import ALL_KINDS, Move, MoveError, apply_move, kept_edge_map
-from gainrig.norms import LINF, PolyhedralNorm
+from gainrig.norms import L1, LINF, PolyhedralNorm
 from gainrig.placement import (
     BASE_PLACEMENTS,
     PlacementError,
@@ -29,7 +29,7 @@ from gainrig.placement import (
     extend_placement,
     realize,
 )
-from gainrig.rigidity import Framework, analyse, orbit_matrix, well_positioned
+from gainrig.rigidity import Framework, FrameworkError, analyse, orbit_matrix, well_positioned
 from gainrig.sparsity import tight_partition
 
 DATA = Path(__file__).parent / "data"
@@ -182,9 +182,9 @@ BASES = [(PARAMS_220, 0, ("d",)), (PARAMS_220, 0, ("c", "a")), (PARAMS_222, 1, (
 def test_each_framework_is_verified_once(monkeypatch, p, j, initial):
     calls = []
 
-    def counting(fw, j, parent=None):
+    def counting(fw, j, parent=None, chosen=None):
         calls.append(fw)
-        return verified(fw, j, parent)
+        return verified(fw, j, parent, chosen)
 
     verified = placement._verified
     monkeypatch.setattr(placement, "_verified", counting)
@@ -250,6 +250,7 @@ def test_carried_covector_table_matches_a_fresh_one(p, j, initial):
             fresh = Framework(fw.graph, fw.positions, fw.norm, fw.group_order)
             assert fw.covectors == fresh.covectors
             assert list(fw.covectors) == list(fresh.covectors)
+            assert fw.covering == fresh.covering and fw.classes == fresh.classes
 
 
 # The polygon search placement used before its interval test, kept as the
@@ -446,3 +447,63 @@ def test_block_certificate_needs_a_certified_parent_and_a_nonzero_det():
     assert _block_det(child, 1, 0) != 0
     assert placement._block_certified(child, parent, 0) is False
     assert not placement._block_certified(child, uncertified, 1)
+
+
+# Positions realize gave, before its steps carried the colour classes, the
+# covering set and the covector table, for sequences grown like
+# _grown_sequence ((2,2,0) from a random base at character 0, (2,2,2) from
+# k1 at character 1, seeds 1-7, 16 to 64 vertices: every move kind), both
+# regression fixtures, and three forward sequences of perfbench's generator
+# (gen.forward_sequence(Random(s), n, regime) for s, n, regime = 267020169,
+# 28, "220"; 2819268332, 22, "222"; 2928485758, 22, "222") whose regions
+# often have a forbidden centre, the last one where the point rule's next
+# candidate decides the position.  A change meant to move positions must
+# regenerate the file; any other change must reproduce it exactly.
+GOLDEN = load_json(DATA / "realize_positions.json")["cases"]
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[f"{c['sequence']['counts']}-{i}" for i, c in enumerate(GOLDEN)])
+def test_realize_reproduces_golden_positions(case):
+    fw = realize(sequence_from_dict(case["sequence"]), case["character"])
+    assert [[str(x), str(y)] for x, y in fw.positions] == case["positions"]
+
+
+def test_golden_sequences_cover_every_move_kind():
+    kinds = {step["kind"] for case in GOLDEN for step in case["sequence"]["steps"]}
+    assert kinds == set(ALL_KINDS)
+
+
+def test_growing_onto_an_old_covering_position_raises():
+    # grown from a parent, only the appended position is checked, against
+    # the parent's covering set: +-p of any old p is still refused
+    parent = base_placement("a")
+    h = apply_move(parent.graph, Move("H1a", vertices=(0, 1), gains=(1, -1)))
+    for p in parent.positions:
+        for q in (p, (-p[0], -p[1])):
+            with pytest.raises(FrameworkError, match="distinct"):
+                Framework(h, parent.positions + (q,), LINF, 2, parent)
+            with pytest.raises(FrameworkError, match="distinct"):
+                Framework(h, parent.positions + (q,), LINF, 2)
+    with pytest.raises(FrameworkError, match="rotation centre"):
+        Framework(h, parent.positions + ((F(0), F(0)),), LINF, 2, parent)
+    grown = Framework(h, parent.positions + ((F(5), F(1)),), LINF, 2, parent)
+    assert grown.covering == Framework(h, grown.positions, LINF, 2).covering
+    assert len(grown.covering) == 2 * h.n
+
+
+@pytest.mark.parametrize("p, j", [(PARAMS_220, 0), (PARAMS_222, 1)], ids=["chi0", "chi1"])
+def test_realize_under_l1(p, j):
+    # (x, y) -> ((x + y)/2, (x - y)/2) maps the l-infinity ball onto the l1
+    # ball: the image keeps every edge's length and colour, and both oracles
+    # verify it again under L1
+    for seed in range(4):
+        seq = _grown_sequence(p, seed, initial=("k1",) if j else None)
+        linf, l1 = realize(seq, j), realize(seq, j, norm=L1)
+        assert l1.norm == L1 and l1.graph == linf.graph
+        assert l1.positions == tuple(((x + y) / 2, (x - y) / 2) for x, y in linf.positions)
+        for e in l1.graph.edges:
+            assert L1.value(l1.edge_delta(e)) == LINF.value(linf.edge_delta(e))
+        assert monochrome_quotients(l1) == monochrome_quotients(linf)
+        _assert_isostatic(l1, j)
+    with pytest.raises(ValueError, match="l1 norm"):
+        realize(seq, j, norm=PolyhedralNorm(((1, 0), (1, 1))))

@@ -132,9 +132,9 @@ def framework_from_dict(d: dict) -> Framework:
         tuple(parse_rational(c) for c in p) for p in raw
     )
     group = d.get("group", {"n": 2})
-    order = group.get("n", 2) if isinstance(group, dict) else 2
+    order = group.get("n", 2) if isinstance(group, dict) else None
     if not _is_int(order):
-        raise FormatError(f"group order 'n' must be an integer, got {order!r}")
+        raise FormatError(f"'group' needs an object with integer group order 'n', got {group!r}")
     norm = norm_from_json(d.get("norm", "linf"))
     return Framework(g, positions, norm, order)
 

@@ -39,6 +39,12 @@ apply_move(reduced, forward).  Admissibility is semantic: every component
 of the reduced graph must be tight.  is_admissible carries the input's
 matroid partition through (pi, signs) into the reduced graph and inserts
 only the re-added edges (sparsity.tight_partition).
+
+The clique reverses contract a balanced K4 or a triangle's gain-1 edge.
+_cliques grows the 3- and 4-cliques from neighbourhoods, in
+combinations(range(n), k) order; a contraction's edges (reduced, attach or
+moved, v2_edge) are the map_edge images of the input's under the switching
+and pi with the merged vertices sent to their target.
 """
 
 from __future__ import annotations
@@ -383,35 +389,25 @@ def _vertex_last_perm(n: int, v: int) -> list[int]:
 
 
 def _try_reduction(
-    g: GainGraph,
-    signs: Sequence[int],
-    reduced_edges: Sequence[Edge],
-    forward: Move,
-    new_edges: Sequence[Edge],
-    pi: Sequence[int],
-) -> Iterator[Reduction]:
-    """Yield the Reduction if the reduced edges form a valid graph (a
-    reverse shape can repeat an edge), else nothing.  That its forward move
-    rebuilds g is not checked here: test_reductions_replay_exactly is the
-    evidence, and a candidate that failed it would stop decompose's replay
-    (which checks every reduction it uses) instead of being skipped."""
+    g: GainGraph, signs: Sequence[int], reduced_edges: Sequence[Edge], forward: Move,
+    new_edges: Sequence[Edge], pi: Sequence[int],
+) -> Optional[Reduction]:
+    """The Reduction if the reduced edges form a valid graph (a reverse shape
+    can repeat an edge), else None.  That its forward move rebuilds g is not
+    checked here: test_reductions_replay_exactly is the evidence, and a
+    candidate that failed it would stop decompose's replay (which checks
+    every reduction it uses) instead of being skipped."""
     removed = 3 if forward.kind == "VertexToK4" else 1
     try:
         reduced = GainGraph(g.n - removed, tuple(reduced_edges))
     except GainGraphError:
-        return
-    yield Reduction(
-        reduced=reduced,
-        forward=forward,
-        pi=tuple(pi),
-        signs=tuple(signs),
-        new_edges=tuple(new_edges),
-    )
+        return None
+    return Reduction(reduced, forward, tuple(pi), tuple(signs), tuple(new_edges))
 
 
 def _vertex_deletion_candidates(
     g: GainGraph, v: int, kinds: set[str]
-) -> Iterator[Reduction]:
+) -> Iterator[Optional[Reduction]]:
     """Reverse H moves at v: v becomes w (the last vertex), its edges are
     assigned to a shape's added edges in every order, each assignment that
     fits recovers the removed edges (a gain only they hold runs over +-1),
@@ -454,164 +450,106 @@ def _vertex_deletion_candidates(
                     gains=tuple(gains[x] for x in shape.gains),
                     removed=back,
                 )
-                yield from _try_reduction(g, signs, kept + list(back), forward, back, pi)
+                yield _try_reduction(g, signs, kept + list(back), forward, back, pi)
 
 
-def _clique_switchings(
-    clique: tuple[int, ...], induced: Sequence[Edge]
-) -> Iterator[tuple[tuple[int, ...], dict[tuple[int, int], Edge]]]:
-    """Switchings of the clique, first sign fixed +1 (a global flip is moot),
-    under which every vertex pair of it is joined by an edge of gain +1;
-    yields (local signs, one such edge per pair)."""
-    pair_edges: dict[tuple[int, int], list[Edge]] = {}
-    for e in induced:
+def _cliques(
+    g: GainGraph, k: int
+) -> Iterator[tuple[tuple[int, ...], list[int], list[Edge], list[Edge]]]:
+    """Each k-set of vertices whose pairs are all joined, in
+    combinations(range(g.n), k) order: a set grows only by a later neighbour
+    of its last vertex that is joined to all the others.  For each set, every
+    switching (its first vertex +1: a global flip is moot) under which each
+    pair has a gain-1 edge is yielded as (the set, signs on g's vertices, one
+    such edge per pair, the set's induced edges in edge order)."""
+    joined: dict[tuple[int, int], list[Edge]] = {}
+    for e in g.edges:
         if not e.is_loop():
-            pair_edges.setdefault((e.u, e.v), []).append(e)
-    if len(pair_edges) < len(clique) * (len(clique) - 1) // 2:
-        return
-    index = {v: i for i, v in enumerate(clique)}
-    for rest in product((1, -1), repeat=len(clique) - 1):
-        local_signs = (1,) + rest
-        chosen = {}
-        for (u, v), es in pair_edges.items():
-            want = local_signs[index[u]] * local_signs[index[v]]
-            match = [e for e in es if e.gain == want]
-            if not match:
-                break
-            chosen[(u, v)] = match[0]
-        else:
-            yield local_signs, chosen
+            joined.setdefault((e.u, e.v), []).append(e)
+    later: dict[int, list[int]] = {}
+    for u, v in joined:  # in edge order, so each list ascends
+        later.setdefault(u, []).append(v)
+    sets = [(v,) for v in range(g.n)]
+    for _ in range(k - 1):
+        sets = [s + (v,) for s in sets for v in later.get(s[-1], ())
+                if all((u, v) in joined for u in s[:-1])]
+    for s in sets:
+        pairs = list(combinations(s, 2))
+        loops = [loop for loop in map(g.loop_at, s) if loop is not None]
+        induced = sorted([e for pair in pairs for e in joined[pair]] + loops)
+        for rest in product((1, -1), repeat=k - 1):
+            local = dict(zip(s, (1,) + rest))
+            chosen = [e for u, v in pairs for e in joined[(u, v)]
+                      if e.gain == local[u] * local[v]]
+            if len(chosen) == len(pairs):
+                yield s, [local.get(v, 1) for v in range(g.n)], chosen, induced
 
 
-def _balanced_k4_contractions(g: GainGraph) -> Iterator[Reduction]:
+def _k4_contractions(g: GainGraph) -> Iterator[Optional[Reduction]]:
     """Contract each balanced K4 that induces at most one extra edge."""
-    if g.n < 4:
-        return
-    seen: set[tuple] = set()
-    for quad in combinations(range(g.n), 4):
-        induced = g.induced_edges(quad)
-        if len(induced) > 7:
+    for quad, signs, chosen, induced in _cliques(g, 4):
+        extra = [e for e in induced if e not in chosen]
+        if len(extra) > 1:
             continue
-        for local_signs, chosen in _clique_switchings(quad, induced):
-            extra = [e for e in induced if e not in chosen.values()]
-            if len(extra) > 1:
-                continue
-            key = (quad, tuple(sorted(extra)))
-            if key in seen:
-                continue
-            seen.add(key)
-            yield from _build_k4_contraction(g, quad, local_signs, extra)
+        # Outside vertices first (order kept), quad last; `to` sends the quad
+        # to merged, the contracted vertex of the reduced graph.
+        outside = [u for u in range(g.n) if u not in quad]
+        pi = [0] * g.n
+        for i, u in enumerate(outside + list(quad)):
+            pi[u] = i
+        merged = len(outside)
+        to = [min(i, merged) for i in pi]
+        reduced_edges, attach = [], []
+        for e in g.edges:
+            low, high = sorted((pi[e.u], pi[e.v]))
+            if low >= merged:
+                continue  # a K4 edge, or the extra edge
+            image = map_edge(e, to, signs)
+            reduced_edges.append(image)
+            if high >= merged:
+                attach.append((image, high - merged))
+        loop_attach = None
+        for xe in extra:  # it becomes a loop at merged
+            loop_attach = (pi[xe.u] - merged, pi[xe.v] - merged)
+            reduced_edges.append(map_edge(xe, to, signs))
+        forward = Move("VertexToK4", vertices=(merged,), attach=tuple(sorted(attach)),
+                       loop_attach=loop_attach)
+        new_edges = [e for e in reduced_edges if e.touches(merged)]
+        yield _try_reduction(g, signs, reduced_edges, forward, new_edges, pi)
 
 
-def _build_k4_contraction(
-    g: GainGraph, quad: tuple[int, ...], local_signs, extra
-) -> Iterator[Reduction]:
-    signs = [1] * g.n
-    for v, s in zip(quad, local_signs):
-        signs[v] = s
-    switched = g.switched(signs)
-    outside = [u for u in range(g.n) if u not in quad]
-    pi = [0] * g.n  # outside vertices first (order kept), quad last
-    for i, u in enumerate(outside):
-        pi[u] = i
-    for t, v in enumerate(quad):
-        pi[v] = len(outside) + t
-    merged = len(outside)  # contracted-vertex index in the reduced graph
-    quadset = set(quad)
-    reduced_edges = []
-    attach = []
-    for e in switched.edges:
-        inu, inv = e.u in quadset, e.v in quadset
-        if inu and inv:
-            continue  # internal K4 edge (or the extra edge)
-        if not inu and not inv:
-            reduced_edges.append(edge(pi[e.u], pi[e.v], e.gain))
-            continue
-        kv = e.u if inu else e.v
-        x = e.other(kv)
-        contracted = edge(pi[x], merged, e.gain)
-        reduced_edges.append(contracted)
-        attach.append((contracted, pi[kv] - merged))
-    loop_attach = None
-    if extra:
-        (xe,) = extra
-        loop_attach = (pi[xe.u] - merged, pi[xe.v] - merged)
-        reduced_edges.append(edge(merged, merged, -1))
-    forward = Move(
-        "VertexToK4",
-        vertices=(merged,),
-        attach=tuple(sorted(attach)),
-        loop_attach=tuple(sorted(loop_attach)) if loop_attach else None,
-    )
-    new_edges = [e for e in reduced_edges if e.touches(merged)]
-    yield from _try_reduction(g, signs, reduced_edges, forward, new_edges, pi)
+def _triangle_contractions(g: GainGraph) -> Iterator[Optional[Reduction]]:
+    """Reverse vertex splits: contract a gain-1 edge of a balanced triangle,
+    merging `absorb` into `keep`; the triangle's gain-1 edge at keep that
+    stays becomes the split's v2_edge."""
+    for tri, signs, chosen, _ in _cliques(g, 3):
+        for pair in combinations(tri, 2):
+            for keep, absorb in (pair, pair[::-1]):
+                yield _triangle_contraction(g, keep, absorb, signs, chosen)
 
 
-def _triangle_contractions(g: GainGraph) -> Iterator[Reduction]:
-    """Reverse vertex splits: contract a gain-1 edge of a balanced triangle."""
-    for tri in combinations(range(g.n), 3):
-        for local_signs, _ in _clique_switchings(tri, g.induced_edges(tri)):
-            for keep, absorb in _ordered_pairs(tri):
-                c = next(x for x in tri if x not in (keep, absorb))
-                yield from _build_triangle_contraction(
-                    g, keep, absorb, c, tri, local_signs
-                )
-
-
-def _ordered_pairs(tri):
-    for a, b in combinations(tri, 2):
-        yield a, b
-        yield b, a
-
-
-def _build_triangle_contraction(
-    g, keep, absorb, c, tri, local_signs
-) -> Iterator[Reduction]:
-    """Merge `absorb` into `keep`; `c` is the split's second anchor."""
-    signs = [1] * g.n
-    for v, s in zip(tri, local_signs):
-        signs[v] = s
-    switched = g.switched(signs)
-    if switched.has_edge(edge(keep, absorb, -1)):
-        return  # a parallel keep-absorb edge would contract to a loop
-    # In the switched graph all three chosen triangle edges have gain +1.
-    e_ka = edge(min(keep, absorb), max(keep, absorb), 1)
-    e_ac = edge(min(absorb, c), max(absorb, c), 1)
-    loop_keep = switched.loop_at(keep)
-    loop_absorb = switched.loop_at(absorb)
-    if loop_keep is not None and loop_absorb is not None:
-        return
+def _triangle_contraction(
+    g: GainGraph, keep: int, absorb: int, signs: list[int], chosen: list[Edge]
+) -> Optional[Reduction]:
     pi = _vertex_last_perm(g.n, absorb)
-    moved = []
-    new_edges = []
-    reduced_edges = []
-    for e in switched.edges:
-        if e == e_ka or e == e_ac:
+    to = list(pi)
+    to[absorb] = pi[keep]
+    reduced_edges, new_edges = [], []
+    for e in g.edges:
+        if e.touches(absorb) and e in chosen:
             continue
-        if e.is_loop() and e.u == absorb:
-            keep_loop = edge(pi[keep], pi[keep], -1)
-            reduced_edges.append(keep_loop)
-            new_edges.append(keep_loop)
-            continue
-        if not e.is_loop() and e.touches(absorb):
-            x = e.other(absorb)
-            merged_e = edge(pi[x], pi[keep], e.gain)
-            reduced_edges.append(merged_e)
-            moved.append(merged_e)
-            new_edges.append(merged_e)
-            continue
-        reduced_edges.append(edge(pi[e.u], pi[e.v], e.gain))
-    # The split's v0-v2 edge is the kept (switched, gain +1) keep-c edge.
-    kc = (min(keep, c), max(keep, c))
-    v2_edge = edge(pi[kc[0]], pi[kc[1]], 1)
-    forward = Move(
-        "VertexSplit",
-        vertices=(pi[keep],),
-        v2_edge=v2_edge,
-        moved=tuple(sorted(moved)),
-        move_loop=loop_absorb is not None,
-    )
-    yield from _try_reduction(g, signs, reduced_edges, forward, new_edges, pi)
+        image = map_edge(e, to, signs)
+        if image.is_loop() and not e.is_loop():
+            return None  # a parallel keep-absorb edge would contract to a loop
+        reduced_edges.append(image)
+        if e.touches(absorb):
+            new_edges.append(image)
+    moved = [e for e in new_edges if not e.is_loop()]
+    (v2_edge,) = [map_edge(e, to, signs) for e in chosen if not e.touches(absorb)]
+    forward = Move("VertexSplit", vertices=(pi[keep],), v2_edge=v2_edge,
+                   moved=tuple(sorted(moved)), move_loop=g.loop_at(absorb) is not None)
+    # Loops at both keep and absorb give a repeated loop: no valid graph.
+    return _try_reduction(g, signs, reduced_edges, forward, new_edges, pi)
 
 
 def enumerate_reductions(
@@ -622,12 +560,13 @@ def enumerate_reductions(
     K4 contractions, then triangle contractions (reverse splits)."""
     allowed = set(kinds) if kinds is not None else set(ALL_KINDS)
     order = sorted(range(g.n), key=lambda v: (g.degree(v), v))
-    for v in order:
-        yield from _vertex_deletion_candidates(g, v, allowed)
+    found = [_vertex_deletion_candidates(g, v, allowed) for v in order]
     if "VertexToK4" in allowed:
-        yield from _balanced_k4_contractions(g)
+        found.append(_k4_contractions(g))
     if "VertexSplit" in allowed:
-        yield from _triangle_contractions(g)
+        found.append(_triangle_contractions(g))
+    for candidates in found:
+        yield from filter(None, candidates)
 
 
 def is_admissible(

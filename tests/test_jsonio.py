@@ -113,7 +113,7 @@ def test_malformed_sequence_raises_format_error(seq):
 @pytest.mark.parametrize(
     "field, value",
     [("positions", 5), ("positions", [1, 2]), ("group", {"n": "x"}),
-     ("norm", {"p": [1]}), ("norm", {"facets": [1, 2]})],
+     ("norm", {"p": [1]}), ("norm", {"facets": [1, 2]}), ("group", 4), ("group", [4])],
 )
 def test_malformed_framework_raises_format_error(field, value):
     d = framework_to_dict(base_placement("b"))

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -7,6 +8,7 @@ from gainrig.construct import _random_move, allowed_kinds, random_tight
 from gainrig.graph import GainGraph, edge
 from gainrig.iso import apply_iso
 from gainrig.moves import (
+    _cliques,
     ALL_KINDS,
     ARITY,
     H_KINDS,
@@ -19,7 +21,7 @@ from gainrig.moves import (
 )
 from gainrig.sparsity import check_tight, tight_partition
 
-from conftest import assert_partition, two_base_union
+from conftest import assert_partition, random_gain_graph, two_base_union
 
 
 BASE_A = BASE_CATALOG["a"]
@@ -258,6 +260,52 @@ def test_balanced_k4_contracts_to_single_vertex():
     )
     rs = [r for r in enumerate_reductions(k4, kinds=("VertexToK4",))]
     assert any(r.reduced == GainGraph(1, ()) for r in rs)
+
+
+def scan_cliques(g, k):
+    """The subset scan that _cliques replaces: every k-subset in
+    combinations order whose pairs are all joined, with its induced edges,
+    under every switching (first vertex +1) giving each pair a gain-1 edge."""
+    pairs = k * (k - 1) // 2
+    for s in combinations(range(g.n), k):
+        induced = list(g.induced_edges(s))
+        if len({(e.u, e.v) for e in induced if not e.is_loop()}) < pairs:
+            continue
+        for rest in product((1, -1), repeat=k - 1):
+            local = dict(zip(s, (1,) + rest))
+            chosen = [e for e in induced
+                      if not e.is_loop() and e.gain == local[e.u] * local[e.v]]
+            if len(chosen) == pairs:
+                yield s, [local.get(v, 1) for v in range(g.n)], chosen, induced
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_cliques_match_the_subset_scan(k):
+    # the same sets in the same order, with the same switchings, chosen
+    # edges and induced edges, on dense random gain graphs and on two-base
+    # unions in both regimes
+    rng = random.Random(k)
+    graphs = [random_gain_graph(rng, max_n=8, max_edges=40) for _ in range(300)]
+    for p in (PARAMS_220, PARAMS_222):
+        graphs += [two_base_union(rng, n, p) for n in (4, 5, 6, 8, 12) for _ in range(20)]
+    found = 0
+    for g in graphs:
+        expected = list(scan_cliques(g, k))
+        assert list(_cliques(g, k)) == expected, g.triples()
+        found += len(expected)
+    assert found > 100
+
+
+def test_k4_at_the_highest_indices_is_found_first():
+    # a path on 0..195 with a balanced K4 on 196..199 hanging off its end:
+    # the subset scan passes about 6.5e7 quadruples before this one
+    path = [[i, i + 1, 1] for i in range(195)] + [[195, 196, 1]]
+    k4 = [[u, v, 1] for u, v in combinations(range(196, 200), 2)]
+    g = GainGraph.from_triples(200, path + k4)
+    r = next(enumerate_reductions(g, ["VertexToK4"]))
+    assert r.forward.vertices == (196,)
+    assert r.reduced == GainGraph.from_triples(197, [[i, i + 1, 1] for i in range(196)])
+    assert apply_iso(g, r.pi, r.signs) == apply_move(r.reduced, r.forward)
 
 
 def test_restricted_kind_filter():

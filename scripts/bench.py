@@ -1,0 +1,140 @@
+"""Scaling benchmark of the sparsity checker and the round trip.
+
+Times check_tight, decompose and construct(verify=True) on tight graphs from
+perfbench's own generator (gen.tight_graph: unions of two matroid bases, so
+no checker decides what the input is), for both built-in counts, and writes
+one JSON file.  Each time is also rescaled to a fixed machine speed with
+perfbench's reference loop, timed just before and after the call (see
+perfbench/README.md, "Load and timing").  Standard library only; it imports
+gainrig from this checkout's src/.  The sizes and the seed are fixed, so any
+two BENCH files compare.  The file records the commit and the git tree id of
+src/ as it was run, which equals `git rev-parse <commit>:src` of any commit
+holding that code, uncommitted changes included.  Usage:
+
+    python3 scripts/bench.py [-o PATH]
+
+PATH defaults to BENCH_<date>.json at the root of the checkout; an existing
+file there is not overwritten unless named with -o.
+"""
+
+from __future__ import annotations
+
+import argparse
+import datetime
+import json
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import gen  # noqa: E402  (perfbench's input generator)
+from run import REF_S, reference  # noqa: E402
+
+from gainrig import (  # noqa: E402
+    PARAMS_220, PARAMS_222, GainGraph, apply_iso, check_tight, construct, decompose,
+)
+
+REGIMES = {"220": PARAMS_220, "222": PARAMS_222}
+SIZES = (100, 200, 400, 800)
+DECOMPOSE_MAX = 400  # largest n also timed through decompose and construct
+SEED = 1
+
+
+def timed(call):
+    """(result, raw seconds, seconds rescaled by the reference loop)."""
+    before = statistics.median(reference() for _ in range(3))
+    t = time.perf_counter()
+    result = call()
+    raw = time.perf_counter() - t
+    after = statistics.median(reference() for _ in range(3))
+    return result, raw, raw * REF_S * 2 / (before + after)
+
+
+def git(*args: str, env=None):
+    """The output of a git command run in this checkout, or None."""
+    try:
+        out = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
+                             text=True, timeout=30, check=True, env=env)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip()
+
+
+def src_tree():
+    """The git tree id of src/ as it is on disk, staged through a temporary
+    index so that the checkout's own index is left alone."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": os.path.join(tmp, "index")}
+        if git("add", "src", env=env) is None:
+            return None
+        return git("write-tree", "--prefix=src/", env=env)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("-o", "--output")
+    args = ap.parse_args(argv)
+    today = datetime.datetime.now(datetime.timezone.utc).date().isoformat()
+    path = Path(args.output or ROOT / f"BENCH_{today}.json")
+    if args.output is None and path.exists():
+        print(f"error: {path} exists; name the output with -o", file=sys.stderr)
+        return 2
+
+    rows = []
+
+    def record(stage, regime, g, call, **extra):
+        out, raw, s = timed(call)
+        rows.append({"stage": stage, "regime": regime, "n": g.n,
+                     "edges": len(g.edges), **extra,
+                     "seconds": round(s, 4), "raw_seconds": round(raw, 4)})
+        print(f"{stage:12} ({regime}) n={g.n:4}  {s:8.3f} s  (raw {raw:.3f} s)",
+              flush=True)
+        return out, s
+
+    for regime, p in REGIMES.items():
+        for n in SIZES:
+            triples = gen.tight_graph(random.Random(SEED), n, regime)
+            g = GainGraph.from_triples(n, triples)
+            ok, _ = record("check_tight", regime, g, lambda: check_tight(g, p))
+            if n <= DECOMPOSE_MAX:
+                (seq, pi, signs), t_dec = record("decompose", regime, g,
+                                                 lambda: decompose(g, p))
+                built, t_con = record("construct", regime, g,
+                                      lambda: construct(seq, verify=True),
+                                      moves=len(seq.steps))
+                ok = ok and built == apply_iso(g, pi, signs)
+                rows.append({"stage": "roundtrip", "regime": regime, "n": n,
+                             "edges": len(g.edges), "seconds": round(t_dec + t_con, 4)})
+            if not ok:
+                print(f"error: ({regime}) n={n}: a tight input was not certified "
+                      "or rebuilt", file=sys.stderr)
+                return 1
+
+    status = git("status", "--porcelain", "--untracked-files=no")
+    doc = {
+        "date": today,
+        "git_sha": git("rev-parse", "HEAD"),
+        "uncommitted_changes": None if status is None else bool(status),
+        "src_tree": src_tree(),
+        "python": platform.python_version(),
+        "machine": {"platform": platform.platform(), "cpus": os.cpu_count()},
+        "seed": SEED,
+        "inputs": "perfbench gen.tight_graph(random.Random(seed), n, regime)",
+        "rescaled_to_reference_s": REF_S,
+        "stages": rows,
+    }
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -444,6 +444,12 @@ def _vertex_deletion_candidates(
                 if frozenset(back) in tried:
                     continue
                 tried.add(frozenset(back))
+                # Undo pi's shift past v: an edge g has off v would repeat a kept one.
+                if any(
+                    g.has_edge(Edge(e.u + (e.u >= v), e.v + (e.v >= v), e.gain))
+                    for e in back
+                ):
+                    continue
                 forward = Move(
                     kind,
                     vertices=tuple(at[x] for x in shape.vertices),

@@ -11,14 +11,16 @@ on a connected edge set C those k ranks sum to k|V(C)| - k if C is balanced
 and to k|V(C)| - m if not.  The half turn's Maxwell counts in d dimensions,
 (d,d,d-2) at chi0 and (d,d,2) at chi1, are such counts.  The checker runs
 Edmonds' matroid partition: it inserts the edges in sorted order, each by
-a breadth-first search for a shortest augmenting path.  If an edge is
-blocked, every element the search reached lies in each side's span of the
-reached set S, so |S| is one more than the sides' ranks of S summed, and
-some component C of S breaks its own count.  That component is the
-witness.  It violates its own bound but need not be the smallest violating
-support.  A move or a reduction keeps all but a few edges of a tight graph,
-so tight_partition carries the Partition across it: the kept edges keep
-their sides, and only the 1-4 edges it adds are inserted.
+a breadth-first search for a shortest augmenting path.  Each side is a
+signed spanning forest, plus one extra edge per tree on a frame side, so
+the circuit an edge closes is read off tree paths (_Forest.circuit), and
+an augmentation re-roots or searches again only the trees it changes.  If
+an edge is blocked, every element the search reached lies in each side's
+span of the reached set S, so |S| is one more than the sides' ranks of S
+summed, and some component C of S breaks its own count: the witness, over
+its own bound but not always the smallest.  A move or a reduction keeps
+all but a few edges of a tight graph, so tight_partition carries the
+Partition across it and inserts only the 1-4 edges it adds.
 
 Counts with l != k go to the exhaustive scan of vertex supports in
 increasing size, also the partition's test oracle.  For the general count,
@@ -140,119 +142,133 @@ def check_sparsity(g: GainGraph, p: SparsityParams) -> SparsityReport:
     return SparsityReport(passed=True)
 
 
-def _two_core(edges: list[Edge]) -> list[Edge]:
-    """The edges left after deleting, again and again, the edge at a vertex
-    of degree 1 (a loop counts 2)."""
-    at: dict[int, list[int]] = {}
-    for i, e in enumerate(edges):
-        at.setdefault(e.u, []).append(i)
-        at.setdefault(e.v, []).append(i)
-    degree = {w: len(ix) for w, ix in at.items()}
-    alive = [True] * len(edges)
-    leaves = [w for w, d in degree.items() if d == 1]
-    while leaves:
-        w = leaves.pop()
-        if degree[w] != 1:
-            continue
-        i = next(i for i in at[w] if alive[i])
-        alive[i] = False
-        e = edges[i]
-        degree[e.u] -= 1
-        degree[e.v] -= 1
-        if degree[e.other(w)] == 1:
-            leaves.append(e.other(w))
-    return [e for e, kept in zip(edges, alive) if kept]
+class _Forest:
+    """One partition side as a rooted spanning forest of its edges: per
+    vertex its parent, tree edge, depth, sign relative to its root (a tree
+    edge's gain is the product of its ends' signs) and root, and its edges on
+    the side (``at``).  A frame side also keeps, per root, the one edge off
+    its tree if it has one (``extra``), closing an unbalanced cycle."""
 
-
-def _circuit_in_core(core: list[Edge]) -> list[Edge]:
-    """The circuit of a connected 2-core with at most two independent cycles,
-    of which the old one (if any) is unbalanced.
-
-    A lone cycle is the circuit.  Otherwise the core is a theta (three paths
-    between two branch vertices) or a handcuff (two cycles joined at a vertex
-    or by a path).  The circuit is the core's balanced cycle if it has one: a
-    theta always has exactly one, a handcuff one if its new cycle is
-    balanced.  Else it is the whole handcuff.
-    """
-    at: dict[int, list[Edge]] = {}
-    for e in core:
-        at.setdefault(e.u, []).append(e)
-        at.setdefault(e.v, []).append(e)
-    branch = [w for w, es in at.items() if len(es) > 2]
-    if not branch:
-        return core
-    # Walk each path between branch vertices through the degree-2 vertices.
-    used: set[Edge] = set()
-    paths = []
-    for a in branch:
-        for e in at[a]:
-            if e in used:
-                continue
-            path, w = [e], e.other(a)
-            used.add(e)
-            while len(at[w]) == 2:
-                e = at[w][0] if at[w][1] == e else at[w][1]
-                path.append(e)
-                used.add(e)
-                w = e.other(w)
-            paths.append((a, w, path))
-    cycles = [path for a, b, path in paths if a == b]
-    if not cycles:
-        cycles = [p1 + p2 for (_, _, p1), (_, _, p2) in combinations(paths, 2)]
-    for cycle in cycles:
-        gain = 1
-        for e in cycle:
-            gain *= e.gain
-        if gain == 1:
-            return cycle
-    return core
-
-
-class _EdgeSet:
-    """An edge set with its signed union-find and its edges grouped by
-    component root, in component order (by smallest vertex) when the edges
-    come sorted.  In the frame matroid a set is independent iff each
-    component has at most one cycle, and that cycle unbalanced; in the
-    graphic matroid iff it has no cycle."""
-
-    def __init__(self, n: int, edges: list[Edge], frame: bool) -> None:
+    def __init__(self, n: int, frame: bool, edges: Iterable[Edge]) -> None:
         self.frame = frame
-        self.uf = SignedUnionFind(n, edges)
-        self.by_root: dict[int, list[Edge]] = {}
+        self.at: list[dict[Edge, None]] = [{} for _ in range(n)]
         for e in edges:
-            self.by_root.setdefault(self.uf.find(e.u)[0], []).append(e)
+            self.at[e.u][e] = self.at[e.v][e] = None
+        self.parent = list(range(n))
+        self.root = list(range(n))
+        self.size = [1] * n  # vertices in the tree, kept at its root
+        self.pedge: list[Optional[Edge]] = [None] * n
+        self.depth = [0] * n
+        self.sign = [1] * n
+        self.extra: dict[int, Edge] = {}
+        for w in range(n):
+            if self.root[w] == w:  # not reached from a smaller vertex
+                self._span(w, None)
 
-    def _has_cycle(self, root: int) -> bool:
-        return self.uf.edge_count[root] == self.uf.size[root]
+    def _span(self, start: int, up: Optional[Edge]) -> set[int]:
+        """Hang start's component from the far end of its tree edge ``up``
+        (or make it a tree) by breadth-first search; the one edge off the tree
+        it meets is the tree's extra edge.  Returns the vertices reached."""
+        root = start if up is None else self.root[up.other(start)]
+        seen, queue = {start}, [(start, up)]
+        for w, f in queue:  # f is w's tree edge
+            p = w if f is None else f.other(w)
+            self.parent[w], self.pedge[w], self.root[w] = p, f, root
+            self.depth[w] = 0 if f is None else self.depth[p] + 1
+            self.sign[w] = 1 if f is None else self.sign[p] * f.gain
+            for e in self.at[w]:
+                z = e.other(w)
+                if e is f:
+                    continue
+                if z not in seen:
+                    seen.add(z)
+                    queue.append((z, e))
+                else:  # a tree keeps at most one edge off it
+                    invariant(self.frame and self.extra.setdefault(root, e) == e,
+                              "a partition side is not independent")
+        if up is None:
+            self.size[start] = len(queue)
+        return seen
+
+    def add(self, e: Edge) -> None:
+        """Add e, which must keep the side independent.  Joining two trees
+        re-roots the smaller at its end of e; it keeps the extra edge its
+        search meets, not its old one, which may now be a tree edge."""
+        invariant(self.circuit(e) is None, "a partition side is not independent")
+        self.at[e.u][e] = self.at[e.v][e] = None
+        ru, rv = self.root[e.u], self.root[e.v]
+        if ru == rv:
+            self.extra[ru] = e
+            return
+        start, big = (e.u, rv) if self.size[ru] < self.size[rv] else (e.v, ru)
+        self.extra.pop(self.root[start], None)
+        self.size[big] += len(self._span(start, e))
+
+    def remove(self, e: Edge) -> None:
+        """Remove e; if it is a tree edge, search its tree again."""
+        del self.at[e.u][e]
+        self.at[e.v].pop(e, None)
+        root = self.root[e.u]
+        if self.extra.pop(root, None) != e:
+            child = e.u if self.pedge[e.u] == e else e.v
+            invariant(self.pedge[child] == e, "removed edge is not on the side")
+            if child not in self._span(root, None):
+                self._span(child, None)
+
+    def _path(self, a: int, b: int, *also: Edge) -> tuple[set[Edge], int]:
+        """The tree edges between a and b, in one tree, with ``also``, and
+        the top vertex of that path (their lowest common ancestor)."""
+        out = set(also)
+        while a != b:
+            if self.depth[a] < self.depth[b]:
+                a, b = b, a
+            out.add(self.pedge[a])
+            a = self.parent[a]
+        return out, a
 
     def circuit(self, x: Edge) -> Optional[list[Edge]]:
-        """None if the set plus x is independent, else the circuit of x."""
-        ru, su = self.uf.find(x.u)
-        rv, sv = self.uf.find(x.v)
+        """None if the side plus x is independent, else the circuit of x in
+        edge order: x's cycle if balanced (or on a graphic side); with the
+        extra edge's cycle, their sum if they share an edge (a theta), else
+        both and the path between them (a handcuff); across two trees, both
+        extra cycles, the paths from x's ends to them, and x."""
+        ru, rv = self.root[x.u], self.root[x.v]
         if ru != rv:
-            if not (self.frame and self._has_cycle(ru) and self._has_cycle(rv)):
+            if not (self.frame and ru in self.extra and rv in self.extra):
                 return None
-            local = self.by_root[ru] + self.by_root[rv]
-        else:
-            if self.frame and not self._has_cycle(ru) and (
-                x.is_loop() or su * sv != x.gain
-            ):
-                return None
-            local = self.by_root.get(ru, [])
-        return _circuit_in_core(_two_core(local + [x]))
+            eu, ev = self.extra[ru], self.extra[rv]
+            cu, tu = self._path(eu.u, eu.v, eu)
+            cv, tv = self._path(ev.u, ev.v, ev)
+            xu, _ = self._path(x.u, tu, x)
+            xv, _ = self._path(x.v, tv)
+            return sorted(cu | cv | xu | xv)
+        cx, top = self._path(x.u, x.v, x)
+        balanced = not x.is_loop() and self.sign[x.u] * self.sign[x.v] == x.gain
+        if not self.frame or balanced:
+            return sorted(cx)
+        e = self.extra.get(ru)
+        if e is None:
+            return None
+        ce, top_e = self._path(e.u, e.v, e)
+        if cx & ce:  # a theta
+            return sorted(cx ^ ce)
+        between, _ = self._path(top, top_e)
+        return sorted(cx | ce | between)
 
 
 class Partition:
     """Edmonds' matroid partition of a (k,k,m)-sparse edge set into m graphic
-    and then k - m frame sides (``frames``): the side of each edge, and each
-    side's _EdgeSet, built when a search needs it.  Counts with l != k have
-    no matroid; all edges then sit on side 0."""
+    and then k - m frame sides (``frames``): each edge's side, and per side a
+    _Forest, whose tree paths give the circuits.  An augmenting path takes
+    every edge it moves off its old side before it adds any to its new side,
+    so a forest only ever holds a subset of an independent set.  Counts with
+    l != k have no matroid and no forests; all edges then sit on side 0."""
 
     def __init__(self, n: int, p: SparsityParams, side: dict[Edge, int]) -> None:
-        self.n = n
         self.frames = (False,) * p.m + (True,) * (p.k - p.m)
         self.side = side
-        self._sets: list[Optional[_EdgeSet]] = [None] * p.k
+        self.forests = [_Forest(n, frame, [e for e, s in side.items() if s == i])
+                        for i, frame in enumerate(self.frames)] if p.l == p.k else []
 
     def insert(self, y: Edge) -> Optional[list[Edge]]:
         """Add y along a shortest augmenting path, found by breadth-first
@@ -262,20 +278,22 @@ class Partition:
         label: dict[Edge, Optional[tuple[Edge, int]]] = {y: None}
         queue = [y]
         for x in queue:
-            for i, frame in enumerate(self.frames):
+            for i, forest in enumerate(self.forests):
                 if self.side.get(x) == i:
                     continue
-                if self._sets[i] is None:
-                    members = [e for e, s in self.side.items() if s == i]
-                    self._sets[i] = _EdgeSet(self.n, members, frame)
-                circuit = self._sets[i].circuit(x)
+                circuit = forest.circuit(x)
                 if circuit is None:
-                    while True:
-                        self.side[x] = i
-                        self._sets[i] = None
-                        if label[x] is None:
-                            return None
+                    path = [(x, i)]
+                    while label[x] is not None:
                         x, i = label[x]
+                        path.append((x, i))
+                    for x, _ in path:
+                        if x in self.side:
+                            self.forests[self.side[x]].remove(x)
+                    for x, i in path:
+                        self.side[x] = i
+                        self.forests[i].add(x)
+                    return None
                 for z in circuit:
                     if z not in label:
                         label[z] = (x, i)
@@ -288,14 +306,13 @@ def _blocked_report(
 ) -> SparsityReport:
     """The first component of the blocked edge's reached set, by smallest
     vertex, that breaks its own count."""
-    reached_set = _EdgeSet(g.n, sorted(reached), frame=False)  # only components are read
-    uf = reached_set.uf
-    for root, edges in reached_set.by_root.items():
-        size = uf.size[root]
-        if p.l > p.m and not uf.unbalanced[root] and len(edges) > p.k * size - p.l:
-            return _violation_report(g, tuple(edges), p, balanced=True)
-        if len(edges) > p.k * size - p.m:
-            return _violation_report(g, tuple(edges), p, balanced=False)
+    uf = SignedUnionFind(g.n, reached)
+    for verts, count, unbalanced in uf.components():
+        root = uf.find(verts[0])[0]
+        balanced = p.l > p.m and not unbalanced and count > p.k * len(verts) - p.l
+        if balanced or count > p.k * len(verts) - p.m:
+            edges = tuple(sorted(e for e in reached if uf.find(e.u)[0] == root))
+            return _violation_report(g, edges, p, balanced)
     raise InvariantViolation("a blocked edge reached no component over its count")
 
 

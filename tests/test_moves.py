@@ -6,6 +6,7 @@ import pytest
 from gainrig.catalog import BASE_CATALOG, PARAMS_220, PARAMS_222
 from gainrig.construct import _random_move, allowed_kinds, random_tight
 from gainrig.graph import GainGraph, edge
+from gainrig import moves
 from gainrig.iso import apply_iso
 from gainrig.moves import (
     _cliques,
@@ -120,6 +121,25 @@ def test_reductions_replay_exactly(rng):
             assert apply_iso(g, r.pi, r.signs) == apply_move(r.reduced, r.forward)
             kinds.add(r.forward.kind)
     assert kinds == set(ALL_KINDS)
+
+
+def test_vertex_deletion_drops_a_restored_repeat_unbuilt(monkeypatch):
+    # A reverse H move whose restored edge repeats a kept edge is dropped
+    # before a reduced graph is built; only the contractions, whose merged
+    # images can coincide, leave such repeats to the graph's validation.
+    distinct = []
+    real = moves._try_reduction
+
+    def spy(g, signs, reduced_edges, forward, new_edges, pi):
+        if forward.kind in H_KINDS:
+            distinct.append(len(set(reduced_edges)) == len(reduced_edges))
+        return real(g, signs, reduced_edges, forward, new_edges, pi)
+
+    monkeypatch.setattr(moves, "_try_reduction", spy)
+    for p in (PARAMS_220, PARAMS_222):
+        for seed in range(3):
+            list(enumerate_reductions(random_tight(12, p, seed)))
+    assert distinct and all(distinct)
 
 
 def test_admissible_matches_full_recheck(rng):

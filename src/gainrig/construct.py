@@ -256,10 +256,13 @@ MAX_ATTEMPTS = 10_000
 def random_tight(n: int, p: SparsityParams, seed: int) -> GainGraph:
     """A pseudo-random p-tight graph on exactly n vertices, built by applying
     random tightness-preserving moves to a random p-tight catalogue base (or
-    to a single vertex for the loopless variant); ValueError if no base on
-    at most n vertices is p-tight."""
+    to a single vertex for the loopless variant); ValueError if k != 2, as
+    every move adds two edges per vertex, or if no base on at most n
+    vertices is p-tight."""
     if n < 1:
         raise ValueError(f"random_tight needs n >= 1, got {n}")
+    if p.k != 2:
+        raise ValueError(f"random_tight needs k = 2, got counts {p.as_tuple()}")
     rng = random.Random(seed)
     kinds = allowed_kinds(p)
     if p.as_tuple() == (2, 2, 2):

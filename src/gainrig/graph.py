@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class GainGraphError(ValueError):
@@ -344,8 +343,3 @@ def disjoint_union(graphs: Sequence[GainGraph]) -> GainGraph:
         out = out.union(g)
     return out
 
-
-def all_vertex_subsets(n: int) -> Iterator[tuple[int, ...]]:
-    """Nonempty vertex subsets, ascending by size then lexicographic."""
-    for size in range(1, n + 1):
-        yield from combinations(range(n), size)

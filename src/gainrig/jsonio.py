@@ -250,8 +250,12 @@ def sequence_from_dict(d: dict):
         raise FormatError(
             "sequence needs 'counts' [k, l, m], 'initial' base ids and a 'steps' list"
         )
+    try:
+        params = SparsityParams(*counts)
+    except ValueError as exc:
+        raise FormatError(f"sequence {exc}") from exc
     return ConstructionSequence(
-        params=SparsityParams(*counts),
+        params=params,
         initial=tuple(initial),
         steps=tuple(move_from_dict(m) for m in steps),
     )

@@ -1,4 +1,4 @@
-"""(k,l,m)-gain-sparsity with witnesses, plus an unpruned brute-force oracle.
+"""(k,k,m)-gain-sparsity with witnesses, plus an unpruned brute-force oracle.
 
 A gain graph is (k,l,m)-gain-sparse when every nonempty balanced edge subset
 F satisfies |F| <= k|V(F)| - l and every nonempty edge subset satisfies
@@ -22,43 +22,22 @@ its own bound but not always the smallest.  A move or a reduction keeps
 all but a few edges of a tight graph, so tight_partition carries the
 Partition across it and inserts only the 1-4 edges it adds.
 
-Counts with l != k go to the exhaustive scan of vertex supports in
-increasing size, also the partition's test oracle.  For the general count,
-vertex-induced edge sets maximise |F| per support.  For the balanced count
-it uses the switching characterisation: a loop-free subset is balanced iff
-some vertex-sign assignment s makes every gain equal s_u * s_v, so the
-maximum balanced subset on a support is a maximum over 2^|S| sign
-assignments of the number of consistent non-loop induced edges.  Any
-violation found on a support whose witness does not span it is a genuine
-violation on the witness's own (smaller) support, so scanning supports
-smallest-first yields a minimal deterministic witness.  Across a move,
-tight_partition scans only the supports holding an added edge.  The scan
-gives up (OracleGuardExceeded) after SCAN_BUDGET vertex subsets, so how
-small a violation it still finds depends on n: every support of up to 6
-vertices at n = 30, but only of up to 2 at n = 200.
+SparsityParams rejects every count with l != k: in a normed space that is
+not Euclidean the only trivial motions are translations, so every count the
+paper derives has l = k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Callable, Iterable, Optional
 
-from .graph import (
-    Edge,
-    GainGraph,
-    InvariantViolation,
-    SignedUnionFind,
-    all_vertex_subsets,
-    invariant,
-)
+from .graph import Edge, GainGraph, InvariantViolation, SignedUnionFind, invariant
 
 
 class OracleGuardExceeded(ValueError):
-    """An exhaustive check (the brute-force oracle, the scan) refused an input."""
-
-
-SCAN_BUDGET = 1 << 20  # vertex subsets _scan_sparsity visits before it gives up
+    """The brute-force oracle refused an input."""
 
 
 @dataclass(frozen=True)
@@ -69,11 +48,11 @@ class SparsityParams:
 
     def __post_init__(self) -> None:
         if self.k < 1:
-            raise ValueError("k must be a positive integer")
-        if not 0 <= self.l <= 2 * self.k - 1:
-            raise ValueError("l must lie in [0, 2k-1]")
-        if not 0 <= self.m <= self.l:
-            raise ValueError("m must lie in [0, l]")
+            raise ValueError(f"counts {self.as_tuple()}: k must be a positive integer")
+        if self.l != self.k:
+            raise ValueError(f"counts {self.as_tuple()}: l must equal k")
+        if not 0 <= self.m <= self.k:
+            raise ValueError(f"counts {self.as_tuple()}: m must lie in [0, k]")
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.k, self.l, self.m)
@@ -129,11 +108,9 @@ def _violation_report(
 
 
 def check_sparsity(g: GainGraph, p: SparsityParams) -> SparsityReport:
-    """Whether g is p-sparse; witness on failure.  An l = k count inserts
-    g's edges in order into an empty Partition, and the first blocked edge
-    gives the witness (over its own bound, but not always the smallest)."""
-    if p.l != p.k:
-        return _scan_sparsity(g, p)
+    """Whether g is p-sparse; witness on failure.  g's edges go in order
+    into an empty Partition, and the first blocked edge gives the witness
+    (over its own bound, but not always the smallest)."""
     part = Partition(g.n, p, {})
     for y in g.edges:
         reached = part.insert(y)
@@ -261,14 +238,13 @@ class Partition:
     and then k - m frame sides (``frames``): each edge's side, and per side a
     _Forest, whose tree paths give the circuits.  An augmenting path takes
     every edge it moves off its old side before it adds any to its new side,
-    so a forest only ever holds a subset of an independent set.  Counts with
-    l != k have no matroid and no forests; all edges then sit on side 0."""
+    so a forest only ever holds a subset of an independent set."""
 
     def __init__(self, n: int, p: SparsityParams, side: dict[Edge, int]) -> None:
         self.frames = (False,) * p.m + (True,) * (p.k - p.m)
         self.side = side
         self.forests = [_Forest(n, frame, [e for e, s in side.items() if s == i])
-                        for i, frame in enumerate(self.frames)] if p.l == p.k else []
+                        for i, frame in enumerate(self.frames)]
 
     def insert(self, y: Edge) -> Optional[list[Edge]]:
         """Add y along a shortest augmenting path, found by breadth-first
@@ -316,58 +292,6 @@ def _blocked_report(
     raise InvariantViolation("a blocked edge reached no component over its count")
 
 
-def _scan_sparsity(
-    g: GainGraph,
-    p: SparsityParams,
-    required: Optional[tuple[Edge, ...]] = None,
-) -> SparsityReport:
-    """Scan all vertex supports, smallest first; witness on failure.
-
-    ``required`` (edges of g) restricts the scan to subsets containing at
-    least one of them.
-    """
-    masks = [(1 << e.u) | (1 << e.v) for e in g.edges]
-    req_masks = [(1 << e.u) | (1 << e.v) for e in required or ()]
-    req_set = set(required) if required is not None else None
-    for visited, subset in enumerate(all_vertex_subsets(g.n)):
-        if visited == SCAN_BUDGET:
-            raise OracleGuardExceeded(f"support scan guarded at {SCAN_BUDGET} subsets")
-        smask = 0
-        for v in subset:
-            smask |= 1 << v
-        if req_set is not None and all(rm & smask != rm for rm in req_masks):
-            continue
-        induced = [
-            e for e, em in zip(g.edges, masks) if em & smask == em
-        ]
-        if not induced:
-            continue
-        # Skip supports not spanned by their induced edges: any violation
-        # there re-occurs on the smaller true support, scanned earlier.
-        if _support(induced) != subset:
-            continue
-        size = len(subset)
-        if len(induced) > p.k * size - p.m:
-            return _violation_report(g, tuple(induced), p, balanced=False)
-        non_loops = [e for e in induced if not e.is_loop()]
-        if not non_loops or len(non_loops) <= p.k * size - p.l:
-            continue
-        index = {v: i for i, v in enumerate(subset)}
-        for signs in product((1, -1), repeat=size):
-            consistent = tuple(
-                e
-                for e in non_loops
-                if e.gain * signs[index[e.u]] * signs[index[e.v]] == 1
-            )
-            if consistent and len(consistent) > p.k * size - p.l:
-                if req_set is not None and not any(
-                    e in req_set for e in consistent
-                ):
-                    continue
-                return _violation_report(g, consistent, p, balanced=True)
-    return SparsityReport(passed=True)
-
-
 def check_tight(g: GainGraph, p: SparsityParams) -> bool:
     """Sparse with the exact global count |E| = k|V| - m."""
     if len(g.edges) != p.k * g.n - p.m:
@@ -388,8 +312,8 @@ def tight_partition(
     identity by default) names its edges in g.  Images that are not edges of
     g are dropped and the rest keep their sides, as a subset of an
     independent set is independent.  Any violation then holds one of g's
-    other edges, so only those are inserted (or, for other counts, only
-    subsets holding one are scanned); ``new_edges``, if given, must hold them.
+    other edges, so only those are inserted; ``new_edges``, if given, must
+    hold them.
     A disjoint union is sparse iff each component is, so one check of g
     covers all components.
     """
@@ -409,10 +333,7 @@ def tight_partition(
         "an edge outside the new edges is not carried",
     )
     part = Partition(g.n, p, side)
-    if p.l == p.k:
-        return None if any(part.insert(e) is not None for e in added) else part
-    part.side.update(dict.fromkeys(added, 0))
-    return part if _scan_sparsity(g, p, tuple(added)).passed else None
+    return None if any(part.insert(e) is not None for e in added) else part
 
 
 def brute_force_oracle(g: GainGraph, p: SparsityParams) -> SparsityReport:

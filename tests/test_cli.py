@@ -4,9 +4,8 @@ import pytest
 
 from gainrig.catalog import BASE_CATALOG
 from gainrig.cli import main
-from gainrig.jsonio import framework_to_dict, graph_from_dict, graph_to_dict, save_json
+from gainrig.jsonio import framework_to_dict, graph_to_dict, save_json
 from gainrig.placement import base_placement
-from gainrig.sparsity import SparsityParams, check_tight
 
 
 @pytest.fixture
@@ -185,16 +184,29 @@ def test_gen_needs_a_vertex(capsys, n):
     assert "n >= 1" in capsys.readouterr().err
 
 
-def test_gen_starts_from_a_base_tight_for_the_counts(capsys):
-    # base d..h hold a balanced K4, which is not (2,3,0)-sparse
-    assert main(["gen", "--n", "5", "--counts", "2,3,0", "--seed", "4"]) == 0
-    g = graph_from_dict(json.loads(capsys.readouterr().out))
-    assert g.n == 5
-    assert check_tight(g, SparsityParams(2, 3, 0))
-
-
 def test_gen_without_a_tight_base_is_usage_error(capsys):
-    assert main(["gen", "--n", "4", "--counts", "1,1,1"]) == 2
+    assert main(["gen", "--n", "4", "--counts", "2,2,1"]) == 2
     captured = capsys.readouterr()
     assert "no catalogue base" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "g.json"], ["gen", "--n", "5"], ["decompose", "g.json"],
+     ["roundtrip", "--n", "5"]],
+)
+def test_counts_with_l_not_k_are_rejected_at_once(capsys, argv):
+    with pytest.raises(SystemExit) as exc:  # argparse: a usage error
+        main([*argv, "--counts", "2,3,0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "2,3,0" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["gen", "roundtrip"])
+def test_moves_need_k_equal_2(capsys, command):
+    # every move adds two edges per vertex, so no k = 3 count is kept
+    assert main([command, "--n", "3", "--counts", "3,3,2"]) == 2
+    err = capsys.readouterr().err
+    assert "(3, 3, 2)" in err and "Traceback" not in err

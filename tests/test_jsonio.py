@@ -103,6 +103,8 @@ def test_malformed_move_raises_format_error(move):
         {"counts": [2, 2, 0], "initial": "a", "steps": []},
         {"counts": [2, 2, 0], "initial": [["a"]], "steps": []},
         {"counts": [2, 2, 0], "initial": ["a"], "steps": {"kind": "H1b"}},
+        {"counts": [2, 3, 0], "initial": ["a"], "steps": []},
+        {"counts": [0, 0, 0], "initial": ["a"], "steps": []},
     ],
 )
 def test_malformed_sequence_raises_format_error(seq):

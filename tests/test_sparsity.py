@@ -1,21 +1,18 @@
 import os
 import random
+import re
 import subprocess
 import sys
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gainrig
-from gainrig import sparsity
-from gainrig.cli import main
 from gainrig.graph import GainGraph, InvariantViolation, edge
-from gainrig.jsonio import graph_to_dict, save_json
 from gainrig.sparsity import (
-    OracleGuardExceeded,
     Partition,
     SparsityParams,
-    _scan_sparsity,
     _violation_report,
     brute_force_oracle,
     check_sparsity,
@@ -29,14 +26,36 @@ P220 = SparsityParams(2, 2, 0)
 P222 = SparsityParams(2, 2, 2)
 # Every l = k count with k <= 3: each is decided by the matroid partition.
 L_EQ_K = [SparsityParams(k, k, m) for k in (1, 2, 3) for m in range(k + 1)]
-PARAM_SETS = L_EQ_K + [SparsityParams(2, 3, 1)]
+BALANCED_K4 = [[0, 1, 1], [0, 2, 1], [0, 3, 1], [1, 2, 1], [1, 3, 1], [2, 3, 1]]
+
+
+def _scan_sparse(g, p):
+    """Test oracle: whether g is p-sparse, by a scan of every vertex
+    support S.  The general count bounds S's induced edges; the balanced
+    count bounds, over all 2^|S| switchings (a sign per vertex), the induced
+    non-loop edges whose gain is the product of their ends' signs."""
+    for size in range(1, g.n + 1):
+        for support in combinations(range(g.n), size):
+            inside = set(support)
+            induced = [e for e in g.edges if e.u in inside and e.v in inside]
+            if len(induced) > p.k * size - p.m:
+                return False
+            non_loops = [e for e in induced if not e.is_loop()]
+            if len(non_loops) <= p.k * size - p.l:
+                continue
+            for signs in product((1, -1), repeat=size):
+                s = dict(zip(support, signs))
+                consistent = sum(e.gain == s[e.u] * s[e.v] for e in non_loops)
+                if consistent > p.k * size - p.l:
+                    return False
+    return True
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        SparsityParams(0, 0, 0)
-    with pytest.raises(ValueError):
-        SparsityParams(2, 2, 5)
+    # only (k,k,m) counts with k >= 1 and 0 <= m <= k; the error names them
+    for counts in [(0, 0, 0), (2, 2, 5), (2, 2, -1), (2, 3, 0), (2, 1, 0)]:
+        with pytest.raises(ValueError, match=re.escape(str(counts))):
+            SparsityParams(*counts)
 
 
 def test_f_value():
@@ -51,29 +70,28 @@ def test_empty_graph_is_sparse():
 
 
 def test_known_violations_with_witness():
-    # balanced K4: 6 edges on 4 vertices exceeds the balanced bound
-    # 2*4 - 3 = 5, so it violates (2,3,1)-sparsity.
-    g = GainGraph.from_triples(
-        4, [[0, 1, 1], [0, 2, 1], [0, 3, 1], [1, 2, 1], [1, 3, 1], [2, 3, 1]]
-    )
-    rep = check_sparsity(g, SparsityParams(2, 3, 1))
-    assert not rep.passed
-    assert rep.witness is not None
-    # the witness genuinely violates its own bound
-    assert len(rep.witness) > rep.bound
+    # every edge on 3 vertices: 9 edges exceed the general bound 2*3 - 0;
+    # a balanced K4 under (1,1,0): 6 edges exceed the balanced bound 4 - 1
+    for g, p in [(GainGraph.from_triples(3, _all_triples(3)), P220),
+                 (GainGraph.from_triples(4, BALANCED_K4), SparsityParams(1, 1, 0))]:
+        rep = check_sparsity(g, p)
+        assert not rep.passed
+        assert rep.witness is not None
+        # the witness genuinely violates its own bound
+        assert len(rep.witness) > rep.bound
+        _assert_witness_over_its_bound(g, p, rep)
 
 
 def test_balanced_vs_general_bound():
-    # balanced triangle: 3 edges on 3 vertices; passes (2,2,0) general and
-    # balanced counts, fails (2,3,0) balanced count (3 <= 2*3-3 = 3 passes);
-    # K4 balanced: 6 > 2*4-3 = 5 fails with l=3.
-    k4 = GainGraph.from_triples(
-        4, [[0, 1, 1], [0, 2, 1], [0, 3, 1], [1, 2, 1], [1, 3, 1], [2, 3, 1]]
-    )
-    rep = check_sparsity(k4, SparsityParams(2, 3, 0))
+    # a balanced K5 keeps the (2,2,0) general count (10 <= 2*5 - 0) but
+    # breaks the balanced one (10 > 2*5 - 2); a balanced K4 keeps both
+    # (6 <= 2*4 - 2)
+    k5 = GainGraph.from_triples(5, [[u, v, 1] for u in range(5) for v in range(u + 1, 5)])
+    rep = check_sparsity(k5, P220)
     assert not rep.passed
     assert rep.balanced_violation
-    assert check_sparsity(k4, P220).passed
+    assert rep.bound == 2 * len(rep.support) - 2
+    assert check_sparsity(GainGraph.from_triples(4, BALANCED_K4), P220).passed
 
 
 def test_tight_examples():
@@ -89,7 +107,7 @@ def test_tight_examples():
 def test_checker_matches_oracle(seed):
     rng = random.Random(seed)
     g = random_gain_graph(rng, max_n=5, max_edges=10)
-    for p in PARAM_SETS:
+    for p in L_EQ_K:
         fast = check_sparsity(g, p)
         slow = brute_force_oracle(g, p)
         assert fast.passed == slow.passed, (g.triples(), p)
@@ -97,23 +115,19 @@ def test_checker_matches_oracle(seed):
 
 def test_require_edges_incremental_consistency(rng):
     # one edge added to a sparse graph: inserting it into the graph's
-    # partition, and the scan of the subsets that hold it, agree with the
-    # full check
+    # partition agrees with the full check
     for _ in range(100):
         g = random_gain_graph(rng, max_n=5, max_edges=9)
         if not g.edges:
             continue
         e = g.edges[rng.randrange(len(g.edges))]
         rest = g.replace_edges(tuple(x for x in g.edges if x != e))
-        for p in PARAM_SETS:
+        for p in L_EQ_K:
             if not check_sparsity(rest, p).passed:
                 continue
-            full = check_sparsity(g, p).passed
-            assert _scan_sparsity(g, p, (e,)).passed == full
-            if p.l == p.k:
-                part = Partition(g.n, p, {})
-                assert all(part.insert(x) is None for x in rest.edges)
-                assert (part.insert(e) is None) == full
+            part = Partition(g.n, p, {})
+            assert all(part.insert(x) is None for x in rest.edges)
+            assert (part.insert(e) is None) == check_sparsity(g, p).passed
 
 
 def test_bogus_witness_raises_invariant_violation():
@@ -144,13 +158,6 @@ def test_invariants_hold_under_python_O():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-
-
-def test_empty_require_edges_passes_at_once():
-    # no subset holds one of zero edges, even in a graph that is not sparse
-    g = GainGraph.from_triples(1, [[0, 0, -1]])
-    assert not check_sparsity(g, P222).passed
-    assert _scan_sparsity(g, P222, ()).passed
 
 
 def test_import_leaves_numpy_out():
@@ -198,7 +205,7 @@ def _compare_partition_with_scan(rng, p, min_n):
         g = g.replace_edges(e for e in g.edges if rng.random() > 0.2)
         g = _with_extra_edges(rng, g, rng.randint(0, 2))
     fast = check_sparsity(g, p)
-    assert fast.passed == _scan_sparsity(g, p).passed, (g.triples(), p)
+    assert fast.passed == _scan_sparse(g, p), (g.triples(), p)
     if len(g.edges) <= 10:
         assert fast.passed == brute_force_oracle(g, p).passed, (g.triples(), p)
     if not fast.passed:
@@ -261,21 +268,3 @@ def test_same_input_same_witness(rng):
         first, second = check_sparsity(g, p), check_sparsity(g, p)
         assert not first.passed and first == second
 
-
-def test_scan_gives_up_after_its_budget(monkeypatch, tmp_path, capsys):
-    # the doubled path is (2,3,0)-sparse, so the scan would visit all 2^n
-    # supports; a balanced K4 planted on its first vertices is still found
-    p = SparsityParams(2, 3, 0)
-    path = GainGraph.from_triples(12, [[i, i + 1, s] for i in range(11) for s in (1, -1)])
-    k4 = path.replace_edges(path.edges + tuple(
-        edge(u, v, 1) for u, v in ((0, 2), (0, 3), (1, 3))
-    ))
-    monkeypatch.setattr(sparsity, "SCAN_BUDGET", 1000)
-    assert not check_sparsity(k4, p).passed
-    with pytest.raises(OracleGuardExceeded):
-        check_sparsity(path, p)
-    graph_file = tmp_path / "path.json"
-    save_json(str(graph_file), graph_to_dict(path))
-    assert main(["check", str(graph_file), "--counts", "2,3,0"]) == 2
-    err = capsys.readouterr().err
-    assert "guarded" in err and "Traceback" not in err

@@ -1,9 +1,11 @@
-"""Scaling benchmark of the sparsity checker and the round trip.
+"""Scaling benchmark of the sparsity checker, the round trip and placement.
 
 Times check_tight, decompose and construct(verify=True) on tight graphs from
 perfbench's own generator (gen.tight_graph: unions of two matroid bases, so
-no checker decides what the input is), for both built-in counts, and writes
-one JSON file.  Each time is also rescaled to a fixed machine speed with
+no checker decides what the input is), and realize on perfbench's forward
+sequences (gen.forward_sequence), character 0 for (2,2,0) and character 1
+for (2,2,2), each with a digest of the positions it placed, and writes one
+JSON file.  Each time is also rescaled to a fixed machine speed with
 perfbench's reference loop, timed just before and after the call (see
 perfbench/README.md, "Load and timing").  Standard library only; it imports
 gainrig from this checkout's src/.  The sizes and the seed are fixed, so any
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import hashlib
 import json
 import os
 import platform
@@ -39,10 +42,11 @@ import gen  # noqa: E402  (perfbench's input generator)
 from run import REF_S, reference  # noqa: E402
 
 from gainrig import (  # noqa: E402
-    PARAMS_220, PARAMS_222, GainGraph, apply_iso, check_tight, construct, decompose,
+    PARAMS_220, PARAMS_222, GainGraph, apply_iso, check_tight, construct, decompose, realize,
 )
 
 REGIMES = {"220": PARAMS_220, "222": PARAMS_222}
+CHARACTER = {"220": 0, "222": 1}  # the character realize places each regime at
 SIZES = (100, 200, 400, 800)
 DECOMPOSE_MAX = 400  # largest n also timed through decompose and construct
 SEED = 1
@@ -56,6 +60,12 @@ def timed(call):
     raw = time.perf_counter() - t
     after = statistics.median(reference() for _ in range(3))
     return result, raw, raw * REF_S * 2 / (before + after)
+
+
+def digest(fw) -> str:
+    """A short hash of the placed positions, equal for byte-identical ones."""
+    text = json.dumps([[str(c) for c in p] for p in fw.positions])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def git(*args: str, env=None):
@@ -117,6 +127,16 @@ def main(argv=None) -> int:
                 print(f"error: ({regime}) n={n}: a tight input was not certified "
                       "or rebuilt", file=sys.stderr)
                 return 1
+    for regime, j in CHARACTER.items():
+        for n in SIZES:
+            seq, g = gen.forward_sequence(random.Random(SEED), n, regime)
+            fw, _ = record("realize", regime, g, lambda: realize(seq, j),
+                           character=j, moves=len(seq.steps))
+            rows[-1]["positions_sha256"] = digest(fw)
+            if fw.graph != g:
+                print(f"error: ({regime}) n={n}: realize placed another graph",
+                      file=sys.stderr)
+                return 1
 
     status = git("status", "--porcelain", "--untracked-files=no")
     doc = {
@@ -127,7 +147,8 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count()},
         "seed": SEED,
-        "inputs": "perfbench gen.tight_graph(random.Random(seed), n, regime)",
+        "inputs": "perfbench gen.tight_graph(random.Random(seed), n, regime); "
+                  "realize: gen.forward_sequence(random.Random(seed), n, regime)",
         "rescaled_to_reference_s": REF_S,
         "stages": rows,
     }

@@ -139,7 +139,10 @@ def decompose(
     """Reduce g to bases by reductions of the kinds p allows and return
     (sequence, pi, signs) with apply_iso(g, pi, signs) == construct(sequence).
     Each candidate is tested by carrying the current graph's matroid
-    partition into its reduced graph; the accepted one's becomes current."""
+    partition into its reduced graph; the accepted one's becomes current.
+    ValueError if k != 2: the moves and bases serve k = 2 only."""
+    if p.k != 2:
+        raise ValueError(f"decompose needs k = 2, got counts {p.as_tuple()}")
     # With the global count, all components tight is the same as g tight.
     part = tight_partition(g, p) if len(g.edges) == p.k * g.n - p.m else None
     if part is None:

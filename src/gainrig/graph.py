@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class GainGraphError(ValueError):
@@ -44,9 +44,11 @@ def invariant(condition: bool, message: str) -> None:
         raise InvariantViolation(message)
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
-    """Undirected gain edge, normalised so u <= v; loops have u == v."""
+class Edge(NamedTuple):
+    """Undirected gain edge, normalised so u <= v; loops have u == v.
+
+    A tuple, so hashing, equality and ordering run as the tuple's, by
+    (u, v, gain); an edge therefore also equals the plain triple."""
 
     u: int
     v: int

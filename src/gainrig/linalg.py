@@ -1,44 +1,37 @@
 """Exact and floating-point matrix rank: mod-p rank certificate, exact
 Bareiss fallback.
 
-Rational matrices are ranked exactly.  Each row is scaled to integers, and
-the rows are first eliminated modulo the prime P = 2^61 - 1, keeping each
-row sparse.  Rank mod P never exceeds rank over Q, so a rank mod P equal to
-min(nonzero rows, cols) proves that rank.  Otherwise a fraction-free (Bareiss)
-elimination in arbitrary-precision ints gives the exact rank.  Rows with
-irrational entries (floats) use numpy's SVD with a relative singular-value
-threshold.  The caller picks exact or float once per matrix.
+Exact ranks are of integer matrices given by sparse rows, {column: entry}
+(rigidity.orbit_rows builds them so).  The rows are first eliminated
+modulo the prime P = 2^61 - 1, staying sparse.  Rank mod P never exceeds
+rank over Q, so a rank mod P equal to min(nonzero rows, cols), counting a
+row nonzero by its integer entries, proves that rank.  Otherwise a
+fraction-free (Bareiss) elimination in arbitrary-precision ints of the
+dense rows gives the exact rank.  Dense rows with irrational entries
+(floats) use numpy's SVD with a relative singular-value threshold.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import compress
-from math import lcm
-from typing import Sequence
+from typing import Mapping, Sequence
 
 FLOAT_RANK_RTOL = 1e-9
 PRIME = 2**61 - 1
 
 
-def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank of a matrix of Fractions (or ints)."""
-    m = []  # the nonzero rows scaled to integers, as {column: entry}
-    for row in rows:
-        nonzero = [(c, row[c]) for c in compress(range(len(row)), row)]
-        if nonzero:
-            mult = lcm(*(x.denominator for _, x in nonzero))
-            m.append({c: x.numerator * (mult // x.denominator) for c, x in nonzero})
+def matrix_rank(rows: Sequence[Mapping[int, int]], ncols: int) -> int:
+    """Exact rank of the integer matrix with ncols columns and these sparse
+    rows; zero entries may be left out."""
+    m = [row for row in rows if any(row.values())]
     if not m:
         return 0
-    ncols = len(rows[0])
     full = min(len(m), ncols)
     if _modular_rank(m) == full:
         return full
     return _bareiss_rank([[r.get(c, 0) for c in range(ncols)] for r in m])
 
 
-def _modular_rank(m: list[dict[int, int]]) -> int:
+def _modular_rank(m: Sequence[Mapping[int, int]]) -> int:
     """Rank modulo PRIME of the integer matrix with sparse rows m, by sparse
     elimination.
 
@@ -105,10 +98,3 @@ def float_rank(rows: Sequence[Sequence[float]]) -> int:
         return 0
     return int(np.sum(s > FLOAT_RANK_RTOL * s[0]))
 
-
-def matrix_rank(rows: Sequence[Sequence], exact: bool = True) -> int:
-    """Exact rank of a matrix of Fractions/ints, or, with exact=False, the
-    SVD rank of its entries as floats."""
-    if exact:
-        return rational_rank(rows)
-    return float_rank([[float(x) for x in row] for row in rows])

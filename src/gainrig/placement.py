@@ -53,8 +53,9 @@ A step carries its parent's state instead of rebuilding it: the colour
 classes (Framework.classes, read from the table once per framework), the
 covering set (Framework.covering: the new framework, grown from the parent,
 checks only its appended positions against it) and the covector table
-(rigidity.carry_covectors, by the move's edge map), so each edge is
-coloured once, when created.
+(rigidity.carry_covectors, by the move's edge map, with the orbit rows of
+the edges a one-vertex step keeps), so each edge is coloured once, when
+created, and its row is built once.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ from .rigidity import (
     NotWellPositioned,
     analyse,
     carry_covectors,
-    orbit_blocks,
+    orbit_rows,
 )
 
 Point = tuple[Fraction, Fraction]
@@ -130,12 +131,13 @@ def _block_certified(fw: Framework, parent: Framework, j: int) -> bool:
     """Whether fw, grown from parent by a step of extend_placement, has full
     character-j row rank by the block certificate: parent is certified, fw
     adds one vertex w and two edges, both at w (a step adds edges only at w,
-    so it removed none), and det B != 0 for their rows B on w's columns."""
+    so it removed none), and det B != 0 for their orbit rows B on w's columns."""
     w = parent.graph.n
     if (_CERTIFIED.get((id(parent), j)) is not parent or fw.graph.n != w + 1
             or len(fw.graph.edges) != len(parent.graph.edges) + 2):
         return False
-    b = [orbit_blocks(e, fw.covectors[e], j)[w] for e in fw.graph.edges_at(w)]
+    rows = orbit_rows(fw, j)
+    b = [(rows[e].get(2 * w, 0), rows[e].get(2 * w + 1, 0)) for e in fw.graph.edges_at(w)]
     return len(b) == 2 and b[0][0] * b[1][1] != b[0][1] * b[1][0]
 
 

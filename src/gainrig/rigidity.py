@@ -18,7 +18,7 @@ which in the plane is +(-1)^j * phi on v for gain -1.  A plane loop row is
 
 Framework.covectors is the single source of the support covector phi of
 each edge orbit: it is computed once per framework, on first use, and the
-orbit matrix, well_positioned and the facet colouring (colouring.py) all
+orbit rows, well_positioned and the facet colouring (colouring.py) all
 read it.  A framework is well-positioned when the table exists; otherwise
 reading it raises NotWellPositioned naming the first edge whose direction
 has no unique support covector.
@@ -34,14 +34,20 @@ framework keeps no reference to the old one.  Framework.classes keeps the
 facet colour classes read from the table, for the colouring and the next
 placement step.
 
+An orbit row is a pure function of the edge, its covector and the
+character, so orbit_rows builds each once, sparse and in integers, and when
+carry_covectors reuses old's table by name it hands on old's rows of the
+kept edges too (renamed edges move columns: their rows are built again).
+analyse ranks the rows directly; orbit_matrix is their dense view.
+
 A Framework also keeps its covering set, every rotation image of every
 position, which its constructor builds to check that covering positions
 are distinct.  Built with grown_from, a framework whose positions are a
 prefix of its own, it copies that framework's set and checks only the
 appended positions.
 
-Orbit matrices under a PolyhedralNorm have rational entries and are ranked
-exactly (linalg); under an LpNorm they are ranked by SVD.
+Rows under a PolyhedralNorm are ranked exactly (linalg.matrix_rank); under
+an LpNorm the dense matrix is ranked by SVD.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from functools import cached_property
 from typing import Callable, Optional
 
 from .graph import Edge, GainGraph
-from .linalg import matrix_rank
+from .linalg import float_rank, matrix_rank
 from .norms import ConeBoundary, Norm, NormError, PolyhedralNorm, ZeroVector
 
 Point = tuple
@@ -78,6 +84,8 @@ class Framework:
     grown_from: InitVar[Optional[Framework]] = None
     # the covering positions: every rotation image of every position
     covering: set = field(init=False, repr=False, compare=False)
+    # the orbit rows built so far, by character (orbit_rows)
+    rows: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self, grown_from):
         g, n, d = self.graph, self.group_order, self.norm.dimension
@@ -151,7 +159,8 @@ def well_positioned(fw: Framework) -> bool:
 
 def carry_covectors(old: Framework, new: Framework, renamed: Optional[Callable] = None) -> None:
     """Build new's covector table now, reusing old's entry for every edge
-    that keeps its name, or is named renamed(e) in new (see the module
+    that keeps its name, or is named renamed(e) in new, and, for edges that
+    keep their name, the orbit rows old has built (see the module
     docstring).  New keeps no reference to old.  Does nothing unless old is
     well-positioned; if new is not, reading new.covectors raises as usual."""
     if new.norm != old.norm or not well_positioned(old):
@@ -164,7 +173,11 @@ def carry_covectors(old: Framework, new: Framework, renamed: Optional[Callable] 
     try:
         new.__dict__["covectors"] = new._covector_table(carried)
     except NotWellPositioned:
-        pass
+        return
+    if carried is old.covectors and new.group_order == old.group_order:
+        # same names, same columns: same rows
+        for j, rows in old.rows.items():
+            orbit_rows(new, j, rows)
 
 
 def _rotation(order: int, t: int):
@@ -235,32 +248,44 @@ def covering_rigidity_matrix(fw: Framework) -> list[list]:
     return rows
 
 
-def orbit_matrix(fw: Framework, j: int) -> list[list]:
-    """Character-j orbit matrix: |E0| rows by d*|V0| columns."""
-    n = fw.group_order
-    if not 0 <= j < n:
-        raise FrameworkError(f"character index {j} out of range for order {n}")
-    d = fw.norm.dimension
-    rows = []
+def orbit_rows(fw: Framework, j: int, carried: Optional[dict] = None) -> dict[Edge, dict[int, int]]:
+    """The character-j orbit rows of fw by edge, in edge order, each as
+    {column: entry} without zero entries; vertex x has columns d*x..d*x+d-1.
+    Under a PolyhedralNorm every entry is an int: the rows are scaled by the
+    least common denominator of the facets (1 for LINF and L1), which keeps
+    every rank.  Built once per framework and character, taking an edge's
+    row from carried where it has one."""
+    if j in fw.rows:
+        return fw.rows[j]
+    if not 0 <= j < fw.group_order:
+        raise FrameworkError(f"character index {j} out of range for order {fw.group_order}")
+    d, norm, carried = fw.norm.dimension, fw.norm, carried or {}
+    if isinstance(norm, PolyhedralNorm):
+        scale, entry = math.lcm(*(c.denominator for f in norm.facets for c in f)), int
+    else:
+        scale, entry = 1, float
+    chi = (-1) ** j  # chi_j(-1); tau(-1) negates the first two coordinates
+    rows = {}
     for e, phi in fw.covectors.items():
-        row = [0] * (d * fw.graph.n)
-        for x, block in orbit_blocks(e, phi, j).items():
-            row[d * x:d * x + d] = block
-        rows.append(row)
+        row = carried.get(e)
+        if row is None:  # +phi on u, -chi_j(gain) * (phi o tau(gain)) on v
+            vphi = [-x for x in phi] if e.gain == 1 else \
+                [chi * x if i < 2 else -chi * x for i, x in enumerate(phi)]
+            row = {}
+            for x, block in ((e.u, phi), (e.v, vphi)):  # summed for a loop
+                for i, c in enumerate(block):
+                    row[d * x + i] = row.get(d * x + i, 0) + c
+            row = {c: entry(y * scale) for c, y in row.items() if y}
+        rows[e] = row
+    fw.rows[j] = rows
     return rows
 
 
-def orbit_blocks(e: Edge, phi: tuple, j: int) -> dict[int, tuple]:
-    """The character-j orbit row of e, with covector phi, by vertex: +phi on
-    u and -chi_j(gain) * (phi o tau(gain)) on v, summed for a loop."""
-    if e.gain == 1:
-        vphi = tuple(-x for x in phi)
-    else:  # chi_j(-1) = (-1)^j, and tau(-1) negates the first two coordinates
-        chi = (-1) ** j
-        vphi = tuple(chi * x if i < 2 else -chi * x for i, x in enumerate(phi))
-    if e.is_loop():
-        return {e.u: tuple(a + b for a, b in zip(phi, vphi))}
-    return {e.u: phi, e.v: vphi}
+def orbit_matrix(fw: Framework, j: int) -> list[list]:
+    """Character-j orbit matrix, |E0| rows by d*|V0| columns: the dense view
+    of orbit_rows (so scaled as they are)."""
+    cols = fw.norm.dimension * fw.graph.n
+    return [[row.get(c, 0) for c in range(cols)] for row in orbit_rows(fw, j).values()]
 
 
 def trivial_dim(n: int, j: int, d: int = 2) -> int:
@@ -306,12 +331,14 @@ class RigidityReport:
 
 
 def analyse(fw: Framework, j: int) -> RigidityReport:
-    rows = orbit_matrix(fw, j)
-    rank = matrix_rank(rows, isinstance(fw.norm, PolyhedralNorm)) if rows else 0
     d = fw.norm.dimension
     g = fw.graph
-    triv = trivial_dim(fw.group_order, j, d)
     dof = d * g.n
+    if isinstance(fw.norm, PolyhedralNorm):
+        rank = matrix_rank(list(orbit_rows(fw, j).values()), dof)
+    else:
+        rank = float_rank(orbit_matrix(fw, j))
+    triv = trivial_dim(fw.group_order, j, d)
     rigid = rank == dof - triv
     independent = rank == len(g.edges)
     return RigidityReport(

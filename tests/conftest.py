@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
 from gainrig.graph import GainGraph
+from gainrig.linalg import matrix_rank
 
 
 def random_gain_graph(
@@ -24,6 +27,16 @@ def random_gain_graph(
     rng.shuffle(candidates)
     m = rng.randint(0, min(max_edges, len(candidates)))
     return GainGraph.from_triples(n, [list(t) for t in candidates[:m]])
+
+
+def dense_rank(rows) -> int:
+    """Exact rank of a dense matrix of Fractions or ints: each row scaled to
+    integers and passed to linalg.matrix_rank as a sparse row."""
+    sparse = []
+    for row in rows:
+        mult = lcm(*(Fraction(x).denominator for x in row))
+        sparse.append({c: int(x * mult) for c, x in enumerate(row) if x})
+    return matrix_rank(sparse, len(rows[0]) if rows else 0)
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -6,6 +7,9 @@ from gainrig.catalog import BASE_CATALOG
 from gainrig.cli import main
 from gainrig.jsonio import framework_to_dict, graph_to_dict, save_json
 from gainrig.placement import base_placement
+from gainrig.sparsity import SparsityParams, check_tight
+
+from conftest import two_base_union
 
 
 @pytest.fixture
@@ -210,3 +214,17 @@ def test_moves_need_k_equal_2(capsys, command):
     assert main([command, "--n", "3", "--counts", "3,3,2"]) == 2
     err = capsys.readouterr().err
     assert "(3, 3, 2)" in err and "Traceback" not in err
+
+
+def test_decompose_needs_k_equal_2(tmp_path, capsys):
+    # a (3,3,1)-tight graph no move built: a usage error at once, not a FAIL
+    # after every reduction was tried
+    p = SparsityParams(3, 3, 1)
+    g = two_base_union(random.Random(1), 6, p)
+    assert check_tight(g, p)
+    path = tmp_path / "g.json"
+    save_json(str(path), graph_to_dict(g))
+    assert main(["decompose", str(path), "--counts", "3,3,1"]) == 2
+    captured = capsys.readouterr()
+    assert "(3, 3, 1)" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +23,38 @@ def test_edge_normalisation():
     e = edge(3, 1, -1)
     assert (e.u, e.v, e.gain) == (1, 3, -1)
     assert edge(2, 2, -1).is_loop()
+
+
+@dataclass(frozen=True, order=True)
+class _DataclassEdge:
+    """Edge as it was before it became a NamedTuple: the reference for hash,
+    order and repr."""
+
+    u: int
+    v: int
+    gain: int
+
+
+def test_edge_hashes_orders_and_prints_as_before():
+    rng = random.Random(18)
+    triples = [(rng.randrange(5), rng.randrange(5), rng.choice((1, -1))) for _ in range(60)]
+    edges, old = [Edge(*t) for t in triples], [_DataclassEdge(*t) for t in triples]
+    for e, o, t in zip(edges, old, triples):
+        assert hash(e) == hash(o) == hash(t)
+        assert repr(e) == repr(o).replace("_DataclassEdge", "Edge")
+    by_position = sorted(range(len(triples)), key=lambda i: edges[i])
+    assert by_position == sorted(range(len(triples)), key=lambda i: old[i])
+    assert list(dict.fromkeys(edges)) == [Edge(*t) for t in dict.fromkeys(triples)]
+
+
+def test_edge_equals_its_triple():
+    # intended: Edge is a tuple (u, v, gain), so it equals, and is found by,
+    # the plain triple; a graph never mixes the two
+    e = Edge(0, 1, -1)
+    assert e == (0, 1, -1) and (0, 1, -1) in {e} and {(0, 1, -1): 1}[e] == 1
+    assert e != Edge(0, 1, 1) and e < Edge(0, 1, 1)
+    with pytest.raises(AttributeError):
+        e.u = 2
 
 
 def test_loop_gain_one_rejected():

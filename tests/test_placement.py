@@ -1,7 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import product, takewhile
 from math import inf
 from pathlib import Path
 
@@ -29,7 +29,14 @@ from gainrig.placement import (
     extend_placement,
     realize,
 )
-from gainrig.rigidity import Framework, FrameworkError, analyse, orbit_matrix, well_positioned
+from gainrig.rigidity import (
+    Framework,
+    FrameworkError,
+    analyse,
+    orbit_matrix,
+    orbit_rows,
+    well_positioned,
+)
 from gainrig.sparsity import tight_partition
 
 DATA = Path(__file__).parent / "data"
@@ -251,6 +258,39 @@ def test_carried_covector_table_matches_a_fresh_one(p, j, initial):
             assert fw.covectors == fresh.covectors
             assert list(fw.covectors) == list(fresh.covectors)
             assert fw.covering == fresh.covering and fw.classes == fresh.classes
+
+
+@pytest.mark.parametrize("norm", [LINF, L1], ids=["linf", "l1"])
+@pytest.mark.parametrize("p, j, initial", BASES, ids=["single", "union", "k1"])
+def test_carried_orbit_rows_match_fresh_ones(p, j, initial, norm):
+    # a one-vertex step takes the row of every edge it keeps, the same
+    # object, from the framework before it and builds rows for w's edges
+    # only; a vertex-to-K4 renames edges, so it builds all its rows again
+    seqs = [_grown_sequence(p, seed, initial=initial) for seed in range(3)]
+    if norm == LINF:
+        seqs += _sequences_with_k4_partway(p, initial)
+    else:  # _K4_SHAPE splits into spanning paths under l-infinity only
+        seqs = [ConstructionSequence(p, s.initial, tuple(
+            takewhile(lambda mv: mv.kind != "VertexToK4", s.steps))) for s in seqs]
+    shared = 0
+    for seq in seqs:
+        fw = realize(ConstructionSequence(seq.params, seq.initial, ()), j, norm=norm)
+        for mv in seq.steps:
+            parent, fw = fw, extend_placement(fw, mv, j)
+            fresh = Framework(fw.graph, fw.positions, fw.norm, fw.group_order)
+            # the step's own character, and the other one analysed below
+            # unless the step renamed edges
+            k4 = mv.kind == "VertexToK4"
+            assert set(fw.rows) == ({j} if k4 else set(parent.rows)) and j in fw.rows
+            w = parent.graph.n
+            for c, rows in fw.rows.items():
+                assert list(rows) == list(fw.covectors) and rows == orbit_rows(fresh, c)
+                kept = {e for e, row in rows.items() if row is parent.rows[c].get(e)}
+                assert kept == (set() if k4 else {e for e in rows if not e.touches(w)})
+                shared += len(kept)
+            for c in (0, 1):
+                assert analyse(fw, c) == analyse(fresh, c)
+    assert shared > 0
 
 
 # The polygon search placement used before its interval test, kept as the

@@ -7,7 +7,7 @@ from gainrig.catalog import BASE_CATALOG, PARAMS_220
 from gainrig.construct import random_tight
 from gainrig.graph import GainGraph
 from gainrig import linalg
-from gainrig.linalg import PRIME, float_rank, matrix_rank, rational_rank
+from gainrig.linalg import PRIME, float_rank, matrix_rank
 from gainrig.norms import LINF, L1, ConeBoundary, LpNorm, NormError, PolyhedralNorm, ZeroVector
 from gainrig.placement import base_placement
 from gainrig.rigidity import (
@@ -21,7 +21,7 @@ from gainrig.rigidity import (
 )
 from gainrig.sparsity import SparsityParams, check_sparsity
 
-from conftest import random_gain_graph
+from conftest import dense_rank, random_gain_graph
 
 
 def _random_placement(g, rng, norm=LINF, order=2, tries=300):
@@ -40,11 +40,15 @@ def _random_placement(g, rng, norm=LINF, order=2, tries=300):
 
 
 def test_linalg_ranks():
-    assert rational_rank([[F(1), F(2)], [F(2), F(4)]]) == 1
-    assert rational_rank([[F(1, 3), F(0)], [F(0), F(5, 7)]]) == 2
-    assert rational_rank([]) == 0
+    assert dense_rank([[F(1), F(2)], [F(2), F(4)]]) == 1
+    assert dense_rank([[F(1, 3), F(0)], [F(0), F(5, 7)]]) == 2
+    assert dense_rank([]) == 0
+    assert matrix_rank([{0: 1, 1: 2}, {0: 2, 1: 4}], 2) == 1
+    # a row is nonzero by its integers: {1: P} counts, though it is 0 mod P
+    assert matrix_rank([{0: 0}, {1: PRIME}, {}], 2) == 1
+    assert matrix_rank([{0: 1}, {1: 1}, {0: 1, 1: 1}], 2) == 2
     assert float_rank([[1.0, 0.0], [0.0, 1e-15]]) == 1
-    assert matrix_rank([[F(1), F(1)], [0.5, 0.5]], exact=False) == 1  # float dispatch
+    assert float_rank([[1.0, 1.0], [0.5, 0.5]]) == 1
 
 
 def test_support_covector_examples():
@@ -151,9 +155,9 @@ def test_block_sum_identity_orders_2_and_4():
                 except Exception:
                     continue
                 total = sum(
-                    matrix_rank(orbit_matrix(fw, j)) for j in range(order)
+                    dense_rank(orbit_matrix(fw, j)) for j in range(order)
                 )
-                assert total == matrix_rank(cov)
+                assert total == dense_rank(cov)
                 break
 
 
@@ -163,8 +167,8 @@ def test_balanced_quotient_similarity():
     g = GainGraph.from_triples(3, [[0, 1, 1], [1, 2, 1], [0, 2, 1]])
     fw = Framework(g, ((F(1), F(3)), (F(5), F(2)), (F(2), F(-3))), LINF, 2)
     assert well_positioned(fw)
-    r0 = matrix_rank(orbit_matrix(fw, 0))
-    r1 = matrix_rank(orbit_matrix(fw, 1))
+    r0 = dense_rank(orbit_matrix(fw, 0))
+    r1 = dense_rank(orbit_matrix(fw, 1))
     assert r0 == r1  # chi is trivial on all gains, blocks coincide
 
 

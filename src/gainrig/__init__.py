@@ -6,9 +6,7 @@ framework colourings, and verified isostatic placement synthesis."""
 from .catalog import BASE_CATALOG, PARAMS_220, PARAMS_222, graph_for_base_id, is_base_graph
 from .colouring import (
     GeometricVerdict,
-    edge_colour,
     geometric_verdict,
-    is_unbalanced_map_graph,
     monochrome_quotients,
 )
 from .construct import (
@@ -30,9 +28,8 @@ from .graph import (
     SignedUnionFind,
     disjoint_union,
     edge,
-    validate_edges,
 )
-from .iso import apply_iso, are_isomorphic, compose_iso, invert_iso, isomorphism
+from .iso import apply_iso, are_isomorphic, compose_iso, isomorphism
 from .moves import (
     ALL_KINDS,
     KINDS_222,
@@ -69,7 +66,6 @@ from .sparsity import (
     brute_force_oracle,
     check_sparsity,
     check_tight,
-    f_value,
     tight_partition,
 )
 

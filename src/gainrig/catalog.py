@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Optional
 
 from .graph import GainGraph, edge, invariant
-from .iso import are_isomorphic
+from .iso import isomorphism
 from .sparsity import SparsityParams, check_tight
 
 PARAMS_220 = SparsityParams(2, 2, 0)
@@ -71,12 +71,14 @@ invariant(
 )
 
 
-def is_base_graph(g: GainGraph) -> Optional[str]:
-    """Catalog id of the member isomorphic to g (switching + relabelling)."""
+def is_base_graph(g: GainGraph) -> Optional[tuple[str, tuple[int, ...], tuple[int, ...]]]:
+    """(id, pi, signs) of the catalog member apply_iso(g, pi, signs) equals,
+    or None if g is isomorphic (switching + relabelling) to none."""
     for name, member in BASE_CATALOG.items():
         if g.n == member.n and len(g.edges) == len(member.edges):
-            if are_isomorphic(g, member):
-                return name
+            iso = isomorphism(g, member)
+            if iso is not None:
+                return (name, *iso)
     return None
 
 

@@ -36,14 +36,6 @@ from .norms import PolyhedralNorm
 from .rigidity import Framework, FrameworkError
 
 
-def edge_colour(fw: Framework, e: Edge) -> int:
-    """Facet index (0 or 1) of the cone containing the edge's direction;
-    raises NotWellPositioned unless every edge of fw is well-positioned."""
-    if not isinstance(fw.norm, PolyhedralNorm):
-        raise FrameworkError("colouring requires a quadrilateral norm")
-    return fw.norm.colours[fw.covectors[e]]
-
-
 def monochrome_quotients(fw: Framework) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
     """The quotient edges of colour 0 and of colour 1, in edge order, read
     from fw's covector table once and kept with fw (Framework.classes)."""
@@ -79,16 +71,6 @@ class ColourClass:
         for e in added:
             insort(out, e)
         return tuple(out)
-
-
-def is_unbalanced_map_graph(g: GainGraph, subset: Sequence[Edge]) -> bool:
-    """Every component of the subset, spanning g, has edge count equal to
-    vertex count with its unique cycle unbalanced: a frame-matroid basis."""
-    return ColourClass(g.n, subset, 0).is_basis()
-
-
-def _is_spanning_tree(g: GainGraph, edges: Sequence[Edge]) -> bool:
-    return ColourClass(g.n, edges, 1).is_basis()
 
 
 def isostatic_classes(g: GainGraph, classes: Sequence[Sequence[Edge]], j: int) -> bool:

@@ -19,9 +19,9 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .catalog import BASE_CATALOG, graph_for_base_id, is_base_graph
+from .catalog import BASE_CATALOG, PARAMS_220, PARAMS_222, graph_for_base_id, is_base_graph
 from .graph import Edge, GainGraph, disjoint_union, invariant
-from .iso import apply_iso, compose_iso, isomorphism
+from .iso import apply_iso, compose_iso
 from .moves import (
     ALL_KINDS,
     H_SHAPES,
@@ -119,12 +119,10 @@ def _match_components(
             pi[comp[0]] = offset
             offset += 1
             continue
-        bid = is_base_graph(sub)
-        if bid is None:
+        base = is_base_graph(sub)
+        if base is None:
             return None
-        iso = isomorphism(sub, graph_for_base_id(bid))
-        invariant(iso is not None, f"component not isomorphic to its base {bid}")
-        sub_pi, sub_signs = iso
+        bid, sub_pi, sub_signs = base
         ids.append(bid)
         for local, v in enumerate(comp):
             pi[v] = offset + sub_pi[local]
@@ -140,9 +138,10 @@ def decompose(
     (sequence, pi, signs) with apply_iso(g, pi, signs) == construct(sequence).
     Each candidate is tested by carrying the current graph's matroid
     partition into its reduced graph; the accepted one's becomes current.
-    ValueError if k != 2: the moves and bases serve k = 2 only."""
-    if p.k != 2:
-        raise ValueError(f"decompose needs k = 2, got counts {p.as_tuple()}")
+    ValueError unless p is (2,2,0) or (2,2,2): the moves and bases serve
+    those counts only."""
+    if p not in (PARAMS_220, PARAMS_222):
+        raise ValueError(f"decompose needs counts (2, 2, 0) or (2, 2, 2), got {p.as_tuple()}")
     # With the global count, all components tight is the same as g tight.
     part = tight_partition(g, p) if len(g.edges) == p.k * g.n - p.m else None
     if part is None:

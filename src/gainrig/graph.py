@@ -1,4 +1,4 @@
-"""Z2-gain graphs: validity, switching, balance, covering graphs.
+"""Z2-gain graphs: validity, balance, components.
 
 A gain graph here is a finite multigraph on vertices 0..n-1 whose edges carry
 a gain in {+1, -1}.  Loops must have gain -1, and no two parallel edges may
@@ -73,26 +73,6 @@ def edge(u: int, v: int, gain: int) -> Edge:
     if u > v:
         u, v = v, u
     return Edge(u, v, gain)
-
-
-def validate_edges(n: int, edges: Iterable[Edge]) -> list[str]:
-    """Diagnostics for the gain-graph invariants; empty list means valid."""
-    problems: list[str] = []
-    seen: set[Edge] = set()
-    for e in edges:
-        if not (0 <= e.u < n and 0 <= e.v < n):
-            problems.append(f"BadVertexIndex: edge {e.as_list()} outside 0..{n - 1}")
-            continue
-        if e.gain not in (1, -1):
-            problems.append(f"BadGain: edge {e.as_list()} gain must be +1 or -1")
-            continue
-        if e.is_loop() and e.gain == 1:
-            problems.append(f"GainOneLoop: loop at {e.u} with gain +1")
-            continue
-        if e in seen:
-            problems.append(f"DuplicateParallelEdge: edge {e.as_list()} repeated")
-        seen.add(e)
-    return problems
 
 
 class SignedUnionFind:
@@ -194,14 +174,17 @@ class GainGraph:
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
         if self.n < 0:
             raise BadVertexIndex("vertex count must be non-negative")
-        for problem in validate_edges(self.n, self.edges):
-            kind = problem.split(":", 1)[0]
-            exc = {
-                "GainOneLoop": GainOneLoop,
-                "DuplicateParallelEdge": DuplicateParallelEdge,
-                "BadVertexIndex": BadVertexIndex,
-            }.get(kind, GainGraphError)
-            raise exc(problem)
+        n, seen = self.n, set()
+        for e in self.edges:
+            if not (0 <= e.u < n and 0 <= e.v < n):
+                raise BadVertexIndex(f"BadVertexIndex: edge {e.as_list()} outside 0..{n - 1}")
+            if e.gain not in (1, -1):
+                raise GainGraphError(f"BadGain: edge {e.as_list()} gain must be +1 or -1")
+            if e.is_loop() and e.gain == 1:
+                raise GainOneLoop(f"GainOneLoop: loop at {e.u} with gain +1")
+            if e in seen:
+                raise DuplicateParallelEdge(f"DuplicateParallelEdge: edge {e.as_list()} repeated")
+            seen.add(e)
 
     # -- construction helpers ------------------------------------------------
 
@@ -211,9 +194,6 @@ class GainGraph:
 
     def triples(self) -> list[list[int]]:
         return [e.as_list() for e in self.edges]
-
-    def replace_edges(self, edges: Iterable[Edge]) -> "GainGraph":
-        return GainGraph(self.n, tuple(edges))
 
     # -- local structure -----------------------------------------------------
 
@@ -245,26 +225,6 @@ class GainGraph:
         s = set(vertices)
         return tuple(e for e in self.edges if e.u in s and e.v in s)
 
-    # -- switching -----------------------------------------------------------
-
-    def switched(self, signs: Sequence[int]) -> "GainGraph":
-        """Switch by a +-1 sign per vertex: non-loop gains pick up s_u * s_v."""
-        if len(signs) != self.n or any(s not in (1, -1) for s in signs):
-            raise BadVertexIndex("signs must assign +-1 to every vertex")
-        new = []
-        for e in self.edges:
-            g = e.gain if e.is_loop() else e.gain * signs[e.u] * signs[e.v]
-            new.append(edge(e.u, e.v, g))
-        return GainGraph(self.n, tuple(new))
-
-    def switch(self, v: int) -> "GainGraph":
-        """Switch at a single vertex."""
-        if not (0 <= v < self.n):
-            raise BadVertexIndex(f"no vertex {v}")
-        signs = [1] * self.n
-        signs[v] = -1
-        return self.switched(signs)
-
     # -- balance -------------------------------------------------------------
 
     def balance_potential(
@@ -288,37 +248,11 @@ class GainGraph:
         """True iff every cycle of the subset (loops included) has gain +1."""
         return self.balance_potential(subset) is not None
 
-    # -- covering graph ------------------------------------------------------
-
-    def covering_graph(self) -> tuple[list[tuple[int, int]], list[frozenset]]:
-        """Two-fold covering: vertices (v, 0|1); simple edge list.
-
-        Edge (u,v,+1) lifts to {(u,0),(v,0)} and {(u,1),(v,1)};
-        edge (u,v,-1) with u != v lifts to {(u,0),(v,1)} and {(u,1),(v,0)};
-        a loop (v,v,-1) lifts to the single edge {(v,0),(v,1)}.
-        """
-        vertices = [(v, c) for v in range(self.n) for c in (0, 1)]
-        lifted: list[frozenset] = []
-        for e in self.edges:
-            if e.is_loop():
-                lifted.append(frozenset({(e.u, 0), (e.u, 1)}))
-            elif e.gain == 1:
-                lifted.append(frozenset({(e.u, 0), (e.v, 0)}))
-                lifted.append(frozenset({(e.u, 1), (e.v, 1)}))
-            else:
-                lifted.append(frozenset({(e.u, 0), (e.v, 1)}))
-                lifted.append(frozenset({(e.u, 1), (e.v, 0)}))
-        invariant(len(set(lifted)) == len(lifted), "covering graph not simple")
-        return vertices, lifted
-
     # -- global structure ----------------------------------------------------
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists (isolated included)."""
         return [vs for vs, _, _ in SignedUnionFind(self.n, self.edges).components()]
-
-    def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
 
     def subgraph(self, vertices: Sequence[int]) -> "GainGraph":
         """Induced subgraph on the given vertices, relabelled 0..k-1."""

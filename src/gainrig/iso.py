@@ -7,8 +7,8 @@ over vertex bijections, followed by a 2-colouring feasibility check for the
 switching signs, is exact and fast.
 
 An isomorphism is represented as (pi, signs), both indexed by the *source*
-graph's vertices, with the semantics  target == apply_iso(source, pi, signs)
-== source.switched(signs) relabelled by old -> pi[old].
+graph's vertices, with the semantics  target == apply_iso(source, pi, signs):
+every non-loop gain times signs[u] * signs[v], then relabelled old -> pi[old].
 """
 
 from __future__ import annotations
@@ -45,20 +45,6 @@ def compose_iso(
     pi = tuple(pi2[pi1[u]] for u in range(len(pi1)))
     signs = tuple(signs1[u] * signs2[pi1[u]] for u in range(len(pi1)))
     return pi, signs
-
-
-def invert_iso(
-    pi: Sequence[int], signs: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Inverse isomorphism: apply_iso(h, *invert_iso(pi, signs)) recovers g
-    whenever apply_iso(g, pi, signs) == h."""
-    n = len(pi)
-    inv_pi = [0] * n
-    inv_signs = [1] * n
-    for u in range(n):
-        inv_pi[pi[u]] = u
-        inv_signs[pi[u]] = signs[u]
-    return tuple(inv_pi), tuple(inv_signs)
 
 
 def _pair_counts(g: GainGraph) -> dict[tuple[int, int], int]:

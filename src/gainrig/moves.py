@@ -130,7 +130,6 @@ ARITY: dict[str, tuple[int, int, int]] = {
     "VertexSplit": (1, 0, 0),
 }
 ALL_KINDS = tuple(ARITY)
-H_KINDS = tuple(H_SHAPES)
 
 # Move subset of the (2,2,2) characterisation.
 KINDS_222 = ("H1a", "H1b", "H2a", "H2b", "VertexToK4", "VertexSplit")

@@ -65,7 +65,6 @@ from fractions import Fraction
 from itertools import product
 from math import inf
 from typing import Optional, Sequence
-from weakref import WeakValueDictionary
 
 from .catalog import graph_for_base_id
 from .colouring import ColourClass, isostatic_classes, monochrome_quotients
@@ -123,17 +122,13 @@ def _base_points(bid: str) -> list[Point]:
     return [(Fraction(x), Fraction(y)) for x, y in fixture]
 
 
-# The frameworks _verified has certified, by (id, character), held weakly.
-_CERTIFIED: WeakValueDictionary = WeakValueDictionary()
-
-
 def _block_certified(fw: Framework, parent: Framework, j: int) -> bool:
     """Whether fw, grown from parent by a step of extend_placement, has full
     character-j row rank by the block certificate: parent is certified, fw
     adds one vertex w and two edges, both at w (a step adds edges only at w,
     so it removed none), and det B != 0 for their orbit rows B on w's columns."""
     w = parent.graph.n
-    if (_CERTIFIED.get((id(parent), j)) is not parent or fw.graph.n != w + 1
+    if (j not in parent.certified or fw.graph.n != w + 1
             or len(fw.graph.edges) != len(parent.graph.edges) + 2):
         return False
     rows = orbit_rows(fw, j)
@@ -154,7 +149,7 @@ def _verified(fw: Framework, j: int, parent: Optional[Framework] = None, chosen=
         return False
     algebraic = parent is not None and _block_certified(fw, parent, j) or analyse(fw, j).isostatic
     invariant(algebraic, "rank and colouring verdicts disagree")
-    _CERTIFIED[id(fw), j] = fw
+    fw.certified.add(j)
     return True
 
 

@@ -86,6 +86,8 @@ class Framework:
     covering: set = field(init=False, repr=False, compare=False)
     # the orbit rows built so far, by character (orbit_rows)
     rows: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # the characters placement._verified found isostatic by both oracles
+    certified: set = field(init=False, repr=False, compare=False, default_factory=set)
 
     def __post_init__(self, grown_from):
         g, n, d = self.graph, self.group_order, self.norm.dimension

@@ -66,20 +66,6 @@ class SparsityReport:
     bound: Optional[int] = None
     balanced_violation: Optional[bool] = None
 
-    def describe(self) -> str:
-        if self.passed:
-            return "sparse"
-        kind = "balanced" if self.balanced_violation else "general"
-        return (
-            f"{kind} count violated: |F|={len(self.witness)} > {self.bound} "
-            f"on support {list(self.support)}"
-        )
-
-
-def f_value(g: GainGraph) -> int:
-    """The freedom count 2|V| - |E|."""
-    return 2 * g.n - len(g.edges)
-
 
 def _support(edges: Iterable[Edge]) -> tuple[int, ...]:
     s: set[int] = set()

@@ -46,7 +46,8 @@ def test_recognition_under_switch_and_relabel():
             list(reversed(range(g.n))),
             [(-1) ** i for i in range(g.n)],
         )
-        assert is_base_graph(h) == bid
+        found, pi, signs = is_base_graph(h)
+        assert found == bid and apply_iso(h, pi, signs) == g
 
 
 def test_recognition_rejects_non_bases():

@@ -5,6 +5,7 @@ import pytest
 
 from gainrig.catalog import BASE_CATALOG
 from gainrig.cli import main
+from gainrig.graph import GainGraph
 from gainrig.jsonio import framework_to_dict, graph_to_dict, save_json
 from gainrig.placement import base_placement
 from gainrig.sparsity import SparsityParams, check_tight
@@ -216,15 +217,19 @@ def test_moves_need_k_equal_2(capsys, command):
     assert "(3, 3, 2)" in err and "Traceback" not in err
 
 
-def test_decompose_needs_k_equal_2(tmp_path, capsys):
-    # a (3,3,1)-tight graph no move built: a usage error at once, not a FAIL
-    # after every reduction was tried
-    p = SparsityParams(3, 3, 1)
-    g = two_base_union(random.Random(1), 6, p)
+@pytest.mark.parametrize("counts", ["3,3,1", "2,2,1"])
+def test_decompose_serves_only_220_and_222(tmp_path, capsys, counts):
+    # a tight graph of a count no construction serves: a usage error at
+    # once, not a FAIL after every reduction was tried
+    p = SparsityParams(*map(int, counts.split(",")))
+    if p.k == 3:
+        g = two_base_union(random.Random(1), 6, p)
+    else:
+        g = GainGraph.from_triples(3, [[0, 1, 1], [1, 2, 1], [0, 1, -1], [1, 2, -1], [2, 2, -1]])
     assert check_tight(g, p)
     path = tmp_path / "g.json"
     save_json(str(path), graph_to_dict(g))
-    assert main(["decompose", str(path), "--counts", "3,3,1"]) == 2
+    assert main(["decompose", str(path), "--counts", counts]) == 2
     captured = capsys.readouterr()
-    assert "(3, 3, 1)" in captured.err and "Traceback" not in captured.err
+    assert str(p.as_tuple()) in captured.err and "Traceback" not in captured.err
     assert captured.out == ""

@@ -7,11 +7,8 @@ import pytest
 from gainrig.catalog import PARAMS_220, PARAMS_222
 from gainrig.colouring import (
     ColourClass,
-    _is_spanning_tree,
     _spanning_connected_unbalanced,
-    edge_colour,
     geometric_verdict,
-    is_unbalanced_map_graph,
     isostatic_classes,
     monochrome_quotients,
 )
@@ -49,9 +46,9 @@ def _placement(g, rng, tries=400, norm=LINF):
 def test_edge_colour_examples():
     g = GainGraph.from_triples(2, [[0, 1, 1]])
     fw = Framework(g, ((F(4), F(2)), (F(1), F(1))), LINF, 2)  # delta (3,1)
-    assert edge_colour(fw, g.edges[0]) == 0
+    assert monochrome_quotients(fw) == (g.edges, ())
     fw2 = Framework(g, ((F(1), F(4)), (F(2), F(1))), LINF, 2)  # delta (-1,3)
-    assert edge_colour(fw2, g.edges[0]) == 1
+    assert monochrome_quotients(fw2) == ((), g.edges)
 
 
 @pytest.mark.parametrize("norm", [LINF, L1], ids=["linf", "l1"])
@@ -64,7 +61,6 @@ def test_covector_table_matches_direct_facets(rng, norm):
         if fw is None:
             continue
         facets = [norm.facet_of(fw.edge_delta(e)) for e in g.edges]
-        assert [edge_colour(fw, e) for e in g.edges] == [i for i, _ in facets]
         assert monochrome_quotients(fw) == tuple(
             tuple(e for e, (i, _) in zip(g.edges, facets) if i == c) for c in (0, 1)
         )
@@ -91,7 +87,6 @@ def test_cone_boundary_raises_from_every_reader(norm, positions):
     fw = Framework(g, tuple((F(x), F(y)) for x, y in positions), norm, 2)
     assert not well_positioned(fw)
     readers = [
-        lambda: edge_colour(fw, g.edges[0]),
         lambda: monochrome_quotients(fw),
         lambda: geometric_verdict(fw),
         lambda: orbit_matrix(fw, 0),
@@ -114,19 +109,19 @@ def test_colour_partition_total(rng):
 
 def test_unbalanced_map_graph_basics():
     loop = GainGraph.from_triples(1, [[0, 0, -1]])
-    assert is_unbalanced_map_graph(loop, loop.edges)
+    assert isostatic_classes(loop, [loop.edges], 0)
     pair = GainGraph.from_triples(2, [[0, 1, 1], [0, 1, -1]])
-    assert is_unbalanced_map_graph(pair, pair.edges)
+    assert isostatic_classes(pair, [pair.edges], 0)
     tree = GainGraph.from_triples(3, [[0, 1, 1], [1, 2, 1]])
-    assert not is_unbalanced_map_graph(tree, tree.edges)
+    assert not isostatic_classes(tree, [tree.edges], 0)
     balanced_cycle = GainGraph.from_triples(3, [[0, 1, 1], [1, 2, 1], [0, 2, 1]])
-    assert not is_unbalanced_map_graph(balanced_cycle, balanced_cycle.edges)
+    assert not isostatic_classes(balanced_cycle, [balanced_cycle.edges], 0)
 
 
 def test_map_graph_must_span():
     g = GainGraph.from_triples(3, [[0, 0, -1]])
     # the loop alone is a map graph on vertex 0, but vertices 1 and 2 are bare
-    assert not is_unbalanced_map_graph(g, g.edges)
+    assert not isostatic_classes(g, [g.edges], 0)
 
 
 def test_geometric_matches_rank_chi0(rng):
@@ -176,7 +171,7 @@ def test_forest_class_blocks_chi0():
         if fw is None:
             continue
         col = monochrome_quotients(fw)
-        forest0 = not is_unbalanced_map_graph(g, col[0])
+        forest0 = not isostatic_classes(g, [col[0]], 0)
         if forest0:
             assert not geometric_verdict(fw).chi0_isostatic
             found = True
@@ -195,8 +190,8 @@ def test_verdict_predicates_match_brute_force(rng):
         g = random_gain_graph(rng, max_n=6, max_edges=12)
         subset = [e for e in g.edges if rng.random() < 0.6]
         comps = brute_components(g.n, subset)
-        assert is_unbalanced_map_graph(g, subset) == _brute_map_graph(comps)
-        assert _is_spanning_tree(g, subset) == (
+        assert isostatic_classes(g, [subset], 0) == _brute_map_graph(comps)
+        assert isostatic_classes(g, [subset], 1) == (
             len(comps) == 1 and len(subset) == g.n - 1
         )
         assert _spanning_connected_unbalanced(g, subset) == (

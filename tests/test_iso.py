@@ -7,7 +7,6 @@ from gainrig.iso import (
     apply_iso,
     are_isomorphic,
     compose_iso,
-    invert_iso,
     isomorphism,
     map_edge,
 )
@@ -34,16 +33,14 @@ def test_isomorphism_finds_random_copies(seed):
 
 
 @given(st.integers(0, 2**30))
-def test_invert_and_compose(seed):
+def test_compose_iso(seed):
+    # g -> h -> k in two steps equals the composite in one
     rng = random.Random(seed)
     g = random_gain_graph(rng)
-    pi, signs = _random_iso(rng, g.n)
-    h = apply_iso(g, pi, signs)
-    inv_pi, inv_signs = invert_iso(pi, signs)
-    assert apply_iso(h, inv_pi, inv_signs) == g
-    cpi, csigns = compose_iso(pi, signs, inv_pi, inv_signs)
-    assert list(cpi) == list(range(g.n))
-    assert all(s == 1 for s in csigns)
+    pi1, signs1 = _random_iso(rng, g.n)
+    pi2, signs2 = _random_iso(rng, g.n)
+    k = apply_iso(apply_iso(g, pi1, signs1), pi2, signs2)
+    assert apply_iso(g, *compose_iso(pi1, signs1, pi2, signs2)) == k
 
 
 def test_map_edge_consistency(rng):

@@ -12,7 +12,7 @@ from gainrig.moves import (
     _cliques,
     ALL_KINDS,
     ARITY,
-    H_KINDS,
+    H_SHAPES,
     Move,
     MoveError,
     apply_move,
@@ -131,7 +131,7 @@ def test_vertex_deletion_drops_a_restored_repeat_unbuilt(monkeypatch):
     real = moves._try_reduction
 
     def spy(g, signs, reduced_edges, forward, new_edges, pi):
-        if forward.kind in H_KINDS:
+        if forward.kind in H_SHAPES:
             distinct.append(len(set(reduced_edges)) == len(reduced_edges))
         return real(g, signs, reduced_edges, forward, new_edges, pi)
 
@@ -212,7 +212,7 @@ def test_h_moves_preserve_tightness(rng):
     done = 0
     while done < 100:
         g = random_tight(2 + rng.randrange(5), PARAMS_220, seed=rng.randrange(10**6))
-        mv = _random_move(g, H_KINDS, rng)
+        mv = _random_move(g, tuple(H_SHAPES), rng)
         if mv is None:
             continue
         try:
@@ -229,7 +229,7 @@ def test_every_h_move_is_undone_in_place(rng):
     from gainrig.construct import random_tight
 
     graphs = [random_tight(n, PARAMS_220, seed) for n in range(2, 8) for seed in range(5)]
-    for kind in H_KINDS:
+    for kind in H_SHAPES:
         done = tries = 0
         while done < 50:
             tries += 1
@@ -352,4 +352,4 @@ def test_kind_order_is_fixed():
         "H1a", "H1b", "H1c", "H2a", "H2b", "H2c", "H2d", "H2e",
         "H3a", "H3b", "H3c", "H3d", "VertexToK4", "VertexSplit",
     )
-    assert H_KINDS == ALL_KINDS[:12]
+    assert tuple(H_SHAPES) == ALL_KINDS[:12]

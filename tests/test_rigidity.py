@@ -182,7 +182,7 @@ def test_analyse_verdicts():
             assert rep.rank == len(g.edges) == 2 * g.n
             assert rep.flex_dim == 0
             # dropping one edge orbit: independent, not rigid
-            g2 = g.replace_edges(g.edges[1:])
+            g2 = GainGraph(g.n, g.edges[1:])
             rep2 = analyse(Framework(g2, fw.positions, LINF, 2), 0)
             assert rep2.independent and not rep2.rigid
             break

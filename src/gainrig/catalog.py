@@ -1,6 +1,7 @@
-"""The eight base gain graphs of the (2,2,0) inductive construction.
+"""The counts the inductive construction serves, in REGIMES: (2,2,0) with all
+fourteen moves and the bases a..h, (2,2,2) with six moves and the vertex k1.
 
-Fixed members:
+Fixed members of a..h:
   a — two vertices joined by a parallel pair (gains +-1), a loop on each;
   b — balanced triangle (all gains +1) with a loop on every vertex;
   c — doubled triangle minus one edge not at the loop vertex, plus that loop;
@@ -21,6 +22,7 @@ from typing import Optional
 
 from .graph import GainGraph, edge, invariant
 from .iso import isomorphism
+from .moves import ALL_KINDS, KINDS_222
 from .sparsity import SparsityParams, check_tight
 
 PARAMS_220 = SparsityParams(2, 2, 0)
@@ -64,17 +66,31 @@ def _build_catalog() -> dict[str, GainGraph]:
 
 BASE_CATALOG: dict[str, GainGraph] = _build_catalog()
 
+REGIMES: dict[SparsityParams, tuple[tuple[str, ...], dict[str, GainGraph]]] = {
+    PARAMS_220: (ALL_KINDS, BASE_CATALOG),
+    PARAMS_222: (KINDS_222, {"k1": K1}),
+}
+
 invariant(len(BASE_CATALOG) == 8, "expected exactly 8 base graphs")
 invariant(
-    all(check_tight(g, PARAMS_220) for g in BASE_CATALOG.values()),
-    "a base graph is not (2,2,0)-tight",
+    all(check_tight(g, p) for p, (_, bases) in REGIMES.items() for g in bases.values()),
+    "a base graph is not tight under its own counts",
 )
 
 
-def is_base_graph(g: GainGraph) -> Optional[tuple[str, tuple[int, ...], tuple[int, ...]]]:
-    """(id, pi, signs) of the catalog member apply_iso(g, pi, signs) equals,
-    or None if g is isomorphic (switching + relabelling) to none."""
-    for name, member in BASE_CATALOG.items():
+def regime(p: SparsityParams) -> tuple[tuple[str, ...], dict[str, GainGraph]]:
+    """(move kinds, bases by id) of count p; ValueError if p is not served."""
+    if p not in REGIMES:
+        raise ValueError(f"the moves serve counts (2, 2, 0) and (2, 2, 2) only, got {p.as_tuple()}")
+    return REGIMES[p]
+
+
+def is_base_graph(
+    g: GainGraph, p: SparsityParams
+) -> Optional[tuple[str, tuple[int, ...], tuple[int, ...]]]:
+    """(id, pi, signs) of the base of p's regime that apply_iso(g, pi, signs)
+    equals, or None if g is isomorphic (switching + relabelling) to none."""
+    for name, member in regime(p)[1].items():
         if g.n == member.n and len(g.edges) == len(member.edges):
             iso = isomorphism(g, member)
             if iso is not None:
@@ -83,10 +99,8 @@ def is_base_graph(g: GainGraph) -> Optional[tuple[str, tuple[int, ...], tuple[in
 
 
 def graph_for_base_id(base_id: str) -> GainGraph:
-    """Catalog member, or K1 for the (2,2,2) seed id 'k1'; ValueError for
-    any other id."""
-    if base_id == "k1":
-        return K1
-    if not isinstance(base_id, str) or base_id not in BASE_CATALOG:
-        raise ValueError(f"unknown base id {base_id!r}")
-    return BASE_CATALOG[base_id]
+    """The base of that id in either regime; ValueError for any other id."""
+    for _, bases in REGIMES.values():
+        if base_id in bases:
+            return bases[base_id]
+    raise ValueError(f"unknown base id {base_id!r}")

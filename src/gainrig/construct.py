@@ -1,15 +1,15 @@
 """Constructive characterisation: build graphs from bases, and decompose
 tight graphs back into construction sequences.
 
-A ConstructionSequence starts from a disjoint union of catalogue bases (for
-the loopless count variant, from a single vertex) and applies moves; every
-intermediate graph stays tight.  decompose() inverts this: it greedily
-applies admissible reductions, matches the irreducible remainder against the
-base catalogue, and replays the moves on a fresh copy while maintaining an
-exact vertex-relabelling-plus-switching isomorphism, so the caller gets both
-the sequence and the isomorphism identifying construct(sequence) with the
-input graph.  Both directions check tightness by carrying one matroid
-partition from each graph to the next (sparsity.tight_partition), never by
+A ConstructionSequence starts from a disjoint union of bases and applies
+moves of the kinds catalog.regime gives its count; every intermediate graph
+stays tight.  decompose() inverts this: it greedily applies admissible
+reductions, matches the irreducible remainder against the bases, and replays
+the moves on a fresh copy while maintaining an exact
+vertex-relabelling-plus-switching isomorphism, so the caller gets both the
+sequence and the isomorphism identifying construct(sequence) with the input
+graph.  Both directions check tightness by carrying one matroid partition
+from each graph to the next (sparsity.tight_partition), never by
 partitioning a graph again from scratch.
 """
 
@@ -19,13 +19,11 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .catalog import BASE_CATALOG, PARAMS_220, PARAMS_222, graph_for_base_id, is_base_graph
+from .catalog import graph_for_base_id, is_base_graph, regime
 from .graph import Edge, GainGraph, disjoint_union, invariant
 from .iso import apply_iso, compose_iso
 from .moves import (
-    ALL_KINDS,
     H_SHAPES,
-    KINDS_222,
     Move,
     MoveError,
     apply_move,
@@ -51,22 +49,14 @@ class ConstructionSequence:
     initial: tuple[str, ...]  # base ids, joined as a disjoint union in order
     steps: tuple[Move, ...]
 
+    def __post_init__(self) -> None:
+        kinds = regime(self.params)[0]
+        for mv in self.steps:
+            if mv.kind not in kinds:
+                raise MoveError(f"move kind {mv.kind} not allowed for {self.params.as_tuple()}")
+
     def initial_graph(self) -> GainGraph:
         return disjoint_union([graph_for_base_id(b) for b in self.initial])
-
-
-def allowed_kinds(p: SparsityParams) -> tuple[str, ...]:
-    return KINDS_222 if p.as_tuple() == (2, 2, 2) else ALL_KINDS
-
-
-def check_kinds(seq: ConstructionSequence) -> None:
-    """Raise MoveError naming the first step kind seq.params does not allow."""
-    kinds = allowed_kinds(seq.params)
-    for mv in seq.steps:
-        if mv.kind not in kinds:
-            raise MoveError(
-                f"move kind {mv.kind} not allowed for {seq.params.as_tuple()}"
-            )
 
 
 def construct(
@@ -75,7 +65,6 @@ def construct(
     """Replay a construction sequence; with verify, check that every
     component of every intermediate graph is tight, carrying one matroid
     partition from each graph to the next."""
-    check_kinds(seq)
     g = seq.initial_graph()
     p = seq.params
     if verify:
@@ -92,18 +81,13 @@ def construct(
     return g
 
 
-# Vertices of the largest catalogue base.
-_LARGEST_BASE = max(b.n for b in BASE_CATALOG.values())
-
-
 def _match_components(
-    g: GainGraph, p: SparsityParams
+    g: GainGraph, p: SparsityParams, largest: int
 ) -> Optional[tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]]:
-    """If every component of g is a base (or the single vertex for the
-    loopless variant), return (base ids, pi, signs) with
+    """If every component of g is a base of p's regime, whose largest base
+    has `largest` vertices, return (base ids, pi, signs) with
     apply_iso(g, pi, signs) == disjoint union of those bases."""
     comps = g.components()
-    largest = 1 if p.as_tuple() == (2, 2, 2) else _LARGEST_BASE
     if any(len(comp) > largest for comp in comps):
         return None
     ids = []
@@ -112,14 +96,7 @@ def _match_components(
     offset = 0
     for comp in comps:
         sub = g.subgraph(comp)
-        if p.as_tuple() == (2, 2, 2):
-            if sub.n != 1 or sub.edges:
-                return None
-            ids.append("k1")
-            pi[comp[0]] = offset
-            offset += 1
-            continue
-        base = is_base_graph(sub)
+        base = is_base_graph(sub, p)
         if base is None:
             return None
         bid, sub_pi, sub_signs = base
@@ -138,20 +115,18 @@ def decompose(
     (sequence, pi, signs) with apply_iso(g, pi, signs) == construct(sequence).
     Each candidate is tested by carrying the current graph's matroid
     partition into its reduced graph; the accepted one's becomes current.
-    ValueError unless p is (2,2,0) or (2,2,2): the moves and bases serve
-    those counts only."""
-    if p not in (PARAMS_220, PARAMS_222):
-        raise ValueError(f"decompose needs counts (2, 2, 0) or (2, 2, 2), got {p.as_tuple()}")
+    ValueError unless catalog.regime serves p."""
+    kinds, bases = regime(p)
+    largest = max(b.n for b in bases.values())
     # With the global count, all components tight is the same as g tight.
     part = tight_partition(g, p) if len(g.edges) == p.k * g.n - p.m else None
     if part is None:
         raise NotTight(f"graph is not {p.as_tuple()}-tight")
-    kinds = allowed_kinds(p)
 
     chain: list = []  # reductions applied, in order
     cur = g
     while True:
-        match = _match_components(cur, p)
+        match = _match_components(cur, p, largest)
         if match is not None:
             ids, pi_term, signs_term = match
             break
@@ -257,26 +232,17 @@ MAX_ATTEMPTS = 10_000
 
 def random_tight(n: int, p: SparsityParams, seed: int) -> GainGraph:
     """A pseudo-random p-tight graph on exactly n vertices, built by applying
-    random tightness-preserving moves to a random p-tight catalogue base (or
-    to a single vertex for the loopless variant); ValueError if k != 2, as
-    every move adds two edges per vertex, or if no base on at most n
-    vertices is p-tight."""
+    random tightness-preserving moves to a random base of p's regime on at
+    most n vertices; ValueError if catalog.regime does not serve p or no
+    such base exists."""
     if n < 1:
         raise ValueError(f"random_tight needs n >= 1, got {n}")
-    if p.k != 2:
-        raise ValueError(f"random_tight needs k = 2, got counts {p.as_tuple()}")
+    kinds, bases = regime(p)
+    starts = [b for b in bases.values() if b.n <= n]
+    if not starts:
+        raise ValueError(f"no catalogue base on at most {n} vertices is {p.as_tuple()}-tight")
     rng = random.Random(seed)
-    kinds = allowed_kinds(p)
-    if p.as_tuple() == (2, 2, 2):
-        g = GainGraph(1, ())
-    else:
-        # The moves keep tightness only from a tight start.
-        bases = [b for b in BASE_CATALOG.values() if b.n <= n and check_tight(b, p)]
-        if not bases:
-            raise ValueError(
-                f"no catalogue base on at most {n} vertices is {p.as_tuple()}-tight"
-            )
-        g = rng.choice(bases)
+    g = rng.choice(starts) if len(starts) > 1 else starts[0]
     part = tight_partition(g, p)
     attempts = 0
     while g.n < n:

@@ -89,7 +89,10 @@ def norm_from_json(desc: Any) -> Norm:
         p = desc["p"]
         if not (_is_int(p) or isinstance(p, float)):
             raise FormatError(f"norm exponent 'p' must be a number, got {p!r}")
-        return LpNorm(float(p))
+        try:
+            return LpNorm(float(p))
+        except OverflowError as exc:
+            raise FormatError("norm exponent 'p' is out of range") from exc
     if isinstance(desc, dict) and "facets" in desc:
         facets = desc["facets"]
         if not (isinstance(facets, list) and len(facets) == 2

@@ -4,8 +4,9 @@ A quadrilateral norm on the plane is given by two independent facet
 covectors a, b (the unit ball is {x : |a.x| <= 1, |b.x| <= 1}); its norm is
 max(|a.x|, |b.x|) and the support functional at a direction off the cone
 boundaries is the (signed) covector achieving the max.  Smooth l^p norms
-(p > 1, p != 2) have the usual gradient functional.  Support covectors are
-stored unscaled by edge length: rank verdicts are scaling-invariant.
+(finite p > 1, p != 2) have the usual gradient functional, taken at
+x / max|x_i| so that no power overflows.  Support covectors are stored
+unscaled by edge length: rank verdicts are scaling-invariant.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import inf
 from typing import Sequence, Union
 
 Vector = tuple  # length-d tuple of Fraction or float
@@ -81,18 +83,22 @@ class LpNorm:
     dimension: int = 2
 
     def __post_init__(self):
-        if not (self.p > 1) or self.p == 2:
-            raise NormError("p must satisfy p > 1 and p != 2")
+        if not 1 < self.p < inf or self.p == 2:
+            raise NormError("p must be finite and satisfy p > 1 and p != 2")
         if self.dimension < 2:
             raise NormError("dimension must be at least 2")
 
     def value(self, x: Sequence) -> float:
-        return sum(abs(float(c)) ** self.p for c in x) ** (1.0 / self.p)
+        top = max(abs(float(c)) for c in x)
+        if top == 0.0:
+            return 0.0
+        return top * sum((abs(float(c)) / top) ** self.p for c in x) ** (1.0 / self.p)
 
     def support_covector(self, delta: Sequence) -> tuple:
-        d = [float(c) for c in delta]
-        if all(c == 0.0 for c in d):
+        top = max(abs(float(c)) for c in delta)
+        if top == 0.0:
             raise ZeroVector("zero edge vector")
+        d = [float(c) / top for c in delta]  # the functional is scale-invariant
         nrm = self.value(d)
         q = self.p - 1.0
         return tuple(

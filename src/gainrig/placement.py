@@ -68,7 +68,7 @@ from typing import Optional, Sequence
 
 from .catalog import graph_for_base_id
 from .colouring import ColourClass, isostatic_classes, monochrome_quotients
-from .construct import ConstructionSequence, check_kinds
+from .construct import ConstructionSequence
 from .graph import GainGraph, invariant
 from .moves import Move, apply_move, deleted_edges, kept_edge_map
 from .norms import L1, LINF, PolyhedralNorm
@@ -320,7 +320,6 @@ def realize(
         raise ValueError("realize places under the l-infinity or the l1 norm")
     if not seq.initial:
         raise ValueError("sequence has no initial base")
-    check_kinds(seq)
     fw = _bases_placement(seq.initial)
     if not _verified(fw, j):
         raise PlacementError(f"bases {list(seq.initial)} do not verify for character {j}")

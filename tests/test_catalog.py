@@ -1,15 +1,20 @@
 from itertools import combinations
 
+import pytest
+
 from gainrig.catalog import (
     BALANCED_K4,
     BASE_CATALOG,
+    K1,
     PARAMS_220,
+    PARAMS_222,
     graph_for_base_id,
     is_base_graph,
+    regime,
 )
 from gainrig.graph import GainGraph, edge
 from gainrig.iso import apply_iso, are_isomorphic
-from gainrig.sparsity import check_tight
+from gainrig.sparsity import SparsityParams, check_tight
 
 
 def test_catalog_size_and_tightness():
@@ -46,13 +51,26 @@ def test_recognition_under_switch_and_relabel():
             list(reversed(range(g.n))),
             [(-1) ** i for i in range(g.n)],
         )
-        found, pi, signs = is_base_graph(h)
+        found, pi, signs = is_base_graph(h, PARAMS_220)
         assert found == bid and apply_iso(h, pi, signs) == g
 
 
 def test_recognition_rejects_non_bases():
-    assert is_base_graph(GainGraph(1, ())) is None
-    assert is_base_graph(GainGraph.from_triples(2, [[0, 1, 1]])) is None
+    assert is_base_graph(GainGraph(1, ()), PARAMS_220) is None
+    assert is_base_graph(GainGraph.from_triples(2, [[0, 1, 1]]), PARAMS_220) is None
+    assert is_base_graph(BASE_CATALOG["a"], PARAMS_222) is None
+
+
+def test_recognition_of_k1_is_by_regime():
+    assert is_base_graph(K1, PARAMS_222) == ("k1", (0,), (1,))
+    assert is_base_graph(K1, PARAMS_220) is None
+
+
+def test_regime_serves_220_and_222_only():
+    assert regime(PARAMS_220)[1] is BASE_CATALOG
+    assert regime(PARAMS_222)[1] == {"k1": K1}
+    with pytest.raises(ValueError, match=r"\(2, 2, 0\) and \(2, 2, 2\) only, got \(2, 2, 1\)"):
+        regime(SparsityParams(2, 2, 1))
 
 
 def test_graph_for_base_id():

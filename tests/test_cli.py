@@ -190,10 +190,47 @@ def test_gen_needs_a_vertex(capsys, n):
 
 
 def test_gen_without_a_tight_base_is_usage_error(capsys):
-    assert main(["gen", "--n", "4", "--counts", "2,2,1"]) == 2
+    assert main(["gen", "--n", "1", "--counts", "2,2,0"]) == 2
     captured = capsys.readouterr()
     assert "no catalogue base" in captured.err
     assert captured.out == ""
+
+
+def test_gen_of_an_unserved_count_names_the_served_counts(capsys):
+    assert main(["gen", "--n", "4", "--counts", "2,2,1"]) == 2
+    captured = capsys.readouterr()
+    assert "serve counts (2, 2, 0) and (2, 2, 2) only" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("counts", [(2, 2, 1), (3, 3, 1)])
+@pytest.mark.parametrize("command", ["construct", "realize", "gen", "roundtrip"])
+def test_every_construction_command_serves_only_220_and_222(tmp_path, capsys, command,
+                                                             counts):
+    if command in ("gen", "roundtrip"):
+        argv = [command, "--n", "4", "--counts", ",".join(map(str, counts))]
+    else:
+        path = tmp_path / "seq.json"
+        save_json(str(path), {"counts": list(counts), "initial": ["a"], "steps": []})
+        argv = [command, str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"got {counts}" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("p, code", [(1000, 0), (float("inf"), 2), (10**400, 2)])
+def test_lp_norm_exponents_never_end_in_a_traceback(tmp_path, capsys, p, code):
+    d = framework_to_dict(base_placement("a"))
+    d["positions"], d["norm"] = [[-2, -1], [-1, 2]], {"p": p}
+    path = tmp_path / "fw.json"
+    path.write_text(json.dumps(d))
+    assert main(["analyse", str(path)]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.out.split("\n", 1)[0].endswith("-> isostatic")
+    else:
+        assert captured.out == "" and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

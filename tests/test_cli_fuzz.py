@@ -52,8 +52,8 @@ graph = st.integers(0, 6).flatmap(_graph)
 
 point = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(list) | st.sampled_from(
     [["1/2", -1], ["-3/2", "2"], [1, "1/0"], [0, 0], [1]])
-norm = st.sampled_from(["linf", "l1", {"p": 3}, {"p": 2}, {"facets": [[1, 1], [1, -1]]},
-                        {"facets": [[1, 0], [2, 0]]}]) | st.fixed_dictionaries(
+norm = st.sampled_from(["linf", "l1", {"p": 3}, {"p": 2}, {"p": 1000}, {"p": float("inf")},
+                        {"facets": [[1, 1], [1, -1]]}, {"facets": [[1, 0], [2, 0]]}]) | st.fixed_dictionaries(
     {}, optional={"p": junk, "facets": junk | st.lists(junk, min_size=2, max_size=2)})
 fixtures = [framework_to_dict(base_placement(b)) for b in ("a", "b", "e")]
 framework = (

@@ -3,13 +3,12 @@ import sys
 
 import pytest
 
-from gainrig.catalog import BASE_CATALOG, PARAMS_220, PARAMS_222
+from gainrig.catalog import BASE_CATALOG, PARAMS_220, PARAMS_222, regime
 from gainrig.construct import (
     ConstructionSequence,
     NoAdmissibleReduction,
     NotTight,
     _random_move,
-    allowed_kinds,
     construct,
     decompose,
     random_tight,
@@ -38,11 +37,8 @@ def test_construct_verifies_intermediates():
 
 
 def test_construct_rejects_wrong_kind_for_222():
-    seq = ConstructionSequence(
-        PARAMS_222, ("k1",), (Move("H1c", vertices=(0,), gains=(1,)),)
-    )
-    with pytest.raises(Exception):
-        construct(seq)
+    with pytest.raises(MoveError, match=r"move kind H1c not allowed for \(2, 2, 2\)"):
+        ConstructionSequence(PARAMS_222, ("k1",), (Move("H1c", vertices=(0,), gains=(1,)),))
 
 
 def test_decompose_requires_tight():
@@ -129,7 +125,7 @@ def test_incremental_verify_matches_full_recheck(p, ids):
     # exactly when the from-scratch check fails on the last graph.  Moves
     # keep (2,2,0) tight; (2,2,2) fails when a move joins two K1 seeds.
     rng = random.Random(2024)
-    kinds = allowed_kinds(p)
+    kinds = regime(p)[0]
     outcomes = set()
     for _ in range(40):
         initial = tuple(rng.choice(ids) for _ in range(rng.randint(1, 2)))

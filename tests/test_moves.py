@@ -3,8 +3,8 @@ from itertools import combinations, product
 
 import pytest
 
-from gainrig.catalog import BASE_CATALOG, PARAMS_220, PARAMS_222
-from gainrig.construct import _random_move, allowed_kinds, random_tight
+from gainrig.catalog import BASE_CATALOG, PARAMS_220, PARAMS_222, regime
+from gainrig.construct import _random_move, random_tight
 from gainrig.graph import GainGraph, edge
 from gainrig import moves
 from gainrig.iso import apply_iso
@@ -157,7 +157,7 @@ def test_carried_verdict_matches_full_recheck(p):
     # and from two-base unions: the partition carried into the reduced graph
     # exists exactly when the reduced graph is tight, and is a partition of
     # it into two independent sides
-    kinds = allowed_kinds(p)
+    kinds = regime(p)[0]
     graphs = [("grown", random_tight(n, p, seed)) for n in (5, 7, 9) for seed in range(8)]
     rng = random.Random(11)
     graphs += [("union", two_base_union(rng, n, p)) for n in (4, 5, 6, 8) for _ in range(8)]

@@ -8,12 +8,11 @@ from pathlib import Path
 import pytest
 
 from gainrig import placement
-from gainrig.catalog import BASE_CATALOG, PARAMS_220, PARAMS_222
+from gainrig.catalog import BASE_CATALOG, PARAMS_220, PARAMS_222, regime
 from gainrig.colouring import geometric_verdict, isostatic_classes, monochrome_quotients
 from gainrig.construct import (
     ConstructionSequence,
     _random_move,
-    allowed_kinds,
     decompose,
     random_tight,
 )
@@ -141,7 +140,7 @@ def _grown_sequence(p, seed, n=12, initial=None):
     g, steps = ConstructionSequence(p, initial, ()).initial_graph(), []
     part = tight_partition(g, p)
     while g.n < n:
-        usable = [k for k in allowed_kinds(p) if k != "VertexToK4" or n - g.n >= 3]
+        usable = [k for k in regime(p)[0] if k != "VertexToK4" or n - g.n >= 3]
         mv = _random_move(g, usable, rng)
         if mv is None:
             continue

@@ -69,6 +69,19 @@ def test_lp_norm():
         LpNorm(2.0)
 
 
+def test_lp_norm_at_extreme_exponents_and_scales():
+    # evaluated at x / max|x_i|: no power overflows at p = 1000 or
+    # underflows to 0 at tiny coordinates
+    assert LpNorm(1000.0).value((4.0, 2.0)) == pytest.approx(4.0)
+    assert LpNorm(1000.0).support_covector((4.0, -2.0)) == pytest.approx((1.0, 0.0))
+    tiny = LpNorm(50.0).support_covector((1e-8, 2e-8))
+    assert tiny == pytest.approx((0.5**49, 1.0), rel=1e-9, abs=0)
+    assert LpNorm(3.0).support_covector((3e300, 1e300)) == pytest.approx(
+        LpNorm(3.0).support_covector((3.0, 1.0)))
+    with pytest.raises(NormError):
+        LpNorm(float("inf"))
+
+
 def test_framework_validation():
     g = GainGraph.from_triples(2, [[0, 1, 1]])
     with pytest.raises(FrameworkError):

@@ -3,10 +3,12 @@
 A quadrilateral norm on the plane is given by two independent facet
 covectors a, b (the unit ball is {x : |a.x| <= 1, |b.x| <= 1}); its norm is
 max(|a.x|, |b.x|) and the support functional at a direction off the cone
-boundaries is the (signed) covector achieving the max.  Smooth l^p norms
-(finite p > 1, p != 2) have the usual gradient functional, taken at
-x / max|x_i| so that no power overflows.  Support covectors are stored
-unscaled by edge length: rank verdicts are scaling-invariant.
+boundaries is the (signed) covector achieving the max, alike at every
+positive multiple of the direction.  Smooth l^p norms (finite p > 1,
+p != 2) have the usual gradient functional, taken at x / max|x_i| so that
+no power overflows (a Framework refuses coordinates beyond a float).
+Support covectors are stored unscaled by edge length: rank verdicts are
+scaling-invariant.
 """
 
 from __future__ import annotations
@@ -54,11 +56,11 @@ class PolyhedralNorm:
         return 2
 
     def value(self, x: Sequence[Fraction]) -> Fraction:
-        return max(abs(_dot(f, x)) for f in self.facets)
+        return max(abs(f[0] * x[0] + f[1] * x[1]) for f in self.facets)
 
     def facet_of(self, delta: Sequence[Fraction]) -> tuple[int, int]:
         """(facet index, sign) of the cone containing delta."""
-        vals = [_dot(f, delta) for f in self.facets]
+        vals = [f[0] * delta[0] + f[1] * delta[1] for f in self.facets]
         if all(v == 0 for v in vals):
             raise ZeroVector("zero edge vector")
         if abs(vals[0]) == abs(vals[1]):
@@ -112,7 +114,3 @@ Norm = Union[PolyhedralNorm, LpNorm]
 # Integer facets: equal to (and hashing like) the same norm built from Fractions.
 LINF = PolyhedralNorm(((1, 0), (0, 1)))
 L1 = PolyhedralNorm(((1, 1), (1, -1)))
-
-
-def _dot(f, x):
-    return sum(fi * xi for fi, xi in zip(f, x))

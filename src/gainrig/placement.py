@@ -33,7 +33,10 @@ rho(d) = max(|u_d|, |v_d|) and S = max rho(s_i), t is the largest 2^-k with
 2 t S below every colour margin min(|u_d|, |v_d|) of v's edges (loop
 included) and below rho(p_v - q) for the origin and every other covering
 point q, so re-attached edges keep their colours and covering points stay
-distinct.
+distinct.  A step's geometry is in integers: its points scaled by the lcm
+of their denominators, and the point rule's points as integer numerators
+over one denominator, made Fractions only for the forbidden set (asked
+after the box test) and the new positions.
 
 Every placement is accepted only through _verified: the colouring verdict
 for the step's character, then the rank, which must agree.  The colouring
@@ -60,6 +63,7 @@ created, and its row is built once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -82,7 +86,6 @@ from .rigidity import (
 )
 
 Point = tuple[Fraction, Fraction]
-ORIGIN: Point = (Fraction(0), Fraction(0))
 
 
 class PlacementError(RuntimeError):
@@ -184,21 +187,19 @@ def base_placement(bid: str) -> Framework:
                    f"frozen placement for base {bid}")
 
 
-def _uv(facets, p) -> Point:
+def _scaled(points) -> tuple[int, list[tuple[int, int]]]:
+    """(L, the points times L), L the lcm of their coordinates' denominators."""
+    scale = math.lcm(*(c.denominator for p in points for c in p))
+    return scale, [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points]
+
+
+def _uv(facets, p) -> tuple:
     """p in the coordinates u = (a + b).p, v = (a - b).p of facets a, b."""
     (a1, a2), (b1, b2) = facets
     return (a1 + b1) * p[0] + (a2 + b2) * p[1], (a1 - b1) * p[0] + (a2 - b2) * p[1]
 
 
-def _xy(facets, q) -> Point:
-    """The point p with _uv(facets, p) == q."""
-    (a1, a2), (b1, b2) = facets
-    s1, s2, t1, t2 = a1 + b1, a2 + b2, a1 - b1, a2 - b2
-    det = s1 * t2 - s2 * t1
-    return Fraction(t2 * q[0] - s2 * q[1], det), Fraction(s1 * q[1] - t1 * q[0], det)
-
-
-def _cut(box, colour: int, sign: int, q: Point):
+def _cut(box, colour: int, sign: int, q):
     """The box ((lo_u, hi_u), (lo_v, hi_v)) cut by the wedge of an edge of
     `colour` and `sign` anchored at q (in (u, v)), or None if it is empty."""
     out = []
@@ -224,22 +225,33 @@ def _region(colours, anchors, box=((-inf, inf), (-inf, inf))):
     return None
 
 
-def _grid_point(box, facets, forbidden: set) -> Point:
-    """The new position in a non-empty box (in (u, v)) by the point rule of
-    the module docstring."""
+def _round(n: int, d: int) -> int:
+    """n / d (d > 0) rounded half to even, as round() rounds a Fraction."""
+    q, r = divmod(n, d)
+    return q + (2 * r > d or 2 * r == d and q % 2)
+
+
+def _grid_point(box, facets, scale: int, taken, m: int) -> Point:
+    """The new position in a non-empty box, given in (u, v) times `scale`, by
+    the point rule of the module docstring; taken(p) tells the forbidden
+    points, fewer than m."""
+    (s1, t1), (s2, t2) = _uv(facets, (1, 0)), _uv(facets, (0, 1))
+    det = s1 * t2 - s2 * t1
+    den = det * det * 2 * m * scale  # the candidates' common denominator
     # every anchor bounds both axes, so each axis has a finite side
-    lo = [hi - 1 if lo == -inf else lo for lo, hi in box]
-    hi = [lo + 1 if hi == inf else hi for lo, hi in box]
-    mid = [(a + b) / 2 for a, b in zip(lo, hi)]
-    m = len(forbidden) + 1
-    c = next(p for p in (
-        _xy(facets, [x + (h - x) * Fraction(i, m) for x, h in zip(mid, hi)]) for i in range(m)
-    ) if p not in forbidden)
+    lo = [hi - scale if lo == -inf else lo for lo, hi in box]
+    hi = [lo + scale if hi == inf else hi for lo, hi in box]
+    for i in range(m):  # i/m of the way on from the centre to the corner
+        u, v = ((a + b) * (m - i) + 2 * b * i for a, b in zip(lo, hi))
+        c = ((t2 * u - s2 * v) * det, (s1 * v - t1 * u) * det)
+        if not taken((Fraction(c[0], den), Fraction(c[1], den))):
+            break
     k = 1  # c is strictly inside and free, so a fine enough grid keeps it so
     while True:
-        pt = (Fraction(round(c[0] * k), k), Fraction(round(c[1] * k), k))
-        if pt not in forbidden and all(a < x < b for (a, b), x in zip(box, _uv(facets, pt))):
-            return pt
+        q = [_round(x * k, den) for x in c]
+        if all(a * k < scale * x < b * k for (a, b), x in zip(box, _uv(facets, q))):
+            if not taken(pt := (Fraction(q[0], k), Fraction(q[1], k))):
+                return pt
         k *= 2
 
 
@@ -251,20 +263,21 @@ def extend_placement(fw: Framework, mv: Move, j: int = 0) -> Framework:
         return _extend_k4(fw, mv, h, j)
     # One new vertex w, appended; old vertices keep their indices and old
     # edges their names.
-    w = fw.graph.n
+    w, facets = fw.graph.n, fw.norm.facets
     gone = set(deleted_edges(fw.graph, mv))
     kept = [ColourClass(h.n, [e for e in cls if e not in gone] if gone else cls, j)
             for cls in monochrome_quotients(fw)]
     new = h.edges_at(w)
-    anchors = [_uv(fw.norm.facets, ORIGIN if e.is_loop() else
-                   tuple(e.gain * c for c in fw.positions[e.other(w)])) for e in new]
+    scale, ends = _scaled([(0, 0) if e.is_loop() else fw.positions[e.other(w)] for e in new])
+    anchors = [tuple(e.gain * x for x in _uv(facets, p)) for e, p in zip(new, ends)]
     for colours in product((0, 1), repeat=len(new)):
         added = [[e for e, ce in zip(new, colours) if ce == c] for c in (0, 1)]
         if not all(k.is_basis(a) for k, a in zip(kept, added)):
             continue
         box = _region(colours, anchors)
         if box is not None:
-            pt = _grid_point(box, fw.norm.facets, fw.covering | {ORIGIN})
+            pt = _grid_point(box, facets, scale, lambda p: not any(p) or p in fw.covering,
+                             len(fw.covering) + 2)
             chosen = tuple(k.extended(a) for k, a in zip(kept, added))
             return _accept(h, fw.positions + (pt,), fw.norm, j, mv.kind, fw, mv, chosen)
     raise PlacementError(f"no region places the new vertex of {mv.kind} on {fw.graph.triples()}")
@@ -272,22 +285,21 @@ def extend_placement(fw: Framework, mv: Move, j: int = 0) -> Framework:
 
 def _extend_k4(fw: Framework, mv: Move, h: GainGraph, j: int) -> Framework:
     (v,) = mv.vertices
-    pv = fw.positions[v]
-
-    def rho(d) -> Fraction:
-        return max(map(abs, _uv(fw.norm.facets, d)))
-
-    margins = [min(map(abs, _uv(fw.norm.facets, d)))
-               for d in map(fw.edge_delta, fw.graph.edges_at(v))]
-    others = (fw.covering | {ORIGIN}) - {pv, (-pv[0], -pv[1])}
-    bound = min(margins + [rho((pv[0] - q[0], pv[1] - q[1])) for q in others])
+    pv, facets, edges = fw.positions[v], fw.norm.facets, fw.graph.edges_at(v)
+    others = (fw.covering | {(0, 0)}) - {pv, (-pv[0], -pv[1])}
+    scale, (sv, *qs) = _scaled([pv, *(fw.positions[e.other(v)] for e in edges), *others])
+    # |(u, v)| of p_v - g q, times scale: up to sign the difference of v's edge
+    # to q with gain g, then p_v - q for the origin and the other points q
+    uv = [[abs(x) for x in _uv(facets, (sv[0] - g * q[0], sv[1] - g * q[1]))]
+          for g, q in zip([e.gain for e in edges] + [1] * len(others), qs)]
+    bound = min([min(d) for d in uv[:len(edges)]] + [max(d) for d in uv[len(edges):]])
     if bound <= 0:
         raise PlacementError(f"{mv.kind} needs a well-positioned placement")
-    reach, scale = 2 * max(rho(s) for s in _K4_SHAPE), Fraction(1)
-    while scale * reach >= bound:
-        scale /= 2
+    reach, t = 2 * max(max(map(abs, _uv(facets, s))) for s in _K4_SHAPE) * scale, 1
+    while reach >= bound * t:  # t = 1 / the docstring's 2^-k
+        t *= 2
     kept = [p for x, p in enumerate(fw.positions) if x != v]
-    k4 = [(pv[0] + scale * x, pv[1] + scale * y) for x, y in _K4_SHAPE]
+    k4 = [(pv[0] + Fraction(x, t), pv[1] + Fraction(y, t)) for x, y in _K4_SHAPE]
     return _accept(h, kept + k4, fw.norm, j, mv.kind, fw, mv)
 
 

@@ -21,7 +21,8 @@ each edge orbit: it is computed once per framework, on first use, and the
 orbit rows, well_positioned and the facet colouring (colouring.py) all
 read it.  A framework is well-positioned when the table exists; otherwise
 reading it raises NotWellPositioned naming the first edge whose direction
-has no unique support covector.
+has no unique support covector (under a PolyhedralNorm, read in integers
+at _direction, then again at edge_delta, whose Fractions an error names).
 
 The entry of edge (u, v, gain) is a pure function of p_u, p_v, the gain and
 the norm.  So carry_covectors, given the framework before a move and the one
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -106,6 +108,12 @@ class Framework:
             raise FrameworkError("half-turn gains require even group order")
         if any(all(c == 0 for c in p) for p in added):
             raise FrameworkError("no vertex may sit at the rotation centre")
+        exact = isinstance(self.norm, PolyhedralNorm)
+        for v, p in enumerate(added, k):
+            for i, c in enumerate(p):  # an l^p norm needs room for a difference in a float
+                if not (isinstance(c, (int, Fraction)) if exact else abs(c) < 2.0 ** 1022):
+                    raise FrameworkError(f"coordinate {i} of vertex {v} " + (
+                        "is not rational" if exact else "does not fit a float"))
         for p in added:
             images = _images(n, p)
             if seen & images:
@@ -136,15 +144,26 @@ class Framework:
             parts[self.norm.colours[phi]].append(e)
         return tuple(parts[0]), tuple(parts[1])
 
+    def _direction(self, e: Edge) -> tuple[int, int]:
+        """edge_delta(e) times the product of its ends' four coordinate denominators."""
+        (xu, yu), (xv, yv), g = self.positions[e.u], self.positions[e.v], e.gain
+        a, b, c, d = xu.denominator, yu.denominator, xv.denominator, yv.denominator
+        return ((xu.numerator * c - g * xv.numerator * a) * b * d,
+                (yu.numerator * d - g * yv.numerator * b) * a * c)
+
     def _covector_table(self, carried: dict) -> dict[Edge, tuple]:
         """The covector table, taking an edge's entry from carried where it
         is not None."""
-        table = {}
+        table, support = {}, self.norm.support_covector
+        direction = self._direction if isinstance(self.norm, PolyhedralNorm) else self.edge_delta
         for e in self.graph.edges:
             phi = carried.get(e)
             if phi is None:
                 try:
-                    phi = self.norm.support_covector(self.edge_delta(e))
+                    try:
+                        phi = support(direction(e))
+                    except NormError:
+                        phi = support(self.edge_delta(e))
                 except NormError as exc:
                     raise NotWellPositioned(f"edge {e.as_list()}: {exc}") from exc
             table[e] = phi

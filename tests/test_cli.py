@@ -233,6 +233,19 @@ def test_lp_norm_exponents_never_end_in_a_traceback(tmp_path, capsys, p, code):
         assert captured.out == "" and "Traceback" not in captured.err
 
 
+def test_lp_norm_coordinate_beyond_a_float_is_usage_error(tmp_path, capsys):
+    # an l^p framework is ranked in floats: a coordinate that does not fit
+    # one is refused when the framework is built, naming the coordinate
+    d = framework_to_dict(base_placement("a"))
+    d["positions"], d["norm"] = [["1e400", -1], [-1, 2]], {"p": 3}
+    path = tmp_path / "fw.json"
+    path.write_text(json.dumps(d))
+    assert main(["analyse", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "coordinate 0 of vertex 0 does not fit a float" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["check", "g.json"], ["gen", "--n", "5"], ["decompose", "g.json"],

@@ -405,6 +405,13 @@ def test_interval_test_agrees_with_polygon_clipping():
     assert checked > 1000
 
 
+def _grid_point(box, forbidden):
+    """placement._grid_point under l-infinity at scale 1, forbidding exactly
+    the given points."""
+    return placement._grid_point(box, LINF.facets, 1, set(forbidden).__contains__,
+                                 len(forbidden) + 1)
+
+
 @pytest.mark.parametrize("forbidden, expected", [
     ((), (F(1), F(0))),                                   # the centre
     (((F(1), F(0)),), (F(3, 2), F(0))),                   # centre taken: 1/2 along
@@ -413,18 +420,18 @@ def test_interval_test_agrees_with_polygon_clipping():
 def test_grid_point_steps_off_a_forbidden_centre(forbidden, expected):
     # u = x + y and v = x - y in (0, 2): the centre is (u, v) = (1, 1), that
     # is (x, y) = (1, 0); further candidates run towards the corner (2, 2)
-    box = ((F(0), F(2)), (F(0), F(2)))
-    pt = placement._grid_point(box, LINF.facets, set(forbidden))
+    box = ((0, 2), (0, 2))
+    pt = _grid_point(box, forbidden)
     assert pt == expected
     assert all(lo < x < hi for (lo, hi), x in zip(box, placement._uv(LINF.facets, pt)))
 
 
 def test_grid_point_in_an_unbounded_box():
     # u > 3 and v < -1 only: the finite part is (3, 4) x (-2, -1)
-    box = ((F(3), inf), (-inf, F(-1)))
+    box = ((3, inf), (-inf, -1))
     # centre (u, v) = (7/2, -3/2), (x, y) = (1, 5/2); (1, 2) is on its edge
-    assert placement._grid_point(box, LINF.facets, set()) == (F(1), F(5, 2))
-    assert placement._grid_point(box, LINF.facets, {(F(1), F(5, 2))}) == (F(5, 4), F(5, 2))
+    assert _grid_point(box, ()) == (F(1), F(5, 2))
+    assert _grid_point(box, {(F(1), F(5, 2))}) == (F(5, 4), F(5, 2))
 
 
 def _block_det(fw, w, j):

@@ -82,6 +82,21 @@ def test_lp_norm_at_extreme_exponents_and_scales():
         LpNorm(float("inf"))
 
 
+@pytest.mark.parametrize("c", [F(10) ** 400, F(10) ** 308, 1e308, float("nan")])
+def test_lp_framework_needs_coordinates_that_fit_a_float(c):
+    # an edge's difference is at most twice a coordinate, and is ranked in floats
+    g = GainGraph.from_triples(2, [[0, 1, 1]])
+    with pytest.raises(FrameworkError, match="coordinate 1 of vertex 1 does not fit a float"):
+        Framework(g, ((F(1), F(2)), (F(3), c)), LpNorm(3.0), 2)
+    assert well_positioned(Framework(g, ((F(1), F(2)), (F(3), F(10) ** 300)), LpNorm(3.0), 2))
+
+
+def test_polyhedral_framework_needs_rational_coordinates():
+    g = GainGraph.from_triples(2, [[0, 1, 1]])
+    with pytest.raises(FrameworkError, match="coordinate 0 of vertex 1 is not rational"):
+        Framework(g, ((F(1), F(2)), (3.0, F(5))), LINF, 2)
+
+
 def test_framework_validation():
     g = GainGraph.from_triples(2, [[0, 1, 1]])
     with pytest.raises(FrameworkError):

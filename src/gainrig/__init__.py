@@ -25,7 +25,6 @@ from .graph import (
     GainGraphError,
     GainOneLoop,
     InvariantViolation,
-    SignedUnionFind,
     disjoint_union,
     edge,
 )

@@ -21,8 +21,9 @@ matroid tests on the two monochrome edge classes:
                               matroid).
 
 All three read off the per-component vertex count, edge count and balance
-that ``SignedUnionFind`` keeps.  The basis tests go through ColourClass,
-which also tests a placement step's new edges alone against its kept classes.
+of one graph search (graph.signed_components).  The basis tests go through
+ColourClass, which also tests a placement step's new edges alone against
+its kept classes.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Edge, GainGraph, SignedUnionFind
+from .graph import Edge, GainGraph, signed_components
 from .norms import PolyhedralNorm
 from .rigidity import Framework, FrameworkError
 
@@ -51,19 +52,28 @@ def _independent(size: int, n_edges: int, unbalanced: bool, j: int) -> bool:
 
 
 class ColourClass:
-    """An edge set on n vertices in a SignedUnionFind, built once, that tells
-    in O(len(added)) whether it becomes a basis for character j with `added`:
+    """An edge set on n vertices, searched once, that tells in
+    O(len(added)) whether it becomes a basis for character j with `added`:
     frame- (j = 0) or graphic- (j = 1) independent, with n - j edges."""
 
     def __init__(self, n: int, edges: Sequence[Edge], j: int) -> None:
-        self.edges, self.j, self.uf = edges, j, SignedUnionFind(n, edges)
-        size, count, unbalanced = self.uf.size, self.uf.edge_count, self.uf.unbalanced
-        self.independent = all(_independent(size[r], count[r], unbalanced[r], j)
-                               for r, p in enumerate(self.uf.parent) if r == p)
+        self.edges, self.j = edges, j
+        self.comp, self.sign, self.comps = signed_components(n, edges)
+        self.independent = all(_independent(*c, j) for c in self.comps)
 
     def is_basis(self, added: Sequence[Edge] = ()) -> bool:
-        return (self.independent and len(self.edges) + len(added) == len(self.uf.parent) - self.j
-                and all(_independent(*comp, self.j) for comp in self.uf.joined(added)))
+        """Each component the added edges touch is contracted to one local
+        vertex, with a gain -1 loop if it holds its (unbalanced) cycle, and
+        each added edge joins its ends' local vertices at its switched gain.
+        Contraction keeps every component's edges - vertices and balance."""
+        if not (self.independent and len(self.edges) + len(added) == len(self.comp) - self.j):
+            return False
+        comp, sign = self.comp, self.sign
+        touched = dict.fromkeys(comp[w] for e in added for w in (e.u, e.v))
+        local = {c: i for i, c in enumerate(touched)}
+        ends = [(local[comp[e.u]], local[comp[e.v]], sign[e.u] * sign[e.v] * e.gain) for e in added]
+        ends += [(i, i, -1) for c, i in local.items() if self.comps[c][1] == self.comps[c][0]]
+        return all(_independent(*c, self.j) for c in signed_components(len(local), ends)[2])
 
     def extended(self, added: Sequence[Edge]) -> tuple[Edge, ...]:
         """The edges and `added`, in edge order if both are."""
@@ -80,7 +90,7 @@ def isostatic_classes(g: GainGraph, classes: Sequence[Sequence[Edge]], j: int) -
 
 
 def _spanning_connected_unbalanced(g: GainGraph, edges: Sequence[Edge]) -> bool:
-    comps = SignedUnionFind(g.n, edges).components()
+    comps = signed_components(g.n, edges)[2]
     return len(comps) == 1 and comps[0][2]
 
 

@@ -75,92 +75,43 @@ def edge(u: int, v: int, gain: int) -> Edge:
     return Edge(u, v, gain)
 
 
-class SignedUnionFind:
-    """Union-find over vertices 0..n-1 that also tracks switching signs.
+def signed_components(
+    n: int, edges: Iterable[Sequence[int]]
+) -> tuple[list[int], list[int], list[tuple[int, int, bool]]]:
+    """Components of the (u, v, gain) triples on vertices 0..n-1, by one
+    breadth-first search and one pass over the edges.
 
-    Adding the edge (u, v, gain) asks for vertex signs with s_u * s_v = gain.
-    Each vertex keeps its parent and its sign relative to that parent; each
-    root keeps its component's vertex count, edge count and whether the
-    component's edges are unbalanced (no signs satisfy them all: a loop, or
-    a cycle of gain -1).  These counts decide independence in the frame
-    matroid (every component has at most one cycle, and that cycle is
-    unbalanced) and in the graphic matroid (no component has a cycle).
+    Returns each vertex's component index, the components numbered by
+    smallest vertex; each vertex's switching sign, +1 at that smallest
+    vertex, found along the search tree; and per component its vertex
+    count, edge count and whether it is unbalanced (no signs satisfy
+    s_u * s_v = gain on all its edges: a cycle of gain -1, or a gain -1
+    loop).  Repeated edges and gain +1 loops are accepted.  These counts
+    decide independence in the frame matroid (every component has at most
+    one cycle, and that cycle is unbalanced) and in the graphic matroid
+    (no component has a cycle).
     """
-
-    def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
-        self.parent = list(range(n))
-        self.parity = [1] * n
-        self.size = [1] * n
-        self.edge_count = [0] * n
-        self.unbalanced = [False] * n
-        for e in edges:
-            self.union(e.u, e.v, e.gain)
-
-    def find(self, x: int) -> tuple[int, int]:
-        """The root of x's component and the sign of x relative to it."""
-        path = []
-        while self.parent[x] != x:
-            path.append(x)
-            x = self.parent[x]
-        sign = 1
-        for y in reversed(path):
-            sign *= self.parity[y]
-            self.parity[y] = sign
-            self.parent[y] = x
-        return x, sign
-
-    def union(self, u: int, v: int, gain: int) -> None:
-        """Add the edge (u, v, gain)."""
-        ru, su = self.find(u)
-        rv, sv = self.find(v)
-        if ru == rv:
-            self.edge_count[ru] += 1
-            if su * sv != gain:
-                self.unbalanced[ru] = True
-            return
-        if self.size[ru] < self.size[rv]:
-            ru, rv = rv, ru
-        self.parent[rv] = ru
-        self.parity[rv] = su * sv * gain
-        self.size[ru] += self.size[rv]
-        self.edge_count[ru] += self.edge_count[rv] + 1
-        self.unbalanced[ru] = self.unbalanced[ru] or self.unbalanced[rv]
-
-    def joined(self, edges: Sequence[Edge]) -> list[tuple[int, int, bool]]:
-        """(vertex count, edge count, unbalanced) of each component the
-        edges touch once added, in O(len(edges)); self is not changed."""
-        ends = [(self.find(e.u), self.find(e.v), e.gain) for e in edges]
-        roots = list(dict.fromkeys(r for (ru, _), (rv, _), _ in ends for r in (ru, rv)))
-        at = {r: i for i, r in enumerate(roots)}
-        local = SignedUnionFind(len(roots))
-        local.size = [self.size[r] for r in roots]
-        local.edge_count = [self.edge_count[r] for r in roots]
-        local.unbalanced = [self.unbalanced[r] for r in roots]
-        for (ru, su), (rv, sv), gain in ends:
-            local.union(at[ru], at[rv], su * sv * gain)
-        return [(local.size[r], local.edge_count[r], local.unbalanced[r])
-                for r, p in enumerate(local.parent) if r == p]
-
-    def is_balanced(self) -> bool:
-        # A flag left on a former root was also set on the root it joined.
-        return not any(self.unbalanced)
-
-    def components(self) -> list[tuple[list[int], int, bool]]:
-        """(sorted vertices, edge count, unbalanced) per component, ordered
-        by smallest vertex."""
-        groups: dict[int, list[int]] = {}
-        for v in range(len(self.parent)):
-            groups.setdefault(self.find(v)[0], []).append(v)
-        return [(vs, self.edge_count[r], self.unbalanced[r]) for r, vs in groups.items()]
-
-    def signs(self) -> list[int]:
-        """A sign per vertex, +1 at the smallest vertex of each component;
-        on a balanced component they satisfy every edge added."""
-        found = [self.find(v) for v in range(len(self.parent))]
-        anchor: dict[int, int] = {}
-        for root, sign in found:
-            anchor.setdefault(root, sign)
-        return [sign * anchor[root] for root, sign in found]
+    edges = list(edges)
+    at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, gain in edges:
+        at[u].append((v, gain))
+        at[v].append((u, gain))
+    comp, sign, size = [-1] * n, [1] * n, []
+    for s in range(n):
+        if comp[s] < 0:
+            comp[s], queue = len(size), [s]
+            for x in queue:
+                for y, gain in at[x]:
+                    if comp[y] < 0:
+                        comp[y], sign[y] = comp[x], sign[x] * gain
+                        queue.append(y)
+            size.append(len(queue))
+    count, unbalanced = [0] * len(size), [False] * len(size)
+    for u, v, gain in edges:
+        count[comp[u]] += 1
+        if sign[u] * sign[v] != gain:
+            unbalanced[comp[u]] = True
+    return comp, sign, list(zip(size, count, unbalanced))
 
 
 @dataclass(frozen=True)
@@ -241,8 +192,8 @@ class GainGraph:
         for e in edges:
             if e not in known:
                 raise GainGraphError(f"unknown edge {e.as_list()}")
-        uf = SignedUnionFind(self.n, edges)
-        return uf.signs() if uf.is_balanced() else None
+        _, sign, comps = signed_components(self.n, edges)
+        return None if any(unbalanced for _, _, unbalanced in comps) else sign
 
     def is_balanced(self, subset: Optional[Iterable[Edge]] = None) -> bool:
         """True iff every cycle of the subset (loops included) has gain +1."""
@@ -252,7 +203,11 @@ class GainGraph:
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists (isolated included)."""
-        return [vs for vs, _, _ in SignedUnionFind(self.n, self.edges).components()]
+        comp, _, comps = signed_components(self.n, self.edges)
+        groups: list[list[int]] = [[] for _ in comps]
+        for v, c in enumerate(comp):
+            groups[c].append(v)
+        return groups
 
     def subgraph(self, vertices: Sequence[int]) -> "GainGraph":
         """Induced subgraph on the given vertices, relabelled 0..k-1."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .graph import BadVertexIndex, Edge, GainGraph, SignedUnionFind, edge, invariant
+from .graph import BadVertexIndex, Edge, GainGraph, edge, invariant, signed_components
 
 
 def apply_iso(
@@ -69,7 +69,7 @@ def _switching_signs(
     s_u * s_v == (gain in g) * (gain in h).
     """
     h_edges = set(h.edges)
-    uf = SignedUnionFind(g.n)
+    constraints = []
     pairs = _pair_counts(g)
     for e in g.edges:
         if e.is_loop():
@@ -87,8 +87,9 @@ def _switching_signs(
                 matched = gn
         if matched is None:
             return None
-        uf.union(e.u, e.v, e.gain * matched)
-    return uf.signs() if uf.is_balanced() else None
+        constraints.append((e.u, e.v, e.gain * matched))
+    _, sign, comps = signed_components(g.n, constraints)
+    return None if any(unbalanced for _, _, unbalanced in comps) else sign
 
 
 def isomorphism(

@@ -5,8 +5,9 @@ covectors a, b (the unit ball is {x : |a.x| <= 1, |b.x| <= 1}); its norm is
 max(|a.x|, |b.x|) and the support functional at a direction off the cone
 boundaries is the (signed) covector achieving the max, alike at every
 positive multiple of the direction.  Smooth l^p norms (finite p > 1,
-p != 2) have the usual gradient functional, taken at x / max|x_i| so that
-no power overflows (a Framework refuses coordinates beyond a float).
+p != 2) have the usual gradient functional, taken at x / max|x_i| (divided
+in x's own arithmetic, then made float) so that no power overflows and no
+coordinate underflows; a Framework refuses coordinates beyond a float.
 Support covectors are stored unscaled by edge length: rank verdicts are
 scaling-invariant.
 """
@@ -91,16 +92,16 @@ class LpNorm:
             raise NormError("dimension must be at least 2")
 
     def value(self, x: Sequence) -> float:
-        top = max(abs(float(c)) for c in x)
-        if top == 0.0:
+        top = max(abs(c) for c in x)
+        if top == 0:
             return 0.0
-        return top * sum((abs(float(c)) / top) ** self.p for c in x) ** (1.0 / self.p)
+        return float(top) * sum(abs(float(c / top)) ** self.p for c in x) ** (1.0 / self.p)
 
     def support_covector(self, delta: Sequence) -> tuple:
-        top = max(abs(float(c)) for c in delta)
-        if top == 0.0:
+        top = max(abs(c) for c in delta)
+        if top == 0:
             raise ZeroVector("zero edge vector")
-        d = [float(c) / top for c in delta]  # the functional is scale-invariant
+        d = [float(c / top) for c in delta]  # the functional is scale-invariant
         nrm = self.value(d)
         q = self.p - 1.0
         return tuple(

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Optional
 
-from .graph import Edge, GainGraph, InvariantViolation, SignedUnionFind, invariant
+from .graph import Edge, GainGraph, InvariantViolation, invariant, signed_components
 
 
 class OracleGuardExceeded(ValueError):
@@ -268,12 +268,11 @@ def _blocked_report(
 ) -> SparsityReport:
     """The first component of the blocked edge's reached set, by smallest
     vertex, that breaks its own count."""
-    uf = SignedUnionFind(g.n, reached)
-    for verts, count, unbalanced in uf.components():
-        root = uf.find(verts[0])[0]
-        balanced = p.l > p.m and not unbalanced and count > p.k * len(verts) - p.l
-        if balanced or count > p.k * len(verts) - p.m:
-            edges = tuple(sorted(e for e in reached if uf.find(e.u)[0] == root))
+    comp, _, comps = signed_components(g.n, reached)
+    for c, (size, count, unbalanced) in enumerate(comps):
+        balanced = p.l > p.m and not unbalanced and count > p.k * size - p.l
+        if balanced or count > p.k * size - p.m:
+            edges = tuple(sorted(e for e in reached if comp[e.u] == c))
             return _violation_report(g, edges, p, balanced)
     raise InvariantViolation("a blocked edge reached no component over its count")
 
@@ -303,8 +302,7 @@ def tight_partition(
     A disjoint union is sparse iff each component is, so one check of g
     covers all components.
     """
-    comps = SignedUnionFind(g.n, g.edges).components()
-    if any(n_edges != p.k * len(verts) - p.m for verts, n_edges, _ in comps):
+    if any(n_edges != p.k * size - p.m for size, n_edges, _ in signed_components(g.n, g.edges)[2]):
         return None
     present = set(g.edges)
     side: dict[Edge, int] = {}

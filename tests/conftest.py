@@ -68,10 +68,10 @@ def brute_components(n: int, edges) -> list[tuple[list[int], list]]:
 
 def brute_balanced(vertices, edges) -> bool:
     """Some +-1 sign per vertex satisfies gain(e) = s_u * s_v on every edge
-    (so no loop), found by trying all 2^|vertices| assignments."""
+    (so no gain -1 loop), found by trying all 2^|vertices| assignments."""
     for bits in product((1, -1), repeat=len(vertices)):
         s = dict(zip(vertices, bits))
-        if all(not e.is_loop() and e.gain == s[e.u] * s[e.v] for e in edges):
+        if all(e.gain == s[e.u] * s[e.v] for e in edges):
             return True
     return False
 

@@ -249,3 +249,18 @@ def test_colour_class_step_test_matches_isostatic_classes(rng, j):
                     assert verdict == (len(comps) == 1 and len(cls) == h.n - 1)
             seen["basis"] += all(step)
     assert all(count > 20 for count in seen.values()), seen
+
+
+def test_colour_class_contracts_a_component_with_its_cycle():
+    # Kept chi0 classes on 4 vertices, each with two trees, so two added
+    # edges meet the count.  {0, 1} already holds its unbalanced cycle (the
+    # loop): two more edges into it and the tree {2} close a second cycle,
+    # which its contracted vertex only shows through its gain -1 loop.
+    kept = ColourClass(4, [edge(0, 0, -1), edge(0, 1, 1)], 0)
+    assert kept.independent and not kept.is_basis([edge(1, 2, 1), edge(0, 2, -1)])
+    # Two edges from {3} reach the tree {0, 1, 2} at opposite switched
+    # gains: they close one unbalanced cycle, a basis; at equal ones, a
+    # balanced cycle, not a basis.
+    tree = ColourClass(4, [edge(0, 1, -1), edge(1, 2, 1)], 0)
+    assert tree.is_basis([edge(0, 3, 1), edge(2, 3, 1)])
+    assert not tree.is_basis([edge(0, 3, 1), edge(2, 3, -1)])

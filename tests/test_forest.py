@@ -8,8 +8,10 @@ from itertools import combinations
 
 import pytest
 
-from gainrig.graph import Edge, SignedUnionFind, edge
+from gainrig.graph import Edge, edge
 from gainrig.sparsity import Partition, SparsityParams, _Forest
+
+from conftest import brute_balanced, brute_components
 
 
 def _two_core(edges: list[Edge]) -> list[Edge]:
@@ -76,19 +78,20 @@ def _circuit_in_core(core: list[Edge]) -> list[Edge]:
 
 def oracle_circuit(n: int, side: list[Edge], x: Edge, frame: bool):
     """None if side plus x is independent, else the circuit of x, from the
-    per-component counts and the peel of x's components."""
-    uf = SignedUnionFind(n, side)
-    (ru, su), (rv, sv) = uf.find(x.u), uf.find(x.v)
+    counts of x's components (conftest's graph search, and its sign
+    enumeration for balance) and the peel of those components."""
+    comps = [(vs, es) for vs, es in brute_components(n, side) if x.u in vs or x.v in vs]
 
-    def has_cycle(r: int) -> bool:
-        return uf.edge_count[r] == uf.size[r]
+    def has_cycle(verts: list[int], edges: list[Edge]) -> bool:
+        return len(edges) == len(verts)
 
-    if ru != rv:
-        if not (frame and has_cycle(ru) and has_cycle(rv)):
+    if len(comps) == 2:
+        if not (frame and all(has_cycle(*c) for c in comps)):
             return None
-    elif frame and not has_cycle(ru) and (x.is_loop() or su * sv != x.gain):
+    elif frame and not has_cycle(*comps[0]) and not brute_balanced(comps[0][0], comps[0][1] + [x]):
         return None
-    local = [e for e in side if uf.find(e.u)[0] in (ru, rv)]
+    touched = {v for vs, _ in comps for v in vs}
+    local = [e for e in side if e.u in touched]
     return _circuit_in_core(_two_core(local + [x]))
 
 
@@ -96,7 +99,7 @@ def assert_forest(f: _Forest, side: set[Edge]) -> None:
     """Parent, depth, sign and root agree along each tree edge; the side is
     the tree edges plus at most one extra edge per frame tree (none on a
     graphic side), which closes an unbalanced cycle; sizes and components
-    match a union-find of the side."""
+    match a graph search of the side."""
     n = len(f.parent)
     assert {e for w in range(n) for e in f.at[w]} == side
     tree = set()
@@ -116,8 +119,7 @@ def assert_forest(f: _Forest, side: set[Edge]) -> None:
         assert e.is_loop() or f.sign[e.u] * f.sign[e.v] != e.gain
     assert len(tree) + len(f.extra) == len(side)
     assert side == tree | set(f.extra.values())
-    uf = SignedUnionFind(n, side)
-    for verts, _, _ in uf.components():
+    for verts, _ in brute_components(n, side):
         assert len({f.root[v] for v in verts}) == 1
         assert f.size[f.root[verts[0]]] == len(verts)
 

@@ -12,6 +12,7 @@ from gainrig.graph import (
     GainOneLoop,
     disjoint_union,
     edge,
+    signed_components,
 )
 from gainrig.iso import apply_iso
 
@@ -178,3 +179,26 @@ def test_balance_matches_brute_force_potential(seed):
 def test_components_match_graph_search(seed):
     g = random_gain_graph(random.Random(seed), max_n=7, max_edges=10)
     assert g.components() == [vs for vs, _ in brute_components(g.n, g.edges)]
+
+
+# Edge multisets on n vertices: repeated edges and gain +1 loops included,
+# which a GainGraph never holds but ColourClass's contraction passes on.
+edge_multisets = st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.builds(edge, st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from((1, -1))),
+    max_size=12)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(edge_multisets)
+def test_signed_components_match_brute_force(case):
+    n, edges = case
+    comp, sign, comps = signed_components(n, edges)
+    brute = brute_components(n, edges)
+    assert len(comps) == len(brute)
+    for c, ((size, count, unbalanced), (verts, es)) in enumerate(zip(comps, brute)):
+        assert [v for v in range(n) if comp[v] == c] == verts
+        assert (size, count) == (len(verts), len(es))
+        assert unbalanced == (not brute_balanced(verts, es))
+        assert sign[verts[0]] == 1
+        if not unbalanced:
+            assert all(e.gain == sign[e.u] * sign[e.v] for e in es)

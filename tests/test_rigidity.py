@@ -82,6 +82,19 @@ def test_lp_norm_at_extreme_exponents_and_scales():
         LpNorm(float("inf"))
 
 
+@pytest.mark.parametrize("scale", [F(1, 10**400), F(1, 10**200), F(1)])
+def test_lp_verdict_does_not_depend_on_the_scale(scale):
+    # differences are divided by their largest coordinate as Fractions, so
+    # coordinates below the float range are not read as a zero edge, and
+    # every scale gives the same covectors
+    fw = base_placement("a")
+    positions = tuple(tuple(c * scale for c in p) for p in ((1, -1), (-1, 2)))
+    tiny = Framework(fw.graph, positions, LpNorm(3.0), 2)
+    unit = Framework(fw.graph, ((1, -1), (-1, 2)), LpNorm(3.0), 2)
+    assert tiny.covectors == unit.covectors
+    assert analyse(tiny, 0).isostatic
+
+
 @pytest.mark.parametrize("c", [F(10) ** 400, F(10) ** 308, 1e308, float("nan")])
 def test_lp_framework_needs_coordinates_that_fit_a_float(c):
     # an edge's difference is at most twice a coordinate, and is ranked in floats

@@ -8,9 +8,10 @@ reductions, matches the irreducible remainder against the bases, and replays
 the moves on a fresh copy while maintaining an exact
 vertex-relabelling-plus-switching isomorphism, so the caller gets both the
 sequence and the isomorphism identifying construct(sequence) with the input
-graph.  Both directions check tightness by carrying one matroid partition
-from each graph to the next (sparsity.tight_partition), never by
-partitioning a graph again from scratch.
+graph.  Both directions check tightness on one matroid partition, built
+for the first graph (sparsity.tight_partition) and edited in place by each
+step's delta (Partition.step), never built again; the replay checks each
+step by the edges it adds, and the whole input at the end.
 """
 
 from __future__ import annotations
@@ -21,15 +22,15 @@ from typing import Optional, Sequence
 
 from .catalog import graph_for_base_id, is_base_graph, regime
 from .graph import Edge, GainGraph, disjoint_union, invariant
-from .iso import apply_iso, compose_iso
+from .iso import apply_iso, compose_iso, map_edge
 from .moves import (
     H_SHAPES,
     Move,
     MoveError,
-    apply_move,
+    apply_delta,
     enumerate_reductions,
     is_admissible,
-    kept_edge_map,
+    move_delta,
     translate_move,
 )
 from .sparsity import SparsityParams, check_tight, tight_partition
@@ -72,11 +73,10 @@ def construct(
         if part is None:
             raise NotTight(f"initial base union not tight: {seq.initial}")
     for mv in seq.steps:
-        h = apply_move(g, mv)
-        if verify:
-            part = tight_partition(h, p, part, kept_edge_map(mv))
-            if part is None:
-                raise NotTight(f"intermediate graph not tight after {mv.kind}")
+        delta = move_delta(g, mv)
+        h = apply_delta(g, *delta)
+        if verify and not part.step(h, *delta):
+            raise NotTight(f"intermediate graph not tight after {mv.kind}")
         g = h
     return g
 
@@ -130,12 +130,7 @@ def decompose(
         if match is not None:
             ids, pi_term, signs_term = match
             break
-        chosen = None
-        for r in enumerate_reductions(cur, kinds):
-            reduced_part = is_admissible(r, p, part)
-            if reduced_part is not None:
-                chosen, part = r, reduced_part
-                break
+        chosen = next((r for r in enumerate_reductions(cur, kinds) if is_admissible(r, part)), None)
         if chosen is None:
             raise NoAdmissibleReduction(
                 f"stuck at {cur.n} vertices: {cur.triples()}"
@@ -144,23 +139,24 @@ def decompose(
         cur = chosen.reduced
 
     # Replay forwards on a fresh copy, maintaining psi: chain-graph -> copy.
-    # Each step is checked against the graph its reduction was taken from,
-    # so the last one checks apply_iso(g, psi) == the rebuilt copy.
+    # Each step's added edges are checked against the psi images of the
+    # edges its reduction deleted, and the end against the whole input.
     seq_steps: list[Move] = []
     c = ConstructionSequence(params=p, initial=ids, steps=()).initial_graph()
     psi_pi, psi_signs = pi_term, signs_term
     invariant(apply_iso(cur, psi_pi, psi_signs) == c, "terminal bases do not match")
-    pre_graphs = [g] + [r.reduced for r in chain[:-1]]
-    for r, pre in zip(reversed(chain), reversed(pre_graphs)):
+    for r in reversed(chain):
         mv2, ext_pi, ext_signs = translate_move(r.forward, psi_pi, psi_signs)
-        c = apply_move(c, mv2)
+        deleted, added, pi = move_delta(c, mv2)
+        c = apply_delta(c, deleted, added, pi)
         seq_steps.append(mv2)
         # r: apply_iso(pre, r.pi, r.signs) == apply_move(r.reduced, r.forward)
         psi_pi, psi_signs = compose_iso(r.pi, r.signs, ext_pi, ext_signs)
         invariant(
-            apply_iso(pre, psi_pi, psi_signs) == c,
+            sorted(added) == sorted(map_edge(e, psi_pi, psi_signs) for e in r.deleted),
             f"replay of {r.forward.kind} diverged from the reduction chain",
         )
+    invariant(apply_iso(g, psi_pi, psi_signs) == c, "the replay does not rebuild the input")
     seq = ConstructionSequence(params=p, initial=ids, steps=tuple(seq_steps))
     return seq, psi_pi, psi_signs
 
@@ -255,11 +251,11 @@ def random_tight(n: int, p: SparsityParams, seed: int) -> GainGraph:
         if mv is None:
             continue
         try:
-            h = apply_move(g, mv)
+            delta = move_delta(g, mv)
+            h = apply_delta(g, *delta)
         except MoveError:
             continue
-        h_part = tight_partition(h, p, part, kept_edge_map(mv))
-        if h_part is not None:
-            g, part = h, h_part
+        if part.step(h, *delta):
+            g = h
     invariant(check_tight(g, p), "random_tight built a graph that is not tight")
     return g

@@ -35,10 +35,12 @@ edges re-ended onto the new vertices intact.
 A Reduction undoes a move: it stores the reduced graph, the forward Move (in
 the reduced graph's labelling) that re-creates the input, and the exact
 relabel+switch (pi, signs) with apply_iso(input, pi, signs) ==
-apply_move(reduced, forward).  Admissibility is semantic: every component
-of the reduced graph must be tight.  is_admissible carries the input's
-matroid partition through (pi, signs) into the reduced graph and inserts
-only the re-added edges (sparsity.tight_partition).
+apply_move(reduced, forward), and its delta: the input's edges it deletes
+and the edges it adds.  Admissibility is semantic: every component of the
+reduced graph must be tight.  is_admissible hands the delta and (pi, signs)
+to the input's carried matroid partition, which Partition.step edits in
+place into the reduced graph's, or leaves as it was.  move_delta gives a
+forward move's delta the same way.
 
 The clique reverses contract a balanced K4 or a triangle's gain-1 edge.
 _cliques grows the 3- and 4-cliques from neighbourhoods, in
@@ -51,11 +53,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .graph import Edge, GainGraph, GainGraphError, edge
 from .iso import map_edge
-from .sparsity import Partition, SparsityParams, tight_partition
+from .sparsity import Partition
 
 # A gain: a sign times a product of named gains.
 Product = tuple[int, tuple[str, ...]]
@@ -161,7 +163,8 @@ class Reduction:
     forward: Move
     pi: tuple[int, ...]
     signs: tuple[int, ...]
-    new_edges: tuple[Edge, ...]  # edges of `reduced` absent from the input
+    new_edges: tuple[Edge, ...]  # edges of `reduced` that are not images of the input's
+    deleted: tuple[Edge, ...]  # edges of the input whose images `reduced` lacks
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -225,57 +228,51 @@ def _bind(shape: Shape, mv: Move, w: int) -> tuple[dict[str, int], dict[str, int
     return at, gains
 
 
-def _delete(edges: list[Edge], e: Edge) -> None:
-    try:
-        edges.remove(e)
-    except ValueError:
-        raise MoveError(f"edge {e.as_list()} not present") from None
-
-
-def _graph(n: int, edges: list[Edge]) -> GainGraph:
-    try:
-        return GainGraph(n, tuple(edges))
-    except GainGraphError as exc:
-        raise MoveError(f"result invalid: {exc}") from exc
-
-
-def apply_move(g: GainGraph, mv: Move) -> GainGraph:
-    """Forward application; raises MoveError on any constraint violation."""
+def move_delta(
+    g: GainGraph, mv: Move
+) -> tuple[list[Edge], list[Edge], Optional[list[int]]]:
+    """What apply_move(g, mv) changes: the edges of g it deletes, the edges
+    it adds (named in the new graph), and each vertex's new name, or None if
+    every vertex keeps its name.  Only VertexToK4 renames: the vertices after
+    v shift down by one, and v is deleted (its name is past the new graph's
+    last vertex).  Raises MoveError on any constraint violation."""
     problem = arity_error(mv)
     _require(problem is None, problem)
     for v in mv.vertices:
         _require(0 <= v < g.n, f"no vertex {v}")
     if mv.kind == "VertexToK4":
-        return _apply_vertex_to_k4(g, mv)
+        return _vertex_to_k4_delta(g, mv)
     if mv.kind == "VertexSplit":
-        return _apply_vertex_split(g, mv)
+        return _vertex_split_delta(g, mv)
     shape = H_SHAPES[mv.kind]
     at, gains = _bind(shape, mv, g.n)
+    return list(mv.removed), [edge(at[p], g.n, _value(gn, gains)) for p, gn in shape.added], None
+
+
+def apply_move(g: GainGraph, mv: Move) -> GainGraph:
+    """Forward application; raises MoveError on any constraint violation."""
+    return apply_delta(g, *move_delta(g, mv))
+
+
+def apply_delta(
+    g: GainGraph, deleted: Sequence[Edge], added: Sequence[Edge], pi: Optional[Sequence[int]]
+) -> GainGraph:
+    """The graph a move_delta describes: g without the deleted edges,
+    renamed by pi, with the added ones."""
     edges = list(g.edges)
-    for e in mv.removed:
-        _delete(edges, e)
-    edges += [edge(at[p], g.n, _value(gn, gains)) for p, gn in shape.added]
-    return _graph(g.n + 1, edges)
+    try:
+        for e in deleted:
+            edges.remove(e)
+        if pi is not None:
+            edges = [edge(pi[e.u], pi[e.v], e.gain) for e in edges]
+        return GainGraph(g.n + (1 if pi is None else 3), tuple(edges + list(added)))
+    except GainGraphError as exc:
+        raise MoveError(f"result invalid: {exc}") from exc
+    except ValueError:
+        raise MoveError(f"edge {e.as_list()} not present") from None
 
 
-def kept_edge_map(mv: Move) -> Optional[Callable[[Edge], Optional[Edge]]]:
-    """How apply_move(g, mv) renames the edges of g it keeps, or None if it
-    renames none.  Only VertexToK4 does: it shifts the vertices after v down
-    by one and deletes the edges at v (their name is None)."""
-    if mv.kind != "VertexToK4":
-        return None
-    (v,) = mv.vertices
-    return lambda e: None if e.touches(v) else edge(e.u - (e.u > v), e.v - (e.v > v), e.gain)
-
-
-def deleted_edges(g: GainGraph, mv: Move) -> tuple[Edge, ...]:
-    """The edges of g that apply_move(g, mv) deletes when mv adds one vertex:
-    an H move's removed edges, a vertex split's moved edges and loop."""
-    loop = g.loop_at(mv.vertices[0]) if mv.move_loop else None
-    return mv.removed + mv.moved + ((loop,) if loop else ())
-
-
-def _apply_vertex_to_k4(g: GainGraph, mv: Move) -> GainGraph:
+def _vertex_to_k4_delta(g: GainGraph, mv: Move) -> tuple[list[Edge], list[Edge], list[int]]:
     (v,) = mv.vertices
     incident = g.edges_at(v, include_loop=False)
     loop = g.loop_at(v)
@@ -285,26 +282,22 @@ def _apply_vertex_to_k4(g: GainGraph, mv: Move) -> GainGraph:
         "attach must map each non-loop incident edge exactly once",
     )
     _require(all(0 <= i < 4 for i in attach.values()), "attach index in 0..3")
-    if loop is not None:
-        _require(mv.loop_attach is not None, "loop present: need loop_attach")
-    else:
-        _require(mv.loop_attach is None, "no loop to reattach")
+    _require(loop is None or mv.loop_attach is not None, "loop present: need loop_attach")
+    _require(loop is not None or mv.loop_attach is None, "no loop to reattach")
 
-    kept = kept_edge_map(mv)
+    pi = [u - (u > v) if u != v else g.n + 3 for u in range(g.n)]
     m = g.n - 1  # first K4 vertex index after removing v
-    edges = [kept(e) for e in g.edges if not e.touches(v)]
-    edges += [edge(m + i, m + j, 1) for i, j in combinations(range(4), 2)]
+    added = [edge(m + i, m + j, 1) for i, j in combinations(range(4), 2)]
     for e, idx in sorted(attach.items()):
-        x = e.other(v)
-        edges.append(edge(x - (x > v), m + idx, e.gain))
+        added.append(edge(pi[e.other(v)], m + idx, e.gain))
     if loop is not None:
         i, j = mv.loop_attach
         _require(0 <= i < 4 and 0 <= j < 4, "loop_attach index in 0..3")
-        edges.append(edge(m + i, m + j, -1))
-    return _graph(g.n + 3, edges)
+        added.append(edge(m + i, m + j, -1))
+    return g.edges_at(v), added, pi
 
 
-def _apply_vertex_split(g: GainGraph, mv: Move) -> GainGraph:
+def _vertex_split_delta(g: GainGraph, mv: Move) -> tuple[list[Edge], list[Edge], None]:
     (v1,) = mv.vertices
     e12 = mv.v2_edge
     _require(e12 is not None and not e12.is_loop() and e12.touches(v1),
@@ -319,17 +312,14 @@ def _apply_vertex_split(g: GainGraph, mv: Move) -> GainGraph:
     )
     _require(len(set(moved)) == len(moved), "moved edges repeated")
     v0 = g.n
-    edges = list(g.edges)
-    for mvd in moved:
-        _delete(edges, mvd)
-        edges.append(edge(mvd.other(v1), v0, mvd.gain))
+    added = [edge(mvd.other(v1), v0, mvd.gain) for mvd in moved]
     if mv.move_loop:
         loop = g.loop_at(v1)
         _require(loop is not None, "move_loop set but v1 has no loop")
-        _delete(edges, loop)
-        edges.append(edge(v0, v0, -1))
-    edges += [edge(v0, v1, 1), edge(v0, v2, e12.gain)]
-    return _graph(g.n + 1, edges)
+        moved.append(loop)
+        added.append(edge(v0, v0, -1))
+    added += [edge(v0, v1, 1), edge(v0, v2, e12.gain)]
+    return moved, added, None
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +379,7 @@ def _vertex_last_perm(n: int, v: int) -> list[int]:
 
 def _try_reduction(
     g: GainGraph, signs: Sequence[int], reduced_edges: Sequence[Edge], forward: Move,
-    new_edges: Sequence[Edge], pi: Sequence[int],
+    new_edges: Sequence[Edge], pi: Sequence[int], deleted: Sequence[Edge],
 ) -> Optional[Reduction]:
     """The Reduction if the reduced edges form a valid graph (a reverse shape
     can repeat an edge), else None.  That its forward move rebuilds g is not
@@ -401,7 +391,7 @@ def _try_reduction(
         reduced = GainGraph(g.n - removed, tuple(reduced_edges))
     except GainGraphError:
         return None
-    return Reduction(reduced, forward, tuple(pi), tuple(signs), tuple(new_edges))
+    return Reduction(reduced, forward, tuple(pi), tuple(signs), tuple(new_edges), tuple(deleted))
 
 
 def _vertex_deletion_candidates(
@@ -414,9 +404,10 @@ def _vertex_deletion_candidates(
     first."""
     pi = _vertex_last_perm(g.n, v)
     w = g.n - 1
-    kept, at_w = [], []
+    kept, at_w, gone = [], [], []
     for e in g.edges:
         if e.touches(v):
+            gone.append(e)
             at_w.append((pi[e.other(v)], e.gain))
         else:
             kept.append(edge(pi[e.u], pi[e.v], e.gain))
@@ -455,7 +446,7 @@ def _vertex_deletion_candidates(
                     gains=tuple(gains[x] for x in shape.gains),
                     removed=back,
                 )
-                yield _try_reduction(g, signs, kept + list(back), forward, back, pi)
+                yield _try_reduction(g, signs, kept + list(back), forward, back, pi, gone)
 
 
 def _cliques(
@@ -504,9 +495,11 @@ def _k4_contractions(g: GainGraph) -> Iterator[Optional[Reduction]]:
             pi[u] = i
         merged = len(outside)
         to = [min(i, merged) for i in pi]
-        reduced_edges, attach = [], []
+        reduced_edges, attach, gone = [], [], []
         for e in g.edges:
             low, high = sorted((pi[e.u], pi[e.v]))
+            if high >= merged:
+                gone.append(e)
             if low >= merged:
                 continue  # a K4 edge, or the extra edge
             image = map_edge(e, to, signs)
@@ -520,7 +513,7 @@ def _k4_contractions(g: GainGraph) -> Iterator[Optional[Reduction]]:
         forward = Move("VertexToK4", vertices=(merged,), attach=tuple(sorted(attach)),
                        loop_attach=loop_attach)
         new_edges = [e for e in reduced_edges if e.touches(merged)]
-        yield _try_reduction(g, signs, reduced_edges, forward, new_edges, pi)
+        yield _try_reduction(g, signs, reduced_edges, forward, new_edges, pi, gone)
 
 
 def _triangle_contractions(g: GainGraph) -> Iterator[Optional[Reduction]]:
@@ -554,7 +547,7 @@ def _triangle_contraction(
     forward = Move("VertexSplit", vertices=(pi[keep],), v2_edge=v2_edge,
                    moved=tuple(sorted(moved)), move_loop=g.loop_at(absorb) is not None)
     # Loops at both keep and absorb give a repeated loop: no valid graph.
-    return _try_reduction(g, signs, reduced_edges, forward, new_edges, pi)
+    return _try_reduction(g, signs, reduced_edges, forward, new_edges, pi, g.edges_at(absorb))
 
 
 def enumerate_reductions(
@@ -574,13 +567,9 @@ def enumerate_reductions(
         yield from filter(None, candidates)
 
 
-def is_admissible(
-    r: Reduction, p: SparsityParams, carried: Partition
-) -> Optional[Partition]:
-    """The reduced graph's Partition if every component of it is p-tight,
-    else None.  carried is the Partition of the graph r reduces; its edges
-    are named in the reduced graph by map_edge(., r.pi, r.signs), and every
-    reduced edge outside r.new_edges must be such an image."""
-    return tight_partition(
-        r.reduced, p, carried, lambda e: map_edge(e, r.pi, r.signs), r.new_edges
-    )
+def is_admissible(r: Reduction, carried: Partition) -> bool:
+    """Whether every component of r.reduced is tight.  carried is the
+    Partition of the graph r reduces; r's delta (its deleted and new edges
+    and its relabel+switch) edits it in place into r.reduced's if so, and
+    it is left as it was if not (Partition.step)."""
+    return carried.step(r.reduced, r.deleted, r.new_edges, r.pi, r.signs)

@@ -92,10 +92,18 @@ class LpNorm:
             raise NormError("dimension must be at least 2")
 
     def value(self, x: Sequence) -> float:
+        """The l^p size of x; NormError if x is nonzero and its size is
+        beyond the float range, in either direction."""
         top = max(abs(c) for c in x)
         if top == 0:
             return 0.0
-        return float(top) * sum(abs(float(c / top)) ** self.p for c in x) ** (1.0 / self.p)
+        try:
+            size = float(top) * sum(abs(float(c / top)) ** self.p for c in x) ** (1.0 / self.p)
+        except OverflowError:
+            size = inf
+        if not 0.0 < size < inf:
+            raise NormError(f"the l^{self.p} size of a nonzero vector does not fit a float")
+        return size
 
     def support_covector(self, delta: Sequence) -> tuple:
         top = max(abs(c) for c in delta)

@@ -74,7 +74,7 @@ from .catalog import graph_for_base_id
 from .colouring import ColourClass, isostatic_classes, monochrome_quotients
 from .construct import ConstructionSequence
 from .graph import GainGraph, invariant
-from .moves import Move, apply_move, deleted_edges, kept_edge_map
+from .moves import Move, apply_delta, move_delta
 from .norms import L1, LINF, PolyhedralNorm
 from .rigidity import (
     Framework,
@@ -166,15 +166,16 @@ def _framework(g: GainGraph, positions: Sequence[Point], norm, what: str,
 
 def _accept(
     g: GainGraph, positions: Sequence[Point], norm, j: int, what: str,
-    parent: Optional[Framework] = None, mv: Optional[Move] = None, chosen=None,
+    parent: Optional[Framework] = None, pi: Optional[Sequence[int]] = None, chosen=None,
 ) -> Framework:
     """The framework at positions if both oracles call it character-j
     isostatic (see _verified for `chosen`), else PlacementError naming
     `what`.  Its covering set and covector table are carried over from
-    `parent`, the framework the move mv starts from, if given."""
+    `parent`, the framework the move starts from, if given, through the
+    move's renaming pi if it renames (moves.move_delta)."""
     fw = _framework(g, positions, norm, what, parent)
     if parent is not None:
-        carry_covectors(parent, fw, kept_edge_map(mv))
+        carry_covectors(parent, fw, pi)
     if not _verified(fw, j, parent, chosen):
         raise PlacementError(f"{what} failed verification for character {j}")
     return fw
@@ -258,13 +259,14 @@ def _grid_point(box, facets, scale: int, taken, m: int) -> Point:
 def extend_placement(fw: Framework, mv: Move, j: int = 0) -> Framework:
     """Grow a verified placement across one move, placing the created
     vertices and re-verifying with both oracles."""
-    h = apply_move(fw.graph, mv)
-    if mv.kind == "VertexToK4":
-        return _extend_k4(fw, mv, h, j)
+    deleted, added, pi = move_delta(fw.graph, mv)
+    h = apply_delta(fw.graph, deleted, added, pi)
+    if pi is not None:
+        return _extend_k4(fw, mv, h, j, pi)
     # One new vertex w, appended; old vertices keep their indices and old
     # edges their names.
     w, facets = fw.graph.n, fw.norm.facets
-    gone = set(deleted_edges(fw.graph, mv))
+    gone = set(deleted)
     kept = [ColourClass(h.n, [e for e in cls if e not in gone] if gone else cls, j)
             for cls in monochrome_quotients(fw)]
     new = h.edges_at(w)
@@ -279,11 +281,11 @@ def extend_placement(fw: Framework, mv: Move, j: int = 0) -> Framework:
             pt = _grid_point(box, facets, scale, lambda p: not any(p) or p in fw.covering,
                              len(fw.covering) + 2)
             chosen = tuple(k.extended(a) for k, a in zip(kept, added))
-            return _accept(h, fw.positions + (pt,), fw.norm, j, mv.kind, fw, mv, chosen)
+            return _accept(h, fw.positions + (pt,), fw.norm, j, mv.kind, fw, None, chosen)
     raise PlacementError(f"no region places the new vertex of {mv.kind} on {fw.graph.triples()}")
 
 
-def _extend_k4(fw: Framework, mv: Move, h: GainGraph, j: int) -> Framework:
+def _extend_k4(fw: Framework, mv: Move, h: GainGraph, j: int, pi: Sequence[int]) -> Framework:
     (v,) = mv.vertices
     pv, facets, edges = fw.positions[v], fw.norm.facets, fw.graph.edges_at(v)
     others = (fw.covering | {(0, 0)}) - {pv, (-pv[0], -pv[1])}
@@ -300,7 +302,7 @@ def _extend_k4(fw: Framework, mv: Move, h: GainGraph, j: int) -> Framework:
         t *= 2
     kept = [p for x, p in enumerate(fw.positions) if x != v]
     k4 = [(pv[0] + Fraction(x, t), pv[1] + Fraction(y, t)) for x, y in _K4_SHAPE]
-    return _accept(h, kept + k4, fw.norm, j, mv.kind, fw, mv)
+    return _accept(h, kept + k4, fw.norm, j, mv.kind, fw, pi)
 
 
 def _bases_placement(ids: Sequence[str]) -> Framework:

@@ -28,10 +28,10 @@ The entry of edge (u, v, gain) is a pure function of p_u, p_v, the gain and
 the norm.  So carry_covectors, given the framework before a move and the one
 it leads to under the same norm, reuses the old entry of every edge the move
 keeps, found by the move's own edge map: by name when the old positions are
-a prefix of the new (a one-vertex move), or through `renamed`
-(moves.kept_edge_map, for vertex-to-K4) where both ends keep their
-positions.  It computes only the others: the new vertices' edges.  The new
-framework keeps no reference to the old one.  Framework.classes keeps the
+a prefix of the new (a one-vertex move), or through the move's renaming
+of the vertices (moves.move_delta, for vertex-to-K4) where both ends keep
+their positions.  It computes only the others: the new vertices' edges.
+The new framework keeps no reference to the old one.  Framework.classes keeps the
 facet colour classes read from the table, for the colouring and the next
 placement step.
 
@@ -57,9 +57,9 @@ import math
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional, Sequence
 
-from .graph import Edge, GainGraph
+from .graph import Edge, GainGraph, edge
 from .linalg import float_rank, matrix_rank
 from .norms import ConeBoundary, Norm, NormError, PolyhedralNorm, ZeroVector
 
@@ -178,19 +178,21 @@ def well_positioned(fw: Framework) -> bool:
     return True
 
 
-def carry_covectors(old: Framework, new: Framework, renamed: Optional[Callable] = None) -> None:
+def carry_covectors(old: Framework, new: Framework, pi: Optional[Sequence[int]] = None) -> None:
     """Build new's covector table now, reusing old's entry for every edge
-    that keeps its name, or is named renamed(e) in new, and, for edges that
-    keep their name, the orbit rows old has built (see the module
+    that keeps its name, or that pi carries into new (old vertex a is new
+    vertex pi[a], or is deleted if that is past new's last), and, for edges
+    that keep their name, the orbit rows old has built (see the module
     docstring).  New keeps no reference to old.  Does nothing unless old is
     well-positioned; if new is not, reading new.covectors raises as usual."""
     if new.norm != old.norm or not well_positioned(old):
         return
-    if renamed is None:
+    if pi is None:
         carried = old.covectors if new.positions[:len(old.positions)] == old.positions else {}
     else:
-        carried = {f: phi for e, phi in old.covectors.items() if (f := renamed(e)) is not None
-                   and (new.positions[f.u], new.positions[f.v]) == (old.positions[e.u], old.positions[e.v])}
+        carried = {edge(pi[e.u], pi[e.v], e.gain): phi for e, phi in old.covectors.items()
+                   if max(pi[e.u], pi[e.v]) < len(new.positions)
+                   and (new.positions[pi[e.u]], new.positions[pi[e.v]]) == (old.positions[e.u], old.positions[e.v])}
     try:
         new.__dict__["covectors"] = new._covector_table(carried)
     except NotWellPositioned:

@@ -18,9 +18,15 @@ an augmentation re-roots or searches again only the trees it changes.  If
 an edge is blocked, every element the search reached lies in each side's
 span of the reached set S, so |S| is one more than the sides' ranks of S
 summed, and some component C of S breaks its own count: the witness, over
-its own bound but not always the smallest.  A move or a reduction keeps
-all but a few edges of a tight graph, so tight_partition carries the
-Partition across it and inserts only the 1-4 edges it adds.
+its own bound but not always the smallest.  A move or a reduction changes
+a few edges of a tight graph, so one Partition lives through a whole
+construction or decomposition (Partition.step): on stable vertex ids, as
+a step's relabelling and switching rewrite only an id map; edited by the
+step's delta, a tree edge's removal searching the two halves in lockstep
+and relabelling the smaller (Even and Shiloach 1981); and rolled back
+when the next graph is not tight.  All its components are tight iff
+|E| = k|V| (m = 0), or iff the graphic forests have the same trees
+(m = k), compared where the step moved vertices between trees.
 
 SparsityParams rejects every count with l != k: in a normed space that is
 not Euclidean the only trivial motions are translations, so every count the
@@ -29,11 +35,13 @@ paper derives has l = k.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Iterable, Optional
+from itertools import combinations, count, permutations
+from typing import Iterable, Optional, Sequence
 
 from .graph import Edge, GainGraph, InvariantViolation, invariant, signed_components
+from .iso import map_edge
 
 
 class OracleGuardExceeded(ValueError):
@@ -97,7 +105,7 @@ def check_sparsity(g: GainGraph, p: SparsityParams) -> SparsityReport:
     """Whether g is p-sparse; witness on failure.  g's edges go in order
     into an empty Partition, and the first blocked edge gives the witness
     (over its own bound, but not always the smallest)."""
-    part = Partition(g.n, p, {})
+    part = Partition(g.n, p)
     for y in g.edges:
         reached = part.insert(y)
         if reached is not None:
@@ -107,32 +115,40 @@ def check_sparsity(g: GainGraph, p: SparsityParams) -> SparsityReport:
 
 class _Forest:
     """One partition side as a rooted spanning forest of its edges: per
-    vertex its parent, tree edge, depth, sign relative to its root (a tree
-    edge's gain is the product of its ends' signs) and root, and its edges on
-    the side (``at``).  A frame side also keeps, per root, the one edge off
-    its tree if it has one (``extra``), closing an unbalanced cycle."""
+    vertex its parent, tree edge, depth, sign (a tree edge's gain is the
+    product of its ends' signs), tree label (``root``) and edges on the side
+    (``at``); depths and signs compare only within a tree.  Per label, the
+    tree's size and, on a frame side, the one edge off the tree if any
+    (``extra``), closing an unbalanced cycle.  A tree keeps its label as it
+    grows or loses the smaller half of a split; on a graphic side,
+    ``relabelled`` collects the vertices that change trees."""
 
-    def __init__(self, n: int, frame: bool, edges: Iterable[Edge]) -> None:
+    def __init__(self, n: int, frame: bool) -> None:
         self.frame = frame
         self.at: list[dict[Edge, None]] = [{} for _ in range(n)]
-        for e in edges:
-            self.at[e.u][e] = self.at[e.v][e] = None
         self.parent = list(range(n))
         self.root = list(range(n))
-        self.size = [1] * n  # vertices in the tree, kept at its root
+        self.size = dict.fromkeys(range(n), 1)
         self.pedge: list[Optional[Edge]] = [None] * n
         self.depth = [0] * n
         self.sign = [1] * n
         self.extra: dict[int, Edge] = {}
-        for w in range(n):
-            if self.root[w] == w:  # not reached from a smaller vertex
-                self._span(w, None)
+        self.labels = count(n)  # labels for new trees
+        self.relabelled: list[int] = []
+
+    def grow(self) -> None:
+        """Append an isolated vertex, a tree of its own."""
+        self.at.append({})
+        for values in (self.parent, self.root, self.pedge, self.depth, self.sign):
+            values.append(None)
+        self._span(len(self.at) - 1, None)
 
     def _span(self, start: int, up: Optional[Edge]) -> set[int]:
-        """Hang start's component from the far end of its tree edge ``up``
-        (or make it a tree) by breadth-first search; the one edge off the tree
-        it meets is the tree's extra edge.  Returns the vertices reached."""
-        root = start if up is None else self.root[up.other(start)]
+        """Hang start's component from the far end of its tree edge ``up``,
+        in that end's tree (or make it a tree under a new label), by
+        breadth-first search; the one edge off the tree it meets is the
+        tree's extra edge.  Returns the vertices reached."""
+        root = next(self.labels) if up is None else self.root[up.other(start)]
         seen, queue = {start}, [(start, up)]
         for w, f in queue:  # f is w's tree edge
             p = w if f is None else f.other(w)
@@ -150,12 +166,14 @@ class _Forest:
                     invariant(self.frame and self.extra.setdefault(root, e) == e,
                               "a partition side is not independent")
         if up is None:
-            self.size[start] = len(queue)
+            self.size[root] = len(queue)
+        if not self.frame:  # only graphic sides' trees are compared (Partition._tight)
+            self.relabelled.extend(seen)
         return seen
 
     def add(self, e: Edge) -> None:
         """Add e, which must keep the side independent.  Joining two trees
-        re-roots the smaller at its end of e; it keeps the extra edge its
+        hangs the smaller from its end of e; it keeps the extra edge its
         search meets, not its old one, which may now be a tree edge."""
         invariant(self.circuit(e) is None, "a partition side is not independent")
         self.at[e.u][e] = self.at[e.v][e] = None
@@ -163,20 +181,44 @@ class _Forest:
         if ru == rv:
             self.extra[ru] = e
             return
-        start, big = (e.u, rv) if self.size[ru] < self.size[rv] else (e.v, ru)
-        self.extra.pop(self.root[start], None)
-        self.size[big] += len(self._span(start, e))
+        start, small, big = (e.u, ru, rv) if self.size[ru] < self.size[rv] else (e.v, rv, ru)
+        self.extra.pop(small, None)
+        self.size[big] += self.size.pop(small)
+        self._span(start, e)
 
     def remove(self, e: Edge) -> None:
-        """Remove e; if it is a tree edge, search its tree again."""
+        """Remove e.  A tree edge splits its tree: the halves are searched in
+        lockstep (Even and Shiloach), and only the smaller is hung again,
+        across the extra edge if that joins them, else under a new label."""
         del self.at[e.u][e]
         self.at[e.v].pop(e, None)
-        root = self.root[e.u]
-        if self.extra.pop(root, None) != e:
-            child = e.u if self.pedge[e.u] == e else e.v
-            invariant(self.pedge[child] == e, "removed edge is not on the side")
-            if child not in self._span(root, None):
-                self._span(child, None)
+        label = self.root[e.u]
+        extra = self.extra.get(label)
+        if extra == e:
+            del self.extra[label]
+            return
+        child = e.u if self.pedge[e.u] == e else e.v
+        invariant(self.pedge[child] == e, "removed edge is not on the side")
+        self.parent[child], self.pedge[child] = child, None
+        seen, halves, k = ({e.u}, {e.v}), ([e.u], [e.v]), 0
+        while k < len(halves[0]) and k < len(halves[1]):  # along tree edges, in turn
+            for reached, half in zip(seen, halves):
+                w = half[k]
+                for f in self.at[w]:
+                    z = f.other(w)
+                    if z not in reached and f is not extra:
+                        reached.add(z)
+                        half.append(z)
+            k += 1
+        i = int(k < len(halves[0]))  # the half whose search ended
+        start, small = halves[i][0], seen[i]
+        if extra is not None and (extra.u in small or extra.v in small):
+            del self.extra[label]
+            if (extra.u in small) != (extra.v in small):  # it joins the halves
+                self._span(extra.u if extra.u in small else extra.v, extra)
+                return
+        self.size[label] -= len(small)
+        self._span(start, None)
 
     def _path(self, a: int, b: int, *also: Edge) -> tuple[set[Edge], int]:
         """The tree edges between a and b, in one tree, with ``also``, and
@@ -224,13 +266,21 @@ class Partition:
     and then k - m frame sides (``frames``): each edge's side, and per side a
     _Forest, whose tree paths give the circuits.  An augmenting path takes
     every edge it moves off its old side before it adds any to its new side,
-    so a forest only ever holds a subset of an independent set."""
+    so a forest only ever holds a subset of an independent set.
 
-    def __init__(self, n: int, p: SparsityParams, side: dict[Edge, int]) -> None:
+    tight_partition builds one for a first graph; step edits it by each
+    step's delta.  The sides hold the images of the current graph's edges on
+    stable vertex ids under ``ids`` and ``flips`` (map_edge): a deleted or
+    merged vertex leaves a dead id, a created one takes a fresh one.  A
+    rejected step is undone from ``before``, each moved edge's first side."""
+
+    def __init__(self, n: int, p: SparsityParams) -> None:
+        self.p = p
         self.frames = (False,) * p.m + (True,) * (p.k - p.m)
-        self.side = side
-        self.forests = [_Forest(n, frame, [e for e, s in side.items() if s == i])
-                        for i, frame in enumerate(self.frames)]
+        self.side: dict[Edge, int] = {}
+        self.forests = [_Forest(n, frame) for frame in self.frames]
+        self.ids, self.flips = list(range(n)), [1] * n
+        self.before: dict[Edge, Optional[int]] = {}
 
     def insert(self, y: Edge) -> Optional[list[Edge]]:
         """Add y along a shortest augmenting path, found by breadth-first
@@ -249,18 +299,76 @@ class Partition:
                     while label[x] is not None:
                         x, i = label[x]
                         path.append((x, i))
-                    for x, _ in path:
-                        if x in self.side:
-                            self.forests[self.side[x]].remove(x)
-                    for x, i in path:
-                        self.side[x] = i
-                        self.forests[i].add(x)
+                    self._move(path)
                     return None
                 for z in circuit:
                     if z not in label:
                         label[z] = (x, i)
                         queue.append(z)
         return queue
+
+    def _move(self, path: list[tuple[Edge, Optional[int]]]) -> None:
+        """Move each edge x of path onto side i (None: out of the partition),
+        all removals first, keeping each edge's first side in ``before``."""
+        for x, _ in path:
+            a = self.side.pop(x, None)
+            self.before.setdefault(x, a)
+            if a is not None:
+                self.forests[a].remove(x)
+        for x, i in path:
+            if i is not None:
+                self.side[x] = i
+                self.forests[i].add(x)
+
+    def step(self, g: GainGraph, deleted: Sequence[Edge], added: Sequence[Edge],
+             pi: Optional[Sequence[int]] = None, signs: Optional[Sequence[int]] = None) -> bool:
+        """Edit this partition of a graph with all components tight into that
+        of g, the next graph, if all of g's are; else undo it, return False.
+        ``deleted``: the edges g lacks; ``added``: g's edges that are not
+        images of current ones; pi sends vertex a to g's vertex pi[a],
+        switched by signs[a], or deletes it if pi[a] >= g.n (default: no
+        change), the kept ones onto g's first vertices; g's others are
+        created.  Only a relabelling step costs O(n), to rewrite the id map."""
+        ids, flips, n = self.ids, self.flips, len(self.ids)
+        self.before = {}
+        for f in self.forests:
+            f.relabelled.clear()
+        gone = [map_edge(e, ids, flips) for e in deleted]
+        invariant(all(x in self.side for x in gone), "a deleted edge is not on a side")
+        self._move([(x, None) for x in gone])
+        if pi is not None:  # old[x] is the vertex that becomes x
+            old = sorted((a for a in range(n) if pi[a] < g.n), key=pi.__getitem__)
+            self.ids = [ids[a] for a in old]
+            self.flips = [flips[a] * (signs[a] if signs else 1) for a in old]
+        for _ in range(len(self.ids), g.n):
+            self.ids.append(len(self.forests[0].at))
+            self.flips.append(1)
+            for f in self.forests:
+                f.grow()
+        for e in added:
+            i = bisect_left(g.edges, e)
+            invariant(g.edges[i:i + 1] == (e,), "an added edge is not in the next graph")
+        ok = all(self.insert(map_edge(e, self.ids, self.flips)) is None for e in added)
+        if ok:
+            invariant(len(self.side) == len(g.edges), "the partition's edges are not the next graph's")
+            ok = self._tight(g.n)
+        if not ok:
+            self._move([(x, a) for x, a in self.before.items() if self.side.get(x) != a])
+            self.ids, self.flips = ids, flips
+            del ids[n:], flips[n:]
+        return ok
+
+    def _tight(self, n: int) -> bool:
+        """Whether each component of the sparse graph held, on n vertices, is
+        tight (see the module docstring): for m = k, each side's edges lie in
+        the others' trees, looked at only where vertices changed trees."""
+        if 0 < self.p.m < self.p.k:
+            raise ValueError(f"counts {self.p.as_tuple()}: tightness is decided for m = 0 or k")
+        if not self.p.m:
+            return len(self.side) == self.p.k * n
+        moved = set().union(*(f.relabelled for f in self.forests))
+        return all(f.root[x.u] == f.root[x.v] for f, h in permutations(self.forests, 2)
+                   for v in moved for x in h.at[v])
 
 
 def _blocked_report(
@@ -284,40 +392,14 @@ def check_tight(g: GainGraph, p: SparsityParams) -> bool:
     return check_sparsity(g, p).passed
 
 
-def tight_partition(
-    g: GainGraph,
-    p: SparsityParams,
-    carried: Optional[Partition] = None,
-    edge_map: Optional[Callable[[Edge], Optional[Edge]]] = None,
-    new_edges: Optional[Iterable[Edge]] = None,
-) -> Optional[Partition]:
-    """g's Partition if every component of g is p-tight, else None.
-
-    ``carried`` is the Partition of a p-sparse graph, and ``edge_map`` (the
-    identity by default) names its edges in g.  Images that are not edges of
-    g are dropped and the rest keep their sides, as a subset of an
-    independent set is independent.  Any violation then holds one of g's
-    other edges, so only those are inserted; ``new_edges``, if given, must
-    hold them.
-    A disjoint union is sparse iff each component is, so one check of g
-    covers all components.
-    """
-    if any(n_edges != p.k * size - p.m for size, n_edges, _ in signed_components(g.n, g.edges)[2]):
+def tight_partition(g: GainGraph, p: SparsityParams) -> Optional[Partition]:
+    """g's Partition if every component of g is p-tight, else None: the
+    partition of a first graph, which Partition.step then carries from each
+    graph to the next.  ValueError unless m = 0 or m = k."""
+    part = Partition(g.n, p)
+    if any(part.insert(e) is not None for e in g.edges) or not part._tight(g.n):
         return None
-    present = set(g.edges)
-    side: dict[Edge, int] = {}
-    if carried is not None:
-        for e, s in carried.side.items():
-            image = e if edge_map is None else edge_map(e)
-            if image in present:
-                side[image] = s
-    added = [e for e in g.edges if e not in side]
-    invariant(
-        new_edges is None or set(added) <= set(new_edges),
-        "an edge outside the new edges is not carried",
-    )
-    part = Partition(g.n, p, side)
-    return None if any(part.insert(e) is not None for e in added) else part
+    return part
 
 
 def brute_force_oracle(g: GainGraph, p: SparsityParams) -> SparsityReport:

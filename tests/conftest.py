@@ -9,7 +9,7 @@ from math import lcm
 
 import pytest
 
-from gainrig.graph import GainGraph
+from gainrig.graph import GainGraph, edge
 from gainrig.linalg import matrix_rank
 
 
@@ -76,13 +76,25 @@ def brute_balanced(vertices, edges) -> bool:
     return False
 
 
+def current_sides(part) -> dict:
+    """part's side of each edge it holds, named in the current graph through
+    its ids and flips (part keeps its edges on stable vertex ids)."""
+    name = {i: v for v, i in enumerate(part.ids)}
+    out = {}
+    for e, s in part.side.items():
+        u, v = name[e.u], name[e.v]
+        out[edge(u, v, e.gain if u == v else e.gain * part.flips[u] * part.flips[v])] = s
+    return out
+
+
 def assert_partition(g: GainGraph, part, p) -> None:
-    """part's sides cover g's edges, and each side is independent: every
-    component has no cycle, or (on the k - m frame sides after the m
-    graphic ones) at most one, unbalanced."""
-    assert set(part.side) == set(g.edges)
+    """part's sides, named in g, are exactly g's edges, and each side is
+    independent: every component has no cycle, or (on the k - m frame sides
+    after the m graphic ones) at most one, unbalanced."""
+    sides = current_sides(part)
+    assert set(sides) == set(g.edges)
     for i in range(p.k):
-        side = [e for e, s in part.side.items() if s == i]
+        side = [e for e, s in sides.items() if s == i]
         for verts, edges in brute_components(g.n, side):
             if i >= p.m and len(edges) == len(verts):
                 assert not g.is_balanced(edges)

@@ -1,5 +1,6 @@
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -13,10 +14,10 @@ from gainrig.construct import (
     decompose,
     random_tight,
 )
-from gainrig.graph import GainGraph
+from gainrig.graph import GainGraph, InvariantViolation
 from gainrig.iso import apply_iso, are_isomorphic
 from gainrig.moves import KINDS_222, Move, MoveError, apply_move
-from gainrig.sparsity import check_tight, tight_partition
+from gainrig.sparsity import Partition, check_tight, tight_partition
 
 from conftest import assert_partition, two_base_union
 
@@ -156,25 +157,61 @@ def test_incremental_verify_matches_full_recheck(p, ids):
 
 @pytest.mark.parametrize("p", [PARAMS_220, PARAMS_222], ids=["220", "222"])
 def test_construct_carries_a_partition_of_every_graph(p, monkeypatch):
-    # the partition construct(verify=True) carries after each step is one
-    # of that step's graph into two independent sides
+    # the partition construct(verify=True) builds for the first graph, and
+    # edits in place at each step, is one of that step's graph (named through
+    # its stable ids) into two independent sides; it is checked as each step
+    # leaves it, since the next step edits it again
     seqs = [decompose(random_tight(12, p, seed), p)[0] for seed in range(6)]
     seqs += [decompose(two_base_union(random.Random(n), n, p), p)[0] for n in (12, 20)]
-    carried = []
+    checked = []
+    real_step = Partition.step
 
-    def recording(g, *args):
-        part = tight_partition(g, *args)
-        carried.append((g, part))
+    def first(g, params):
+        part = tight_partition(g, params)
+        assert_partition(g, part, p)
+        checked.append(g)
         return part
 
+    def step(part, g, *delta):
+        assert real_step(part, g, *delta)
+        assert_partition(g, part, p)
+        checked.append(g)
+        return True
+
     # gainrig.construct names the function, so take the module itself.
-    monkeypatch.setattr(sys.modules["gainrig.construct"], "tight_partition", recording)
+    monkeypatch.setattr(sys.modules["gainrig.construct"], "tight_partition", first)
+    monkeypatch.setattr(Partition, "step", step)
     kinds = set()
     for seq in seqs:
-        carried.clear()
+        checked.clear()
         construct(seq, verify=True)
-        assert len(carried) == len(seq.steps) + 1
-        for g, part in carried:
-            assert_partition(g, part, p)
+        assert len(checked) == len(seq.steps) + 1
         kinds.update(mv.kind for mv in seq.steps)
     assert "VertexToK4" in kinds
+
+
+@pytest.mark.parametrize("corrupt", ["gain", "vertex"])
+def test_replay_catches_one_corrupted_step(corrupt, monkeypatch):
+    # the replay checks each step by the edges it changes, against the psi
+    # images of the edges its reduction changed: one H1a translated with a
+    # flipped gain, or onto another vertex, still builds a valid graph, but
+    # decompose stops with InvariantViolation at that step
+    g = random_tight(12, PARAMS_220, seed=1)
+    real = sys.modules["gainrig.construct"].translate_move
+    corrupted = []
+
+    def translate(mv, pi, signs):
+        mv2, ext_pi, ext_signs = real(mv, pi, signs)
+        if mv2.kind == "H1a" and not corrupted:
+            a, b = mv2.vertices
+            if corrupt == "gain":
+                mv2 = replace(mv2, gains=(-mv2.gains[0], mv2.gains[1]))
+            else:
+                mv2 = replace(mv2, vertices=(a, next(x for x in range(len(pi)) if x not in (a, b))))
+            corrupted.append(mv2)
+        return mv2, ext_pi, ext_signs
+
+    monkeypatch.setattr(sys.modules["gainrig.construct"], "translate_move", translate)
+    with pytest.raises(InvariantViolation, match="replay of H1a diverged"):
+        decompose(g, PARAMS_220)
+    assert corrupted

@@ -96,17 +96,19 @@ def oracle_circuit(n: int, side: list[Edge], x: Edge, frame: bool):
 
 
 def assert_forest(f: _Forest, side: set[Edge]) -> None:
-    """Parent, depth, sign and root agree along each tree edge; the side is
-    the tree edges plus at most one extra edge per frame tree (none on a
-    graphic side), which closes an unbalanced cycle; sizes and components
-    match a graph search of the side."""
+    """Parent, depth, sign and tree label agree along each tree edge, and a
+    vertex without a tree edge is its own parent; the side is the tree edges
+    plus at most one extra edge per frame tree (none on a graphic side),
+    which closes an unbalanced cycle; each component of a graph search of
+    the side is one tree, with one label of its own, one top vertex and its
+    size kept under its label."""
     n = len(f.parent)
     assert {e for w in range(n) for e in f.at[w]} == side
     tree = set()
     for v in range(n):
         e, p = f.pedge[v], f.parent[v]
         if e is None:
-            assert (p, f.root[v], f.depth[v], f.sign[v]) == (v, v, 0, 1)
+            assert p == v
             continue
         assert e in side and not e.is_loop() and e.touches(v) and e.other(v) == p
         assert f.depth[v] == f.depth[p] + 1
@@ -115,13 +117,16 @@ def assert_forest(f: _Forest, side: set[Edge]) -> None:
         tree.add(e)
     assert f.frame or not f.extra
     for r, e in f.extra.items():
-        assert f.pedge[r] is None and f.root[e.u] == f.root[e.v] == r
+        assert f.root[e.u] == f.root[e.v] == r
         assert e.is_loop() or f.sign[e.u] * f.sign[e.v] != e.gain
     assert len(tree) + len(f.extra) == len(side)
     assert side == tree | set(f.extra.values())
-    for verts, _ in brute_components(n, side):
+    comps = brute_components(n, side)
+    for verts, _ in comps:
         assert len({f.root[v] for v in verts}) == 1
+        assert sum(f.pedge[v] is None for v in verts) == 1
         assert f.size[f.root[verts[0]]] == len(verts)
+    assert len({f.root[verts[0]] for verts, _ in comps}) == len(comps) == len(f.size)
 
 
 def all_edges(n: int) -> list[Edge]:
@@ -134,10 +139,10 @@ def all_edges(n: int) -> list[Edge]:
 def test_random_updates_match_the_peel(counts):
     p = SparsityParams(*counts)
     rng = random.Random(str(counts))
-    for frame in Partition(6, p, {}).frames:
+    for frame in Partition(6, p).frames:
         for n in (4, 6):
             pool = all_edges(n)
-            f, side = _Forest(n, frame, []), set()
+            f, side = _Forest(n, frame), set()
             for _ in range(300):
                 x = rng.choice(pool)
                 if x in side and rng.random() < 0.7:
@@ -156,15 +161,23 @@ def test_random_updates_match_the_peel(counts):
 
 
 def test_built_forest_matches_updated_one():
+    # a forest grown in random order and then thinned by removals (tree-edge
+    # splits among them) has the circuits of one built from its side anew
     rng = random.Random(5)
     for frame in (False, True):
         pool = all_edges(7)
-        f, side = _Forest(7, frame, []), set()
+        f, side = _Forest(7, frame), set()
         for x in rng.sample(pool, len(pool)):
             if f.circuit(x) is None:
                 f.add(x)
                 side.add(x)
-        built = _Forest(7, frame, sorted(side))
+        for x in rng.sample(sorted(side), len(side) // 3):
+            f.remove(x)
+            side.remove(x)
+        assert_forest(f, side)
+        built = _Forest(7, frame)
+        for x in sorted(side):
+            built.add(x)
         assert_forest(built, side)
         for y in pool:
             if y not in side:
@@ -176,7 +189,7 @@ def test_merge_reroots_a_tree_with_its_extra_edge():
     # Joining it to {0, 1, 2, 6} at 5 re-roots it at 5, where both (4, 5)
     # and (3, 5) become tree edges: the search must keep (3, 4) as the
     # extra edge, not the old one.
-    f = _Forest(8, True, [])
+    f = _Forest(8, True)
     side = [edge(0, 1, 1), edge(1, 2, 1), edge(2, 6, 1),
             edge(3, 4, 1), edge(4, 5, 1), edge(3, 5, -1)]
     for e in side:

@@ -130,10 +130,10 @@ def test_vertex_deletion_drops_a_restored_repeat_unbuilt(monkeypatch):
     distinct = []
     real = moves._try_reduction
 
-    def spy(g, signs, reduced_edges, forward, new_edges, pi):
+    def spy(g, signs, reduced_edges, forward, *rest):
         if forward.kind in H_SHAPES:
             distinct.append(len(set(reduced_edges)) == len(reduced_edges))
-        return real(g, signs, reduced_edges, forward, new_edges, pi)
+        return real(g, signs, reduced_edges, forward, *rest)
 
     monkeypatch.setattr(moves, "_try_reduction", spy)
     for p in (PARAMS_220, PARAMS_222):
@@ -147,16 +147,19 @@ def test_admissible_matches_full_recheck(rng):
         g = grow(random.choice(list(BASE_CATALOG.values())), rng, rng.randrange(3))
         part = tight_partition(g, PARAMS_220)
         for r in enumerate_reductions(g):
-            carried = is_admissible(r, PARAMS_220, part)
-            assert (carried is not None) == check_tight(r.reduced, PARAMS_220)
+            accepted = is_admissible(r, part)
+            assert accepted == check_tight(r.reduced, PARAMS_220)
+            if accepted:  # part is now r.reduced's: start g's afresh
+                part = tight_partition(g, PARAMS_220)
 
 
 @pytest.mark.parametrize("p", [PARAMS_220, PARAMS_222], ids=["220", "222"])
 def test_carried_verdict_matches_full_recheck(p):
     # every candidate of every allowed kind, from graphs random_tight grew
-    # and from two-base unions: the partition carried into the reduced graph
-    # exists exactly when the reduced graph is tight, and is a partition of
-    # it into two independent sides
+    # and from two-base unions: a candidate is accepted exactly when the
+    # reduced graph is tight; the partition carried into it then holds
+    # exactly its edges (named through the stable ids) in two independent
+    # sides, and a rejected one leaves g's partition exactly as it was
     kinds = regime(p)[0]
     graphs = [("grown", random_tight(n, p, seed)) for n in (5, 7, 9) for seed in range(8)]
     rng = random.Random(11)
@@ -170,11 +173,14 @@ def test_carried_verdict_matches_full_recheck(p):
     for source, g in graphs:
         part = tight_partition(g, p)
         for r in enumerate_reductions(g, kinds):
-            carried = is_admissible(r, p, part)
-            verdicts.add(carried is not None)
-            assert (carried is not None) == check_tight(r.reduced, p)
-            if carried is not None:
-                assert_partition(r.reduced, carried, p)
+            accepted = is_admissible(r, part)
+            verdicts.add(accepted)
+            assert accepted == check_tight(r.reduced, p)
+            if accepted:
+                assert_partition(r.reduced, part, p)
+                part = tight_partition(g, p)
+            else:
+                assert_partition(g, part, p)
             seen.add(r.forward.kind)
             if source == "union":
                 from_unions.add(r.forward.kind)

@@ -18,7 +18,7 @@ from gainrig.construct import (
 )
 from gainrig.graph import InvariantViolation
 from gainrig.jsonio import load_json, sequence_from_dict
-from gainrig.moves import ALL_KINDS, Move, MoveError, apply_move, kept_edge_map
+from gainrig.moves import ALL_KINDS, Move, MoveError, apply_move, move_delta
 from gainrig.norms import L1, LINF, PolyhedralNorm
 from gainrig.placement import (
     BASE_PLACEMENTS,
@@ -148,9 +148,8 @@ def _grown_sequence(p, seed, n=12, initial=None):
             h = apply_move(g, mv)
         except MoveError:
             continue
-        h_part = tight_partition(h, p, part, kept_edge_map(mv))
-        if h_part is not None:
-            g, part, steps = h, h_part, steps + [mv]
+        if part.step(h, *move_delta(g, mv)):
+            g, steps = h, steps + [mv]
     return ConstructionSequence(p, initial, tuple(steps))
 
 

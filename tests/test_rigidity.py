@@ -82,6 +82,16 @@ def test_lp_norm_at_extreme_exponents_and_scales():
         LpNorm(float("inf"))
 
 
+def test_lp_size_beyond_the_float_range_is_an_error():
+    # a nonzero vector never has size 0.0, nor an OverflowError: 1e-400 and
+    # 1e400 are refused, and 1e-200 is measured
+    for scale in (F(1, 10**400), F(10**400)):
+        with pytest.raises(NormError, match="does not fit a float"):
+            LpNorm(3.0).value((3 * scale, -4 * scale))
+    assert LpNorm(3.0).value((F(3, 10**200), F(-4, 10**200))) == pytest.approx(91 ** (1 / 3) * 1e-200)
+    assert 91 ** (1 / 3) == pytest.approx(4.498, abs=1e-3)
+
+
 @pytest.mark.parametrize("scale", [F(1, 10**400), F(1, 10**200), F(1)])
 def test_lp_verdict_does_not_depend_on_the_scale(scale):
     # differences are divided by their largest coordinate as Fractions, so

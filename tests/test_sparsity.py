@@ -119,7 +119,7 @@ def test_require_edges_incremental_consistency(rng):
         for p in L_EQ_K:
             if not check_sparsity(rest, p).passed:
                 continue
-            part = Partition(g.n, p, {})
+            part = Partition(g.n, p)
             assert all(part.insert(x) is None for x in rest.edges)
             assert (part.insert(e) is None) == check_sparsity(g, p).passed
 

@@ -13,6 +13,7 @@ dense rows gives the exact rank.  Dense rows with irrational entries
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Mapping, Sequence
 
 FLOAT_RANK_RTOL = 1e-9
@@ -83,6 +84,21 @@ def _bareiss_rank(m: list[list[int]]) -> int:
         if rank == len(m):
             break
     return rank
+
+
+def step_certified(new: Sequence[Sequence[int]], old: Sequence[Sequence[int]]) -> bool:
+    """The local rank certificate of a one-vertex step (see placement), on
+    dense integer rows whose last two columns are the new vertex's: new has
+    two rows more than old, two of them, a and b, a nonzero 2x2 block there,
+    and rank(K + old) == rank(K), K the rows of new cleared there by adjugate
+    multiples of a and b (a and b themselves become zero)."""
+    pair = next(((a, b) for a, b in combinations(new, 2) if a[-2] * b[-1] != a[-1] * b[-2]), None)
+    if len(new) != len(old) + 2 or pair is None:
+        return False
+    (p, q), (r, s) = (row[-2:] for row in pair)
+    k = [[(p * s - q * r) * z - (x * s - y * r) * za - (y * p - x * q) * zb for z, za, zb in zip(row, *pair)]
+         for row in new for x, y in [row[-2:]]]
+    return not old or _bareiss_rank([*map(list, k), *map(list, old)]) == _bareiss_rank(k)
 
 
 def float_rank(rows: Sequence[Sequence[float]]) -> int:

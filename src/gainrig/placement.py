@@ -42,13 +42,16 @@ Every placement is accepted only through _verified: the colouring verdict
 for the step's character, then the rank, which must agree.  The colouring
 verdict is read from the new framework's own classes: when they are the
 classes the step chose, the step's test decided it; otherwise
-colouring.isostatic_classes does.  A step adding w
-with two edges and removing none (H1a-c, or a vertex split moving no edge)
-has the orbit matrix [[M, 0], [X, B]], B being those rows on w's columns.
-If its parent framework was certified for the same character (M has full
-row rank) and det B != 0, it has full row rank: the block certificate.
-Otherwise (a loop row at character 1, another move) analyse decides.
-Nothing is random.  Base fixtures come from scripts/find_base_placements.py
+colouring.isostatic_classes does.  The rank of a one-vertex step has a
+local certificate.  Let the parent be certified (its r rows independent),
+D be its rows of the deleted edges and N the child's rows of the |D| + 2
+edges at w.  If N has rank 2 on w's columns and span(N) holds D, the child
+has full row rank.  Proof: its rows span the parent's rows and N, of rank
+at least r + 2 as the parent's rows vanish on w's columns; and it has r + 2
+rows.  With D empty this is det != 0 of N on w's columns.
+Vertex-to-K4, which renumbers the columns, and a step the test
+(linalg.step_certified) refuses are ranked by analyse.  Nothing is random.
+Base fixtures come from scripts/find_base_placements.py
 and are re-verified on use; the i-th base of a union is scaled by
 (2i + 2) / (2i + 1), keeping its colours.
 
@@ -73,7 +76,8 @@ from typing import Optional, Sequence
 from .catalog import graph_for_base_id
 from .colouring import ColourClass, isostatic_classes, monochrome_quotients
 from .construct import ConstructionSequence
-from .graph import GainGraph, invariant
+from .graph import Edge, GainGraph, invariant
+from .linalg import step_certified
 from .moves import Move, apply_delta, move_delta
 from .norms import L1, LINF, PolyhedralNorm
 from .rigidity import (
@@ -125,32 +129,30 @@ def _base_points(bid: str) -> list[Point]:
     return [(Fraction(x), Fraction(y)) for x, y in fixture]
 
 
-def _block_certified(fw: Framework, parent: Framework, j: int) -> bool:
-    """Whether fw, grown from parent by a step of extend_placement, has full
-    character-j row rank by the block certificate: parent is certified, fw
-    adds one vertex w and two edges, both at w (a step adds edges only at w,
-    so it removed none), and det B != 0 for their orbit rows B on w's columns."""
-    w = parent.graph.n
-    if (j not in parent.certified or fw.graph.n != w + 1
-            or len(fw.graph.edges) != len(parent.graph.edges) + 2):
+def _rank_certified(fw: Framework, parent: Optional[Framework], deleted: Sequence[Edge], j: int) -> bool:
+    """Whether fw, grown from parent by a one-vertex step deleting `deleted`,
+    has full character-j row rank by the local certificate (module docstring)."""
+    if parent is None or j not in parent.certified or fw.graph.n != parent.graph.n + 1:
         return False
-    rows = orbit_rows(fw, j)
-    b = [(rows[e].get(2 * w, 0), rows[e].get(2 * w + 1, 0)) for e in fw.graph.edges_at(w)]
-    return len(b) == 2 and b[0][0] * b[1][1] != b[0][1] * b[1][0]
+    w, rows, old = parent.graph.n, orbit_rows(fw, j), orbit_rows(parent, j)
+    new, gone = [rows[e] for e in fw.graph.edges_at(w)], [old[e] for e in deleted]
+    cols = sorted({2 * w, 2 * w + 1}.union(*new, *gone))  # w's columns last
+    return step_certified(*([[r.get(c, 0) for c in cols] for r in rs] for rs in (new, gone)))
 
 
-def _verified(fw: Framework, j: int, parent: Optional[Framework] = None, chosen=None) -> bool:
+def _verified(fw: Framework, j: int, parent: Optional[Framework] = None, deleted=(), chosen=None) -> bool:
     """Both oracles for character j, which must agree: the colouring verdict,
-    then the rank (the block certificate from parent, else analyse).  If
-    fw's own classes are `chosen`, which extend_placement found to be bases,
-    that is the colouring verdict; else isostatic_classes decides."""
+    then the rank (the local certificate of the step from parent deleting
+    `deleted`, else analyse).  If fw's own classes are `chosen`, which
+    extend_placement found to be bases, that is the colouring verdict; else
+    isostatic_classes decides."""
     try:
         classes = monochrome_quotients(fw)
     except NotWellPositioned:
         return False
     if classes != chosen and not isostatic_classes(fw.graph, classes, j):
         return False
-    algebraic = parent is not None and _block_certified(fw, parent, j) or analyse(fw, j).isostatic
+    algebraic = _rank_certified(fw, parent, deleted, j) or analyse(fw, j).isostatic
     invariant(algebraic, "rank and colouring verdicts disagree")
     fw.certified.add(j)
     return True
@@ -166,17 +168,18 @@ def _framework(g: GainGraph, positions: Sequence[Point], norm, what: str,
 
 def _accept(
     g: GainGraph, positions: Sequence[Point], norm, j: int, what: str,
-    parent: Optional[Framework] = None, pi: Optional[Sequence[int]] = None, chosen=None,
+    parent: Optional[Framework] = None, pi: Optional[Sequence[int]] = None, chosen=None, deleted=(),
 ) -> Framework:
     """The framework at positions if both oracles call it character-j
     isostatic (see _verified for `chosen`), else PlacementError naming
     `what`.  Its covering set and covector table are carried over from
     `parent`, the framework the move starts from, if given, through the
-    move's renaming pi if it renames (moves.move_delta)."""
+    move's renaming pi if it renames (moves.move_delta); a one-vertex move
+    deleted `deleted` of parent's edges."""
     fw = _framework(g, positions, norm, what, parent)
     if parent is not None:
         carry_covectors(parent, fw, pi)
-    if not _verified(fw, j, parent, chosen):
+    if not _verified(fw, j, parent, deleted, chosen):
         raise PlacementError(f"{what} failed verification for character {j}")
     return fw
 
@@ -281,7 +284,7 @@ def extend_placement(fw: Framework, mv: Move, j: int = 0) -> Framework:
             pt = _grid_point(box, facets, scale, lambda p: not any(p) or p in fw.covering,
                              len(fw.covering) + 2)
             chosen = tuple(k.extended(a) for k, a in zip(kept, added))
-            return _accept(h, fw.positions + (pt,), fw.norm, j, mv.kind, fw, None, chosen)
+            return _accept(h, fw.positions + (pt,), fw.norm, j, mv.kind, fw, None, chosen, deleted)
     raise PlacementError(f"no region places the new vertex of {mv.kind} on {fw.graph.triples()}")
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product, takewhile
 from math import inf
@@ -16,8 +17,9 @@ from gainrig.construct import (
     decompose,
     random_tight,
 )
-from gainrig.graph import InvariantViolation
+from gainrig.graph import InvariantViolation, edge
 from gainrig.jsonio import load_json, sequence_from_dict
+from gainrig.linalg import matrix_rank
 from gainrig.moves import ALL_KINDS, Move, MoveError, apply_move, move_delta
 from gainrig.norms import L1, LINF, PolyhedralNorm
 from gainrig.placement import (
@@ -187,9 +189,9 @@ BASES = [(PARAMS_220, 0, ("d",)), (PARAMS_220, 0, ("c", "a")), (PARAMS_222, 1, (
 def test_each_framework_is_verified_once(monkeypatch, p, j, initial):
     calls = []
 
-    def counting(fw, j, parent=None, chosen=None):
+    def counting(fw, j, *args):
         calls.append(fw)
-        return verified(fw, j, parent, chosen)
+        return verified(fw, j, *args)
 
     verified = placement._verified
     monkeypatch.setattr(placement, "_verified", counting)
@@ -439,34 +441,105 @@ def _block_det(fw, w, j):
     return b[0][0] * b[1][1] - b[0][1] * b[1][0] if len(b) == 2 else 0
 
 
-@pytest.mark.parametrize("p, j", [(PARAMS_220, 0), (PARAMS_222, 1)], ids=["chi0", "chi1"])
-def test_block_certificate_agrees_with_analyse(monkeypatch, p, j):
-    rank_checks = []
-    monkeypatch.setattr(placement, "analyse",
-                        lambda fw, jj: rank_checks.append(1) or analyse(fw, jj))
+def _counting_analyse(monkeypatch):
+    """The list that gets one entry per call placement makes to analyse."""
+    calls = []
+    monkeypatch.setattr(placement, "analyse", lambda fw, j: calls.append(1) or analyse(fw, j))
+    return calls
+
+
+def _certificate_sequences(p, j):
+    """Grown, decomposed and golden sequences of regime p at character j,
+    between them every move kind of the regime."""
     initial = ("k1",) if j else None
-    seqs = [_grown_sequence(p, seed) for seed in range(8)] + _sequences_with_k4_partway(p, initial)
-    certified = 0
-    for seq in seqs:
+    seqs = [_grown_sequence(p, seed, initial=initial) for seed in range(6)]
+    seqs += _sequences_with_k4_partway(p, initial)
+    seqs += [decompose(random_tight(16, p, seed=seed), p)[0] for seed in range(3)]
+    return seqs + [sequence_from_dict(c["sequence"]) for c in GOLDEN if c["character"] == j]
+
+
+@pytest.mark.parametrize("p, j", [(PARAMS_220, 0), (PARAMS_222, 1)], ids=["chi0", "chi1"])
+def test_rank_certificate_agrees_with_analyse(monkeypatch, p, j):
+    rank_checks = _counting_analyse(monkeypatch)
+    kinds, certified = set(), Counter()
+    for seq in _certificate_sequences(p, j):
         for fw, mv, child in _steps(seq, j):
-            block, w = False, fw.graph.n
-            # H1a-c, or a vertex split moving no edge: w and two edges at it
-            if child.graph.n == w + 1 and len(child.graph.edges_at(w)) == 2 \
-                    and set(fw.graph.edges) <= set(child.graph.edges):
-                # [[M, 0], [X, B]] with det B != 0 has rank M + 2, in either character
-                for jj in (0, 1):
-                    if _block_det(child, w, jj) != 0:
-                        assert analyse(child, jj).rank == analyse(fw, jj).rank + 2
-                # fw was certified for j, so only det B decides the certificate
-                block = placement._block_certified(child, fw, j)
-                assert block == (_block_det(child, w, j) != 0)
+            kinds.add(mv.kind)
+            deleted = move_delta(fw.graph, mv)[0]
+            cert = placement._rank_certified(child, fw, deleted, j)
+            if cert:  # a certified step is isostatic by the rank oracle
                 assert analyse(child, j).isostatic
-                certified += block
-            # every other step is ranked by analyse
+                certified[mv.kind] += 1
+            if not deleted and mv.kind != "VertexToK4":
+                # D empty: the certificate is the 2x2 block test it replaced
+                assert cert == (_block_det(child, fw.graph.n, j) != 0)
+            # placement ranks by analyse exactly the steps not certified
             rank_checks.clear()
             assert extend_placement(fw, mv, j) == child
-            assert rank_checks == ([] if block else [1])
-    assert certified > 20
+            assert rank_checks == ([] if cert else [1])
+    assert kinds == set(regime(p)[0])
+    # every kind but vertex-to-K4 is certified somewhere, not only H1
+    assert set(certified) == kinds - {"VertexToK4"}
+    assert sum(n for kind, n in certified.items() if not kind.startswith("H1")) > 40
+
+
+def test_an_h2_step_whose_deleted_row_is_not_in_span_n_calls_analyse_once(monkeypatch):
+    parent = base_placement("a")
+    mv = Move("H2b", vertices=(0,), gains=(-1,), removed=(edge(0, 1, 1),))
+    deleted = move_delta(parent.graph, mv)[0]
+    calls = _counting_analyse(monkeypatch)
+    child = extend_placement(parent, mv, 0)
+    assert calls == [1] and analyse(child, 0).isostatic
+    assert not placement._rank_certified(child, parent, deleted, 0)
+    # N has rank 2 on w's columns, but adding the deleted row raises its rank
+    rows, w = orbit_rows(child, 0), parent.graph.n
+    n = [rows[e] for e in child.graph.edges_at(w)]
+    assert matrix_rank([{c: x for c, x in r.items() if c >= 2 * w} for r in n], 6) == 2
+    assert matrix_rank(n + [orbit_rows(parent, 0)[e] for e in deleted], 6) == matrix_rank(n, 6) + 1
+
+
+def test_rank_certificate_needs_a_certified_parent_and_a_nonzero_block():
+    # an H1c loop row is zero at character 1, so N has rank 1 on w's
+    # columns; at (3, -2) the loop has colour 0 and the edge to (1, 2) colour 1
+    parent = base_placement("k1")
+    h = apply_move(parent.graph, Move("H1c", vertices=(0,), gains=(1,)))
+    child = Framework(h, parent.positions + ((F(3), F(-2)),), LINF, 2)
+    assert _block_det(child, 1, 1) == 0
+    assert not placement._rank_certified(child, parent, (), 1)
+    assert not analyse(child, 1).isostatic
+    # a parent nobody certified for the character does not count, even where
+    # the block is nonsingular
+    assert _block_det(child, 1, 0) != 0
+    assert placement._rank_certified(child, parent, (), 0) is False
+    assert placement._rank_certified(child, None, (), 0) is False
+
+
+def test_uncertified_parents_and_vertex_to_k4_go_to_analyse(monkeypatch):
+    calls = _counting_analyse(monkeypatch)
+    parent = base_placement("a")
+    mv = Move("H1a", vertices=(0, 1), gains=(1, -1))
+    calls.clear()
+    certified = extend_placement(parent, mv, 0)
+    assert calls == []
+    uncertified = Framework(parent.graph, parent.positions, LINF, 2)
+    assert extend_placement(uncertified, mv, 0) == certified and calls == [1]
+    for p, j, initial in ((PARAMS_220, 0, None), (PARAMS_222, 1, ("k1",))):
+        seq = _sequences_with_k4_partway(p, initial, wanted=1)[0]
+        k4 = [(fw, mv, child) for fw, mv, child in _steps(seq, j) if mv.kind == "VertexToK4"]
+        for fw, mv, child in k4:
+            assert not placement._rank_certified(child, fw, move_delta(fw.graph, mv)[0], j)
+            calls.clear()
+            assert extend_placement(fw, mv, j) == child and calls == [1]
+        assert k4
+
+
+def test_golden_sequences_rank_few_steps_by_analyse(monkeypatch):
+    # 264 calls when only H1 steps were certified (by their 2x2 block);
+    # 149 with the local certificate
+    calls = _counting_analyse(monkeypatch)
+    for case in GOLDEN:
+        realize(sequence_from_dict(case["sequence"]), case["character"])
+    assert len(calls) <= 160
 
 
 def test_rank_and_colouring_verdicts_must_agree(monkeypatch):
@@ -476,22 +549,6 @@ def test_rank_and_colouring_verdicts_must_agree(monkeypatch):
     monkeypatch.setattr(placement, "analyse", dissenting)
     with pytest.raises(InvariantViolation, match="disagree"):
         realize(_grown_sequence(PARAMS_220, 0), 0)
-
-
-def test_block_certificate_needs_a_certified_parent_and_a_nonzero_det():
-    # an H1c loop row is zero at character 1, so det B = 0; at (3, -2) the
-    # loop has colour 0 and the edge to (1, 2) colour 1
-    parent = base_placement("k1")
-    h = apply_move(parent.graph, Move("H1c", vertices=(0,), gains=(1,)))
-    child = Framework(h, parent.positions + ((F(3), F(-2)),), LINF, 2)
-    assert _block_det(child, 1, 1) == 0
-    assert not placement._block_certified(child, parent, 1)
-    assert not analyse(child, 1).isostatic
-    # a parent nobody certified does not count, even where det B != 0
-    uncertified = Framework(parent.graph, parent.positions, LINF, 2)
-    assert _block_det(child, 1, 0) != 0
-    assert placement._block_certified(child, parent, 0) is False
-    assert not placement._block_certified(child, uncertified, 1)
 
 
 # Positions realize gave, before its steps carried the colour classes, the

@@ -33,7 +33,7 @@ from .moves import (
     move_delta,
     translate_move,
 )
-from .sparsity import SparsityParams, check_tight, tight_partition
+from .sparsity import Partition, SparsityParams, check_tight, tight_partition
 
 
 class NotTight(ValueError):
@@ -82,14 +82,16 @@ def construct(
 
 
 def _match_components(
-    g: GainGraph, p: SparsityParams, largest: int
+    g: GainGraph, p: SparsityParams, largest: int, part: Partition
 ) -> Optional[tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]]:
     """If every component of g is a base of p's regime, whose largest base
     has `largest` vertices, return (base ids, pi, signs) with
-    apply_iso(g, pi, signs) == disjoint union of those bases."""
-    comps = g.components()
-    if any(len(comp) > largest for comp in comps):
+    apply_iso(g, pi, signs) == disjoint union of those bases.  Each tree of
+    a side of part, g's partition, lies in one component (spanning it, as g
+    is tight), so one on more than `largest` vertices rules a match out."""
+    if max(part.forests[0].size.values()) > largest:
         return None
+    comps = g.components()
     ids = []
     pi = [0] * g.n
     signs = [1] * g.n
@@ -126,7 +128,7 @@ def decompose(
     chain: list = []  # reductions applied, in order
     cur = g
     while True:
-        match = _match_components(cur, p, largest)
+        match = _match_components(cur, p, largest, part)
         if match is not None:
             ids, pi_term, signs_term = match
             break

@@ -13,12 +13,14 @@ and to k|V(C)| - m if not.  The half turn's Maxwell counts in d dimensions,
 Edmonds' matroid partition: it inserts the edges in sorted order, each by
 a breadth-first search for a shortest augmenting path.  Each side is a
 signed spanning forest, plus one extra edge per tree on a frame side, so
-the circuit an edge closes is read off tree paths (_Forest.circuit), and
-an augmentation re-roots or searches again only the trees it changes.  If
-an edge is blocked, every element the search reached lies in each side's
-span of the reached set S, so |S| is one more than the sides' ranks of S
-summed, and some component C of S breaks its own count: the witness, over
-its own bound but not always the smallest.  A move or a reduction changes
+whether a side takes an edge is read in O(1) from tree labels, signs and
+extra edges (_Forest.independent), the circuits of an edge that no side
+takes are read off tree paths (_Forest.circuit), and an augmentation
+re-roots or searches again only the trees it changes.  If an edge is
+blocked, every element the search reached lies in each side's span of the
+reached set S, so |S| is one more than the sides' ranks of S summed, and
+some component C of S breaks its own count: the witness, over its own
+bound but not always the smallest.  A move or a reduction changes
 a few edges of a tight graph, so one Partition lives through a whole
 construction or decomposition (Partition.step): on stable vertex ids, as
 a step's relabelling and switching rewrite only an id map; edited by the
@@ -115,13 +117,14 @@ def check_sparsity(g: GainGraph, p: SparsityParams) -> SparsityReport:
 
 class _Forest:
     """One partition side as a rooted spanning forest of its edges: per
-    vertex its parent, tree edge, depth, sign (a tree edge's gain is the
-    product of its ends' signs), tree label (``root``) and edges on the side
-    (``at``); depths and signs compare only within a tree.  Per label, the
-    tree's size and, on a frame side, the one edge off the tree if any
-    (``extra``), closing an unbalanced cycle.  A tree keeps its label as it
-    grows or loses the smaller half of a split; on a graphic side,
-    ``relabelled`` collects the vertices that change trees."""
+    vertex its parent, tree edge, depth and sign (a tree edge's gain is the
+    product of its ends' signs), compared only within a tree, its tree label
+    (``root``) and edges on the side (``at``); per label, the tree's size
+    and, on a frame side, its one edge off the tree if any (``extra``),
+    closing an unbalanced cycle.  Labels, signs and extras decide
+    independence in O(1).  A tree keeps its label as it grows or loses the
+    smaller half of a split; on a graphic side, ``relabelled`` collects the
+    vertices that change trees."""
 
     def __init__(self, n: int, frame: bool) -> None:
         self.frame = frame
@@ -175,7 +178,7 @@ class _Forest:
         """Add e, which must keep the side independent.  Joining two trees
         hangs the smaller from its end of e; it keeps the extra edge its
         search meets, not its old one, which may now be a tree edge."""
-        invariant(self.circuit(e) is None, "a partition side is not independent")
+        invariant(self.independent(e), "a partition side is not independent")
         self.at[e.u][e] = self.at[e.v][e] = None
         ru, rv = self.root[e.u], self.root[e.v]
         if ru == rv:
@@ -231,16 +234,29 @@ class _Forest:
             a = self.parent[a]
         return out, a
 
+    def independent(self, x: Edge) -> bool:
+        """Whether the side plus x is independent, read in O(1): x joins two
+        trees, not both with an extra edge on a frame side, or closes an
+        unbalanced cycle in a frame side's tree without one."""
+        ru, rv = self.root[x.u], self.root[x.v]
+        if ru != rv:
+            return not (self.frame and ru in self.extra and rv in self.extra)
+        return self.frame and ru not in self.extra and not self._balanced(x)
+
+    def _balanced(self, x: Edge) -> bool:
+        """Whether x closes a balanced cycle in its tree."""
+        return not x.is_loop() and self.sign[x.u] * self.sign[x.v] == x.gain
+
     def circuit(self, x: Edge) -> Optional[list[Edge]]:
         """None if the side plus x is independent, else the circuit of x in
         edge order: x's cycle if balanced (or on a graphic side); with the
         extra edge's cycle, their sum if they share an edge (a theta), else
         both and the path between them (a handcuff); across two trees, both
         extra cycles, the paths from x's ends to them, and x."""
+        if self.independent(x):
+            return None
         ru, rv = self.root[x.u], self.root[x.v]
         if ru != rv:
-            if not (self.frame and ru in self.extra and rv in self.extra):
-                return None
             eu, ev = self.extra[ru], self.extra[rv]
             cu, tu = self._path(eu.u, eu.v, eu)
             cv, tv = self._path(ev.u, ev.v, ev)
@@ -248,12 +264,9 @@ class _Forest:
             xv, _ = self._path(x.v, tv)
             return sorted(cu | cv | xu | xv)
         cx, top = self._path(x.u, x.v, x)
-        balanced = not x.is_loop() and self.sign[x.u] * self.sign[x.v] == x.gain
-        if not self.frame or balanced:
+        if not self.frame or self._balanced(x):
             return sorted(cx)
-        e = self.extra.get(ru)
-        if e is None:
-            return None
+        e = self.extra[ru]
         ce, top_e = self._path(e.u, e.v, e)
         if cx & ce:  # a theta
             return sorted(cx ^ ce)
@@ -284,27 +297,28 @@ class Partition:
 
     def insert(self, y: Edge) -> Optional[list[Edge]]:
         """Add y along a shortest augmenting path, found by breadth-first
-        search.  None on success; else y stays out, and the result is every
-        edge the search reached."""
+        search; a reached edge's circuits are read only if no other side
+        takes it (_Forest.independent, O(1)).  None on success; else y stays
+        out, and the result is every edge the search reached."""
         # label[z] = (x, i): x may join side i if z leaves it.
         label: dict[Edge, Optional[tuple[Edge, int]]] = {y: None}
         queue = [y]
         for x in queue:
+            own = self.side.get(x)
             for i, forest in enumerate(self.forests):
-                if self.side.get(x) == i:
-                    continue
-                circuit = forest.circuit(x)
-                if circuit is None:
+                if i != own and forest.independent(x):
                     path = [(x, i)]
                     while label[x] is not None:
                         x, i = label[x]
                         path.append((x, i))
                     self._move(path)
                     return None
-                for z in circuit:
-                    if z not in label:
-                        label[z] = (x, i)
-                        queue.append(z)
+            for i, forest in enumerate(self.forests):
+                if i != own:
+                    for z in forest.circuit(x):
+                        if z not in label:
+                            label[z] = (x, i)
+                            queue.append(z)
         return queue
 
     def _move(self, path: list[tuple[Edge, Optional[int]]]) -> None:
@@ -387,9 +401,7 @@ def _blocked_report(
 
 def check_tight(g: GainGraph, p: SparsityParams) -> bool:
     """Sparse with the exact global count |E| = k|V| - m."""
-    if len(g.edges) != p.k * g.n - p.m:
-        return False
-    return check_sparsity(g, p).passed
+    return len(g.edges) == p.k * g.n - p.m and check_sparsity(g, p).passed
 
 
 def tight_partition(g: GainGraph, p: SparsityParams) -> Optional[Partition]:

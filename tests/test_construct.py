@@ -4,11 +4,12 @@ from dataclasses import replace
 
 import pytest
 
-from gainrig.catalog import BASE_CATALOG, PARAMS_220, PARAMS_222, regime
+from gainrig.catalog import BASE_CATALOG, PARAMS_220, PARAMS_222, is_base_graph, regime
 from gainrig.construct import (
     ConstructionSequence,
     NoAdmissibleReduction,
     NotTight,
+    _match_components,
     _random_move,
     construct,
     decompose,
@@ -16,7 +17,7 @@ from gainrig.construct import (
 )
 from gainrig.graph import GainGraph, InvariantViolation
 from gainrig.iso import apply_iso, are_isomorphic
-from gainrig.moves import KINDS_222, Move, MoveError, apply_move
+from gainrig.moves import KINDS_222, Move, MoveError, apply_move, enumerate_reductions, is_admissible
 from gainrig.sparsity import Partition, check_tight, tight_partition
 
 from conftest import assert_partition, two_base_union
@@ -188,6 +189,31 @@ def test_construct_carries_a_partition_of_every_graph(p, monkeypatch):
         assert len(checked) == len(seq.steps) + 1
         kinds.update(mv.kind for mv in seq.steps)
     assert "VertexToK4" in kinds
+
+
+@pytest.mark.parametrize("p", [PARAMS_220, PARAMS_222], ids=["220", "222"])
+def test_tree_size_gate_skips_no_match(p):
+    # at every step of decompose's reduction chain, the gate of
+    # _match_components (a tree of a side on more vertices than the largest
+    # base) fires only where a whole-graph pass finds a component that is
+    # not a base, and the gated match agrees with that pass
+    kinds, bases = regime(p)
+    largest = max(b.n for b in bases.values())
+    graphs = [random_tight(n, p, seed) for n in (6, 12, 24) for seed in range(4)]
+    graphs += [two_base_union(random.Random(n), n, p) for n in (8, 16)]
+    skipped = steps = 0
+    for g in graphs:
+        part, cur = tight_partition(g, p), g
+        while True:
+            ungated = all(is_base_graph(cur.subgraph(c), p) is not None for c in cur.components())
+            gated = max(part.forests[0].size.values()) > largest
+            assert not (gated and ungated)
+            assert (_match_components(cur, p, largest, part) is not None) == ungated
+            skipped, steps = skipped + gated, steps + 1
+            if ungated:
+                break
+            cur = next(r for r in enumerate_reductions(cur, kinds) if is_admissible(r, part)).reduced
+    assert 0 < skipped < steps
 
 
 @pytest.mark.parametrize("corrupt", ["gain", "vertex"])

@@ -1,14 +1,15 @@
 """The signed spanning forest behind each side of a sparsity.Partition,
 checked against the component peel it replaced: circuits from the 2-core of
 the new edge's components (_two_core, _circuit_in_core, kept here as the
-oracle) and the forest's structure after every update."""
+oracle) and the forest's structure after every update; its O(1)
+independence test against the oracle's verdict."""
 
 import random
 from itertools import combinations
 
 import pytest
 
-from gainrig.graph import Edge, edge
+from gainrig.graph import Edge, InvariantViolation, edge
 from gainrig.sparsity import Partition, SparsityParams, _Forest
 
 from conftest import brute_balanced, brute_components
@@ -158,6 +159,7 @@ def test_random_updates_match_the_peel(counts):
                     if y not in side:
                         want = oracle_circuit(n, sorted(side), y, frame)
                         assert f.circuit(y) == (None if want is None else sorted(want))
+                        assert f.independent(y) == (want is None)
 
 
 def test_built_forest_matches_updated_one():
@@ -205,3 +207,19 @@ def test_merge_reroots_a_tree_with_its_extra_edge():
             assert f.circuit(y) == (None if want is None else sorted(want))
     # a loop at 0 closes a handcuff through the path 0-1-2-5
     assert f.circuit(edge(0, 0, -1)) == sorted(side[:2] + [edge(0, 0, -1)] + side[3:])
+
+
+@pytest.mark.parametrize("frame, side, x", [
+    (False, [edge(0, 1, 1)], edge(0, 1, -1)),  # a cycle on a graphic side
+    (True, [edge(0, 1, 1), edge(1, 2, 1)], edge(0, 2, 1)),  # a balanced cycle
+    (True, [edge(0, 1, 1), edge(0, 1, -1)], edge(1, 1, -1)),  # a tree's second cycle
+    (True, [edge(0, 0, -1), edge(1, 1, -1)], edge(0, 1, 1)),  # two trees with cycles
+])
+def test_add_refuses_a_dependent_edge(frame, side, x):
+    # add's check is an invariant, not an assert, so it holds under python -O
+    f = _Forest(3, frame)
+    for e in side:
+        f.add(e)
+    assert not f.independent(x)
+    with pytest.raises(InvariantViolation):
+        f.add(x)

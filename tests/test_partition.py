@@ -10,12 +10,12 @@ import pytest
 from gainrig import sparsity
 from gainrig.catalog import PARAMS_220, PARAMS_222, graph_for_base_id, regime
 from gainrig.construct import ConstructionSequence, _random_move, construct, decompose, random_tight
-from gainrig.graph import GainGraph, signed_components
+from gainrig.graph import GainGraph, edge, signed_components
 from gainrig.moves import Move, MoveError, apply_delta, enumerate_reductions, is_admissible, move_delta
-from gainrig.sparsity import Partition, check_sparsity, tight_partition
+from gainrig.sparsity import Partition, SparsityParams, check_sparsity, check_tight, tight_partition
 
 from conftest import two_base_union
-from test_forest import assert_forest
+from test_forest import all_edges, assert_forest
 
 REGIMES = pytest.mark.parametrize("p", [PARAMS_220, PARAMS_222], ids=["220", "222"])
 
@@ -168,3 +168,87 @@ def test_steps_make_no_whole_graph_pass(p, monkeypatch):
         run()
         assert calls == {"signed_components": 0, "_Forest": p.k}
         calls.update(dict.fromkeys(calls, 0))
+
+
+def _circuit_first_insert(part, y):
+    """Partition.insert as it was before _Forest.independent: each reached
+    edge's circuit is read on each other side in turn, and the first side
+    where it is None takes the edge; the test's oracle."""
+    label = {y: None}
+    queue = [y]
+    for x in queue:
+        for i, forest in enumerate(part.forests):
+            if part.side.get(x) == i:
+                continue
+            circuit = forest.circuit(x)
+            if circuit is None:
+                path = [(x, i)]
+                while label[x] is not None:
+                    x, i = label[x]
+                    path.append((x, i))
+                part._move(path)
+                return None
+            for z in circuit:
+                if z not in label:
+                    label[z] = (x, i)
+                    queue.append(z)
+    return queue
+
+
+@pytest.mark.parametrize("counts", [(2, 2, 0), (2, 2, 2), (3, 3, 1)])
+def test_insert_matches_the_circuit_first_search(counts):
+    # on random edge sequences, loops among them, insert leaves the same
+    # sides, the same journal of the edges it moved (reset before each
+    # insert, as a step does) and the same forests as the circuit-first
+    # search, and a blocked edge reaches the same edges
+    p = SparsityParams(*counts)
+    rng = random.Random(str(counts))
+    blocked = moved = 0
+    for n in (3, 5, 8, 12):
+        pool = all_edges(n)
+        for _ in range(6):
+            part, oracle = Partition(n, p), Partition(n, p)
+            for y in rng.sample(pool, min(len(pool), p.k * n + 4)):
+                sides = dict(part.side)
+                part.before, oracle.before = {}, {}
+                reached = part.insert(y)
+                assert reached == _circuit_first_insert(oracle, y)
+                assert list(part.side.items()) == list(oracle.side.items())
+                assert list(part.before.items()) == list(oracle.before.items())
+                blocked += reached is not None
+                moved += any(part.side.get(x) != i for x, i in sides.items())
+            for f, o in zip(part.forests, oracle.forests):
+                assert (f.root, f.parent, f.extra) == (o.root, o.parent, o.extra)
+    assert blocked and moved
+
+
+def test_free_edges_read_no_circuit(monkeypatch):
+    # two spanning trees, the first's edges inserted before the second's:
+    # side 0 takes each of the first, side 1 each of the second, with no
+    # circuit read; the circuit-first search reads one per edge and side
+    # tried (two for each edge of the second), and the union is
+    # (2,2,2)-tight
+    rng = random.Random(11)
+    n = 40
+    trees = []
+    for gain in (1, -1):
+        order = rng.sample(range(n), n)
+        trees.append([edge(order[i], order[rng.randrange(i)], gain) for i in range(1, n)])
+    calls = []
+    real = sparsity._Forest.circuit
+
+    def circuit(forest, x):
+        calls.append(x)
+        return real(forest, x)
+
+    monkeypatch.setattr(sparsity._Forest, "circuit", circuit)
+    part, oracle = Partition(n, PARAMS_222), Partition(n, PARAMS_222)
+    for i, tree in enumerate(trees):
+        for y in tree:
+            assert part.insert(y) is None and part.side[y] == i
+    assert calls == []
+    for y in trees[0] + trees[1]:
+        assert _circuit_first_insert(oracle, y) is None
+    assert calls == trees[0] + [y for y in trees[1] for _ in range(2)]
+    g = GainGraph(n, tuple(sorted(trees[0] + trees[1])))
+    assert check_sparsity(g, PARAMS_222).passed and check_tight(g, PARAMS_222)

@@ -7,13 +7,17 @@ sequences (gen.forward_sequence), character 0 for (2,2,0) and character 1
 for (2,2,2), each with a digest of the positions it placed, and writes one
 JSON file.  Each time is also rescaled to a fixed machine speed with
 perfbench's reference loop, timed just before and after the call (see
-perfbench/README.md, "Load and timing").  Standard library only; it imports
-gainrig from this checkout's src/.  The sizes and the seed are fixed, so any
-two BENCH files compare.  The file records the commit and the git tree id of
-src/ as it was run, which equals `git rev-parse <commit>:src` of any commit
-holding that code, uncommitted changes included.  Usage:
+perfbench/README.md, "Load and timing").  With --repeat k each stage is
+timed k times: ``seconds`` and ``raw_seconds`` are the medians, so files
+made with and without repeats compare, and ``min_seconds`` and
+``max_seconds`` give the spread of the rescaled times.  Standard library
+only; it imports gainrig from this checkout's src/.  The sizes and the
+seed are fixed, so any two BENCH files compare.  The file records the
+commit and the git tree id of src/ as it was run, which equals
+`git rev-parse <commit>:src` of any commit holding that code, uncommitted
+changes included.  Usage:
 
-    python3 scripts/bench.py [-o PATH]
+    python3 scripts/bench.py [--repeat K] [-o PATH]
 
 PATH defaults to BENCH_<date>.json at the root of the checkout; an existing
 file there is not overwritten unless named with -o.
@@ -52,14 +56,18 @@ DECOMPOSE_MAX = 400  # largest n also timed through decompose and construct
 SEED = 1
 
 
-def timed(call):
-    """(result, raw seconds, seconds rescaled by the reference loop)."""
-    before = statistics.median(reference() for _ in range(3))
-    t = time.perf_counter()
-    result = call()
-    raw = time.perf_counter() - t
-    after = statistics.median(reference() for _ in range(3))
-    return result, raw, raw * REF_S * 2 / (before + after)
+def timed(call, repeat: int):
+    """(result, [(raw seconds, seconds rescaled by the reference loop)] of
+    each of `repeat` calls)."""
+    runs = []
+    for _ in range(repeat):
+        before = statistics.median(reference() for _ in range(3))
+        t = time.perf_counter()
+        result = call()
+        raw = time.perf_counter() - t
+        after = statistics.median(reference() for _ in range(3))
+        runs.append((raw, raw * REF_S * 2 / (before + after)))
+    return result, runs
 
 
 def digest(fw) -> str:
@@ -91,7 +99,11 @@ def src_tree():
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("-o", "--output")
+    ap.add_argument("--repeat", type=int, default=1, metavar="K",
+                    help="time each stage K times and keep the median (default 1)")
     args = ap.parse_args(argv)
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
     today = datetime.datetime.now(datetime.timezone.utc).date().isoformat()
     path = Path(args.output or ROOT / f"BENCH_{today}.json")
     if args.output is None and path.exists():
@@ -101,12 +113,16 @@ def main(argv=None) -> int:
     rows = []
 
     def record(stage, regime, g, call, **extra):
-        out, raw, s = timed(call)
+        out, runs = timed(call, args.repeat)
+        raw = statistics.median(r for r, _ in runs)
+        scaled = sorted(s for _, s in runs)
+        s = statistics.median(scaled)
         rows.append({"stage": stage, "regime": regime, "n": g.n,
                      "edges": len(g.edges), **extra,
-                     "seconds": round(s, 4), "raw_seconds": round(raw, 4)})
-        print(f"{stage:12} ({regime}) n={g.n:4}  {s:8.3f} s  (raw {raw:.3f} s)",
-              flush=True)
+                     "seconds": round(s, 4), "min_seconds": round(scaled[0], 4),
+                     "max_seconds": round(scaled[-1], 4), "raw_seconds": round(raw, 4)})
+        print(f"{stage:12} ({regime}) n={g.n:4}  {s:8.3f} s  "
+              f"[{scaled[0]:.3f}, {scaled[-1]:.3f}]  (raw {raw:.3f} s)", flush=True)
         return out, s
 
     for regime, p in REGIMES.items():
@@ -147,6 +163,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count()},
         "seed": SEED,
+        "repeat": args.repeat,
         "inputs": "perfbench gen.tight_graph(random.Random(seed), n, regime); "
                   "realize: gen.forward_sequence(random.Random(seed), n, regime)",
         "rescaled_to_reference_s": REF_S,

@@ -21,14 +21,14 @@ matroid tests on the two monochrome edge classes:
                               matroid).
 
 All three read off the per-component vertex count, edge count and balance
-of one graph search (graph.signed_components).  The basis tests go through
-ColourClass, which also tests a placement step's new edges alone against
-its kept classes.
+of one graph search per class (graph.signed_components), so they depend on
+no carried state.  A placement step decides the same basis tests on its
+new edges alone, against its parent's classes carried as signed spanning
+forests (sparsity.Forest; placement docstring).
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,7 +39,8 @@ from .rigidity import Framework, FrameworkError
 
 def monochrome_quotients(fw: Framework) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
     """The quotient edges of colour 0 and of colour 1, in edge order, read
-    from fw's covector table once and kept with fw (Framework.classes)."""
+    from fw's covector table once, or set by the placement step that built
+    fw, and kept with fw (Framework.classes)."""
     if not isinstance(fw.norm, PolyhedralNorm):
         raise FrameworkError("colouring requires a quadrilateral norm")
     return fw.classes
@@ -51,42 +52,12 @@ def _independent(size: int, n_edges: int, unbalanced: bool, j: int) -> bool:
     return n_edges < size or j == 0 and n_edges == size and unbalanced
 
 
-class ColourClass:
-    """An edge set on n vertices, searched once, that tells in
-    O(len(added)) whether it becomes a basis for character j with `added`:
-    frame- (j = 0) or graphic- (j = 1) independent, with n - j edges."""
-
-    def __init__(self, n: int, edges: Sequence[Edge], j: int) -> None:
-        self.edges, self.j = edges, j
-        self.comp, self.sign, self.comps = signed_components(n, edges)
-        self.independent = all(_independent(*c, j) for c in self.comps)
-
-    def is_basis(self, added: Sequence[Edge] = ()) -> bool:
-        """Each component the added edges touch is contracted to one local
-        vertex, with a gain -1 loop if it holds its (unbalanced) cycle, and
-        each added edge joins its ends' local vertices at its switched gain.
-        Contraction keeps every component's edges - vertices and balance."""
-        if not (self.independent and len(self.edges) + len(added) == len(self.comp) - self.j):
-            return False
-        comp, sign = self.comp, self.sign
-        touched = dict.fromkeys(comp[w] for e in added for w in (e.u, e.v))
-        local = {c: i for i, c in enumerate(touched)}
-        ends = [(local[comp[e.u]], local[comp[e.v]], sign[e.u] * sign[e.v] * e.gain) for e in added]
-        ends += [(i, i, -1) for c, i in local.items() if self.comps[c][1] == self.comps[c][0]]
-        return all(_independent(*c, self.j) for c in signed_components(len(local), ends)[2])
-
-    def extended(self, added: Sequence[Edge]) -> tuple[Edge, ...]:
-        """The edges and `added`, in edge order if both are."""
-        out = list(self.edges)
-        for e in added:
-            insort(out, e)
-        return tuple(out)
-
-
 def isostatic_classes(g: GainGraph, classes: Sequence[Sequence[Edge]], j: int) -> bool:
     """The colouring criterion for character j: every class is a basis of
-    the frame matroid (j = 0) or a spanning tree (j = 1)."""
-    return all(ColourClass(g.n, c, j).is_basis() for c in classes)
+    the frame matroid (j = 0) or a spanning tree (j = 1): n - j edges whose
+    components are independent, by one graph search per class."""
+    return all(len(c) == g.n - j and all(_independent(*comp, j) for comp in signed_components(g.n, c)[2])
+               for c in classes)
 
 
 def _spanning_connected_unbalanced(g: GainGraph, edges: Sequence[Edge]) -> bool:

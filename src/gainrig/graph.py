@@ -9,6 +9,7 @@ invariants this triple is unique within a graph and doubles as the edge's id.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -75,6 +76,18 @@ def edge(u: int, v: int, gain: int) -> Edge:
     return Edge(u, v, gain)
 
 
+def check_edge(n: int, e: Edge, repeated: bool) -> None:
+    """Raise the error a graph on n vertices holding e (twice if repeated) raises."""
+    if not (0 <= e.u < n and 0 <= e.v < n):
+        raise BadVertexIndex(f"BadVertexIndex: edge {e.as_list()} outside 0..{n - 1}")
+    if e.gain not in (1, -1):
+        raise GainGraphError(f"BadGain: edge {e.as_list()} gain must be +1 or -1")
+    if e.is_loop() and e.gain == 1:
+        raise GainOneLoop(f"GainOneLoop: loop at {e.u} with gain +1")
+    if repeated:
+        raise DuplicateParallelEdge(f"DuplicateParallelEdge: edge {e.as_list()} repeated")
+
+
 def signed_components(
     n: int, edges: Iterable[Sequence[int]]
 ) -> tuple[list[int], list[int], list[tuple[int, int, bool]]]:
@@ -125,17 +138,17 @@ class GainGraph:
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
         if self.n < 0:
             raise BadVertexIndex("vertex count must be non-negative")
-        n, seen = self.n, set()
+        seen = set()
         for e in self.edges:
-            if not (0 <= e.u < n and 0 <= e.v < n):
-                raise BadVertexIndex(f"BadVertexIndex: edge {e.as_list()} outside 0..{n - 1}")
-            if e.gain not in (1, -1):
-                raise GainGraphError(f"BadGain: edge {e.as_list()} gain must be +1 or -1")
-            if e.is_loop() and e.gain == 1:
-                raise GainOneLoop(f"GainOneLoop: loop at {e.u} with gain +1")
-            if e in seen:
-                raise DuplicateParallelEdge(f"DuplicateParallelEdge: edge {e.as_list()} repeated")
+            check_edge(self.n, e, e in seen)
             seen.add(e)
+
+    @staticmethod
+    def from_valid(n: int, edges: tuple[Edge, ...]) -> "GainGraph":
+        """The graph of edges known to be sorted and valid on n vertices, unchecked."""
+        g = object.__new__(GainGraph)
+        g.__dict__.update(n=n, edges=edges)
+        return g
 
     # -- construction helpers ------------------------------------------------
 
@@ -159,18 +172,27 @@ class GainGraph:
                 at.setdefault(e.v, []).append(e)
         return at
 
-    def has_edge(self, e: Edge) -> bool:
-        return e in self._incident.get(e.u, ())
+    def has_edge(self, e: Edge) -> bool:  # by bisection: no index is built
+        i = bisect_left(self.edges, e)
+        return self.edges[i:i + 1] == (e,)
 
     def edges_at(self, v: int, include_loop: bool = True) -> list[Edge]:
         return [e for e in self._incident.get(v, ()) if include_loop or not e.is_loop()]
 
-    def loop_at(self, v: int) -> Optional[Edge]:
-        return next((e for e in self._incident.get(v, ()) if e.is_loop()), None)
+    def loop_at(self, v: int) -> Optional[Edge]:  # a loop has gain -1
+        return Edge(v, v, -1) if self.has_edge(Edge(v, v, -1)) else None
+
+    @cached_property
+    def degrees(self) -> list[int]:
+        """Each vertex's degree, a loop counting 2, from one edge pass."""
+        out = [0] * self.n
+        for u, v, _ in self.edges:
+            out[u] += 1
+            out[v] += 1
+        return out
 
     def degree(self, v: int) -> int:
-        """Loop counts 2 toward the degree."""
-        return sum(2 if e.is_loop() else 1 for e in self._incident.get(v, ()))
+        return self.degrees[v]
 
     def induced_edges(self, vertices: Iterable[int]) -> tuple[Edge, ...]:
         s = set(vertices)

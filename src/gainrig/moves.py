@@ -51,11 +51,12 @@ and pi with the merged vertices sent to their target.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from typing import Iterator, Optional, Sequence
 
-from .graph import Edge, GainGraph, GainGraphError, edge
+from .graph import Edge, GainGraph, GainGraphError, check_edge, edge
 from .iso import map_edge
 from .sparsity import Partition
 
@@ -258,18 +259,23 @@ def apply_delta(
     g: GainGraph, deleted: Sequence[Edge], added: Sequence[Edge], pi: Optional[Sequence[int]]
 ) -> GainGraph:
     """The graph a move_delta describes: g without the deleted edges,
-    renamed by pi, with the added ones."""
-    edges = list(g.edges)
+    renamed by pi, with the added ones, which alone are checked (g's edges
+    are valid), each by bisection in the sorted kept ones."""
+    edges, n = list(g.edges), g.n + (1 if pi is None else 3)
     try:
         for e in deleted:
             edges.remove(e)
         if pi is not None:
-            edges = [edge(pi[e.u], pi[e.v], e.gain) for e in edges]
-        return GainGraph(g.n + (1 if pi is None else 3), tuple(edges + list(added)))
+            edges = sorted(edge(pi[e.u], pi[e.v], e.gain) for e in edges)
+        for e in sorted(added):
+            i = bisect_left(edges, e)
+            check_edge(n, e, edges[i:i + 1] == [e])
+            edges.insert(i, e)
     except GainGraphError as exc:
         raise MoveError(f"result invalid: {exc}") from exc
     except ValueError:
         raise MoveError(f"edge {e.as_list()} not present") from None
+    return GainGraph.from_valid(n, tuple(edges))
 
 
 def _vertex_to_k4_delta(g: GainGraph, mv: Move) -> tuple[list[Edge], list[Edge], list[int]]:
@@ -402,6 +408,9 @@ def _vertex_deletion_candidates(
     fits recovers the removed edges (a gain only they hold runs over +-1),
     and each (kind, set of recovered edges) is tried once, first assignment
     first."""
+    if all(k not in kinds or len(s.added) != g.degree(v) - g.has_edge(Edge(v, v, -1))
+           for k, s in H_SHAPES.items()):
+        return  # no shape takes v's edges: no O(E) relabel
     pi = _vertex_last_perm(g.n, v)
     w = g.n - 1
     kept, at_w, gone = [], [], []
@@ -557,8 +566,8 @@ def enumerate_reductions(
     vertices ascending by (degree, id) for the vertex-deletion reverses, then
     K4 contractions, then triangle contractions (reverse splits)."""
     allowed = set(kinds) if kinds is not None else set(ALL_KINDS)
-    order = sorted(range(g.n), key=lambda v: (g.degree(v), v))
-    found = [_vertex_deletion_candidates(g, v, allowed) for v in order]
+    order = sorted(range(g.n), key=g.degrees.__getitem__)  # stable: by (degree, id)
+    found = [chain.from_iterable(_vertex_deletion_candidates(g, v, allowed) for v in order)]
     if "VertexToK4" in allowed:
         found.append(_k4_contractions(g))
     if "VertexSplit" in allowed:

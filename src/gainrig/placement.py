@@ -14,9 +14,11 @@ In the coordinates u = (a + b).p, v = (a - b).p of facets a, b that wedge
 is a quadrant: u > u_q iff s = +1, and v > v_q iff s = +1 at colour 0 or
 s = -1 at colour 1.  Wedges thus meet in an open box, non-empty when lo < hi
 on both axes.  Colourings of the new edges are tried in product((0, 1))
-order, keeping those under which both classes are bases: the edges each
-class keeps sit in a colouring.ColourClass, built once per step, and a
-colouring's new edges alone are tested against it.  For each kept
+order, keeping those under which both classes are bases: each class is a
+signed spanning forest (sparsity.Forest) less the deleted edges, and a
+colouring is kept if both reach n - j edges with its new edges, each of
+which Forest.independent admits in O(1) before it is added; a colouring
+refused, or without a region, is taken out again.  For each kept
 colouring, sign vectors are tried in product((1, -1)) order, not extending
 a prefix whose box is empty.  The first non-empty box is the region (none:
 PlacementError).  The point rule cuts its unbounded sides at distance 1
@@ -40,9 +42,9 @@ after the box test) and the new positions.
 
 Every placement is accepted only through _verified: the colouring verdict
 for the step's character, then the rank, which must agree.  The colouring
-verdict is read from the new framework's own classes: when they are the
-classes the step chose, the step's test decided it; otherwise
-colouring.isostatic_classes does.  The rank of a one-vertex step has a
+verdict is the step's test if the framework holds the step's forests (see
+below); otherwise colouring.isostatic_classes decides on its own classes,
+read from its table.  The rank of a one-vertex step has a
 local certificate.  Let the parent be certified (its r rows independent),
 D be its rows of the deleted edges and N the child's rows of the |D| + 2
 edges at w.  If N has rank 2 on w's columns and span(N) holds D, the child
@@ -55,18 +57,24 @@ Base fixtures come from scripts/find_base_placements.py
 and are re-verified on use; the i-th base of a union is scaled by
 (2i + 2) / (2i + 1), keeping its colours.
 
-A step carries its parent's state instead of rebuilding it: the colour
-classes (Framework.classes, read from the table once per framework), the
-covering set (Framework.covering: the new framework, grown from the parent,
-checks only its appended positions against it) and the covector table
+A step carries its parent's state instead of rebuilding it: the covering
+set (Framework.covering: the new framework, grown from the parent, checks
+only its appended positions against it), the covector table
 (rigidity.carry_covectors, by the move's edge map, with the orbit rows of
 the edges a one-vertex step keeps), so each edge is coloured once, when
-created, and its row is built once.
+created, and its row is built once; and the colour classes.  A one-vertex
+step takes its parent's class forests (Framework.forests, built from the
+parent's classes if it has none; the parent keeps none), edits them by its
+delta and hands them on to the child, whose classes it splices from the
+parent's, if the child's table was carried by name and gives each new edge
+its chosen colour.  Otherwise the child, like a vertex-to-K4 child, holds
+no forests and reads its classes from its table.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -74,7 +82,7 @@ from math import inf
 from typing import Optional, Sequence
 
 from .catalog import graph_for_base_id
-from .colouring import ColourClass, isostatic_classes, monochrome_quotients
+from .colouring import isostatic_classes, monochrome_quotients
 from .construct import ConstructionSequence
 from .graph import Edge, GainGraph, invariant
 from .linalg import step_certified
@@ -88,6 +96,7 @@ from .rigidity import (
     carry_covectors,
     orbit_rows,
 )
+from .sparsity import Forest
 
 Point = tuple[Fraction, Fraction]
 
@@ -129,30 +138,31 @@ def _base_points(bid: str) -> list[Point]:
     return [(Fraction(x), Fraction(y)) for x, y in fixture]
 
 
-def _rank_certified(fw: Framework, parent: Optional[Framework], deleted: Sequence[Edge], j: int) -> bool:
-    """Whether fw, grown from parent by a one-vertex step deleting `deleted`,
-    has full character-j row rank by the local certificate (module docstring)."""
+def _rank_certified(fw: Framework, parent: Optional[Framework], deleted, added, j: int) -> bool:
+    """Whether fw, grown from parent by a one-vertex step deleting `deleted`
+    and adding `added` (w's edges), has full character-j row rank by the
+    local certificate (module docstring)."""
     if parent is None or j not in parent.certified or fw.graph.n != parent.graph.n + 1:
         return False
     w, rows, old = parent.graph.n, orbit_rows(fw, j), orbit_rows(parent, j)
-    new, gone = [rows[e] for e in fw.graph.edges_at(w)], [old[e] for e in deleted]
+    new, gone = [rows[e] for e in added], [old[e] for e in deleted]
     cols = sorted({2 * w, 2 * w + 1}.union(*new, *gone))  # w's columns last
     return step_certified(*([[r.get(c, 0) for c in cols] for r in rs] for rs in (new, gone)))
 
 
-def _verified(fw: Framework, j: int, parent: Optional[Framework] = None, deleted=(), chosen=None) -> bool:
+def _verified(fw: Framework, j: int, parent=None, deleted=(), added=()) -> bool:
     """Both oracles for character j, which must agree: the colouring verdict,
     then the rank (the local certificate of the step from parent deleting
-    `deleted`, else analyse).  If fw's own classes are `chosen`, which
-    extend_placement found to be bases, that is the colouring verdict; else
-    isostatic_classes decides."""
+    `deleted` and adding `added`, else analyse).  If the step handed fw class
+    forests for j, they hold its classes as bases: that is the colouring
+    verdict; else isostatic_classes decides."""
     try:
         classes = monochrome_quotients(fw)
     except NotWellPositioned:
         return False
-    if classes != chosen and not isostatic_classes(fw.graph, classes, j):
+    if j not in fw.forests and not isostatic_classes(fw.graph, classes, j):
         return False
-    algebraic = _rank_certified(fw, parent, deleted, j) or analyse(fw, j).isostatic
+    algebraic = _rank_certified(fw, parent, deleted, added, j) or analyse(fw, j).isostatic
     invariant(algebraic, "rank and colouring verdicts disagree")
     fw.certified.add(j)
     return True
@@ -166,20 +176,16 @@ def _framework(g: GainGraph, positions: Sequence[Point], norm, what: str,
         raise PlacementError(f"{what}: {exc}") from exc
 
 
-def _accept(
-    g: GainGraph, positions: Sequence[Point], norm, j: int, what: str,
-    parent: Optional[Framework] = None, pi: Optional[Sequence[int]] = None, chosen=None, deleted=(),
-) -> Framework:
+def _accept(g: GainGraph, positions: Sequence[Point], norm, j: int, what: str,
+            parent: Optional[Framework] = None, pi: Optional[Sequence[int]] = None) -> Framework:
     """The framework at positions if both oracles call it character-j
-    isostatic (see _verified for `chosen`), else PlacementError naming
-    `what`.  Its covering set and covector table are carried over from
-    `parent`, the framework the move starts from, if given, through the
-    move's renaming pi if it renames (moves.move_delta); a one-vertex move
-    deleted `deleted` of parent's edges."""
+    isostatic, else PlacementError naming `what`.  Its covering set and
+    covector table are carried over from `parent`, the framework the move
+    starts from, if given, through the move's renaming pi (moves.move_delta)."""
     fw = _framework(g, positions, norm, what, parent)
     if parent is not None:
         carry_covectors(parent, fw, pi)
-    if not _verified(fw, j, parent, deleted, chosen):
+    if not _verified(fw, j, parent):
         raise PlacementError(f"{what} failed verification for character {j}")
     return fw
 
@@ -259,32 +265,68 @@ def _grid_point(box, facets, scale: int, taken, m: int) -> Point:
         k *= 2
 
 
+def _add_coloured(forests: list[Forest], edges: Sequence[Edge], colours, size: int) -> bool:
+    """Add each edge to the forest of its colour if every class then holds
+    `size` edges and stays independent (Forest.independent); else leave the
+    forests as they were."""
+    if any(len(f) + colours.count(c) != size for c, f in enumerate(forests)):
+        return False
+    for i, (e, c) in enumerate(zip(edges, colours)):
+        if not forests[c].independent(e):
+            for x, cx in zip(edges[:i], colours):
+                forests[cx].remove(x)
+            return False
+        forests[c].add(e)
+    return True
+
+
+def _class_forests(fw: Framework, j: int) -> list[Forest]:
+    """fw's colour classes as frame (j = 0) or graphic (j = 1) forests, if both are bases."""
+    forests = [Forest(fw.graph.n, j == 0) for _ in range(2)]
+    for f, cls in zip(forests, monochrome_quotients(fw)):
+        if not _add_coloured([f], cls, [0] * len(cls), fw.graph.n - j):
+            raise PlacementError(f"the colour classes are not bases for character {j}")
+    return forests
+
+
 def extend_placement(fw: Framework, mv: Move, j: int = 0) -> Framework:
     """Grow a verified placement across one move, placing the created
-    vertices and re-verifying with both oracles."""
+    vertices and re-verifying with both oracles.  A one-vertex step takes
+    fw's class forests for j and hands them on (module docstring)."""
     deleted, added, pi = move_delta(fw.graph, mv)
     h = apply_delta(fw.graph, deleted, added, pi)
     if pi is not None:
         return _extend_k4(fw, mv, h, j, pi)
     # One new vertex w, appended; old vertices keep their indices and old
     # edges their names.
-    w, facets = fw.graph.n, fw.norm.facets
-    gone = set(deleted)
-    kept = [ColourClass(h.n, [e for e in cls if e not in gone] if gone else cls, j)
-            for cls in monochrome_quotients(fw)]
-    new = h.edges_at(w)
+    w, facets, colour, new = fw.graph.n, fw.norm.facets, fw.norm.colours, sorted(added)
+    forests, classes = fw.forests.pop(j, None) or _class_forests(fw, j), [list(c) for c in fw.classes]
+    for e in deleted:
+        c = colour[fw.covectors[e]]
+        forests[c].remove(e)
+        classes[c].remove(e)
+    for f in forests:
+        f.grow()
     scale, ends = _scaled([(0, 0) if e.is_loop() else fw.positions[e.other(w)] for e in new])
     anchors = [tuple(e.gain * x for x in _uv(facets, p)) for e, p in zip(new, ends)]
     for colours in product((0, 1), repeat=len(new)):
-        added = [[e for e, ce in zip(new, colours) if ce == c] for c in (0, 1)]
-        if not all(k.is_basis(a) for k, a in zip(kept, added)):
+        if not _add_coloured(forests, new, colours, h.n - j):
             continue
         box = _region(colours, anchors)
-        if box is not None:
-            pt = _grid_point(box, facets, scale, lambda p: not any(p) or p in fw.covering,
-                             len(fw.covering) + 2)
-            chosen = tuple(k.extended(a) for k, a in zip(kept, added))
-            return _accept(h, fw.positions + (pt,), fw.norm, j, mv.kind, fw, None, chosen, deleted)
+        if box is None:
+            for e, c in zip(new, colours):
+                forests[c].remove(e)
+            continue
+        pt = _grid_point(box, facets, scale, lambda p: not any(p) or p in fw.covering,
+                         len(fw.covering) + 2)
+        for e, c in zip(new, colours):
+            insort(classes[c], e)
+        child = _framework(h, fw.positions + (pt,), fw.norm, mv.kind, fw)
+        if carry_covectors(fw, child) and all(colour[child.covectors[e]] == c for e, c in zip(new, colours)):
+            child.__dict__["classes"], child.forests[j] = tuple(map(tuple, classes)), forests
+        if not _verified(child, j, fw, deleted, new):
+            raise PlacementError(f"{mv.kind} failed verification for character {j}")
+        return child
     raise PlacementError(f"no region places the new vertex of {mv.kind} on {fw.graph.triples()}")
 
 

@@ -32,7 +32,8 @@ a prefix of the new (a one-vertex move), or through the move's renaming
 of the vertices (moves.move_delta, for vertex-to-K4) where both ends keep
 their positions.  It computes only the others: the new vertices' edges.
 The new framework keeps no reference to the old one.  Framework.classes keeps the
-facet colour classes read from the table, for the colouring and the next
+facet colour classes read from the table (or set by the placement step
+that built the framework, see placement.py), for the colouring and the next
 placement step.
 
 An orbit row is a pure function of the edge, its covector and the
@@ -90,6 +91,8 @@ class Framework:
     rows: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     # the characters placement._verified found isostatic by both oracles
     certified: set = field(init=False, repr=False, compare=False, default_factory=set)
+    # by character, the colour classes as forests, for the next placement step to take
+    forests: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self, grown_from):
         g, n, d = self.graph, self.group_order, self.norm.dimension
@@ -137,8 +140,9 @@ class Framework:
     @cached_property
     def classes(self) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
         """The edges whose covector is +-facets[0] (colour 0) and the others
-        (colour 1), in edge order: read from the table once and kept, so the
-        step after this framework starts from them.  PolyhedralNorm only."""
+        (colour 1), in edge order: read from the table once and kept (unless
+        the placement step that built this framework set them), so the step
+        after this framework starts from them.  PolyhedralNorm only."""
         parts: tuple[list[Edge], list[Edge]] = ([], [])
         for e, phi in self.covectors.items():
             parts[self.norm.colours[phi]].append(e)
@@ -178,15 +182,16 @@ def well_positioned(fw: Framework) -> bool:
     return True
 
 
-def carry_covectors(old: Framework, new: Framework, pi: Optional[Sequence[int]] = None) -> None:
+def carry_covectors(old: Framework, new: Framework, pi: Optional[Sequence[int]] = None) -> bool:
     """Build new's covector table now, reusing old's entry for every edge
     that keeps its name, or that pi carries into new (old vertex a is new
     vertex pi[a], or is deleted if that is past new's last), and, for edges
     that keep their name, the orbit rows old has built (see the module
     docstring).  New keeps no reference to old.  Does nothing unless old is
-    well-positioned; if new is not, reading new.covectors raises as usual."""
+    well-positioned; if new is not, reading new.covectors raises as usual.
+    Whether new's table was built, each edge that keeps its name taking old's entry."""
     if new.norm != old.norm or not well_positioned(old):
-        return
+        return False
     if pi is None:
         carried = old.covectors if new.positions[:len(old.positions)] == old.positions else {}
     else:
@@ -196,11 +201,12 @@ def carry_covectors(old: Framework, new: Framework, pi: Optional[Sequence[int]] 
     try:
         new.__dict__["covectors"] = new._covector_table(carried)
     except NotWellPositioned:
-        return
+        return False
     if carried is old.covectors and new.group_order == old.group_order:
         # same names, same columns: same rows
         for j, rows in old.rows.items():
             orbit_rows(new, j, rows)
+    return carried is old.covectors
 
 
 def _rotation(order: int, t: int):

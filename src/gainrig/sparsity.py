@@ -14,8 +14,8 @@ Edmonds' matroid partition: it inserts the edges in sorted order, each by
 a breadth-first search for a shortest augmenting path.  Each side is a
 signed spanning forest, plus one extra edge per tree on a frame side, so
 whether a side takes an edge is read in O(1) from tree labels, signs and
-extra edges (_Forest.independent), the circuits of an edge that no side
-takes are read off tree paths (_Forest.circuit), and an augmentation
+extra edges (Forest.independent), the circuits of an edge that no side
+takes are read off tree paths (Forest.circuit), and an augmentation
 re-roots or searches again only the trees it changes.  If an edge is
 blocked, every element the search reached lies in each side's span of the
 reached set S, so |S| is one more than the sides' ranks of S summed, and
@@ -115,7 +115,7 @@ def check_sparsity(g: GainGraph, p: SparsityParams) -> SparsityReport:
     return SparsityReport(passed=True)
 
 
-class _Forest:
+class Forest:
     """One partition side as a rooted spanning forest of its edges: per
     vertex its parent, tree edge, depth and sign (a tree edge's gain is the
     product of its ends' signs), compared only within a tree, its tree label
@@ -123,11 +123,12 @@ class _Forest:
     and, on a frame side, its one edge off the tree if any (``extra``),
     closing an unbalanced cycle.  Labels, signs and extras decide
     independence in O(1).  A tree keeps its label as it grows or loses the
-    smaller half of a split; on a graphic side, ``relabelled`` collects the
-    vertices that change trees."""
+    smaller half of a split; ``journal``, if given, collects the vertices
+    that change trees.  Partition's sides and placement's colour classes
+    (placement docstring) are such forests."""
 
-    def __init__(self, n: int, frame: bool) -> None:
-        self.frame = frame
+    def __init__(self, n: int, frame: bool, journal: Optional[list[int]] = None) -> None:
+        self.frame, self.journal = frame, journal
         self.at: list[dict[Edge, None]] = [{} for _ in range(n)]
         self.parent = list(range(n))
         self.root = list(range(n))
@@ -137,7 +138,10 @@ class _Forest:
         self.sign = [1] * n
         self.extra: dict[int, Edge] = {}
         self.labels = count(n)  # labels for new trees
-        self.relabelled: list[int] = []
+
+    def __len__(self) -> int:
+        """The number of edges: one per vertex but each tree's top, and the extra edges."""
+        return len(self.at) - len(self.size) + len(self.extra)
 
     def grow(self) -> None:
         """Append an isolated vertex, a tree of its own."""
@@ -170,8 +174,8 @@ class _Forest:
                               "a partition side is not independent")
         if up is None:
             self.size[root] = len(queue)
-        if not self.frame:  # only graphic sides' trees are compared (Partition._tight)
-            self.relabelled.extend(seen)
+        if self.journal is not None:
+            self.journal.extend(seen)
         return seen
 
     def add(self, e: Edge) -> None:
@@ -277,7 +281,7 @@ class _Forest:
 class Partition:
     """Edmonds' matroid partition of a (k,k,m)-sparse edge set into m graphic
     and then k - m frame sides (``frames``): each edge's side, and per side a
-    _Forest, whose tree paths give the circuits.  An augmenting path takes
+    Forest, whose tree paths give the circuits.  An augmenting path takes
     every edge it moves off its old side before it adds any to its new side,
     so a forest only ever holds a subset of an independent set.
 
@@ -291,14 +295,15 @@ class Partition:
         self.p = p
         self.frames = (False,) * p.m + (True,) * (p.k - p.m)
         self.side: dict[Edge, int] = {}
-        self.forests = [_Forest(n, frame) for frame in self.frames]
+        self.relabelled: list[int] = []  # graphic sides' vertices that changed trees this step
+        self.forests = [Forest(n, frame, None if frame else self.relabelled) for frame in self.frames]
         self.ids, self.flips = list(range(n)), [1] * n
         self.before: dict[Edge, Optional[int]] = {}
 
     def insert(self, y: Edge) -> Optional[list[Edge]]:
         """Add y along a shortest augmenting path, found by breadth-first
         search; a reached edge's circuits are read only if no other side
-        takes it (_Forest.independent, O(1)).  None on success; else y stays
+        takes it (Forest.independent, O(1)).  None on success; else y stays
         out, and the result is every edge the search reached."""
         # label[z] = (x, i): x may join side i if z leaves it.
         label: dict[Edge, Optional[tuple[Edge, int]]] = {y: None}
@@ -345,8 +350,7 @@ class Partition:
         created.  Only a relabelling step costs O(n), to rewrite the id map."""
         ids, flips, n = self.ids, self.flips, len(self.ids)
         self.before = {}
-        for f in self.forests:
-            f.relabelled.clear()
+        self.relabelled.clear()
         gone = [map_edge(e, ids, flips) for e in deleted]
         invariant(all(x in self.side for x in gone), "a deleted edge is not on a side")
         self._move([(x, None) for x in gone])
@@ -380,7 +384,7 @@ class Partition:
             raise ValueError(f"counts {self.p.as_tuple()}: tightness is decided for m = 0 or k")
         if not self.p.m:
             return len(self.side) == self.p.k * n
-        moved = set().union(*(f.relabelled for f in self.forests))
+        moved = set(self.relabelled)
         return all(f.root[x.u] == f.root[x.v] for f, h in permutations(self.forests, 2)
                    for v in moved for x in h.at[v])
 

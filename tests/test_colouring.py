@@ -4,9 +4,9 @@ from itertools import product
 
 import pytest
 
+from gainrig import placement
 from gainrig.catalog import PARAMS_220, PARAMS_222
 from gainrig.colouring import (
-    ColourClass,
     _spanning_connected_unbalanced,
     geometric_verdict,
     isostatic_classes,
@@ -24,8 +24,10 @@ from gainrig.rigidity import (
     orbit_matrix,
     well_positioned,
 )
+from gainrig.sparsity import Forest
 
 from conftest import brute_balanced, brute_components, random_gain_graph
+from test_forest import assert_forest
 
 
 def _placement(g, rng, tries=400, norm=LINF):
@@ -209,58 +211,92 @@ def _certified_classes(j):
     return [(fw.graph, monochrome_quotients(fw)) for fw in fws]
 
 
+def _forests(n, classes, j):
+    """The classes as placement carries them: one forest each, frame sides
+    for j = 0 and graphic ones for j = 1."""
+    forests = [Forest(n, j == 0) for _ in classes]
+    for f, cls in zip(forests, classes):
+        for e in cls:
+            f.add(e)
+    return forests
+
+
 @pytest.mark.parametrize("j", [0, 1])
 def test_colour_class_step_test_matches_isostatic_classes(rng, j):
     # A step keeps a parent's classes less some removed edges (as an H2 or
     # H3 move does) and adds new edges at a new vertex w, a loop among
-    # them; every colouring of the new edges is tested against the kept
-    # classes alone and must match isostatic_classes on the whole classes
-    # and each class's basis test from plain definitions.  Parents are
-    # verified placements (bases) or random graphs split at random
-    # (mostly dependent).
+    # them; every colouring of the new edges is tested on the kept classes'
+    # forests alone (placement._add_coloured) and must match
+    # isostatic_classes on the whole classes and each class's basis test
+    # from plain definitions; a refused colouring leaves the forests as
+    # they were.  Parents are verified placements (bases) or random graphs
+    # split at random, each class cut to an independent set (mostly not a
+    # basis).
     certified = _certified_classes(j)
-    seen = {"basis": 0, "dependent kept class": 0, "certified": 0}
+    seen = {"basis": 0, "refused": 0, "refused after an add": 0, "certified": 0}
     for trial in range(400):
         if trial % 2:
             g, classes = rng.choice(certified)
             seen["certified"] += 1
         else:
             g = random_gain_graph(rng, max_n=6, max_edges=12)
-            split = [rng.randrange(2) for _ in g.edges]
-            classes = [[e for e, c in zip(g.edges, split) if c == k] for k in (0, 1)]
+            trial_forests = [Forest(g.n, j == 0) for _ in range(2)]
+            classes = [[], []]
+            for e in g.edges:
+                c = rng.randrange(2)
+                if trial_forests[c].independent(e):
+                    trial_forests[c].add(e)
+                    classes[c].append(e)
+            g = GainGraph(g.n, tuple(classes[0] + classes[1]))
         gone = set(rng.sample(g.edges, min(len(g.edges), rng.randint(0, 2))))
         w = g.n
         at_w = [edge(x, w, gain) for x in range(g.n) for gain in (1, -1)] + [edge(w, w, -1)]
         new = sorted(rng.sample(at_w, rng.randint(1, 3)))
         h = GainGraph(g.n + 1, tuple(e for e in g.edges if e not in gone) + tuple(new))
-        kept = [ColourClass(h.n, [e for e in c if e not in gone], j) for c in classes]
-        seen["dependent kept class"] += not all(k.independent for k in kept)
+        kept = [[e for e in c if e not in gone] for c in classes]
+        forests = _forests(g.n, classes, j)
+        for e in gone:
+            forests[0 if e in classes[0] else 1].remove(e)
+        for f in forests:
+            f.grow()
         for colours in product((0, 1), repeat=len(new)):
             added = [[e for e, c in zip(new, colours) if c == k] for k in (0, 1)]
-            whole = [k.extended(a) for k, a in zip(kept, added)]
-            assert whole == [tuple(sorted([*k.edges, *a])) for k, a in zip(kept, added)]
-            step = [k.is_basis(a) for k, a in zip(kept, added)]
-            assert all(step) == isostatic_classes(h, whole, j)
-            for verdict, cls in zip(step, whole):
-                comps = brute_components(h.n, cls)
-                if j == 0:
-                    assert verdict == _brute_map_graph(comps)
-                else:
-                    assert verdict == (len(comps) == 1 and len(cls) == h.n - 1)
-            seen["basis"] += all(step)
+            whole = [tuple(sorted([*k, *a])) for k, a in zip(kept, added)]
+            step = placement._add_coloured(forests, new, colours, h.n - j)
+            assert step == isostatic_classes(h, whole, j)
+            brute = [_brute_map_graph(brute_components(h.n, cls)) if j == 0 else
+                     len(brute_components(h.n, cls)) == 1 and len(cls) == h.n - 1 for cls in whole]
+            assert step == all(brute)
+            if step:
+                for f, cls in zip(forests, whole):
+                    assert_forest(f, set(cls))
+                for e, c in zip(new, colours):
+                    forests[c].remove(e)
+                seen["basis"] += 1
+            else:
+                seen["refused"] += 1
+                seen["refused after an add"] += all(
+                    len(f) + colours.count(c) == h.n - j
+                    for c, f in enumerate(forests)) and forests[colours[0]].independent(new[0])
+            for f, cls in zip(forests, kept):
+                assert_forest(f, set(cls))
     assert all(count > 20 for count in seen.values()), seen
 
 
-def test_colour_class_contracts_a_component_with_its_cycle():
-    # Kept chi0 classes on 4 vertices, each with two trees, so two added
-    # edges meet the count.  {0, 1} already holds its unbalanced cycle (the
+def test_colour_class_forest_sees_a_components_cycle():
+    # A kept chi0 class on 4 vertices with two trees, so two added edges
+    # meet the count.  {0, 1} already holds its unbalanced cycle (the
     # loop): two more edges into it and the tree {2} close a second cycle,
-    # which its contracted vertex only shows through its gain -1 loop.
-    kept = ColourClass(4, [edge(0, 0, -1), edge(0, 1, 1)], 0)
-    assert kept.independent and not kept.is_basis([edge(1, 2, 1), edge(0, 2, -1)])
+    # which only its extra edge shows; the first edge is taken back.
+    (kept,) = _forests(4, [[edge(0, 0, -1), edge(0, 1, 1)]], 0)
+    assert not placement._add_coloured([kept], [edge(1, 2, 1), edge(0, 2, -1)], (0, 0), 4)
+    assert_forest(kept, {edge(0, 0, -1), edge(0, 1, 1)})
     # Two edges from {3} reach the tree {0, 1, 2} at opposite switched
     # gains: they close one unbalanced cycle, a basis; at equal ones, a
     # balanced cycle, not a basis.
-    tree = ColourClass(4, [edge(0, 1, -1), edge(1, 2, 1)], 0)
-    assert tree.is_basis([edge(0, 3, 1), edge(2, 3, 1)])
-    assert not tree.is_basis([edge(0, 3, 1), edge(2, 3, -1)])
+    (tree,) = _forests(4, [[edge(0, 1, -1), edge(1, 2, 1)]], 0)
+    assert not placement._add_coloured([tree], [edge(0, 3, 1), edge(2, 3, -1)], (0, 0), 4)
+    assert placement._add_coloured([tree], [edge(0, 3, 1), edge(2, 3, 1)], (0, 0), 4)
+    # a class one edge short of the count is refused before any edge is tried
+    (short,) = _forests(4, [[edge(0, 1, -1)]], 0)
+    assert not placement._add_coloured([short], [edge(0, 3, 1), edge(2, 3, 1)], (0, 0), 4)

@@ -10,7 +10,7 @@ from itertools import combinations
 import pytest
 
 from gainrig.graph import Edge, InvariantViolation, edge
-from gainrig.sparsity import Partition, SparsityParams, _Forest
+from gainrig.sparsity import Partition, SparsityParams, Forest
 
 from conftest import brute_balanced, brute_components
 
@@ -96,7 +96,7 @@ def oracle_circuit(n: int, side: list[Edge], x: Edge, frame: bool):
     return _circuit_in_core(_two_core(local + [x]))
 
 
-def assert_forest(f: _Forest, side: set[Edge]) -> None:
+def assert_forest(f: Forest, side: set[Edge]) -> None:
     """Parent, depth, sign and tree label agree along each tree edge, and a
     vertex without a tree edge is its own parent; the side is the tree edges
     plus at most one extra edge per frame tree (none on a graphic side),
@@ -120,7 +120,7 @@ def assert_forest(f: _Forest, side: set[Edge]) -> None:
     for r, e in f.extra.items():
         assert f.root[e.u] == f.root[e.v] == r
         assert e.is_loop() or f.sign[e.u] * f.sign[e.v] != e.gain
-    assert len(tree) + len(f.extra) == len(side)
+    assert len(tree) + len(f.extra) == len(side) == len(f)
     assert side == tree | set(f.extra.values())
     comps = brute_components(n, side)
     for verts, _ in comps:
@@ -143,7 +143,7 @@ def test_random_updates_match_the_peel(counts):
     for frame in Partition(6, p).frames:
         for n in (4, 6):
             pool = all_edges(n)
-            f, side = _Forest(n, frame), set()
+            f, side = Forest(n, frame), set()
             for _ in range(300):
                 x = rng.choice(pool)
                 if x in side and rng.random() < 0.7:
@@ -168,7 +168,7 @@ def test_built_forest_matches_updated_one():
     rng = random.Random(5)
     for frame in (False, True):
         pool = all_edges(7)
-        f, side = _Forest(7, frame), set()
+        f, side = Forest(7, frame), set()
         for x in rng.sample(pool, len(pool)):
             if f.circuit(x) is None:
                 f.add(x)
@@ -177,7 +177,7 @@ def test_built_forest_matches_updated_one():
             f.remove(x)
             side.remove(x)
         assert_forest(f, side)
-        built = _Forest(7, frame)
+        built = Forest(7, frame)
         for x in sorted(side):
             built.add(x)
         assert_forest(built, side)
@@ -191,7 +191,7 @@ def test_merge_reroots_a_tree_with_its_extra_edge():
     # Joining it to {0, 1, 2, 6} at 5 re-roots it at 5, where both (4, 5)
     # and (3, 5) become tree edges: the search must keep (3, 4) as the
     # extra edge, not the old one.
-    f = _Forest(8, True)
+    f = Forest(8, True)
     side = [edge(0, 1, 1), edge(1, 2, 1), edge(2, 6, 1),
             edge(3, 4, 1), edge(4, 5, 1), edge(3, 5, -1)]
     for e in side:
@@ -217,7 +217,7 @@ def test_merge_reroots_a_tree_with_its_extra_edge():
 ])
 def test_add_refuses_a_dependent_edge(frame, side, x):
     # add's check is an invariant, not an assert, so it holds under python -O
-    f = _Forest(3, frame)
+    f = Forest(3, frame)
     for e in side:
         f.add(e)
     assert not f.independent(x)

@@ -359,3 +359,63 @@ def test_kind_order_is_fixed():
         "H3a", "H3b", "H3c", "H3d", "VertexToK4", "VertexSplit",
     )
     assert tuple(H_SHAPES) == ALL_KINDS[:12]
+
+
+def test_apply_delta_checks_only_the_added_edges(monkeypatch, rng):
+    # the graph, or the error, that a whole-graph build of the kept and the
+    # added edges gives, from a check of the added edges alone, each by
+    # bisection against the kept ones
+    checked = []
+    real = moves.check_edge
+    monkeypatch.setattr(moves, "check_edge", lambda n, e, repeated: checked.append(e) or real(n, e, repeated))
+    outcomes = set()
+    for _ in range(600):
+        g = random_gain_graph(rng, max_n=5, max_edges=8)
+        deleted = rng.sample(g.edges, rng.randint(0, min(2, len(g.edges))))
+        if rng.random() < 0.1:
+            deleted.append(edge(0, g.n, 1))  # not in g
+        added = [edge(rng.randint(-1, g.n + 1), rng.randint(0, g.n), rng.choice((1, -1, 1, -1, 0)))
+                 for _ in range(rng.randint(0, 3))]
+        kept = list(g.edges)
+        try:
+            for e in deleted:
+                kept.remove(e)
+            want = GainGraph(g.n + 1, tuple(kept + added))
+        except ValueError as exc:  # a GainGraphError, or an edge not present
+            want = str(exc)
+        checked.clear()
+        try:
+            got = moves.apply_delta(g, deleted, added, None)
+        except MoveError as exc:
+            assert str(exc) in [f"result invalid: {want}"] + [f"edge {e.as_list()} not present" for e in deleted[-1:]]
+            outcomes.add(str(exc).split(":")[0])
+            continue
+        assert got == want and got.edges == want.edges
+        assert checked == sorted(added)
+        outcomes.add("built")
+    assert {"built", "result invalid"} <= outcomes
+    assert any(o.endswith("not present") for o in outcomes)
+
+
+def test_reductions_keep_degree_order_and_skip_unfit_vertices(monkeypatch):
+    # vertices in (degree, id) order, a loop counting 2, read from one edge
+    # pass; a vertex whose edge count no allowed shape takes is not relabelled
+    relabelled = []
+    real = moves._vertex_last_perm
+    monkeypatch.setattr(moves, "_vertex_last_perm", lambda n, v: relabelled.append(v) or real(n, v))
+    # vertex 0 has four edges, a loop among them, and degree 5
+    looped = GainGraph.from_triples(5, [(0, 0, -1), (0, 1, 1), (0, 2, 1), (0, 3, -1),
+                                        (1, 2, 1), (2, 3, 1), (3, 4, 1), (1, 4, -1)])
+    for p in (PARAMS_220, PARAMS_222):
+        sizes = {len(s.added) for k, s in H_SHAPES.items() if k in regime(p)[0]}
+        for g in [random_tight(20, p, seed=seed) for seed in range(4)] + [looped]:
+            degree = [sum((e.u == v) + (e.v == v) for e in g.edges) for v in range(g.n)]
+            assert g.degrees == degree
+            relabelled.clear()
+            found = list(enumerate_reductions(g, regime(p)[0]))
+            order = [v for v in sorted(range(g.n), key=lambda v: (degree[v], v))
+                     if len(g.edges_at(v)) in sizes]
+            # (the triangle contractions after them relabel too)
+            assert relabelled[:len(order)] == order
+            firsts = [r.pi.index(g.n - 1) for r in found if r.forward.kind in H_SHAPES]
+            assert firsts == sorted(firsts, key=lambda v: (degree[v], v))

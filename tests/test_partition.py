@@ -151,27 +151,27 @@ def test_steps_make_no_whole_graph_pass(p, monkeypatch):
     # graph only, and sparsity never counts components over a whole graph
     g = random_tight(100, p, seed=2)
     seq = decompose(g, p)[0]
-    calls = {"signed_components": 0, "_Forest": 0}
-    real_count, real_init = sparsity.signed_components, sparsity._Forest.__init__
+    calls = {"signed_components": 0, "Forest": 0}
+    real_count, real_init = sparsity.signed_components, sparsity.Forest.__init__
 
     def count(*args):
         calls["signed_components"] += 1
         return real_count(*args)
 
     def init(forest, *args):
-        calls["_Forest"] += 1
+        calls["Forest"] += 1
         real_init(forest, *args)
 
     monkeypatch.setattr(sparsity, "signed_components", count)
-    monkeypatch.setattr(sparsity._Forest, "__init__", init)
+    monkeypatch.setattr(sparsity.Forest, "__init__", init)
     for run in (lambda: decompose(g, p), lambda: construct(seq, verify=True)):
         run()
-        assert calls == {"signed_components": 0, "_Forest": p.k}
+        assert calls == {"signed_components": 0, "Forest": p.k}
         calls.update(dict.fromkeys(calls, 0))
 
 
 def _circuit_first_insert(part, y):
-    """Partition.insert as it was before _Forest.independent: each reached
+    """Partition.insert as it was before Forest.independent: each reached
     edge's circuit is read on each other side in turn, and the first side
     where it is None takes the edge; the test's oracle."""
     label = {y: None}
@@ -235,13 +235,13 @@ def test_free_edges_read_no_circuit(monkeypatch):
         order = rng.sample(range(n), n)
         trees.append([edge(order[i], order[rng.randrange(i)], gain) for i in range(1, n)])
     calls = []
-    real = sparsity._Forest.circuit
+    real = sparsity.Forest.circuit
 
     def circuit(forest, x):
         calls.append(x)
         return real(forest, x)
 
-    monkeypatch.setattr(sparsity._Forest, "circuit", circuit)
+    monkeypatch.setattr(sparsity.Forest, "circuit", circuit)
     part, oracle = Partition(n, PARAMS_222), Partition(n, PARAMS_222)
     for i, tree in enumerate(trees):
         for y in tree:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gainrig import placement
+from gainrig import colouring, graph, iso, placement, sparsity
 from gainrig.catalog import BASE_CATALOG, PARAMS_220, PARAMS_222, regime
 from gainrig.colouring import geometric_verdict, isostatic_classes, monochrome_quotients
 from gainrig.construct import (
@@ -17,7 +17,7 @@ from gainrig.construct import (
     decompose,
     random_tight,
 )
-from gainrig.graph import InvariantViolation, edge
+from gainrig.graph import GainGraph, InvariantViolation, edge
 from gainrig.jsonio import load_json, sequence_from_dict
 from gainrig.linalg import matrix_rank
 from gainrig.moves import ALL_KINDS, Move, MoveError, apply_move, move_delta
@@ -39,6 +39,8 @@ from gainrig.rigidity import (
     well_positioned,
 )
 from gainrig.sparsity import tight_partition
+
+from test_forest import assert_forest
 
 DATA = Path(__file__).parent / "data"
 
@@ -465,8 +467,8 @@ def test_rank_certificate_agrees_with_analyse(monkeypatch, p, j):
     for seq in _certificate_sequences(p, j):
         for fw, mv, child in _steps(seq, j):
             kinds.add(mv.kind)
-            deleted = move_delta(fw.graph, mv)[0]
-            cert = placement._rank_certified(child, fw, deleted, j)
+            deleted, added, _ = move_delta(fw.graph, mv)
+            cert = placement._rank_certified(child, fw, deleted, sorted(added), j)
             if cert:  # a certified step is isostatic by the rank oracle
                 assert analyse(child, j).isostatic
                 certified[mv.kind] += 1
@@ -486,11 +488,11 @@ def test_rank_certificate_agrees_with_analyse(monkeypatch, p, j):
 def test_an_h2_step_whose_deleted_row_is_not_in_span_n_calls_analyse_once(monkeypatch):
     parent = base_placement("a")
     mv = Move("H2b", vertices=(0,), gains=(-1,), removed=(edge(0, 1, 1),))
-    deleted = move_delta(parent.graph, mv)[0]
+    deleted, added, _ = move_delta(parent.graph, mv)
     calls = _counting_analyse(monkeypatch)
     child = extend_placement(parent, mv, 0)
     assert calls == [1] and analyse(child, 0).isostatic
-    assert not placement._rank_certified(child, parent, deleted, 0)
+    assert not placement._rank_certified(child, parent, deleted, sorted(added), 0)
     # N has rank 2 on w's columns, but adding the deleted row raises its rank
     rows, w = orbit_rows(child, 0), parent.graph.n
     n = [rows[e] for e in child.graph.edges_at(w)]
@@ -504,14 +506,15 @@ def test_rank_certificate_needs_a_certified_parent_and_a_nonzero_block():
     parent = base_placement("k1")
     h = apply_move(parent.graph, Move("H1c", vertices=(0,), gains=(1,)))
     child = Framework(h, parent.positions + ((F(3), F(-2)),), LINF, 2)
+    new = child.graph.edges_at(1)
     assert _block_det(child, 1, 1) == 0
-    assert not placement._rank_certified(child, parent, (), 1)
+    assert not placement._rank_certified(child, parent, (), new, 1)
     assert not analyse(child, 1).isostatic
     # a parent nobody certified for the character does not count, even where
     # the block is nonsingular
     assert _block_det(child, 1, 0) != 0
-    assert placement._rank_certified(child, parent, (), 0) is False
-    assert placement._rank_certified(child, None, (), 0) is False
+    assert placement._rank_certified(child, parent, (), new, 0) is False
+    assert placement._rank_certified(child, None, (), new, 0) is False
 
 
 def test_uncertified_parents_and_vertex_to_k4_go_to_analyse(monkeypatch):
@@ -527,10 +530,20 @@ def test_uncertified_parents_and_vertex_to_k4_go_to_analyse(monkeypatch):
         seq = _sequences_with_k4_partway(p, initial, wanted=1)[0]
         k4 = [(fw, mv, child) for fw, mv, child in _steps(seq, j) if mv.kind == "VertexToK4"]
         for fw, mv, child in k4:
-            assert not placement._rank_certified(child, fw, move_delta(fw.graph, mv)[0], j)
+            deleted, added, _ = move_delta(fw.graph, mv)
+            assert not placement._rank_certified(child, fw, deleted, sorted(added), j)
             calls.clear()
             assert extend_placement(fw, mv, j) == child and calls == [1]
         assert k4
+
+
+def test_a_parent_whose_classes_are_not_bases_is_refused():
+    # the step's forests hold bases only: a well-positioned parent with a
+    # dependent class (three edges in colour 0 on two vertices) is bad input
+    parent = Framework(base_placement("a").graph, ((F(-3), F(-2)), (F(-3), F(-1))), LINF, 2)
+    assert [len(c) for c in parent.classes] == [3, 1]
+    with pytest.raises(PlacementError, match="not bases for character 0"):
+        extend_placement(parent, Move("H1a", vertices=(0, 1), gains=(1, -1)), 0)
 
 
 def test_golden_sequences_rank_few_steps_by_analyse(monkeypatch):
@@ -609,3 +622,117 @@ def test_realize_under_l1(p, j):
         _assert_isostatic(l1, j)
     with pytest.raises(ValueError, match="l1 norm"):
         realize(seq, j, norm=PolyhedralNorm(((1, 0), (1, 1))))
+
+
+@pytest.mark.parametrize("p, j", [(PARAMS_220, 0), (PARAMS_222, 1)], ids=["chi0", "chi1"])
+def test_class_forests_match_isostatic_classes_on_every_step(p, j):
+    # every colouring of each one-vertex step's new edges, tested on the
+    # parent's class forests less the deleted edges, is accepted exactly
+    # when isostatic_classes accepts the whole classes; a refused colouring
+    # is rolled back, and so is an accepted one here, to the kept classes
+    tried = Counter()
+    for seq in _certificate_sequences(p, j):
+        for fw, mv, child in _steps(seq, j):
+            if mv.kind == "VertexToK4":
+                continue
+            deleted, added, _ = move_delta(fw.graph, mv)
+            new = sorted(added)
+            kept = [[e for e in cls if e not in deleted] for cls in fw.classes]
+            forests = placement._class_forests(fw, j)
+            for e in deleted:
+                forests[0 if e in fw.classes[0] else 1].remove(e)
+            for f in forests:
+                f.grow()
+            accepted = set()
+            for colours in product((0, 1), repeat=len(new)):
+                whole = [sorted(k + [e for e, c in zip(new, colours) if c == i])
+                         for i, k in enumerate(kept)]
+                step = placement._add_coloured(forests, new, colours, child.graph.n - j)
+                assert step == isostatic_classes(child.graph, whole, j)
+                tried[step] += 1
+                if step:
+                    accepted.add(colours)
+                if step:
+                    for f, cls in zip(forests, whole):
+                        assert_forest(f, set(cls))
+                    for e, c in zip(new, colours):
+                        forests[c].remove(e)
+                for f, cls in zip(forests, kept):
+                    assert_forest(f, set(cls))
+            # the step's own colouring is among those accepted
+            assert tuple(int(e in child.classes[1]) for e in new) in accepted
+    assert tried[True] > 100 and tried[False] > 100, tried
+
+
+def _spy_whole_graph_work(monkeypatch):
+    """A Counter of signed_components calls, GainGraph._incident builds and
+    Framework.classes reads from the covector table."""
+    calls = Counter()
+
+    def counting(real):
+        def call(*args):
+            calls["signed_components"] += 1
+            return real(*args)
+        return call
+
+    def cached(name, build):
+        def get(self):
+            if name not in self.__dict__:
+                calls[name] += 1
+                self.__dict__[name] = build(self)
+            return self.__dict__[name]
+        return property(get)
+
+    for module in (graph, colouring, iso, sparsity):
+        monkeypatch.setattr(module, "signed_components", counting(graph.signed_components))
+    monkeypatch.setattr(GainGraph, "_incident", cached("_incident", GainGraph._incident.func))
+    monkeypatch.setattr(Framework, "classes", cached("classes", Framework.classes.func))
+    return calls
+
+
+@pytest.mark.parametrize("p, j", [(PARAMS_220, 0), (PARAMS_222, 1)], ids=["chi0", "chi1"])
+def test_one_vertex_steps_do_no_whole_graph_search(monkeypatch, p, j):
+    # realize folds the sequence through extend_placement; a one-vertex
+    # step reads its classes from the forests it is handed and its new
+    # edges from the move's delta: no graph search, no incidence index and
+    # no read of the covector table's classes.  Vertex-to-K4 and the bases
+    # do all three, which shows that the spy sees them.
+    calls = _spy_whole_graph_work(monkeypatch)
+    seen = Counter()
+    for seq in _certificate_sequences(p, j):
+        fw = realize(ConstructionSequence(seq.params, seq.initial, ()), j)
+        seen["bases"] += calls["classes"] > 0 and calls["signed_components"] > 0
+        for mv in seq.steps:
+            calls.clear()
+            fw = extend_placement(fw, mv, j)
+            if mv.kind == "VertexToK4":
+                seen["k4"] += calls["classes"] > 0 and calls["_incident"] > 0
+            else:
+                assert not calls, (mv.kind, calls)
+                seen["one-vertex"] += 1
+        assert fw.positions == realize(seq, j).positions
+    assert seen["bases"] and seen["k4"] and seen["one-vertex"] > 200, seen
+
+
+@pytest.mark.parametrize("p, j", [(PARAMS_220, 0), (PARAMS_222, 1)], ids=["chi0", "chi1"])
+def test_two_steps_from_one_parent_give_equal_children(p, j):
+    # a step takes the forests its parent carries and hands them on to its
+    # child: a second step from the same parent builds its own from the
+    # parent's classes, and both children are equal and verified
+    for seq in _certificate_sequences(p, j)[:8]:
+        fw = realize(ConstructionSequence(seq.params, seq.initial, ()), j)
+        for mv in seq.steps:
+            carried = fw.forests.get(j)
+            first = extend_placement(fw, mv, j)
+            second = extend_placement(fw, mv, j)
+            assert first == second and first.classes == second.classes
+            assert first.certified == second.certified == {j}
+            if mv.kind == "VertexToK4":  # renames edges: the child's are built on its next step
+                assert not first.forests and not second.forests
+                assert fw.forests.get(j) is carried
+            else:
+                assert not fw.forests
+                assert first.forests[j] is carried or carried is None
+                assert first.forests[j] is not second.forests[j]
+            fw = first
+        assert fw == realize(seq, j)

@@ -51,8 +51,8 @@ from gainrig import (  # noqa: E402
 
 REGIMES = {"220": PARAMS_220, "222": PARAMS_222}
 CHARACTER = {"220": 0, "222": 1}  # the character realize places each regime at
-SIZES = (100, 200, 400, 800)
-DECOMPOSE_MAX = 400  # largest n also timed through decompose and construct
+SIZES = (100, 200, 400, 800, 1600)
+DECOMPOSE_MAX = 1600  # largest n also timed through decompose and construct
 SEED = 1
 
 

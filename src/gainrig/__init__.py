@@ -28,7 +28,7 @@ from .graph import (
     disjoint_union,
     edge,
 )
-from .iso import apply_iso, are_isomorphic, compose_iso, isomorphism
+from .iso import apply_iso, are_isomorphic, isomorphism
 from .moves import (
     ALL_KINDS,
     KINDS_222,
@@ -36,6 +36,7 @@ from .moves import (
     MoveError,
     Reduction,
     apply_move,
+    apply_reduction,
     enumerate_reductions,
     is_admissible,
 )

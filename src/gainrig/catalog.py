@@ -90,8 +90,9 @@ def is_base_graph(
 ) -> Optional[tuple[str, tuple[int, ...], tuple[int, ...]]]:
     """(id, pi, signs) of the base of p's regime that apply_iso(g, pi, signs)
     equals, or None if g is isomorphic (switching + relabelling) to none."""
+    counts = (g.n, len(g.edges), sorted(g.degrees))  # isomorphic graphs share these
     for name, member in regime(p)[1].items():
-        if g.n == member.n and len(g.edges) == len(member.edges):
+        if counts == (member.n, len(member.edges), sorted(member.degrees)):
             iso = isomorphism(g, member)
             if iso is not None:
                 return (name, *iso)

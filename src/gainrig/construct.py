@@ -3,31 +3,35 @@ tight graphs back into construction sequences.
 
 A ConstructionSequence starts from a disjoint union of bases and applies
 moves of the kinds catalog.regime gives its count; every intermediate graph
-stays tight.  decompose() inverts this: it greedily applies admissible
-reductions, matches the irreducible remainder against the bases, and replays
-the moves on a fresh copy while maintaining an exact
-vertex-relabelling-plus-switching isomorphism, so the caller gets both the
-sequence and the isomorphism identifying construct(sequence) with the input
-graph.  Both directions check tightness on one matroid partition, built
-for the first graph (sparsity.tight_partition) and edited in place by each
-step's delta (Partition.step), never built again; the replay checks each
-step by the edges it adds, and the whole input at the end.
+stays tight.  decompose() inverts this on the input's vertex ids, which no
+reduction renames: it greedily applies admissible reductions, matches the
+irreducible remainder against the bases with one relabelling, and replays
+the moves on a fresh copy through one map from the ids onto it, extended by
+each created vertex, so the caller gets both the sequence and the
+isomorphism identifying construct(sequence) with the input graph.  Both
+directions check tightness on one matroid partition, built for the first
+graph (sparsity.tight_partition) and edited in place by each step's delta
+(Partition.step), never built again; the replay checks each step by the
+edges it adds, and the whole input at the end.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Container, Optional, Sequence
 
 from .catalog import graph_for_base_id, is_base_graph, regime
 from .graph import Edge, GainGraph, disjoint_union, invariant
-from .iso import apply_iso, compose_iso, map_edge
+from .iso import apply_iso, map_edge
 from .moves import (
     H_SHAPES,
     Move,
     MoveError,
+    Reduction,
     apply_delta,
+    apply_reduction,
     enumerate_reductions,
     is_admissible,
     move_delta,
@@ -75,28 +79,26 @@ def construct(
     for mv in seq.steps:
         delta = move_delta(g, mv)
         h = apply_delta(g, *delta)
-        if verify and not part.step(h, *delta):
+        if verify and not part.step(h.n, *delta):
             raise NotTight(f"intermediate graph not tight after {mv.kind}")
         g = h
     return g
 
 
 def _match_components(
-    g: GainGraph, p: SparsityParams, largest: int, part: Partition
-) -> Optional[tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]]:
-    """If every component of g is a base of p's regime, whose largest base
-    has `largest` vertices, return (base ids, pi, signs) with
-    apply_iso(g, pi, signs) == disjoint union of those bases.  Each tree of
-    a side of part, g's partition, lies in one component (spanning it, as g
-    is tight), so one on more than `largest` vertices rules a match out."""
-    if max(part.forests[0].size.values()) > largest:
+    g: GainGraph, p: SparsityParams, largest: int, part: Partition, dead: Container[int]
+) -> Optional[tuple[tuple[str, ...], list[int], list[int]]]:
+    """If every component of g but its dead ids is a base of p's regime,
+    whose largest base has `largest` vertices, return (base ids, pi, signs)
+    sending g's live ids onto the disjoint union of those bases (dead ones
+    to 0, +1).  Each tree of a side of part, g's partition, lies in one
+    component, so one on more than `largest` vertices rules a match out."""
+    if any(max(f.size.values(), default=0) > largest for f in part.forests):
         return None
-    comps = g.components()
-    ids = []
-    pi = [0] * g.n
-    signs = [1] * g.n
-    offset = 0
-    for comp in comps:
+    ids, pi, signs, offset = [], [0] * g.n, [1] * g.n, 0
+    for comp in g.components():
+        if comp[0] in dead:
+            continue
         sub = g.subgraph(comp)
         base = is_base_graph(sub, p)
         if base is None:
@@ -107,7 +109,19 @@ def _match_components(
             pi[v] = offset + sub_pi[local]
             signs[v] = sub_signs[local]
         offset += sub.n
-    return tuple(ids), tuple(pi), tuple(signs)
+    return tuple(ids), pi, signs
+
+
+def _rebucket(buckets: dict[int, list[int]], g: GainGraph, h: GainGraph, r: Reduction) -> None:
+    """Move each vertex r touches from its bucket by degree in g to its
+    bucket in h, r's reduced graph; r's dropped vertices leave them."""
+    for v in {x for e in r.deleted + r.added for x in e[:2]}:
+        old = g.degrees[v] if v < g.n else None
+        new = None if v in r.dropped else h.degrees[v]
+        if old != new and old is not None:
+            del buckets[old][bisect_left(buckets[old], v)]
+        if old != new and new is not None:
+            insort(buckets.setdefault(new, []), v)
 
 
 def decompose(
@@ -115,8 +129,10 @@ def decompose(
 ) -> tuple[ConstructionSequence, tuple[int, ...], tuple[int, ...]]:
     """Reduce g to bases by reductions of the kinds p allows and return
     (sequence, pi, signs) with apply_iso(g, pi, signs) == construct(sequence).
-    Each candidate is tested by carrying the current graph's matroid
-    partition into its reduced graph; the accepted one's becomes current.
+    The reductions run on g's ids (moves docstring), with the live vertices
+    kept in buckets by degree and walked in (degree, id) order; each
+    candidate is tested by carrying the current graph's matroid partition
+    into its reduced graph, and only the accepted one's graph is built.
     ValueError unless catalog.regime serves p."""
     kinds, bases = regime(p)
     largest = max(b.n for b in bases.values())
@@ -125,42 +141,47 @@ def decompose(
     if part is None:
         raise NotTight(f"graph is not {p.as_tuple()}-tight")
 
-    chain: list = []  # reductions applied, in order
-    cur = g
-    while True:
-        match = _match_components(cur, p, largest, part)
-        if match is not None:
-            ids, pi_term, signs_term = match
-            break
-        chosen = next((r for r in enumerate_reductions(cur, kinds) if is_admissible(r, part)), None)
-        if chosen is None:
-            raise NoAdmissibleReduction(
-                f"stuck at {cur.n} vertices: {cur.triples()}"
-            )
+    buckets: dict[int, list[int]] = {}
+    for v, d in enumerate(g.degrees):
+        buckets.setdefault(d, []).append(v)
+    chain, dead, cur = [], set(), g  # the reductions applied, in order, and the ids dropped
+    while (match := _match_components(cur, p, largest, part, dead)) is None:
+        order = ((d, v) for d in sorted(buckets) for v in buckets[d])
+        found = (r for r in enumerate_reductions(cur, kinds, order) if is_admissible(r, part))
+        if (chosen := next(found, None)) is None:
+            raise NoAdmissibleReduction(f"stuck at {cur.n - len(dead)} vertices: {cur.triples()}")
+        reduced = apply_reduction(cur, chosen)
+        _rebucket(buckets, cur, reduced, chosen)
         chain.append(chosen)
-        cur = chosen.reduced
+        dead.update(chosen.dropped)
+        cur = reduced
 
-    # Replay forwards on a fresh copy, maintaining psi: chain-graph -> copy.
-    # Each step's added edges are checked against the psi images of the
-    # edges its reduction deleted, and the end against the whole input.
+    # Replay forwards on a fresh copy, maintaining psi: the ids -> the copy,
+    # extended by each step's created ids.  Each step's added edges are
+    # checked against the psi images of the edges its reduction deleted.
+    ids, psi, psi_signs = match
     seq_steps: list[Move] = []
     c = ConstructionSequence(params=p, initial=ids, steps=()).initial_graph()
-    psi_pi, psi_signs = pi_term, signs_term
-    invariant(apply_iso(cur, psi_pi, psi_signs) == c, "terminal bases do not match")
+    invariant(sorted(map_edge(e, psi, psi_signs) for e in cur.edges) == list(c.edges),
+              "terminal bases do not match")
     for r in reversed(chain):
-        mv2, ext_pi, ext_signs = translate_move(r.forward, psi_pi, psi_signs)
+        mv2, sign = translate_move(r.forward, psi, psi_signs)
         deleted, added, pi = move_delta(c, mv2)
         c = apply_delta(c, deleted, added, pi)
         seq_steps.append(mv2)
-        # r: apply_iso(pre, r.pi, r.signs) == apply_move(r.reduced, r.forward)
-        psi_pi, psi_signs = compose_iso(r.pi, r.signs, ext_pi, ext_signs)
+        if pi is not None:  # VertexToK4 shifts the vertices after its own down
+            psi = [x - (x > mv2.vertices[0]) for x in psi]
+        for i, v in enumerate(r.dropped, c.n - len(r.dropped)):
+            psi[v], psi_signs[v] = i, sign
+        for v in r.flipped:
+            psi_signs[v] = -psi_signs[v]
         invariant(
-            sorted(added) == sorted(map_edge(e, psi_pi, psi_signs) for e in r.deleted),
+            sorted(added) == sorted(map_edge(e, psi, psi_signs) for e in r.deleted),
             f"replay of {r.forward.kind} diverged from the reduction chain",
         )
-    invariant(apply_iso(g, psi_pi, psi_signs) == c, "the replay does not rebuild the input")
-    seq = ConstructionSequence(params=p, initial=ids, steps=tuple(seq_steps))
-    return seq, psi_pi, psi_signs
+    pi, signs = tuple(psi[:g.n]), tuple(psi_signs[:g.n])
+    invariant(apply_iso(g, pi, signs) == c, "the replay does not rebuild the input")
+    return ConstructionSequence(params=p, initial=ids, steps=tuple(seq_steps)), pi, signs
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +278,7 @@ def random_tight(n: int, p: SparsityParams, seed: int) -> GainGraph:
             h = apply_delta(g, *delta)
         except MoveError:
             continue
-        if part.step(h, *delta):
+        if part.step(h.n, *delta):
             g = h
     invariant(check_tight(g, p), "random_tight built a graph that is not tight")
     return g

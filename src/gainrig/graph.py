@@ -9,7 +9,7 @@ invariants this triple is unique within a graph and doubles as the edge's id.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -148,6 +148,27 @@ class GainGraph:
         """The graph of edges known to be sorted and valid on n vertices, unchecked."""
         g = object.__new__(GainGraph)
         g.__dict__.update(n=n, edges=edges)
+        return g
+
+    def spliced(self, n: int, deleted: Sequence[Edge], added: Sequence[Edge]) -> "GainGraph":
+        """This graph on n >= self.n vertices without the deleted edges and
+        with the added ones, which the caller has checked, spliced into the
+        sorted edges by bisection.  It takes over this graph's incidence
+        lists and degrees, with only the touched vertices' redone."""
+        edges = list(self.edges)
+        for e in deleted:
+            del edges[bisect_left(edges, e)]
+        for e in added:
+            insort(edges, e)
+        g = GainGraph.from_valid(n, tuple(edges))
+        at, degrees = dict(self._incident), self.degrees + [0] * (n - self.n)
+        g.__dict__.update(_incident=at, degrees=degrees)
+        for step, e in [*((-1, e) for e in deleted), *((1, e) for e in added)]:
+            for x in {e.u, e.v}:  # new lists: self's stay as they are
+                kept = [f for f in at.get(x, ()) if f != e]
+                at[x] = kept if step < 0 else sorted(kept + [e])
+            degrees[e.u] += step
+            degrees[e.v] += step
         return g
 
     # -- construction helpers ------------------------------------------------

@@ -35,18 +35,6 @@ def map_edge(e: Edge, pi: Sequence[int], signs: Sequence[int]) -> Edge:
     return edge(pi[e.u], pi[e.v], gain)
 
 
-def compose_iso(
-    pi1: Sequence[int],
-    signs1: Sequence[int],
-    pi2: Sequence[int],
-    signs2: Sequence[int],
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Composite g -> h -> k of (pi1, signs1): g->h and (pi2, signs2): h->k."""
-    pi = tuple(pi2[pi1[u]] for u in range(len(pi1)))
-    signs = tuple(signs1[u] * signs2[pi1[u]] for u in range(len(pi1)))
-    return pi, signs
-
-
 def _pair_counts(g: GainGraph) -> dict[tuple[int, int], int]:
     counts: dict[tuple[int, int], int] = {}
     for e in g.edges:

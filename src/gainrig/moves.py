@@ -32,29 +32,32 @@ except under H3b, VertexToK4 and VertexSplit, where it inherits the sign of
 vertices[0]; that keeps the H3b gain rules, the balanced K4 and the gains of
 edges re-ended onto the new vertices intact.
 
-A Reduction undoes a move: it stores the reduced graph, the forward Move (in
-the reduced graph's labelling) that re-creates the input, and the exact
-relabel+switch (pi, signs) with apply_iso(input, pi, signs) ==
-apply_move(reduced, forward), and its delta: the input's edges it deletes
-and the edges it adds.  Admissibility is semantic: every component of the
-reduced graph must be tight.  is_admissible hands the delta and (pi, signs)
-to the input's carried matroid partition, which Partition.step edits in
-place into the reduced graph's, or leaves as it was.  move_delta gives a
+A Reduction undoes a move on the input's vertex ids, renaming none: a vertex
+deletion drops its vertex's id, a triangle contraction drops `absorb`'s,
+and a K4 contraction drops the K4's four for the fresh id n, above every
+live one; a dropped id stays as an isolated dead vertex.  It holds its
+delta, the forward Move (on the reduced graph's ids), the dropped ids in
+the order that move creates them, and the clique vertices it switches.  A
+candidate is checked by its added edges alone (_fits); apply_reduction
+builds only the reduced graph taken.  Admissibility is semantic: every
+component of the reduced graph must be tight.  is_admissible hands the
+delta to the input's carried matroid partition, which Partition.step edits
+in place into the reduced graph's, or leaves as it was; move_delta gives a
 forward move's delta the same way.
 
 The clique reverses contract a balanced K4 or a triangle's gain-1 edge.
 _cliques grows the 3- and 4-cliques from neighbourhoods, in
-combinations(range(n), k) order; a contraction's edges (reduced, attach or
-moved, v2_edge) are the map_edge images of the input's under the switching
-and pi with the merged vertices sent to their target.
+combinations(range(n), k) order; a contraction's edges (added, attach or
+moved, v2_edge) are the input's under the clique's switching with the
+merged vertices sent to their target.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, combinations, permutations, product
-from typing import Iterator, Optional, Sequence
+from itertools import combinations, permutations, product
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .graph import Edge, GainGraph, GainGraphError, check_edge, edge
 from .iso import map_edge
@@ -160,12 +163,11 @@ class Move:
 
 @dataclass(frozen=True)
 class Reduction:
-    reduced: GainGraph
-    forward: Move
-    pi: tuple[int, ...]
-    signs: tuple[int, ...]
-    new_edges: tuple[Edge, ...]  # edges of `reduced` that are not images of the input's
-    deleted: tuple[Edge, ...]  # edges of the input whose images `reduced` lacks
+    forward: Move  # re-creates the input from the reduced graph, on its ids
+    deleted: tuple[Edge, ...]  # the input's edges the reduced graph lacks
+    added: tuple[Edge, ...]  # the reduced graph's edges that are not the input's, switched
+    dropped: tuple[int, ...]  # the input's vertices it deletes, as forward creates them
+    flipped: tuple[int, ...] = ()  # the clique vertices it switches
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -335,12 +337,14 @@ def _vertex_split_delta(g: GainGraph, mv: Move) -> tuple[list[Edge], list[Edge],
 
 def translate_move(
     mv: Move, pi: Sequence[int], signs: Sequence[int]
-) -> tuple[Move, tuple[int, ...], tuple[int, ...]]:
-    """Image mv2 of mv under (pi, signs), and (pi, signs) extended across it.
+) -> tuple[Move, int]:
+    """Image mv2 of mv under (pi, signs), and the sign of the vertices mv
+    creates (see the module docstring for the rule).
 
     apply_move(apply_iso(g, pi, signs), mv2) == apply_iso(apply_move(g, mv),
-    pi2, signs2): the extension sends each vertex mv creates to the vertex
-    mv2 creates at the same index (see the module docstring for the rule).
+    pi2, signs2), where (pi2, signs2) sends each vertex mv creates, with
+    that sign, to the one mv2 creates at the same index, and under
+    VertexToK4 shifts the vertices after the replaced one down by one.
     """
     def image(e: Edge) -> Edge:
         return map_edge(e, pi, signs)
@@ -361,16 +365,7 @@ def translate_move(
         moved=tuple(sorted(image(e) for e in mv.moved)),
         move_loop=mv.move_loop,
     )
-    new_sign = signs[mv.vertices[0]] if mv.kind in _INHERITS_SIGN else 1
-    n = len(pi)
-    if mv.kind != "VertexToK4":
-        return mv2, tuple(pi) + (n,), tuple(signs) + (new_sign,)
-    # Both sides delete the replaced vertex, shift later vertices down by one
-    # and append their K4 at the same four indices n-1..n+2.
-    (v,) = mv.vertices
-    kept = [u for u in range(n) if u != v]
-    pi2 = tuple(pi[u] - (pi[u] > pi[v]) for u in kept) + tuple(range(n - 1, n + 3))
-    return mv2, pi2, tuple(signs[u] for u in kept) + (new_sign,) * 4
+    return mv2, signs[mv.vertices[0]] if mv.kind in _INHERITS_SIGN else 1
 
 
 # ---------------------------------------------------------------------------
@@ -378,56 +373,30 @@ def translate_move(
 # ---------------------------------------------------------------------------
 
 
-def _vertex_last_perm(n: int, v: int) -> list[int]:
-    """Permutation sending v to n-1 and shifting larger vertices down."""
-    return [u if u < v else (n - 1 if u == v else u - 1) for u in range(n)]
+def _fits(g: GainGraph, added: Sequence[Edge], flipped: Sequence[int]) -> bool:
+    """Whether a reduction of g that adds these edges, switching g's edges at
+    the flipped vertices, gives a valid graph: no added edge is a gain +1
+    loop, repeats another or repeats a kept edge, found by bisection in g
+    (an added edge never touches a vertex whose edges the reduction deletes)."""
+    was = [e if e.is_loop() or (e.u in flipped) == (e.v in flipped) else Edge(e.u, e.v, -e.gain)
+           for e in added]
+    return (len(set(added)) == len(added) and not any(e.is_loop() and e.gain == 1 for e in added)
+            and not any(map(g.has_edge, was)))
 
 
-def _try_reduction(
-    g: GainGraph, signs: Sequence[int], reduced_edges: Sequence[Edge], forward: Move,
-    new_edges: Sequence[Edge], pi: Sequence[int], deleted: Sequence[Edge],
-) -> Optional[Reduction]:
-    """The Reduction if the reduced edges form a valid graph (a reverse shape
-    can repeat an edge), else None.  That its forward move rebuilds g is not
-    checked here: test_reductions_replay_exactly is the evidence, and a
-    candidate that failed it would stop decompose's replay (which checks
-    every reduction it uses) instead of being skipped."""
-    removed = 3 if forward.kind == "VertexToK4" else 1
-    try:
-        reduced = GainGraph(g.n - removed, tuple(reduced_edges))
-    except GainGraphError:
-        return None
-    return Reduction(reduced, forward, tuple(pi), tuple(signs), tuple(new_edges), tuple(deleted))
-
-
-def _vertex_deletion_candidates(
-    g: GainGraph, v: int, kinds: set[str]
-) -> Iterator[Optional[Reduction]]:
-    """Reverse H moves at v: v becomes w (the last vertex), its edges are
-    assigned to a shape's added edges in every order, each assignment that
-    fits recovers the removed edges (a gain only they hold runs over +-1),
-    and each (kind, set of recovered edges) is tried once, first assignment
-    first."""
-    if all(k not in kinds or len(s.added) != g.degree(v) - g.has_edge(Edge(v, v, -1))
-           for k, s in H_SHAPES.items()):
-        return  # no shape takes v's edges: no O(E) relabel
-    pi = _vertex_last_perm(g.n, v)
-    w = g.n - 1
-    kept, at_w, gone = [], [], []
-    for e in g.edges:
-        if e.touches(v):
-            gone.append(e)
-            at_w.append((pi[e.other(v)], e.gain))
-        else:
-            kept.append(edge(pi[e.u], pi[e.v], e.gain))
-    at_w.sort()
-    signs = [1] * g.n
+def _vertex_deletion_candidates(g: GainGraph, v: int, kinds: set[str]) -> Iterator[Reduction]:
+    """Reverse H moves at v: v plays w, its edges are assigned to a shape's
+    added edges in every order, each assignment that fits recovers the
+    removed edges (a gain only they hold runs over +-1), and each (kind, set
+    of recovered edges) is tried once, first assignment first."""
+    gone = tuple(g.edges_at(v))
+    at_w = sorted((e.other(v), e.gain) for e in gone)  # a loop binds only w
     for kind, shape in H_SHAPES.items():
         if kind not in kinds or len(shape.added) != len(at_w):
             continue
         tried: set[frozenset[Edge]] = set()
         for order in permutations(at_w):
-            at, gains = {"w": w}, {}
+            at, gains = {"w": v}, {}
             if not all(
                 _bind_vertex(at, p, u) and _solve(gn, gain, gains)
                 for (p, gn), (u, gain) in zip(shape.added, order)
@@ -440,32 +409,23 @@ def _vertex_deletion_candidates(
                 back = tuple(
                     edge(at[p], at[q], _value(gn, gains)) for p, q, gn in shape.removed
                 )
-                if frozenset(back) in tried:
+                if (key := frozenset(back)) in tried:
                     continue
-                tried.add(frozenset(back))
-                # Undo pi's shift past v: an edge g has off v would repeat a kept one.
-                if any(
-                    g.has_edge(Edge(e.u + (e.u >= v), e.v + (e.v >= v), e.gain))
-                    for e in back
-                ):
-                    continue
-                forward = Move(
-                    kind,
-                    vertices=tuple(at[x] for x in shape.vertices),
-                    gains=tuple(gains[x] for x in shape.gains),
-                    removed=back,
-                )
-                yield _try_reduction(g, signs, kept + list(back), forward, back, pi, gone)
+                tried.add(key)
+                if _fits(g, back, ()):
+                    forward = Move(kind, tuple(at[x] for x in shape.vertices),
+                                   tuple(gains[x] for x in shape.gains), back)
+                    yield Reduction(forward, gone, back, (v,))
 
 
 def _cliques(
     g: GainGraph, k: int
-) -> Iterator[tuple[tuple[int, ...], list[int], list[Edge], list[Edge]]]:
+) -> Iterator[tuple[tuple[int, ...], dict[int, int], list[Edge], list[Edge]]]:
     """Each k-set of vertices whose pairs are all joined, in
     combinations(range(g.n), k) order: a set grows only by a later neighbour
     of its last vertex that is joined to all the others.  For each set, every
     switching (its first vertex +1: a global flip is moot) under which each
-    pair has a gain-1 edge is yielded as (the set, signs on g's vertices, one
+    pair has a gain-1 edge is yielded as (the set, its vertices' signs, one
     such edge per pair, the set's induced edges in edge order)."""
     joined: dict[tuple[int, int], list[Edge]] = {}
     for e in g.edges:
@@ -474,7 +434,7 @@ def _cliques(
     later: dict[int, list[int]] = {}
     for u, v in joined:  # in edge order, so each list ascends
         later.setdefault(u, []).append(v)
-    sets = [(v,) for v in range(g.n)]
+    sets = [(v,) for v in later]
     for _ in range(k - 1):
         sets = [s + (v,) for s in sets for v in later.get(s[-1], ())
                 if all((u, v) in joined for u in s[:-1])]
@@ -487,98 +447,95 @@ def _cliques(
             chosen = [e for u, v in pairs for e in joined[(u, v)]
                       if e.gain == local[u] * local[v]]
             if len(chosen) == len(pairs):
-                yield s, [local.get(v, 1) for v in range(g.n)], chosen, induced
+                yield s, local, chosen, induced
 
 
-def _k4_contractions(g: GainGraph) -> Iterator[Optional[Reduction]]:
-    """Contract each balanced K4 that induces at most one extra edge."""
-    for quad, signs, chosen, induced in _cliques(g, 4):
+def _image(e: Edge, local: dict[int, int], absorb: int, keep: int) -> Edge:
+    """e under a clique's switching, with absorb sent to keep."""
+    u, v = (keep if x == absorb else x for x in e[:2])
+    return edge(u, v, e.gain if e.is_loop() else e.gain * local.get(e.u, 1) * local.get(e.v, 1))
+
+
+def _k4_contractions(g: GainGraph) -> Iterator[Reduction]:
+    """Contract each balanced K4 that induces at most one extra edge into
+    the fresh vertex g.n, which becomes a loop there."""
+    merged = g.n
+    for quad, local, chosen, induced in _cliques(g, 4):
         extra = [e for e in induced if e not in chosen]
         if len(extra) > 1:
             continue
-        # Outside vertices first (order kept), quad last; `to` sends the quad
-        # to merged, the contracted vertex of the reduced graph.
-        outside = [u for u in range(g.n) if u not in quad]
-        pi = [0] * g.n
-        for i, u in enumerate(outside + list(quad)):
-            pi[u] = i
-        merged = len(outside)
-        to = [min(i, merged) for i in pi]
-        reduced_edges, attach, gone = [], [], []
-        for e in g.edges:
-            low, high = sorted((pi[e.u], pi[e.v]))
-            if high >= merged:
-                gone.append(e)
-            if low >= merged:
-                continue  # a K4 edge, or the extra edge
-            image = map_edge(e, to, signs)
-            reduced_edges.append(image)
-            if high >= merged:
-                attach.append((image, high - merged))
-        loop_attach = None
-        for xe in extra:  # it becomes a loop at merged
-            loop_attach = (pi[xe.u] - merged, pi[xe.v] - merged)
-            reduced_edges.append(map_edge(xe, to, signs))
-        forward = Move("VertexToK4", vertices=(merged,), attach=tuple(sorted(attach)),
-                       loop_attach=loop_attach)
-        new_edges = [e for e in reduced_edges if e.touches(merged)]
-        yield _try_reduction(g, signs, reduced_edges, forward, new_edges, pi, gone)
+        gone = sorted({e for q in quad for e in g.edges_at(q)})
+        attach = [(_image(e, local, q, merged), quad.index(q))
+                  for e in gone for q in e[:2] if q in quad and e.other(q) not in quad]
+        added = [image for image, _ in attach]
+        loop_attach = next(((quad.index(xe.u), quad.index(xe.v)) for xe in extra), None)
+        added += [Edge(merged, merged, _image(xe, local, xe.u, xe.v).gain) for xe in extra]
+        flipped = tuple(q for q in quad if local[q] < 0)
+        if _fits(g, added, flipped):
+            forward = Move("VertexToK4", vertices=(merged,), attach=tuple(sorted(attach)),
+                           loop_attach=loop_attach)
+            yield Reduction(forward, tuple(gone), tuple(added), quad, flipped)
 
 
-def _triangle_contractions(g: GainGraph) -> Iterator[Optional[Reduction]]:
+def _triangle_contractions(g: GainGraph) -> Iterator[Reduction]:
     """Reverse vertex splits: contract a gain-1 edge of a balanced triangle,
     merging `absorb` into `keep`; the triangle's gain-1 edge at keep that
     stays becomes the split's v2_edge."""
-    for tri, signs, chosen, _ in _cliques(g, 3):
+    for tri, local, chosen, _ in _cliques(g, 3):
+        flipped = tuple(v for v in tri if local[v] < 0)
         for pair in combinations(tri, 2):
             for keep, absorb in (pair, pair[::-1]):
-                yield _triangle_contraction(g, keep, absorb, signs, chosen)
+                gone = g.edges_at(absorb)
+                added = [_image(e, local, absorb, keep) for e in gone if e not in chosen]
+                # a parallel keep-absorb edge would contract to a loop
+                if any(e.other(absorb) == keep and e not in chosen for e in gone):
+                    continue
+                if not _fits(g, added, flipped):
+                    continue
+                (v2_edge,) = [_image(e, local, absorb, keep)
+                              for e in chosen if not e.touches(absorb)]
+                forward = Move("VertexSplit", vertices=(keep,), v2_edge=v2_edge,
+                               moved=tuple(sorted(e for e in added if not e.is_loop())),
+                               move_loop=g.loop_at(absorb) is not None)
+                yield Reduction(forward, tuple(gone), tuple(added), (absorb,), flipped)
 
 
-def _triangle_contraction(
-    g: GainGraph, keep: int, absorb: int, signs: list[int], chosen: list[Edge]
-) -> Optional[Reduction]:
-    pi = _vertex_last_perm(g.n, absorb)
-    to = list(pi)
-    to[absorb] = pi[keep]
-    reduced_edges, new_edges = [], []
-    for e in g.edges:
-        if e.touches(absorb) and e in chosen:
-            continue
-        image = map_edge(e, to, signs)
-        if image.is_loop() and not e.is_loop():
-            return None  # a parallel keep-absorb edge would contract to a loop
-        reduced_edges.append(image)
-        if e.touches(absorb):
-            new_edges.append(image)
-    moved = [e for e in new_edges if not e.is_loop()]
-    (v2_edge,) = [map_edge(e, to, signs) for e in chosen if not e.touches(absorb)]
-    forward = Move("VertexSplit", vertices=(pi[keep],), v2_edge=v2_edge,
-                   moved=tuple(sorted(moved)), move_loop=g.loop_at(absorb) is not None)
-    # Loops at both keep and absorb give a repeated loop: no valid graph.
-    return _try_reduction(g, signs, reduced_edges, forward, new_edges, pi, g.edges_at(absorb))
-
-
-def enumerate_reductions(
-    g: GainGraph, kinds: Optional[Sequence[str]] = None
-) -> Iterator[Reduction]:
-    """All well-formed reduction candidates, deterministically ordered:
-    vertices ascending by (degree, id) for the vertex-deletion reverses, then
-    K4 contractions, then triangle contractions (reverse splits)."""
+def enumerate_reductions(g: GainGraph, kinds: Optional[Sequence[str]] = None,
+                         order: Optional[Iterable[tuple[int, int]]] = None) -> Iterator[Reduction]:
+    """All well-formed reduction candidates of g, on g's ids,
+    deterministically ordered: the vertex-deletion reverses at each vertex
+    of ``order``, its (degree, vertex) pairs ascending (by default every
+    vertex of g), then K4 contractions, then triangle contractions (reverse
+    splits).  A vertex whose edge count no allowed shape takes is skipped."""
     allowed = set(kinds) if kinds is not None else set(ALL_KINDS)
-    order = sorted(range(g.n), key=g.degrees.__getitem__)  # stable: by (degree, id)
-    found = [chain.from_iterable(_vertex_deletion_candidates(g, v, allowed) for v in order)]
+    sizes = {len(s.added) for k, s in H_SHAPES.items() if k in allowed}
+    top = max(sizes, default=-1) + 1  # a loop counts 2 in a degree but is one edge
+    for d, v in sorted((d, v) for v, d in enumerate(g.degrees)) if order is None else order:
+        if d > top:
+            break
+        if d - g.has_edge(Edge(v, v, -1)) in sizes:
+            yield from _vertex_deletion_candidates(g, v, allowed)
     if "VertexToK4" in allowed:
-        found.append(_k4_contractions(g))
+        yield from _k4_contractions(g)
     if "VertexSplit" in allowed:
-        found.append(_triangle_contractions(g))
-    for candidates in found:
-        yield from filter(None, candidates)
+        yield from _triangle_contractions(g)
+
+
+def apply_reduction(g: GainGraph, r: Reduction) -> GainGraph:
+    """The graph r reduces g to, on g's ids: r's dropped vertices stay as
+    isolated dead ids and a K4 contraction's merged vertex is g.n.  g's
+    edges at r's flipped vertices are switched (those r does not delete,
+    with one end flipped), and the edges are spliced (GainGraph.spliced)."""
+    switched = [e for v in r.flipped for e in g.edges_at(v)
+                if e not in r.deleted and (e.u in r.flipped) != (e.v in r.flipped)]
+    return g.spliced(g.n + (r.forward.kind == "VertexToK4"), r.deleted + tuple(switched),
+                     r.added + tuple(Edge(e.u, e.v, -e.gain) for e in switched))
 
 
 def is_admissible(r: Reduction, carried: Partition) -> bool:
-    """Whether every component of r.reduced is tight.  carried is the
-    Partition of the graph r reduces; r's delta (its deleted and new edges
-    and its relabel+switch) edits it in place into r.reduced's if so, and
-    it is left as it was if not (Partition.step)."""
-    return carried.step(r.reduced, r.deleted, r.new_edges, r.pi, r.signs)
+    """Whether every component of the graph r reduces to is tight.  carried
+    is the Partition of the graph r reduces, on its ids; r's delta edits it
+    in place into apply_reduction's graph's if so, and it is left as it was
+    if not (Partition.step)."""
+    return carried.step(len(carried.ids) + (r.forward.kind == "VertexToK4"), r.deleted, r.added,
+                        flipped=r.flipped, dropped=r.dropped)

@@ -23,12 +23,13 @@ some component C of S breaks its own count: the witness, over its own
 bound but not always the smallest.  A move or a reduction changes
 a few edges of a tight graph, so one Partition lives through a whole
 construction or decomposition (Partition.step): on stable vertex ids, as
-a step's relabelling and switching rewrite only an id map; edited by the
-step's delta, a tree edge's removal searching the two halves in lockstep
-and relabelling the smaller (Even and Shiloach 1981); and rolled back
-when the next graph is not tight.  All its components are tight iff
-|E| = k|V| (m = 0), or iff the graphic forests have the same trees
-(m = k), compared where the step moved vertices between trees.
+a renaming step rewrites only an id map and a switching only its
+vertices' signs; edited by the step's delta, a tree edge's removal
+searching the two halves in lockstep and relabelling the smaller (Even
+and Shiloach 1981); and rolled back when the next graph is not tight.
+All its components are tight iff |E| = k|V| on the live vertices (m = 0),
+or iff the graphic forests have the same trees (m = k), compared where
+the step moved vertices between trees.
 
 SparsityParams rejects every count with l != k: in a normed space that is
 not Euclidean the only trivial motions are translations, so every count the
@@ -37,7 +38,6 @@ paper derives has l = k.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, count, permutations
 from typing import Iterable, Optional, Sequence
@@ -288,7 +288,8 @@ class Partition:
     tight_partition builds one for a first graph; step edits it by each
     step's delta.  The sides hold the images of the current graph's edges on
     stable vertex ids under ``ids`` and ``flips`` (map_edge): a deleted or
-    merged vertex leaves a dead id, a created one takes a fresh one.  A
+    merged vertex leaves a dead id, a created one takes a fresh one, and
+    ``live`` counts the current graph's vertices that are not dead ids.  A
     rejected step is undone from ``before``, each moved edge's first side."""
 
     def __init__(self, n: int, p: SparsityParams) -> None:
@@ -297,7 +298,7 @@ class Partition:
         self.side: dict[Edge, int] = {}
         self.relabelled: list[int] = []  # graphic sides' vertices that changed trees this step
         self.forests = [Forest(n, frame, None if frame else self.relabelled) for frame in self.frames]
-        self.ids, self.flips = list(range(n)), [1] * n
+        self.ids, self.flips, self.live = list(range(n)), [1] * n, n
         self.before: dict[Edge, Optional[int]] = {}
 
     def insert(self, y: Edge) -> Optional[list[Edge]]:
@@ -339,51 +340,60 @@ class Partition:
                 self.side[x] = i
                 self.forests[i].add(x)
 
-    def step(self, g: GainGraph, deleted: Sequence[Edge], added: Sequence[Edge],
-             pi: Optional[Sequence[int]] = None, signs: Optional[Sequence[int]] = None) -> bool:
+    def step(self, n: int, deleted: Sequence[Edge], added: Sequence[Edge],
+             pi: Optional[Sequence[int]] = None, flipped: Sequence[int] = (),
+             dropped: Sequence[int] = ()) -> bool:
         """Edit this partition of a graph with all components tight into that
-        of g, the next graph, if all of g's are; else undo it, return False.
-        ``deleted``: the edges g lacks; ``added``: g's edges that are not
-        images of current ones; pi sends vertex a to g's vertex pi[a],
-        switched by signs[a], or deletes it if pi[a] >= g.n (default: no
-        change), the kept ones onto g's first vertices; g's others are
-        created.  Only a relabelling step costs O(n), to rewrite the id map."""
-        ids, flips, n = self.ids, self.flips, len(self.ids)
+        of the next graph, on n vertices, if all of its are; else undo it,
+        return False.  ``deleted``: the edges the next graph lacks;
+        ``added``: its edges that are not images of current ones; vertices
+        past the current ones are created.  pi renames: vertex a becomes
+        pi[a], or is deleted if pi[a] >= n, the kept ones onto the first
+        vertices.  Without pi, the ``flipped`` vertices are switched and the
+        ``dropped`` ones stay as isolated dead ids.  Only a renaming step
+        costs O(n), to rewrite the id map."""
+        ids, flips, old_n = self.ids, self.flips, len(self.ids)
         self.before = {}
         self.relabelled.clear()
         gone = [map_edge(e, ids, flips) for e in deleted]
         invariant(all(x in self.side for x in gone), "a deleted edge is not on a side")
         self._move([(x, None) for x in gone])
+        invariant(not any(f.at[ids[v]] for f in self.forests for v in dropped),
+                  "a dropped vertex keeps an edge")
         if pi is not None:  # old[x] is the vertex that becomes x
-            old = sorted((a for a in range(n) if pi[a] < g.n), key=pi.__getitem__)
-            self.ids = [ids[a] for a in old]
-            self.flips = [flips[a] * (signs[a] if signs else 1) for a in old]
-        for _ in range(len(self.ids), g.n):
+            old = sorted((a for a in range(old_n) if pi[a] < n), key=pi.__getitem__)
+            self.ids, self.flips = [ids[a] for a in old], [flips[a] for a in old]
+        for v in flipped:
+            flips[v] = -flips[v]
+        for _ in range(len(self.ids), n):
             self.ids.append(len(self.forests[0].at))
             self.flips.append(1)
             for f in self.forests:
                 f.grow()
-        for e in added:
-            i = bisect_left(g.edges, e)
-            invariant(g.edges[i:i + 1] == (e,), "an added edge is not in the next graph")
-        ok = all(self.insert(map_edge(e, self.ids, self.flips)) is None for e in added)
+        images = [map_edge(e, self.ids, self.flips) for e in added]
+        invariant(len(set(images)) == len(images) and not any(x in self.side for x in images),
+                  "an added edge is already in the graph")
+        live = n if pi is not None else self.live + n - old_n - len(dropped)
+        ok = all(self.insert(x) is None for x in images) and self._tight(live)
         if ok:
-            invariant(len(self.side) == len(g.edges), "the partition's edges are not the next graph's")
-            ok = self._tight(g.n)
-        if not ok:
+            self.live = live
+        else:
             self._move([(x, a) for x, a in self.before.items() if self.side.get(x) != a])
+            for v in flipped:
+                flips[v] = -flips[v]
             self.ids, self.flips = ids, flips
-            del ids[n:], flips[n:]
+            del ids[old_n:], flips[old_n:]
         return ok
 
-    def _tight(self, n: int) -> bool:
-        """Whether each component of the sparse graph held, on n vertices, is
-        tight (see the module docstring): for m = k, each side's edges lie in
-        the others' trees, looked at only where vertices changed trees."""
+    def _tight(self, live: int) -> bool:
+        """Whether each component of the sparse graph held, on ``live``
+        vertices besides any dead ids, is tight (see the module docstring):
+        for m = k, each side's edges lie in the others' trees, looked at
+        only where vertices changed trees."""
         if 0 < self.p.m < self.p.k:
             raise ValueError(f"counts {self.p.as_tuple()}: tightness is decided for m = 0 or k")
         if not self.p.m:
-            return len(self.side) == self.p.k * n
+            return len(self.side) == self.p.k * live
         moved = set(self.relabelled)
         return all(f.root[x.u] == f.root[x.v] for f, h in permutations(self.forests, 2)
                    for v in moved for x in h.at[v])

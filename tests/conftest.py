@@ -10,7 +10,9 @@ from math import lcm
 import pytest
 
 from gainrig.graph import GainGraph, edge
+from gainrig.iso import apply_iso
 from gainrig.linalg import matrix_rank
+from gainrig.moves import apply_move, apply_reduction
 
 
 def random_gain_graph(
@@ -37,6 +39,27 @@ def dense_rank(rows) -> int:
         mult = lcm(*(Fraction(x).denominator for x in row))
         sparse.append({c: int(x * mult) for c, x in enumerate(row) if x})
     return matrix_rank(sparse, len(rows[0]) if rows else 0)
+
+
+def reduced_graph(g: GainGraph, r) -> GainGraph:
+    """The graph r reduces g to (apply_reduction, on g's ids) with its live
+    vertices renamed 0, 1, ... in order: r's dropped ids are left out."""
+    h = apply_reduction(g, r)
+    return h.subgraph([v for v in range(h.n) if v not in r.dropped])
+
+
+def rebuilds(g: GainGraph, r) -> bool:
+    """Whether r's forward move re-creates g from apply_reduction(g, r): it
+    appends its vertices last, so each id r dropped swaps with the one
+    created in its place, and r's switching is undone; the graph then holds
+    g's edges and, at its other ids, isolated vertices."""
+    back = apply_move(apply_reduction(g, r), r.forward)
+    pi, signs = list(range(back.n)), [1] * back.n
+    for i, d in enumerate(r.dropped, back.n - len(r.dropped)):
+        pi[d], pi[i] = i, d
+    for v in r.flipped:
+        signs[v] = -1
+    return apply_iso(GainGraph(back.n, g.edges), pi, signs) == back
 
 
 @pytest.fixture

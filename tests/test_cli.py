@@ -87,6 +87,14 @@ def test_roundtrip_command(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_decompose_empty_graph(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    save_json(str(path), {"n": 0, "edges": []})
+    assert main(["decompose", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["initial"] == [] and out["steps"] == []
+
+
 def test_decompose_non_tight_fails(tmp_path, capsys):
     path = tmp_path / "sparse.json"
     save_json(str(path), {"n": 2, "edges": [[0, 1, 1]]})

@@ -15,9 +15,11 @@ from gainrig.construct import (
     decompose,
     random_tight,
 )
-from gainrig.graph import GainGraph, InvariantViolation
+from gainrig.graph import Edge, GainGraph, InvariantViolation
 from gainrig.iso import apply_iso, are_isomorphic
-from gainrig.moves import KINDS_222, Move, MoveError, apply_move, enumerate_reductions, is_admissible
+from gainrig.moves import (
+    KINDS_222, Move, MoveError, apply_delta, apply_move, apply_reduction, enumerate_reductions, is_admissible,
+)
 from gainrig.sparsity import Partition, check_tight, tight_partition
 
 from conftest import assert_partition, two_base_union
@@ -46,6 +48,17 @@ def test_construct_rejects_wrong_kind_for_222():
 def test_decompose_requires_tight():
     with pytest.raises(NotTight):
         decompose(GainGraph.from_triples(2, [[0, 1, 1]]), PARAMS_220)
+
+
+def test_decompose_empty_graph():
+    # the empty graph is (2,2,0)-tight, built by the empty sequence; it is
+    # two edges short of (2,2,2)-tight
+    empty = GainGraph(0, ())
+    seq, pi, signs = decompose(empty, PARAMS_220)
+    assert (seq, pi, signs) == (ConstructionSequence(PARAMS_220, (), ()), (), ())
+    assert construct(seq, verify=True) == empty
+    with pytest.raises(NotTight):
+        decompose(empty, PARAMS_222)
 
 
 def test_decompose_base_is_empty_sequence():
@@ -164,8 +177,8 @@ def test_construct_carries_a_partition_of_every_graph(p, monkeypatch):
     # leaves it, since the next step edits it again
     seqs = [decompose(random_tight(12, p, seed), p)[0] for seed in range(6)]
     seqs += [decompose(two_base_union(random.Random(n), n, p), p)[0] for n in (12, 20)]
-    checked = []
-    real_step = Partition.step
+    checked, built = [], []
+    real_step, real_apply = Partition.step, apply_delta
 
     def first(g, params):
         part = tight_partition(g, params)
@@ -173,14 +186,19 @@ def test_construct_carries_a_partition_of_every_graph(p, monkeypatch):
         checked.append(g)
         return part
 
-    def step(part, g, *delta):
-        assert real_step(part, g, *delta)
-        assert_partition(g, part, p)
-        checked.append(g)
+    def apply(*args):
+        built.append(real_apply(*args))
+        return built[-1]
+
+    def step(part, n, *delta):
+        assert real_step(part, n, *delta)
+        assert_partition(built[-1], part, p)
+        checked.append(built[-1])
         return True
 
-    # gainrig.construct names the function, so take the module itself.
+    # gainrig.construct names the functions, so take the module itself.
     monkeypatch.setattr(sys.modules["gainrig.construct"], "tight_partition", first)
+    monkeypatch.setattr(sys.modules["gainrig.construct"], "apply_delta", apply)
     monkeypatch.setattr(Partition, "step", step)
     kinds = set()
     for seq in seqs:
@@ -203,16 +221,18 @@ def test_tree_size_gate_skips_no_match(p):
     graphs += [two_base_union(random.Random(n), n, p) for n in (8, 16)]
     skipped = steps = 0
     for g in graphs:
-        part, cur = tight_partition(g, p), g
+        part, cur, dead = tight_partition(g, p), g, set()
         while True:
-            ungated = all(is_base_graph(cur.subgraph(c), p) is not None for c in cur.components())
-            gated = max(part.forests[0].size.values()) > largest
+            live = [c for c in cur.components() if c[0] not in dead]
+            ungated = all(is_base_graph(cur.subgraph(c), p) is not None for c in live)
+            gated = any(max(f.size.values()) > largest for f in part.forests)
             assert not (gated and ungated)
-            assert (_match_components(cur, p, largest, part) is not None) == ungated
+            assert (_match_components(cur, p, largest, part, dead) is not None) == ungated
             skipped, steps = skipped + gated, steps + 1
             if ungated:
                 break
-            cur = next(r for r in enumerate_reductions(cur, kinds) if is_admissible(r, part)).reduced
+            r = next(r for r in enumerate_reductions(cur, kinds) if is_admissible(r, part))
+            cur, dead = apply_reduction(cur, r), dead | set(r.dropped)
     assert 0 < skipped < steps
 
 
@@ -227,17 +247,67 @@ def test_replay_catches_one_corrupted_step(corrupt, monkeypatch):
     corrupted = []
 
     def translate(mv, pi, signs):
-        mv2, ext_pi, ext_signs = real(mv, pi, signs)
+        mv2, sign = real(mv, pi, signs)
         if mv2.kind == "H1a" and not corrupted:
             a, b = mv2.vertices
             if corrupt == "gain":
                 mv2 = replace(mv2, gains=(-mv2.gains[0], mv2.gains[1]))
             else:
-                mv2 = replace(mv2, vertices=(a, next(x for x in range(len(pi)) if x not in (a, b))))
+                mv2 = replace(mv2, vertices=(a, next(x for x in range(max(pi)) if x not in (a, b))))
             corrupted.append(mv2)
-        return mv2, ext_pi, ext_signs
+        return mv2, sign
 
     monkeypatch.setattr(sys.modules["gainrig.construct"], "translate_move", translate)
     with pytest.raises(InvariantViolation, match="replay of H1a diverged"):
         decompose(g, PARAMS_220)
     assert corrupted
+
+
+@pytest.mark.parametrize("p", [PARAMS_220, PARAMS_222], ids=["220", "222"])
+def test_reduction_steps_build_only_their_delta(p, monkeypatch):
+    # within decompose's reduction steps (the candidate search, the carried
+    # admissibility test and the splice of the accepted reduced graph) no
+    # graph is validated as a whole, and the edges built per step average
+    # under the same constant at n = 100 and at n = 400: each candidate is
+    # checked by its added edges alone
+    module = sys.modules["gainrig.construct"]
+    inside, built, post = [False], [0], [0]
+    real_new, real_post = Edge.__new__, GainGraph.__post_init__
+
+    def new(cls, *args):
+        built[0] += inside[0]
+        return real_new(cls, *args)
+
+    def post_init(g):
+        post[0] += inside[0]
+        real_post(g)
+
+    def within(fn):
+        def call(*args):
+            inside[0] = True
+            try:
+                return fn(*args)
+            finally:
+                inside[0] = False
+        return call
+
+    real_search = module.enumerate_reductions
+
+    def search(*args):
+        found = real_search(*args)
+        while (r := within(next)(found, None)) is not None:
+            yield r
+
+    steps = []
+    monkeypatch.setattr(Edge, "__new__", new)
+    monkeypatch.setattr(GainGraph, "__post_init__", post_init)
+    monkeypatch.setattr(module, "enumerate_reductions", search)
+    monkeypatch.setattr(module, "is_admissible", within(module.is_admissible))
+    monkeypatch.setattr(module, "apply_reduction", lambda *args: steps.append(1) or within(apply_reduction)(*args))
+    for n in (100, 400):
+        for seed in range(2):
+            g = two_base_union(random.Random(seed), n, p)
+            built[0], steps[:] = 0, []
+            decompose(g, p)
+            assert post[0] == 0
+            assert len(steps) >= n - 6 and built[0] <= 8 * len(steps), (n, seed, built[0])

@@ -202,3 +202,25 @@ def test_signed_components_match_brute_force(case):
         assert sign[verts[0]] == 1
         if not unbalanced:
             assert all(e.gain == sign[e.u] * sign[e.v] for e in es)
+
+
+def test_spliced_carries_the_index_and_degrees(rng):
+    # a chain of splices, each on a delta whose result is a valid graph on
+    # one more vertex at most, equals the graph built from scratch, with the
+    # edge index and degrees a fresh build reads, and leaves its parent's
+    # index as it was
+    g = random_gain_graph(rng, max_n=7, max_edges=14)
+    for _ in range(200):
+        n = g.n + (rng.random() < 0.2)
+        universe = [edge(u, v, s) for u in range(n) for v in range(u, n) for s in (1, -1)
+                    if u != v or s == -1]
+        deleted = rng.sample(g.edges, rng.randint(0, min(3, len(g.edges))))
+        free = [e for e in universe if e not in g.edges]
+        added = rng.sample(free, rng.randint(0, min(3, len(free))))
+        before = {v: list(es) for v, es in g._incident.items()}
+        h = g.spliced(n, deleted, added)
+        want = GainGraph(n, tuple(e for e in g.edges if e not in deleted) + tuple(added))
+        assert h == want and h.degrees == want.degrees
+        assert {v: es for v, es in h._incident.items() if es} == want._incident
+        assert g._incident == before
+        g = h

@@ -6,7 +6,6 @@ from gainrig.graph import GainGraph
 from gainrig.iso import (
     apply_iso,
     are_isomorphic,
-    compose_iso,
     isomorphism,
     map_edge,
 )
@@ -30,17 +29,6 @@ def test_isomorphism_finds_random_copies(seed):
     found = isomorphism(g, h)
     assert found is not None
     assert apply_iso(g, *found) == h
-
-
-@given(st.integers(0, 2**30))
-def test_compose_iso(seed):
-    # g -> h -> k in two steps equals the composite in one
-    rng = random.Random(seed)
-    g = random_gain_graph(rng)
-    pi1, signs1 = _random_iso(rng, g.n)
-    pi2, signs2 = _random_iso(rng, g.n)
-    k = apply_iso(apply_iso(g, pi1, signs1), pi2, signs2)
-    assert apply_iso(g, *compose_iso(pi1, signs1, pi2, signs2)) == k
 
 
 def test_map_edge_consistency(rng):

@@ -16,13 +16,14 @@ from gainrig.moves import (
     Move,
     MoveError,
     apply_move,
+    apply_reduction,
     enumerate_reductions,
     is_admissible,
     translate_move,
 )
 from gainrig.sparsity import check_tight, tight_partition
 
-from conftest import assert_partition, random_gain_graph, two_base_union
+from conftest import assert_partition, random_gain_graph, rebuilds, reduced_graph, two_base_union
 
 
 BASE_A = BASE_CATALOG["a"]
@@ -102,10 +103,11 @@ def test_vertex_split_moves_edges():
 
 
 def test_reductions_replay_exactly(rng):
-    # enumerate_reductions checks only that the reduced graph is valid, so
-    # every candidate's forward move must rebuild the input exactly: on
-    # grown graphs in both regimes, and on two-base unions, with K4 and
-    # split candidates among them
+    # enumerate_reductions checks only that the reduced graph is valid, from
+    # its added edges, so every candidate's reduced graph must pass a whole
+    # build and its forward move must rebuild the input exactly: on grown
+    # graphs in both regimes, and on two-base unions, with K4 and split
+    # candidates among them
     graphs = [
         grow(random.choice(list(BASE_CATALOG.values())), rng, rng.randrange(3))
         for _ in range(60)
@@ -118,28 +120,11 @@ def test_reductions_replay_exactly(rng):
     kinds = set()
     for g in graphs:
         for r in enumerate_reductions(g):
-            assert apply_iso(g, r.pi, r.signs) == apply_move(r.reduced, r.forward)
+            h = apply_reduction(g, r)
+            assert GainGraph(h.n, h.edges).edges == h.edges
+            assert rebuilds(g, r)
             kinds.add(r.forward.kind)
     assert kinds == set(ALL_KINDS)
-
-
-def test_vertex_deletion_drops_a_restored_repeat_unbuilt(monkeypatch):
-    # A reverse H move whose restored edge repeats a kept edge is dropped
-    # before a reduced graph is built; only the contractions, whose merged
-    # images can coincide, leave such repeats to the graph's validation.
-    distinct = []
-    real = moves._try_reduction
-
-    def spy(g, signs, reduced_edges, forward, *rest):
-        if forward.kind in H_SHAPES:
-            distinct.append(len(set(reduced_edges)) == len(reduced_edges))
-        return real(g, signs, reduced_edges, forward, *rest)
-
-    monkeypatch.setattr(moves, "_try_reduction", spy)
-    for p in (PARAMS_220, PARAMS_222):
-        for seed in range(3):
-            list(enumerate_reductions(random_tight(12, p, seed)))
-    assert distinct and all(distinct)
 
 
 def test_admissible_matches_full_recheck(rng):
@@ -148,7 +133,7 @@ def test_admissible_matches_full_recheck(rng):
         part = tight_partition(g, PARAMS_220)
         for r in enumerate_reductions(g):
             accepted = is_admissible(r, part)
-            assert accepted == check_tight(r.reduced, PARAMS_220)
+            assert accepted == check_tight(reduced_graph(g, r), PARAMS_220)
             if accepted:  # part is now r.reduced's: start g's afresh
                 part = tight_partition(g, PARAMS_220)
 
@@ -175,9 +160,9 @@ def test_carried_verdict_matches_full_recheck(p):
         for r in enumerate_reductions(g, kinds):
             accepted = is_admissible(r, part)
             verdicts.add(accepted)
-            assert accepted == check_tight(r.reduced, p)
-            if accepted:
-                assert_partition(r.reduced, part, p)
+            assert accepted == check_tight(reduced_graph(g, r), p)
+            if accepted:  # named on g's ids, r's dropped ones isolated
+                assert_partition(apply_reduction(g, r), part, p)
                 part = tight_partition(g, p)
             else:
                 assert_partition(g, part, p)
@@ -187,6 +172,20 @@ def test_carried_verdict_matches_full_recheck(p):
     assert seen == set(kinds)
     assert {"VertexToK4", "VertexSplit"} <= from_unions
     assert verdicts == {True, False}
+
+
+def extended(mv, pi, signs, sign):
+    """(pi, signs) extended across mv: each vertex mv creates goes to the
+    one its image creates at the same index, with the sign translate_move
+    gives, and under VertexToK4 the vertices after the replaced one shift
+    down by one on both sides."""
+    n = len(pi)
+    if mv.kind != "VertexToK4":
+        return pi + [n], signs + [sign]
+    (v,) = mv.vertices
+    kept = [u for u in range(n) if u != v]
+    return ([pi[u] - (pi[u] > pi[v]) for u in kept] + list(range(n - 1, n + 3)),
+            [signs[u] for u in kept] + [sign] * 4)
 
 
 def test_translate_and_extend_contract(rng):
@@ -205,7 +204,8 @@ def test_translate_and_extend_contract(rng):
             g2 = apply_move(g, mv)
         except MoveError:
             continue
-        mv2, pi2, s2 = translate_move(mv, pi, signs)
+        mv2, sign = translate_move(mv, pi, signs)
+        pi2, s2 = extended(mv, pi, signs, sign)
         assert apply_iso(g2, pi2, s2) == apply_move(h, mv2), mv.kind
         kinds.add(mv.kind)
         done += 1
@@ -230,8 +230,8 @@ def test_h_moves_preserve_tightness(rng):
 
 
 def test_every_h_move_is_undone_in_place(rng):
-    # reducing at the new vertex (the last, so pi is the identity) must give
-    # back the graph the move was applied to
+    # reducing at the new vertex (the last) must give back the graph the
+    # move was applied to, with the new vertex's id left isolated
     from gainrig.construct import random_tight
 
     graphs = [random_tight(n, PARAMS_220, seed) for n in range(2, 8) for seed in range(5)]
@@ -248,9 +248,8 @@ def test_every_h_move_is_undone_in_place(rng):
                 h = apply_move(g, mv)
             except MoveError:
                 continue
-            identity = tuple(range(h.n))
             assert any(
-                r.reduced == g and r.pi == identity
+                apply_reduction(h, r) == GainGraph(h.n, g.edges) and r.dropped == (h.n - 1,)
                 for r in enumerate_reductions(h, kinds=(kind,))
             ), (g.triples(), mv)
             done += 1
@@ -285,7 +284,7 @@ def test_balanced_k4_contracts_to_single_vertex():
         4, [[0, 1, 1], [0, 2, 1], [0, 3, 1], [1, 2, 1], [1, 3, 1], [2, 3, 1]]
     )
     rs = [r for r in enumerate_reductions(k4, kinds=("VertexToK4",))]
-    assert any(r.reduced == GainGraph(1, ()) for r in rs)
+    assert any(reduced_graph(k4, r) == GainGraph(1, ()) for r in rs)
 
 
 def scan_cliques(g, k):
@@ -302,7 +301,7 @@ def scan_cliques(g, k):
             chosen = [e for e in induced
                       if not e.is_loop() and e.gain == local[e.u] * local[e.v]]
             if len(chosen) == pairs:
-                yield s, [local.get(v, 1) for v in range(g.n)], chosen, induced
+                yield s, local, chosen, induced
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -324,14 +323,15 @@ def test_cliques_match_the_subset_scan(k):
 
 def test_k4_at_the_highest_indices_is_found_first():
     # a path on 0..195 with a balanced K4 on 196..199 hanging off its end:
-    # the subset scan passes about 6.5e7 quadruples before this one
+    # the subset scan passes about 6.5e7 quadruples before this one; the K4
+    # merges into the fresh id 200
     path = [[i, i + 1, 1] for i in range(195)] + [[195, 196, 1]]
     k4 = [[u, v, 1] for u, v in combinations(range(196, 200), 2)]
     g = GainGraph.from_triples(200, path + k4)
     r = next(enumerate_reductions(g, ["VertexToK4"]))
-    assert r.forward.vertices == (196,)
-    assert r.reduced == GainGraph.from_triples(197, [[i, i + 1, 1] for i in range(196)])
-    assert apply_iso(g, r.pi, r.signs) == apply_move(r.reduced, r.forward)
+    assert r.forward.vertices == (200,) and r.dropped == (196, 197, 198, 199)
+    assert reduced_graph(g, r) == GainGraph.from_triples(197, [[i, i + 1, 1] for i in range(196)])
+    assert rebuilds(g, r)
 
 
 def test_restricted_kind_filter():
@@ -399,10 +399,11 @@ def test_apply_delta_checks_only_the_added_edges(monkeypatch, rng):
 
 def test_reductions_keep_degree_order_and_skip_unfit_vertices(monkeypatch):
     # vertices in (degree, id) order, a loop counting 2, read from one edge
-    # pass; a vertex whose edge count no allowed shape takes is not relabelled
-    relabelled = []
-    real = moves._vertex_last_perm
-    monkeypatch.setattr(moves, "_vertex_last_perm", lambda n, v: relabelled.append(v) or real(n, v))
+    # pass; a vertex whose edge count no allowed shape takes is not searched
+    searched = []
+    real = moves._vertex_deletion_candidates
+    monkeypatch.setattr(moves, "_vertex_deletion_candidates",
+                        lambda g, v, kinds: searched.append(v) or real(g, v, kinds))
     # vertex 0 has four edges, a loop among them, and degree 5
     looped = GainGraph.from_triples(5, [(0, 0, -1), (0, 1, 1), (0, 2, 1), (0, 3, -1),
                                         (1, 2, 1), (2, 3, 1), (3, 4, 1), (1, 4, -1)])
@@ -411,11 +412,10 @@ def test_reductions_keep_degree_order_and_skip_unfit_vertices(monkeypatch):
         for g in [random_tight(20, p, seed=seed) for seed in range(4)] + [looped]:
             degree = [sum((e.u == v) + (e.v == v) for e in g.edges) for v in range(g.n)]
             assert g.degrees == degree
-            relabelled.clear()
+            searched.clear()
             found = list(enumerate_reductions(g, regime(p)[0]))
             order = [v for v in sorted(range(g.n), key=lambda v: (degree[v], v))
                      if len(g.edges_at(v)) in sizes]
-            # (the triangle contractions after them relabel too)
-            assert relabelled[:len(order)] == order
-            firsts = [r.pi.index(g.n - 1) for r in found if r.forward.kind in H_SHAPES]
+            assert searched == order
+            firsts = [r.dropped[0] for r in found if r.forward.kind in H_SHAPES]
             assert firsts == sorted(firsts, key=lambda v: (degree[v], v))

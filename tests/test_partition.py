@@ -100,7 +100,7 @@ def test_a_rejected_step_leaves_the_partition_as_it_was(p, monkeypatch):
             part, h, delta = steps.send(accepted)
         except StopIteration:
             break
-        accepted = attempt(part, lambda: part.step(h, *delta))
+        accepted = attempt(part, lambda: part.step(h.n, *delta))
     assert rejected and shifted
 
 
@@ -121,7 +121,7 @@ def test_component_rule_matches_a_whole_graph_count(p):
             part, h, delta = steps.send(accepted)
         except StopIteration:
             break
-        accepted = part.step(h, *delta)
+        accepted = part.step(h.n, *delta)
         assert accepted == (check_sparsity(h, p).passed and _components_tight(h, p))
         verdicts.add(accepted)
     assert verdicts == ({True} if p == PARAMS_220 else {True, False})
@@ -141,7 +141,7 @@ def test_sparse_steps_that_are_not_tight_are_rejected():
         part = tight_partition(g, p)
         state = _state(part)
         assert check_sparsity(h, p).passed and not _components_tight(h, p)
-        assert not part.step(h, *delta)
+        assert not part.step(h.n, *delta)
         _assert_state(part, state)
 
 

@@ -152,7 +152,7 @@ def _grown_sequence(p, seed, n=12, initial=None):
             h = apply_move(g, mv)
         except MoveError:
             continue
-        if part.step(h, *move_delta(g, mv)):
+        if part.step(h.n, *move_delta(g, mv)):
             g, steps = h, steps + [mv]
     return ConstructionSequence(p, initial, tuple(steps))
 

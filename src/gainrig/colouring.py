@@ -39,8 +39,8 @@ from .rigidity import Framework, FrameworkError
 
 def monochrome_quotients(fw: Framework) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
     """The quotient edges of colour 0 and of colour 1, in edge order, read
-    from fw's covector table once, or set by the placement step that built
-    fw, and kept with fw (Framework.classes)."""
+    from fw's covector table once, or grown from its parent's by the step
+    that built fw, and kept with fw (Framework.classes)."""
     if not isinstance(fw.norm, PolyhedralNorm):
         raise FrameworkError("colouring requires a quadrilateral norm")
     return fw.classes

@@ -66,11 +66,10 @@ def graph_from_dict(d: dict) -> GainGraph:
         edges = d["edges"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"graph needs 'n' and 'edges': {exc}") from exc
-    if not isinstance(n, int) or not isinstance(edges, list):
+    if not _is_int(n) or not isinstance(edges, list):
         raise FormatError("'n' must be an integer and 'edges' a list")
     for t in edges:
-        if not (isinstance(t, list) and len(t) == 3
-                and all(isinstance(c, int) for c in t)):
+        if not (isinstance(t, list) and len(t) == 3 and all(_is_int(c) for c in t)):
             raise FormatError(f"edge entries must be [u, v, gain]: {t!r}")
     return GainGraph.from_triples(n, edges)
 
@@ -206,7 +205,9 @@ def move_from_dict(d: dict) -> Move:
     loop_attach = None if d.get("loop_attach") is None else ints("loop_attach")
     if loop_attach is not None and len(loop_attach) != 2:
         raise FormatError(f"{kind} move: 'loop_attach' must be [i, j]")
-    v2_edge = d.get("v2_edge")
+    v2_edge, move_loop = d.get("v2_edge"), d.get("move_loop", False)
+    if not isinstance(move_loop, bool):
+        raise FormatError(f"{kind} move: 'move_loop' must be true or false, got {move_loop!r}")
     mv = Move(
         kind=kind,
         vertices=ints("vertices"),
@@ -216,7 +217,7 @@ def move_from_dict(d: dict) -> Move:
         loop_attach=loop_attach,
         v2_edge=None if v2_edge is None else _edge_from_list(v2_edge),
         moved=tuple(_edge_from_list(t) for t in items("moved")),
-        move_loop=bool(d.get("move_loop", False)),
+        move_loop=move_loop,
     )
     if any(gn not in (1, -1) for gn in mv.gains):
         raise FormatError(f"{kind} move: gains must be +1 or -1, got {list(mv.gains)}")

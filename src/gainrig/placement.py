@@ -59,22 +59,19 @@ and are re-verified on use; the i-th base of a union is scaled by
 
 A step carries its parent's state instead of rebuilding it: the covering
 set (Framework.covering: the new framework, grown from the parent, checks
-only its appended positions against it), the covector table
-(rigidity.carry_covectors, by the move's edge map, with the orbit rows of
-the edges a one-vertex step keeps), so each edge is coloured once, when
-created, and its row is built once; and the colour classes.  A one-vertex
-step takes its parent's class forests (Framework.forests, built from the
-parent's classes if it has none; the parent keeps none), edits them by its
-delta and hands them on to the child, whose classes it splices from the
-parent's, if the child's table was carried by name and gives each new edge
-its chosen colour.  Otherwise the child, like a vertex-to-K4 child, holds
-no forests and reads its classes from its table.
+only its appended positions against it) and, for a one-vertex step, the
+covector table, orbit rows and colour classes, each spliced by the step's
+delta (Framework.grow_tables), so each edge is coloured and its row built
+once.  Such a step also takes its parent's class forests (Framework.forests,
+built from the parent's classes if it has none; the parent keeps none),
+edits them by its delta and hands them on to the child if the child's new
+edges have the chosen colours.  A vertex-to-K4 child, whose edges are
+renamed, builds its tables fresh and holds no forests.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -93,7 +90,6 @@ from .rigidity import (
     FrameworkError,
     NotWellPositioned,
     analyse,
-    carry_covectors,
     orbit_rows,
 )
 from .sparsity import Forest
@@ -177,15 +173,13 @@ def _framework(g: GainGraph, positions: Sequence[Point], norm, what: str,
 
 
 def _accept(g: GainGraph, positions: Sequence[Point], norm, j: int, what: str,
-            parent: Optional[Framework] = None, pi: Optional[Sequence[int]] = None) -> Framework:
+            parent: Optional[Framework] = None) -> Framework:
     """The framework at positions if both oracles call it character-j
-    isostatic, else PlacementError naming `what`.  Its covering set and
-    covector table are carried over from `parent`, the framework the move
-    starts from, if given, through the move's renaming pi (moves.move_delta)."""
+    isostatic, else PlacementError naming `what`.  Its covering set is grown
+    from `parent`, the framework the move starts from, if given; its tables
+    are built fresh."""
     fw = _framework(g, positions, norm, what, parent)
-    if parent is not None:
-        carry_covectors(parent, fw, pi)
-    if not _verified(fw, j, parent):
+    if not _verified(fw, j):
         raise PlacementError(f"{what} failed verification for character {j}")
     return fw
 
@@ -296,15 +290,13 @@ def extend_placement(fw: Framework, mv: Move, j: int = 0) -> Framework:
     deleted, added, pi = move_delta(fw.graph, mv)
     h = apply_delta(fw.graph, deleted, added, pi)
     if pi is not None:
-        return _extend_k4(fw, mv, h, j, pi)
+        return _extend_k4(fw, mv, h, j)
     # One new vertex w, appended; old vertices keep their indices and old
     # edges their names.
     w, facets, colour, new = fw.graph.n, fw.norm.facets, fw.norm.colours, sorted(added)
-    forests, classes = fw.forests.pop(j, None) or _class_forests(fw, j), [list(c) for c in fw.classes]
+    forests = fw.forests.pop(j, None) or _class_forests(fw, j)
     for e in deleted:
-        c = colour[fw.covectors[e]]
-        forests[c].remove(e)
-        classes[c].remove(e)
+        forests[colour[fw.covectors[e]]].remove(e)
     for f in forests:
         f.grow()
     scale, ends = _scaled([(0, 0) if e.is_loop() else fw.positions[e.other(w)] for e in new])
@@ -319,18 +311,17 @@ def extend_placement(fw: Framework, mv: Move, j: int = 0) -> Framework:
             continue
         pt = _grid_point(box, facets, scale, lambda p: not any(p) or p in fw.covering,
                          len(fw.covering) + 2)
-        for e, c in zip(new, colours):
-            insort(classes[c], e)
         child = _framework(h, fw.positions + (pt,), fw.norm, mv.kind, fw)
-        if carry_covectors(fw, child) and all(colour[child.covectors[e]] == c for e, c in zip(new, colours)):
-            child.__dict__["classes"], child.forests[j] = tuple(map(tuple, classes)), forests
+        child.grow_tables(fw, deleted, new)  # cannot raise: pt is inside every new edge's cone
+        if all(colour[child.covectors[e]] == c for e, c in zip(new, colours)):
+            child.forests[j] = forests
         if not _verified(child, j, fw, deleted, new):
             raise PlacementError(f"{mv.kind} failed verification for character {j}")
         return child
     raise PlacementError(f"no region places the new vertex of {mv.kind} on {fw.graph.triples()}")
 
 
-def _extend_k4(fw: Framework, mv: Move, h: GainGraph, j: int, pi: Sequence[int]) -> Framework:
+def _extend_k4(fw: Framework, mv: Move, h: GainGraph, j: int) -> Framework:
     (v,) = mv.vertices
     pv, facets, edges = fw.positions[v], fw.norm.facets, fw.graph.edges_at(v)
     others = (fw.covering | {(0, 0)}) - {pv, (-pv[0], -pv[1])}
@@ -347,7 +338,7 @@ def _extend_k4(fw: Framework, mv: Move, h: GainGraph, j: int, pi: Sequence[int])
         t *= 2
     kept = [p for x, p in enumerate(fw.positions) if x != v]
     k4 = [(pv[0] + Fraction(x, t), pv[1] + Fraction(y, t)) for x, y in _K4_SHAPE]
-    return _accept(h, kept + k4, fw.norm, j, mv.kind, fw, pi)
+    return _accept(h, kept + k4, fw.norm, j, mv.kind, fw)
 
 
 def _bases_placement(ids: Sequence[str]) -> Framework:

@@ -17,30 +17,24 @@ which in the plane is +(-1)^j * phi on v for gain -1.  A plane loop row is
 (1 + (-1)^j) * phi: doubled for even j, zero for odd j.
 
 Framework.covectors is the single source of the support covector phi of
-each edge orbit: it is computed once per framework, on first use, and the
-orbit rows, well_positioned and the facet colouring (colouring.py) all
-read it.  A framework is well-positioned when the table exists; otherwise
-reading it raises NotWellPositioned naming the first edge whose direction
-has no unique support covector (under a PolyhedralNorm, read in integers
-at _direction, then again at edge_delta, whose Fractions an error names).
+each edge orbit (Framework.covector): it is computed once per framework, on
+first use, and the orbit rows, well_positioned and the facet colouring
+(colouring.py, through Framework.classes) all read it.  A framework is
+well-positioned when the table exists; otherwise reading it raises
+NotWellPositioned naming the first edge whose direction has no unique
+support covector (under a PolyhedralNorm, read in integers at _direction,
+then again at edge_delta, whose Fractions an error names).
 
-The entry of edge (u, v, gain) is a pure function of p_u, p_v, the gain and
-the norm.  So carry_covectors, given the framework before a move and the one
-it leads to under the same norm, reuses the old entry of every edge the move
-keeps, found by the move's own edge map: by name when the old positions are
-a prefix of the new (a one-vertex move), or through the move's renaming
-of the vertices (moves.move_delta, for vertex-to-K4) where both ends keep
-their positions.  It computes only the others: the new vertices' edges.
-The new framework keeps no reference to the old one.  Framework.classes keeps the
-facet colour classes read from the table (or set by the placement step
-that built the framework, see placement.py), for the colouring and the next
-placement step.
-
-An orbit row is a pure function of the edge, its covector and the
-character, so orbit_rows builds each once, sparse and in integers, and when
-carry_covectors reuses old's table by name it hands on old's rows of the
-kept edges too (renamed edges move columns: their rows are built again).
-analyse ranks the rows directly; orbit_matrix is their dense view.
+An edge's covector, colour and orbit row (orbit_rows: sparse, in integers,
+built once per character) are pure functions of the edge, its ends'
+positions, the norm and the character.  So a framework that follows
+another by one step whose positions it extends takes that one's tables
+(Framework.grow_tables): it copies the covector table, the rows of each
+character built and the colour classes, drops the deleted edges' entries
+and adds the new edges' own, so its kept rows are the other's objects.
+The tables are maps; every reader that needs an order reads in edge
+order: analyse, whose elimination's fill-in depends on it, orbit_matrix
+(the rows' dense view) and the classes when built fresh.
 
 A Framework also keeps its covering set, every rotation image of every
 position, which its constructor builds to check that covering positions
@@ -55,12 +49,13 @@ an LpNorm the dense matrix is ranked by SVD.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .graph import Edge, GainGraph, edge
+from .graph import Edge, GainGraph
 from .linalg import float_rank, matrix_rank
 from .norms import ConeBoundary, Norm, NormError, PolyhedralNorm, ZeroVector
 
@@ -131,21 +126,32 @@ class Framework:
             pv = _half_turn(pv)
         return tuple(a - b for a, b in zip(pu, pv))
 
+    def covector(self, e: Edge) -> tuple:
+        """The support covector of e; NotWellPositioned if it has none."""
+        direction = self._direction if isinstance(self.norm, PolyhedralNorm) else self.edge_delta
+        try:
+            try:
+                return self.norm.support_covector(direction(e))
+            except NormError:
+                return self.norm.support_covector(self.edge_delta(e))
+        except NormError as exc:
+            raise NotWellPositioned(f"edge {e.as_list()}: {exc}") from exc
+
     @cached_property
     def covectors(self) -> dict[Edge, tuple]:
-        """Support covector per edge orbit, computed once; raises
-        NotWellPositioned if some edge has none."""
-        return self._covector_table({})
+        """Support covector per edge orbit, computed once (or grown by
+        grow_tables); raises NotWellPositioned if some edge has none."""
+        return {e: self.covector(e) for e in self.graph.edges}
 
     @cached_property
     def classes(self) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
         """The edges whose covector is +-facets[0] (colour 0) and the others
-        (colour 1), in edge order: read from the table once and kept (unless
-        the placement step that built this framework set them), so the step
-        after this framework starts from them.  PolyhedralNorm only."""
+        (colour 1), in edge order: read from the table once and kept (or
+        grown by grow_tables).  PolyhedralNorm only."""
         parts: tuple[list[Edge], list[Edge]] = ([], [])
-        for e, phi in self.covectors.items():
-            parts[self.norm.colours[phi]].append(e)
+        table, colours = self.covectors, self.norm.colours
+        for e in self.graph.edges:
+            parts[colours[table[e]]].append(e)
         return tuple(parts[0]), tuple(parts[1])
 
     def _direction(self, e: Edge) -> tuple[int, int]:
@@ -155,23 +161,34 @@ class Framework:
         return ((xu.numerator * c - g * xv.numerator * a) * b * d,
                 (yu.numerator * d - g * yv.numerator * b) * a * c)
 
-    def _covector_table(self, carried: dict) -> dict[Edge, tuple]:
-        """The covector table, taking an edge's entry from carried where it
-        is not None."""
-        table, support = {}, self.norm.support_covector
-        direction = self._direction if isinstance(self.norm, PolyhedralNorm) else self.edge_delta
-        for e in self.graph.edges:
-            phi = carried.get(e)
-            if phi is None:
-                try:
-                    try:
-                        phi = support(direction(e))
-                    except NormError:
-                        phi = support(self.edge_delta(e))
-                except NormError as exc:
-                    raise NotWellPositioned(f"edge {e.as_list()}: {exc}") from exc
-            table[e] = phi
-        return table
+    def grow_tables(self, old: Framework, deleted: Sequence[Edge], added: Sequence[Edge]) -> None:
+        """Build this framework's tables from those of old, which it follows
+        by one step deleting `deleted` and adding `added` (see the module
+        docstring): old's covector table, its orbit rows of each character
+        built and, under a PolyhedralNorm, its colour classes, each less the
+        deleted edges' entries and plus the added edges' own.  Raises
+        NotWellPositioned if an added edge has no covector."""
+        if (old.norm, old.group_order) != (self.norm, self.group_order) \
+                or self.positions[:len(old.positions)] != old.positions:
+            raise FrameworkError("tables grow only from a framework whose positions are a prefix")
+        table = dict(old.covectors)
+        for e in deleted:
+            del table[e]
+        table.update((e, self.covector(e)) for e in added)
+        self.__dict__["covectors"] = table
+        for j, kept in old.rows.items():
+            rows, row = dict(kept), _row_of(self.norm, j)
+            for e in deleted:
+                del rows[e]
+            rows.update((e, row(e, table[e])) for e in added)
+            self.rows[j] = rows
+        if isinstance(self.norm, PolyhedralNorm):
+            classes, colours = [list(c) for c in old.classes], self.norm.colours
+            for e in deleted:
+                classes[colours[old.covectors[e]]].remove(e)
+            for e in added:
+                insort(classes[colours[table[e]]], e)
+            self.__dict__["classes"] = tuple(map(tuple, classes))
 
 
 def well_positioned(fw: Framework) -> bool:
@@ -180,33 +197,6 @@ def well_positioned(fw: Framework) -> bool:
     except NotWellPositioned:
         return False
     return True
-
-
-def carry_covectors(old: Framework, new: Framework, pi: Optional[Sequence[int]] = None) -> bool:
-    """Build new's covector table now, reusing old's entry for every edge
-    that keeps its name, or that pi carries into new (old vertex a is new
-    vertex pi[a], or is deleted if that is past new's last), and, for edges
-    that keep their name, the orbit rows old has built (see the module
-    docstring).  New keeps no reference to old.  Does nothing unless old is
-    well-positioned; if new is not, reading new.covectors raises as usual.
-    Whether new's table was built, each edge that keeps its name taking old's entry."""
-    if new.norm != old.norm or not well_positioned(old):
-        return False
-    if pi is None:
-        carried = old.covectors if new.positions[:len(old.positions)] == old.positions else {}
-    else:
-        carried = {edge(pi[e.u], pi[e.v], e.gain): phi for e, phi in old.covectors.items()
-                   if max(pi[e.u], pi[e.v]) < len(new.positions)
-                   and (new.positions[pi[e.u]], new.positions[pi[e.v]]) == (old.positions[e.u], old.positions[e.v])}
-    try:
-        new.__dict__["covectors"] = new._covector_table(carried)
-    except NotWellPositioned:
-        return False
-    if carried is old.covectors and new.group_order == old.group_order:
-        # same names, same columns: same rows
-        for j, rows in old.rows.items():
-            orbit_rows(new, j, rows)
-    return carried is old.covectors
 
 
 def _rotation(order: int, t: int):
@@ -277,44 +267,48 @@ def covering_rigidity_matrix(fw: Framework) -> list[list]:
     return rows
 
 
-def orbit_rows(fw: Framework, j: int, carried: Optional[dict] = None) -> dict[Edge, dict[int, int]]:
-    """The character-j orbit rows of fw by edge, in edge order, each as
-    {column: entry} without zero entries; vertex x has columns d*x..d*x+d-1.
-    Under a PolyhedralNorm every entry is an int: the rows are scaled by the
-    least common denominator of the facets (1 for LINF and L1), which keeps
-    every rank.  Built once per framework and character, taking an edge's
-    row from carried where it has one."""
-    if j in fw.rows:
-        return fw.rows[j]
-    if not 0 <= j < fw.group_order:
-        raise FrameworkError(f"character index {j} out of range for order {fw.group_order}")
-    d, norm, carried = fw.norm.dimension, fw.norm, carried or {}
+def _row_of(norm: Norm, j: int):
+    """The function taking an edge and its covector phi to the edge's
+    character-j orbit row (orbit_rows)."""
+    d, chi = norm.dimension, (-1) ** j  # chi_j(-1); tau(-1) negates the first two coordinates
     if isinstance(norm, PolyhedralNorm):
         scale, entry = math.lcm(*(c.denominator for f in norm.facets for c in f)), int
     else:
         scale, entry = 1, float
-    chi = (-1) ** j  # chi_j(-1); tau(-1) negates the first two coordinates
-    rows = {}
-    for e, phi in fw.covectors.items():
-        row = carried.get(e)
-        if row is None:  # +phi on u, -chi_j(gain) * (phi o tau(gain)) on v
-            vphi = [-x for x in phi] if e.gain == 1 else \
-                [chi * x if i < 2 else -chi * x for i, x in enumerate(phi)]
-            row = {}
-            for x, block in ((e.u, phi), (e.v, vphi)):  # summed for a loop
-                for i, c in enumerate(block):
-                    row[d * x + i] = row.get(d * x + i, 0) + c
-            row = {c: entry(y * scale) for c, y in row.items() if y}
-        rows[e] = row
-    fw.rows[j] = rows
-    return rows
+
+    def row(e: Edge, phi: tuple) -> dict[int, int]:
+        # +phi on u, -chi_j(gain) * (phi o tau(gain)) on v
+        vphi = [-x for x in phi] if e.gain == 1 else \
+            [chi * x if i < 2 else -chi * x for i, x in enumerate(phi)]
+        out = {}
+        for x, block in ((e.u, phi), (e.v, vphi)):  # summed for a loop
+            for i, c in enumerate(block):
+                out[d * x + i] = out.get(d * x + i, 0) + c
+        return {c: entry(y * scale) for c, y in out.items() if y}
+    return row
+
+
+def orbit_rows(fw: Framework, j: int) -> dict[Edge, dict[int, int]]:
+    """The character-j orbit rows of fw by edge, each as {column: entry}
+    without zero entries; vertex x has columns d*x..d*x+d-1.  Under a
+    PolyhedralNorm every entry is an int: the rows are scaled by the least
+    common denominator of the facets (1 for LINF and L1), which keeps every
+    rank.  Built once per framework and character (or grown by
+    Framework.grow_tables); a reader that needs an order reads them in edge
+    order."""
+    if j not in fw.rows:
+        if not 0 <= j < fw.group_order:
+            raise FrameworkError(f"character index {j} out of range for order {fw.group_order}")
+        row = _row_of(fw.norm, j)
+        fw.rows[j] = {e: row(e, phi) for e, phi in fw.covectors.items()}
+    return fw.rows[j]
 
 
 def orbit_matrix(fw: Framework, j: int) -> list[list]:
-    """Character-j orbit matrix, |E0| rows by d*|V0| columns: the dense view
-    of orbit_rows (so scaled as they are)."""
-    cols = fw.norm.dimension * fw.graph.n
-    return [[row.get(c, 0) for c in range(cols)] for row in orbit_rows(fw, j).values()]
+    """Character-j orbit matrix, |E0| rows in edge order by d*|V0| columns:
+    the dense view of orbit_rows (so scaled as they are)."""
+    cols, rows = fw.norm.dimension * fw.graph.n, orbit_rows(fw, j)
+    return [[rows[e].get(c, 0) for c in range(cols)] for e in fw.graph.edges]
 
 
 def trivial_dim(n: int, j: int, d: int = 2) -> int:
@@ -364,7 +358,8 @@ def analyse(fw: Framework, j: int) -> RigidityReport:
     g = fw.graph
     dof = d * g.n
     if isinstance(fw.norm, PolyhedralNorm):
-        rank = matrix_rank(list(orbit_rows(fw, j).values()), dof)
+        rows = orbit_rows(fw, j)  # in edge order, which sets the elimination's fill-in
+        rank = matrix_rank([rows[e] for e in g.edges], dof)
     else:
         rank = float_rank(orbit_matrix(fw, j))
     triv = trivial_dim(fw.group_order, j, d)

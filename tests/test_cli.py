@@ -48,6 +48,13 @@ def test_invalid_graph_is_usage_error(tmp_path):
     assert main(["check", str(path)]) == 2
 
 
+def test_boolean_vertex_count_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    save_json(str(path), {"n": True, "edges": []})
+    assert main(["check", str(path)]) == 2
+    assert "'n' must be an integer" in capsys.readouterr().err
+
+
 def test_full_pipeline(tmp_path, capsys):
     g = tmp_path / "g.json"
     seq = tmp_path / "seq.json"

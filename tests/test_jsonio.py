@@ -36,6 +36,17 @@ def test_graph_parse_validation():
         graph_from_dict({"n": 2, "edges": [[0, 1]]})
 
 
+@pytest.mark.parametrize("d", [
+    {"n": True, "edges": []},
+    {"n": 2, "edges": [[0, 1, True]]},
+    {"n": 2, "edges": [[False, 1, 1]]},
+])
+def test_json_booleans_are_not_graph_integers(d):
+    # bool is an int subclass: True would pass as a vertex count or a gain
+    with pytest.raises(FormatError):
+        graph_from_dict(d)
+
+
 def test_rationals():
     assert parse_rational("3/7") == F(3, 7)
     assert parse_rational(5) == F(5)
@@ -88,6 +99,8 @@ def test_move_and_sequence_roundtrip():
         {"kind": "VertexToK4", "vertices": [0], "attach": [[[0, 1, 1]]]},
         {"kind": "VertexToK4", "vertices": [0], "loop_attach": [0, 1, 2]},
         {"kind": "VertexSplit", "vertices": [0], "moved": {"a": 1}},
+        {"kind": "VertexSplit", "vertices": [0], "v2_edge": [0, 1, 1], "move_loop": "no"},
+        {"kind": "VertexSplit", "vertices": [0], "v2_edge": [0, 1, 1], "move_loop": 1},
     ],
 )
 def test_malformed_move_raises_format_error(move):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gainrig import colouring, graph, iso, placement, sparsity
+from gainrig import colouring, graph, iso, placement, rigidity, sparsity
 from gainrig.catalog import BASE_CATALOG, PARAMS_220, PARAMS_222, regime
 from gainrig.colouring import geometric_verdict, isostatic_classes, monochrome_quotients
 from gainrig.construct import (
@@ -206,9 +206,11 @@ def test_each_framework_is_verified_once(monkeypatch, p, j, initial):
 
 @pytest.mark.parametrize("p, j, initial", BASES, ids=["single", "union", "k1"])
 def test_each_edge_is_coloured_once(monkeypatch, p, j, initial):
-    # the covector table is the only caller of facet_of, and a step's table
-    # is carried over from the framework before it: one call per edge of the
-    # base framework, then one per edge at the vertices each step creates
+    # the covector table is the only caller of facet_of, and a one-vertex
+    # step grows its table from the framework before it: one call per edge
+    # of the base framework, then one per edge at the vertex each one-vertex
+    # step creates and one per edge of each vertex-to-K4 child, whose table
+    # is built fresh
     facet_calls, graphs = [], []
 
     def counting_facet_of(norm, delta):
@@ -228,8 +230,8 @@ def test_each_edge_is_coloured_once(monkeypatch, p, j, initial):
         graphs.clear()
         fw = realize(seq, j)
         assert len(graphs) == 1 + len(seq.steps)
-        created = [4 if mv.kind == "VertexToK4" else 1 for mv in seq.steps]
-        new_edges = [sum(e.v >= h.n - c for e in h.edges) for h, c in zip(graphs[1:], created)]
+        new_edges = [len(h.edges) if mv.kind == "VertexToK4" else sum(e.v == h.n - 1 for e in h.edges)
+                     for h, mv in zip(graphs[1:], seq.steps)]
         assert len(facet_calls) == len(graphs[0].edges) + sum(new_edges)
         _assert_isostatic(fw, j)
         assert len(facet_calls) == len(graphs[0].edges) + sum(new_edges)
@@ -258,7 +260,7 @@ def test_carried_covector_table_matches_a_fresh_one(p, j, initial):
             fw = extend_placement(fw, mv, j)
             fresh = Framework(fw.graph, fw.positions, fw.norm, fw.group_order)
             assert fw.covectors == fresh.covectors
-            assert list(fw.covectors) == list(fresh.covectors)
+            assert orbit_matrix(fw, j) == orbit_matrix(fresh, j)
             assert fw.covering == fresh.covering and fw.classes == fresh.classes
 
 
@@ -286,13 +288,32 @@ def test_carried_orbit_rows_match_fresh_ones(p, j, initial, norm):
             assert set(fw.rows) == ({j} if k4 else set(parent.rows)) and j in fw.rows
             w = parent.graph.n
             for c, rows in fw.rows.items():
-                assert list(rows) == list(fw.covectors) and rows == orbit_rows(fresh, c)
+                assert rows == orbit_rows(fresh, c)
                 kept = {e for e, row in rows.items() if row is parent.rows[c].get(e)}
                 assert kept == (set() if k4 else {e for e in rows if not e.touches(w)})
                 shared += len(kept)
             for c in (0, 1):
                 assert analyse(fw, c) == analyse(fresh, c)
     assert shared > 0
+
+
+@pytest.mark.parametrize("p, j, initial", BASES, ids=["single", "union", "k1"])
+def test_analyse_ranks_grown_rows_in_edge_order(monkeypatch, p, j, initial):
+    # a grown table holds the new vertex's rows last; analyse hands the rows
+    # to matrix_rank in edge order, on which the elimination's fill-in
+    # depends, as it does for a fresh table
+    ranked = []
+    monkeypatch.setattr(rigidity, "matrix_rank", lambda rows, cols: ranked.append(rows) or matrix_rank(rows, cols))
+    seq = next(s for s in (_grown_sequence(p, seed, initial=initial) for seed in range(20))
+               if all(mv.kind != "VertexToK4" for mv in s.steps[:4]))
+    fw = realize(ConstructionSequence(seq.params, seq.initial, ()), j)
+    for mv in seq.steps[:4]:
+        fw = extend_placement(fw, mv, j)
+    assert list(orbit_rows(fw, j)) != list(fw.graph.edges)
+    fresh = Framework(fw.graph, fw.positions, fw.norm, fw.group_order)
+    ranked.clear()
+    assert analyse(fw, j) == analyse(fresh, j)
+    assert ranked == [[orbit_rows(fresh, j)[e] for e in fw.graph.edges]] * 2
 
 
 # The polygon search placement used before its interval test, kept as the
@@ -439,7 +460,7 @@ def test_grid_point_in_an_unbounded_box():
 
 def _block_det(fw, w, j):
     """det of the rows of w's edges on w's columns, from the orbit matrix."""
-    b = [row[2 * w:2 * w + 2] for e, row in zip(fw.covectors, orbit_matrix(fw, j)) if e.touches(w)]
+    b = [row[2 * w:2 * w + 2] for e, row in zip(fw.graph.edges, orbit_matrix(fw, j)) if e.touches(w)]
     return b[0][0] * b[1][1] - b[0][1] * b[1][0] if len(b) == 2 else 0
 
 

@@ -4,7 +4,8 @@ Times check_tight, decompose and construct(verify=True) on tight graphs from
 perfbench's own generator (gen.tight_graph: unions of two matroid bases, so
 no checker decides what the input is), and realize on perfbench's forward
 sequences (gen.forward_sequence), character 0 for (2,2,0) and character 1
-for (2,2,2), each with a digest of the positions it placed, and writes one
+for (2,2,2), each with a digest of the positions it placed and the number
+of analyse calls (global ranks) placement made in one run, and writes one
 JSON file.  Each time is also rescaled to a fixed machine speed with
 perfbench's reference loop, timed just before and after the call (see
 perfbench/README.md, "Load and timing").  With --repeat k each stage is
@@ -46,7 +47,8 @@ import gen  # noqa: E402  (perfbench's input generator)
 from run import REF_S, reference  # noqa: E402
 
 from gainrig import (  # noqa: E402
-    PARAMS_220, PARAMS_222, GainGraph, apply_iso, check_tight, construct, decompose, realize,
+    PARAMS_220, PARAMS_222, GainGraph, apply_iso, check_tight, construct, decompose, placement,
+    realize,
 )
 
 REGIMES = {"220": PARAMS_220, "222": PARAMS_222}
@@ -143,12 +145,16 @@ def main(argv=None) -> int:
                 print(f"error: ({regime}) n={n}: a tight input was not certified "
                       "or rebuilt", file=sys.stderr)
                 return 1
+    calls, analyse = [], placement.analyse  # one entry per analyse call placement makes
+    placement.analyse = lambda fw, j: calls.append(1) or analyse(fw, j)
     for regime, j in CHARACTER.items():
         for n in SIZES:
             seq, g = gen.forward_sequence(random.Random(SEED), n, regime)
+            calls.clear()
             fw, _ = record("realize", regime, g, lambda: realize(seq, j),
                            character=j, moves=len(seq.steps))
             rows[-1]["positions_sha256"] = digest(fw)
+            rows[-1]["analyse_calls"] = len(calls) // args.repeat
             if fw.graph != g:
                 print(f"error: ({regime}) n={n}: realize placed another graph",
                       file=sys.stderr)

@@ -13,14 +13,17 @@ f_c, f_o) put p_w in the wedge (s f_c -+ f_o).(p - q) > 0 at the anchor q.
 In the coordinates u = (a + b).p, v = (a - b).p of facets a, b that wedge
 is a quadrant: u > u_q iff s = +1, and v > v_q iff s = +1 at colour 0 or
 s = -1 at colour 1.  Wedges thus meet in an open box, non-empty when lo < hi
-on both axes.  Colourings of the new edges are tried in product((0, 1))
-order, keeping those under which both classes are bases: each class is a
-signed spanning forest (sparsity.Forest) less the deleted edges, and a
-colouring is kept if both reach n - j edges with its new edges, each of
-which Forest.independent admits in O(1) before it is added; a colouring
-refused, or without a region, is taken out again.  For each kept
-colouring, sign vectors are tried in product((1, -1)) order, not extending
-a prefix whose box is empty.  The first non-empty box is the region (none:
+on both axes.  Colourings of the new edges are tried path first: a deleted
+edge (x, y, g) is replaced by the new (x, w, a) and (w, y, b) with ab = g (a
+deleted loop at x by w's two edges to x), and the colourings that give
+those edges the deleted edge's colour come first, then the others, each
+group in product((0, 1)) order; a new edge that two deleted edges want in
+different colours takes either.  Each class is a signed spanning forest
+(sparsity.Forest) less the deleted edges, and a colouring is kept if both
+reach n - j edges with its new edges, each of which Forest.independent
+admits in O(1) before it is added; a colouring refused, or without a
+region, is taken out again.  For each kept colouring, sign vectors are
+tried in product((1, -1)) order, not extending a prefix whose box is empty.  The first non-empty box is the region (none:
 PlacementError).  The point rule cuts its unbounded sides at distance 1
 from the bounded ones and takes the centre of that finite part; if the
 centre is forbidden (the origin or +-an old position: the parent's covering
@@ -50,9 +53,17 @@ D be its rows of the deleted edges and N the child's rows of the |D| + 2
 edges at w.  If N has rank 2 on w's columns and span(N) holds D, the child
 has full row rank.  Proof: its rows span the parent's rows and N, of rank
 at least r + 2 as the parent's rows vanish on w's columns; and it has r + 2
-rows.  With D empty this is det != 0 of N on w's columns.
-Vertex-to-K4, which renumbers the columns, and a step the test
-(linalg.step_certified) refuses are ranked by analyse.  Nothing is random.
+rows.  With D empty this is det != 0 of N on w's columns.  Under a path
+first colouring span(N) holds D: a path's edges share the deleted edge's
+facet pair, so in the covering their rows add up to its row, as in
+subdividing an edge (Kitson and Power, Bull. LMS 2014).  So every H1 and H2
+step from a certified parent is certified: its path colouring always has
+bases (a class subdivides an edge and the other gains a pendant edge or
+loop) and a region (the path's wedges either way round meet the third
+edge's unless its anchor is one of theirs, which distinct covering points
+rule out).  Vertex-to-K4, which renumbers the columns, and a step the test
+(linalg.step_certified) refuses (an H3 or vertex split step whose path
+colourings fail) are ranked by analyse.  Nothing is random.
 Base fixtures come from scripts/find_base_placements.py
 and are re-verified on use; the i-th base of a union is scaled by
 (2i + 2) / (2i + 1), keeping its colours.
@@ -74,7 +85,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import inf
 from typing import Optional, Sequence
 
@@ -283,6 +294,20 @@ def _class_forests(fw: Framework, j: int) -> list[Forest]:
     return forests
 
 
+def _path_colours(fw: Framework, deleted, new: Sequence[Edge]) -> list[tuple[int, ...]]:
+    """The colours each new edge takes in the colourings tried first: the
+    colour of the deleted edge on whose replacing path through w it lies,
+    either colour where it lies on none or on two of different colours
+    (module docstring).  w is the largest vertex, so a new edge's u is its
+    other end."""
+    wants: list[set] = [set() for _ in new]
+    for d in deleted:
+        at = [[i for i, e in enumerate(new) if e.u == x] for x in (d.u, d.v)]
+        for i in next(([a, b] for a in at[0] for b in at[1] if new[a].gain * new[b].gain == d.gain), []):
+            wants[i].add(fw.norm.colours[fw.covectors[d]])
+    return [tuple(c) if len(c) == 1 else (0, 1) for c in wants]
+
+
 def extend_placement(fw: Framework, mv: Move, j: int = 0) -> Framework:
     """Grow a verified placement across one move, placing the created
     vertices and re-verifying with both oracles.  A one-vertex step takes
@@ -301,7 +326,9 @@ def extend_placement(fw: Framework, mv: Move, j: int = 0) -> Framework:
         f.grow()
     scale, ends = _scaled([(0, 0) if e.is_loop() else fw.positions[e.other(w)] for e in new])
     anchors = [tuple(e.gain * x for x in _uv(facets, p)) for e, p in zip(new, ends)]
-    for colours in product((0, 1), repeat=len(new)):
+    first = _path_colours(fw, deleted, new)
+    rest = (cs for cs in product((0, 1), repeat=len(new)) if any(c not in f for c, f in zip(cs, first)))
+    for colours in chain(product(*first), rest):
         if not _add_coloured(forests, new, colours, h.n - j):
             continue
         box = _region(colours, anchors)

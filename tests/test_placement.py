@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -42,7 +43,8 @@ from gainrig.sparsity import tight_partition
 
 from test_forest import assert_forest
 
-DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).parent.parent
+DATA = ROOT / "tests" / "data"
 
 
 def test_all_base_placements_doubly_verified():
@@ -397,6 +399,27 @@ def _steps(seq, j):
         fw = child
 
 
+def _path_first(fw, mv, new):
+    """Every colouring of w's edges new, in placement's search order: first
+    those that give each deleted edge (x, y, g) its colour in fw on the new
+    (x, w, a) and (w, y, b) with a * b = g (a new edge two deleted edges
+    want in different colours takes either), then the others, each group in
+    product((0, 1)) order."""
+    deleted, _, _ = move_delta(fw.graph, mv)
+    wants = [set() for _ in new]
+    for d in deleted:
+        p, q = fw.positions[d.u], fw.positions[d.v]
+        colour, _ = LINF.facet_of((p[0] - d.gain * q[0], p[1] - d.gain * q[1]))
+        paths = [(a, b) for a, ea in enumerate(new) for b, eb in enumerate(new)
+                 if not ea.is_loop() and not eb.is_loop() and ea.touches(d.u) and eb.touches(d.v)
+                 and ea.gain * eb.gain == d.gain]
+        for i in paths[0] if paths else ():
+            wants[i].add(colour)
+    every = list(product((0, 1), repeat=len(new)))
+    on_paths = [cs for cs in every if all(c in s for c, s in zip(cs, wants) if len(s) == 1)]
+    return on_paths + [cs for cs in every if cs not in on_paths]
+
+
 def test_interval_test_agrees_with_polygon_clipping():
     facets, checked = LINF.facets, 0
     for seq, j in _oracle_sequences():
@@ -410,7 +433,7 @@ def test_interval_test_agrees_with_polygon_clipping():
             kept = set(child.graph.edges)
             old = [[e for e in cls if e in kept] for cls in monochrome_quotients(fw)]
             first = None  # the first pair placement may take, in its search order
-            for colours in product((0, 1), repeat=len(new)):
+            for colours in _path_first(fw, mv, new):
                 classes = [old[c] + [e for e, ce in zip(new, colours) if ce == c] for c in (0, 1)]
                 bases = isostatic_classes(child.graph, classes, j)
                 for signs in product((1, -1), repeat=len(new)):
@@ -496,6 +519,9 @@ def test_rank_certificate_agrees_with_analyse(monkeypatch, p, j):
             if not deleted and mv.kind != "VertexToK4":
                 # D empty: the certificate is the 2x2 block test it replaced
                 assert cert == (_block_det(child, fw.graph.n, j) != 0)
+            # every H1 and H2 step is certified, an H2 step by its path
+            # first colouring
+            assert cert or not mv.kind.startswith(("H1", "H2"))
             # placement ranks by analyse exactly the steps not certified
             rank_checks.clear()
             assert extend_placement(fw, mv, j) == child
@@ -506,19 +532,40 @@ def test_rank_certificate_agrees_with_analyse(monkeypatch, p, j):
     assert sum(n for kind, n in certified.items() if not kind.startswith("H1")) > 40
 
 
-def test_an_h2_step_whose_deleted_row_is_not_in_span_n_calls_analyse_once(monkeypatch):
-    parent = base_placement("a")
-    mv = Move("H2b", vertices=(0,), gains=(-1,), removed=(edge(0, 1, 1),))
+def test_a_step_whose_deleted_rows_are_not_in_span_n_calls_analyse_once(monkeypatch):
+    # both edges this H3b deletes from base b have colour 1, so its one path
+    # first colouring puts all four new edges in class 1, two more than a
+    # basis holds; the colouring taken leaves a path
+    parent = base_placement("b")
+    mv = Move("H3b", vertices=(1, 0, 2), removed=(edge(0, 1, 1), edge(1, 2, 1)))
     deleted, added, _ = move_delta(parent.graph, mv)
+    assert [LINF.colours[parent.covectors[e]] for e in deleted] == [1, 1]
+    assert _path_first(parent, mv, sorted(added))[:2] == [(1, 1, 1, 1), (0, 0, 0, 0)]
     calls = _counting_analyse(monkeypatch)
     child = extend_placement(parent, mv, 0)
     assert calls == [1] and analyse(child, 0).isostatic
+    assert [LINF.colours[child.covectors[e]] for e in sorted(added)] == [1, 0, 1, 1]
     assert not placement._rank_certified(child, parent, deleted, sorted(added), 0)
-    # N has rank 2 on w's columns, but adding the deleted row raises its rank
+    # N has rank 2 on w's columns, but adding the deleted rows raises its rank
     rows, w = orbit_rows(child, 0), parent.graph.n
     n = [rows[e] for e in child.graph.edges_at(w)]
-    assert matrix_rank([{c: x for c, x in r.items() if c >= 2 * w} for r in n], 6) == 2
-    assert matrix_rank(n + [orbit_rows(parent, 0)[e] for e in deleted], 6) == matrix_rank(n, 6) + 1
+    assert matrix_rank([{c: x for c, x in r.items() if c >= 2 * w} for r in n], 8) == 2
+    assert matrix_rank(n + [orbit_rows(parent, 0)[e] for e in deleted], 8) > matrix_rank(n, 8)
+
+
+@pytest.mark.parametrize("regime_name, j", [("220", 0), ("222", 1)])
+def test_forward_sequence_steps_never_call_analyse(monkeypatch, regime_name, j):
+    # every step of perfbench's forward sequences is an H1 or H2 step, and
+    # each is certified by its path first colouring: analyse ranks the base
+    spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    calls = _counting_analyse(monkeypatch)
+    for seed in (1, 2):
+        seq, g = gen.forward_sequence(random.Random(seed), 100, regime_name)
+        assert {mv.kind[:2] for mv in seq.steps} == {"H1", "H2"}
+        calls.clear()
+        assert realize(seq, j).graph == g and calls == [1]
 
 
 def test_rank_certificate_needs_a_certified_parent_and_a_nonzero_block():
@@ -569,11 +616,12 @@ def test_a_parent_whose_classes_are_not_bases_is_refused():
 
 def test_golden_sequences_rank_few_steps_by_analyse(monkeypatch):
     # 264 calls when only H1 steps were certified (by their 2x2 block);
-    # 149 with the local certificate
+    # 149 with the local certificate; 88 with path first colourings: the
+    # 19 bases, 46 vertex-to-K4 steps, and 9 H3 and 14 vertex split steps
     calls = _counting_analyse(monkeypatch)
     for case in GOLDEN:
         realize(sequence_from_dict(case["sequence"]), case["character"])
-    assert len(calls) <= 160
+    assert len(calls) <= 88
 
 
 def test_rank_and_colouring_verdicts_must_agree(monkeypatch):
@@ -585,8 +633,7 @@ def test_rank_and_colouring_verdicts_must_agree(monkeypatch):
         realize(_grown_sequence(PARAMS_220, 0), 0)
 
 
-# Positions realize gave, before its steps carried the colour classes, the
-# covering set and the covector table, for sequences grown like
+# Positions realize gives with path first colourings, for sequences grown like
 # _grown_sequence ((2,2,0) from a random base at character 0, (2,2,2) from
 # k1 at character 1, seeds 1-7, 16 to 64 vertices: every move kind), both
 # regression fixtures, and three forward sequences of perfbench's generator
@@ -594,7 +641,9 @@ def test_rank_and_colouring_verdicts_must_agree(monkeypatch):
 # 28, "220"; 2819268332, 22, "222"; 2928485758, 22, "222") whose regions
 # often have a forbidden centre, the last one where the point rule's next
 # candidate decides the position.  A change meant to move positions must
-# regenerate the file; any other change must reproduce it exactly.
+# regenerate the file (realize each case's sequence at its character and
+# write its positions as [str(x), str(y)] pairs, keeping the sequences);
+# any other change must reproduce it exactly.
 GOLDEN = load_json(DATA / "realize_positions.json")["cases"]
 
 

@@ -13,10 +13,10 @@ timed k times: ``seconds`` and ``raw_seconds`` are the medians, so files
 made with and without repeats compare, and ``min_seconds`` and
 ``max_seconds`` give the spread of the rescaled times.  Standard library
 only; it imports gainrig from this checkout's src/.  The sizes and the
-seed are fixed, so any two BENCH files compare.  The file records the
-commit and the git tree id of src/ as it was run, which equals
-`git rev-parse <commit>:src` of any commit holding that code, uncommitted
-changes included.  Usage:
+seed are fixed, so any two BENCH files compare at the sizes both hold.
+The file records the commit and the git tree id of src/ as it was run,
+which equals `git rev-parse <commit>:src` of any commit holding that code,
+uncommitted changes included.  Usage:
 
     python3 scripts/bench.py [--repeat K] [-o PATH]
 
@@ -53,7 +53,7 @@ from gainrig import (  # noqa: E402
 
 REGIMES = {"220": PARAMS_220, "222": PARAMS_222}
 CHARACTER = {"220": 0, "222": 1}  # the character realize places each regime at
-SIZES = (100, 200, 400, 800, 1600)
+SIZES = (100, 200, 400, 800, 1600, 3200)  # append new sizes, so older files still compare
 DECOMPOSE_MAX = 1600  # largest n also timed through decompose and construct
 SEED = 1
 

@@ -37,10 +37,10 @@ from .norms import PolyhedralNorm
 from .rigidity import Framework, FrameworkError
 
 
-def monochrome_quotients(fw: Framework) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
+def monochrome_quotients(fw: Framework) -> tuple[list[Edge], list[Edge]]:
     """The quotient edges of colour 0 and of colour 1, in edge order, read
-    from fw's covector table once, or grown from its parent's by the step
-    that built fw, and kept with fw (Framework.classes)."""
+    from fw's covector table once or taken from its parent's, and kept with
+    fw until a step from fw takes them (Framework.classes)."""
     if not isinstance(fw.norm, PolyhedralNorm):
         raise FrameworkError("colouring requires a quadrilateral norm")
     return fw.classes
@@ -76,7 +76,7 @@ class GeometricVerdict:
 def geometric_verdict(fw: Framework) -> GeometricVerdict:
     if fw.group_order != 2:
         raise FrameworkError("colouring verdicts require a half-turn symmetry")
-    classes = monochrome_quotients(fw)
+    classes = tuple(map(tuple, monochrome_quotients(fw)))  # fw's lists go to its next step
     g = fw.graph
     rigid = all(_spanning_connected_unbalanced(g, c) for c in classes)
     return GeometricVerdict(

@@ -57,7 +57,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .graph import Edge, GainGraph, GainGraphError, check_edge, edge
 from .iso import map_edge
@@ -170,9 +170,9 @@ class Reduction:
     flipped: tuple[int, ...] = ()  # the clique vertices it switches
 
 
-def _require(cond: bool, msg: str) -> None:
+def _require(cond: bool, msg: str | Callable[[], str]) -> None:  # a function msg is called only on failure
     if not cond:
-        raise MoveError(msg)
+        raise MoveError(msg() if callable(msg) else msg)
 
 
 def arity_error(mv: Move) -> Optional[str]:
@@ -225,9 +225,9 @@ def _bind(shape: Shape, mv: Move, w: int) -> tuple[dict[str, int], dict[str, int
         u = at.setdefault(p, e.u)
         _require(
             e.touches(u) and _bind_vertex(at, q, e.other(u)) and _solve(gn, e.gain, gains),
-            f"{mv.kind} cannot delete {e.as_list()}",
+            lambda: f"{mv.kind} cannot delete {e.as_list()}",
         )
-    _require(len(set(at.values())) == len(at), f"{mv.kind} needs distinct vertices")
+    _require(len(set(at.values())) == len(at), lambda: f"{mv.kind} needs distinct vertices")
     return at, gains
 
 
@@ -242,7 +242,7 @@ def move_delta(
     problem = arity_error(mv)
     _require(problem is None, problem)
     for v in mv.vertices:
-        _require(0 <= v < g.n, f"no vertex {v}")
+        _require(0 <= v < g.n, lambda: f"no vertex {v}")
     if mv.kind == "VertexToK4":
         return _vertex_to_k4_delta(g, mv)
     if mv.kind == "VertexSplit":
@@ -262,11 +262,13 @@ def apply_delta(
 ) -> GainGraph:
     """The graph a move_delta describes: g without the deleted edges,
     renamed by pi, with the added ones, which alone are checked (g's edges
-    are valid), each by bisection in the sorted kept ones."""
+    are valid), each by bisection in the sorted kept ones, as deleted ones are found."""
     edges, n = list(g.edges), g.n + (1 if pi is None else 3)
     try:
         for e in deleted:
-            edges.remove(e)
+            i = bisect_left(edges, e)
+            _require(edges[i:i + 1] == [e], lambda: f"edge {e.as_list()} not present")
+            del edges[i]
         if pi is not None:
             edges = sorted(edge(pi[e.u], pi[e.v], e.gain) for e in edges)
         for e in sorted(added):
@@ -275,8 +277,6 @@ def apply_delta(
             edges.insert(i, e)
     except GainGraphError as exc:
         raise MoveError(f"result invalid: {exc}") from exc
-    except ValueError:
-        raise MoveError(f"edge {e.as_list()} not present") from None
     return GainGraph.from_valid(n, tuple(edges))
 
 

@@ -38,10 +38,10 @@ rho(d) = max(|u_d|, |v_d|) and S = max rho(s_i), t is the largest 2^-k with
 2 t S below every colour margin min(|u_d|, |v_d|) of v's edges (loop
 included) and below rho(p_v - q) for the origin and every other covering
 point q, so re-attached edges keep their colours and covering points stay
-distinct.  A step's geometry is in integers: its points scaled by the lcm
-of their denominators, and the point rule's points as integer numerators
-over one denominator, made Fractions only for the forbidden set (asked
-after the box test) and the new positions.
+distinct.  A step's geometry is in integers: its points' keys
+(rigidity.point_key) scaled by the lcm of their denominators, and the point
+rule's points as integer numerators over one denominator, keyed for the
+forbidden set (after the box test) and made Fractions only when returned.
 
 Every placement is accepted only through _verified: the colouring verdict
 for the step's character, then the rank, which must agree.  The colouring
@@ -68,16 +68,16 @@ Base fixtures come from scripts/find_base_placements.py
 and are re-verified on use; the i-th base of a union is scaled by
 (2i + 2) / (2i + 1), keeping its colours.
 
-A step carries its parent's state instead of rebuilding it: the covering
-set (Framework.covering: the new framework, grown from the parent, checks
-only its appended positions against it) and, for a one-vertex step, the
-covector table, orbit rows and colour classes, each spliced by the step's
-delta (Framework.grow_tables), so each edge is coloured and its row built
-once.  Such a step also takes its parent's class forests (Framework.forests,
-built from the parent's classes if it has none; the parent keeps none),
-edits them by its delta and hands them on to the child if the child's new
-edges have the chosen colours.  A vertex-to-K4 child, whose edges are
-renamed, builds its tables fresh and holds no forests.
+A step takes its parent's state instead of rebuilding it: the covering
+set (Framework.covering: the new framework checks only its appended
+positions against it) and, for a one-vertex step, the covector table,
+orbit rows and colour classes, each edited in place by the step's delta
+(Framework.grow_tables; the parent builds any again if asked), and its
+class forests (Framework.forests, built from the parent's classes if it
+has none), which it edits by its delta and hands on to the child if the
+child's new edges have the chosen colours.  So no table is copied, and each
+edge is coloured and its row built once.  A vertex-to-K4 child, whose
+edges are renamed, builds its tables fresh and holds no forests.
 """
 
 from __future__ import annotations
@@ -96,16 +96,12 @@ from .graph import Edge, GainGraph, invariant
 from .linalg import step_certified
 from .moves import Move, apply_delta, move_delta
 from .norms import L1, LINF, PolyhedralNorm
-from .rigidity import (
-    Framework,
-    FrameworkError,
-    NotWellPositioned,
-    analyse,
-    orbit_rows,
-)
+from .rigidity import (Framework, FrameworkError, NotWellPositioned, analyse, covering_keys, orbit_rows,
+                       point_key)
 from .sparsity import Forest
 
 Point = tuple[Fraction, Fraction]
+_ORIGIN = (0, 1, 0, 1)  # point_key((0, 0))
 
 
 class PlacementError(RuntimeError):
@@ -145,31 +141,30 @@ def _base_points(bid: str) -> list[Point]:
     return [(Fraction(x), Fraction(y)) for x, y in fixture]
 
 
-def _rank_certified(fw: Framework, parent: Optional[Framework], deleted, added, j: int) -> bool:
-    """Whether fw, grown from parent by a one-vertex step deleting `deleted`
-    and adding `added` (w's edges), has full character-j row rank by the
-    local certificate (module docstring)."""
+def _rank_certified(fw: Framework, parent: Optional[Framework], gone, added, j: int) -> bool:
+    """Whether fw, grown from parent by a one-vertex step deleting the edges
+    whose character-j rows are `gone` and adding `added` (w's edges), has
+    full character-j row rank by the local certificate (module docstring)."""
     if parent is None or j not in parent.certified or fw.graph.n != parent.graph.n + 1:
         return False
-    w, rows, old = parent.graph.n, orbit_rows(fw, j), orbit_rows(parent, j)
-    new, gone = [rows[e] for e in added], [old[e] for e in deleted]
+    w, new = parent.graph.n, [orbit_rows(fw, j)[e] for e in added]
     cols = sorted({2 * w, 2 * w + 1}.union(*new, *gone))  # w's columns last
     return step_certified(*([[r.get(c, 0) for c in cols] for r in rs] for rs in (new, gone)))
 
 
-def _verified(fw: Framework, j: int, parent=None, deleted=(), added=()) -> bool:
+def _verified(fw: Framework, j: int, parent=None, gone=(), added=()) -> bool:
     """Both oracles for character j, which must agree: the colouring verdict,
     then the rank (the local certificate of the step from parent deleting
-    `deleted` and adding `added`, else analyse).  If the step handed fw class
-    forests for j, they hold its classes as bases: that is the colouring
-    verdict; else isostatic_classes decides."""
+    edges with rows `gone` and adding `added`, else analyse).  If the step
+    handed fw class forests for j, they hold its classes as bases: that is
+    the colouring verdict; else isostatic_classes decides."""
     try:
         classes = monochrome_quotients(fw)
     except NotWellPositioned:
         return False
     if j not in fw.forests and not isostatic_classes(fw.graph, classes, j):
         return False
-    algebraic = _rank_certified(fw, parent, deleted, added, j) or analyse(fw, j).isostatic
+    algebraic = _rank_certified(fw, parent, gone, added, j) or analyse(fw, j).isostatic
     invariant(algebraic, "rank and colouring verdicts disagree")
     fw.certified.add(j)
     return True
@@ -186,7 +181,7 @@ def _framework(g: GainGraph, positions: Sequence[Point], norm, what: str,
 def _accept(g: GainGraph, positions: Sequence[Point], norm, j: int, what: str,
             parent: Optional[Framework] = None) -> Framework:
     """The framework at positions if both oracles call it character-j
-    isostatic, else PlacementError naming `what`.  Its covering set is grown
+    isostatic, else PlacementError naming `what`.  Its covering set is taken
     from `parent`, the framework the move starts from, if given; its tables
     are built fresh."""
     fw = _framework(g, positions, norm, what, parent)
@@ -202,10 +197,10 @@ def base_placement(bid: str) -> Framework:
                    f"frozen placement for base {bid}")
 
 
-def _scaled(points) -> tuple[int, list[tuple[int, int]]]:
-    """(L, the points times L), L the lcm of their coordinates' denominators."""
-    scale = math.lcm(*(c.denominator for p in points for c in p))
-    return scale, [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points]
+def _scaled(keys) -> tuple[int, list[tuple[int, int]]]:
+    """(L, the points with these keys (point_key) times L), L the lcm of their denominators."""
+    scale = math.lcm(*(d for k in keys for d in k[1::2]))
+    return scale, [(a * (scale // b), c * (scale // d)) for a, b, c, d in keys]
 
 
 def _uv(facets, p) -> tuple:
@@ -246,10 +241,19 @@ def _round(n: int, d: int) -> int:
     return q + (2 * r > d or 2 * r == d and q % 2)
 
 
+def _key(xs, den) -> tuple:
+    """point_key of the point xs / den (den > 0): from ints alone, unless a
+    norm with Fraction facets made den a Fraction."""
+    if type(den) is not int:
+        return point_key([x / den for x in xs])
+    g, h = math.gcd(xs[0], den), math.gcd(xs[1], den)
+    return xs[0] // g, den // g, xs[1] // h, den // h
+
+
 def _grid_point(box, facets, scale: int, taken, m: int) -> Point:
     """The new position in a non-empty box, given in (u, v) times `scale`, by
-    the point rule of the module docstring; taken(p) tells the forbidden
-    points, fewer than m."""
+    the point rule of the module docstring; taken(k) tells the forbidden
+    points by their keys (rigidity.point_key), fewer than m."""
     (s1, t1), (s2, t2) = _uv(facets, (1, 0)), _uv(facets, (0, 1))
     det = s1 * t2 - s2 * t1
     den = det * det * 2 * m * scale  # the candidates' common denominator
@@ -259,14 +263,14 @@ def _grid_point(box, facets, scale: int, taken, m: int) -> Point:
     for i in range(m):  # i/m of the way on from the centre to the corner
         u, v = ((a + b) * (m - i) + 2 * b * i for a, b in zip(lo, hi))
         c = ((t2 * u - s2 * v) * det, (s1 * v - t1 * u) * det)
-        if not taken((Fraction(c[0], den), Fraction(c[1], den))):
+        if not taken(_key(c, den)):
             break
     k = 1  # c is strictly inside and free, so a fine enough grid keeps it so
     while True:
         q = [_round(x * k, den) for x in c]
         if all(a * k < scale * x < b * k for (a, b), x in zip(box, _uv(facets, q))):
-            if not taken(pt := (Fraction(q[0], k), Fraction(q[1], k))):
-                return pt
+            if not taken(_key(q, k)):
+                return Fraction(q[0], k), Fraction(q[1], k)
         k *= 2
 
 
@@ -324,7 +328,7 @@ def extend_placement(fw: Framework, mv: Move, j: int = 0) -> Framework:
         forests[colour[fw.covectors[e]]].remove(e)
     for f in forests:
         f.grow()
-    scale, ends = _scaled([(0, 0) if e.is_loop() else fw.positions[e.other(w)] for e in new])
+    scale, ends = _scaled([point_key(fw.positions[e.other(w)]) if e.u != w else _ORIGIN for e in new])
     anchors = [tuple(e.gain * x for x in _uv(facets, p)) for e, p in zip(new, ends)]
     first = _path_colours(fw, deleted, new)
     rest = (cs for cs in product((0, 1), repeat=len(new)) if any(c not in f for c, f in zip(cs, first)))
@@ -336,13 +340,13 @@ def extend_placement(fw: Framework, mv: Move, j: int = 0) -> Framework:
             for e, c in zip(new, colours):
                 forests[c].remove(e)
             continue
-        pt = _grid_point(box, facets, scale, lambda p: not any(p) or p in fw.covering,
-                         len(fw.covering) + 2)
+        cover = fw.covering
+        pt = _grid_point(box, facets, scale, lambda k: k in cover or k == _ORIGIN, len(cover) + 2)
         child = _framework(h, fw.positions + (pt,), fw.norm, mv.kind, fw)
-        child.grow_tables(fw, deleted, new)  # cannot raise: pt is inside every new edge's cone
+        gone = child.grow_tables(fw, deleted, new, j)  # cannot raise: pt is inside every new edge's cone
         if all(colour[child.covectors[e]] == c for e, c in zip(new, colours)):
             child.forests[j] = forests
-        if not _verified(child, j, fw, deleted, new):
+        if not _verified(child, j, fw, gone, new):
             raise PlacementError(f"{mv.kind} failed verification for character {j}")
         return child
     raise PlacementError(f"no region places the new vertex of {mv.kind} on {fw.graph.triples()}")
@@ -351,8 +355,8 @@ def extend_placement(fw: Framework, mv: Move, j: int = 0) -> Framework:
 def _extend_k4(fw: Framework, mv: Move, h: GainGraph, j: int) -> Framework:
     (v,) = mv.vertices
     pv, facets, edges = fw.positions[v], fw.norm.facets, fw.graph.edges_at(v)
-    others = (fw.covering | {(0, 0)}) - {pv, (-pv[0], -pv[1])}
-    scale, (sv, *qs) = _scaled([pv, *(fw.positions[e.other(v)] for e in edges), *others])
+    others = [_ORIGIN, *(fw.covering - covering_keys(2, pv))]
+    scale, (sv, *qs) = _scaled([*map(point_key, (pv, *(fw.positions[e.other(v)] for e in edges))), *others])
     # |(u, v)| of p_v - g q, times scale: up to sign the difference of v's edge
     # to q with gain g, then p_v - q for the origin and the other points q
     uv = [[abs(x) for x in _uv(facets, (sv[0] - g * q[0], sv[1] - g * q[1]))]

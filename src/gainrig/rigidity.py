@@ -29,18 +29,18 @@ An edge's covector, colour and orbit row (orbit_rows: sparse, in integers,
 built once per character) are pure functions of the edge, its ends'
 positions, the norm and the character.  So a framework that follows
 another by one step whose positions it extends takes that one's tables
-(Framework.grow_tables): it copies the covector table, the rows of each
-character built and the colour classes, drops the deleted edges' entries
-and adds the new edges' own, so its kept rows are the other's objects.
-The tables are maps; every reader that needs an order reads in edge
-order: analyse, whose elimination's fill-in depends on it, orbit_matrix
-(the rows' dense view) and the classes when built fresh.
+(Framework.grow_tables): the covector table, the rows of each character
+built and the colour classes (sorted lists), edited in place by the
+step's delta, so no table is copied and its kept rows are the other's
+objects; the other builds each again if asked.  The tables are maps;
+every reader that needs an order reads in edge order: analyse, whose
+elimination's fill-in depends on it, and orbit_matrix (the dense view).
 
-A Framework also keeps its covering set, every rotation image of every
-position, which its constructor builds to check that covering positions
-are distinct.  Built with grown_from, a framework whose positions are a
-prefix of its own, it copies that framework's set and checks only the
-appended positions.
+A Framework also keeps its covering set, the key (point_key, in ints) of
+every rotation image of every position, which its constructor builds to
+check that covering positions are distinct.  Built with grown_from, a
+framework whose positions are a prefix of its own, it checks only the
+appended positions against that framework's set, then takes it.
 
 Rows under a PolyhedralNorm are ranked exactly (linalg.matrix_rank); under
 an LpNorm the dense matrix is ranked by SVD.
@@ -49,10 +49,10 @@ an LpNorm the dense matrix is ranked by SVD.
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 from .graph import Edge, GainGraph
@@ -80,8 +80,6 @@ class Framework:
     norm: Norm
     group_order: int = 2
     grown_from: InitVar[Optional[Framework]] = None
-    # the covering positions: every rotation image of every position
-    covering: set = field(init=False, repr=False, compare=False)
     # the orbit rows built so far, by character (orbit_rows)
     rows: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     # the characters placement._verified found isostatic by both oracles
@@ -93,10 +91,10 @@ class Framework:
         g, n, d = self.graph, self.group_order, self.norm.dimension
         if len(self.positions) != g.n:
             raise FrameworkError("one position per vertex orbit required")
-        old, k, seen = grown_from, 0, set()
+        old, k = grown_from, 0
         if old is not None and (old.group_order, old.norm.dimension) == (n, d) \
                 and self.positions[:len(old.positions)] == old.positions:
-            k, seen = len(old.positions), set(old.covering)
+            k = len(old.positions)
         added = self.positions[k:]
         if any(len(p) != d for p in added):
             raise FrameworkError(f"positions must have dimension {d}")
@@ -112,18 +110,22 @@ class Framework:
                 if not (isinstance(c, (int, Fraction)) if exact else abs(c) < 2.0 ** 1022):
                     raise FrameworkError(f"coordinate {i} of vertex {v} " + (
                         "is not rational" if exact else "does not fit a float"))
-        for p in added:
-            images = _images(n, p)
-            if seen & images:
-                raise FrameworkError("covering positions must be distinct")
-            seen |= images
-        object.__setattr__(self, "covering", seen)
+        keys = [covering_keys(n, p) for p in added]  # a vertex's own keys differ: it is off the centre
+        seen = set().union(*keys)
+        if len(seen) < sum(map(len, keys)) or k and not seen.isdisjoint(old.covering):
+            raise FrameworkError("covering positions must be distinct")
+        self.__dict__["covering"] = _take(old, "covering").__ior__(seen) if k else seen
+
+    @cached_property
+    def covering(self) -> set:
+        """The covering keys (module docstring), built once or taken."""
+        return set().union(*(covering_keys(self.group_order, p) for p in self.positions))
 
     def edge_delta(self, e: Edge) -> tuple:
         """Difference vector of the representative covering edge of e."""
         pu, pv = self.positions[e.u], self.positions[e.v]
-        if e.gain == -1:
-            pv = _half_turn(pv)
+        if e.gain == -1:  # tau(-1) negates the two rotated coordinates
+            pv = (-pv[0], -pv[1], *pv[2:])
         return tuple(a - b for a, b in zip(pu, pv))
 
     def covector(self, e: Edge) -> tuple:
@@ -139,20 +141,20 @@ class Framework:
 
     @cached_property
     def covectors(self) -> dict[Edge, tuple]:
-        """Support covector per edge orbit, computed once (or grown by
+        """Support covector per edge orbit, computed once (or taken by
         grow_tables); raises NotWellPositioned if some edge has none."""
         return {e: self.covector(e) for e in self.graph.edges}
 
     @cached_property
-    def classes(self) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
+    def classes(self) -> tuple[list[Edge], list[Edge]]:
         """The edges whose covector is +-facets[0] (colour 0) and the others
-        (colour 1), in edge order: read from the table once and kept (or
-        grown by grow_tables).  PolyhedralNorm only."""
+        (colour 1), each a list in edge order: read from the table once and
+        kept (or taken by grow_tables).  PolyhedralNorm only."""
         parts: tuple[list[Edge], list[Edge]] = ([], [])
         table, colours = self.covectors, self.norm.colours
         for e in self.graph.edges:
             parts[colours[table[e]]].append(e)
-        return tuple(parts[0]), tuple(parts[1])
+        return parts
 
     def _direction(self, e: Edge) -> tuple[int, int]:
         """edge_delta(e) times the product of its ends' four coordinate denominators."""
@@ -161,34 +163,37 @@ class Framework:
         return ((xu.numerator * c - g * xv.numerator * a) * b * d,
                 (yu.numerator * d - g * yv.numerator * b) * a * c)
 
-    def grow_tables(self, old: Framework, deleted: Sequence[Edge], added: Sequence[Edge]) -> None:
-        """Build this framework's tables from those of old, which it follows
-        by one step deleting `deleted` and adding `added` (see the module
-        docstring): old's covector table, its orbit rows of each character
-        built and, under a PolyhedralNorm, its colour classes, each less the
-        deleted edges' entries and plus the added edges' own.  Raises
-        NotWellPositioned if an added edge has no covector."""
+    def grow_tables(self, old: Framework, deleted: Sequence[Edge], added: Sequence[Edge], j: int) -> list:
+        """Take old's tables (module docstring), edited in place by the step from
+        old deleting `deleted` and adding `added`; return the deleted edges'
+        character-j rows.  NotWellPositioned, taking nothing, if an added edge has none."""
         if (old.norm, old.group_order) != (self.norm, self.group_order) \
                 or self.positions[:len(old.positions)] != old.positions:
             raise FrameworkError("tables grow only from a framework whose positions are a prefix")
-        table = dict(old.covectors)
-        for e in deleted:
-            del table[e]
-        table.update((e, self.covector(e)) for e in added)
-        self.__dict__["covectors"] = table
-        for j, kept in old.rows.items():
-            rows, row = dict(kept), _row_of(self.norm, j)
+        new = [self.covector(e) for e in added]
+        table = self.__dict__["covectors"] = _take(old, "covectors")
+        gone = [table.pop(e) for e in deleted]
+        table.update(zip(added, new))
+        for c, rows in old.rows.items():
             for e in deleted:
                 del rows[e]
-            rows.update((e, row(e, table[e])) for e in added)
-            self.rows[j] = rows
+            rows.update((e, _row_of(self.norm, c)(e, table[e])) for e in added)
+        self.rows.update(old.rows)
+        old.rows.clear()
         if isinstance(self.norm, PolyhedralNorm):
-            classes, colours = [list(c) for c in old.classes], self.norm.colours
-            for e in deleted:
-                classes[colours[old.covectors[e]]].remove(e)
-            for e in added:
-                insort(classes[colours[table[e]]], e)
-            self.__dict__["classes"] = tuple(map(tuple, classes))
+            classes = self.__dict__["classes"] = _take(old, "classes")
+            for e, phi in zip(deleted, gone):
+                cls = classes[self.norm.colours[phi]]
+                del cls[bisect_left(cls, e)]
+            for e, phi in zip(added, new):
+                insort(classes[self.norm.colours[phi]], e)
+        return [_row_of(self.norm, j)(e, phi) for e, phi in zip(deleted, gone)]
+
+
+def _take(fw: Framework, name: str):
+    """fw's cached `name`, which fw then drops (it builds it again if asked)."""
+    getattr(fw, name)
+    return fw.__dict__.pop(name)
 
 
 def well_positioned(fw: Framework) -> bool:
@@ -214,18 +219,18 @@ def _apply(mat, p):
     return tuple(sum(row[i] * p[i] for i in range(len(p))) for row in mat)
 
 
-def _half_turn(p) -> tuple:
-    """tau(-1) p: the half turn negating the two rotated coordinates."""
-    return (-p[0], -p[1], *p[2:])
+def point_key(p) -> tuple:
+    """p's coordinates' numerators and denominators: equal for equal points, of any number type."""
+    return tuple(x for c in p for x in c.as_integer_ratio())
 
 
-def _images(order: int, p) -> set:
-    """Covering positions of a vertex at p: its images under every power of
-    the rotation (in other dimensions than the plane, p and, for even order,
-    its half turn)."""
+def covering_keys(order: int, p) -> set:
+    """The keys (point_key) of p's images under every power of the rotation (off
+    the plane: p and, for even order, its half turn, negating two numerators)."""
     if len(p) == 2 and order > 2:
-        return {_apply(_rotation(order, t), p) for t in range(order)}
-    return {tuple(p), _half_turn(p)} if order % 2 == 0 else {tuple(p)}
+        return {point_key(_apply(_rotation(order, t), p)) for t in range(order)}
+    k = point_key(p)
+    return {k, (-k[0], k[1], -k[2], *k[3:])} if order % 2 == 0 else {k}
 
 
 def covering_rigidity_matrix(fw: Framework) -> list[list]:
@@ -267,9 +272,10 @@ def covering_rigidity_matrix(fw: Framework) -> list[list]:
     return rows
 
 
+@cache
 def _row_of(norm: Norm, j: int):
     """The function taking an edge and its covector phi to the edge's
-    character-j orbit row (orbit_rows)."""
+    character-j orbit row (orbit_rows), built once per norm and character."""
     d, chi = norm.dimension, (-1) ** j  # chi_j(-1); tau(-1) negates the first two coordinates
     if isinstance(norm, PolyhedralNorm):
         scale, entry = math.lcm(*(c.denominator for f in norm.facets for c in f)), int
@@ -293,7 +299,7 @@ def orbit_rows(fw: Framework, j: int) -> dict[Edge, dict[int, int]]:
     without zero entries; vertex x has columns d*x..d*x+d-1.  Under a
     PolyhedralNorm every entry is an int: the rows are scaled by the least
     common denominator of the facets (1 for LINF and L1), which keeps every
-    rank.  Built once per framework and character (or grown by
+    rank.  Built once per framework and character (or taken by
     Framework.grow_tables); a reader that needs an order reads them in edge
     order."""
     if j not in fw.rows:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from gainrig import placement
 from gainrig.graph import Edge, GainGraph
 from gainrig.norms import L1, LINF, NormError, PolyhedralNorm
-from gainrig.rigidity import Framework, FrameworkError, NotWellPositioned
+from gainrig.rigidity import Framework, FrameworkError, NotWellPositioned, point_key
 
 NORMS = [LINF, L1, PolyhedralNorm(((F(1, 2), F(1, 3)), (F(-2, 3), F(3))))]
 PROPERTY = settings(max_examples=300, derandomize=True, deadline=None)
@@ -140,7 +140,7 @@ def test_grid_point_matches_the_fraction_oracle(norm, scaled_box, size, seed):
         near += [(F(round(c[0] * k), k), F(round(c[1] * k), k)) for k in (1, 2, 4, 8)]
     near += [(F(rng.randint(-9, 9), 2), F(rng.randint(-9, 9), 2)) for _ in range(4)]
     forbidden = set(rng.sample(near, size))
-    pt = placement._grid_point(box, norm.facets, scale, forbidden.__contains__,
+    pt = placement._grid_point(box, norm.facets, scale, {point_key(p) for p in forbidden}.__contains__,
                                len(forbidden) + 1)
     assert pt == _grid_point_oracle(unscaled, norm.facets, forbidden)
     assert all(type(x) is F for x in pt)

@@ -37,6 +37,7 @@ from gainrig.rigidity import (
     analyse,
     orbit_matrix,
     orbit_rows,
+    point_key,
     well_positioned,
 )
 from gainrig.sparsity import tight_partition
@@ -266,12 +267,40 @@ def test_carried_covector_table_matches_a_fresh_one(p, j, initial):
             assert fw.covering == fresh.covering and fw.classes == fresh.classes
 
 
+@pytest.mark.parametrize("p, j, initial", BASES, ids=["single", "union", "k1"])
+def test_a_step_takes_its_parents_tables_and_the_parent_builds_them_again(p, j, initial):
+    # a one-vertex child holds its parent's covector table, orbit rows,
+    # classes and covering set, the same objects edited in place, so no
+    # table is copied; the parent no longer holds them and, asked again,
+    # builds each equal to a fresh framework's
+    seqs = [_grown_sequence(p, seed, initial=initial) for seed in range(3)]
+    seqs += _sequences_with_k4_partway(p, initial, wanted=1)
+    taken = 0
+    for seq in seqs:
+        fw = realize(ConstructionSequence(seq.params, seq.initial, ()), j)
+        for mv in seq.steps:
+            covectors, rows, classes, covering = fw.covectors, dict(fw.rows), fw.classes, fw.covering
+            parent, fw = fw, extend_placement(fw, mv, j)
+            if mv.kind != "VertexToK4":
+                assert fw.covectors is covectors and fw.classes is classes and fw.covering is covering
+                assert fw.rows.keys() == rows.keys() and all(fw.rows[c] is r for c, r in rows.items())
+                assert not parent.rows and not {"covectors", "classes", "covering"} & parent.__dict__.keys()
+                taken += 1
+            fresh = Framework(parent.graph, parent.positions, parent.norm, parent.group_order)
+            assert parent.covectors == fresh.covectors and parent.classes == fresh.classes
+            assert parent.covering == fresh.covering
+            for c in (0, 1):
+                assert orbit_rows(parent, c) == orbit_rows(fresh, c)
+    assert taken > 20
+
+
 @pytest.mark.parametrize("norm", [LINF, L1], ids=["linf", "l1"])
 @pytest.mark.parametrize("p, j, initial", BASES, ids=["single", "union", "k1"])
 def test_carried_orbit_rows_match_fresh_ones(p, j, initial, norm):
     # a one-vertex step takes the row of every edge it keeps, the same
     # object, from the framework before it and builds rows for w's edges
-    # only; a vertex-to-K4 renames edges, so it builds all its rows again
+    # only; a vertex-to-K4 renames edges, so it builds all its rows again.
+    # The parent's rows are recorded before the step, which takes them.
     seqs = [_grown_sequence(p, seed, initial=initial) for seed in range(3)]
     if norm == LINF:
         seqs += _sequences_with_k4_partway(p, initial)
@@ -282,16 +311,17 @@ def test_carried_orbit_rows_match_fresh_ones(p, j, initial, norm):
     for seq in seqs:
         fw = realize(ConstructionSequence(seq.params, seq.initial, ()), j, norm=norm)
         for mv in seq.steps:
+            before = {c: dict(rows) for c, rows in fw.rows.items()}
             parent, fw = fw, extend_placement(fw, mv, j)
             fresh = Framework(fw.graph, fw.positions, fw.norm, fw.group_order)
             # the step's own character, and the other one analysed below
             # unless the step renamed edges
             k4 = mv.kind == "VertexToK4"
-            assert set(fw.rows) == ({j} if k4 else set(parent.rows)) and j in fw.rows
+            assert set(fw.rows) == ({j} if k4 else set(before)) and j in fw.rows
             w = parent.graph.n
             for c, rows in fw.rows.items():
                 assert rows == orbit_rows(fresh, c)
-                kept = {e for e, row in rows.items() if row is parent.rows[c].get(e)}
+                kept = {e for e, row in rows.items() if row is before[c].get(e)}
                 assert kept == (set() if k4 else {e for e in rows if not e.touches(w)})
                 shared += len(kept)
             for c in (0, 1):
@@ -399,6 +429,12 @@ def _steps(seq, j):
         fw = child
 
 
+def _rows(fw, edges, j):
+    """fw's character-j rows of these edges: the rows D a step deleting them
+    hands to placement._rank_certified."""
+    return [orbit_rows(fw, j)[e] for e in edges]
+
+
 def _path_first(fw, mv, new):
     """Every colouring of w's edges new, in placement's search order: first
     those that give each deleted edge (x, y, g) its colour in fw on the new
@@ -454,8 +490,8 @@ def test_interval_test_agrees_with_polygon_clipping():
 
 def _grid_point(box, forbidden):
     """placement._grid_point under l-infinity at scale 1, forbidding exactly
-    the given points."""
-    return placement._grid_point(box, LINF.facets, 1, set(forbidden).__contains__,
+    the given points (by their keys)."""
+    return placement._grid_point(box, LINF.facets, 1, {point_key(p) for p in forbidden}.__contains__,
                                  len(forbidden) + 1)
 
 
@@ -512,7 +548,7 @@ def test_rank_certificate_agrees_with_analyse(monkeypatch, p, j):
         for fw, mv, child in _steps(seq, j):
             kinds.add(mv.kind)
             deleted, added, _ = move_delta(fw.graph, mv)
-            cert = placement._rank_certified(child, fw, deleted, sorted(added), j)
+            cert = placement._rank_certified(child, fw, _rows(fw, deleted, j), sorted(added), j)
             if cert:  # a certified step is isostatic by the rank oracle
                 assert analyse(child, j).isostatic
                 certified[mv.kind] += 1
@@ -545,7 +581,7 @@ def test_a_step_whose_deleted_rows_are_not_in_span_n_calls_analyse_once(monkeypa
     child = extend_placement(parent, mv, 0)
     assert calls == [1] and analyse(child, 0).isostatic
     assert [LINF.colours[child.covectors[e]] for e in sorted(added)] == [1, 0, 1, 1]
-    assert not placement._rank_certified(child, parent, deleted, sorted(added), 0)
+    assert not placement._rank_certified(child, parent, _rows(parent, deleted, 0), sorted(added), 0)
     # N has rank 2 on w's columns, but adding the deleted rows raises its rank
     rows, w = orbit_rows(child, 0), parent.graph.n
     n = [rows[e] for e in child.graph.edges_at(w)]
@@ -599,7 +635,7 @@ def test_uncertified_parents_and_vertex_to_k4_go_to_analyse(monkeypatch):
         k4 = [(fw, mv, child) for fw, mv, child in _steps(seq, j) if mv.kind == "VertexToK4"]
         for fw, mv, child in k4:
             deleted, added, _ = move_delta(fw.graph, mv)
-            assert not placement._rank_certified(child, fw, deleted, sorted(added), j)
+            assert not placement._rank_certified(child, fw, _rows(fw, deleted, j), sorted(added), j)
             calls.clear()
             assert extend_placement(fw, mv, j) == child and calls == [1]
         assert k4

@@ -6,7 +6,7 @@ import pytest
 from gainrig.catalog import BASE_CATALOG, PARAMS_220
 from gainrig.construct import random_tight
 from gainrig.graph import GainGraph
-from gainrig import linalg
+from gainrig import linalg, rigidity
 from gainrig.linalg import PRIME, float_rank, matrix_rank
 from gainrig.norms import LINF, L1, ConeBoundary, LpNorm, NormError, PolyhedralNorm, ZeroVector
 from gainrig.placement import base_placement
@@ -14,6 +14,7 @@ from gainrig.rigidity import (
     Framework,
     FrameworkError,
     analyse,
+    covering_keys,
     covering_rigidity_matrix,
     orbit_matrix,
     trivial_dim,
@@ -138,6 +139,40 @@ def test_covering_distinctness_uses_every_rotation():
         Framework(empty, ((F(1), F(0)), (F(0), F(1))), LINF, 4)
     # order 3 has no half turn: (1, 0) and (-1, 0) have distinct orbits
     Framework(empty, ((F(1), F(0)), (F(-1), F(0))), LINF, 3)
+
+
+def _point_images(order, p):
+    """The covering positions of a vertex at p as points, compared by value:
+    the set the covering keys stand for."""
+    if len(p) == 2 and order > 2:
+        return {rigidity._apply(rigidity._rotation(order, t), p) for t in range(order)}
+    return {tuple(p), (-p[0], -p[1], *p[2:])} if order % 2 == 0 else {tuple(p)}
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 6])
+def test_covering_keys_collide_exactly_where_points_are_equal(order):
+    # keys are ints; two vertices' keys meet iff their covering positions
+    # do, for int, Fraction and l^p float coordinates alike (0.5 equals
+    # Fraction(1, 2) and -0.0 equals 0), and a vertex has one key per image
+    points = [(1, 2), (F(1), F(2)), (-1, -2), (0.5, 3), (F(1, 2), F(3)), (F(-1, 2), -3.0),
+              (-0.0, 1), (0, F(1)), (-1, 0), (0, 1), (F(2, 3), F(-5, 7)), (2.25, -1.75),
+              (F(9, 4), F(-7, 4)), (1.0, 2.0, 3.0), (-1, -2, 3), (F(-1), F(-2), F(-3))]
+    for p in points:
+        assert len(covering_keys(order, p)) == len(_point_images(order, p))
+        for q in points:
+            if len(p) == len(q):
+                meet = not _point_images(order, p).isdisjoint(_point_images(order, q))
+                assert meet == (not covering_keys(order, p).isdisjoint(covering_keys(order, q))), (p, q)
+
+
+def test_a_float_and_an_equal_fraction_are_one_covering_position():
+    empty = GainGraph(2, ())
+    with pytest.raises(FrameworkError, match="distinct"):
+        Framework(empty, ((0.5, 1.0), (F(-1, 2), -1)), LpNorm(3.0), 2)
+    with pytest.raises(FrameworkError, match="distinct"):
+        Framework(empty, ((0.5, 1.0), (-1, F(1, 2))), LpNorm(3.0), 4)
+    assert Framework(empty, ((0.5, 1.0), (F(-1, 2), 1)), LpNorm(3.0), 2).covering == {
+        (1, 2, 1, 1), (-1, 2, -1, 1), (-1, 2, 1, 1), (1, 2, -1, 1)}
 
 
 def test_well_positioned():

@@ -4,11 +4,14 @@ Times check_tight, decompose and construct(verify=True) on tight graphs from
 perfbench's own generator (gen.tight_graph: unions of two matroid bases, so
 no checker decides what the input is), and realize on perfbench's forward
 sequences (gen.forward_sequence), character 0 for (2,2,0) and character 1
-for (2,2,2), each with a digest of the positions it placed and the number
-of analyse calls (global ranks) placement made in one run, and writes one
-JSON file.  Each time is also rescaled to a fixed machine speed with
-perfbench's reference loop, timed just before and after the call (see
-perfbench/README.md, "Load and timing").  With --repeat k each stage is
+for (2,2,2), and realize_random: realize of decompose(random_tight(n, p,
+seed)) up to n = RANDOM_MAX, whose sequences hold every move kind of the
+regime (vertex-to-K4 and vertex split among them).  Each realize row has a
+digest of the positions it placed and the number of analyse calls (global
+ranks) placement made in one run.  It writes one JSON file.  Each time is
+also rescaled to a fixed machine speed with perfbench's reference loop,
+timed just before and after the call (see perfbench/README.md, "Load and
+timing").  With --repeat k each stage is
 timed k times: ``seconds`` and ``raw_seconds`` are the medians, so files
 made with and without repeats compare, and ``min_seconds`` and
 ``max_seconds`` give the spread of the rescaled times.  Standard library
@@ -48,13 +51,14 @@ from run import REF_S, reference  # noqa: E402
 
 from gainrig import (  # noqa: E402
     PARAMS_220, PARAMS_222, GainGraph, apply_iso, check_tight, construct, decompose, placement,
-    realize,
+    random_tight, realize,
 )
 
 REGIMES = {"220": PARAMS_220, "222": PARAMS_222}
 CHARACTER = {"220": 0, "222": 1}  # the character realize places each regime at
 SIZES = (100, 200, 400, 800, 1600, 3200)  # append new sizes, so older files still compare
 DECOMPOSE_MAX = 1600  # largest n also timed through decompose and construct
+RANDOM_MAX = 800  # largest n of the realize_random stage
 SEED = 1
 
 
@@ -147,17 +151,25 @@ def main(argv=None) -> int:
                 return 1
     calls, analyse = [], placement.analyse  # one entry per analyse call placement makes
     placement.analyse = lambda fw, j: calls.append(1) or analyse(fw, j)
+
+    def placed(stage, regime, g, seq, j) -> bool:
+        """Time realize(seq, j) as `stage` and whether it placed g."""
+        calls.clear()
+        fw, _ = record(stage, regime, g, lambda: realize(seq, j), character=j, moves=len(seq.steps))
+        rows[-1]["positions_sha256"] = digest(fw)
+        rows[-1]["analyse_calls"] = len(calls) // args.repeat
+        return fw.graph == g
+
     for regime, j in CHARACTER.items():
         for n in SIZES:
             seq, g = gen.forward_sequence(random.Random(SEED), n, regime)
-            calls.clear()
-            fw, _ = record("realize", regime, g, lambda: realize(seq, j),
-                           character=j, moves=len(seq.steps))
-            rows[-1]["positions_sha256"] = digest(fw)
-            rows[-1]["analyse_calls"] = len(calls) // args.repeat
-            if fw.graph != g:
-                print(f"error: ({regime}) n={n}: realize placed another graph",
-                      file=sys.stderr)
+            ok = placed("realize", regime, g, seq, j)
+            if ok and n <= RANDOM_MAX:
+                g = random_tight(n, REGIMES[regime], SEED)
+                seq, pi, signs = decompose(g, REGIMES[regime])
+                ok = placed("realize_random", regime, apply_iso(g, pi, signs), seq, j)
+            if not ok:
+                print(f"error: ({regime}) n={n}: realize placed another graph", file=sys.stderr)
                 return 1
 
     status = git("status", "--porcelain", "--untracked-files=no")
@@ -171,7 +183,8 @@ def main(argv=None) -> int:
         "seed": SEED,
         "repeat": args.repeat,
         "inputs": "perfbench gen.tight_graph(random.Random(seed), n, regime); "
-                  "realize: gen.forward_sequence(random.Random(seed), n, regime)",
+                  "realize: gen.forward_sequence(random.Random(seed), n, regime); "
+                  "realize_random: decompose(random_tight(n, p, seed), p)",
         "rescaled_to_reference_s": REF_S,
         "stages": rows,
     }

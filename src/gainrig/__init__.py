@@ -55,7 +55,6 @@ from .rigidity import (
     NotWellPositioned,
     RigidityReport,
     analyse,
-    covering_rigidity_matrix,
     orbit_matrix,
     trivial_dim,
     well_positioned,

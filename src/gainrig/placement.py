@@ -68,16 +68,16 @@ Base fixtures come from scripts/find_base_placements.py
 and are re-verified on use; the i-th base of a union is scaled by
 (2i + 2) / (2i + 1), keeping its colours.
 
-A step takes its parent's state instead of rebuilding it: the covering
-set (Framework.covering: the new framework checks only its appended
-positions against it) and, for a one-vertex step, the covector table,
-orbit rows and colour classes, each edited in place by the step's delta
-(Framework.grow_tables; the parent builds any again if asked), and its
-class forests (Framework.forests, built from the parent's classes if it
-has none), which it edits by its delta and hands on to the child if the
-child's new edges have the chosen colours.  So no table is copied, and each
-edge is coloured and its row built once.  A vertex-to-K4 child, whose
-edges are renamed, builds its tables fresh and holds no forests.
+A one-vertex step takes its parent's state instead of rebuilding it: the
+child is built with the step (rigidity.Framework's step), so it checks
+only its new position and takes the parent's covering set, covector table
+and orbit rows, each edited in place by the step's delta (the parent
+builds any again if asked), and the step takes the parent's class forests
+(Framework.forests, built from the parent's classes if it has none),
+which it edits by its delta and hands on to the child if the child's new
+edges have the chosen colours.  So no table is copied, and each edge is
+coloured and its row built once.  A vertex-to-K4 child, whose edges are
+renamed, builds its tables fresh and holds no forests.
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ from .graph import Edge, GainGraph, invariant
 from .linalg import step_certified
 from .moves import Move, apply_delta, move_delta
 from .norms import L1, LINF, PolyhedralNorm
-from .rigidity import (Framework, FrameworkError, NotWellPositioned, analyse, covering_keys, orbit_rows,
-                       point_key)
+from .rigidity import (Framework, FrameworkError, analyse, covering_keys, orbit_rows, point_key,
+                       well_positioned)
 from .sparsity import Forest
 
 Point = tuple[Fraction, Fraction]
@@ -157,12 +157,9 @@ def _verified(fw: Framework, j: int, parent=None, gone=(), added=()) -> bool:
     then the rank (the local certificate of the step from parent deleting
     edges with rows `gone` and adding `added`, else analyse).  If the step
     handed fw class forests for j, they hold its classes as bases: that is
-    the colouring verdict; else isostatic_classes decides."""
-    try:
-        classes = monochrome_quotients(fw)
-    except NotWellPositioned:
-        return False
-    if j not in fw.forests and not isostatic_classes(fw.graph, classes, j):
+    the colouring verdict; else isostatic_classes decides on fw's classes."""
+    if j not in fw.forests and not (
+            well_positioned(fw) and isostatic_classes(fw.graph, monochrome_quotients(fw), j)):
         return False
     algebraic = _rank_certified(fw, parent, gone, added, j) or analyse(fw, j).isostatic
     invariant(algebraic, "rank and colouring verdicts disagree")
@@ -170,21 +167,17 @@ def _verified(fw: Framework, j: int, parent=None, gone=(), added=()) -> bool:
     return True
 
 
-def _framework(g: GainGraph, positions: Sequence[Point], norm, what: str,
-               parent: Optional[Framework] = None) -> Framework:
+def _framework(g: GainGraph, positions: Sequence[Point], norm, what: str) -> Framework:
     try:
-        return Framework(g, tuple(positions), norm, 2, parent)
+        return Framework(g, tuple(positions), norm, 2)
     except FrameworkError as exc:
         raise PlacementError(f"{what}: {exc}") from exc
 
 
-def _accept(g: GainGraph, positions: Sequence[Point], norm, j: int, what: str,
-            parent: Optional[Framework] = None) -> Framework:
-    """The framework at positions if both oracles call it character-j
-    isostatic, else PlacementError naming `what`.  Its covering set is taken
-    from `parent`, the framework the move starts from, if given; its tables
-    are built fresh."""
-    fw = _framework(g, positions, norm, what, parent)
+def _accept(g: GainGraph, positions: Sequence[Point], norm, j: int, what: str) -> Framework:
+    """The framework at positions, its tables built fresh, if both oracles
+    call it character-j isostatic, else PlacementError naming `what`."""
+    fw = _framework(g, positions, norm, what)
     if not _verified(fw, j):
         raise PlacementError(f"{what} failed verification for character {j}")
     return fw
@@ -316,6 +309,7 @@ def extend_placement(fw: Framework, mv: Move, j: int = 0) -> Framework:
     """Grow a verified placement across one move, placing the created
     vertices and re-verifying with both oracles.  A one-vertex step takes
     fw's class forests for j and hands them on (module docstring)."""
+    _check_character(j)
     deleted, added, pi = move_delta(fw.graph, mv)
     h = apply_delta(fw.graph, deleted, added, pi)
     if pi is not None:
@@ -340,10 +334,10 @@ def extend_placement(fw: Framework, mv: Move, j: int = 0) -> Framework:
             for e, c in zip(new, colours):
                 forests[c].remove(e)
             continue
-        cover = fw.covering
+        cover, rows = fw.covering, orbit_rows(fw, j)
         pt = _grid_point(box, facets, scale, lambda k: k in cover or k == _ORIGIN, len(cover) + 2)
-        child = _framework(h, fw.positions + (pt,), fw.norm, mv.kind, fw)
-        gone = child.grow_tables(fw, deleted, new, j)  # cannot raise: pt is inside every new edge's cone
+        gone = [rows[e] for e in deleted]  # D, read before the child takes the rows
+        child = Framework(h, fw.positions + (pt,), fw.norm, 2, (fw, deleted, new))  # pt is free and in every cone
         if all(colour[child.covectors[e]] == c for e, c in zip(new, colours)):
             child.forests[j] = forests
         if not _verified(child, j, fw, gone, new):
@@ -369,7 +363,13 @@ def _extend_k4(fw: Framework, mv: Move, h: GainGraph, j: int) -> Framework:
         t *= 2
     kept = [p for x, p in enumerate(fw.positions) if x != v]
     k4 = [(pv[0] + Fraction(x, t), pv[1] + Fraction(y, t)) for x, y in _K4_SHAPE]
-    return _accept(h, kept + k4, fw.norm, j, mv.kind, fw)
+    return _accept(h, kept + k4, fw.norm, j, mv.kind)
+
+
+def _check_character(j) -> None:
+    """ValueError unless j is the int 0 or 1 (a bool is refused)."""
+    if type(j) is not int or j not in (0, 1):
+        raise ValueError("character must be 0 or 1")
 
 
 def _bases_placement(ids: Sequence[str]) -> Framework:
@@ -395,8 +395,7 @@ def realize(
     is mapped by (x, y) -> ((x + y)/2, (x - y)/2), which takes the
     l-infinity ball onto the l1 ball and keeps every edge's length and
     colour, and verified again."""
-    if j not in (0, 1):
-        raise ValueError("character must be 0 or 1")
+    _check_character(j)
     if norm not in (LINF, L1):
         raise ValueError("realize places under the l-infinity or the l1 norm")
     if not seq.initial:

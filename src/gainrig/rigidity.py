@@ -27,20 +27,19 @@ then again at edge_delta, whose Fractions an error names).
 
 An edge's covector, colour and orbit row (orbit_rows: sparse, in integers,
 built once per character) are pure functions of the edge, its ends'
-positions, the norm and the character.  So a framework that follows
-another by one step whose positions it extends takes that one's tables
-(Framework.grow_tables): the covector table, the rows of each character
-built and the colour classes (sorted lists), edited in place by the
-step's delta, so no table is copied and its kept rows are the other's
-objects; the other builds each again if asked.  The tables are maps;
+positions, the norm and the character.  So a framework grown from a parent
+by one vertex (Framework's step) takes the parent's covector table and the
+rows of each character it built, edited in place by the step's delta: no
+table is copied, and the parent builds each again if asked.  The colour
+classes (Framework.classes) are a view of the table.  The tables are maps;
 every reader that needs an order reads in edge order: analyse, whose
 elimination's fill-in depends on it, and orbit_matrix (the dense view).
 
 A Framework also keeps its covering set, the key (point_key, in ints) of
 every rotation image of every position, which its constructor builds to
-check that covering positions are distinct.  Built with grown_from, a
-framework whose positions are a prefix of its own, it checks only the
-appended positions against that framework's set, then takes it.
+check that covering positions are distinct.  Grown by a step, it checks
+only the appended position, against the parent's set, which it then takes.
+A refused step (FrameworkError) takes nothing.
 
 Rows under a PolyhedralNorm are ranked exactly (linalg.matrix_rank); under
 an LpNorm the dense matrix is ranked by SVD.
@@ -49,15 +48,14 @@ an LpNorm the dense matrix is ranked by SVD.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 from .graph import Edge, GainGraph
 from .linalg import float_rank, matrix_rank
-from .norms import ConeBoundary, Norm, NormError, PolyhedralNorm, ZeroVector
+from .norms import Norm, NormError, PolyhedralNorm
 
 Point = tuple
 
@@ -72,14 +70,15 @@ class NotWellPositioned(FrameworkError):
 
 @dataclass(frozen=True)
 class Framework:
-    """grown_from (see the module docstring) only saves work: the checks are
-    the same with it or without it."""
+    """step = (parent, deleted, added) grows the framework from parent by one
+    vertex (module docstring): graph is parent's graph less the deleted edges
+    plus the added ones, and positions extend parent's by one."""
 
     graph: GainGraph
     positions: tuple[Point, ...]
     norm: Norm
     group_order: int = 2
-    grown_from: InitVar[Optional[Framework]] = None
+    step: InitVar[Optional[tuple]] = None
     # the orbit rows built so far, by character (orbit_rows)
     rows: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     # the characters placement._verified found isostatic by both oracles
@@ -87,34 +86,46 @@ class Framework:
     # by character, the colour classes as forests, for the next placement step to take
     forests: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
-    def __post_init__(self, grown_from):
+    def __post_init__(self, step):
         g, n, d = self.graph, self.group_order, self.norm.dimension
         if len(self.positions) != g.n:
             raise FrameworkError("one position per vertex orbit required")
-        old, k = grown_from, 0
-        if old is not None and (old.group_order, old.norm.dimension) == (n, d) \
-                and self.positions[:len(old.positions)] == old.positions:
-            k = len(old.positions)
-        added = self.positions[k:]
-        if any(len(p) != d for p in added):
+        old, deleted, added = step or (None, (), ())
+        if step and ((old.norm, old.group_order) != (self.norm, n) or self.positions[:-1] != old.positions):
+            raise FrameworkError("a step appends one position to its parent's")
+        new = self.positions[-1:] if step else self.positions
+        if any(len(p) != d for p in new):
             raise FrameworkError(f"positions must have dimension {d}")
         if n < 1:
             raise FrameworkError("group order must be positive")
         if n % 2 == 1 and any(e.gain == -1 for e in g.edges):
             raise FrameworkError("half-turn gains require even group order")
-        if any(all(c == 0 for c in p) for p in added):
+        if any(all(c == 0 for c in p) for p in new):
             raise FrameworkError("no vertex may sit at the rotation centre")
         exact = isinstance(self.norm, PolyhedralNorm)
-        for v, p in enumerate(added, k):
+        for v, p in enumerate(new, g.n - len(new)):
             for i, c in enumerate(p):  # an l^p norm needs room for a difference in a float
                 if not (isinstance(c, (int, Fraction)) if exact else abs(c) < 2.0 ** 1022):
                     raise FrameworkError(f"coordinate {i} of vertex {v} " + (
                         "is not rational" if exact else "does not fit a float"))
-        keys = [covering_keys(n, p) for p in added]  # a vertex's own keys differ: it is off the centre
+        keys = [covering_keys(n, p) for p in new]  # a vertex's own keys differ: it is off the centre
         seen = set().union(*keys)
-        if len(seen) < sum(map(len, keys)) or k and not seen.isdisjoint(old.covering):
+        if len(seen) < sum(map(len, keys)) or step and not seen.isdisjoint(old.covering):
             raise FrameworkError("covering positions must be distinct")
-        self.__dict__["covering"] = _take(old, "covering").__ior__(seen) if k else seen
+        if step is None:
+            self.__dict__["covering"] = seen
+            return
+        phis = [self.covector(e) for e in added]  # before anything is taken
+        table = self.__dict__["covectors"] = _take(old, "covectors")
+        self.__dict__["covering"] = _take(old, "covering").__ior__(seen)
+        for rows in (table, *old.rows.values()):
+            for e in deleted:
+                del rows[e]
+        table.update(zip(added, phis))
+        for c, rows in old.rows.items():
+            rows.update((e, _row_of(self.norm, c)(e, phi)) for e, phi in zip(added, phis))
+        self.rows.update(old.rows)
+        old.rows.clear()
 
     @cached_property
     def covering(self) -> set:
@@ -141,20 +152,20 @@ class Framework:
 
     @cached_property
     def covectors(self) -> dict[Edge, tuple]:
-        """Support covector per edge orbit, computed once (or taken by
-        grow_tables); raises NotWellPositioned if some edge has none."""
+        """Support covector per edge orbit, computed once (or taken by a
+        step); raises NotWellPositioned if some edge has none."""
         return {e: self.covector(e) for e in self.graph.edges}
 
     @cached_property
-    def classes(self) -> tuple[list[Edge], list[Edge]]:
+    def classes(self) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
         """The edges whose covector is +-facets[0] (colour 0) and the others
-        (colour 1), each a list in edge order: read from the table once and
-        kept (or taken by grow_tables).  PolyhedralNorm only."""
+        (colour 1), in edge order, read from the table once.  PolyhedralNorm
+        only."""
         parts: tuple[list[Edge], list[Edge]] = ([], [])
         table, colours = self.covectors, self.norm.colours
         for e in self.graph.edges:
             parts[colours[table[e]]].append(e)
-        return parts
+        return tuple(parts[0]), tuple(parts[1])
 
     def _direction(self, e: Edge) -> tuple[int, int]:
         """edge_delta(e) times the product of its ends' four coordinate denominators."""
@@ -162,32 +173,6 @@ class Framework:
         a, b, c, d = xu.denominator, yu.denominator, xv.denominator, yv.denominator
         return ((xu.numerator * c - g * xv.numerator * a) * b * d,
                 (yu.numerator * d - g * yv.numerator * b) * a * c)
-
-    def grow_tables(self, old: Framework, deleted: Sequence[Edge], added: Sequence[Edge], j: int) -> list:
-        """Take old's tables (module docstring), edited in place by the step from
-        old deleting `deleted` and adding `added`; return the deleted edges'
-        character-j rows.  NotWellPositioned, taking nothing, if an added edge has none."""
-        if (old.norm, old.group_order) != (self.norm, self.group_order) \
-                or self.positions[:len(old.positions)] != old.positions:
-            raise FrameworkError("tables grow only from a framework whose positions are a prefix")
-        new = [self.covector(e) for e in added]
-        table = self.__dict__["covectors"] = _take(old, "covectors")
-        gone = [table.pop(e) for e in deleted]
-        table.update(zip(added, new))
-        for c, rows in old.rows.items():
-            for e in deleted:
-                del rows[e]
-            rows.update((e, _row_of(self.norm, c)(e, table[e])) for e in added)
-        self.rows.update(old.rows)
-        old.rows.clear()
-        if isinstance(self.norm, PolyhedralNorm):
-            classes = self.__dict__["classes"] = _take(old, "classes")
-            for e, phi in zip(deleted, gone):
-                cls = classes[self.norm.colours[phi]]
-                del cls[bisect_left(cls, e)]
-            for e, phi in zip(added, new):
-                insort(classes[self.norm.colours[phi]], e)
-        return [_row_of(self.norm, j)(e, phi) for e, phi in zip(deleted, gone)]
 
 
 def _take(fw: Framework, name: str):
@@ -233,45 +218,6 @@ def covering_keys(order: int, p) -> set:
     return {k, (-k[0], k[1], -k[2], *k[3:])} if order % 2 == 0 else {k}
 
 
-def covering_rigidity_matrix(fw: Framework) -> list[list]:
-    """Plain rigidity matrix of the order-n covering framework.
-
-    Covering vertex (v, t) sits at the t-th rotation image of p_v and maps
-    to column block v * n + t; a gain of -1 shifts the copy index by n / 2.
-    Duplicate lifted edges (loops close up after n/2 shifts) are deduplicated.
-    """
-    g, n = fw.graph, fw.group_order
-    d = fw.norm.dimension
-    if d != 2 and n > 1:
-        raise FrameworkError("rotational covering only supported in the plane")
-    pos = {(v, t): _apply(_rotation(n, t), fw.positions[v]) for v in range(g.n) for t in range(n)}
-    shift = {1: 0, -1: n // 2}
-    lifted = set()
-    for e in g.edges:
-        for t in range(n):
-            a = (e.u, t)
-            b = (e.v, (t + shift[e.gain]) % n)
-            lifted.add(frozenset((a, b)) if a != b else frozenset((a,)))
-    col = {(v, t): (v * n + t) * d for v in range(g.n) for t in range(n)}
-    rows = []
-    for pair in sorted(lifted, key=lambda s: sorted(s)):
-        pts = sorted(pair)
-        if len(pts) == 1:
-            raise FrameworkError("degenerate covering edge")
-        a, b = pts
-        delta = tuple(x - y for x, y in zip(pos[a], pos[b]))
-        try:
-            phi = fw.norm.support_covector(delta)
-        except (ZeroVector, ConeBoundary) as exc:
-            raise NotWellPositioned(f"covering edge {a}-{b}: {exc}") from exc
-        row = [0] * (g.n * n * d)
-        for i in range(d):
-            row[col[a] + i] += phi[i]
-            row[col[b] + i] -= phi[i]
-        rows.append(row)
-    return rows
-
-
 @cache
 def _row_of(norm: Norm, j: int):
     """The function taking an edge and its covector phi to the edge's
@@ -299,8 +245,8 @@ def orbit_rows(fw: Framework, j: int) -> dict[Edge, dict[int, int]]:
     without zero entries; vertex x has columns d*x..d*x+d-1.  Under a
     PolyhedralNorm every entry is an int: the rows are scaled by the least
     common denominator of the facets (1 for LINF and L1), which keeps every
-    rank.  Built once per framework and character (or taken by
-    Framework.grow_tables); a reader that needs an order reads them in edge
+    rank.  Built once per framework and character (or taken by a
+    Framework's step); a reader that needs an order reads them in edge
     order."""
     if j not in fw.rows:
         if not 0 <= j < fw.group_order:

@@ -13,6 +13,8 @@ from gainrig.graph import GainGraph, edge
 from gainrig.iso import apply_iso
 from gainrig.linalg import matrix_rank
 from gainrig.moves import apply_move, apply_reduction
+from gainrig.norms import ConeBoundary, ZeroVector
+from gainrig.rigidity import FrameworkError, NotWellPositioned, _apply, _rotation
 
 
 def random_gain_graph(
@@ -39,6 +41,46 @@ def dense_rank(rows) -> int:
         mult = lcm(*(Fraction(x).denominator for x in row))
         sparse.append({c: int(x * mult) for c, x in enumerate(row) if x})
     return matrix_rank(sparse, len(rows[0]) if rows else 0)
+
+
+def covering_rigidity_matrix(fw) -> list[list]:
+    """Plain rigidity matrix of the order-n covering framework: the oracle
+    the orbit matrices' block ranks are checked against.
+
+    Covering vertex (v, t) sits at the t-th rotation image of p_v and maps
+    to column block v * n + t; a gain of -1 shifts the copy index by n / 2.
+    Duplicate lifted edges (loops close up after n/2 shifts) are deduplicated.
+    """
+    g, n = fw.graph, fw.group_order
+    d = fw.norm.dimension
+    if d != 2 and n > 1:
+        raise FrameworkError("rotational covering only supported in the plane")
+    pos = {(v, t): _apply(_rotation(n, t), fw.positions[v]) for v in range(g.n) for t in range(n)}
+    shift = {1: 0, -1: n // 2}
+    lifted = set()
+    for e in g.edges:
+        for t in range(n):
+            a = (e.u, t)
+            b = (e.v, (t + shift[e.gain]) % n)
+            lifted.add(frozenset((a, b)) if a != b else frozenset((a,)))
+    col = {(v, t): (v * n + t) * d for v in range(g.n) for t in range(n)}
+    rows = []
+    for pair in sorted(lifted, key=lambda s: sorted(s)):
+        pts = sorted(pair)
+        if len(pts) == 1:
+            raise FrameworkError("degenerate covering edge")
+        a, b = pts
+        delta = tuple(x - y for x, y in zip(pos[a], pos[b]))
+        try:
+            phi = fw.norm.support_covector(delta)
+        except (ZeroVector, ConeBoundary) as exc:
+            raise NotWellPositioned(f"covering edge {a}-{b}: {exc}") from exc
+        row = [0] * (g.n * n * d)
+        for i in range(d):
+            row[col[a] + i] += phi[i]
+            row[col[b] + i] -= phi[i]
+        rows.append(row)
+    return rows
 
 
 def reduced_graph(g: GainGraph, r) -> GainGraph:

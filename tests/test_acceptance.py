@@ -23,14 +23,13 @@ from gainrig.rigidity import (
     Framework,
     FrameworkError,
     analyse,
-    covering_rigidity_matrix,
     orbit_matrix,
     trivial_dim,
     well_positioned,
 )
 from gainrig.sparsity import brute_force_oracle, check_sparsity, check_tight
 
-from conftest import dense_rank, random_gain_graph
+from conftest import covering_rigidity_matrix, dense_rank, random_gain_graph
 
 
 def _budget(t0, limit, label):

@@ -48,9 +48,9 @@ def _placement(g, rng, tries=400, norm=LINF):
 def test_edge_colour_examples():
     g = GainGraph.from_triples(2, [[0, 1, 1]])
     fw = Framework(g, ((F(4), F(2)), (F(1), F(1))), LINF, 2)  # delta (3,1)
-    assert monochrome_quotients(fw) == (list(g.edges), [])
+    assert monochrome_quotients(fw) == (g.edges, ())
     fw2 = Framework(g, ((F(1), F(4)), (F(2), F(1))), LINF, 2)  # delta (-1,3)
-    assert monochrome_quotients(fw2) == ([], list(g.edges))
+    assert monochrome_quotients(fw2) == ((), g.edges)
 
 
 @pytest.mark.parametrize("norm", [LINF, L1], ids=["linf", "l1"])
@@ -64,7 +64,7 @@ def test_covector_table_matches_direct_facets(rng, norm):
             continue
         facets = [norm.facet_of(fw.edge_delta(e)) for e in g.edges]
         assert monochrome_quotients(fw) == tuple(
-            [e for e, (i, _) in zip(g.edges, facets) if i == c] for c in (0, 1)
+            tuple(e for e, (i, _) in zip(g.edges, facets) if i == c) for c in (0, 1)
         )
         for j in (0, 1):
             for e, (i, sign), row in zip(g.edges, facets, orbit_matrix(fw, j)):

@@ -112,12 +112,6 @@ def test_realize_rejects_bases_that_do_not_verify(ids):
         realize(seq, 1)
 
 
-def test_realize_rejects_bad_character():
-    seq = ConstructionSequence(PARAMS_220, ("a",), ())
-    with pytest.raises(ValueError):
-        realize(seq, 2)
-
-
 def _assert_isostatic(fw, j):
     gv = geometric_verdict(fw)
     assert (gv.chi0_isostatic if j == 0 else gv.chi1_isostatic)
@@ -269,22 +263,24 @@ def test_carried_covector_table_matches_a_fresh_one(p, j, initial):
 
 @pytest.mark.parametrize("p, j, initial", BASES, ids=["single", "union", "k1"])
 def test_a_step_takes_its_parents_tables_and_the_parent_builds_them_again(p, j, initial):
-    # a one-vertex child holds its parent's covector table, orbit rows,
-    # classes and covering set, the same objects edited in place, so no
-    # table is copied; the parent no longer holds them and, asked again,
-    # builds each equal to a fresh framework's
+    # a one-vertex child holds its parent's covector table, orbit rows and
+    # covering set, the same objects edited in place, so no table is
+    # copied, and no colour classes: its step read them from the forests;
+    # the parent no longer holds the tables and, asked again, builds each
+    # equal to a fresh framework's
     seqs = [_grown_sequence(p, seed, initial=initial) for seed in range(3)]
     seqs += _sequences_with_k4_partway(p, initial, wanted=1)
     taken = 0
     for seq in seqs:
         fw = realize(ConstructionSequence(seq.params, seq.initial, ()), j)
         for mv in seq.steps:
-            covectors, rows, classes, covering = fw.covectors, dict(fw.rows), fw.classes, fw.covering
+            covectors, rows, covering = fw.covectors, dict(fw.rows), fw.covering
             parent, fw = fw, extend_placement(fw, mv, j)
             if mv.kind != "VertexToK4":
-                assert fw.covectors is covectors and fw.classes is classes and fw.covering is covering
+                assert fw.covectors is covectors and fw.covering is covering
+                assert "classes" not in fw.__dict__
                 assert fw.rows.keys() == rows.keys() and all(fw.rows[c] is r for c, r in rows.items())
-                assert not parent.rows and not {"covectors", "classes", "covering"} & parent.__dict__.keys()
+                assert not parent.rows and not {"covectors", "covering"} & parent.__dict__.keys()
                 taken += 1
             fresh = Framework(parent.graph, parent.positions, parent.norm, parent.group_order)
             assert parent.covectors == fresh.covectors and parent.classes == fresh.classes
@@ -694,22 +690,70 @@ def test_golden_sequences_cover_every_move_kind():
     assert kinds == set(ALL_KINDS)
 
 
+def _h1a_step(parent):
+    """The graph an H1a step at vertices 0, 1 makes from parent's, and the
+    step (parent, deleted, added) that grows a framework on it."""
+    mv = Move("H1a", vertices=(0, 1), gains=(1, -1))
+    deleted, added, _ = move_delta(parent.graph, mv)
+    return apply_move(parent.graph, mv), (parent, deleted, sorted(added))
+
+
 def test_growing_onto_an_old_covering_position_raises():
-    # grown from a parent, only the appended position is checked, against
+    # grown by a step, only the appended position is checked, against
     # the parent's covering set: +-p of any old p is still refused
     parent = base_placement("a")
-    h = apply_move(parent.graph, Move("H1a", vertices=(0, 1), gains=(1, -1)))
+    h, step = _h1a_step(parent)
     for p in parent.positions:
         for q in (p, (-p[0], -p[1])):
             with pytest.raises(FrameworkError, match="distinct"):
-                Framework(h, parent.positions + (q,), LINF, 2, parent)
+                Framework(h, parent.positions + (q,), LINF, 2, step)
             with pytest.raises(FrameworkError, match="distinct"):
                 Framework(h, parent.positions + (q,), LINF, 2)
     with pytest.raises(FrameworkError, match="rotation centre"):
-        Framework(h, parent.positions + ((F(0), F(0)),), LINF, 2, parent)
-    grown = Framework(h, parent.positions + ((F(5), F(1)),), LINF, 2, parent)
+        Framework(h, parent.positions + ((F(0), F(0)),), LINF, 2, step)
+    grown = Framework(h, parent.positions + ((F(5), F(1)),), LINF, 2, step)
     assert grown.covering == Framework(h, grown.positions, LINF, 2).covering
     assert len(grown.covering) == 2 * h.n
+
+
+def test_a_refused_step_takes_nothing():
+    # every refusal comes before the parent's tables are taken: its
+    # covering set, covector table and rows of both characters stay with it
+    # and equal a fresh framework's
+    parent = base_placement("a")
+    for c in (0, 1):
+        orbit_rows(parent, c)
+    held = parent.covering, parent.covectors, dict(parent.rows)
+    h, step = _h1a_step(parent)
+    (p, q), free = parent.positions, (F(5), F(1))
+    refused = [
+        (h, (p, (-q[0], -q[1]), free), "appends one position"),  # not a prefix
+        (GainGraph(h.n + 1, h.edges), (p, q, free, (F(7), F(1))), "appends one position"),  # n + 2 vertices
+        (h, (p, q, p), "distinct"),
+        (h, (p, q, (-p[0], -p[1])), "distinct"),
+        (h, (p, q, (F(0), F(0))), "rotation centre"),
+        (h, (p, q, (p[0] + 1, p[1] + 1)), "edge \\[0, 2, 1\\]"),  # on the cone boundary from p
+    ]
+    for g, positions, message in refused:
+        with pytest.raises(FrameworkError, match=message):
+            Framework(g, positions, LINF, 2, step)
+        assert (parent.covering, parent.covectors, parent.rows) == held
+        assert all(a is b for a, b in zip(held[:2], (parent.covering, parent.covectors)))
+        assert all(parent.rows[c] is rows for c, rows in held[2].items())
+    fresh = Framework(parent.graph, parent.positions, LINF, 2)
+    assert parent.covering == fresh.covering and parent.covectors == fresh.covectors
+    assert all(parent.rows[c] == orbit_rows(fresh, c) for c in (0, 1))
+    grown = Framework(h, (p, q, free), LINF, 2, step)
+    assert grown.covectors is held[1] and not parent.rows
+
+
+@pytest.mark.parametrize("j", [2, -1, True, False, 0.0, 1.0, "0", None])
+def test_realize_and_extend_placement_refuse_a_bad_character(j):
+    mv = Move("H1a", vertices=(0, 1), gains=(1, -1))
+    seq, fw = ConstructionSequence(PARAMS_220, ("a",), (mv,)), base_placement("a")
+    for call in (lambda: realize(seq, j), lambda: extend_placement(fw, mv, j)):
+        with pytest.raises(ValueError, match="character must be 0 or 1"):
+            call()
 
 
 @pytest.mark.parametrize("p, j", [(PARAMS_220, 0), (PARAMS_222, 1)], ids=["chi0", "chi1"])

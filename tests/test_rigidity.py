@@ -15,14 +15,13 @@ from gainrig.rigidity import (
     FrameworkError,
     analyse,
     covering_keys,
-    covering_rigidity_matrix,
     orbit_matrix,
     trivial_dim,
     well_positioned,
 )
 from gainrig.sparsity import SparsityParams, check_sparsity
 
-from conftest import dense_rank, random_gain_graph
+from conftest import covering_rigidity_matrix, dense_rank, random_gain_graph
 
 
 def _random_placement(g, rng, norm=LINF, order=2, tries=300):

@@ -1,7 +1,7 @@
 """Search small integer coordinates for each catalogue base so that the
 half-turn-symmetric l-infinity placement is character-0 isostatic according
 to both the colouring oracle and the rank oracle (the same check,
-placement._verified, that base_placement re-runs on use).  The first (smallest
+placement._accept, that base_placement re-runs on use).  The first (smallest
 coordinate box, then lexicographically smallest) hit per base is printed for
 freezing into gainrig.placement.BASE_PLACEMENTS."""
 
@@ -10,22 +10,17 @@ from itertools import product
 
 from gainrig.catalog import BASE_CATALOG
 from gainrig.norms import LINF
-from gainrig.placement import _verified
-from gainrig.rigidity import Framework, FrameworkError
+from gainrig.placement import PlacementError, _accept
 
 
 def search(g, radius):
     coords = [c for c in range(-radius, radius + 1)]
     for pts in product(product(coords, coords), repeat=g.n):
-        if any(p == (0, 0) for p in pts):
-            continue
-        pos = tuple((F(x), F(y)) for x, y in pts)
         try:
-            fw = Framework(g, pos, LINF, 2)
-        except FrameworkError:
+            _accept(g, [(F(x), F(y)) for x, y in pts], LINF, 0, "candidate")
+        except PlacementError:
             continue
-        if _verified(fw, 0):
-            return pts
+        return pts
     return None
 
 

@@ -162,7 +162,8 @@ def cmd_colour(args) -> int:
 
 def cmd_realize(args) -> int:
     seq = sequence_from_dict(load_json(args.sequence))
-    fw = realize(seq, args.character, norm=norm_from_json(args.norm))
+    j = seq.character if args.character is None else args.character
+    fw = realize(seq, j, norm=norm_from_json(args.norm))
     _write_or_print(args.output, framework_to_dict(fw))
     return 0
 
@@ -239,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realize", help="synthesise a verified placement")
     p.add_argument("sequence")
-    p.add_argument("--character", type=int, default=0, choices=(0, 1))
+    p.add_argument("--character", type=int, choices=(0, 1), help="default: the sequence's (its counts fix it)")
     p.add_argument("--norm", default="linf", choices=("linf", "l1"))
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_realize)

@@ -22,9 +22,11 @@ matroid tests on the two monochrome edge classes:
 
 All three read off the per-component vertex count, edge count and balance
 of one graph search per class (graph.signed_components), so they depend on
-no carried state.  A placement step decides the same basis tests on its
-new edges alone, against its parent's classes carried as signed spanning
-forests (sparsity.Forest; placement docstring).
+no carried state.  Placement does not call them: it decides the same basis
+tests on class forests (sparsity.Forest), built once per fresh framework
+and edited by each one-vertex step on its new edges alone (placement
+docstring).  isostatic_classes stays as geometric_verdict's test and as
+the reference the tests check those forests against.
 """
 
 from __future__ import annotations

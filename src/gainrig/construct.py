@@ -63,6 +63,11 @@ class ConstructionSequence:
     def initial_graph(self) -> GainGraph:
         return disjoint_union([graph_for_base_id(b) for b in self.initial])
 
+    @property
+    def character(self) -> int:
+        """The character j its counts fix: 2n - 2j edges are (2,2,2j)."""
+        return self.params.m // 2
+
 
 def construct(
     seq: ConstructionSequence, verify: bool = True

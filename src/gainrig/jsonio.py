@@ -12,6 +12,7 @@ Formats:
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 from typing import Any
 
@@ -178,14 +179,18 @@ def _edge_from_list(t) -> Edge:
 
 
 def move_from_dict(d: dict) -> Move:
-    """Parse a move: a known kind, each field of the right type, gains of
-    +-1, and as many vertices, gains and removed edges as ARITY gives."""
+    """Parse a move: a known kind, no key but Move's fields, each field of
+    the right type, gains of +-1, and as many vertices, gains and removed
+    edges as ARITY gives (moves.arity_error)."""
     try:
         kind = d["kind"]
     except (KeyError, TypeError) as exc:
         raise FormatError("move needs 'kind'") from exc
     if not isinstance(kind, str):
         raise FormatError(f"move kind must be a string, got {kind!r}")
+    unknown = sorted(set(d) - {f.name for f in fields(Move)})
+    if unknown:
+        raise FormatError(f"{kind} move: no field {unknown[0]!r}")
 
     def items(key: str) -> list:
         val = d.get(key, [])

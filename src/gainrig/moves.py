@@ -22,7 +22,9 @@ generation (construct._random_move) all read the table.  The other two moves:
        is re-ended from v1 to v0; adds (v0,v1,+1) and (v0,v2,g); a loop at v1
        optionally moves to v0.
 
-ARITY fixes how many vertices, gains and removed edges each kind takes.
+ARITY fixes how many vertices, gains and removed edges each kind takes;
+a kind's other fields are its own (OWN_FIELDS), and every field a kind
+does not read keeps its default.
 
 Under a relabel+switch (pi, signs) a move translates the same way for every
 kind (translate_move): vertices map through pi, every edge field through
@@ -137,6 +139,9 @@ ARITY: dict[str, tuple[int, int, int]] = {
 }
 ALL_KINDS = tuple(ARITY)
 
+# The fields besides ARITY's counted ones that a kind reads.
+OWN_FIELDS = {"VertexToK4": ("attach", "loop_attach"), "VertexSplit": ("v2_edge", "moved", "move_loop")}
+
 # Move subset of the (2,2,2) characterisation.
 KINDS_222 = ("H1a", "H1b", "H2a", "H2b", "VertexToK4", "VertexSplit")
 
@@ -176,14 +181,18 @@ def _require(cond: bool, msg: str | Callable[[], str]) -> None:  # a function ms
 
 
 def arity_error(mv: Move) -> Optional[str]:
-    """Why mv's kind is unknown or a counted field has the wrong length;
-    None if the kind and the counts fit ARITY."""
+    """Why mv's kind is unknown, a counted field has the wrong length or a
+    field the kind does not read is set; None if mv fits ARITY and
+    OWN_FIELDS."""
     if mv.kind not in ARITY:
         return f"unknown move kind {mv.kind!r}"
     for field, want in zip(("vertices", "gains", "removed"), ARITY[mv.kind]):
         got = len(getattr(mv, field))
         if got != want:
             return f"{mv.kind} needs {want} {field}, got {got}"
+    for field in ("attach", "loop_attach", "v2_edge", "moved", "move_loop"):
+        if field not in OWN_FIELDS.get(mv.kind, ()) and getattr(mv, field) != getattr(Move, field):
+            return f"{mv.kind} takes no {field}"
     return None
 
 

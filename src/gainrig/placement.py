@@ -43,41 +43,42 @@ distinct.  A step's geometry is in integers: its points' keys
 rule's points as integer numerators over one denominator, keyed for the
 forbidden set (after the box test) and made Fractions only when returned.
 
-Every placement is accepted only through _verified: the colouring verdict
-for the step's character, then the rank, which must agree.  The colouring
-verdict is the step's test if the framework holds the step's forests (see
-below); otherwise colouring.isostatic_classes decides on its own classes,
-read from its table.  The rank of a one-vertex step has a
-local certificate.  Let the parent be certified (its r rows independent),
-D be its rows of the deleted edges and N the child's rows of the |D| + 2
-edges at w.  If N has rank 2 on w's columns and span(N) holds D, the child
-has full row rank.  Proof: its rows span the parent's rows and N, of rank
-at least r + 2 as the parent's rows vanish on w's columns; and it has r + 2
-rows.  With D empty this is det != 0 of N on w's columns.  Under a path
-first colouring span(N) holds D: a path's edges share the deleted edge's
-facet pair, so in the covering their rows add up to its row, as in
-subdividing an edge (Kitson and Power, Bull. LMS 2014).  So every H1 and H2
-step from a certified parent is certified: its path colouring always has
-bases (a class subdivides an edge and the other gains a pendant edge or
-loop) and a region (the path's wedges either way round meet the third
-edge's unless its anchor is one of theirs, which distinct covering points
-rule out).  Vertex-to-K4, which renumbers the columns, and a step the test
-(linalg.step_certified) refuses (an H3 or vertex split step whose path
-colourings fail) are ranked by analyse.  Nothing is random.
-Base fixtures come from scripts/find_base_placements.py
-and are re-verified on use; the i-th base of a union is scaled by
-(2i + 2) / (2i + 1), keeping its colours.
+Every placement is accepted by both oracles for the step's character, which
+must agree.  The colouring verdict is always the class forests
+(Framework.forests): a fresh framework (the base union, a vertex-to-K4
+child, the l1 image) builds them from its classes in _accept, and a
+one-vertex step edits its parent's by its delta (below).  _verified then
+checks the rank.  The rank of a one-vertex step has a local certificate.
+Let the parent be certified (its r rows independent), D be its rows of the
+deleted edges and N the child's rows of the |D| + 2 edges at w.  If N has
+rank 2 on w's columns and span(N) holds D, the child has full row rank.
+Proof: its rows span the parent's rows and N, of rank at least r + 2 as the
+parent's rows vanish on w's columns; and it has r + 2 rows.  With D empty
+this is det != 0 of N on w's columns.  Under a path first colouring span(N)
+holds D: a path's edges share the deleted edge's facet pair, so in the
+covering their rows add up to its row, as in subdividing an edge (Kitson
+and Power, Bull. LMS 2014).  So every H1 and H2 step from a certified
+parent is certified: its path colouring always has bases (a class
+subdivides an edge and the other gains a pendant edge or loop) and a region
+(the path's wedges either way round meet the third edge's unless its anchor
+is one of theirs, which distinct covering points rule out).  Vertex-to-K4,
+which renumbers the columns, and a step the test (linalg.step_certified)
+refuses (an H3 or vertex split step whose path colourings fail) are ranked
+by analyse.  Nothing is random.  Base fixtures come from
+scripts/find_base_placements.py and are re-verified on use; the i-th base
+of a union is scaled by (2i + 2) / (2i + 1), keeping its colours.
 
 A one-vertex step takes its parent's state instead of rebuilding it: the
 child is built with the step (rigidity.Framework's step), so it checks
 only its new position and takes the parent's covering set, covector table
 and orbit rows, each edited in place by the step's delta (the parent
 builds any again if asked), and the step takes the parent's class forests
-(Framework.forests, built from the parent's classes if it has none),
-which it edits by its delta and hands on to the child if the child's new
-edges have the chosen colours.  So no table is copied, and each edge is
-coloured and its row built once.  A vertex-to-K4 child, whose edges are
-renamed, builds its tables fresh and holds no forests.
+(built from the parent's classes if a framework from elsewhere has none),
+which it edits by its delta and hands on to the child: the new point lies
+strictly inside every chosen wedge, so each new edge has its chosen
+colour.  So no table is copied, and each edge is coloured and its row
+built once.  A vertex-to-K4 child, whose edges are renamed, builds its
+tables and its forests fresh.
 """
 
 from __future__ import annotations
@@ -90,14 +91,13 @@ from math import inf
 from typing import Optional, Sequence
 
 from .catalog import graph_for_base_id
-from .colouring import isostatic_classes, monochrome_quotients
+from .colouring import monochrome_quotients
 from .construct import ConstructionSequence
 from .graph import Edge, GainGraph, invariant
 from .linalg import step_certified
 from .moves import Move, apply_delta, move_delta
 from .norms import L1, LINF, PolyhedralNorm
-from .rigidity import (Framework, FrameworkError, analyse, covering_keys, orbit_rows, point_key,
-                       well_positioned)
+from .rigidity import Framework, FrameworkError, analyse, covering_keys, orbit_rows, point_key
 from .sparsity import Forest
 
 Point = tuple[Fraction, Fraction]
@@ -145,49 +145,41 @@ def _rank_certified(fw: Framework, parent: Optional[Framework], gone, added, j: 
     """Whether fw, grown from parent by a one-vertex step deleting the edges
     whose character-j rows are `gone` and adding `added` (w's edges), has
     full character-j row rank by the local certificate (module docstring)."""
-    if parent is None or j not in parent.certified or fw.graph.n != parent.graph.n + 1:
+    if parent is None or j not in parent.certified:
         return False
     w, new = parent.graph.n, [orbit_rows(fw, j)[e] for e in added]
     cols = sorted({2 * w, 2 * w + 1}.union(*new, *gone))  # w's columns last
     return step_certified(*([[r.get(c, 0) for c in cols] for r in rs] for rs in (new, gone)))
 
 
-def _verified(fw: Framework, j: int, parent=None, gone=(), added=()) -> bool:
-    """Both oracles for character j, which must agree: the colouring verdict,
-    then the rank (the local certificate of the step from parent deleting
-    edges with rows `gone` and adding `added`, else analyse).  If the step
-    handed fw class forests for j, they hold its classes as bases: that is
-    the colouring verdict; else isostatic_classes decides on fw's classes."""
-    if j not in fw.forests and not (
-            well_positioned(fw) and isostatic_classes(fw.graph, monochrome_quotients(fw), j)):
-        return False
-    algebraic = _rank_certified(fw, parent, gone, added, j) or analyse(fw, j).isostatic
-    invariant(algebraic, "rank and colouring verdicts disagree")
+def _verified(fw: Framework, j: int, parent=None, gone=(), added=()) -> Framework:
+    """fw, whose class forests for j hold its classes as bases (the
+    colouring verdict), once the rank agrees: the local certificate of the
+    step from parent deleting edges with rows `gone` and adding `added`,
+    else analyse."""
+    invariant(_rank_certified(fw, parent, gone, added, j) or analyse(fw, j).isostatic,
+              "rank and colouring verdicts disagree")
     fw.certified.add(j)
-    return True
-
-
-def _framework(g: GainGraph, positions: Sequence[Point], norm, what: str) -> Framework:
-    try:
-        return Framework(g, tuple(positions), norm, 2)
-    except FrameworkError as exc:
-        raise PlacementError(f"{what}: {exc}") from exc
+    return fw
 
 
 def _accept(g: GainGraph, positions: Sequence[Point], norm, j: int, what: str) -> Framework:
-    """The framework at positions, its tables built fresh, if both oracles
-    call it character-j isostatic, else PlacementError naming `what`."""
-    fw = _framework(g, positions, norm, what)
-    if not _verified(fw, j):
-        raise PlacementError(f"{what} failed verification for character {j}")
-    return fw
+    """The framework at positions, its tables built fresh and its class
+    forests for j left on it for the next step, if both oracles call it
+    character-j isostatic, else PlacementError naming `what`."""
+    try:
+        fw = Framework(g, tuple(positions), norm, 2)
+        fw.forests[j] = _class_forests(fw, j)
+    except (FrameworkError, PlacementError) as exc:
+        raise PlacementError(f"{what} do not verify for character {j}: {exc}") from exc
+    return _verified(fw, j)
 
 
 def base_placement(bid: str) -> Framework:
     """Verified isostatic placement of a catalogue base: character 0, or
     character 1 for the single vertex k1."""
     return _accept(graph_for_base_id(bid), _base_points(bid), LINF, int(bid == "k1"),
-                   f"frozen placement for base {bid}")
+                   f"the frozen positions of base {bid}")
 
 
 def _scaled(keys) -> tuple[int, list[tuple[int, int]]]:
@@ -338,11 +330,10 @@ def extend_placement(fw: Framework, mv: Move, j: int = 0) -> Framework:
         pt = _grid_point(box, facets, scale, lambda k: k in cover or k == _ORIGIN, len(cover) + 2)
         gone = [rows[e] for e in deleted]  # D, read before the child takes the rows
         child = Framework(h, fw.positions + (pt,), fw.norm, 2, (fw, deleted, new))  # pt is free and in every cone
-        if all(colour[child.covectors[e]] == c for e, c in zip(new, colours)):
-            child.forests[j] = forests
-        if not _verified(child, j, fw, gone, new):
-            raise PlacementError(f"{mv.kind} failed verification for character {j}")
-        return child
+        invariant(all(colour[child.covectors[e]] == c for e, c in zip(new, colours)),
+                  "a new edge left its chosen wedge")
+        child.forests[j] = forests
+        return _verified(child, j, fw, gone, new)
     raise PlacementError(f"no region places the new vertex of {mv.kind} on {fw.graph.triples()}")
 
 
@@ -363,7 +354,7 @@ def _extend_k4(fw: Framework, mv: Move, h: GainGraph, j: int) -> Framework:
         t *= 2
     kept = [p for x, p in enumerate(fw.positions) if x != v]
     k4 = [(pv[0] + Fraction(x, t), pv[1] + Fraction(y, t)) for x, y in _K4_SHAPE]
-    return _accept(h, kept + k4, fw.norm, j, mv.kind)
+    return _accept(h, kept + k4, fw.norm, j, f"the positions of {mv.kind}")
 
 
 def _check_character(j) -> None:
@@ -372,15 +363,14 @@ def _check_character(j) -> None:
         raise ValueError("character must be 0 or 1")
 
 
-def _bases_placement(ids: Sequence[str]) -> Framework:
-    """Unverified placement of a disjoint union of bases (see the module
-    docstring for the scalars)."""
-    g, positions = GainGraph(0, ()), []
+def _bases_positions(ids: Sequence[str]) -> list[Point]:
+    """The positions of a disjoint union of bases (see the module docstring
+    for the scalars)."""
+    positions = []
     for i, bid in enumerate(ids):
-        g = g.union(graph_for_base_id(bid))
         s = Fraction(2 * i + 2, 2 * i + 1) if len(ids) > 1 else 1
         positions += [(s * x, s * y) for x, y in _base_points(bid)]
-    return _framework(g, positions, LINF, f"bases {list(ids)}")
+    return positions
 
 
 def realize(
@@ -390,22 +380,23 @@ def realize(
     norm: PolyhedralNorm = LINF,
 ) -> Framework:
     """Fold the construction sequence through extend_placement, producing a
-    framework verified character-j isostatic by both oracles.  `cfg` is
-    accepted and has no effect.  Under norm=L1 the l-infinity realisation
-    is mapped by (x, y) -> ((x + y)/2, (x - y)/2), which takes the
-    l-infinity ball onto the l1 ball and keeps every edge's length and
-    colour, and verified again."""
+    framework verified character-j isostatic by both oracles; ValueError
+    unless j is the sequence's character.  `cfg` is accepted and has no
+    effect.  Under norm=L1 the l-infinity realisation is mapped by
+    (x, y) -> ((x + y)/2, (x - y)/2), which takes the l-infinity ball onto
+    the l1 ball and keeps every edge's length and colour, and verified
+    again."""
     _check_character(j)
+    if j != seq.character:
+        raise ValueError(f"counts {seq.params.as_tuple()} place for character {seq.character}, not {j}")
     if norm not in (LINF, L1):
         raise ValueError("realize places under the l-infinity or the l1 norm")
     if not seq.initial:
         raise ValueError("sequence has no initial base")
-    fw = _bases_placement(seq.initial)
-    if not _verified(fw, j):
-        raise PlacementError(f"bases {list(seq.initial)} do not verify for character {j}")
+    fw = _accept(seq.initial_graph(), _bases_positions(seq.initial), LINF, j, f"bases {list(seq.initial)}")
     for mv in seq.steps:
         fw = extend_placement(fw, mv, j)
     if norm == L1:
         fw = _accept(fw.graph, [((x + y) / 2, (x - y) / 2) for x, y in fw.positions], L1, j,
-                     "l1 image of the l-infinity placement")
+                     "the l1 image's positions")
     return fw

@@ -83,7 +83,8 @@ class Framework:
     rows: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     # the characters placement._verified found isostatic by both oracles
     certified: set = field(init=False, repr=False, compare=False, default_factory=set)
-    # by character, the colour classes as forests, for the next placement step to take
+    # by character, the colour classes as forests: every framework placement
+    # verifies holds them, for the next placement step to take
     forests: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self, step):

@@ -129,6 +129,9 @@ def _sequence_file(tmp_path, step):
     [
         ({"kind": "H2a", "removed": [[0, 1, 1]], "vertices": [0, 1]}, "H2a needs 2 gains"),
         ({"kind": "H1a", "vertices": 5, "gains": [1, 1]}, "'vertices' must be a list"),
+        ({"kind": "H1a", "vertices": [0, 1], "gains": [1, 1], "moved": [[0, 1, 1]]}, "H1a takes no moved"),
+        ({"kind": "VertexSplit", "vertices": [0], "v2_edge": [0, 1, 1], "moves": [[0, 1, -1]]},
+         "no field 'moves'"),
     ],
 )
 def test_malformed_move_is_usage_error(tmp_path, capsys, command, step, message):
@@ -169,6 +172,18 @@ def test_sequence_that_is_not_tight_fails(tmp_path, capsys, command, reason):
     out = capsys.readouterr().out
     assert out.startswith("FAIL") and reason in out
     assert json.loads(out.split("\n", 1)[1])["verdict"] == "FAIL"
+
+
+def test_realize_takes_the_sequences_character(tmp_path, capsys):
+    # (2,2,2) counts fix character 1: realize places it without --character,
+    # and --character 0 is a usage error before anything is placed
+    path, out = tmp_path / "seq.json", str(tmp_path / "fw.json")
+    save_json(str(path), {"counts": [2, 2, 2], "initial": ["k1"], "steps": [{"kind": "H1b", "vertices": [0]}]})
+    assert main(["realize", str(path), "-o", out]) == 0
+    assert main(["analyse", out, "--character", "1"]) == 0
+    assert '"isostatic": true' in capsys.readouterr().out
+    assert main(["realize", str(path), "--character", "0"]) == 2
+    assert "(2, 2, 2) place for character 1, not 0" in capsys.readouterr().err
 
 
 def test_realize_empty_initial_is_usage_error(tmp_path, capsys):

@@ -101,6 +101,9 @@ def test_move_and_sequence_roundtrip():
         {"kind": "VertexSplit", "vertices": [0], "moved": {"a": 1}},
         {"kind": "VertexSplit", "vertices": [0], "v2_edge": [0, 1, 1], "move_loop": "no"},
         {"kind": "VertexSplit", "vertices": [0], "v2_edge": [0, 1, 1], "move_loop": 1},
+        # a field the kind does not read, and a key that names no field
+        {"kind": "H1a", "vertices": [0, 1], "gains": [1, 1], "moved": [[0, 1, 1]]},
+        {"kind": "VertexSplit", "vertices": [0], "v2_edge": [0, 1, 1], "moves": [[0, 2, 1]]},
     ],
 )
 def test_malformed_move_raises_format_error(move):

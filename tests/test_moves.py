@@ -352,6 +352,21 @@ def test_wrong_arity_names_kind_and_field(mv, field):
         apply_move(BASE_A, mv)
 
 
+@pytest.mark.parametrize(
+    "mv, field",
+    [
+        (Move("H1a", vertices=(0, 1), gains=(1, 1), moved=(edge(0, 1, 1),)), "moved"),
+        (Move("H1b", vertices=(0,), move_loop=True), "move_loop"),
+        (Move("VertexToK4", vertices=(0,), v2_edge=edge(0, 1, 1)), "v2_edge"),
+        (Move("VertexSplit", vertices=(0,), v2_edge=edge(0, 1, 1), loop_attach=(0, 1)), "loop_attach"),
+    ],
+)
+def test_a_field_the_kind_does_not_read_is_refused(mv, field):
+    # it would be ignored by the move and written back by move_to_dict
+    with pytest.raises(MoveError, match=f"{mv.kind} takes no {field}"):
+        apply_move(BASE_A, mv)
+
+
 def test_kind_order_is_fixed():
     # random generation draws kinds in this order, so it fixes random_tight
     assert ALL_KINDS == tuple(ARITY) == (

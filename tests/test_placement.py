@@ -104,12 +104,14 @@ def test_realize_disconnected_union():
     assert analyse(fw, 0).isostatic
 
 
-@pytest.mark.parametrize("ids", [("a",), ("a", "b")])
-def test_realize_rejects_bases_that_do_not_verify(ids):
-    # (2,2,0) bases are placed for character 0; a union is checked like one base
-    seq = ConstructionSequence(PARAMS_220, ids, ())
-    with pytest.raises(PlacementError, match="do not verify for character 1"):
-        realize(seq, 1)
+@pytest.mark.parametrize("p, ids, j", [(PARAMS_220, ("a",), 1), (PARAMS_220, ("a", "b"), 1),
+                                       (PARAMS_222, ("k1",), 0)], ids=["a", "a+b", "k1"])
+def test_realize_rejects_a_character_its_counts_cannot_reach(monkeypatch, p, ids, j):
+    # 2n edges, (2,2,0), are isostatic only for character 0 and 2n - 2,
+    # (2,2,2), only for character 1: a usage error before anything is placed
+    monkeypatch.setattr(placement, "Framework", None)
+    with pytest.raises(ValueError, match=f"place for character {1 - j}, not {j}"):
+        realize(ConstructionSequence(p, ids, ()), j)
 
 
 def _assert_isostatic(fw, j):
@@ -877,8 +879,9 @@ def test_two_steps_from_one_parent_give_equal_children(p, j):
             second = extend_placement(fw, mv, j)
             assert first == second and first.classes == second.classes
             assert first.certified == second.certified == {j}
-            if mv.kind == "VertexToK4":  # renames edges: the child's are built on its next step
-                assert not first.forests and not second.forests
+            if mv.kind == "VertexToK4":  # renames edges: each child builds its own, the parent keeps its
+                assert first.forests.keys() == second.forests.keys() == {j}
+                assert first.forests[j] is not second.forests[j]
                 assert fw.forests.get(j) is carried
             else:
                 assert not fw.forests
@@ -886,3 +889,53 @@ def test_two_steps_from_one_parent_give_equal_children(p, j):
                 assert first.forests[j] is not second.forests[j]
             fw = first
         assert fw == realize(seq, j)
+
+
+def test_class_forests_are_built_once_per_fresh_framework(monkeypatch):
+    # the class forests are placement's only colouring verdict: _accept
+    # builds them for each fresh framework (the bases, each vertex-to-K4
+    # child, the l1 image) and leaves them on it, and a one-vertex step
+    # edits its parent's and builds none; every framework realize,
+    # base_placement and extend_placement return holds them
+    fresh, built = [], []
+
+    def framework(*args):
+        fw = Framework(*args)
+        if len(args) == 4:  # no step: built fresh
+            fresh.append(fw)
+        return fw
+
+    def class_forests(fw, j):
+        built.append(fw)
+        return real_class_forests(fw, j)
+
+    def step(fw, mv, j=0):
+        before = len(built)
+        child = real_extend(fw, mv, j)
+        assert j in child.forests
+        assert built[before:] == ([child] if mv.kind == "VertexToK4" else [])
+        kinds[mv.kind] += 1
+        return child
+
+    real_class_forests, real_extend, kinds = placement._class_forests, placement.extend_placement, Counter()
+    monkeypatch.setattr(placement, "Framework", framework)
+    monkeypatch.setattr(placement, "_class_forests", class_forests)
+    monkeypatch.setattr(placement, "extend_placement", step)
+    for bid in [*BASE_PLACEMENTS, "k1"]:
+        built.clear()
+        fw = base_placement(bid)
+        assert built == [fw] and fw.forests.keys() == {int(bid == "k1")}
+    cases = [(sequence_from_dict(c["sequence"]), c["character"], LINF) for c in GOLDEN]
+    for p, j in ((PARAMS_220, 0), (PARAMS_222, 1)):
+        for seed in range(2):
+            seq = decompose(random_tight(40, p, seed), p)[0]
+            cases += [(seq, j, LINF), (seq, j, L1)]
+    for seq, j, norm in cases:
+        fresh.clear()
+        built.clear()
+        fw = realize(seq, j, norm=norm)
+        k4 = sum(mv.kind == "VertexToK4" for mv in seq.steps)
+        assert len(built) == len(fresh) == 1 + k4 + (norm == L1)
+        assert all(a is b for a, b in zip(built, fresh))
+        assert fw.forests.keys() == {j}
+    assert set(kinds) == set(ALL_KINDS) and kinds["VertexToK4"] > 10, kinds

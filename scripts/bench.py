@@ -2,16 +2,17 @@
 
 Times check_tight, decompose and construct(verify=True) on tight graphs from
 perfbench's own generator (gen.tight_graph: unions of two matroid bases, so
-no checker decides what the input is), and realize on perfbench's forward
-sequences (gen.forward_sequence), character 0 for (2,2,0) and character 1
-for (2,2,2), and realize_random: realize of decompose(random_tight(n, p,
-seed)) up to n = RANDOM_MAX, whose sequences hold every move kind of the
-regime (vertex-to-K4 and vertex split among them).  Each realize row has a
-digest of the positions it placed and the number of analyse calls (global
-ranks) placement made in one run.  It writes one JSON file.  Each time is
-also rescaled to a fixed machine speed with perfbench's reference loop,
-timed just before and after the call (see perfbench/README.md, "Load and
-timing").  With --repeat k each stage is
+no checker decides what the input is), with a digest of each decompose
+output (its sequence, pi and signs as canonical JSON), and realize on
+perfbench's forward sequences (gen.forward_sequence), character 0 for
+(2,2,0) and character 1 for (2,2,2), and realize_random: realize of
+decompose(random_tight(n, p, seed)) up to n = RANDOM_MAX, whose sequences
+hold every move kind of the regime (vertex-to-K4 and vertex split among
+them).  Each realize row has a digest of the positions it placed and the
+number of analyse calls (global ranks) placement made in one run.  It
+writes one JSON file.  Each time is also rescaled to a fixed machine speed
+with perfbench's reference loop, timed just before and after the call (see
+perfbench/README.md, "Load and timing").  With --repeat k each stage is
 timed k times: ``seconds`` and ``raw_seconds`` are the medians, so files
 made with and without repeats compare, and ``min_seconds`` and
 ``max_seconds`` give the spread of the rescaled times.  Standard library
@@ -53,11 +54,12 @@ from gainrig import (  # noqa: E402
     PARAMS_220, PARAMS_222, GainGraph, apply_iso, check_tight, construct, decompose, placement,
     random_tight, realize,
 )
+from gainrig.jsonio import sequence_to_dict  # noqa: E402
 
 REGIMES = {"220": PARAMS_220, "222": PARAMS_222}
 CHARACTER = {"220": 0, "222": 1}  # the character realize places each regime at
-SIZES = (100, 200, 400, 800, 1600, 3200)  # append new sizes, so older files still compare
-DECOMPOSE_MAX = 1600  # largest n also timed through decompose and construct
+SIZES = (100, 200, 400, 800, 1600, 3200, 6400)  # append new sizes, so older files still compare
+DECOMPOSE_MAX = 3200  # largest n also timed through decompose and construct
 RANDOM_MAX = 800  # largest n of the realize_random stage
 SEED = 1
 
@@ -76,10 +78,9 @@ def timed(call, repeat: int):
     return result, runs
 
 
-def digest(fw) -> str:
-    """A short hash of the placed positions, equal for byte-identical ones."""
-    text = json.dumps([[str(c) for c in p] for p in fw.positions])
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+def digest(obj) -> str:
+    """A short hash of obj as canonical JSON, equal for byte-identical outputs."""
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def git(*args: str, env=None):
@@ -139,6 +140,8 @@ def main(argv=None) -> int:
             if n <= DECOMPOSE_MAX:
                 (seq, pi, signs), t_dec = record("decompose", regime, g,
                                                  lambda: decompose(g, p))
+                rows[-1]["sequence_sha256"] = digest(
+                    {**sequence_to_dict(seq), "pi": list(pi), "signs": list(signs)})
                 built, t_con = record("construct", regime, g,
                                       lambda: construct(seq, verify=True),
                                       moves=len(seq.steps))
@@ -156,7 +159,7 @@ def main(argv=None) -> int:
         """Time realize(seq, j) as `stage` and whether it placed g."""
         calls.clear()
         fw, _ = record(stage, regime, g, lambda: realize(seq, j), character=j, moves=len(seq.steps))
-        rows[-1]["positions_sha256"] = digest(fw)
+        rows[-1]["positions_sha256"] = digest([[str(c) for c in p] for p in fw.positions])
         rows[-1]["analyse_calls"] = len(calls) // args.repeat
         return fw.graph == g
 

@@ -10,12 +10,15 @@ frame matroid (every component a tree, or one cycle that is unbalanced), as
 on a connected edge set C those k ranks sum to k|V(C)| - k if C is balanced
 and to k|V(C)| - m if not.  The half turn's Maxwell counts in d dimensions,
 (d,d,d-2) at chi0 and (d,d,2) at chi1, are such counts.  The checker runs
-Edmonds' matroid partition: it inserts the edges in sorted order, each by
-a breadth-first search for a shortest augmenting path.  Each side is a
+Edmonds' matroid partition: it inserts the edges in sorted order, a free
+edge straight onto the first side that takes it, any other by a
+breadth-first search for a shortest augmenting path.  Each side is a
 signed spanning forest, plus one extra edge per tree on a frame side, so
-whether a side takes an edge is read in O(1) from tree labels, signs and
-extra edges (Forest.independent), the circuits of an edge that no side
-takes are read off tree paths (Forest.circuit), and an augmentation
+whether a side takes an edge is read in O(1), once per reached edge and
+side, from tree labels, signs and extra edges (Forest.independent); the
+circuits of an edge that no side takes are read off tree paths as sets
+(Forest.circuit), and only their newly labelled edges are sorted, so the
+search labels in the order sorted circuits would; an augmentation
 re-roots or searches again only the trees it changes.  If an edge is
 blocked, every element the search reached lies in each side's span of the
 reached set S, so |S| is one more than the sides' ranks of S summed, and
@@ -119,17 +122,17 @@ class Forest:
     """One partition side as a rooted spanning forest of its edges: per
     vertex its parent, tree edge, depth and sign (a tree edge's gain is the
     product of its ends' signs), compared only within a tree, its tree label
-    (``root``) and edges on the side (``at``); per label, the tree's size
-    and, on a frame side, its one edge off the tree if any (``extra``),
-    closing an unbalanced cycle.  Labels, signs and extras decide
-    independence in O(1).  A tree keeps its label as it grows or loses the
-    smaller half of a split; ``journal``, if given, collects the vertices
-    that change trees.  Partition's sides and placement's colour classes
-    (placement docstring) are such forests."""
+    (``root``) and edges on the side, each mapped to its far end (``at``);
+    per label, the tree's size and, on a frame side, its one edge off the
+    tree if any (``extra``), closing an unbalanced cycle.  Labels, signs and
+    extras decide independence in O(1).  A tree keeps its label as it grows
+    or loses the smaller half of a split; ``journal``, if given, collects
+    the vertices that change trees.  Partition's sides and placement's
+    colour classes (placement docstring) are such forests."""
 
     def __init__(self, n: int, frame: bool, journal: Optional[list[int]] = None) -> None:
         self.frame, self.journal = frame, journal
-        self.at: list[dict[Edge, None]] = [{} for _ in range(n)]
+        self.at: list[dict[Edge, int]] = [{} for _ in range(n)]
         self.parent = list(range(n))
         self.root = list(range(n))
         self.size = dict.fromkeys(range(n), 1)
@@ -155,20 +158,19 @@ class Forest:
         in that end's tree (or make it a tree under a new label), by
         breadth-first search; the one edge off the tree it meets is the
         tree's extra edge.  Returns the vertices reached."""
-        root = next(self.labels) if up is None else self.root[up.other(start)]
-        seen, queue = {start}, [(start, up)]
-        for w, f in queue:  # f is w's tree edge
-            p = w if f is None else f.other(w)
+        top = start if up is None else self.at[start][up]
+        root = next(self.labels) if up is None else self.root[top]
+        seen, queue = {start}, [(start, up, top)]
+        for w, f, p in queue:  # f is w's tree edge, p its far end
             self.parent[w], self.pedge[w], self.root[w] = p, f, root
             self.depth[w] = 0 if f is None else self.depth[p] + 1
             self.sign[w] = 1 if f is None else self.sign[p] * f.gain
-            for e in self.at[w]:
-                z = e.other(w)
+            for e, z in self.at[w].items():
                 if e is f:
                     continue
                 if z not in seen:
                     seen.add(z)
-                    queue.append((z, e))
+                    queue.append((z, e, w))
                 else:  # a tree keeps at most one edge off it
                     invariant(self.frame and self.extra.setdefault(root, e) == e,
                               "a partition side is not independent")
@@ -183,7 +185,7 @@ class Forest:
         hangs the smaller from its end of e; it keeps the extra edge its
         search meets, not its old one, which may now be a tree edge."""
         invariant(self.independent(e), "a partition side is not independent")
-        self.at[e.u][e] = self.at[e.v][e] = None
+        self.at[e.u][e], self.at[e.v][e] = e.v, e.u
         ru, rv = self.root[e.u], self.root[e.v]
         if ru == rv:
             self.extra[ru] = e
@@ -211,8 +213,7 @@ class Forest:
         while k < len(halves[0]) and k < len(halves[1]):  # along tree edges, in turn
             for reached, half in zip(seen, halves):
                 w = half[k]
-                for f in self.at[w]:
-                    z = f.other(w)
+                for f, z in self.at[w].items():
                     if z not in reached and f is not extra:
                         reached.add(z)
                         half.append(z)
@@ -251,14 +252,12 @@ class Forest:
         """Whether x closes a balanced cycle in its tree."""
         return not x.is_loop() and self.sign[x.u] * self.sign[x.v] == x.gain
 
-    def circuit(self, x: Edge) -> Optional[list[Edge]]:
-        """None if the side plus x is independent, else the circuit of x in
-        edge order: x's cycle if balanced (or on a graphic side); with the
+    def circuit(self, x: Edge) -> set[Edge]:
+        """The circuit of x, which the side must not take (not independent),
+        as a set: x's cycle if balanced (or on a graphic side); with the
         extra edge's cycle, their sum if they share an edge (a theta), else
         both and the path between them (a handcuff); across two trees, both
         extra cycles, the paths from x's ends to them, and x."""
-        if self.independent(x):
-            return None
         ru, rv = self.root[x.u], self.root[x.v]
         if ru != rv:
             eu, ev = self.extra[ru], self.extra[rv]
@@ -266,16 +265,16 @@ class Forest:
             cv, tv = self._path(ev.u, ev.v, ev)
             xu, _ = self._path(x.u, tu, x)
             xv, _ = self._path(x.v, tv)
-            return sorted(cu | cv | xu | xv)
+            return cu | cv | xu | xv
         cx, top = self._path(x.u, x.v, x)
         if not self.frame or self._balanced(x):
-            return sorted(cx)
+            return cx
         e = self.extra[ru]
         ce, top_e = self._path(e.u, e.v, e)
         if cx & ce:  # a theta
-            return sorted(cx ^ ce)
+            return cx ^ ce
         between, _ = self._path(top, top_e)
-        return sorted(cx | ce | between)
+        return cx | ce | between
 
 
 class Partition:
@@ -302,17 +301,23 @@ class Partition:
         self.before: dict[Edge, Optional[int]] = {}
 
     def insert(self, y: Edge) -> Optional[list[Edge]]:
-        """Add y along a shortest augmenting path, found by breadth-first
-        search; a reached edge's circuits are read only if no other side
-        takes it (Forest.independent, O(1)).  None on success; else y stays
-        out, and the result is every edge the search reached."""
+        """Add y onto the first side that takes it (a free edge), else along
+        a shortest augmenting path, found by breadth-first search (module
+        docstring).  None on success; else y stays out, and the result is
+        every edge the search reached."""
+        for i, forest in enumerate(self.forests):
+            if forest.independent(y):  # journalled as _move would
+                self.before.setdefault(y, None)
+                self.side[y] = i
+                forest.add(y)
+                return None
         # label[z] = (x, i): x may join side i if z leaves it.
         label: dict[Edge, Optional[tuple[Edge, int]]] = {y: None}
         queue = [y]
         for x in queue:
             own = self.side.get(x)
             for i, forest in enumerate(self.forests):
-                if i != own and forest.independent(x):
+                if x is not y and i != own and forest.independent(x):
                     path = [(x, i)]
                     while label[x] is not None:
                         x, i = label[x]
@@ -321,10 +326,11 @@ class Partition:
                     return None
             for i, forest in enumerate(self.forests):
                 if i != own:
-                    for z in forest.circuit(x):
-                        if z not in label:
-                            label[z] = (x, i)
-                            queue.append(z)
+                    new = [z for z in forest.circuit(x) if z not in label]
+                    new.sort()  # the order a sorted circuit labels them in
+                    for z in new:
+                        label[z] = (x, i)
+                    queue += new
         return queue
 
     def _move(self, path: list[tuple[Edge, Optional[int]]]) -> None:
@@ -350,8 +356,11 @@ class Partition:
         past the current ones are created.  pi renames: vertex a becomes
         pi[a], or is deleted if pi[a] >= n, the kept ones onto the first
         vertices.  Without pi, the ``flipped`` vertices are switched and the
-        ``dropped`` ones stay as isolated dead ids.  Only a renaming step
-        costs O(n), to rewrite the id map."""
+        ``dropped`` ones stay as isolated dead ids; ValueError, before any
+        edit, if pi comes with either.  Only a renaming step costs O(n), to
+        rewrite the id map."""
+        if pi is not None and (flipped or dropped):
+            raise ValueError("a renaming step (pi) switches and drops no vertices")
         ids, flips, old_n = self.ids, self.flips, len(self.ids)
         self.before = {}
         self.relabelled.clear()

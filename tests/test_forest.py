@@ -96,6 +96,12 @@ def oracle_circuit(n: int, side: list[Edge], x: Edge, frame: bool):
     return _circuit_in_core(_two_core(local + [x]))
 
 
+def sorted_circuit(f: Forest, x: Edge):
+    """None if f's side plus x is independent, else x's circuit (Forest.circuit,
+    a set) in edge order."""
+    return None if f.independent(x) else sorted(f.circuit(x))
+
+
 def assert_forest(f: Forest, side: set[Edge]) -> None:
     """Parent, depth, sign and tree label agree along each tree edge, and a
     vertex without a tree edge is its own parent; the side is the tree edges
@@ -149,7 +155,7 @@ def test_random_updates_match_the_peel(counts):
                 if x in side and rng.random() < 0.7:
                     f.remove(x)
                     side.remove(x)
-                elif x not in side and f.circuit(x) is None:
+                elif x not in side and f.independent(x):
                     f.add(x)
                     side.add(x)
                 else:
@@ -158,7 +164,7 @@ def test_random_updates_match_the_peel(counts):
                 for y in pool:
                     if y not in side:
                         want = oracle_circuit(n, sorted(side), y, frame)
-                        assert f.circuit(y) == (None if want is None else sorted(want))
+                        assert sorted_circuit(f, y) == (None if want is None else sorted(want))
                         assert f.independent(y) == (want is None)
 
 
@@ -170,7 +176,7 @@ def test_built_forest_matches_updated_one():
         pool = all_edges(7)
         f, side = Forest(7, frame), set()
         for x in rng.sample(pool, len(pool)):
-            if f.circuit(x) is None:
+            if f.independent(x):
                 f.add(x)
                 side.add(x)
         for x in rng.sample(sorted(side), len(side) // 3):
@@ -183,7 +189,7 @@ def test_built_forest_matches_updated_one():
         assert_forest(built, side)
         for y in pool:
             if y not in side:
-                assert built.circuit(y) == f.circuit(y)
+                assert sorted_circuit(built, y) == sorted_circuit(f, y)
 
 
 def test_merge_reroots_a_tree_with_its_extra_edge():
@@ -204,9 +210,9 @@ def test_merge_reroots_a_tree_with_its_extra_edge():
     for y in all_edges(8):
         if y not in side:
             want = oracle_circuit(8, sorted(side), y, True)
-            assert f.circuit(y) == (None if want is None else sorted(want))
+            assert sorted_circuit(f, y) == (None if want is None else sorted(want))
     # a loop at 0 closes a handcuff through the path 0-1-2-5
-    assert f.circuit(edge(0, 0, -1)) == sorted(side[:2] + [edge(0, 0, -1)] + side[3:])
+    assert sorted_circuit(f, edge(0, 0, -1)) == sorted(side[:2] + [edge(0, 0, -1)] + side[3:])
 
 
 @pytest.mark.parametrize("frame, side, x", [

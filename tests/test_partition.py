@@ -15,7 +15,7 @@ from gainrig.moves import Move, MoveError, apply_delta, enumerate_reductions, is
 from gainrig.sparsity import Partition, SparsityParams, check_sparsity, check_tight, tight_partition
 
 from conftest import two_base_union
-from test_forest import all_edges, assert_forest
+from test_forest import all_edges, assert_forest, sorted_circuit
 
 REGIMES = pytest.mark.parametrize("p", [PARAMS_220, PARAMS_222], ids=["220", "222"])
 
@@ -145,6 +145,20 @@ def test_sparse_steps_that_are_not_tight_are_rejected():
         _assert_state(part, state)
 
 
+@pytest.mark.parametrize("switching", [{"flipped": [0]}, {"dropped": [1]}])
+def test_a_renaming_step_with_a_switching_is_refused_before_any_edit(switching):
+    # with pi, flipped and dropped would be applied to the id map the step
+    # has just replaced (or left out of the live count); such a call raises
+    # and leaves the partition as it was, though it deletes and adds edges
+    g = graph_for_base_id("a")
+    part = tight_partition(g, PARAMS_220)
+    state, live, before = _state(part), part.live, dict(part.before)
+    with pytest.raises(ValueError, match="renaming step"):
+        part.step(g.n, g.edges[1:2], g.edges[1:2], list(range(g.n)), **switching)
+    _assert_state(part, state)
+    assert (part.live, part.before) == (live, before)
+
+
 @REGIMES
 def test_steps_make_no_whole_graph_pass(p, monkeypatch):
     # decompose and construct(verify=True) build forests for their first
@@ -172,15 +186,15 @@ def test_steps_make_no_whole_graph_pass(p, monkeypatch):
 
 def _circuit_first_insert(part, y):
     """Partition.insert as it was before Forest.independent: each reached
-    edge's circuit is read on each other side in turn, and the first side
-    where it is None takes the edge; the test's oracle."""
+    edge's full circuit, in edge order, is read on each other side in turn,
+    and the first side where it is None takes the edge; the test's oracle."""
     label = {y: None}
     queue = [y]
     for x in queue:
         for i, forest in enumerate(part.forests):
             if part.side.get(x) == i:
                 continue
-            circuit = forest.circuit(x)
+            circuit = sorted_circuit(forest, x)
             if circuit is None:
                 path = [(x, i)]
                 while label[x] is not None:
@@ -195,39 +209,53 @@ def _circuit_first_insert(part, y):
     return queue
 
 
+def _assert_inserts_match(n, p, edges) -> tuple[int, int]:
+    """Insert edges in order into an empty Partition and into the oracle's:
+    each insert leaves the same sides and the same journal of the edges it
+    moved (reset before each insert, as a step does), a blocked edge
+    reaches the same edges, and the forests end equal.  Returns the number
+    of blocked inserts and of inserts that moved an edge between sides."""
+    part, oracle = Partition(n, p), Partition(n, p)
+    blocked = moved = 0
+    for y in edges:
+        sides = dict(part.side)
+        part.before, oracle.before = {}, {}
+        reached = part.insert(y)
+        assert reached == _circuit_first_insert(oracle, y)
+        assert list(part.side.items()) == list(oracle.side.items())
+        assert list(part.before.items()) == list(oracle.before.items())
+        blocked += reached is not None
+        moved += any(part.side.get(x) != i for x, i in sides.items())
+    for f, o in zip(part.forests, oracle.forests):
+        assert (f.root, f.parent, f.extra) == (o.root, o.parent, o.extra)
+    return blocked, moved
+
+
 @pytest.mark.parametrize("counts", [(2, 2, 0), (2, 2, 2), (3, 3, 1)])
 def test_insert_matches_the_circuit_first_search(counts):
-    # on random edge sequences, loops among them, insert leaves the same
-    # sides, the same journal of the edges it moved (reset before each
-    # insert, as a step does) and the same forests as the circuit-first
-    # search, and a blocked edge reaches the same edges
+    # on random edge sequences, loops among them, and on a union of k bases
+    # at n = 200 with one edge more, whose circuits are long and overlap,
+    # insert follows the circuit-first search (_assert_inserts_match)
     p = SparsityParams(*counts)
     rng = random.Random(str(counts))
     blocked = moved = 0
     for n in (3, 5, 8, 12):
         pool = all_edges(n)
         for _ in range(6):
-            part, oracle = Partition(n, p), Partition(n, p)
-            for y in rng.sample(pool, min(len(pool), p.k * n + 4)):
-                sides = dict(part.side)
-                part.before, oracle.before = {}, {}
-                reached = part.insert(y)
-                assert reached == _circuit_first_insert(oracle, y)
-                assert list(part.side.items()) == list(oracle.side.items())
-                assert list(part.before.items()) == list(oracle.before.items())
-                blocked += reached is not None
-                moved += any(part.side.get(x) != i for x, i in sides.items())
-            for f, o in zip(part.forests, oracle.forests):
-                assert (f.root, f.parent, f.extra) == (o.root, o.parent, o.extra)
+            b, m = _assert_inserts_match(n, p, rng.sample(pool, min(len(pool), p.k * n + 4)))
+            blocked, moved = blocked + b, moved + m
     assert blocked and moved
+    g = two_base_union(rng, 200, p)
+    extra = next(x for x in all_edges(200) if not x.is_loop() and x not in set(g.edges))
+    assert _assert_inserts_match(200, p, g.edges + (extra,))[0] == 1
 
 
 def test_free_edges_read_no_circuit(monkeypatch):
     # two spanning trees, the first's edges inserted before the second's:
     # side 0 takes each of the first, side 1 each of the second, with no
-    # circuit read; the circuit-first search reads one per edge and side
-    # tried (two for each edge of the second), and the union is
-    # (2,2,2)-tight
+    # tree path walked (Forest._path, from which every circuit is read),
+    # as the circuit-first search places them; an edge that no side takes
+    # then walks some, and the union is (2,2,2)-tight
     rng = random.Random(11)
     n = 40
     trees = []
@@ -235,13 +263,13 @@ def test_free_edges_read_no_circuit(monkeypatch):
         order = rng.sample(range(n), n)
         trees.append([edge(order[i], order[rng.randrange(i)], gain) for i in range(1, n)])
     calls = []
-    real = sparsity.Forest.circuit
+    real = sparsity.Forest._path
 
-    def circuit(forest, x):
-        calls.append(x)
-        return real(forest, x)
+    def path(forest, *args):
+        calls.append(args)
+        return real(forest, *args)
 
-    monkeypatch.setattr(sparsity.Forest, "circuit", circuit)
+    monkeypatch.setattr(sparsity.Forest, "_path", path)
     part, oracle = Partition(n, PARAMS_222), Partition(n, PARAMS_222)
     for i, tree in enumerate(trees):
         for y in tree:
@@ -249,6 +277,8 @@ def test_free_edges_read_no_circuit(monkeypatch):
     assert calls == []
     for y in trees[0] + trees[1]:
         assert _circuit_first_insert(oracle, y) is None
-    assert calls == trees[0] + [y for y in trees[1] for _ in range(2)]
+    assert part.side == oracle.side
+    y = next(x for x in all_edges(n) if x not in part.side)
+    assert part.insert(y) is not None and calls
     g = GainGraph(n, tuple(sorted(trees[0] + trees[1])))
     assert check_sparsity(g, PARAMS_222).passed and check_tight(g, PARAMS_222)

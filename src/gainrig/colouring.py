@@ -25,8 +25,8 @@ of one graph search per class (graph.signed_components), so they depend on
 no carried state.  Placement does not call them: it decides the same basis
 tests on class forests (sparsity.Forest), built once per fresh framework
 and edited by each one-vertex step on its new edges alone (placement
-docstring).  isostatic_classes stays as geometric_verdict's test and as
-the reference the tests check those forests against.
+docstring).  isostatic_classes, the same basis test from its own
+searches, is the reference the tests check those forests against.
 """
 
 from __future__ import annotations
@@ -53,16 +53,20 @@ def _independent(size: int, n_edges: int, unbalanced: bool, j: int) -> bool:
     return n_edges < size or j == 0 and n_edges == size and unbalanced
 
 
+def _bases(n: int, classes: Sequence[Sequence[Edge]], comps, j: int) -> bool:
+    """Whether each class has n - j edges and its components in comps are independent."""
+    return all(len(c) == n - j and all(_independent(*comp, j) for comp in cs) for c, cs in zip(classes, comps))
+
+
 def isostatic_classes(g: GainGraph, classes: Sequence[Sequence[Edge]], j: int) -> bool:
     """The colouring criterion for character j: every class is a basis of
-    the frame matroid (j = 0) or a spanning tree (j = 1): n - j edges whose
-    components are independent, by one graph search per class."""
-    return all(len(c) == g.n - j and all(_independent(*comp, j) for comp in signed_components(g.n, c)[2])
-               for c in classes)
+    the frame matroid (j = 0) or a spanning tree (j = 1), by one graph
+    search per class."""
+    return _bases(g.n, classes, (signed_components(g.n, c)[2] for c in classes), j)
 
 
-def _spanning_connected_unbalanced(g: GainGraph, edges: Sequence[Edge]) -> bool:
-    comps = signed_components(g.n, edges)[2]
+def _spanning_connected_unbalanced(comps) -> bool:
+    """Whether a class's components are one, and unbalanced."""
     return len(comps) == 1 and comps[0][2]
 
 
@@ -77,9 +81,7 @@ class GeometricVerdict:
 def geometric_verdict(fw: Framework) -> GeometricVerdict:
     if fw.group_order != 2:
         raise FrameworkError("colouring verdicts require a half-turn symmetry")
-    classes = monochrome_quotients(fw)
-    g = fw.graph
-    rigid = all(_spanning_connected_unbalanced(g, c) for c in classes)
-    return GeometricVerdict(
-        classes, isostatic_classes(g, classes, 0), isostatic_classes(g, classes, 1), rigid
-    )
+    classes, n = monochrome_quotients(fw), fw.graph.n
+    comps = [signed_components(n, c)[2] for c in classes]  # read by all three verdicts
+    return GeometricVerdict(classes, _bases(n, classes, comps, 0), _bases(n, classes, comps, 1),
+                            all(map(_spanning_connected_unbalanced, comps)))

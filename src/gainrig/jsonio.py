@@ -12,6 +12,7 @@ Formats:
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import fields
 from fractions import Fraction
 from typing import Any
@@ -32,6 +33,9 @@ class FormatError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+_RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)")
+
+
 def parse_rational(x: Any) -> Fraction:
     if isinstance(x, bool):
         raise FormatError(f"not a number: {x!r}")
@@ -41,14 +45,15 @@ def parse_rational(x: Any) -> Fraction:
         return Fraction(str(x))
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            m = _RATIO.fullmatch(x)  # canonical, as dump_rational writes: read from two ints
+            return Fraction(int(m[1]), int(m[2])) if m and m[2].strip("0") else Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad rational {x!r}: {exc}") from exc
     raise FormatError(f"bad rational {x!r}")
 
 
 def dump_rational(x) -> Any:
-    f = Fraction(x)
+    f = x if isinstance(x, Fraction) else Fraction(x)
     return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 

@@ -1,14 +1,17 @@
 """Exact and floating-point matrix rank: mod-p rank certificate, exact
-Bareiss fallback.
+Bareiss fallback, and the local rank certificate of a one-vertex step.
 
 Exact ranks are of integer matrices given by sparse rows, {column: entry}
 (rigidity.orbit_rows builds them so).  The rows are first eliminated
-modulo the prime P = 2^61 - 1, staying sparse.  Rank mod P never exceeds
-rank over Q, so a rank mod P equal to min(nonzero rows, cols), counting a
-row nonzero by its integer entries, proves that rank.  Otherwise a
-fraction-free (Bareiss) elimination in arbitrary-precision ints of the
-dense rows gives the exact rank.  Dense rows with irrational entries
-(floats) use numpy's SVD with a relative singular-value threshold.
+modulo the prime P = 2^61 - 1, staying sparse, each by the pivot of its
+largest column (its newest vertex's; the rank does not depend on the
+order).  Rank mod P never exceeds rank over Q, so a rank mod P equal to
+min(nonzero rows, cols), counting a row nonzero by its integer entries,
+proves that rank.  Otherwise a fraction-free (Bareiss) elimination in
+arbitrary-precision ints of the dense rows gives the exact rank.
+step_certified reduces sparse rows fraction-free too, as {column: int}
+dicts.  Dense rows with irrational entries (floats) use numpy's SVD with a
+relative singular-value threshold.
 """
 
 from __future__ import annotations
@@ -36,16 +39,16 @@ def _modular_rank(m: Sequence[Mapping[int, int]]) -> int:
     """Rank modulo PRIME of the integer matrix with sparse rows m, by sparse
     elimination.
 
-    Each pivot row is kept as a {column: value} dict whose smallest column
+    Each pivot row is kept as a {column: value} dict whose largest column
     is its pivot, scaled to 1 there; a row is reduced by the pivot of its
-    smallest column until that column has none (a new pivot) or the row
+    largest column until that column has none (a new pivot) or the row
     vanishes.
     """
     pivots: dict[int, dict[int, int]] = {}
     for sparse in m:
         row = {c: x % PRIME for c, x in sparse.items() if x % PRIME}
         while row:
-            col = min(row)
+            col = max(row)
             piv = pivots.get(col)
             if piv is None:
                 inv = pow(row[col], -1, PRIME)
@@ -86,19 +89,41 @@ def _bareiss_rank(m: list[list[int]]) -> int:
     return rank
 
 
-def step_certified(new: Sequence[Sequence[int]], old: Sequence[Sequence[int]]) -> bool:
+def step_certified(new: Sequence[Mapping[int, int]], old: Sequence[Mapping[int, int]], cols) -> bool:
     """The local rank certificate of a one-vertex step (see placement), on
-    dense integer rows whose last two columns are the new vertex's: new has
-    two rows more than old, two of them, a and b, a nonzero 2x2 block there,
-    and rank(K + old) == rank(K), K the rows of new cleared there by adjugate
-    multiples of a and b (a and b themselves become zero)."""
-    pair = next(((a, b) for a, b in combinations(new, 2) if a[-2] * b[-1] != a[-1] * b[-2]), None)
+    sparse integer rows whose new vertex has columns cols: new has two rows
+    more than old, two of them, a and b, a nonzero 2x2 block on cols, and
+    rank(K + old) == rank(K), K the other rows of new cleared on cols by
+    adjugate multiples of a and b and reduced fraction-free."""
+    x, y = cols
+    det = lambda a, b: a.get(x, 0) * b.get(y, 0) - a.get(y, 0) * b.get(x, 0)
+    pair = next(((a, b) for a, b in combinations(new, 2) if det(a, b)), None)
     if len(new) != len(old) + 2 or pair is None:
         return False
-    (p, q), (r, s) = (row[-2:] for row in pair)
-    k = [[(p * s - q * r) * z - (x * s - y * r) * za - (y * p - x * q) * zb for z, za, zb in zip(row, *pair)]
-         for row in new for x, y in [row[-2:]]]
-    return not old or _bareiss_rank([*map(list, k), *map(list, old)]) == _bareiss_rank(k)
+    (a, b), pivots = pair, {}
+    d = det(a, b)
+    for row in new:
+        if row is not a and row is not b:
+            _add_pivot(((d, row), (-det(row, b), a), (-det(a, row), b)), pivots)
+    return not any(_add_pivot(((1, row),), pivots) for row in old)
+
+
+def _add_pivot(terms: Sequence[tuple[int, Mapping[int, int]]], pivots: dict[int, dict[int, int]]) -> bool:
+    """Reduce the row sum(f * row for f, row in terms) fraction-free by the
+    pivots (each keyed by its largest column) of its largest columns until
+    it vanishes (False) or its largest column has none, whose pivot it
+    becomes (True)."""
+    while True:
+        row: dict[int, int] = {}
+        for f, r in terms:
+            for c, z in r.items():
+                row[c] = row.get(c, 0) + f * z
+        if not (row := {c: z for c, z in row.items() if z}):
+            return False
+        if (piv := pivots.get(col := max(row))) is None:
+            pivots[col] = row
+            return True
+        terms = ((piv[col], row), (-row[col], piv))
 
 
 def float_rank(rows: Sequence[Sequence[float]]) -> int:

@@ -166,6 +166,11 @@ class Move:
     move_loop: bool = False
 
 
+# Per kind, the fields besides ARITY's counted ones that it does not read, with their defaults.
+_FOREIGN = {kind: [(f, getattr(Move, f)) for f in ("attach", "loop_attach", "v2_edge", "moved", "move_loop")
+                   if f not in OWN_FIELDS.get(kind, ())] for kind in ARITY}
+
+
 @dataclass(frozen=True)
 class Reduction:
     forward: Move  # re-creates the input from the reduced graph, on its ids
@@ -190,8 +195,8 @@ def arity_error(mv: Move) -> Optional[str]:
         got = len(getattr(mv, field))
         if got != want:
             return f"{mv.kind} needs {want} {field}, got {got}"
-    for field in ("attach", "loop_attach", "v2_edge", "moved", "move_loop"):
-        if field not in OWN_FIELDS.get(mv.kind, ()) and getattr(mv, field) != getattr(Move, field):
+    for field, default in _FOREIGN[mv.kind]:
+        if getattr(mv, field) != default:
             return f"{mv.kind} takes no {field}"
     return None
 

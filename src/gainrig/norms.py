@@ -61,13 +61,13 @@ class PolyhedralNorm:
 
     def facet_of(self, delta: Sequence[Fraction]) -> tuple[int, int]:
         """(facet index, sign) of the cone containing delta."""
-        vals = [f[0] * delta[0] + f[1] * delta[1] for f in self.facets]
-        if all(v == 0 for v in vals):
+        (a1, a2), (b1, b2) = self.facets
+        s, t = a1 * delta[0] + a2 * delta[1], b1 * delta[0] + b2 * delta[1]
+        if s == t == 0:
             raise ZeroVector("zero edge vector")
-        if abs(vals[0]) == abs(vals[1]):
+        if abs(s) == abs(t):
             raise ConeBoundary(f"direction {tuple(delta)} on a cone boundary")
-        idx = 0 if abs(vals[0]) > abs(vals[1]) else 1
-        return idx, (1 if vals[idx] > 0 else -1)
+        return (0, 1 if s > 0 else -1) if abs(s) > abs(t) else (1, 1 if t > 0 else -1)
 
     def support_covector(self, delta: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
         idx, sign = self.facet_of(delta)

@@ -54,10 +54,12 @@ deleted edges and N the child's rows of the |D| + 2 edges at w.  If N has
 rank 2 on w's columns and span(N) holds D, the child has full row rank.
 Proof: its rows span the parent's rows and N, of rank at least r + 2 as the
 parent's rows vanish on w's columns; and it has r + 2 rows.  With D empty
-this is det != 0 of N on w's columns.  Under a path first colouring span(N)
-holds D: a path's edges share the deleted edge's facet pair, so in the
-covering their rows add up to its row, as in subdividing an edge (Kitson
-and Power, Bull. LMS 2014).  So every H1 and H2 step from a certified
+this is det != 0 of N on w's columns.  linalg.step_certified decides it
+in one pass over the sparse orbit rows, fraction-free (Bareiss, Math. Comp.
+1968).  Under a path first colouring span(N) holds D: a path's edges share
+the deleted edge's facet pair, so in the covering their rows add up to its
+row, as in subdividing an edge (Kitson and Power, Bull. LMS 2014).  So
+every H1 and H2 step from a certified
 parent is certified: its path colouring always has bases (a class
 subdivides an edge and the other gains a pendant edge or loop) and a region
 (the path's wedges either way round meet the third edge's unless its anchor
@@ -147,9 +149,8 @@ def _rank_certified(fw: Framework, parent: Optional[Framework], gone, added, j: 
     full character-j row rank by the local certificate (module docstring)."""
     if parent is None or j not in parent.certified:
         return False
-    w, new = parent.graph.n, [orbit_rows(fw, j)[e] for e in added]
-    cols = sorted({2 * w, 2 * w + 1}.union(*new, *gone))  # w's columns last
-    return step_certified(*([[r.get(c, 0) for c in cols] for r in rs] for rs in (new, gone)))
+    w, rows = parent.graph.n, orbit_rows(fw, j)
+    return step_certified([rows[e] for e in added], gone, (2 * w, 2 * w + 1))
 
 
 def _verified(fw: Framework, j: int, parent=None, gone=(), added=()) -> Framework:

@@ -124,7 +124,8 @@ class Framework:
                 del rows[e]
         table.update(zip(added, phis))
         for c, rows in old.rows.items():
-            rows.update((e, _row_of(self.norm, c)(e, phi)) for e, phi in zip(added, phis))
+            row = _row_of(self.norm, c)
+            rows.update((e, row(e, phi)) for e, phi in zip(added, phis))
         self.rows.update(old.rows)
         old.rows.clear()
 
@@ -233,11 +234,10 @@ def _row_of(norm: Norm, j: int):
         # +phi on u, -chi_j(gain) * (phi o tau(gain)) on v
         vphi = [-x for x in phi] if e.gain == 1 else \
             [chi * x if i < 2 else -chi * x for i, x in enumerate(phi)]
-        out = {}
-        for x, block in ((e.u, phi), (e.v, vphi)):  # summed for a loop
-            for i, c in enumerate(block):
-                out[d * x + i] = out.get(d * x + i, 0) + c
-        return {c: entry(y * scale) for c, y in out.items() if y}
+        if e.u == e.v:  # a loop: the two blocks summed
+            phi, vphi = [x + y for x, y in zip(phi, vphi)], ()
+        return {c: entry(y * scale) for x, block in ((e.u, phi), (e.v, vphi))
+                for c, y in enumerate(block, d * x) if y}
     return row
 
 

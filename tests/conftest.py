@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import lcm
+from pathlib import Path
 
 import pytest
 
 from gainrig.graph import GainGraph, edge
 from gainrig.iso import apply_iso
-from gainrig.linalg import matrix_rank
+from gainrig.linalg import _bareiss_rank, matrix_rank
 from gainrig.moves import apply_move, apply_reduction
 from gainrig.norms import ConeBoundary, ZeroVector
 from gainrig.rigidity import FrameworkError, NotWellPositioned, _apply, _rotation
@@ -41,6 +43,37 @@ def dense_rank(rows) -> int:
         mult = lcm(*(Fraction(x).denominator for x in row))
         sparse.append({c: int(x * mult) for c, x in enumerate(row) if x})
     return matrix_rank(sparse, len(rows[0]) if rows else 0)
+
+
+def perfbench_gen():
+    """perfbench's input generator module (perfbench/gen.py), loaded from its file."""
+    spec = importlib.util.spec_from_file_location("gen", Path(__file__).parent.parent / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def dense_step_certified(new, old) -> bool:
+    """The reference for linalg.step_certified, on dense integer rows whose
+    last two columns are the new vertex's: new has two rows more than old,
+    two of them, a and b, a nonzero 2x2 block there, and
+    rank(K + old) == rank(K) by Bareiss elimination of dense copies, K the
+    rows of new cleared there by adjugate multiples of a and b (a and b
+    themselves become zero)."""
+    pair = next(((a, b) for a, b in combinations(new, 2) if a[-2] * b[-1] != a[-1] * b[-2]), None)
+    if len(new) != len(old) + 2 or pair is None:
+        return False
+    (p, q), (r, s) = (row[-2:] for row in pair)
+    k = [[(p * s - q * r) * z - (x * s - y * r) * za - (y * p - x * q) * zb for z, za, zb in zip(row, *pair)]
+         for row in new for x, y in [row[-2:]]]
+    return not old or _bareiss_rank([*map(list, k), *map(list, old)]) == _bareiss_rank(k)
+
+
+def dense_step_args(new, old, cols):
+    """linalg.step_certified's sparse rows as dense_step_certified takes
+    them: dense over the columns either uses, cols last."""
+    keys = sorted(set(cols).union(*new, *old) - set(cols)) + list(cols)
+    return [[[r.get(c, 0) for c in keys] for r in rows] for rows in (new, old)]
 
 
 def covering_rigidity_matrix(fw) -> list[list]:

@@ -13,7 +13,7 @@ from gainrig.colouring import (
     monochrome_quotients,
 )
 from gainrig.construct import decompose, random_tight
-from gainrig.graph import GainGraph, edge
+from gainrig.graph import GainGraph, edge, signed_components
 from gainrig.norms import L1, LINF
 from gainrig.placement import BASE_PLACEMENTS, base_placement, realize
 from gainrig.rigidity import (
@@ -196,7 +196,7 @@ def test_verdict_predicates_match_brute_force(rng):
         assert isostatic_classes(g, [subset], 1) == (
             len(comps) == 1 and len(subset) == g.n - 1
         )
-        assert _spanning_connected_unbalanced(g, subset) == (
+        assert _spanning_connected_unbalanced(signed_components(g.n, subset)[2]) == (
             len(comps) == 1 and not brute_balanced(range(g.n), subset)
         )
 

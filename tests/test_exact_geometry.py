@@ -4,7 +4,8 @@ Framework reads a polyhedral norm's covectors at an integer multiple of each
 edge's difference, and placement._grid_point rounds and tests its box in
 scaled integers.  The Fraction code they replaced is kept here as the
 oracle: the covector of fw.edge_delta(e), and the point rule computed in
-Fractions throughout.
+Fractions throughout.  So is the list-based facet rule PolyhedralNorm.facet_of
+replaced.
 """
 
 import random
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from gainrig import placement
 from gainrig.graph import Edge, GainGraph
-from gainrig.norms import L1, LINF, NormError, PolyhedralNorm
+from gainrig.norms import L1, LINF, ConeBoundary, NormError, PolyhedralNorm, ZeroVector
 from gainrig.rigidity import Framework, FrameworkError, NotWellPositioned, point_key
 
 NORMS = [LINF, L1, PolyhedralNorm(((F(1, 2), F(1, 3)), (F(-2, 3), F(3))))]
@@ -144,3 +145,34 @@ def test_grid_point_matches_the_fraction_oracle(norm, scaled_box, size, seed):
                                len(forbidden) + 1)
     assert pt == _grid_point_oracle(unscaled, norm.facets, forbidden)
     assert all(type(x) is F for x in pt)
+
+
+def _facet_of(norm, delta):
+    """The list-based rule PolyhedralNorm.facet_of replaced."""
+    vals = [f[0] * delta[0] + f[1] * delta[1] for f in norm.facets]
+    if all(v == 0 for v in vals):
+        raise ZeroVector("zero edge vector")
+    if abs(vals[0]) == abs(vals[1]):
+        raise ConeBoundary(f"direction {tuple(delta)} on a cone boundary")
+    idx = 0 if abs(vals[0]) > abs(vals[1]) else 1
+    return idx, (1 if vals[idx] > 0 else -1)
+
+
+@pytest.mark.parametrize("norm", NORMS, ids=["linf", "l1", "fractions"])
+def test_facet_of_matches_the_list_based_rule_on_a_grid(norm):
+    values = sorted({F(a, b) for a in range(-6, 7) for b in (1, 2, 3)} | {F(-9, 2), F(13, 6), F(3, 1)})
+    outcomes = set()
+    deltas = [(x, y) for x in values for y in values] + [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+    deltas += [(16, 7), (F(-20), F(-1))]  # on the third norm's cone boundaries
+    for delta in deltas:
+        try:
+            want = _facet_of(norm, delta)
+        except NormError as exc:
+            with pytest.raises(type(exc)) as got:
+                norm.facet_of(delta)
+            assert got.type is type(exc) and str(got.value) == str(exc)
+            outcomes.add(type(exc))
+        else:
+            assert norm.facet_of(delta) == want
+            outcomes.add(want)
+    assert outcomes == {ZeroVector, ConeBoundary, (0, 1), (0, -1), (1, 1), (1, -1)}

@@ -7,6 +7,7 @@ from gainrig.construct import decompose, random_tight
 from gainrig.graph import GainGraphError
 from gainrig.jsonio import (
     FormatError,
+    dump_rational,
     framework_from_dict,
     framework_to_dict,
     graph_from_dict,
@@ -138,3 +139,28 @@ def test_malformed_framework_raises_format_error(field, value):
     d[field] = value
     with pytest.raises(FormatError):
         framework_from_dict(d)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3/8", F(3, 8)), ("-3/8", F(-3, 8)), (" 3/8", F(3, 8)), ("+3/8", F(3, 8)),
+    ("1.5", F(3, 2)), ("1e3", F(1000)), ("-0/5", F(0)), ("6/4", F(3, 2)), ("007/030", F(7, 30)),
+    ("1/0", "bad rational '1/0': Fraction(1, 0)"),
+    ("-5/00", "bad rational '-5/00': Fraction(-5, 0)"),
+    ("3/-4", "bad rational '3/-4': Invalid literal for Fraction: '3/-4'"),
+    ("1/2/3", "bad rational '1/2/3': Invalid literal for Fraction: '1/2/3'"),
+])
+def test_rationals_read_and_written(text, value):
+    # a canonical "p/q" is read from two ints, everything else by Fraction
+    # itself: the same values and the same error texts either way
+    if isinstance(value, str):
+        with pytest.raises(FormatError) as exc:
+            parse_rational(text)
+        assert str(exc.value) == value
+        return
+    got = parse_rational(text)
+    assert got == value == F(text) and type(got) is F
+    dumped = dump_rational(got)
+    assert dumped == (value.numerator if value.denominator == 1 else f"{value.numerator}/{value.denominator}")
+    assert parse_rational(dumped) == value
+    assert dump_rational(value) == dump_rational(value.numerator / F(value.denominator)) == dumped
+    assert dump_rational(3) == 3 and dump_rational(F(6, 3)) == 2 and type(dump_rational(F(6, 3))) is int

@@ -5,9 +5,13 @@ from math import lcm
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from gainrig import placement
+from gainrig.catalog import PARAMS_220, PARAMS_222
+from gainrig.construct import decompose, random_tight
 from gainrig.linalg import PRIME, _bareiss_rank, _modular_rank, matrix_rank, step_certified
+from gainrig.placement import realize
 
-from conftest import dense_rank
+from conftest import dense_rank, dense_step_args, dense_step_certified, perfbench_gen
 
 
 def _bareiss(rows):
@@ -99,11 +103,64 @@ def test_local_rank_certificate_proves_full_row_rank(step):
     # the lemma behind placement's certificate: if step_certified(N, D) for
     # D among the rows of P, then (P without D) with N has full row rank
     p, k, n, planted, (a, b) = step
-    args = ([list(x) for x in n], [list(x) for x in p[:k]])
-    certified = step_certified(*args)
-    assert args == (n, p[:k])  # the rows are left as they were
+    m = len(p[0]) - 2
+    args = [[{c: x for c, x in enumerate(row) if x} for row in rows] for rows in (n, p[:k])]
+    copies = [[dict(row) for row in rows] for rows in args]
+    certified = step_certified(*args, cols=(m, m + 1))
+    assert args == copies  # the rows are left as they were
     if certified:
         child = [list(x) for x in p[k:] + n]
         assert _bareiss_rank(child) == len(child)
     if planted and len(n) == k + 2 and a[-2] * b[-1] != a[-1] * b[-2]:
         assert certified  # and it is complete where span(N) holds D
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_one_vertex_steps())
+def test_sparse_certificate_equals_the_dense_reference(step):
+    p, k, n, _, _ = step
+    m = len(p[0]) - 2
+    sparse = [[{c: x for c, x in enumerate(row) if x} for row in rows] for rows in (n, p[:k])]
+    assert step_certified(*sparse, cols=(m, m + 1)) == dense_step_certified(n, p[:k])
+    # the same rows, their columns renumbered out of order: only which
+    # columns are w's matters
+    perm = [m, m + 1, *range(m)][::-1]
+    moved = [[{perm[c]: x for c, x in row.items()} for row in rows] for rows in sparse]
+    assert step_certified(*moved, cols=(perm[m], perm[m + 1])) == dense_step_certified(n, p[:k])
+
+
+def _checked_certificates(monkeypatch) -> list[bool]:
+    """Wrap placement's certificate: each verdict it gives is checked
+    against the dense reference's and appended to the returned list."""
+    verdicts = []
+
+    def checked(new, old, cols):
+        verdict = step_certified(new, old, cols)
+        assert verdict == dense_step_certified(*dense_step_args(new, old, cols))
+        verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(placement, "step_certified", checked)
+    return verdicts
+
+
+@pytest.mark.parametrize("regime, j, n", [("222", 1, 22), ("220", 0, 20), ("220", 0, 24), ("220", 0, 28)])
+def test_sparse_certificate_equals_the_dense_reference_on_every_realize_step(monkeypatch, regime, j, n):
+    # perfbench's realize inputs: forward sequences at its sizes and characters
+    gen = perfbench_gen()
+    verdicts = _checked_certificates(monkeypatch)
+    for seed in range(4):
+        seq, g = gen.forward_sequence(random.Random(seed), n, regime)
+        verdicts.clear()
+        assert realize(seq, j).graph == g
+        assert len(verdicts) == len(seq.steps) and all(verdicts)
+
+
+@pytest.mark.parametrize("p, j", [(PARAMS_220, 0), (PARAMS_222, 1)], ids=["chi0", "chi1"])
+def test_sparse_certificate_equals_the_dense_reference_where_it_refuses(monkeypatch, p, j):
+    # decomposed random tight graphs hold H3 and vertex split steps, some
+    # of which the certificate refuses
+    verdicts = _checked_certificates(monkeypatch)
+    for seed in range(3):
+        realize(decompose(random_tight(16, p, seed=seed), p)[0], j)
+    assert True in verdicts and False in verdicts

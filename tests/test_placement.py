@@ -1,5 +1,4 @@
 import dataclasses
-import importlib.util
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -42,6 +41,7 @@ from gainrig.rigidity import (
 )
 from gainrig.sparsity import tight_partition
 
+from conftest import perfbench_gen
 from test_forest import assert_forest
 
 ROOT = Path(__file__).parent.parent
@@ -591,9 +591,7 @@ def test_a_step_whose_deleted_rows_are_not_in_span_n_calls_analyse_once(monkeypa
 def test_forward_sequence_steps_never_call_analyse(monkeypatch, regime_name, j):
     # every step of perfbench's forward sequences is an H1 or H2 step, and
     # each is certified by its path first colouring: analyse ranks the base
-    spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    gen = perfbench_gen()
     calls = _counting_analyse(monkeypatch)
     for seed in (1, 2):
         seq, g = gen.forward_sequence(random.Random(seed), 100, regime_name)

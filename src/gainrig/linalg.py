@@ -1,92 +1,33 @@
-"""Exact and floating-point matrix rank: mod-p rank certificate, exact
-Bareiss fallback, and the local rank certificate of a one-vertex step.
+"""Exact and floating-point matrix rank, and the local rank certificate of a
+one-vertex step.
 
 Exact ranks are of integer matrices given by sparse rows, {column: entry}
-(rigidity.orbit_rows builds them so).  The rows are first eliminated
-modulo the prime P = 2^61 - 1, staying sparse, each by the pivot of its
-largest column (its newest vertex's; the rank does not depend on the
-order).  Rank mod P never exceeds rank over Q, so a rank mod P equal to
-min(nonzero rows, cols), counting a row nonzero by its integer entries,
-proves that rank.  Otherwise a fraction-free (Bareiss) elimination in
-arbitrary-precision ints of the dense rows gives the exact rank.
-step_certified reduces sparse rows fraction-free too, as {column: int}
-dicts.  Dense rows with irrational entries (floats) use numpy's SVD with a
-relative singular-value threshold.
+(rigidity.orbit_rows builds them so).  One sparse fraction-free elimination
+over the integers, _add_pivot, decides them all: each row is reduced by the
+pivot of its largest column (its newest vertex's; the rank does not depend
+on the order) until it vanishes or becomes a pivot, and each reduced row is
+divided by the gcd of its entries, so the rows stay primitive and their
+entries near the size of the matrix's minors.  matrix_rank counts the
+pivots; step_certified reduces a step's rows by the same pass.  The tests
+check both against dense Bareiss elimination, the reference.  Dense rows
+with irrational entries (floats) use numpy's SVD with a relative
+singular-value threshold.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import gcd
 from typing import Mapping, Sequence
 
 FLOAT_RANK_RTOL = 1e-9
-PRIME = 2**61 - 1
 
 
-def matrix_rank(rows: Sequence[Mapping[int, int]], ncols: int) -> int:
-    """Exact rank of the integer matrix with ncols columns and these sparse
-    rows; zero entries may be left out."""
-    m = [row for row in rows if any(row.values())]
-    if not m:
-        return 0
-    full = min(len(m), ncols)
-    if _modular_rank(m) == full:
-        return full
-    return _bareiss_rank([[r.get(c, 0) for c in range(ncols)] for r in m])
-
-
-def _modular_rank(m: Sequence[Mapping[int, int]]) -> int:
-    """Rank modulo PRIME of the integer matrix with sparse rows m, by sparse
-    elimination.
-
-    Each pivot row is kept as a {column: value} dict whose largest column
-    is its pivot, scaled to 1 there; a row is reduced by the pivot of its
-    largest column until that column has none (a new pivot) or the row
-    vanishes.
-    """
+def matrix_rank(rows: Sequence[Mapping[int, int]]) -> int:
+    """Exact rank of the integer matrix with these sparse rows (zero entries
+    may be left out): the number of them that become pivots."""
     pivots: dict[int, dict[int, int]] = {}
-    for sparse in m:
-        row = {c: x % PRIME for c, x in sparse.items() if x % PRIME}
-        while row:
-            col = max(row)
-            piv = pivots.get(col)
-            if piv is None:
-                inv = pow(row[col], -1, PRIME)
-                pivots[col] = {c: x * inv % PRIME for c, x in row.items()}
-                break
-            f = row[col]
-            for c, x in piv.items():
-                y = (row.get(c, 0) - f * x) % PRIME
-                if y:
-                    row[c] = y
-                else:
-                    row.pop(c, None)
-    return len(pivots)
-
-
-def _bareiss_rank(m: list[list[int]]) -> int:
-    """Exact rank of the integer matrix m (modified in place) by
-    fraction-free elimination."""
-    ncols = len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = next(
-            (r for r in range(rank, len(m)) if m[r][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        p = m[rank][col]
-        for r in range(rank + 1, len(m)):
-            for c in range(col + 1, ncols):
-                m[r][c] = (p * m[r][c] - m[r][col] * m[rank][c]) // prev
-            m[r][col] = 0
-        prev = p
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+    return sum(_add_pivot(((1, row),), pivots) for row in rows)
 
 
 def step_certified(new: Sequence[Mapping[int, int]], old: Sequence[Mapping[int, int]], cols) -> bool:
@@ -110,9 +51,9 @@ def step_certified(new: Sequence[Mapping[int, int]], old: Sequence[Mapping[int, 
 
 def _add_pivot(terms: Sequence[tuple[int, Mapping[int, int]]], pivots: dict[int, dict[int, int]]) -> bool:
     """Reduce the row sum(f * row for f, row in terms) fraction-free by the
-    pivots (each keyed by its largest column) of its largest columns until
-    it vanishes (False) or its largest column has none, whose pivot it
-    becomes (True)."""
+    pivots (each keyed by its largest column) of its largest columns, each
+    reduced row divided by the gcd of its entries, until it vanishes (False)
+    or its largest column has none, whose pivot it becomes (True)."""
     while True:
         row: dict[int, int] = {}
         for f, r in terms:
@@ -120,6 +61,8 @@ def _add_pivot(terms: Sequence[tuple[int, Mapping[int, int]]], pivots: dict[int,
                 row[c] = row.get(c, 0) + f * z
         if not (row := {c: z for c, z in row.items() if z}):
             return False
+        if (g := gcd(*row.values())) > 1:
+            row = {c: z // g for c, z in row.items()}
         if (piv := pivots.get(col := max(row))) is None:
             pivots[col] = row
             return True

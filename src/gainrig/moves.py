@@ -300,7 +300,7 @@ def _vertex_to_k4_delta(g: GainGraph, mv: Move) -> tuple[list[Edge], list[Edge],
     loop = g.loop_at(v)
     attach = dict(mv.attach)
     _require(
-        sorted(attach) == sorted(incident) and len(attach) == len(incident),
+        sorted(attach) == sorted(incident) and len(mv.attach) == len(incident),
         "attach must map each non-loop incident edge exactly once",
     )
     _require(all(0 <= i < 4 for i in attach.values()), "attach index in 0..3")

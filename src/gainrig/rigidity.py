@@ -41,8 +41,8 @@ check that covering positions are distinct.  Grown by a step, it checks
 only the appended position, against the parent's set, which it then takes.
 A refused step (FrameworkError) takes nothing.
 
-Rows under a PolyhedralNorm are ranked exactly (linalg.matrix_rank); under
-an LpNorm the dense matrix is ranked by SVD.
+Rows under a PolyhedralNorm are ranked exactly, by one sparse integer
+elimination (linalg.matrix_rank); under an LpNorm, by SVD of the dense matrix.
 """
 
 from __future__ import annotations
@@ -312,7 +312,7 @@ def analyse(fw: Framework, j: int) -> RigidityReport:
     dof = d * g.n
     if isinstance(fw.norm, PolyhedralNorm):
         rows = orbit_rows(fw, j)  # in edge order, which sets the elimination's fill-in
-        rank = matrix_rank([rows[e] for e in g.edges], dof)
+        rank = matrix_rank([rows[e] for e in g.edges])
     else:
         rank = float_rank(orbit_matrix(fw, j))
     triv = trivial_dim(fw.group_order, j, d)

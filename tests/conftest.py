@@ -13,10 +13,13 @@ import pytest
 
 from gainrig.graph import GainGraph, edge
 from gainrig.iso import apply_iso
-from gainrig.linalg import _bareiss_rank, matrix_rank
+from gainrig.linalg import matrix_rank
 from gainrig.moves import apply_move, apply_reduction
 from gainrig.norms import ConeBoundary, ZeroVector
 from gainrig.rigidity import FrameworkError, NotWellPositioned, _apply, _rotation
+
+# 2^61 - 1: a prime that the entries of some test matrices are multiples of
+PRIME = 2**61 - 1
 
 
 def random_gain_graph(
@@ -42,7 +45,33 @@ def dense_rank(rows) -> int:
     for row in rows:
         mult = lcm(*(Fraction(x).denominator for x in row))
         sparse.append({c: int(x * mult) for c, x in enumerate(row) if x})
-    return matrix_rank(sparse, len(rows[0]) if rows else 0)
+    return matrix_rank(sparse)
+
+
+def _bareiss_rank(m: list[list[int]]) -> int:
+    """Exact rank of the dense integer matrix m (modified in place) by
+    Bareiss's fraction-free elimination: the reference linalg's sparse
+    elimination is checked against."""
+    ncols = len(m[0])
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        pivot = next(
+            (r for r in range(rank, len(m)) if m[r][col] != 0), None
+        )
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        p = m[rank][col]
+        for r in range(rank + 1, len(m)):
+            for c in range(col + 1, ncols):
+                m[r][c] = (p * m[r][c] - m[r][col] * m[rank][c]) // prev
+            m[r][col] = 0
+        prev = p
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
 
 
 def perfbench_gen():

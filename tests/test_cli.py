@@ -147,6 +147,15 @@ def test_move_that_does_not_fit_fails(tmp_path, capsys, command):
     assert out.startswith("FAIL") and "no vertex 7" in out
 
 
+@pytest.mark.parametrize("command", ["construct", "realize"])
+def test_vertex_to_k4_attaching_an_edge_twice_fails(tmp_path, capsys, command):
+    step = {"kind": "VertexToK4", "vertices": [0], "attach": [[[0, 1, -1], 0], [[0, 1, -1], 2], [[0, 1, 1], 1]],
+            "loop_attach": [0, 1]}
+    assert main([command, _sequence_file(tmp_path, step)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL") and "attach must map each non-loop incident edge exactly once" in out
+
+
 def test_realize_rejects_kind_not_allowed(tmp_path, capsys):
     path = tmp_path / "seq.json"
     step = {"kind": "H1c", "vertices": [0], "gains": [1]}

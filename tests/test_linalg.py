@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import lcm
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -8,10 +8,12 @@ from hypothesis import assume, given, settings, strategies as st
 from gainrig import placement
 from gainrig.catalog import PARAMS_220, PARAMS_222
 from gainrig.construct import decompose, random_tight
-from gainrig.linalg import PRIME, _bareiss_rank, _modular_rank, matrix_rank, step_certified
+from gainrig.linalg import _add_pivot, matrix_rank, step_certified
+from gainrig.norms import L1, LINF
 from gainrig.placement import realize
+from gainrig.rigidity import orbit_rows
 
-from conftest import dense_rank, dense_step_args, dense_step_certified, perfbench_gen
+from conftest import PRIME, _bareiss_rank, dense_rank, dense_step_args, dense_step_certified, perfbench_gen
 
 
 def _bareiss(rows):
@@ -31,11 +33,12 @@ def _bareiss(rows):
     ([[F(PRIME, 3), F(2 * PRIME, 5)], [F(1), F(0)]], 2),
 ])
 def test_rank_deficient_mod_p_falls_back_to_the_exact_rank(rows, rank):
+    # matrices whose rank mod P falls short: the elimination over the
+    # integers still finds the rank over Q
     scaled = [{c: int(x * lcm(*(F(y).denominator for y in r))) for c, x in enumerate(r)}
               for r in rows]
-    assert _modular_rank(scaled) < rank
     assert _bareiss(rows) == rank
-    assert matrix_rank(scaled, len(rows[0])) == rank
+    assert matrix_rank(scaled) == rank
     assert dense_rank(rows) == rank
 
 
@@ -70,6 +73,68 @@ def test_rational_rank_matches_bareiss_on_random_matrices():
         deficient += rank < min(len(rows), len(rows[0]))
         assert dense_rank(rows) == rank, rows
     assert deficient >= 80
+
+
+def _planted(rng, n_rows, n_cols, rank):
+    """A dense random integer matrix of the given shape whose rank is at
+    most rank: the product of random n_rows x rank and rank x n_cols
+    factors, with about a third of the right factor's entries zero."""
+    left = [[rng.randint(-9, 9) for _ in range(rank)] for _ in range(n_rows)]
+    right = [[rng.randint(-9, 9) * (rng.random() < 0.7) for _ in range(n_cols)] for _ in range(rank)]
+    return [[sum(a * row[c] for a, row in zip(lr, right)) for c in range(n_cols)] for lr in left]
+
+
+def test_matrix_rank_equals_bareiss_on_dense_matrices_with_planted_dependencies():
+    rng = random.Random(35)
+    deficient = 0
+    for _ in range(60):
+        n_rows, n_cols = rng.randint(1, 40), rng.randint(1, 40)
+        m = _planted(rng, n_rows, n_cols, rng.randint(0, min(n_rows, n_cols)))
+        rank = _bareiss_rank([list(r) for r in m])
+        deficient += rank < min(n_rows, n_cols)
+        sparse = [{c: x for c, x in enumerate(r) if x} for r in m]
+        assert matrix_rank(sparse) == rank
+        # the rows are read, not changed, and their order does not matter
+        assert sparse == [{c: x for c, x in enumerate(r) if x} for r in m]
+        assert matrix_rank(sparse[::-1]) == rank
+    assert deficient >= 30
+
+
+def test_every_pivot_row_is_primitive():
+    # each reduced row is divided by the gcd of its entries (here each row
+    # goes in times 6), which keeps the entries of this dense 16 x 16
+    # elimination within the Hadamard bound on its minors
+    m = _planted(random.Random(1968), 16, 16, 16)
+    pivots = {}
+    for r in m:
+        _add_pivot(((6, {c: x for c, x in enumerate(r) if x}),), pivots)
+    assert len(pivots) == _bareiss_rank([list(r) for r in m])
+    assert all(gcd(*row.values()) == 1 for row in pivots.values())
+    hadamard = prod(isqrt(sum(x * x for x in r)) + 1 for r in m)
+    assert max(abs(x) for row in pivots.values() for x in row.values()) <= hadamard
+
+
+@pytest.mark.parametrize("regime, j", [("220", 0), ("222", 1)])
+@pytest.mark.parametrize("norm", [LINF, L1], ids=["linf", "l1"])
+def test_matrix_rank_equals_bareiss_on_orbit_matrices(regime, j, norm):
+    # both characters' orbit matrices of realized frameworks: the placed
+    # character's has full row rank; a (2,2,0) framework's character-1
+    # matrix is rank-deficient, its 2n rows over 2n - 2 once the two
+    # translations are taken out
+    gen = perfbench_gen()
+    for seed in range(2):
+        seq, g = gen.forward_sequence(random.Random(seed), 20, regime)
+        fw = realize(seq, j, norm=norm)
+        for c in (0, 1):
+            rows = orbit_rows(fw, c)
+            sparse = [rows[e] for e in g.edges]
+            dense = [[row.get(col, 0) for col in range(2 * g.n)] for row in sparse]
+            rank = _bareiss_rank(dense)
+            assert matrix_rank(sparse) == rank
+            if c == j:
+                assert rank == len(g.edges)
+            elif regime == "220":
+                assert rank < len(g.edges)
 
 
 @st.composite

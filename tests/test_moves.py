@@ -90,6 +90,17 @@ def test_vertex_to_k4_structure():
     assert len(k4_edges) == 6
 
 
+def test_vertex_to_k4_refuses_an_edge_attached_twice():
+    # base a's vertex 0 has two non-loop edges; naming one of them twice
+    # is refused, not read as its last index
+    e1, e2 = BASE_A.edges_at(0, include_loop=False)
+    mv = Move("VertexToK4", vertices=(0,), attach=((e1, 0), (e1, 2), (e2, 1)), loop_attach=(0, 1))
+    with pytest.raises(MoveError, match="attach must map each non-loop incident edge exactly once"):
+        apply_move(BASE_A, mv)
+    assert apply_move(BASE_A, Move("VertexToK4", vertices=(0,), attach=((e1, 2), (e2, 1)),
+                                   loop_attach=(0, 1))).n == 5
+
+
 def test_vertex_split_moves_edges():
     g = BASE_CATALOG["b"]
     e12 = edge(0, 1, 1)

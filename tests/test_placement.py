@@ -333,7 +333,7 @@ def test_analyse_ranks_grown_rows_in_edge_order(monkeypatch, p, j, initial):
     # to matrix_rank in edge order, on which the elimination's fill-in
     # depends, as it does for a fresh table
     ranked = []
-    monkeypatch.setattr(rigidity, "matrix_rank", lambda rows, cols: ranked.append(rows) or matrix_rank(rows, cols))
+    monkeypatch.setattr(rigidity, "matrix_rank", lambda rows: ranked.append(rows) or matrix_rank(rows))
     seq = next(s for s in (_grown_sequence(p, seed, initial=initial) for seed in range(20))
                if all(mv.kind != "VertexToK4" for mv in s.steps[:4]))
     fw = realize(ConstructionSequence(seq.params, seq.initial, ()), j)
@@ -583,8 +583,8 @@ def test_a_step_whose_deleted_rows_are_not_in_span_n_calls_analyse_once(monkeypa
     # N has rank 2 on w's columns, but adding the deleted rows raises its rank
     rows, w = orbit_rows(child, 0), parent.graph.n
     n = [rows[e] for e in child.graph.edges_at(w)]
-    assert matrix_rank([{c: x for c, x in r.items() if c >= 2 * w} for r in n], 8) == 2
-    assert matrix_rank(n + [orbit_rows(parent, 0)[e] for e in deleted], 8) > matrix_rank(n, 8)
+    assert matrix_rank([{c: x for c, x in r.items() if c >= 2 * w} for r in n]) == 2
+    assert matrix_rank(n + [orbit_rows(parent, 0)[e] for e in deleted]) > matrix_rank(n)
 
 
 @pytest.mark.parametrize("regime_name, j", [("220", 0), ("222", 1)])

@@ -6,8 +6,8 @@ import pytest
 from gainrig.catalog import BASE_CATALOG, PARAMS_220
 from gainrig.construct import random_tight
 from gainrig.graph import GainGraph
-from gainrig import linalg, rigidity
-from gainrig.linalg import PRIME, float_rank, matrix_rank
+from gainrig import rigidity
+from gainrig.linalg import float_rank, matrix_rank
 from gainrig.norms import LINF, L1, ConeBoundary, LpNorm, NormError, PolyhedralNorm, ZeroVector
 from gainrig.placement import base_placement
 from gainrig.rigidity import (
@@ -21,7 +21,7 @@ from gainrig.rigidity import (
 )
 from gainrig.sparsity import SparsityParams, check_sparsity
 
-from conftest import covering_rigidity_matrix, dense_rank, random_gain_graph
+from conftest import PRIME, covering_rigidity_matrix, dense_rank, random_gain_graph
 
 
 def _random_placement(g, rng, norm=LINF, order=2, tries=300):
@@ -43,10 +43,10 @@ def test_linalg_ranks():
     assert dense_rank([[F(1), F(2)], [F(2), F(4)]]) == 1
     assert dense_rank([[F(1, 3), F(0)], [F(0), F(5, 7)]]) == 2
     assert dense_rank([]) == 0
-    assert matrix_rank([{0: 1, 1: 2}, {0: 2, 1: 4}], 2) == 1
+    assert matrix_rank([{0: 1, 1: 2}, {0: 2, 1: 4}]) == 1
     # a row is nonzero by its integers: {1: P} counts, though it is 0 mod P
-    assert matrix_rank([{0: 0}, {1: PRIME}, {}], 2) == 1
-    assert matrix_rank([{0: 1}, {1: 1}, {0: 1, 1: 1}], 2) == 2
+    assert matrix_rank([{0: 0}, {1: PRIME}, {}]) == 1
+    assert matrix_rank([{0: 1}, {1: 1}, {0: 1, 1: 1}]) == 2
     assert float_rank([[1.0, 0.0], [0.0, 1e-15]]) == 1
     assert float_rank([[1.0, 1.0], [0.5, 0.5]]) == 1
 
@@ -290,20 +290,14 @@ def test_polyhedral_norm_rejects_float_facets(facets):
     assert PolyhedralNorm(((1, 0), (F(1, 2), 3))).dimension == 2
 
 
-def test_analyse_is_exact_where_the_modular_rank_is_deficient(monkeypatch):
+def test_analyse_is_exact_where_the_modular_rank_is_deficient():
     # Facet (P, 0) with x scaled by 1/P has the cones of l-infinity, but its
-    # colour-0 rows vanish mod P, so only the exact fallback sees full rank.
-    fallbacks = []
-    bareiss = linalg._bareiss_rank
-    monkeypatch.setattr(
-        linalg, "_bareiss_rank", lambda m: fallbacks.append(1) or bareiss(m)
-    )
+    # colour-0 rows vanish mod P: only an exact rank sees full rank.
     fw = base_placement("d")
     norm = PolyhedralNorm(((F(PRIME), F(0)), (F(0), F(1))))
     scaled = Framework(fw.graph, tuple((x / PRIME, y) for x, y in fw.positions), norm, 2)
     assert analyse(scaled, 0) == analyse(fw, 0)
     assert analyse(scaled, 0).isostatic
-    assert len(fallbacks) == 2  # the scaled framework's, not the fixture's
 
 
 def test_half_turn_in_three_dimensions_matches_trivial_dim():

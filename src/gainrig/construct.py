@@ -30,7 +30,6 @@ from .moves import (
     Move,
     MoveError,
     Reduction,
-    apply_delta,
     apply_reduction,
     enumerate_reductions,
     is_admissible,
@@ -83,10 +82,9 @@ def construct(
             raise NotTight(f"initial base union not tight: {seq.initial}")
     for mv in seq.steps:
         delta = move_delta(g, mv)
-        h = apply_delta(g, *delta)
-        if verify and not part.step(h.n, *delta):
+        g = g.spliced(*delta)
+        if verify and not part.step(*delta):
             raise NotTight(f"intermediate graph not tight after {mv.kind}")
-        g = h
     return g
 
 
@@ -171,8 +169,8 @@ def decompose(
               "terminal bases do not match")
     for r in reversed(chain):
         mv2, sign = translate_move(r.forward, psi, psi_signs)
-        deleted, added, pi = move_delta(c, mv2)
-        c = apply_delta(c, deleted, added, pi)
+        _, _, added, pi = delta = move_delta(c, mv2)
+        c = c.spliced(*delta)
         seq_steps.append(mv2)
         if pi is not None:  # VertexToK4 shifts the vertices after its own down
             psi = [x - (x > mv2.vertices[0]) for x in psi]
@@ -280,10 +278,9 @@ def random_tight(n: int, p: SparsityParams, seed: int) -> GainGraph:
             continue
         try:
             delta = move_delta(g, mv)
-            h = apply_delta(g, *delta)
         except MoveError:
             continue
-        if part.step(h.n, *delta):
-            g = h
+        if part.step(*delta):
+            g = g.spliced(*delta)
     invariant(check_tight(g, p), "random_tight built a graph that is not tight")
     return g

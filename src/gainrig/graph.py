@@ -76,18 +76,6 @@ def edge(u: int, v: int, gain: int) -> Edge:
     return Edge(u, v, gain)
 
 
-def check_edge(n: int, e: Edge, repeated: bool) -> None:
-    """Raise the error a graph on n vertices holding e (twice if repeated) raises."""
-    if not (0 <= e.u < n and 0 <= e.v < n):
-        raise BadVertexIndex(f"BadVertexIndex: edge {e.as_list()} outside 0..{n - 1}")
-    if e.gain not in (1, -1):
-        raise GainGraphError(f"BadGain: edge {e.as_list()} gain must be +1 or -1")
-    if e.is_loop() and e.gain == 1:
-        raise GainOneLoop(f"GainOneLoop: loop at {e.u} with gain +1")
-    if repeated:
-        raise DuplicateParallelEdge(f"DuplicateParallelEdge: edge {e.as_list()} repeated")
-
-
 def signed_components(
     n: int, edges: Iterable[Sequence[int]]
 ) -> tuple[list[int], list[int], list[tuple[int, int, bool]]]:
@@ -138,9 +126,16 @@ class GainGraph:
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
         if self.n < 0:
             raise BadVertexIndex("vertex count must be non-negative")
-        seen = set()
+        seen, n = set(), self.n
         for e in self.edges:
-            check_edge(self.n, e, e in seen)
+            if not (0 <= e.u < n and 0 <= e.v < n):
+                raise BadVertexIndex(f"BadVertexIndex: edge {e.as_list()} outside 0..{n - 1}")
+            if e.gain not in (1, -1):
+                raise GainGraphError(f"BadGain: edge {e.as_list()} gain must be +1 or -1")
+            if e.is_loop() and e.gain == 1:
+                raise GainOneLoop(f"GainOneLoop: loop at {e.u} with gain +1")
+            if e in seen:
+                raise DuplicateParallelEdge(f"DuplicateParallelEdge: edge {e.as_list()} repeated")
             seen.add(e)
 
     @staticmethod
@@ -150,17 +145,25 @@ class GainGraph:
         g.__dict__.update(n=n, edges=edges)
         return g
 
-    def spliced(self, n: int, deleted: Sequence[Edge], added: Sequence[Edge]) -> "GainGraph":
-        """This graph on n >= self.n vertices without the deleted edges and
-        with the added ones, which the caller has checked, spliced into the
-        sorted edges by bisection.  It takes over this graph's incidence
-        lists and degrees, with only the touched vertices' redone."""
+    def spliced(self, n: int, deleted: Sequence[Edge], added: Sequence[Edge],
+                pi: Optional[Sequence[int]] = None) -> "GainGraph":
+        """The graph on n vertices of a step's delta (moves.move_delta, or a
+        reduction's), which the caller has checked: this graph without the
+        deleted edges, renamed by pi (vertex a becomes pi[a]) if given, with
+        the added ones, spliced into the sorted edges by bisection.  Without
+        pi it takes over this graph's edge index and degrees if both are
+        built, with only the touched vertices' redone."""
         edges = list(self.edges)
         for e in deleted:
             del edges[bisect_left(edges, e)]
+        if pi is not None:  # a rename reorders the edges: one sort, nothing carried
+            renamed = [edge(pi[e.u], pi[e.v], e.gain) for e in edges]
+            return GainGraph.from_valid(n, tuple(sorted(renamed + list(added))))
         for e in added:
             insort(edges, e)
         g = GainGraph.from_valid(n, tuple(edges))
+        if "_incident" not in self.__dict__ or "degrees" not in self.__dict__:
+            return g
         at, degrees = dict(self._incident), self.degrees + [0] * (n - self.n)
         g.__dict__.update(_incident=at, degrees=degrees)
         for step, e in [*((-1, e) for e in deleted), *((1, e) for e in added)]:

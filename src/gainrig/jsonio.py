@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import fields
 from fractions import Fraction
 from typing import Any
@@ -46,6 +47,9 @@ def parse_rational(x: Any) -> Fraction:
     if isinstance(x, str):
         try:
             m = _RATIO.fullmatch(x)  # canonical, as dump_rational writes: read from two ints
+            e, limit = re.search(r"[eE]([-+]?[0-9_]+)\s*$", x), sys.get_int_max_str_digits()
+            if e and limit and abs(int(e[1])) > limit:  # Fraction would build 10**exponent first
+                raise ValueError(f"exponent beyond the {limit}-digit integer limit")
             return Fraction(int(m[1]), int(m[2])) if m and m[2].strip("0") else Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad rational {x!r}: {exc}") from exc

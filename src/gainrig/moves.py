@@ -26,6 +26,12 @@ ARITY fixes how many vertices, gains and removed edges each kind takes;
 a kind's other fields are its own (OWN_FIELDS), and every field a kind
 does not read keeps its default.
 
+move_delta is a move's one check.  Each added edge has an end the move
+creates, so none repeats a kept edge, and none repeats another (an H
+move's named vertices are distinct, and so are a split's moved edges and a
+K4's attached ones): with the deleted edges in g and gains +-1, the delta
+is valid as it stands, and GainGraph.spliced builds its graph unchecked.
+
 Under a relabel+switch (pi, signs) a move translates the same way for every
 kind (translate_move): vertices map through pi, every edge field through
 map_edge, and each gain is multiplied by the sign of its anchor: a gain's
@@ -56,12 +62,11 @@ merged vertices sent to their target.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .graph import Edge, GainGraph, GainGraphError, check_edge, edge
+from .graph import Edge, GainGraph, edge
 from .iso import map_edge
 from .sparsity import Partition
 
@@ -247,54 +252,36 @@ def _bind(shape: Shape, mv: Move, w: int) -> tuple[dict[str, int], dict[str, int
 
 def move_delta(
     g: GainGraph, mv: Move
-) -> tuple[list[Edge], list[Edge], Optional[list[int]]]:
-    """What apply_move(g, mv) changes: the edges of g it deletes, the edges
-    it adds (named in the new graph), and each vertex's new name, or None if
-    every vertex keeps its name.  Only VertexToK4 renames: the vertices after
-    v shift down by one, and v is deleted (its name is past the new graph's
-    last vertex).  Raises MoveError on any constraint violation."""
+) -> tuple[int, list[Edge], list[Edge], Optional[list[int]]]:
+    """What apply_move(g, mv) changes, as GainGraph.spliced and
+    Partition.step take it: the new graph's vertex count, the edges of g it
+    deletes, the edges it adds (named in the new graph), and each vertex's
+    new name, or None if every vertex keeps its name.  Only VertexToK4
+    renames: the vertices after v shift down by one, and v is deleted (its
+    name is past the new graph's last vertex).  The one check of a move:
+    MoveError on any constraint violation, else a valid delta."""
     problem = arity_error(mv)
     _require(problem is None, problem)
     for v in mv.vertices:
         _require(0 <= v < g.n, lambda: f"no vertex {v}")
-    if mv.kind == "VertexToK4":
-        return _vertex_to_k4_delta(g, mv)
-    if mv.kind == "VertexSplit":
-        return _vertex_split_delta(g, mv)
-    shape = H_SHAPES[mv.kind]
-    at, gains = _bind(shape, mv, g.n)
-    return list(mv.removed), [edge(at[p], g.n, _value(gn, gains)) for p, gn in shape.added], None
+    _require(all(gn in (1, -1) for gn in mv.gains), "gains must be +1 or -1")
+    if mv.kind not in H_SHAPES:
+        delta = (_vertex_to_k4_delta if mv.kind == "VertexToK4" else _vertex_split_delta)(g, mv)
+    else:
+        at, gains = _bind(H_SHAPES[mv.kind], mv, g.n)
+        added = [edge(at[p], g.n, _value(gn, gains)) for p, gn in H_SHAPES[mv.kind].added]
+        delta = g.n + 1, list(mv.removed), added, None
+    for e in delta[1]:
+        _require(g.has_edge(e), lambda: f"edge {e.as_list()} not present")
+    return delta
 
 
 def apply_move(g: GainGraph, mv: Move) -> GainGraph:
     """Forward application; raises MoveError on any constraint violation."""
-    return apply_delta(g, *move_delta(g, mv))
+    return g.spliced(*move_delta(g, mv))
 
 
-def apply_delta(
-    g: GainGraph, deleted: Sequence[Edge], added: Sequence[Edge], pi: Optional[Sequence[int]]
-) -> GainGraph:
-    """The graph a move_delta describes: g without the deleted edges,
-    renamed by pi, with the added ones, which alone are checked (g's edges
-    are valid), each by bisection in the sorted kept ones, as deleted ones are found."""
-    edges, n = list(g.edges), g.n + (1 if pi is None else 3)
-    try:
-        for e in deleted:
-            i = bisect_left(edges, e)
-            _require(edges[i:i + 1] == [e], lambda: f"edge {e.as_list()} not present")
-            del edges[i]
-        if pi is not None:
-            edges = sorted(edge(pi[e.u], pi[e.v], e.gain) for e in edges)
-        for e in sorted(added):
-            i = bisect_left(edges, e)
-            check_edge(n, e, edges[i:i + 1] == [e])
-            edges.insert(i, e)
-    except GainGraphError as exc:
-        raise MoveError(f"result invalid: {exc}") from exc
-    return GainGraph.from_valid(n, tuple(edges))
-
-
-def _vertex_to_k4_delta(g: GainGraph, mv: Move) -> tuple[list[Edge], list[Edge], list[int]]:
+def _vertex_to_k4_delta(g: GainGraph, mv: Move) -> tuple[int, list[Edge], list[Edge], list[int]]:
     (v,) = mv.vertices
     incident = g.edges_at(v, include_loop=False)
     loop = g.loop_at(v)
@@ -316,10 +303,10 @@ def _vertex_to_k4_delta(g: GainGraph, mv: Move) -> tuple[list[Edge], list[Edge],
         i, j = mv.loop_attach
         _require(0 <= i < 4 and 0 <= j < 4, "loop_attach index in 0..3")
         added.append(edge(m + i, m + j, -1))
-    return g.edges_at(v), added, pi
+    return g.n + 3, g.edges_at(v), added, pi
 
 
-def _vertex_split_delta(g: GainGraph, mv: Move) -> tuple[list[Edge], list[Edge], None]:
+def _vertex_split_delta(g: GainGraph, mv: Move) -> tuple[int, list[Edge], list[Edge], None]:
     (v1,) = mv.vertices
     e12 = mv.v2_edge
     _require(e12 is not None and not e12.is_loop() and e12.touches(v1),
@@ -341,7 +328,7 @@ def _vertex_split_delta(g: GainGraph, mv: Move) -> tuple[list[Edge], list[Edge],
         moved.append(loop)
         added.append(edge(v0, v0, -1))
     added += [edge(v0, v1, 1), edge(v0, v2, e12.gain)]
-    return moved, added, None
+    return v0 + 1, moved, added, None
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ from .colouring import monochrome_quotients
 from .construct import ConstructionSequence
 from .graph import Edge, GainGraph, invariant
 from .linalg import step_certified
-from .moves import Move, apply_delta, move_delta
+from .moves import Move, move_delta
 from .norms import L1, LINF, PolyhedralNorm
 from .rigidity import Framework, FrameworkError, analyse, covering_keys, orbit_rows, point_key
 from .sparsity import Forest
@@ -303,8 +303,8 @@ def extend_placement(fw: Framework, mv: Move, j: int = 0) -> Framework:
     vertices and re-verifying with both oracles.  A one-vertex step takes
     fw's class forests for j and hands them on (module docstring)."""
     _check_character(j)
-    deleted, added, pi = move_delta(fw.graph, mv)
-    h = apply_delta(fw.graph, deleted, added, pi)
+    n, deleted, added, pi = move_delta(fw.graph, mv)
+    h = fw.graph.spliced(n, deleted, added, pi)
     if pi is not None:
         return _extend_k4(fw, mv, h, j)
     # One new vertex w, appended; old vertices keep their indices and old

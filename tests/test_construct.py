@@ -18,7 +18,7 @@ from gainrig.construct import (
 from gainrig.graph import Edge, GainGraph, InvariantViolation
 from gainrig.iso import apply_iso, are_isomorphic
 from gainrig.moves import (
-    KINDS_222, Move, MoveError, apply_delta, apply_move, apply_reduction, enumerate_reductions, is_admissible,
+    KINDS_222, Move, MoveError, apply_move, apply_reduction, enumerate_reductions, is_admissible,
 )
 from gainrig.sparsity import Partition, check_tight, tight_partition
 
@@ -178,7 +178,7 @@ def test_construct_carries_a_partition_of_every_graph(p, monkeypatch):
     seqs = [decompose(random_tight(12, p, seed), p)[0] for seed in range(6)]
     seqs += [decompose(two_base_union(random.Random(n), n, p), p)[0] for n in (12, 20)]
     checked, built = [], []
-    real_step, real_apply = Partition.step, apply_delta
+    real_step, real_spliced = Partition.step, GainGraph.spliced
 
     def first(g, params):
         part = tight_partition(g, params)
@@ -186,19 +186,19 @@ def test_construct_carries_a_partition_of_every_graph(p, monkeypatch):
         checked.append(g)
         return part
 
-    def apply(*args):
-        built.append(real_apply(*args))
+    def spliced(g, *delta):
+        built.append(real_spliced(g, *delta))
         return built[-1]
 
-    def step(part, n, *delta):
-        assert real_step(part, n, *delta)
+    def step(part, *delta):
+        assert real_step(part, *delta)
         assert_partition(built[-1], part, p)
         checked.append(built[-1])
         return True
 
     # gainrig.construct names the functions, so take the module itself.
     monkeypatch.setattr(sys.modules["gainrig.construct"], "tight_partition", first)
-    monkeypatch.setattr(sys.modules["gainrig.construct"], "apply_delta", apply)
+    monkeypatch.setattr(GainGraph, "spliced", spliced)
     monkeypatch.setattr(Partition, "step", step)
     kinds = set()
     for seq in seqs:

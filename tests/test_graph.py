@@ -206,21 +206,34 @@ def test_signed_components_match_brute_force(case):
 
 def test_spliced_carries_the_index_and_degrees(rng):
     # a chain of splices, each on a delta whose result is a valid graph on
-    # one more vertex at most, equals the graph built from scratch, with the
-    # edge index and degrees a fresh build reads, and leaves its parent's
-    # index as it was
+    # one more vertex at most, some renaming the vertices (pi) and some from
+    # a parent whose index was never built, equals the graph built from
+    # scratch, with the edge index and degrees a fresh build reads; it takes
+    # them over only from a parent that built them, and never across a
+    # rename, and leaves its parent's index as it was
     g = random_gain_graph(rng, max_n=7, max_edges=14)
-    for _ in range(200):
+    seen = set()
+    for _ in range(300):
         n = g.n + (rng.random() < 0.2)
+        pi = rng.sample(range(n), g.n) if rng.random() < 0.2 else None
+        built = rng.random() < 0.7
+        g = GainGraph.from_valid(g.n, g.edges)  # no index, no degrees
+        before = {v: list(es) for v, es in g._incident.items()} if built else None
         universe = [edge(u, v, s) for u in range(n) for v in range(u, n) for s in (1, -1)
                     if u != v or s == -1]
         deleted = rng.sample(g.edges, rng.randint(0, min(3, len(g.edges))))
-        free = [e for e in universe if e not in g.edges]
+        kept = [e if pi is None else edge(pi[e.u], pi[e.v], e.gain) for e in g.edges if e not in deleted]
+        free = [e for e in universe if e not in kept]
         added = rng.sample(free, rng.randint(0, min(3, len(free))))
-        before = {v: list(es) for v, es in g._incident.items()}
-        h = g.spliced(n, deleted, added)
-        want = GainGraph(n, tuple(e for e in g.edges if e not in deleted) + tuple(added))
-        assert h == want and h.degrees == want.degrees
+        if built:
+            _ = g.degrees
+        h = g.spliced(n, deleted, added, pi)
+        carried = "_incident" in h.__dict__
+        assert carried == ("degrees" in h.__dict__) == (built and pi is None)
+        want = GainGraph(n, tuple(kept + added))
+        assert h == want and h.edges == want.edges and h.degrees == want.degrees
         assert {v: es for v, es in h._incident.items() if es} == want._incident
-        assert g._incident == before
+        assert not built or g._incident == before
+        seen.add((carried, pi is None))
         g = h
+    assert seen == {(True, True), (False, True), (False, False)}

@@ -1,3 +1,5 @@
+import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -54,6 +56,23 @@ def test_rationals():
     assert parse_rational(0.25) == F(1, 4)
     with pytest.raises(FormatError):
         parse_rational("x/y")
+
+
+def test_a_decimal_exponent_past_the_integer_digit_limit_is_refused_at_once(monkeypatch):
+    # Fraction builds 10**exponent first, which for "1e100000000" runs far
+    # past any timeout.  An exponent within the limit Python puts on integer
+    # literals parses; one beyond it is a FormatError, as a literal that
+    # long is; with the limit off (0) no bound applies
+    limit = sys.get_int_max_str_digits()
+    assert parse_rational(f"1e{limit}") == 10 ** limit
+    assert parse_rational(f"1e-{limit}") == F(1, 10 ** limit)
+    start = time.perf_counter()
+    for text in ("1e100000000", "-2.5E+100000000", f"1e-{limit + 1}"):
+        with pytest.raises(FormatError, match="exponent beyond"):
+            parse_rational(text)
+    assert time.perf_counter() - start < 1
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    assert parse_rational(f"1e{limit + 1}") == 10 ** (limit + 1)
 
 
 def test_norm_specs():

@@ -32,7 +32,7 @@ def _bareiss(rows):
     ([[F(PRIME, 3), F(2 * PRIME, 5)]], 1),
     ([[F(PRIME, 3), F(2 * PRIME, 5)], [F(1), F(0)]], 2),
 ])
-def test_rank_deficient_mod_p_falls_back_to_the_exact_rank(rows, rank):
+def test_exact_rank_of_matrices_rank_deficient_mod_p(rows, rank):
     # matrices whose rank mod P falls short: the elimination over the
     # integers still finds the rank over Q
     scaled = [{c: int(x * lcm(*(F(y).denominator for y in r))) for c, x in enumerate(r)}

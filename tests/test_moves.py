@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
@@ -19,6 +20,7 @@ from gainrig.moves import (
     apply_reduction,
     enumerate_reductions,
     is_admissible,
+    move_delta,
     translate_move,
 )
 from gainrig.sparsity import check_tight, tight_partition
@@ -387,40 +389,78 @@ def test_kind_order_is_fixed():
     assert tuple(H_SHAPES) == ALL_KINDS[:12]
 
 
-def test_apply_delta_checks_only_the_added_edges(monkeypatch, rng):
-    # the graph, or the error, that a whole-graph build of the kept and the
-    # added edges gives, from a check of the added edges alone, each by
-    # bisection against the kept ones
-    checked = []
-    real = moves.check_edge
-    monkeypatch.setattr(moves, "check_edge", lambda n, e, repeated: checked.append(e) or real(n, e, repeated))
-    outcomes = set()
-    for _ in range(600):
-        g = random_gain_graph(rng, max_n=5, max_edges=8)
-        deleted = rng.sample(g.edges, rng.randint(0, min(2, len(g.edges))))
-        if rng.random() < 0.1:
-            deleted.append(edge(0, g.n, 1))  # not in g
-        added = [edge(rng.randint(-1, g.n + 1), rng.randint(0, g.n), rng.choice((1, -1, 1, -1, 0)))
-                 for _ in range(rng.randint(0, 3))]
-        kept = list(g.edges)
-        try:
-            for e in deleted:
-                kept.remove(e)
-            want = GainGraph(g.n + 1, tuple(kept + added))
-        except ValueError as exc:  # a GainGraphError, or an edge not present
-            want = str(exc)
-        checked.clear()
-        try:
-            got = moves.apply_delta(g, deleted, added, None)
-        except MoveError as exc:
-            assert str(exc) in [f"result invalid: {want}"] + [f"edge {e.as_list()} not present" for e in deleted[-1:]]
-            outcomes.add(str(exc).split(":")[0])
+def _spoiled(mv, g, rng):
+    """mv with perhaps one entry of one field replaced: by another entry of
+    that field (a repeat), or by a random value in or just out of g's range:
+    a vertex, a gain in (1, -1, 0, 2), or a removed or moved edge."""
+    field = rng.choice(("vertices", "gains", "removed", "moved", None, None))
+    if field is None or not getattr(mv, field):
+        return mv
+    value = list(getattr(mv, field))
+    i = rng.randrange(len(value))
+    if rng.random() < 0.3:
+        value[i] = rng.choice(value)
+    elif field == "vertices":
+        value[i] = rng.randint(0, g.n)
+    elif field == "gains":
+        value[i] = rng.choice((1, -1, 0, 2))
+    else:
+        value[i] = edge(rng.randint(0, g.n), rng.randint(0, g.n), rng.choice((1, -1)))
+    return replace(mv, **{field: tuple(value)})
+
+
+def test_move_delta_is_the_whole_check(rng):
+    # on random moves, some with a field spoiled, over arbitrary gain
+    # graphs (with and without their edge index built), every delta
+    # move_delta returns deletes edges of g, and spliced builds from it
+    # exactly what a validating GainGraph builds from the kept and the
+    # added edges; moves of every kind are built and refused
+    built, refused = set(), set()
+    for _ in range(1500):
+        g = random_gain_graph(rng, max_n=6, max_edges=12)
+        if rng.random() < 0.5:
+            _ = g.edges_at(0), g.degrees  # built, so spliced carries them
+        mv = _random_move(g, ALL_KINDS, rng)
+        if mv is None:
             continue
-        assert got == want and got.edges == want.edges
-        assert checked == sorted(added)
-        outcomes.add("built")
-    assert {"built", "result invalid"} <= outcomes
-    assert any(o.endswith("not present") for o in outcomes)
+        mv = _spoiled(mv, g, rng)
+        try:
+            n, deleted, added, pi = delta = move_delta(g, mv)
+        except MoveError:
+            refused.add(mv.kind)
+            continue
+        kept = [e for e in g.edges if e not in deleted]
+        assert len(kept) == len(g.edges) - len(deleted)
+        if pi is not None:
+            kept = [edge(pi[e.u], pi[e.v], e.gain) for e in kept]
+        want = GainGraph(n, tuple(kept + added))
+        got = g.spliced(*delta)
+        assert got == want and got.edges == want.edges and got.degrees == want.degrees
+        built.add(mv.kind)
+    assert built == refused == set(ALL_KINDS)
+
+
+TRIANGLE = GainGraph.from_triples(3, [[0, 1, -1], [1, 2, 1], [0, 2, 1], [0, 0, -1], [1, 1, -1], [2, 2, -1]])
+
+
+@pytest.mark.parametrize("mv, message", [
+    (Move("H2a", vertices=(0, 2), gains=(1, 1), removed=(edge(0, 1, 1),)), r"edge \[0, 1, 1\] not present"),
+    (Move("VertexSplit", vertices=(0,), v2_edge=edge(0, 2, 1), moved=(edge(0, 1, 1),)),
+     r"edge \[0, 1, 1\] not present"),
+    (Move("H1c", vertices=(1,), gains=(2,)), "gains must be"),
+    (Move("H1c", vertices=(1,), gains=(0,)), "gains must be"),
+    (Move("H1a", vertices=(2, 2), gains=(1, 1)), "needs distinct vertices"),
+    (Move("H2a", vertices=(0, 1), gains=(1, 1), removed=(edge(0, 1, -1),)), "needs distinct vertices"),
+], ids=["absent-removed", "absent-moved", "gain-2", "gain-0", "repeated-vertex", "repeated-name"])
+def test_a_hostile_move_is_refused_before_any_build(mv, message, monkeypatch):
+    # move_delta refuses it, and neither the splice nor a validating
+    # constructor is reached
+    built = []
+    monkeypatch.setattr(GainGraph, "spliced", lambda *args: built.append(args))
+    monkeypatch.setattr(GainGraph, "__post_init__", lambda g: built.append(g))
+    with pytest.raises(MoveError, match=message):
+        apply_move(TRIANGLE, mv)
+    assert built == []
 
 
 def test_reductions_keep_degree_order_and_skip_unfit_vertices(monkeypatch):

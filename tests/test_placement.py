@@ -151,7 +151,7 @@ def _grown_sequence(p, seed, n=12, initial=None):
             h = apply_move(g, mv)
         except MoveError:
             continue
-        if part.step(h.n, *move_delta(g, mv)):
+        if part.step(*move_delta(g, mv)):
             g, steps = h, steps + [mv]
     return ConstructionSequence(p, initial, tuple(steps))
 
@@ -439,7 +439,7 @@ def _path_first(fw, mv, new):
     (x, w, a) and (w, y, b) with a * b = g (a new edge two deleted edges
     want in different colours takes either), then the others, each group in
     product((0, 1)) order."""
-    deleted, _, _ = move_delta(fw.graph, mv)
+    _, deleted, _, _ = move_delta(fw.graph, mv)
     wants = [set() for _ in new]
     for d in deleted:
         p, q = fw.positions[d.u], fw.positions[d.v]
@@ -545,7 +545,7 @@ def test_rank_certificate_agrees_with_analyse(monkeypatch, p, j):
     for seq in _certificate_sequences(p, j):
         for fw, mv, child in _steps(seq, j):
             kinds.add(mv.kind)
-            deleted, added, _ = move_delta(fw.graph, mv)
+            _, deleted, added, _ = move_delta(fw.graph, mv)
             cert = placement._rank_certified(child, fw, _rows(fw, deleted, j), sorted(added), j)
             if cert:  # a certified step is isostatic by the rank oracle
                 assert analyse(child, j).isostatic
@@ -572,7 +572,7 @@ def test_a_step_whose_deleted_rows_are_not_in_span_n_calls_analyse_once(monkeypa
     # basis holds; the colouring taken leaves a path
     parent = base_placement("b")
     mv = Move("H3b", vertices=(1, 0, 2), removed=(edge(0, 1, 1), edge(1, 2, 1)))
-    deleted, added, _ = move_delta(parent.graph, mv)
+    _, deleted, added, _ = move_delta(parent.graph, mv)
     assert [LINF.colours[parent.covectors[e]] for e in deleted] == [1, 1]
     assert _path_first(parent, mv, sorted(added))[:2] == [(1, 1, 1, 1), (0, 0, 0, 0)]
     calls = _counting_analyse(monkeypatch)
@@ -630,7 +630,7 @@ def test_uncertified_parents_and_vertex_to_k4_go_to_analyse(monkeypatch):
         seq = _sequences_with_k4_partway(p, initial, wanted=1)[0]
         k4 = [(fw, mv, child) for fw, mv, child in _steps(seq, j) if mv.kind == "VertexToK4"]
         for fw, mv, child in k4:
-            deleted, added, _ = move_delta(fw.graph, mv)
+            _, deleted, added, _ = move_delta(fw.graph, mv)
             assert not placement._rank_certified(child, fw, _rows(fw, deleted, j), sorted(added), j)
             calls.clear()
             assert extend_placement(fw, mv, j) == child and calls == [1]
@@ -694,7 +694,7 @@ def _h1a_step(parent):
     """The graph an H1a step at vertices 0, 1 makes from parent's, and the
     step (parent, deleted, added) that grows a framework on it."""
     mv = Move("H1a", vertices=(0, 1), gains=(1, -1))
-    deleted, added, _ = move_delta(parent.graph, mv)
+    _, deleted, added, _ = move_delta(parent.graph, mv)
     return apply_move(parent.graph, mv), (parent, deleted, sorted(added))
 
 
@@ -785,7 +785,7 @@ def test_class_forests_match_isostatic_classes_on_every_step(p, j):
         for fw, mv, child in _steps(seq, j):
             if mv.kind == "VertexToK4":
                 continue
-            deleted, added, _ = move_delta(fw.graph, mv)
+            _, deleted, added, _ = move_delta(fw.graph, mv)
             new = sorted(added)
             kept = [[e for e in cls if e not in deleted] for cls in fw.classes]
             forests = placement._class_forests(fw, j)

@@ -9,6 +9,7 @@ report.  Usage:
 from __future__ import annotations
 
 import argparse
+import sys
 
 from gainrig import (
     PARAMS_220,
@@ -23,6 +24,13 @@ from gainrig import (
 )
 
 
+def check(ok: bool, what: str) -> None:
+    """Print what failed and exit 1 unless ok; unlike assert, python -O keeps it."""
+    if not ok:
+        print(f"FAIL: {what}", file=sys.stderr)
+        sys.exit(1)
+
+
 def run(n: int, seed: int, j: int) -> None:
     params = PARAMS_220 if j == 0 else PARAMS_222
     g = random_tight(n, params, seed=seed)
@@ -31,7 +39,8 @@ def run(n: int, seed: int, j: int) -> None:
 
     seq, pi, signs = decompose(g, params)
     rebuilt = construct(seq)
-    assert apply_iso(g, pi, signs) == rebuilt
+    check(apply_iso(g, pi, signs) == rebuilt,
+          f"construct(seq) is not apply_iso(g, pi, signs) for pi={pi} signs={signs}")
     print(f"  decomposed to bases {seq.initial} in {len(seq.steps)} moves,"
           f" reconstruction matches via pi={pi} signs={signs}")
 
@@ -39,7 +48,8 @@ def run(n: int, seed: int, j: int) -> None:
     verdict = geometric_verdict(fw)
     report = analyse(fw, j)
     flag = verdict.chi0_isostatic if j == 0 else verdict.chi1_isostatic
-    assert flag and report.isostatic
+    check(flag and report.isostatic,
+          f"character-{j} placement: colouring isostatic={flag}, rank isostatic={report.isostatic}")
     print(f"  realised: rank={report.rank} trivial={report.trivial}"
           f" isostatic={report.isostatic} (colouring oracle agrees)")
     for v, (x, y) in enumerate(fw.positions):

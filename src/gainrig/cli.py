@@ -162,8 +162,7 @@ def cmd_colour(args) -> int:
 
 def cmd_realize(args) -> int:
     seq = sequence_from_dict(load_json(args.sequence))
-    j = seq.character if args.character is None else args.character
-    fw = realize(seq, j, norm=norm_from_json(args.norm))
+    fw = realize(seq, args.character, norm=norm_from_json(args.norm))
     _write_or_print(args.output, framework_to_dict(fw))
     return 0
 

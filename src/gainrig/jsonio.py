@@ -7,6 +7,10 @@ Formats:
              "norm": "linf" | "l1" | {"p": num} | {"facets": [[a,b],[c,d]]}
   sequence   {"counts": [k, l, m], "initial": [base ids], "steps": [moves]}
   move       {"kind": ..., plus only the parameters the kind uses}
+
+A group order whose covering of order x len(positions) points (each rotated
+and kept by `rigidity.covering_keys`, ~10 us apiece) would pass MAX_COVERING
+is refused before any Framework is built, so a few bytes cannot ask for hours.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ from .sparsity import SparsityParams
 
 class FormatError(ValueError):
     pass
+
+
+MAX_COVERING = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +154,8 @@ def framework_from_dict(d: dict) -> Framework:
     order = group.get("n", 2) if isinstance(group, dict) else None
     if not _is_int(order):
         raise FormatError(f"'group' needs an object with integer group order 'n', got {group!r}")
+    if order * len(positions) > MAX_COVERING:
+        raise FormatError(f"group order {order} covers {order * len(positions)} positions, over {MAX_COVERING}")
     norm = norm_from_json(d.get("norm", "linf"))
     return Framework(g, positions, norm, order)
 

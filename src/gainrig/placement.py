@@ -376,17 +376,18 @@ def _bases_positions(ids: Sequence[str]) -> list[Point]:
 
 def realize(
     seq: ConstructionSequence,
-    j: int = 0,
+    j: Optional[int] = None,
     cfg: Optional[RealisationConfig] = None,
     norm: PolyhedralNorm = LINF,
 ) -> Framework:
     """Fold the construction sequence through extend_placement, producing a
-    framework verified character-j isostatic by both oracles; ValueError
-    unless j is the sequence's character.  `cfg` is accepted and has no
+    framework verified character-j isostatic by both oracles; j defaults to
+    the sequence's character, and any other is a ValueError.  `cfg` has no
     effect.  Under norm=L1 the l-infinity realisation is mapped by
     (x, y) -> ((x + y)/2, (x - y)/2), which takes the l-infinity ball onto
     the l1 ball and keeps every edge's length and colour, and verified
     again."""
+    j = seq.character if j is None else j
     _check_character(j)
     if j != seq.character:
         raise ValueError(f"counts {seq.params.as_tuple()} place for character {seq.character}, not {j}")

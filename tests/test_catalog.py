@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -53,6 +53,21 @@ def test_recognition_under_switch_and_relabel():
         )
         found, pi, signs = is_base_graph(h, PARAMS_220)
         assert found == bid and apply_iso(h, pi, signs) == g
+
+
+def test_recognition_of_every_labelled_switched_base_copy():
+    # the whole domain on which is_base_graph finds a match: each base of
+    # each regime under each of its n!·2^n relabellings and switchings
+    copies = 0
+    for p in (PARAMS_220, PARAMS_222):
+        for bid, g in regime(p)[1].items():
+            for pi in permutations(range(g.n)):
+                for signs in product((1, -1), repeat=g.n):
+                    h = apply_iso(g, pi, signs)
+                    found, pi2, signs2 = is_base_graph(h, p)
+                    assert found == bid and apply_iso(h, pi2, signs2) == g
+                    copies += 1
+    assert copies == 2026
 
 
 def test_recognition_rejects_non_bases():

@@ -7,6 +7,7 @@ import pytest
 from gainrig.catalog import BASE_CATALOG, PARAMS_220
 from gainrig.construct import decompose, random_tight
 from gainrig.graph import GainGraphError
+from gainrig import jsonio
 from gainrig.jsonio import (
     FormatError,
     dump_rational,
@@ -73,6 +74,22 @@ def test_a_decimal_exponent_past_the_integer_digit_limit_is_refused_at_once(monk
     assert time.perf_counter() - start < 1
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
     assert parse_rational(f"1e{limit + 1}") == 10 ** (limit + 1)
+
+
+def test_a_group_order_past_the_covering_bound_is_refused_at_once(monkeypatch):
+    # every position has order rotation images, each kept as a key: an order
+    # of 10**9 would run for hours, so it is refused before any Framework
+    # is built; order 4 reads as before
+    d = framework_to_dict(base_placement("a"))
+    d["group"] = {"n": 10 ** 9}
+    monkeypatch.setattr(jsonio, "Framework", None)
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match=f"group order {10 ** 9} covers {2 * 10 ** 9} positions, over 100000"):
+        framework_from_dict(d)
+    assert time.perf_counter() - start < 1
+    monkeypatch.undo()
+    d["group"], d["positions"] = {"n": 4}, [[1, 2], [3, 5]]  # distinct under the quarter turn
+    assert framework_from_dict(d).group_order == 4
 
 
 def test_norm_specs():

@@ -114,6 +114,15 @@ def test_realize_rejects_a_character_its_counts_cannot_reach(monkeypatch, p, ids
         realize(ConstructionSequence(p, ids, ()), j)
 
 
+def test_realize_defaults_to_the_sequences_character():
+    # (2,2,2) counts fix character 1, so realize(seq) places it; an explicit
+    # character the counts cannot reach is still refused
+    seq, _, _ = decompose(random_tight(6, PARAMS_222, seed=3), PARAMS_222)
+    _assert_isostatic(realize(seq), 1)
+    with pytest.raises(ValueError, match="place for character 1, not 0"):
+        realize(seq, 0)
+
+
 def _assert_isostatic(fw, j):
     gv = geometric_verdict(fw)
     assert (gv.chi0_isostatic if j == 0 else gv.chi1_isostatic)
@@ -751,7 +760,12 @@ def test_a_refused_step_takes_nothing():
 def test_realize_and_extend_placement_refuse_a_bad_character(j):
     mv = Move("H1a", vertices=(0, 1), gains=(1, -1))
     seq, fw = ConstructionSequence(PARAMS_220, ("a",), (mv,)), base_placement("a")
-    for call in (lambda: realize(seq, j), lambda: extend_placement(fw, mv, j)):
+    calls = [lambda: extend_placement(fw, mv, j)]
+    if j is None:  # realize's default: the sequence's character, 0 for (2,2,0)
+        _assert_isostatic(realize(seq, j), 0)
+    else:
+        calls.append(lambda: realize(seq, j))
+    for call in calls:
         with pytest.raises(ValueError, match="character must be 0 or 1"):
             call()
 

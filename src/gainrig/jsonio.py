@@ -11,6 +11,9 @@ Formats:
 A group order whose covering of order x len(positions) points (each rotated
 and kept by `rigidity.covering_keys`, ~10 us apiece) would pass MAX_COVERING
 is refused before any Framework is built, so a few bytes cannot ask for hours.
+So is a graph of more than MAX_VERTICES vertices before any graph is built:
+the sparsity checker's forests keep tables per vertex, edge or not, so a
+few bytes with n = 10**9 would ask for gigabytes.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ class FormatError(ValueError):
 
 
 MAX_COVERING = 100_000
+MAX_VERTICES = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +89,8 @@ def graph_from_dict(d: dict) -> GainGraph:
         raise FormatError(f"graph needs 'n' and 'edges': {exc}") from exc
     if not _is_int(n) or not isinstance(edges, list):
         raise FormatError("'n' must be an integer and 'edges' a list")
+    if n > MAX_VERTICES:
+        raise FormatError(f"'n' is {n}, over {MAX_VERTICES}")
     for t in edges:
         if not (isinstance(t, list) and len(t) == 3 and all(_is_int(c) for c in t)):
             raise FormatError(f"edge entries must be [u, v, gain]: {t!r}")

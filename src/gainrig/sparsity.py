@@ -14,12 +14,14 @@ Edmonds' matroid partition: it inserts the edges in sorted order, a free
 edge straight onto the first side that takes it, any other by a
 breadth-first search for a shortest augmenting path.  Each side is a
 signed spanning forest, plus one extra edge per tree on a frame side, so
-whether a side takes an edge is read in O(1), once per reached edge and
-side, from tree labels, signs and extra edges (Forest.independent); the
-circuits of an edge that no side takes are read off tree paths as sets
-(Forest.circuit), and only their newly labelled edges are sorted, so the
-search labels in the order sorted circuits would; an augmentation
-re-roots or searches again only the trees it changes.  If an edge is
+whether a side takes an edge is read in O(1) from tree labels, signs and
+extra edges (Forest.independent), once per labelled edge and side, as it is
+labelled.  Labels go out in queue order and no side changes in a search, so
+this finds the free edge, and label chain, that a test at dequeue would,
+without the circuits queued ahead of it.  The circuits of an edge that no
+side takes are read off tree paths as sets (Forest.circuit), and only their
+new labels are sorted, the order sorted circuits label in; an augmentation
+re-roots or re-searches only the trees it changes.  If an edge is
 blocked, every element the search reached lies in each side's span of the
 reached set S, so |S| is one more than the sides' ranks of S summed, and
 some component C of S breaks its own count: the witness, over its own
@@ -302,9 +304,9 @@ class Partition:
 
     def insert(self, y: Edge) -> Optional[list[Edge]]:
         """Add y onto the first side that takes it (a free edge), else along
-        a shortest augmenting path, found by breadth-first search (module
-        docstring).  None on success; else y stays out, and the result is
-        every edge the search reached."""
+        a shortest augmenting path, by a breadth-first search that ends at
+        the first labelled edge another side takes (module docstring).  None
+        on success; else y stays out, and the result is every edge reached."""
         for i, forest in enumerate(self.forests):
             if forest.independent(y):  # journalled as _move would
                 self.before.setdefault(y, None)
@@ -317,19 +319,19 @@ class Partition:
         for x in queue:
             own = self.side.get(x)
             for i, forest in enumerate(self.forests):
-                if x is not y and i != own and forest.independent(x):
-                    path = [(x, i)]
-                    while label[x] is not None:
-                        x, i = label[x]
-                        path.append((x, i))
-                    self._move(path)
-                    return None
-            for i, forest in enumerate(self.forests):
                 if i != own:
                     new = [z for z in forest.circuit(x) if z not in label]
                     new.sort()  # the order a sorted circuit labels them in
-                    for z in new:
+                    for z in new:  # z is on side i
                         label[z] = (x, i)
+                        for j, other in enumerate(self.forests):
+                            if j != i and other.independent(z):
+                                path = [(z, j)]
+                                while label[z] is not None:
+                                    z, j = label[z]
+                                    path.append((z, j))
+                                self._move(path)
+                                return None
                     queue += new
         return queue
 

@@ -258,6 +258,17 @@ def test_every_construction_command_serves_only_220_and_222(tmp_path, capsys, co
     assert f"got {counts}" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command", ["check", "decompose"])
+def test_a_graph_past_the_vertex_bound_is_usage_error(tmp_path, capsys, command):
+    # 31 bytes that ask for 10**9 vertices: refused before any graph is built
+    path = tmp_path / "big.json"
+    path.write_text('{"n": 1000000000, "edges": []}')
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "'n' is 1000000000, over 1000000" in captured.err
+
+
 @pytest.mark.parametrize("p, code", [(1000, 0), (float("inf"), 2), (10**400, 2)])
 def test_lp_norm_exponents_never_end_in_a_traceback(tmp_path, capsys, p, code):
     d = framework_to_dict(base_placement("a"))

@@ -92,6 +92,24 @@ def test_a_group_order_past_the_covering_bound_is_refused_at_once(monkeypatch):
     assert framework_from_dict(d).group_order == 4
 
 
+def test_a_vertex_count_past_the_bound_is_refused_at_once(monkeypatch):
+    # the sparsity checker's forests keep tables per vertex, so a graph file
+    # of a few bytes with n = 10**9 would build gigabytes of them: n past
+    # MAX_VERTICES is refused before any graph is built; n at it reads
+    assert jsonio.MAX_VERTICES == 10 ** 6
+    monkeypatch.setattr(jsonio, "GainGraph", None)
+    start = time.perf_counter()
+    for n in (10 ** 6 + 1, 10 ** 9):
+        with pytest.raises(FormatError, match=f"'n' is {n}, over 1000000"):
+            graph_from_dict({"n": n, "edges": []})
+    assert time.perf_counter() - start < 1
+    monkeypatch.undo()
+    monkeypatch.setattr(jsonio, "MAX_VERTICES", 3)
+    assert graph_from_dict({"n": 3, "edges": [[0, 2, -1]]}).n == 3
+    with pytest.raises(FormatError, match="'n' is 4, over 3"):
+        graph_from_dict({"n": 4, "edges": []})
+
+
 def test_norm_specs():
     assert norm_from_json("linf") == LINF
     assert norm_from_json("l1") == L1

@@ -282,3 +282,59 @@ def test_free_edges_read_no_circuit(monkeypatch):
     assert part.insert(y) is not None and calls
     g = GainGraph(n, tuple(sorted(trees[0] + trees[1])))
     assert check_sparsity(g, PARAMS_222).passed and check_tight(g, PARAMS_222)
+
+
+def _count_circuits(monkeypatch) -> list:
+    """A list that Forest.circuit appends to on each call."""
+    calls = []
+    real = sparsity.Forest.circuit
+
+    def circuit(forest, x):
+        calls.append(x)
+        return real(forest, x)
+
+    monkeypatch.setattr(sparsity.Forest, "circuit", circuit)
+    return calls
+
+
+def test_the_search_ends_at_the_first_free_edge_it_labels(monkeypatch):
+    # a path 0-1-2 on side 0 and (0, 2) on side 1: y = (0, 2) closes a cycle
+    # on both, so no side takes it; y's circuit on side 0 labels (0, 1),
+    # which side 1 takes, and the search moves it there and y onto side 0
+    # with one circuit read, where a test at dequeue would first read y's
+    # circuit on side 1 too; sides and journal are the oracle's
+    a, b, c, y = edge(0, 1, 1), edge(1, 2, 1), edge(0, 2, -1), edge(0, 2, 1)
+    part, oracle = Partition(3, PARAMS_222), Partition(3, PARAMS_222)
+    for x in (a, b, c):
+        assert part.insert(x) is None and oracle.insert(x) is None
+    assert part.side == {a: 0, b: 0, c: 1}
+    part.before, oracle.before = {}, {}
+    calls = _count_circuits(monkeypatch)
+    assert part.insert(y) is None
+    assert calls == [y]
+    assert _circuit_first_insert(oracle, y) is None
+    assert part.side == oracle.side == {a: 1, b: 0, c: 1, y: 0}
+    assert list(part.before.items()) == list(oracle.before.items())
+
+
+@pytest.mark.parametrize("counts", [(2, 2, 0), (2, 2, 2), (3, 3, 1)])
+def test_the_search_reads_fewer_circuits_than_the_oracle(monkeypatch, counts):
+    # every edge of a union of k bases at n = 200 goes into a partition and
+    # into the circuit-first oracle's: the partitions end equal, and testing
+    # each edge for a free side as it is labelled reads fewer circuits
+    p = SparsityParams(*counts)
+    g = two_base_union(random.Random(str(counts)), 200, p)
+    calls = _count_circuits(monkeypatch)
+    part, oracle = Partition(g.n, p), Partition(g.n, p)
+    reads = oracle_reads = 0
+    for y in g.edges:
+        assert part.insert(y) is None
+        reads += len(calls)
+        calls.clear()
+        assert _circuit_first_insert(oracle, y) is None
+        oracle_reads += len(calls)
+        calls.clear()
+    assert part.side == oracle.side
+    for f, o in zip(part.forests, oracle.forests):
+        assert (f.root, f.parent, f.extra) == (o.root, o.parent, o.extra)
+    assert 0 < reads < oracle_reads

@@ -22,6 +22,7 @@ from .construct import (
 from .graph import GainGraphError
 from .iso import apply_iso
 from .jsonio import (
+    MAX_VERTICES,
     FormatError,
     framework_from_dict,
     framework_to_dict,
@@ -35,7 +36,7 @@ from .jsonio import (
 )
 from .moves import MoveError
 from .placement import PlacementError, realize
-from .rigidity import FrameworkError, analyse, well_positioned
+from .rigidity import FrameworkError, NotWellPositioned, analyse
 from .sparsity import SparsityParams, check_sparsity
 
 
@@ -45,6 +46,17 @@ def _counts(text: str) -> SparsityParams:
         return SparsityParams(k, l, m)
     except (ValueError, TypeError) as exc:
         raise argparse.ArgumentTypeError(f"bad counts {text!r}: {exc}")
+
+
+def _vertex_count(text: str) -> int:
+    """--n, bounded as a graph file's n is (jsonio.MAX_VERTICES)."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n > MAX_VERTICES:
+        raise argparse.ArgumentTypeError(f"'n' is {n}, over {MAX_VERTICES}")
+    return n
 
 
 def _emit(report: dict, summary: str) -> None:
@@ -118,9 +130,6 @@ def cmd_gen(args) -> int:
 
 def cmd_analyse(args) -> int:
     fw = framework_from_dict(load_json(args.framework))
-    if not well_positioned(fw):
-        _emit({"verdict": "FAIL", "reason": "not well-positioned"}, "FAIL")
-        return 1
     rep = analyse(fw, args.character)
     _emit(
         {
@@ -141,9 +150,6 @@ def cmd_analyse(args) -> int:
 
 def cmd_colour(args) -> int:
     fw = framework_from_dict(load_json(args.framework))
-    if not well_positioned(fw):
-        _emit({"verdict": "FAIL", "reason": "not well-positioned"}, "FAIL")
-        return 1
     gv = geometric_verdict(fw)
     _emit(
         {
@@ -204,28 +210,25 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    counts, output, random_graph = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    counts.add_argument("--counts", type=_counts, default=PARAMS_220)
+    output.add_argument("-o", "--output")
+    random_graph.add_argument("--n", type=_vertex_count, required=True)
+    random_graph.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("check", help="certify gain-sparsity of a graph")
+    p = sub.add_parser("check", parents=[counts], help="certify gain-sparsity of a graph")
     p.add_argument("graph")
-    p.add_argument("--counts", type=_counts, default=PARAMS_220)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("decompose", help="reduce a tight graph to bases")
+    p = sub.add_parser("decompose", parents=[counts, output], help="reduce a tight graph to bases")
     p.add_argument("graph")
-    p.add_argument("--counts", type=_counts, default=PARAMS_220)
-    p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("construct", help="replay a construction sequence")
+    p = sub.add_parser("construct", parents=[output], help="replay a construction sequence")
     p.add_argument("sequence")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("gen", help="generate a random tight graph")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--counts", type=_counts, default=PARAMS_220)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output")
+    p = sub.add_parser("gen", parents=[random_graph, counts, output], help="generate a random tight graph")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("analyse", help="orbit-matrix rank analysis")
@@ -237,17 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("framework")
     p.set_defaults(func=cmd_colour)
 
-    p = sub.add_parser("realize", help="synthesise a verified placement")
+    p = sub.add_parser("realize", parents=[output], help="synthesise a verified placement")
     p.add_argument("sequence")
     p.add_argument("--character", type=int, choices=(0, 1), help="default: the sequence's (its counts fix it)")
     p.add_argument("--norm", default="linf", choices=("linf", "l1"))
-    p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_realize)
 
-    p = sub.add_parser("roundtrip", help="gen, decompose, construct, compare")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--counts", type=_counts, default=PARAMS_220)
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("roundtrip", parents=[random_graph, counts], help="gen, decompose, construct, compare")
     p.set_defaults(func=cmd_roundtrip)
 
     return ap
@@ -258,8 +257,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (NotTight, NoAdmissibleReduction, MoveError, PlacementError) as exc:
-        # Before ValueError: NotTight and MoveError are ValueErrors.
+    except (NotTight, NoAdmissibleReduction, MoveError, NotWellPositioned, PlacementError) as exc:
+        # Before ValueError: NotTight, MoveError and NotWellPositioned (a FrameworkError) are ValueErrors.
         _emit({"verdict": "FAIL", "reason": str(exc)}, "FAIL")
         return 1
     except (FormatError, GainGraphError, FrameworkError, ValueError, OSError) as exc:

@@ -4,7 +4,8 @@ Formats:
   graph      {"n": int, "edges": [[u, v, gain], ...]}
   framework  graph fields plus "positions": [[x, y], ...] (rationals as
              "p/q" strings, integers, or decimals), "group": {"n": int},
-             "norm": "linf" | "l1" | {"p": num} | {"facets": [[a,b],[c,d]]}
+             "norm": "linf" | "l1" | {"p": num[, "dimension": int]}
+                     | {"facets": [[a,b],[c,d]]}
   sequence   {"counts": [k, l, m], "initial": [base ids], "steps": [moves]}
   move       {"kind": ..., plus only the parameters the kind uses}
 
@@ -81,6 +82,16 @@ def graph_to_dict(g: GainGraph) -> dict:
     return {"n": g.n, "edges": g.triples()}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _edge_from_list(t) -> Edge:
+    if not (isinstance(t, list) and len(t) == 3 and all(_is_int(c) for c in t)):
+        raise FormatError(f"edge entries must be [u, v, gain]: {t!r}")
+    return edge(*t)
+
+
 def graph_from_dict(d: dict) -> GainGraph:
     try:
         n = d["n"]
@@ -91,10 +102,7 @@ def graph_from_dict(d: dict) -> GainGraph:
         raise FormatError("'n' must be an integer and 'edges' a list")
     if n > MAX_VERTICES:
         raise FormatError(f"'n' is {n}, over {MAX_VERTICES}")
-    for t in edges:
-        if not (isinstance(t, list) and len(t) == 3 and all(_is_int(c) for c in t)):
-            raise FormatError(f"edge entries must be [u, v, gain]: {t!r}")
-    return GainGraph.from_triples(n, edges)
+    return GainGraph(n, tuple(_edge_from_list(t) for t in edges))
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +119,11 @@ def norm_from_json(desc: Any) -> Norm:
         p = desc["p"]
         if not (_is_int(p) or isinstance(p, float)):
             raise FormatError(f"norm exponent 'p' must be a number, got {p!r}")
+        dim = desc.get("dimension", 2)
+        if not _is_int(dim):
+            raise FormatError(f"norm 'dimension' must be an integer, got {dim!r}")
         try:
-            return LpNorm(float(p))
+            return LpNorm(float(p), dim)
         except OverflowError as exc:
             raise FormatError("norm exponent 'p' is out of range") from exc
     if isinstance(desc, dict) and "facets" in desc:
@@ -134,18 +145,13 @@ def norm_to_json(norm: Norm) -> Any:
     if norm == L1:
         return "l1"
     if isinstance(norm, LpNorm):
-        return {"p": norm.p}
+        return {"p": norm.p} if norm.dimension == 2 else {"p": norm.p, "dimension": norm.dimension}
     return {"facets": [[dump_rational(c) for c in f] for f in norm.facets]}
 
 
 def framework_to_dict(fw: Framework) -> dict:
-    d = graph_to_dict(fw.graph)
-    d["positions"] = [
-        [dump_rational(c) for c in p] for p in fw.positions
-    ]
-    d["group"] = {"n": fw.group_order}
-    d["norm"] = norm_to_json(fw.norm)
-    return d
+    return {**graph_to_dict(fw.graph), "positions": [[dump_rational(c) for c in p] for p in fw.positions],
+            "group": {"n": fw.group_order}, "norm": norm_to_json(fw.norm)}
 
 
 def framework_from_dict(d: dict) -> Framework:
@@ -153,9 +159,7 @@ def framework_from_dict(d: dict) -> Framework:
     raw = d.get("positions")
     if not (isinstance(raw, list) and all(isinstance(p, list) for p in raw)):
         raise FormatError(f"framework needs 'positions', a list of points, got {raw!r}")
-    positions = tuple(
-        tuple(parse_rational(c) for c in p) for p in raw
-    )
+    positions = tuple(tuple(parse_rational(c) for c in p) for p in raw)
     group = d.get("group", {"n": 2})
     order = group.get("n", 2) if isinstance(group, dict) else None
     if not _is_int(order):
@@ -171,35 +175,15 @@ def framework_from_dict(d: dict) -> Framework:
 # ---------------------------------------------------------------------------
 
 
+def _plain(x):
+    """x with every tuple in it (an Edge is one) written as a list."""
+    return [_plain(y) for y in x] if isinstance(x, tuple) else x
+
+
 def move_to_dict(mv: Move) -> dict:
-    d: dict = {"kind": mv.kind}
-    if mv.vertices:
-        d["vertices"] = list(mv.vertices)
-    if mv.gains:
-        d["gains"] = list(mv.gains)
-    if mv.removed:
-        d["removed"] = [e.as_list() for e in mv.removed]
-    if mv.attach:
-        d["attach"] = [[e.as_list(), idx] for e, idx in mv.attach]
-    if mv.loop_attach is not None:
-        d["loop_attach"] = list(mv.loop_attach)
-    if mv.v2_edge is not None:
-        d["v2_edge"] = mv.v2_edge.as_list()
-    if mv.moved:
-        d["moved"] = [e.as_list() for e in mv.moved]
-    if mv.move_loop:
-        d["move_loop"] = True
-    return d
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _edge_from_list(t) -> Edge:
-    if not (isinstance(t, list) and len(t) == 3 and all(_is_int(c) for c in t)):
-        raise FormatError(f"bad edge {t!r}")
-    return edge(*t)
+    """Every field that differs from its default, in field order: kind (it
+    has none) and the set ones, which arity_error lets only the kind's be."""
+    return {f.name: _plain(val) for f in fields(Move) if (val := getattr(mv, f.name)) != f.default}
 
 
 def move_from_dict(d: dict) -> Move:

@@ -333,3 +333,54 @@ def test_decompose_serves_only_220_and_222(tmp_path, capsys, counts):
     captured = capsys.readouterr()
     assert str(p.as_tuple()) in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["gen", "roundtrip"])
+def test_a_random_graph_past_the_vertex_bound_is_usage_error(capsys, command):
+    # --n is bounded as a graph file's n is: refused while the options are
+    # parsed, before any graph is built
+    with pytest.raises(SystemExit) as exc:  # argparse: a usage error
+        main([command, "--n", "1000000000"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "'n' is 1000000000, over 1000000" in captured.err
+
+
+# Base a's graph with vertex 0's loop along 2 p_0 = (2, 2): on an l-infinity
+# cone boundary.
+_CONE_BOUNDARY = {"n": 2, "edges": [[0, 0, -1], [0, 1, -1], [0, 1, 1], [1, 1, -1]],
+                  "positions": [[1, 1], [-1, 3]], "norm": "linf"}
+
+
+@pytest.mark.parametrize("command", ["analyse", "colour"])
+def test_not_well_positioned_fails_naming_its_edge(tmp_path, capsys, command):
+    path = tmp_path / "fw.json"
+    save_json(str(path), _CONE_BOUNDARY)
+    assert main([command, str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL")
+    reason = json.loads(out.split("\n", 1)[1])["reason"]
+    assert reason.startswith("edge [0, 0, -1]: direction (") and reason.endswith("on a cone boundary")
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        # a vertex on the 3-D axis: its half turn is itself, so its loop's
+        # direction is zero
+        ({"n": 1, "edges": [[0, 0, -1]], "positions": [[0, 0, 1]], "norm": {"p": 3, "dimension": 3}},
+         "quadrilateral norm"),
+        ({"group": {"n": 4}}, "half-turn symmetry"),
+    ],
+    ids=["lp", "group-order-4"],
+)
+def test_colour_of_a_framework_it_cannot_read_is_usage_error(tmp_path, capsys, changes, message):
+    # even when the framework is also not well-positioned
+    path = tmp_path / "fw.json"
+    save_json(str(path), {**_CONE_BOUNDARY, **changes})
+    assert main(["analyse", str(path)]) == 1
+    assert "FAIL" in capsys.readouterr().out
+    assert main(["colour", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err and "Traceback" not in captured.err

@@ -1,3 +1,4 @@
+import json
 import sys
 import time
 from fractions import Fraction as F
@@ -6,7 +7,7 @@ import pytest
 
 from gainrig.catalog import BASE_CATALOG, PARAMS_220
 from gainrig.construct import decompose, random_tight
-from gainrig.graph import GainGraphError
+from gainrig.graph import Edge, GainGraphError, edge
 from gainrig import jsonio
 from gainrig.jsonio import (
     FormatError,
@@ -22,8 +23,10 @@ from gainrig.jsonio import (
     sequence_from_dict,
     sequence_to_dict,
 )
-from gainrig.norms import L1, LINF, LpNorm
+from gainrig.moves import ALL_KINDS, Move
+from gainrig.norms import L1, LINF, LpNorm, PolyhedralNorm
 from gainrig.placement import base_placement
+from gainrig.rigidity import Framework
 
 
 def test_graph_roundtrip():
@@ -128,6 +131,76 @@ def test_framework_roundtrip():
     assert fw2.positions == fw.positions
     assert fw2.norm == fw.norm
     assert fw2.group_order == 2
+
+
+@pytest.mark.parametrize(
+    "norm, positions, written",
+    [
+        (LpNorm(3.0), ((1, 2), (-3, 5)), '{"p": 3.0}'),
+        (LpNorm(3.0, 3), ((1, 2, 3), (-3, 5, 1)), '{"p": 3.0, "dimension": 3}'),
+        (PolyhedralNorm(((F(1), F(2)), (F(0), F(1, 3)))), ((1, 2), (-3, 5)),
+         '{"facets": [[1, 2], [0, "1/3"]]}'),
+    ],
+    ids=["lp", "lp-3d", "facets"],
+)
+def test_framework_roundtrip_under_every_norm(norm, positions, written):
+    # an l^p norm keeps its dimension, written only when it is not 2
+    fw = Framework(BASE_CATALOG["a"], tuple(tuple(map(F, p)) for p in positions), norm, 2)
+    d = framework_to_dict(fw)
+    assert json.dumps(d["norm"]) == written
+    assert framework_from_dict(json.loads(json.dumps(d))) == fw
+
+
+@pytest.mark.parametrize("dimension", ["3", 3.0, True, None])
+def test_lp_dimension_must_be_an_integer(dimension):
+    with pytest.raises(FormatError, match="'dimension' must be an integer"):
+        norm_from_json({"p": 3, "dimension": dimension})
+
+
+# One move per kind, with the JSON it is written as: kind, then each field
+# that differs from its default, in Move's field order.
+MOVES = [
+    (Move("H1a", (0, 1), (1, -1)), '{"kind": "H1a", "vertices": [0, 1], "gains": [1, -1]}'),
+    (Move("H1b", (2,)), '{"kind": "H1b", "vertices": [2]}'),
+    (Move("H1c", (0,), (-1,)), '{"kind": "H1c", "vertices": [0], "gains": [-1]}'),
+    (Move("H2a", (0, 1), (1, 1), (edge(1, 0, -1),)),
+     '{"kind": "H2a", "vertices": [0, 1], "gains": [1, 1], "removed": [[0, 1, -1]]}'),
+    (Move("H2b", (0,), (-1,), (edge(0, 1, 1),)),
+     '{"kind": "H2b", "vertices": [0], "gains": [-1], "removed": [[0, 1, 1]]}'),
+    (Move("H2c", (0,), (1,), (Edge(0, 0, -1),)),
+     '{"kind": "H2c", "vertices": [0], "gains": [1], "removed": [[0, 0, -1]]}'),
+    (Move("H2d", (1,), (1,), (edge(0, 2, 1),)),
+     '{"kind": "H2d", "vertices": [1], "gains": [1], "removed": [[0, 2, 1]]}'),
+    (Move("H2e", removed=(Edge(1, 1, -1),)), '{"kind": "H2e", "removed": [[1, 1, -1]]}'),
+    (Move("H3a", (0, 2), (1, -1), (edge(0, 1, 1), edge(2, 3, -1))),
+     '{"kind": "H3a", "vertices": [0, 2], "gains": [1, -1], "removed": [[0, 1, 1], [2, 3, -1]]}'),
+    (Move("H3b", (0, 1, 2), removed=(edge(0, 1, 1), edge(1, 2, 1))),
+     '{"kind": "H3b", "vertices": [0, 1, 2], "removed": [[0, 1, 1], [1, 2, 1]]}'),
+    (Move("H3c", (2,), (-1,), (Edge(0, 0, -1), edge(1, 2, 1))),
+     '{"kind": "H3c", "vertices": [2], "gains": [-1], "removed": [[0, 0, -1], [1, 2, 1]]}'),
+    (Move("H3d", removed=(Edge(0, 0, -1), Edge(1, 1, -1))),
+     '{"kind": "H3d", "removed": [[0, 0, -1], [1, 1, -1]]}'),
+    (Move("VertexToK4", (0,), attach=((edge(0, 1, -1), 0), (edge(0, 1, 1), 2)), loop_attach=(1, 3)),
+     '{"kind": "VertexToK4", "vertices": [0], "attach": [[[0, 1, -1], 0], [[0, 1, 1], 2]], '
+     '"loop_attach": [1, 3]}'),
+    (Move("VertexToK4", (0,), attach=((edge(0, 1, -1), 3),)),
+     '{"kind": "VertexToK4", "vertices": [0], "attach": [[[0, 1, -1], 3]]}'),
+    (Move("VertexSplit", (0,), v2_edge=edge(0, 1, 1), moved=(edge(0, 2, -1),), move_loop=True),
+     '{"kind": "VertexSplit", "vertices": [0], "v2_edge": [0, 1, 1], "moved": [[0, 2, -1]], '
+     '"move_loop": true}'),
+    (Move("VertexSplit", (0,), v2_edge=edge(0, 1, 1)),
+     '{"kind": "VertexSplit", "vertices": [0], "v2_edge": [0, 1, 1]}'),
+]
+
+
+def test_move_encoder_pins_every_kind():
+    assert {mv.kind for mv, _ in MOVES} == set(ALL_KINDS)
+
+
+@pytest.mark.parametrize("mv, text", MOVES, ids=[f"{mv.kind}-{i}" for i, (mv, _) in enumerate(MOVES)])
+def test_move_encoder_writes_kind_then_set_fields_in_field_order(mv, text):
+    assert json.dumps(move_to_dict(mv)) == text
+    assert move_from_dict(json.loads(text)) == mv
 
 
 def test_move_and_sequence_roundtrip():
